@@ -2,15 +2,22 @@
 
 Solves A x = c over the integers via a column-echelon (Hermite-style)
 reduction with unimodular column operations, and selects a canonical
-smallest solution from the affine solution lattice.  Sizes here are tiny
-(tens of unknowns), so clarity wins over asymptotics.
+smallest solution from the affine solution lattice.  The selection is an
+iterative-deepening search on the max-norm over the echelonized kernel
+basis.  Each basis vector is zero above its pivot row, so a coordinate is
+final once every vector that reaches it has its coefficient; the search
+checks coordinates as they become final and drops a branch as soon as they
+rule it out.  Its nodes are counted against the shared search budget
+(``BRAIDSEED_BUDGET``), and running out raises BudgetExhausted.  All
+arithmetic stays in Python integers.
 """
 from __future__ import annotations
 
 from math import gcd
 from typing import Sequence
 
-from .errors import NoIntegralSolution
+from .errors import BudgetExhausted, NoIntegralSolution
+from .words import default_budget
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -107,11 +114,12 @@ def _echelon_kernel(kernel: list, n: int) -> tuple[list, list]:
 
 
 def _size_reduce(x: list, basis: list, pivot_rows: list) -> list:
+    """Shift x by the basis so each pivot entry lies in [-step/2, step/2)."""
     out = list(x)
     for vec, p in zip(basis, pivot_rows):
         step = vec[p]
         if step:
-            q = round(out[p] / step)
+            q = (2 * out[p] + step) // (2 * step)  # nearest integer, halves up
             if q:
                 out = [a - q * b for a, b in zip(out, vec)]
     return out
@@ -127,6 +135,13 @@ def canonical_smallest_solution(
     then prefers nonnegative entries.  Found by iterative deepening on
     the max-norm over the echelonized kernel lattice, which makes the
     coefficient ranges finite at each radius.
+
+    Coordinates are checked against the radius as soon as they are final,
+    and a branch whose final coordinates already hold more entries at the
+    radius than the best solution found so far is dropped: it loses on the
+    first part of the canonical order.  The surviving solutions are ranked
+    by the full order.  Raises BudgetExhausted when the search visits more
+    than default_budget() nodes.
     """
     x0, kernel = solve_integer_system(rows, rhs)
     n = len(x0)
@@ -135,28 +150,52 @@ def canonical_smallest_solution(
     basis, pivot_rows = _echelon_kernel(kernel, n)
     x0 = _size_reduce(x0, basis, pivot_rows)
     ceiling = max(abs(v) for v in x0) if x0 else 0
+    budget = default_budget()
+    support = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
+    # coordinates in [final_from[d], final_from[d + 1]) are final after depth d
+    final_from = pivot_rows + [n]
+    nodes = 0
 
     def search(radius: int) -> list:
         found = []
+        best = n + 1  # fewest entries at the radius among the solutions found
 
-        def dfs(depth: int, current: list) -> None:
+        def dfs(depth: int, current: list, at_radius: int) -> None:
+            nonlocal nodes, best
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted(
+                    f"lattice search stopped after {budget} nodes at radius {radius}"
+                )
             if depth == len(basis):
-                if all(abs(v) <= radius for v in current):
-                    found.append(list(current))
+                found.append(current)
+                best = min(best, at_radius)
                 return
-            vec = basis[depth]
             p = pivot_rows[depth]
-            step = vec[p]
+            step = basis[depth][p]
             base = current[p]
             # integer coeff with |base + step*coeff| <= radius; step > 0,
             # and Python floor division handles negative numerators
             lo = -((radius + base) // step)
             hi = (radius - base) // step
+            final = range(p, final_from[depth + 1])
             for coeff in range(lo, hi + 1):
-                nxt = [a + coeff * b for a, b in zip(current, vec)]
-                dfs(depth + 1, nxt)
+                nxt = list(current)
+                for i, v in support[depth]:
+                    nxt[i] += coeff * v
+                count = at_radius
+                for i in final:
+                    size = abs(nxt[i])
+                    if size > radius:
+                        break
+                    count += size == radius
+                else:
+                    if count <= best:
+                        dfs(depth + 1, nxt, count)
 
-        dfs(0, x0)
+        head = [abs(v) for v in x0[: pivot_rows[0]]]
+        if all(v <= radius for v in head):
+            dfs(0, x0, head.count(radius))
         return found
 
     radius = 0

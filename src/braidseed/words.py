@@ -94,6 +94,23 @@ class MoveScan(NamedTuple):
     unsupported: tuple  # leftmost positions of 6-move windows
 
 
+# Length of the braid relation window between distinct letters i, j, indexed
+# by c_ij * c_ji; a larger product has no relation.
+_RELATION_LENGTH = (2, 3, 4, 6)
+
+
+def _relation_window(i, j, prod: int) -> Optional[tuple]:
+    """The alternating window i j i ... that a braid relation rewrites, for
+    letters i != j with c_ij * c_ji = prod; None when no relation exists.
+
+    The rewrite is the same window with i and j swapped.  Length 6 is the
+    6-move, which the move system refuses.
+    """
+    if prod >= len(_RELATION_LENGTH):
+        return None
+    return tuple(j if t % 2 else i for t in range(_RELATION_LENGTH[prod]))
+
+
 def enumerate_moves(cd: CartanData, w: Word) -> MoveScan:
     """All applicable moves, plus positions of 6-move windows we refuse.
 
@@ -101,25 +118,19 @@ def enumerate_moves(cd: CartanData, w: Word) -> MoveScan:
     classified by c_ij * c_ji of the letter pair.
     """
     letters = w.letters
-    n = len(letters)
     moves = []
     unsupported = []
-    for k in range(1, n):
+    for k in range(1, len(letters)):
         i, j = letters[k - 1], letters[k]
         if i == j:
             continue
-        prod = cd.pair_product(i, j)
-        if prod == 0:
-            moves.append(Move(MoveKind.TWO, k))
-        elif prod == 1:
-            if k + 1 < n and letters[k + 1] == i:
-                moves.append(Move(MoveKind.THREE, k))
-        elif prod == 2:
-            if k + 2 < n and letters[k + 1] == i and letters[k + 2] == j:
-                moves.append(Move(MoveKind.FOUR, k))
-        elif prod == 3:
-            if k + 4 < n and letters[k + 1 : k + 5] == (i, j, i, j):
-                unsupported.append(k)
+        window = _relation_window(i, j, cd.pair_product(i, j))
+        if window is None or letters[k - 1 : k - 1 + len(window)] != window:
+            continue
+        if len(window) == 6:
+            unsupported.append(k)
+        else:
+            moves.append(Move(MoveKind(len(window)), k))
     return MoveScan(tuple(moves), tuple(unsupported))
 
 
@@ -163,26 +174,46 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     """Explore the move graph from start.
 
     Returns ('found', path) when target is reached, ('exhausted', None) when
-    the whole component was enumerated without it, ('budget', None) otherwise.
+    the whole component was enumerated without it, ('budget', None) once
+    `budget` words have been discovered.
+
+    Works on letter tuples with one rewrite table per call, built from
+    _relation_window for the letter pairs of start (moves never add
+    letters).  Each word's moves are tried in ascending position, at most one
+    kind per position, exactly as enumerate_moves lists them, so words are
+    discovered, and paths found, in the same order.
     """
     if start.letters == target:
         return "found", []
-    visited = {start.letters: (None, None)}
-    queue = deque([start])
+    rules = {}  # (i, j) -> (window, rewrite, kind) for pairs with a supported move
+    alphabet = set(start.letters)
+    for i in alphabet:
+        for j in alphabet - {i}:
+            prod = cd.pair_product(i, j)
+            window = _relation_window(i, j, prod)
+            if window is not None and len(window) < 6:
+                rules[(i, j)] = (window, _relation_window(j, i, prod), MoveKind(len(window)))
+    visited = {start.letters: None}  # word -> (previous word, kind, position)
+    queue = deque([start.letters])
     while queue:
         current = queue.popleft()
-        for move in enumerate_moves(cd, current).moves:
-            nxt = apply_move(current, move)
-            if nxt.letters in visited:
+        for k, pair in enumerate(zip(current, current[1:])):
+            rule = rules.get(pair)
+            if rule is None:
                 continue
-            visited[nxt.letters] = (current.letters, move)
-            if nxt.letters == target:
+            window, rewrite, kind = rule
+            end = k + len(window)
+            if current[k:end] != window:
+                continue
+            nxt = current[:k] + rewrite + current[end:]
+            if nxt in visited:
+                continue
+            visited[nxt] = (current, kind, k + 1)
+            if nxt == target:
                 path = []
-                cursor = nxt.letters
-                while visited[cursor][1] is not None:
-                    prev, mv = visited[cursor]
-                    path.append(mv)
-                    cursor = prev
+                while visited[nxt] is not None:
+                    nxt, kind, position = visited[nxt]
+                    path.append(Move(kind, position))
                 path.reverse()
                 return "found", path
             if len(visited) >= budget:

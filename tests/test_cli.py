@@ -262,6 +262,20 @@ def test_budget_exhaustion_is_an_error(tmp_path):
     assert report.metadata["error"]["kind"] == "BudgetExhausted"
 
 
+def test_lattice_budget_exhaustion_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
+    a5 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
+    cartan = tmp_path / "a5.json"
+    cartan.write_text(json.dumps({"matrix": a5}))
+    code, report = run(
+        tmp_path, "seed", "build", "--cartan", str(cartan), "--kind", "weyl-reduced",
+        "--word", "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1",
+    )
+    assert code == 2
+    assert report.verdict == "Error"
+    assert report.metadata["error"]["kind"] == "BudgetExhausted"
+
+
 def test_malformed_word_reports_config_error(capsys):
     code = main(["words", "moves", "--cartan", "a2", "--word", ","])
     assert code == 2

@@ -1,6 +1,7 @@
 """Integer system solving and canonical smallest solutions.
 
-Oracle: exhaustive enumeration over small boxes.
+Oracle: exhaustive enumeration over small boxes, on fixed cases and on
+random consistent systems.
 """
 from __future__ import annotations
 
@@ -8,9 +9,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidseed.errors import NoIntegralSolution
 from braidseed.lattices import (
+    _size_reduce,
     canonical_smallest_solution,
     column_echelon,
     solve_integer_system,
@@ -105,3 +109,30 @@ def test_canonical_prefers_positive_sign():
 
 def test_canonical_unconstrained_is_zero():
     assert canonical_smallest_solution([[0, 0]], [0]) == [0, 0]
+
+
+@st.composite
+def small_consistent_systems(draw):
+    """A x = A x_true with |x_true| <= 2, so the canonical solution lies in
+    the brute-force box."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    x_true = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return rows, matmul_vec(rows, x_true)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_consistent_systems())
+def test_canonical_matches_brute_force_on_random_systems(system):
+    rows, rhs = system
+    assert canonical_smallest_solution(rows, rhs) == brute_canonical(rows, rhs, len(rows[0]))
+
+
+def test_size_reduce_is_exact_beyond_float_range():
+    # Shifts round to the nearest integer, halves up; the first two
+    # quotients do not fit in a float.
+    assert _size_reduce([10**400 + 1], [[3]], [0]) == [-1]
+    assert _size_reduce([5 * 10**400 + 1], [[2 * 10**400]], [0]) == [-(10**400) + 1]
+    assert _size_reduce([5, 7], [[2, 1], [0, 4]], [0, 1]) == [-1, 0]

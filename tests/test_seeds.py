@@ -8,13 +8,16 @@ and the exact track's leading exponents.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
-from braidseed.cartan import preset
+from braidseed.cartan import finite_type_data, preset, validate_cartan
 from braidseed.errors import (
+    BudgetExhausted,
     ExchangeSetNotPreserved,
     FrozenIndex,
     MinorNotReachable,
@@ -359,3 +362,81 @@ def test_seed_to_json_shape():
     assert payload["variables"]["tropical"][0] == [1, 0, 1]
     assert len(payload["variables"]["exact"]) == 3
     assert payload["word"] == {"letters": [1, 2, 1], "kind": "weyl-reduced"}
+
+
+def type_a(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def type_b(n):
+    """B_n in the orientation of the b3 preset: c_{n,n-1} = -2."""
+    m = type_a(n)
+    m[n - 1][n - 2] = -2
+    return m
+
+
+def type_d(n):
+    """D_n: a path 1..n-1 with vertex n attached to n-2."""
+    m = type_a(n)
+    m[n - 2][n - 1] = m[n - 1][n - 2] = 0
+    m[n - 3][n - 1] = m[n - 1][n - 3] = -1
+    return m
+
+
+def w0_seed(matrix):
+    cd = validate_cartan(matrix)
+    return initial_seed(cd, Word(finite_type_data(cd).longest_word, REDUCED))
+
+
+# Pairing of the seed of each family's canonical longest word: the largest
+# |lambda_ij| and the SHA-256 of the JSON list of lambda_ij, i < j, in
+# row-major order.  Computed by the unpruned search, which checked every
+# coordinate only at the leaves.
+W0_LAMBDA = {
+    "A3": (type_a(3), 1,
+           "9b91ed4f75c793a794ded4d274c54ada87040a51052d3b7afaef8794bb0c9488"),
+    "B3": (type_b(3), 2,
+           "903274a933f5cc34db5b0e19a63ad6fc1e76e58578b5d3cde8ba529492982ba0"),
+    "A4": (type_a(4), 1,
+           "2b12d172d92f8206cd163a7cfc0e7acaaf01bd047a47ba02f93da4b07164aac3"),
+    "D4": (type_d(4), 2,
+           "dd2d15958f3f5587fdfa6df1dc21daf00e7270ee9f6257fea59a849024d633d9"),
+    "B4": (type_b(4), 3,
+           "5b202ddf05c02cd28c25b8da3c205a3e81dc53f4576a9e61f822954047ac3f50"),
+    "D5": (type_d(5), 2,
+           "53b77f2e9d9ef81a59c8d00d0adf26fadf1c60ccca4fcdb7bfe89ea157b4a25f"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(W0_LAMBDA))
+def test_w0_lambda_matches_pinned_values(family):
+    matrix, largest, digest = W0_LAMBDA[family]
+    seed = w0_seed(matrix)
+    n = seed.b.n
+    upper = [seed.lam[i][j] for i in range(n) for j in range(i + 1, n)]
+    assert max(map(abs, upper)) == largest
+    assert hashlib.sha256(json.dumps(upper).encode()).hexdigest() == digest
+    assert check_compatibility(seed.lam, seed.b)
+
+
+def test_a5_w0_seed_is_compatible():
+    seed = w0_seed(type_a(5))
+    assert check_compatibility(seed.lam, seed.b)
+
+
+def test_b4_word_with_huge_particular_solution_builds_a_seed():
+    # The particular solution and kernel basis of this word reach entries
+    # whose quotients overflow a float; size reduction must stay exact.
+    cd = validate_cartan(type_b(4))
+    w = Word((1, 2, 1, 3, 4, 3, 4, 2, 3, 4, 3, 1, 2, 3, 4, 3), REDUCED)
+    seed = initial_seed(cd, w)
+    assert check_compatibility(seed.lam, seed.b)
+    assert max(abs(v) for row in seed.lam for v in row) == 4
+
+
+def test_lambda_search_is_bounded_by_the_budget(monkeypatch):
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
+    cd = validate_cartan(type_a(5))
+    b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
+    with pytest.raises(BudgetExhausted):
+        solve_lambda(b)

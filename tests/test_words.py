@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from braidseed.cartan import preset, reflect_root, roots_of_word
+from braidseed.cartan import preset, reflect_root, roots_of_word, validate_cartan
 from braidseed.errors import (
     BudgetExhausted,
     InvalidBox,
@@ -208,6 +208,45 @@ def test_budget_env_override(monkeypatch):
     with pytest.raises(NotConnected) as info:
         find_move_path(cd, Word((1, 2, 1, 3, 2, 1)), Word((3, 2, 3, 1, 2, 3)))
     assert not info.value.definitive
+
+
+# Rank-4 contexts: A4, D4 (node 4 attached to node 2), and B4 in the
+# orientation of the b3 preset (c_43 = -2).
+RANK4 = {
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+}
+
+# Reduced words of w0 drawn by seeded random walks in the move graph, and
+# the moves of find_move_path between them as found by the search that
+# listed each word's moves with enumerate_moves.
+PINNED_PATHS = [
+    ("A4", "1231423121", "3423123413",
+     "2@4 2@7 3@5 2@4 3@2 2@1 2@5 2@4 3@2 3@7 3@5 2@4 2@3 2@2 2@7 3@5 2@4 2@9"),
+    ("A4", "2341213421", "1342341213",
+     "2@3 2@2 2@4 2@5 3@6 2@5 3@3 3@1 2@3 3@4 3@2 2@6 2@5 3@7 2@6 3@4 2@3 2@9"),
+    ("D4", "213213423124", "214232412314",
+     "2@6 2@5 3@7 3@9 2@8 3@6 3@4 2@3 3@8 2@7 2@6 3@4"),
+    ("D4", "321432341214", "432342124321",
+     "2@3 2@4 2@8 2@7 3@5 2@11 3@9 3@7 2@6 3@4 3@2 2@1 2@4 2@9"),
+    ("B4", "2312341324134234", "1234123124314234", "2@2 3@3 3@1 2@3 2@5 2@4 2@7 2@11"),
+    ("B4", "2132134342312434", "2342314231423214",
+     "2@2 3@3 4@6 2@5 2@4 2@3 3@9 2@8 3@6 2@5 3@11 2@13 2@12 2@11 4@8 2@7 2@11 2@10 2@14 "
+     "3@12"),
+]
+
+
+@pytest.mark.parametrize("family, start, end, moves", PINNED_PATHS)
+def test_find_move_path_matches_pinned_moves(family, start, end, moves):
+    cd = validate_cartan(RANK4[family])
+    u = Word(tuple(map(int, start)), WordKind.WEYL_REDUCED)
+    v = Word(tuple(map(int, end)), WordKind.WEYL_REDUCED)
+    path = find_move_path(cd, u, v)
+    assert " ".join(f"{m.kind.window}@{m.position}" for m in path) == moves
+    for move in path:
+        u = apply_move(u, move)
+    assert u == v
 
 
 def test_neighbor_index_examples():
