@@ -56,6 +56,10 @@ class CartanData:
         """c_ij * c_ji for distinct labels: 0, 1, 2, 3 classify the move kinds."""
         return self.entry(i, j) * self.entry(j, i)
 
+    @cached_property
+    def _finite_type(self) -> "FiniteTypeData":
+        return _finite_type_data(self)
+
 
 def _components(matrix: Sequence[Sequence[int]]) -> list:
     n = len(matrix)
@@ -247,6 +251,15 @@ def _positive_root_closure(cd: CartanData) -> set:
 def finite_type_data(cd: CartanData) -> FiniteTypeData:
     """Positive roots, a canonical w0 word, the star involution, and h.
 
+    Computed once per CartanData and cached on it; a matrix that is not of
+    finite type raises NotFiniteType on every call.
+    """
+    return cd._finite_type
+
+
+def _finite_type_data(cd: CartanData) -> FiniteTypeData:
+    """The uncached body of finite_type_data.
+
     The w0 word is built greedily: always append the smallest index whose
     simple root is kept positive, which terminates exactly at w0.  The
     Coxeter number 2|R+|/|I| is stored only when it is an integer (it always
@@ -299,14 +312,29 @@ def cartan_to_json(cd: CartanData) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_list(value, what: str, kinds: tuple = (int,)) -> list:
+    """value itself when it is a JSON list of the given kinds (bools excluded)."""
+    if not isinstance(value, list) or any(type(v) not in kinds for v in value):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise NotGCM(f"JSON {what}: expected a list of {names} values")
+    return value
+
+
 def cartan_from_json(text: str) -> CartanData:
-    payload = json.loads(text)
-    if "matrix" not in payload:
+    """Parse and validate a JSON Cartan payload; malformed JSON or fields
+    of the wrong shape raise NotGCM."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise NotGCM(f"invalid JSON: {err}") from err
+    if not isinstance(payload, dict) or "matrix" not in payload:
         raise NotGCM("JSON payload lacks a 'matrix' field")
+    matrix = _json_list(payload["matrix"], "matrix", (list,))
+    symmetrizer, indices = payload.get("symmetrizer"), payload.get("indices")
     return validate_cartan(
-        payload["matrix"],
-        payload.get("symmetrizer"),
-        payload.get("indices"),
+        [_json_list(row, "matrix row") for row in matrix],
+        None if symmetrizer is None else _json_list(symmetrizer, "symmetrizer"),
+        None if indices is None else _json_list(indices, "indices", (int, str)),
     )
 
 

@@ -107,7 +107,6 @@ class RunConfig:
     budget: int
     exact: bool
     exact_cap: int
-    seed_files: tuple
     output: Optional[str]
     format: str
     options: dict = field(default_factory=dict)
@@ -273,17 +272,12 @@ def parse_args(argv=None) -> RunConfig:
             _parse_ints(v, "vector") for v in ns.vector
         )
     budget = ns.budget if getattr(ns, "budget", None) is not None else default_budget()
-    seed_files = []
-    cartan_ref = getattr(ns, "cartan", None)
-    if cartan_ref and Path(cartan_ref).exists():
-        seed_files.append(cartan_ref)
     return RunConfig(
         command=(ns.group, ns.action),
-        cartan_file=cartan_ref,
+        cartan_file=getattr(ns, "cartan", None),
         budget=budget,
         exact=getattr(ns, "exact", False),
         exact_cap=getattr(ns, "exact_cap", EXACT_CAP_DEFAULT),
-        seed_files=tuple(seed_files),
         output=getattr(ns, "output", None),
         format=getattr(ns, "format", "text"),
         options=options,
@@ -312,9 +306,10 @@ def _load_cartan(config: RunConfig) -> CartanData:
     path = Path(ref)
     if path.exists():
         try:
-            return cartan_from_json(path.read_text())
-        except OSError as err:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigInvalid(f"cartan: cannot read {ref}: {err}") from err
+        return cartan_from_json(text)
     return preset(ref)
 
 
@@ -531,7 +526,10 @@ def _cmd_seed_build(config: RunConfig) -> Report:
     out = config.options.get("out")
     if out:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        Path(out).write_text(blob)
+        try:
+            Path(out).write_text(blob)
+        except OSError as err:
+            raise ConfigInvalid(f"out: cannot write {out}: {err}") from err
         sections.append(echo("written", out))
     return report_from_sections(sections, _metadata(config, cd))
 
@@ -1040,9 +1038,14 @@ def main(argv=None) -> int:
         report = error_report(type(err).__name__, str(err), _metadata(config))
     blob = emit_report(report, config.format)
     if config.output:
-        Path(config.output).write_bytes(blob)
-    else:
-        sys.stdout.write(blob.decode("utf-8"))
+        try:
+            Path(config.output).write_bytes(blob)
+            return report.exit_code
+        except OSError as err:
+            message = f"output: cannot write {config.output}: {err}"
+            report = error_report(ConfigInvalid.__name__, message, _metadata(config))
+            blob = emit_report(report, config.format)
+    sys.stdout.write(blob.decode("utf-8"))
     return report.exit_code
 
 

@@ -10,10 +10,14 @@ quantum Cartan series, and the standard monomial exponent patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from functools import cached_property
+from itertools import islice
+from operator import mul
+from typing import Dict, Sequence
 
-from .cartan import CartanData, finite_type_data, reflect_root
+from .cartan import CartanData, finite_type_data, weyl_act
 from .errors import (
+    BudgetExhausted,
     DimensionMismatch,
     HeightParityViolation,
     NonContiguousWindow,
@@ -24,7 +28,7 @@ from .errors import (
     SeriesOrderInsufficient,
 )
 from .seeds import gls_matrix
-from .words import Word, WordKind
+from .words import Word, WordKind, default_budget
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ class QDatum:
     def height(self, i) -> int:
         return self.heights[self.cartan.position[i]]
 
-    @property
+    @cached_property
     def arrows(self) -> tuple:
         out = []
         for i in self.cartan.index_set:
@@ -63,6 +67,48 @@ class QDatum:
             for j in self.cartan.index_set
             if self.cartan.entry(i, j) == -1
         )
+
+    @cached_property
+    def coxeter(self) -> tuple:
+        """The Coxeter element c and its inverse as rows of integer matrices
+        on root coordinates; c applies the reflections of one
+        source-extraction pass in extraction order."""
+        order = _adapted_pass(self)
+        cd = self.cartan
+
+        def matrix(letters) -> tuple:
+            columns = [weyl_act(cd, letters, cd.simple_root(j)) for j in cd.index_set]
+            return tuple(zip(*columns))
+
+        return matrix(order[::-1]), matrix(order)
+
+    @cached_property
+    def _preimages(self) -> dict:
+        """root -> [(vertex, r, winding, P, gain)] over one period of each
+        vertex's forward orbit (see _orbit), in vertex then step order.
+
+        c permutes the finite root system, so the orbit of gamma_i comes
+        back to +-gamma_i after some P steps, gaining `gain` >= 1 windings
+        (it changes sign in finite type); step qP + r then carries the root
+        of step r at its winding + q * gain, and no root repeats within a
+        period.  The steps count against default_budget(), which also ends
+        the walk outside finite type, where no period exists.
+        """
+        budget = default_budget()
+        spent = 0
+        out: Dict[tuple, list] = {}
+        for i in self.cartan.index_set:
+            cycle = []
+            for root, winding in _orbit(self, i, True):
+                if cycle and root == cycle[0][0]:
+                    break  # back at +-gamma_i: winding is the gain
+                spent += 1
+                if spent > budget:
+                    raise _budget_exhausted(budget)
+                cycle.append((root, winding))
+            for r, (beta, w) in enumerate(cycle):
+                out.setdefault(beta, []).append((i, r, w, len(cycle), winding))
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +197,7 @@ def star_map(cd: CartanData) -> dict:
     return {i: data.star_of(cd, i) for i in cd.index_set}
 
 
-def extended_sequence(qd: QDatum, w0: Word, star: dict, k: int) -> int:
+def extended_sequence(w0: Word, star: dict, k: int) -> int:
     """Letter at any integer position of the star-periodic extension."""
     length = w0.length
     base = (k - 1) % length + 1
@@ -174,13 +220,13 @@ def pk_sequence(qd: QDatum, lo: int, hi: int):
     if hi >= 1:
         running = qd
         for k in range(1, hi + 1):
-            letter = extended_sequence(qd, w0, star, k)
+            letter = extended_sequence(w0, star, k)
             points[k] = RepetitionPoint(letter, running.height(letter))
             running = source_reflect(running, letter)
     if lo <= 0:
         running = qd
         for k in range(0, lo - 1, -1):
-            letter = extended_sequence(qd, w0, star, k)
+            letter = extended_sequence(w0, star, k)
             running = _sink_unreflect(running, letter)
             points[k] = RepetitionPoint(letter, running.height(letter))
     return [points[k] for k in range(lo, hi + 1)]
@@ -235,15 +281,6 @@ def _adapted_pass(qd: QDatum) -> tuple:
     return tuple(order)
 
 
-def _coxeter_apply(qd: QDatum, x, inverse: bool = False):
-    order = _adapted_pass(qd)
-    if inverse:
-        order = tuple(reversed(order))
-    for i in order:
-        x = reflect_root(qd.cartan, i, x)
-    return x
-
-
 def injective_root(qd: QDatum, i):
     """Sum of simple roots over vertices with an oriented path into i."""
     cd = qd.cartan
@@ -263,47 +300,61 @@ def injective_root(qd: QDatum, i):
     return tuple(total)
 
 
+def _orbit(qd: QDatum, i, forward: bool):
+    """(root, winding) at steps 0, 1, 2, ... from vertex i's injective root.
+
+    A step applies c (forward) or c^-1; a negative image is negated and
+    moves the winding by +1 (forward) or -1, so the winding is monotone.
+    """
+    matrix = qd.coxeter[0 if forward else 1]
+    root, level = injective_root(qd, i), 0
+    while True:
+        yield root, level
+        moved = tuple([sum(map(mul, row, root)) for row in matrix])
+        if min(moved) >= 0:
+            root = moved
+        else:
+            root = tuple([-v for v in moved])
+            level += 1 if forward else -1
+
+
+def _budget_exhausted(budget: int) -> BudgetExhausted:
+    return BudgetExhausted(f"phi walk stopped after {budget} Coxeter steps")
+
+
 def phi_map(qd: QDatum, pt: RepetitionPoint):
     """(positive root, winding level) of a lattice point.
 
     The base level of each vertex carries its injective root at winding
-    zero; moving the level by 2 applies the Coxeter transformation, and
-    crossing into negative roots adjusts the winding.
+    zero; each 2 levels up (down) is one step of _orbit.  The walk takes
+    |level - height| / 2 steps; more than default_budget() raises
+    BudgetExhausted.
     """
     _require_point(qd, pt)
-    root = injective_root(qd, pt.vertex)
-    level = 0
     steps = (pt.level - qd.height(pt.vertex)) // 2
-    for _ in range(steps):
-        moved = _coxeter_apply(qd, root)
-        if all(v >= 0 for v in moved):
-            root = tuple(moved)
-        else:
-            root = tuple(-v for v in moved)
-            level += 1
-    for _ in range(-steps):
-        moved = _coxeter_apply(qd, root, inverse=True)
-        if all(v >= 0 for v in moved):
-            root = tuple(moved)
-        else:
-            root = tuple(-v for v in moved)
-            level -= 1
-    return root, level
+    budget = default_budget()
+    if abs(steps) > budget:
+        raise _budget_exhausted(budget)
+    return next(islice(_orbit(qd, pt.vertex, steps >= 0), abs(steps), None))
 
 
 def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
-    """Lattice point mapping to (root, level); search is bounded because
-    the winding is monotone in the lattice level."""
-    data = finite_type_data(qd.cartan)
-    h = data.coxeter_number
-    bound = 2 * h * (abs(level) + 2)
+    """Lattice point mapping to (root, level).
+
+    Reads the orbit periods walked once per QDatum (QDatum._preimages).
+    A vertex carries `root` at most once per period, at step r, and again
+    every P steps with the winding moved by `gain`, so at most one of its
+    steps has the wanted winding.  The first vertex whose step lies within
+    2h(|level| + 2) levels of its height wins, as in a bounded search over
+    those levels.  A query costs O(|I|) whatever the level.
+    """
+    h = finite_type_data(qd.cartan).coxeter_number
+    reach = h * (abs(level) + 2)
     target = (tuple(root), level)
-    for i in qd.cartan.index_set:
-        base = qd.height(i)
-        for p in range(base - bound, base + bound + 1, 2):
-            pt = RepetitionPoint(i, p)
-            if phi_map(qd, pt) == target:
-                return pt
+    for i, r, winding, period, gain in qd._preimages.get(target[0], ()):
+        q, rest = divmod(level - winding, gain)
+        if rest == 0 and abs(r + q * period) <= reach:
+            return RepetitionPoint(i, qd.height(i) + 2 * (r + q * period))
     raise PointOutsideLattice(f"no lattice point maps to {target}")
 
 
@@ -336,7 +387,7 @@ def _position_of_point(qd: QDatum, pt: RepetitionPoint) -> int:
         k = 0
         while True:
             k += 1
-            if extended_sequence(qd, w0, star, k) == pt.vertex:
+            if extended_sequence(w0, star, k) == pt.vertex:
                 if seen == wanted:
                     return k
                 seen += 1
@@ -345,7 +396,7 @@ def _position_of_point(qd: QDatum, pt: RepetitionPoint) -> int:
     k = 1
     while True:
         k -= 1
-        if extended_sequence(qd, w0, star, k) == pt.vertex:
+        if extended_sequence(w0, star, k) == pt.vertex:
             if seen == wanted:
                 return k
             seen += 1

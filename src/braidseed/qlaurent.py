@@ -193,14 +193,6 @@ class QuantumLaurent:
     def __sub__(self, other: "QuantumLaurent") -> "QuantumLaurent":
         return self + (-other)
 
-    def scale(self, coeff: QHalf) -> "QuantumLaurent":
-        out = {}
-        for exps, c in self.terms.items():
-            v = c * coeff
-            if v:
-                out[exps] = v
-        return QuantumLaurent(self.rank, out)
-
     def q_shift(self, doubled: int) -> "QuantumLaurent":
         return QuantumLaurent(
             self.rank, {e: c.shift(doubled) for e, c in self.terms.items()}

@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 from .cartan import CartanData, roots_of_word
 from .errors import (
     BudgetExhausted,
+    ConfigInvalid,
     InvalidBox,
     MoveNotApplicable,
     NotConnected,
@@ -27,7 +28,10 @@ BUDGET_ENV = "BRAIDSEED_BUDGET"
 
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    try:
+        return int(raw) if raw else DEFAULT_BUDGET
+    except ValueError as err:
+        raise ConfigInvalid(f"{BUDGET_ENV}: expected an integer, got {raw!r}") from err
 
 
 class WordKind(Enum):

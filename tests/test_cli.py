@@ -226,6 +226,88 @@ def test_cartan_check_rejects_unknown_preset(tmp_path):
     assert report.metadata["error"]["kind"] == "NotGCM"
 
 
+MALFORMED_CARTAN = [
+    ({"matrix": [[2, "x"], [-1, 2]]}, "matrix row"),
+    ({"matrix": 5}, "matrix"),
+    ({"matrix": [[2, -1], [-1, 2]], "indices": [[1], [2]]}, "indices"),
+    ({"matrix": [[2, -1], [-1, 2]], "symmetrizer": [1, True]}, "symmetrizer"),
+]
+
+
+def error_kind(report):
+    return report.verdict, report.metadata["error"]["kind"]
+
+
+@pytest.mark.parametrize("payload,field", MALFORMED_CARTAN)
+def test_cartan_check_rejects_malformed_json(tmp_path, payload, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, report = run(tmp_path, "cartan", "check", "--cartan", str(path))
+    assert code == 2
+    assert error_kind(report) == ("Error", "NotGCM")
+    assert f"JSON {field}:" in report.metadata["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "content,kind", [(b"{not json", "NotGCM"), (b"\xff\xfe", "ConfigInvalid")]
+)
+def test_cartan_check_rejects_unparseable_file(tmp_path, content, kind):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, report = run(tmp_path, "cartan", "check", "--cartan", str(path))
+    assert code == 2
+    assert error_kind(report) == ("Error", kind)
+
+
+@pytest.mark.parametrize("payload", [payload for payload, _ in MALFORMED_CARTAN[:2]])
+def test_qdatum_adapted_word_rejects_malformed_json(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, report = run(
+        tmp_path, "qdatum", "adapted-word", "--cartan", str(path), "--height", "1,0"
+    )
+    assert code == 2
+    assert error_kind(report) == ("Error", "NotGCM")
+
+
+def test_seed_build_unwritable_out_is_an_error(tmp_path):
+    target = tmp_path / "missing" / "seed.json"
+    code, report = run(
+        tmp_path, "seed", "build", "--cartan", "a2", "--word", "1,2,1",
+        "--out", str(target),
+    )
+    assert code == 2
+    assert error_kind(report) == ("Error", "ConfigInvalid")
+    assert not target.exists()
+
+
+def test_unwritable_output_reports_on_stdout(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code = main(["cartan", "check", "--cartan", "a2", "--output", str(target)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "verdict Error" in out and "ConfigInvalid" in out
+    assert not target.exists()
+
+
+def test_budget_env_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "lots")
+    code = main(["cartan", "check", "--cartan", "a2"])
+    assert code == 2
+    assert "ConfigInvalid" in capsys.readouterr().out
+
+
+def test_qdatum_phi_far_point_is_budgeted(tmp_path, monkeypatch):
+    argv = ("qdatum", "phi", "--cartan", "a2", "--height", "1,0", "--point", "2,20000")
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    assert section(report, "phi").left == {"root": [0, 1], "level": 6667}
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "100")
+    code, report = run(tmp_path, *argv)
+    assert code == 2
+    assert error_kind(report) == ("Error", "BudgetExhausted")
+
+
 def test_config_invalid_budget(tmp_path):
     code, report = run(
         tmp_path, "words", "equal", "--cartan", "a2",

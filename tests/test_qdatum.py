@@ -12,9 +12,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidseed.cartan import preset, finite_type_data, roots_of_word
+from braidseed import qdatum
+from braidseed.cartan import (
+    finite_type_data,
+    preset,
+    reflect_root,
+    roots_of_word,
+    validate_cartan,
+)
 from braidseed.errors import (
+    BudgetExhausted,
     DimensionMismatch,
     HeightParityViolation,
     NonContiguousWindow,
@@ -123,11 +133,11 @@ def test_extended_sequence():
     w0 = adapted_word(qd)
     star = star_map(cd)
     assert star == {1: 2, 2: 1}
-    assert extended_sequence(qd, w0, star, 4) == 2
-    assert extended_sequence(qd, w0, star, -2) == 2
+    assert extended_sequence(w0, star, 4) == 2
+    assert extended_sequence(w0, star, -2) == 2
     a1 = validate_height(preset("a1"), (0,))
     for k in range(-4, 5):
-        assert extended_sequence(a1, adapted_word(a1), {1: 1}, k) == 1
+        assert extended_sequence(adapted_word(a1), {1: 1}, k) == 1
 
 
 def test_pk_sequence_a2():
@@ -377,3 +387,174 @@ def test_w0_height_action():
                 running = source_reflect(running, letter)
             for i in cd.index_set:
                 assert running.height(i) == qd.height(star[i]) - data.coxeter_number
+
+
+# ---------------------------------------------------------------------------
+# phi_map and phi_inverse against their reference definitions
+
+
+def _type_a(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def _type_d4():
+    m = _type_a(4)
+    m[2][3] = m[3][2] = 0
+    m[1][3] = m[3][1] = -1
+    return m
+
+
+def _all_heights(cd, b):
+    out = []
+    for xi in itertools.product(range(-b, b + 1), repeat=len(cd.index_set)):
+        try:
+            out.append(validate_height(cd, xi))
+        except HeightParityViolation:
+            continue
+    return out
+
+
+# name -> (context, b); every valid height with entries in [-b, b] is checked
+ORACLE_CONTEXTS = {
+    "a1": (preset("a1"), 3),
+    "a2": (preset("a2"), 3),
+    "a3": (preset("a3"), 3),
+    "a4": (validate_cartan(_type_a(4)), 1),
+    "d4": (validate_cartan(_type_d4()), 1),
+}
+ORACLE_HEIGHTS = {
+    name: _all_heights(cd, b) for name, (cd, b) in ORACLE_CONTEXTS.items()
+}
+
+
+def reflection_phi_map(qd, pt):
+    """Reference phi_map: each step applies the simple reflections of one
+    source-extraction pass one at a time, with no Coxeter matrix."""
+    order = qdatum._adapted_pass(qd)
+    steps = (pt.level - qd.height(pt.vertex)) // 2
+    if steps < 0:
+        order = tuple(reversed(order))
+    root, level = injective_root(qd, pt.vertex), 0
+    for _ in range(abs(steps)):
+        moved = root
+        for i in order:
+            moved = reflect_root(qd.cartan, i, moved)
+        if all(v >= 0 for v in moved):
+            root = moved
+        else:
+            root = tuple(-v for v in moved)
+            level += 1 if steps > 0 else -1
+    return root, level
+
+
+def search_phi_inverse(qd, root, level):
+    """Reference phi_inverse, a bounded search: every level within
+    2h(|level| + 2) of each height, vertex by vertex, lowest level first."""
+    h = finite_type_data(qd.cartan).coxeter_number
+    bound = 2 * h * (abs(level) + 2)
+    target = (tuple(root), level)
+    for i in qd.cartan.index_set:
+        base = qd.height(i)
+        for p in range(base - bound, base + bound + 1, 2):
+            pt = RepetitionPoint(i, p)
+            if phi_map(qd, pt) == target:
+                return pt
+    raise PointOutsideLattice(f"no lattice point maps to {target}")
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except PointOutsideLattice as err:
+        return "PointOutsideLattice", str(err)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONTEXTS))
+def test_phi_map_matches_reflection_steps(name):
+    cd, _ = ORACLE_CONTEXTS[name]
+    for qd in ORACLE_HEIGHTS[name]:
+        for i in cd.index_set:
+            for offset in range(-12, 13, 2):
+                pt = RepetitionPoint(i, qd.height(i) + offset)
+                assert phi_map(qd, pt) == reflection_phi_map(qd, pt)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONTEXTS))
+def test_phi_inverse_matches_the_bounded_search(name):
+    cd, _ = ORACLE_CONTEXTS[name]
+    n = len(cd.index_set)
+    roots = finite_type_data(cd).positive_roots
+    # the zero vector and 2 alpha_1 are never images; the lowest and the
+    # highest root at windings -3 and 3 lie farthest from the height
+    targets = [((0,) * n, 0), ((2,) + (0,) * (n - 1), 0), ((2,) + (0,) * (n - 1), 1)]
+    targets += [(beta, level) for beta in roots for level in (-1, 0, 1)]
+    targets += [(beta, level) for beta in (roots[0], roots[-1]) for level in (-3, 3)]
+    for qd in ORACLE_HEIGHTS[name]:
+        for root, level in targets:
+            assert outcome(phi_inverse, qd, root, level) == outcome(
+                search_phi_inverse, qd, root, level
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_phi_inverse_undoes_phi_map_far_from_the_height(data):
+    name = data.draw(st.sampled_from(sorted(ORACLE_CONTEXTS)))
+    cd, _ = ORACLE_CONTEXTS[name]
+    qd = data.draw(st.sampled_from(ORACLE_HEIGHTS[name]))
+    i = data.draw(st.sampled_from(cd.index_set))
+    h = finite_type_data(cd).coxeter_number
+    pt = RepetitionPoint(i, qd.height(i) + 2 * data.draw(st.integers(-5 * h, 5 * h)))
+    root, level = phi_map(qd, pt)
+    assert phi_inverse(qd, root, level) == pt
+
+
+def test_phi_inverse_keeps_the_search_bound():
+    # A1^24 x A6: the bound 2h(|level| + 2) takes h = 2|R+|/|I| = 3, below
+    # the A6 Coxeter number 7, so 40 steps down the last vertex the true
+    # preimage lies beyond it and the bounded search finds nothing.
+    n = 30
+    matrix = [[2 if a == b else -1 if a >= 24 and abs(a - b) == 1 and b >= 24 else 0
+               for b in range(n)] for a in range(n)]
+    qd = validate_height(validate_cartan(matrix), [0] * 24 + list(range(6)))
+    near, far = RepetitionPoint(n, 5 - 60), RepetitionPoint(n, 5 - 80)
+    assert phi_inverse(qd, *phi_map(qd, near)) == near
+    root, level = phi_map(qd, far)
+    assert (root, level) == (qd.cartan.simple_root(25), -10)
+    with pytest.raises(PointOutsideLattice, match="no lattice point maps to"):
+        phi_inverse(qd, root, level)
+
+
+def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
+    counts = {"phi_map": 0, "_adapted_pass": 0}
+    for fname in counts:
+        real = getattr(qdatum, fname)
+
+        def counting(*args, _real=real, _name=fname):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(qdatum, fname, counting)
+    qd = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    pt = RepetitionPoint(4, 2 + 2 * 17)
+    root, level = qdatum.phi_map(qd, pt)
+    assert counts == {"phi_map": 1, "_adapted_pass": 1}
+    assert phi_inverse(qd, root, level) == pt
+    with pytest.raises(PointOutsideLattice):
+        phi_inverse(qd, (0, 0, 0, 0), 2)
+    assert counts == {"phi_map": 1, "_adapted_pass": 1}
+
+
+def test_phi_walks_count_against_the_budget(monkeypatch):
+    far = RepetitionPoint(2, 300)
+    root, level = phi_map(validate_height(preset("a2"), (1, 0)), far)
+    assert (root, level) == ((1, 1), 100)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "100")
+    qd = validate_height(preset("a2"), (1, 0))
+    with pytest.raises(BudgetExhausted):
+        phi_map(qd, far)
+    # phi_inverse walks one period per vertex (3 steps each in A2), at any level
+    assert phi_inverse(qd, root, level) == far
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "5")
+    with pytest.raises(BudgetExhausted):
+        phi_inverse(validate_height(preset("a2"), (1, 0)), root, level)
