@@ -22,6 +22,7 @@ from .errors import (
     HeightParityViolation,
     NonContiguousWindow,
     NotASource,
+    NotFiniteType,
     NotInvertibleAtOrder,
     NotSimplyLaced,
     PointOutsideLattice,
@@ -164,6 +165,21 @@ def _sink_unreflect(qd: QDatum, i) -> QDatum:
     return QDatum(qd.cartan, heights)
 
 
+def _coxeter_number(cd: CartanData) -> int:
+    """h = 2|R+|/|I|, the period of the repetition lattice.
+
+    Undefined on reducible data whose components have different Coxeter
+    numbers and 2|R+|/|I| is not an integer (A1 x A2: 8/3).
+    """
+    data = finite_type_data(cd)
+    if data.coxeter_number is None:
+        raise NotFiniteType(
+            f"Coxeter number 2|R+|/|I| = {2 * len(data.positive_roots)}/{cd.rank}"
+            " is not an integer"
+        )
+    return data.coxeter_number
+
+
 def adapted_word(qd: QDatum) -> Word:
     """Longest word adapted to the heights: the level-0 window read from
     the top level down.
@@ -175,7 +191,7 @@ def adapted_word(qd: QDatum) -> Word:
     window allotment is exhausted and leave a non-reduced word.
     """
     data = finite_type_data(qd.cartan)
-    h = data.coxeter_number
+    h = _coxeter_number(qd.cartan)
     points = []
     for i in qd.cartan.index_set:
         lower = qd.height(data.star_of(qd.cartan, i)) - h
@@ -234,8 +250,7 @@ def pk_sequence(qd: QDatum, lo: int, hi: int):
 
 def delta_window(qd: QDatum, k: int) -> frozenset:
     """Lattice points with xi_{i*} - (k+1)h < p <= xi_i - kh."""
-    data = finite_type_data(qd.cartan)
-    h = data.coxeter_number
+    h = _coxeter_number(qd.cartan)
     star = star_map(qd.cartan)
     out = set()
     for i in qd.cartan.index_set:
@@ -348,7 +363,7 @@ def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
     2h(|level| + 2) levels of its height wins, as in a bounded search over
     those levels.  A query costs O(|I|) whatever the level.
     """
-    h = finite_type_data(qd.cartan).coxeter_number
+    h = _coxeter_number(qd.cartan)
     reach = h * (abs(level) + 2)
     target = (tuple(root), level)
     for i, r, winding, period, gain in qd._preimages.get(target[0], ()):

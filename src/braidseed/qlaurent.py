@@ -5,10 +5,22 @@ stored doubled so every arithmetic step stays in plain integers.  Torus
 elements are finite sums of based monomials X^a indexed by integer
 exponent vectors; the based normalization makes the product rule
 X^a X^b = q^(Lambda(a,b)/2) X^(a+b) with Lambda(a,b) = sum a_i b_j l_ij.
+
+The product and right-division kernels work on plain dicts
+{exponent: {doubled_q: int}} and wrap the result once.  They read
+Lambda(a, b) as a . (Lambda b): the Lambda images of one factor's terms
+(the divisor's, in a division) are computed once, and each term pair then
+costs one O(r) dot product.  Division keeps its remainder in such a dict
+and takes the leading term from a heap.  Terms and coefficient entries
+keep the insertion order of a sum of QHalf objects, so the messages of
+NonExactDivision, which print coefficient dicts, do not depend on the
+kernel.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from operator import add, mul, neg, sub
+from typing import Mapping, Sequence
 
 from .errors import ContextMismatch, NonExactDivision
 
@@ -27,6 +39,14 @@ class QHalf:
             for k, v in terms.items():
                 if v:
                     self.terms[int(k)] = int(v)
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "QHalf":
+        """Coefficient over a dict built in this module (int keys, no
+        zero values); the dict is not copied."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "QHalf":
@@ -59,7 +79,7 @@ class QHalf:
         return QHalf(out)
 
     def __neg__(self) -> "QHalf":
-        return QHalf({k: -v for k, v in self.terms.items()})
+        return QHalf._wrap({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "QHalf") -> "QHalf":
         return self + (-other)
@@ -76,7 +96,7 @@ class QHalf:
         """Multiply by q^(doubled/2)."""
         if doubled == 0:
             return self
-        return QHalf({k + doubled: v for k, v in self.terms.items()})
+        return QHalf._wrap({k + doubled: v for k, v in self.terms.items()})
 
     def divide(self, other: "QHalf") -> "QHalf":
         """Exact division; raises NonExactDivision on any remainder."""
@@ -146,6 +166,15 @@ class QuantumLaurent:
                     self.terms[key] = coeff
 
     @classmethod
+    def _wrap(cls, rank: int, terms: dict) -> "QuantumLaurent":
+        """Element over a dict built in this module (rank-r tuple keys,
+        nonzero QHalf values); the dict is not copied."""
+        out = object.__new__(cls)
+        out.rank = rank
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, rank: int) -> "QuantumLaurent":
         return cls(rank)
 
@@ -185,16 +214,16 @@ class QuantumLaurent:
                 out[exps] = total
             elif exps in out:
                 del out[exps]
-        return QuantumLaurent(self.rank, out)
+        return QuantumLaurent._wrap(self.rank, out)
 
     def __neg__(self) -> "QuantumLaurent":
-        return QuantumLaurent(self.rank, {e: -c for e, c in self.terms.items()})
+        return QuantumLaurent._wrap(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "QuantumLaurent") -> "QuantumLaurent":
         return self + (-other)
 
     def q_shift(self, doubled: int) -> "QuantumLaurent":
-        return QuantumLaurent(
+        return QuantumLaurent._wrap(
             self.rank, {e: c.shift(doubled) for e, c in self.terms.items()}
         )
 
@@ -216,6 +245,11 @@ def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def _heap_key(exps: tuple) -> tuple:
+    """Min-heap key that pops the graded-lexicographically largest first."""
+    return (-sum(exps), tuple(map(neg, exps)), exps)
+
+
 def lambda_pairing(lam: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
     """Lambda(a, b) = sum_ij a_i b_j l_ij."""
     total = 0
@@ -229,25 +263,74 @@ def lambda_pairing(lam: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[i
     return total
 
 
-def torus_product(
-    lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLaurent
-) -> QuantumLaurent:
-    """Product of based-monomial sums: X^a X^b = q^(Lambda(a,b)/2) X^(a+b)."""
+def _image(lam: Sequence[Sequence[int]], b: Sequence[int]) -> tuple:
+    """Lambda b, so that Lambda(a, b) = a . (Lambda b)."""
+    return tuple(sum(map(mul, row, b)) for row in lam)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _check_context(lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLaurent) -> None:
     if f.rank != g.rank:
         raise ContextMismatch(f"ranks {f.rank} != {g.rank}")
     if len(lam) != f.rank:
         raise ContextMismatch(f"Lambda size {len(lam)} != rank {f.rank}")
-    out: dict[tuple, QHalf] = {}
-    for ea, ca in f.terms.items():
-        for eb, cb in g.terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            coeff = (ca * cb).shift(lambda_pairing(lam, ea, eb))
-            total = out.get(key, QHalf.zero()) + coeff
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-    return QuantumLaurent(f.rank, out)
+
+
+def _accumulate(acc: dict, key: tuple, a: dict, b: dict, shift: int, sign: int) -> bool:
+    """acc[key] += sign * q^(shift/2) * a * b on doubled-exponent dicts.
+
+    a * b is summed first, then merged entry by entry; zero entries and
+    empty terms are dropped at once, so a term that cancels and comes back
+    is re-appended, exactly as in a sum of QHalf objects.  Returns True
+    when key was not in acc before.
+    """
+    prod: dict = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = k1 + k2 + shift
+            prod[k] = prod.get(k, 0) + v1 * v2
+    coeff = acc.get(key)
+    fresh = coeff is None
+    if fresh:
+        coeff = acc[key] = {}
+    for k, v in prod.items():
+        if v:
+            v = coeff.get(k, 0) + sign * v
+            if v:
+                coeff[k] = v
+            else:
+                del coeff[k]
+    if not coeff:
+        del acc[key]
+    return fresh
+
+
+def torus_product(
+    lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLaurent
+) -> QuantumLaurent:
+    """Product of based-monomial sums: X^a X^b = q^(Lambda(a,b)/2) X^(a+b).
+
+    Lambda(a, b) is read as a . (Lambda b) when g has no more terms than
+    f, and as (Lambda^T a) . b otherwise, so only the smaller factor's
+    terms are multiplied by Lambda; each term pair then costs one O(r)
+    dot product, and coefficients accumulate in plain int dicts.
+    """
+    _check_context(lam, f, g)
+    if len(g.terms) <= len(f.terms):
+        images = [_image(lam, b) for b in g.terms]
+        shifts = [[_dot(a, image) for image in images] for a in f.terms]
+    else:
+        transposed = tuple(zip(*lam))
+        images = [_image(transposed, a) for a in f.terms]
+        shifts = [[_dot(image, b) for b in g.terms] for image in images]
+    acc: dict = {}
+    for (a, ca), row in zip(f.terms.items(), shifts):
+        for (b, cb), shift in zip(g.terms.items(), row):
+            _accumulate(acc, tuple(map(add, a, b)), ca.terms, cb.terms, shift, 1)
+    return QuantumLaurent._wrap(f.rank, {e: QHalf._wrap(c) for e, c in acc.items()})
 
 
 def torus_power(
@@ -266,33 +349,50 @@ def right_divide(
 ) -> QuantumLaurent:
     """The unique Y with Y * divisor = numerator; raises NonExactDivision.
 
-    Leading-term elimination under the graded-lexicographic order; the
-    order is translation invariant, so each step strictly lowers the
-    remainder's leading term and exact divisions terminate.
+    Leading-term elimination under the graded-lexicographic order.  The
+    remainder is one mutable {exponent: {doubled_q: int}} dict whose
+    exponents sit in a heap; entries of terms that have since cancelled
+    are skipped when popped.  Each step divides the leading coefficient
+    by the divisor's and subtracts c_y X^(e_y) * divisor in place, with
+    the Lambda images of the divisor's terms computed once.  The order is
+    translation invariant, so every new term ranks below the one being
+    eliminated: the leading term strictly falls and exact divisions
+    terminate.  Inexact ones stop after 10,000 steps.
     """
     if divisor.is_zero():
         raise NonExactDivision("division by zero")
     out: dict[tuple, QHalf] = {}
-    remainder = numerator
+    if numerator.is_zero():
+        return QuantumLaurent._wrap(numerator.rank, out)
+    _check_context(lam, numerator, divisor)
     e_d, c_d = divisor.leading()
+    lead_image = _image(lam, e_d)
+    pieces = [(b, cb.terms, _image(lam, b)) for b, cb in divisor.terms.items()]
+    remainder = {e: dict(c.terms) for e, c in numerator.terms.items()}
+    heap = [_heap_key(e) for e in remainder]
+    heapify(heap)
     previous_key = None
     steps = 0
-    while not remainder.is_zero():
+    while remainder:
         steps += 1
         if steps > 10000:
             raise NonExactDivision("division failed to terminate within bound")
-        e_r, c_r = remainder.leading()
-        key = _grlex_key(e_r)
-        if previous_key is not None and key >= previous_key:
+        key = heappop(heap)
+        while key[2] not in remainder:
+            key = heappop(heap)
+        if previous_key is not None and key <= previous_key:
             raise NonExactDivision("leading term failed to decrease")
         previous_key = key
-        e_y = tuple(a - b for a, b in zip(e_r, e_d))
-        shift = lambda_pairing(lam, e_y, e_d)
-        c_y = c_r.shift(-shift).divide(c_d)
-        out[e_y] = out.get(e_y, QHalf.zero()) + c_y
-        piece = QuantumLaurent.monomial(numerator.rank, e_y, c_y)
-        remainder = remainder - torus_product(lam, piece, divisor)
-    return QuantumLaurent(numerator.rank, out)
+        e_r = key[2]
+        e_y = tuple(map(sub, e_r, e_d))
+        shift = _dot(e_y, lead_image)
+        c_r = QHalf._wrap({k - shift: v for k, v in remainder[e_r].items()})
+        c_y = out[e_y] = c_r.divide(c_d)
+        for b, cb, image in pieces:
+            e = tuple(map(add, e_y, b))
+            if _accumulate(remainder, e, c_y.terms, cb, _dot(e_y, image), -1):
+                heappush(heap, _heap_key(e))
+    return QuantumLaurent._wrap(numerator.rank, out)
 
 
 def commutation_doubled(

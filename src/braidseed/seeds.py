@@ -11,6 +11,7 @@ NonExactDivision instead of a silently wrong result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Optional, Sequence
 
 from .cartan import CartanData
@@ -244,11 +245,14 @@ def exchange_vectors(b: ExchangeMatrix, k: int) -> tuple:
     return tuple(up), tuple(down)
 
 
-def _current_monomial(seed: Seed, vec: Sequence[int]) -> QuantumLaurent:
-    """Ordered product of current variables to the given nonnegative powers,
-    with the based-monomial q-prefactor of the current pairing."""
+def _current_monomial(seed: Seed, vec: Sequence[int], shift: int = 0) -> QuantumLaurent:
+    """Ordered product of current variables to the given powers, with the
+    based-monomial q-prefactor of the current pairing times q^(shift/2).
+
+    A slot with a negative power (the -1 in slot k of an exchange vector)
+    contributes no factor."""
     n = seed.b.n
-    doubled = sum(
+    doubled = shift + sum(
         vec[i] * vec[j] * seed.lam[i][j]
         for i in range(n)
         for j in range(n)
@@ -266,27 +270,16 @@ def _exchange_sum(seed: Seed, k: int) -> QuantumLaurent:
 
     Each based monomial X^a of the current seed (with exponent -1 in slot
     k) is rewritten as q^c * (product over the other slots) * X_k^{-1};
-    the returned element is that numerator, so dividing by X_k's Laurent
-    form on the right yields the mutated variable.
+    moving X_k^{-1} to the right end gives q^(-sum_{j>k} a_j l_kj).  The
+    returned element is that numerator, so dividing by X_k's Laurent form
+    on the right yields the mutated variable.
     """
-    n = seed.b.n
-    up, down = exchange_vectors(seed.b, k)
-    total = QuantumLaurent.zero(n)
-    for vec in (up, down):
-        doubled = sum(
-            vec[i] * vec[j] * seed.lam[i][j] for i in range(n) for j in range(n) if i > j
-        )
-        doubled -= 2 * sum(
-            vec[j] * seed.lam[k - 1][j] for j in range(k, n)
-        )
-        part = QuantumLaurent.monomial(n, (0,) * n, QHalf.q_power(doubled))
-        for j in range(n):
-            if j == k - 1:
-                continue
-            for _ in range(vec[j]):
-                part = torus_product(seed.torus_lam, part, seed.exact[j])
-        total = total + part
-    return total
+    row = seed.lam[k - 1]
+    up, down = (
+        _current_monomial(seed, vec, -2 * sum(map(mul, vec[k:], row[k:])))
+        for vec in exchange_vectors(seed.b, k)
+    )
+    return up + down
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -362,9 +355,9 @@ def exchange_check(seed: Seed, k: int) -> ExchangeCheck:
         lhs = torus_product(seed.torus_lam, seed.exact[k - 1], mutated.exact[k - 1])
         up_plus = tuple(v + e for v, e in zip(up, e_k))
         down_plus = tuple(v + e for v, e in zip(down, e_k))
-        rhs = _current_monomial(seed, up_plus).q_shift(alpha) + _current_monomial(
-            seed, down_plus
-        ).q_shift(beta)
+        rhs = _current_monomial(seed, up_plus, alpha) + _current_monomial(
+            seed, down_plus, beta
+        )
         verified = lhs == rhs
     return ExchangeCheck(k, alpha, beta, verified)
 

@@ -6,9 +6,14 @@ comparison agreed, 1 means at least one differed, 2 means a domain error.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidseed
 from braidseed.cartan import cartan_to_json, preset
 from braidseed.cli import (
     campaign_contexts,
@@ -268,6 +273,37 @@ def test_qdatum_adapted_word_rejects_malformed_json(tmp_path, payload):
     )
     assert code == 2
     assert error_kind(report) == ("Error", "NotGCM")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["adapted-word"],
+        ["build"],
+        ["window", "--k", "0"],
+        ["phi", "--point", "1,0"],
+    ],
+)
+def test_qdatum_without_a_coxeter_number_is_an_error(tmp_path, command):
+    # A1 x A2: 2|R+|/|I| = 8/3, so the repetition lattice has no period h
+    path = tmp_path / "a1xa2.json"
+    path.write_text(json.dumps({"matrix": [[2, 0, 0], [0, 2, -1], [0, -1, 2]]}))
+    code, report = run(
+        tmp_path, "qdatum", *command, "--cartan", str(path), "--height", "0,0,1"
+    )
+    assert code == 2
+    assert error_kind(report) == ("Error", "NotFiniteType")
+    assert "Coxeter number" in report.metadata["error"]["message"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(braidseed.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "braidseed", "cartan", "check", "--cartan", "a2"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith(b"braidseed-report/1")
 
 
 def test_seed_build_unwritable_out_is_an_error(tmp_path):

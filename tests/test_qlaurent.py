@@ -1,14 +1,18 @@
 """Quantum torus arithmetic: coefficients, products, exact division.
 
 Oracles: explicit normal-ordering swap counts for based monomials,
-multiply-then-divide round trips, and associativity on random elements.
+multiply-then-divide round trips, associativity on random elements, and
+the straightforward sum-of-products kernels kept below as references.
 """
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidseed import qlaurent
 from braidseed.errors import ContextMismatch, NonExactDivision
 from braidseed.qlaurent import (
     QHalf,
@@ -172,3 +176,199 @@ def test_torus_power_and_context_checks():
         torus_product(lam, x1, QuantumLaurent.generator(3, 1))
     with pytest.raises(ContextMismatch):
         torus_product([[0]], x1, x1)
+
+
+# Reference kernels: one QHalf sum per term pair, and a remainder rebuilt
+# by `remainder - product` on every elimination step.  The library's
+# kernels must agree with them term by term, in insertion order too, since
+# NonExactDivision messages print coefficient dicts.
+
+
+def _reference_grlex_key(exps):
+    return (sum(exps), exps)
+
+
+def reference_product(lam, f, g):
+    if f.rank != g.rank:
+        raise ContextMismatch(f"ranks {f.rank} != {g.rank}")
+    if len(lam) != f.rank:
+        raise ContextMismatch(f"Lambda size {len(lam)} != rank {f.rank}")
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            coeff = (ca * cb).shift(lambda_pairing(lam, ea, eb))
+            total = out.get(key, QHalf.zero()) + coeff
+            if total:
+                out[key] = total
+            elif key in out:
+                del out[key]
+    return QuantumLaurent(f.rank, out)
+
+
+def reference_right_divide(lam, numerator, divisor):
+    if divisor.is_zero():
+        raise NonExactDivision("division by zero")
+    out = {}
+    remainder = numerator
+    e_d, c_d = divisor.leading()
+    previous_key = None
+    steps = 0
+    while not remainder.is_zero():
+        steps += 1
+        if steps > 10000:
+            raise NonExactDivision("division failed to terminate within bound")
+        e_r, c_r = remainder.leading()
+        key = _reference_grlex_key(e_r)
+        if previous_key is not None and key >= previous_key:
+            raise NonExactDivision("leading term failed to decrease")
+        previous_key = key
+        e_y = tuple(a - b for a, b in zip(e_r, e_d))
+        shift = lambda_pairing(lam, e_y, e_d)
+        c_y = c_r.shift(-shift).divide(c_d)
+        out[e_y] = out.get(e_y, QHalf.zero()) + c_y
+        piece = QuantumLaurent.monomial(numerator.rank, e_y, c_y)
+        remainder = remainder - reference_product(lam, piece, divisor)
+    return QuantumLaurent(numerator.rank, out)
+
+
+def in_order(x):
+    """Terms and coefficient entries in insertion order."""
+    return [(e, list(c.terms.items())) for e, c in x.terms.items()]
+
+
+def outcome(divide, lam, numerator, divisor):
+    try:
+        return "quotient", in_order(divide(lam, numerator, divisor))
+    except NonExactDivision as err:
+        return "NonExactDivision", str(err)
+
+
+NONZERO = st.integers(-2, 2).filter(bool)
+COEFFS = st.dictionaries(st.integers(-3, 3), NONZERO, min_size=1, max_size=2)
+
+
+@st.composite
+def torus_context(draw):
+    """Rank 2-4 and a random antisymmetric Lambda with entries in [-2, 2]."""
+    rank = draw(st.integers(2, 4))
+    lam = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            lam[i][j] = draw(st.integers(-2, 2))
+            lam[j][i] = -lam[i][j]
+    return rank, lam
+
+
+def element(draw, rank, max_terms, coeffs=COEFFS):
+    exps = st.tuples(*[st.integers(-2, 2)] * rank)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms))
+    return QuantumLaurent(rank, {e: QHalf(c) for e, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernels_match_the_reference_on_exact_pairs(data):
+    rank, lam = data.draw(torus_context())
+    f = element(data.draw, rank, 5)
+    d = element(data.draw, rank, 5)
+    for left, right in ((f, d), (d, f)):
+        assert in_order(torus_product(lam, left, right)) == in_order(
+            reference_product(lam, left, right)
+        )
+    num = torus_product(lam, f, d)
+    quotient = right_divide(lam, num, d)
+    assert quotient == f
+    assert in_order(quotient) == in_order(reference_right_divide(lam, num, d))
+
+
+# A leading divisor coefficient of +-3 makes most inexact divisions stop at
+# a non-divisible coefficient.  A unit one usually runs to the 10,000-step
+# bound, which costs the reference about 0.3 s, so it is drawn rarely, and
+# divisor coefficients are single q-powers: a longer one would make the
+# remainder's coefficients grow at every one of those steps.
+LEAD_FACTORS = st.sampled_from((3, -3, 3, -3, 3, -3, 1))
+MONOMIAL_COEFFS = st.dictionaries(st.integers(-3, 3), NONZERO, min_size=1, max_size=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inexact_divisions_fail_like_the_reference(data):
+    rank, lam = data.draw(torus_context())
+    num = element(data.draw, rank, 5)
+    d = element(data.draw, rank, 2, MONOMIAL_COEFFS)
+    e_d, c_d = d.leading()
+    factor = data.draw(LEAD_FACTORS)
+    d = QuantumLaurent(
+        rank, {**d.terms, e_d: QHalf({k: factor * v for k, v in c_d.terms.items()})}
+    )
+    assert outcome(right_divide, lam, num, d) == outcome(
+        reference_right_divide, lam, num, d
+    )
+
+
+def test_edge_case_divisions_fail_like_the_reference():
+    x1 = QuantumLaurent.generator(2, 1)
+    x2 = QuantumLaurent.generator(2, 2)
+    binomial = QuantumLaurent.monomial(2, (0, 1), QHalf({1: 1, -1: 2}))
+    one = QuantumLaurent.monomial(2, (0, 0))
+    cases = [
+        ([[0, 0], [0, 0]], x1 + x2, x1 + x1),
+        ([[0, 0], [0, 0]], x1, QuantumLaurent.zero(2)),
+        ([[0, 1], [-1, 0]], x1, x1 + x2),
+        ([[0, -2], [2, 0]], x1 + x2, binomial + one),
+        ([[0, 1], [-1, 0]], QuantumLaurent.zero(2), x1 + x2),
+    ]
+    for lam, num, d in cases:
+        assert outcome(right_divide, lam, num, d) == outcome(
+            reference_right_divide, lam, num, d
+        )
+    assert outcome(right_divide, [[0, 1], [-1, 0]], x1, x1 + x2) == (
+        "NonExactDivision",
+        "division failed to terminate within bound",
+    )
+
+
+def test_inexact_division_stops_after_exactly_10000_steps():
+    # the remainder of 2^m X1 / (2 X1 + X2) has coefficient +-2^(m+1-s) at
+    # step s, so the first odd one, at step m + 1, is not divisible by 2
+    lam = [[0, 0], [0, 0]]
+    d = QuantumLaurent(2, {(1, 0): QHalf({0: 2}), (0, 1): QHalf({0: 1})})
+    last = QuantumLaurent.monomial(2, (1, 0), QHalf({0: 2**9999}))
+    with pytest.raises(NonExactDivision, match=r"^coefficient \{0: -1\} is not divisible"):
+        right_divide(lam, last, d)
+    beyond = QuantumLaurent.monomial(2, (1, 0), QHalf({0: 2**10000}))
+    with pytest.raises(NonExactDivision, match="^division failed to terminate within bound$"):
+        right_divide(lam, beyond, d)
+
+
+def test_right_divide_makes_no_products_and_no_validated_elements(monkeypatch):
+    lam = [[0, 1, -2], [-1, 0, 1], [2, -1, 0]]
+    rng = random.Random(55)
+    f = random_element(rng, 3, nterms=4)
+    d = random_element(rng, 3, nterms=3)
+    num = torus_product(lam, f, d)
+    calls = {"product": 0, "init": 0, "steps": 0}
+    product = qlaurent.torus_product
+    init = QuantumLaurent.__init__
+    divide = QHalf.divide
+
+    def counted_product(*args):
+        calls["product"] += 1
+        return product(*args)
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_divide(self, other):
+        calls["steps"] += 1
+        return divide(self, other)
+
+    monkeypatch.setattr(qlaurent, "torus_product", counted_product)
+    monkeypatch.setattr(QuantumLaurent, "__init__", counted_init)
+    monkeypatch.setattr(QHalf, "divide", counted_divide)
+    assert right_divide(lam, num, d) == f
+    assert calls["steps"] == len(f.terms) > 1
+    assert calls["product"] == 0
+    assert calls["init"] == 0

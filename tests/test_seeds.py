@@ -8,12 +8,15 @@ and the exact track's leading exponents.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidseed.cartan import finite_type_data, preset, validate_cartan
 from braidseed.errors import (
@@ -178,6 +181,22 @@ def test_mutated_trop_matches_exact_leading():
                     if bilex_compare(par, top) is OrderVerdict.GREATER:
                         top = par
                 assert top == mutated.trop[k - 1]
+
+
+@functools.cache
+def exact_w0_seed(name):
+    cd = preset(name)
+    return initial_seed(cd, Word(finite_type_data(cd).longest_word, REDUCED), exact=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["a3", "b3"]), st.lists(st.integers(0, 99), max_size=4))
+def test_exchange_relation_holds_after_mutation_sequences(name, picks):
+    seed = exact_w0_seed(name)
+    for pick in picks:
+        seed = mutate_seed(seed, seed.b.exchange[pick % len(seed.b.exchange)])
+    for k in seed.b.exchange:
+        assert exchange_check(seed, k).verified is True
 
 
 def test_permute_seed_group_action():
