@@ -662,22 +662,7 @@ def _cmd_verify_tsystem(config: RunConfig) -> Report:
         return _cmd_seed_tsystem(config)
     cd = _context(config, allow_infer=True)
     (w,) = _build_words(config, cd, 1)
-    checked = 0
-    failures = []
-    degenerate = 0
-    for a in range(1, w.length + 1):
-        for b in range(a, w.length + 1):
-            if w.letter(a) != w.letter(b):
-                continue
-            result = tsystem_check(cd, w, IBox(a, b))
-            checked += 1
-            if result.degenerate:
-                degenerate += 1
-                continue
-            if result.left_sum != result.right_sum:
-                failures.append({"box": [a, b], "kind": "identity"})
-            if result.lower_verdict is OrderVerdict.GREATER:
-                failures.append({"box": [a, b], "kind": "lower-dominant"})
+    checked, degenerate, failures = _tsystem_sweep(cd, w)
     sections = [
         echo("boxes-checked", checked),
         echo("degenerate", degenerate),
@@ -807,13 +792,8 @@ def campaign_contexts(rank_cap: int) -> list:
         cd = preset(name)
         if len(cd.index_set) > rank_cap:
             continue
-        prod = max(
-            cd.entry(i, j) * cd.entry(j, i)
-            for i in cd.index_set
-            for j in cd.index_set
-            if i != j
-        ) if len(cd.index_set) > 1 else 0
-        if prod > 2:
+        pairs = itertools.combinations(cd.index_set, 2)
+        if any(cd.pair_product(i, j) > 2 for i, j in pairs):
             continue
         out.append((name, cd))
     return out
@@ -892,31 +872,35 @@ def mutation_campaign(cd: CartanData, length_cap: int) -> tuple:
     return checked, failures
 
 
+def _tsystem_sweep(cd: CartanData, w: Word) -> tuple:
+    """Tropical boxed identity and lower-term dominance over every i-box of
+    w: (boxes checked, degenerate boxes, failures)."""
+    checked = degenerate = 0
+    failures = []
+    for a in range(1, w.length + 1):
+        for b in range(a, w.length + 1):
+            if w.letter(a) != w.letter(b):
+                continue
+            result = tsystem_check(cd, w, IBox(a, b))
+            checked += 1
+            if result.degenerate:
+                degenerate += 1
+                continue
+            if result.left_sum != result.right_sum:
+                failures.append({"box": [a, b], "kind": "identity"})
+            if result.lower_verdict is OrderVerdict.GREATER:
+                failures.append({"box": [a, b], "kind": "lower-dominant"})
+    return checked, degenerate, failures
+
+
 def tsystem_campaign(cd: CartanData, length_cap: int) -> tuple:
     """Tropical boxed identity and lower-term dominance over all i-boxes."""
     checked = 0
     failures = []
     for w in _iter_braid_words(cd, length_cap, lo=1):
-        for a in range(1, w.length + 1):
-            for b in range(a, w.length + 1):
-                if w.letter(a) != w.letter(b):
-                    continue
-                result = tsystem_check(cd, w, IBox(a, b))
-                checked += 1
-                if result.degenerate:
-                    continue
-                if result.left_sum != result.right_sum:
-                    failures.append(
-                        {"word": list(w.letters), "box": [a, b], "kind": "identity"}
-                    )
-                if result.lower_verdict is OrderVerdict.GREATER:
-                    failures.append(
-                        {
-                            "word": list(w.letters),
-                            "box": [a, b],
-                            "kind": "lower-dominant",
-                        }
-                    )
+        boxes, _, found = _tsystem_sweep(cd, w)
+        checked += boxes
+        failures += ({"word": list(w.letters), **f} for f in found)
     return checked, failures
 
 

@@ -121,14 +121,18 @@ class RepetitionPoint:
         return f"({self.vertex},{self.level})"
 
 
-def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
-    """Build a QDatum, checking simply-lacedness and the unit-step rule."""
+def _require_simply_laced(cd: CartanData) -> None:
     for i in cd.index_set:
         for j in cd.index_set:
             if i != j and cd.entry(i, j) not in (0, -1):
                 raise NotSimplyLaced(
                     f"entry c[{i},{j}] = {cd.entry(i, j)} outside {{0, -1}}"
                 )
+
+
+def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
+    """Build a QDatum, checking simply-lacedness and the unit-step rule."""
+    _require_simply_laced(cd)
     if len(xi) != len(cd.index_set):
         raise DimensionMismatch(
             f"got {len(xi)} heights for {len(cd.index_set)} vertices"
@@ -271,6 +275,8 @@ def in_lattice(qd: QDatum, pt: RepetitionPoint) -> bool:
 
 
 def _require_point(qd: QDatum, pt: RepetitionPoint) -> None:
+    if pt.vertex not in qd.cartan.position:
+        raise PointOutsideLattice(f"{pt}: vertex {pt.vertex!r} is not in the index set")
     if not in_lattice(qd, pt):
         raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
 
@@ -473,12 +479,7 @@ def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
     R_m = -(D R_{m-1} + R_{m-2}) with R_0 = I gives coefficient u = m+1.
     """
     n = len(cd.index_set)
-    for i in cd.index_set:
-        for j in cd.index_set:
-            if i != j and cd.entry(i, j) not in (0, -1):
-                raise NotSimplyLaced(
-                    f"entry c[{i},{j}] = {cd.entry(i, j)} outside {{0, -1}}"
-                )
+    _require_simply_laced(cd)
     if u_max < 1:
         raise NotInvertibleAtOrder(f"order {u_max} < 1 computes nothing")
     d = [

@@ -33,7 +33,6 @@ from .qlaurent import (
 )
 from .transitions import (
     OrderVerdict,
-    _window_letters,
     bilex_compare,
     par_mutation,
     transition_along_path,
@@ -44,6 +43,7 @@ from .words import (
     Move,
     MoveKind,
     Word,
+    _move_window,
     apply_move,
     find_move_path,
     ibox_vector,
@@ -206,29 +206,30 @@ def initial_seed(cd: CartanData, w: Word, exact: bool = False) -> Seed:
 
 
 def _mutate_b(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    n = b.n
+    row_k = b.entries[k - 1]
     rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == k or j == k:
-                row.append(-b.entry(i, j))
-            else:
-                sign = -1 if b.entry(i, k) < 0 else 1
-                row.append(b.entry(i, j) + sign * max(b.entry(i, k) * b.entry(k, j), 0))
-        rows.append(tuple(row))
+    for i, row in enumerate(b.entries, 1):
+        b_ik = row[k - 1]
+        sign = -1 if b_ik < 0 else 1
+        rows.append(
+            tuple(
+                -b_ij if i == k or j == k else b_ij + sign * max(b_ik * b_kj, 0)
+                for j, (b_ij, b_kj) in enumerate(zip(row, row_k), 1)
+            )
+        )
     return ExchangeMatrix(tuple(rows), b.exchange, b.d_prime)
 
 
 def _mutate_lam(lam: tuple, b: ExchangeMatrix, k: int) -> tuple:
     n = b.n
+    down = [max(0, -v) for v in b.column(k)]
     out = [list(row) for row in lam]
     for j in range(1, n + 1):
         if j == k:
             continue
         total = -lam[k - 1][j - 1]
-        for l in range(1, n + 1):
-            total += max(0, -b.entry(l, k)) * lam[l - 1][j - 1]
+        for d, row in zip(down, lam):
+            total += d * row[j - 1]
         out[k - 1][j - 1] = total
         out[j - 1][k - 1] = -total
     out[k - 1][k - 1] = 0
@@ -237,9 +238,9 @@ def _mutate_lam(lam: tuple, b: ExchangeMatrix, k: int) -> tuple:
 
 def exchange_vectors(b: ExchangeMatrix, k: int) -> tuple:
     """The two exchange monomial exponent vectors at k, each with -1 in slot k."""
-    n = b.n
-    up = [max(b.entry(j, k), 0) for j in range(1, n + 1)]
-    down = [max(-b.entry(j, k), 0) for j in range(1, n + 1)]
+    column = b.column(k)
+    up = [max(v, 0) for v in column]
+    down = [max(-v, 0) for v in column]
     up[k - 1] = -1
     down[k - 1] = -1
     return tuple(up), tuple(down)
@@ -282,6 +283,20 @@ def _exchange_sum(seed: Seed, k: int) -> QuantumLaurent:
     return up + down
 
 
+def _exchange_parameters(seed: Seed, k: int) -> tuple:
+    """Tropical parameters of the up and down exchange monomials at k: the
+    current parameters summed to the monomial's powers, leaving out slot k
+    (its only negative power)."""
+    pars = []
+    for vec in exchange_vectors(seed.b, k):
+        par = (0,) * seed.b.n
+        for power, trop in zip(vec, seed.trop):
+            if power > 0:
+                par = tuple(p + power * t for p, t in zip(par, trop))
+        pars.append(par)
+    return tuple(pars)
+
+
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Mutation at an exchange index; returns a new seed.
 
@@ -292,15 +307,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     if not seed.b.is_exchange(k):
         raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
     n = seed.b.n
-    up, down = exchange_vectors(seed.b, k)
-    d1 = [0] * n
-    d2 = [0] * n
-    for j in range(n):
-        for t in range(n):
-            if j != k - 1:
-                d1[t] += up[j] * seed.trop[j][t]
-                d2[t] += down[j] * seed.trop[j][t]
-    new_trop_k = par_mutation(seed.trop[k - 1], tuple(d1), tuple(d2))
+    new_trop_k = par_mutation(seed.trop[k - 1], *_exchange_parameters(seed, k))
     trop = tuple(
         new_trop_k if t == k - 1 else seed.trop[t] for t in range(n)
     )
@@ -456,7 +463,7 @@ def move_to_mutation_script(cd: CartanData, w: Word, m: Move) -> MutationScript:
     quadruple moves need three mutations (the two stated orders agree)
     and the double transposition of both window slot pairs.
     """
-    i, j, p = _window_letters(cd, w, m)
+    i, j, p = _move_window(w, m, cd)
     n = w.length
     b = gls_matrix(cd, w)
     if m.kind is MoveKind.TWO:
@@ -707,15 +714,8 @@ def tsystem_check(
     k = a_plus
     if not seed.b.is_exchange(k):
         raise MinorNotReachable(f"slot {k} is frozen; the identity has no exchange form")
-    up, down = exchange_vectors(seed.b, k)
-    par_up = [0] * w.length
-    par_down = [0] * w.length
-    for j in range(w.length):
-        for t in range(w.length):
-            if j != k - 1:
-                par_up[t] += up[j] * seed.trop[j][t]
-                par_down[t] += down[j] * seed.trop[j][t]
-    if tuple(par_down) != right or tuple(par_up) != lower:
+    par_up, par_down = _exchange_parameters(seed, k)
+    if par_down != right or par_up != lower:
         raise MinorNotReachable(
             f"the exchange monomials at slot {k} do not realize the boxed terms"
         )

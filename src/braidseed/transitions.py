@@ -18,9 +18,7 @@ from .errors import (
     CaseNotTabulated,
     IncomparableLeadingTerms,
     LengthMismatch,
-    MoveNotApplicable,
     NegativeEntry,
-    UnsupportedCartanPair,
 )
 from .words import (
     EMPTY_BOX,
@@ -29,6 +27,7 @@ from .words import (
     Move,
     MoveKind,
     Word,
+    _move_window,
     apply_move,
     ibox_vector,
     make_ibox,
@@ -69,36 +68,6 @@ def bilex_compare(a: Sequence[int], b: Sequence[int]) -> OrderVerdict:
     return OrderVerdict.INCOMPARABLE
 
 
-def _window_letters(cd: CartanData, w: Word, m: Move):
-    """Validate the move against word and Cartan data; return (i, j, k)."""
-    k = m.position
-    size = m.kind.window
-    if k < 1 or k + size - 1 > w.length:
-        raise MoveNotApplicable(f"{m} window leaves the word")
-    window = w.letters[k - 1 : k - 1 + size]
-    i, j = window[0], window[1]
-    if i == j:
-        raise MoveNotApplicable(f"{m} window letters are equal")
-    prod = cd.pair_product(i, j)
-    if prod == 3:
-        raise UnsupportedCartanPair(
-            f"{m}: letters {i!r}, {j!r} form a 6-move Cartan pair"
-        )
-    want = {MoveKind.TWO: 0, MoveKind.THREE: 1, MoveKind.FOUR: 2}[m.kind]
-    if prod != want:
-        raise MoveNotApplicable(
-            f"{m}: c_ij*c_ji = {prod} does not match the move kind"
-        )
-    shapes = {
-        MoveKind.TWO: (i, j),
-        MoveKind.THREE: (i, j, i),
-        MoveKind.FOUR: (i, j, i, j),
-    }
-    if window != shapes[m.kind]:
-        raise MoveNotApplicable(f"{m}: window {window} has the wrong shape")
-    return i, j, k
-
-
 def _first_formula(cd: CartanData, i, j, convention: str) -> bool:
     """Select the quadruple-window formula branch.
 
@@ -115,41 +84,39 @@ def _first_formula(cd: CartanData, i, j, convention: str) -> bool:
     raise ValueError(f"unknown transition convention {convention!r}")
 
 
+def _window_image(cd: CartanData, m: Move, i, j, window, convention: str, minimum):
+    """Image of the window entries under the move's PL transition map.
+
+    The one formula table behind transition_apply (entries are ints,
+    minimum is min) and transition_apply_many (entries are columns,
+    minimum is np.minimum).
+    """
+    if m.kind is MoveKind.TWO:
+        x, y = window
+        return y, x
+    if m.kind is MoveKind.THREE:
+        x, y, z = window
+        p = minimum(x, z)
+        return y + z - p, p, x + y - p
+    a0, a1, a2, a3 = window
+    p1 = minimum(minimum(a0 + a1, a0 + a3), a2 + a3)
+    if _first_formula(cd, i, j, convention):
+        p2 = minimum(minimum(a0 + 2 * a1, a0 + 2 * a3), a2 + 2 * a3)
+        return a1 + a2 + a3 - p1, 2 * p1 - p2, p2 - p1, a0 + 2 * a1 + a2 - p2
+    p2 = minimum(minimum(2 * a0 + a1, 2 * a0 + a3), 2 * a2 + a3)
+    return a1 + 2 * a2 + a3 - p2, p2 - p1, 2 * p1 - p2, a0 + a1 + a2 - p1
+
+
 def transition_apply(
     cd: CartanData, w: Word, m: Move, a: Sequence[int], convention: str = "tabulated"
 ) -> tuple:
     """Image of the exponent vector a under the move's transition map."""
     if len(a) != w.length:
         raise LengthMismatch(f"vector length {len(a)} != word length {w.length}")
-    i, j, k = _window_letters(cd, w, m)
-    out = list(a)
-    if m.kind is MoveKind.TWO:
-        out[k - 1], out[k] = a[k], a[k - 1]
-        return tuple(out)
-    if m.kind is MoveKind.THREE:
-        x, y, z = a[k - 1], a[k], a[k + 1]
-        p = min(x, z)
-        out[k - 1 : k + 2] = (y + z - p, p, x + y - p)
-        return tuple(out)
-    a0, a1, a2, a3 = a[k - 1 : k + 3]
-    p1 = min(a0 + a1, a0 + a3, a2 + a3)
-    if _first_formula(cd, i, j, convention):
-        p2 = min(a0 + 2 * a1, a0 + 2 * a3, a2 + 2 * a3)
-        out[k - 1 : k + 3] = (
-            a1 + a2 + a3 - p1,
-            2 * p1 - p2,
-            p2 - p1,
-            a0 + 2 * a1 + a2 - p2,
-        )
-    else:
-        p2 = min(2 * a0 + a1, 2 * a0 + a3, 2 * a2 + a3)
-        out[k - 1 : k + 3] = (
-            a1 + 2 * a2 + a3 - p2,
-            p2 - p1,
-            2 * p1 - p2,
-            a0 + a1 + a2 - p1,
-        )
-    return tuple(out)
+    i, j, k = _move_window(w, m, cd)
+    end = k - 1 + m.kind.window
+    image = _window_image(cd, m, i, j, a[k - 1 : end], convention, min)
+    return (*a[: k - 1], *image, *a[end:])
 
 
 def transition_apply_many(
@@ -159,33 +126,13 @@ def transition_apply_many(
     arr = np.asarray(arr)
     if arr.ndim != 2 or arr.shape[1] != w.length:
         raise LengthMismatch(f"array shape {arr.shape} does not fit length {w.length}")
-    i, j, k = _window_letters(cd, w, m)
+    i, j, k = _move_window(w, m, cd)
+    columns = range(k - 1, k - 1 + m.kind.window)
+    window = [arr[:, c] for c in columns]
+    image = _window_image(cd, m, i, j, window, convention, np.minimum)
     out = arr.copy()
-    c = k - 1
-    if m.kind is MoveKind.TWO:
-        out[:, [c, c + 1]] = arr[:, [c + 1, c]]
-        return out
-    if m.kind is MoveKind.THREE:
-        x, y, z = arr[:, c], arr[:, c + 1], arr[:, c + 2]
-        p = np.minimum(x, z)
-        out[:, c] = y + z - p
-        out[:, c + 1] = p
-        out[:, c + 2] = x + y - p
-        return out
-    a0, a1, a2, a3 = (arr[:, c + t] for t in range(4))
-    p1 = np.minimum(np.minimum(a0 + a1, a0 + a3), a2 + a3)
-    if _first_formula(cd, i, j, convention):
-        p2 = np.minimum(np.minimum(a0 + 2 * a1, a0 + 2 * a3), a2 + 2 * a3)
-        out[:, c] = a1 + a2 + a3 - p1
-        out[:, c + 1] = 2 * p1 - p2
-        out[:, c + 2] = p2 - p1
-        out[:, c + 3] = a0 + 2 * a1 + a2 - p2
-    else:
-        p2 = np.minimum(np.minimum(2 * a0 + a1, 2 * a0 + a3), 2 * a2 + a3)
-        out[:, c] = a1 + 2 * a2 + a3 - p2
-        out[:, c + 1] = p2 - p1
-        out[:, c + 2] = 2 * p1 - p2
-        out[:, c + 3] = a0 + a1 + a2 - p1
+    for c, column in zip(columns, image):
+        out[:, c] = column
     return out
 
 
@@ -332,7 +279,7 @@ def verify_ibox_transition(
     if resolved is EMPTY_BOX or isinstance(resolved, EmptyBox):
         return IBoxTransitionReport("empty", actual, (0,) * w.length)
     wp = apply_move(w, m)
-    i, j, _ = _window_letters(cd, w, m)
+    i, j, _ = _move_window(w, m, cd)
     a, b = resolved.lo, resolved.hi
     if m.kind is MoveKind.TWO:
         rule, expected = _expected_two(w, wp, m.position, a, b)

@@ -112,7 +112,44 @@ def _relation_window(i, j, prod: int) -> Optional[tuple]:
     """
     if prod >= len(_RELATION_LENGTH):
         return None
-    return tuple(j if t % 2 else i for t in range(_RELATION_LENGTH[prod]))
+    return _alternating(i, j, _RELATION_LENGTH[prod])
+
+
+def _alternating(i, j, size: int) -> tuple:
+    """The window i j i ... of the given length: the one shape every move
+    window must have."""
+    return tuple(j if t % 2 else i for t in range(size))
+
+
+def _move_window(w: Word, m: Move, cd: Optional[CartanData] = None) -> tuple:
+    """Validate the window of m in w and return (i, j, k).
+
+    Checks, in order: the window lies in the word, its first two letters
+    differ, c_ij * c_ji selects m's kind (only when cd is given; 6-move pairs
+    are UnsupportedCartanPair), and the window alternates i j i ...
+    """
+    k = m.position
+    size = m.kind.window
+    if k < 1 or k + size - 1 > w.length:
+        raise MoveNotApplicable(f"{m} window leaves the word")
+    window = w.letters[k - 1 : k - 1 + size]
+    i, j = window[0], window[1]
+    if i == j:
+        raise MoveNotApplicable(f"{m} window letters are equal")
+    if cd is not None:
+        prod = cd.pair_product(i, j)
+        if prod == 3:
+            raise UnsupportedCartanPair(
+                f"{m}: letters {i!r}, {j!r} form a 6-move Cartan pair"
+            )
+        if prod >= len(_RELATION_LENGTH) or _RELATION_LENGTH[prod] != size:
+            raise MoveNotApplicable(
+                f"{m}: c_ij*c_ji = {prod} does not match the move kind"
+            )
+    shape = _alternating(i, j, size)
+    if window != shape:
+        raise MoveNotApplicable(f"{m}: window {window} is not of shape {shape}")
+    return i, j, k
 
 
 def enumerate_moves(cd: CartanData, w: Word) -> MoveScan:
@@ -144,23 +181,8 @@ def apply_move(w: Word, m: Move) -> Word:
     The Cartan-entry side of applicability is established by enumerate_moves;
     this function only needs the letters to match the window pattern.
     """
-    k = m.position
-    size = m.kind.window
-    if k < 1 or k + size - 1 > w.length:
-        raise MoveNotApplicable(f"{m} window leaves the word")
-    window = w.letters[k - 1 : k - 1 + size]
-    i, j = window[0], window[1]
-    if i == j:
-        raise MoveNotApplicable(f"{m} window letters are equal")
-    if m.kind is MoveKind.TWO:
-        return w.replace(k, (j, i))
-    if m.kind is MoveKind.THREE:
-        if window != (i, j, i):
-            raise MoveNotApplicable(f"{m} window is not of shape iji")
-        return w.replace(k, (j, i, j))
-    if window != (i, j, i, j):
-        raise MoveNotApplicable(f"{m} window is not of shape ijij")
-    return w.replace(k, (j, i, j, i))
+    i, j, k = _move_window(w, m)
+    return w.replace(k, _alternating(j, i, m.kind.window))
 
 
 def _check_no_sixmove_pairs(cd: CartanData, letters: Sequence) -> None:

@@ -204,6 +204,19 @@ def test_qdatum_commands(tmp_path):
     assert report.metadata["error"]["kind"] == "PointOutsideLattice"
 
 
+@pytest.mark.parametrize("point", ["5,0", "x,1"])
+def test_qdatum_phi_names_an_unknown_vertex(tmp_path, point):
+    code, report = run(
+        tmp_path, "qdatum", "phi", "--cartan", "a2", "--height", "1,0",
+        "--point", point,
+    )
+    assert code == 2
+    error = report.metadata["error"]
+    assert error["kind"] == "PointOutsideLattice"
+    assert "is not in the index set" in error["message"]
+    assert "parity" not in error["message"]
+
+
 def test_qdatum_ntab_reproduces_the_rank_one_value(tmp_path):
     code, report = run(
         tmp_path, "qdatum", "ntab", "--cartan", "a1", "--range", "3"

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidseed.cartan import preset, roots_of_word
 from braidseed.errors import (
@@ -37,6 +39,7 @@ from braidseed.words import (
     MoveKind,
     Word,
     WordKind,
+    _relation_window,
     apply_move,
     enumerate_moves,
     find_move_path,
@@ -377,3 +380,59 @@ def test_transition_weighted_round_trip():
             out = transition_apply(cd, w, m, vec, "weighted")
             back = transition_apply(cd, wp, m, out, "weighted")
             assert back == vec
+
+
+def braid_words(names):
+    """(preset name, positive-braid word of length 1..8) over the presets."""
+    return st.sampled_from(names).flatmap(
+        lambda name: st.lists(
+            st.sampled_from(preset(name).index_set), min_size=1, max_size=8
+        ).map(lambda letters: (name, Word(tuple(letters), BRAID)))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(["a2", "b2", "a3", "b3", "c3"]), st.data())
+def test_scalar_and_batch_transitions_agree(named_word, data):
+    name, w = named_word
+    cd = preset(name)
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(0, 6), min_size=w.length, max_size=w.length),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    for m in enumerate_moves(cd, w).moves:
+        for convention in ("tabulated", "weighted"):
+            batch = transition_apply_many(
+                cd, w, m, np.array(rows, dtype=np.int64), convention
+            )
+            for row, out in zip(rows, batch):
+                assert tuple(int(v) for v in out) == transition_apply(
+                    cd, w, m, row, convention
+                )
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(["a2", "b2", "a3", "b3", "g2"]))
+def test_transitions_accept_exactly_the_enumerated_moves(named_word):
+    name, w = named_word
+    cd = preset(name)
+    listed = set(enumerate_moves(cd, w).moves)
+    zero = (0,) * w.length
+    for kind in MoveKind:
+        for position in range(0, w.length + 2):
+            m = Move(kind, position)
+            try:
+                transition_apply(cd, w, m, zero)
+            except (MoveNotApplicable, UnsupportedCartanPair):
+                assert m not in listed
+                continue
+            assert m in listed
+            k = position - 1
+            i, j = w.letters[k], w.letters[k + 1]
+            rewrite = _relation_window(j, i, cd.pair_product(i, j))
+            assert apply_move(w, m).letters == (
+                w.letters[:k] + rewrite + w.letters[k + len(rewrite) :]
+            )
