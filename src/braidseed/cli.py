@@ -67,6 +67,7 @@ from .seeds import (
     tsystem_check,
 )
 from .transitions import (
+    CONVENTIONS,
     OrderVerdict,
     transition_apply,
     transition_apply_many,
@@ -151,135 +152,97 @@ def _parse_move(text: str) -> Move:
     return Move(kind, position)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "json"], default="text")
-    common.add_argument("--output", default=None, help="report destination file")
-    common.add_argument("--budget", type=int, default=None, help="BFS node limit")
-
-    cartan_opt = argparse.ArgumentParser(add_help=False)
-    cartan_opt.add_argument("--cartan", default=None, help="preset name or JSON file")
-
-    word_opt = argparse.ArgumentParser(add_help=False)
-    word_opt.add_argument(
-        "--word", action="append", default=[], help="comma-separated letters"
-    )
-    word_opt.add_argument(
+# Option groups: (flag, argparse keywords) pairs, combined per route by
+# COMMANDS in the order they appear in --help.
+COMMON = (
+    ("--format", dict(choices=["text", "json"], default="text")),
+    ("--output", dict(default=None, help="report destination file")),
+    ("--budget", dict(type=int, default=None, help="BFS node limit")),
+)
+CARTAN = (("--cartan", dict(default=None, help="preset name or JSON file")),)
+WORD = (
+    ("--word", dict(action="append", default=[], help="comma-separated letters")),
+    (
         "--kind",
-        choices=[k.value for k in WordKind],
-        default=WordKind.POSITIVE_BRAID.value,
-    )
+        dict(
+            choices=[k.value for k in WordKind],
+            default=WordKind.POSITIVE_BRAID.value,
+        ),
+    ),
+)
+EXACT = (
+    ("--exact", dict(action="store_true")),
+    ("--exact-cap", dict(type=int, default=EXACT_CAP_DEFAULT)),
+)
+HEIGHT = (("--height", dict(required=True, help="comma-separated heights")),)
+MOVE = (("--move", dict(required=True, help="KIND,POSITION")),)
+BRACE = (("--brace", dict(action="store_true")),)
+BOX = (("--box", dict(required=True, help="lo,hi")),) + BRACE
+VECTOR = (
+    ("--vector", dict(action="append", default=[], required=True)),
+    ("--convention", dict(choices=CONVENTIONS, default="tabulated")),
+)
+OUT = (("--out", dict(default=None, help="write the seed JSON here")),)
+AT = (("--at", dict(required=True, help="mutation slot sequence k1,k2,...")),)
+K = (("--k", dict(type=int, default=0)),)
+POINT = (("--point", dict(required=True, help="vertex,level")),)
+RANGE = (("--range", dict(type=int, default=6, dest="level_range")),)
+SWEEP_BOX = (
+    ("--box", dict(default=None, help="lo,hi; omit to sweep all boxes")),
+) + BRACE
+CAPS = (
+    ("--length-cap", dict(type=int, default=LENGTH_CAP_DEFAULT)),
+    ("--rank-cap", dict(type=int, default=RANK_CAP_DEFAULT)),
+)
 
-    exact_opt = argparse.ArgumentParser(add_help=False)
-    exact_opt.add_argument("--exact", action="store_true")
-    exact_opt.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT)
+# Namespace keys held by RunConfig fields; every other key is a handler
+# option and is hashed into the report's meta inputs.
+_CONFIG_KEYS = (
+    "group", "action", "cartan", "budget", "exact", "exact_cap", "output", "format"
+)
 
-    parser = argparse.ArgumentParser(
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigInvalid, so they end in an Error report."""
+
+    def error(self, message):
+        raise ConfigInvalid(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="braidseed",
         description="exact combinatorics of words, transitions, and quantum seeds",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    p_cartan = top.add_parser("cartan").add_subparsers(dest="action", required=True)
-    p_cartan.add_parser("check", parents=[common, cartan_opt])
-
-    p_words = top.add_parser("words").add_subparsers(dest="action", required=True)
-    p_words.add_parser("moves", parents=[common, cartan_opt, word_opt])
-    p_words.add_parser("path", parents=[common, cartan_opt, word_opt])
-    p_words.add_parser("equal", parents=[common, cartan_opt, word_opt])
-    p_ibox = p_words.add_parser("ibox", parents=[common, cartan_opt, word_opt])
-    p_ibox.add_argument("--box", required=True, help="lo,hi")
-    p_ibox.add_argument("--brace", action="store_true")
-
-    p_tr = top.add_parser("transition").add_subparsers(dest="action", required=True)
-    p_apply = p_tr.add_parser("apply", parents=[common, cartan_opt, word_opt])
-    p_apply.add_argument("--move", required=True, help="KIND,POSITION")
-    p_apply.add_argument("--vector", action="append", default=[], required=True)
-    p_apply.add_argument(
-        "--convention", choices=["tabulated", "weighted"], default="tabulated"
-    )
-    p_vibox = p_tr.add_parser("verify-ibox", parents=[common, cartan_opt, word_opt])
-    p_vibox.add_argument("--move", required=True, help="KIND,POSITION")
-    p_vibox.add_argument("--box", required=True, help="lo,hi")
-    p_vibox.add_argument("--brace", action="store_true")
-
-    p_seed = top.add_parser("seed").add_subparsers(dest="action", required=True)
-    p_build = p_seed.add_parser("build", parents=[common, cartan_opt, word_opt, exact_opt])
-    p_build.add_argument("--out", default=None, help="write the seed JSON here")
-    p_mutate = p_seed.add_parser(
-        "mutate", parents=[common, cartan_opt, word_opt, exact_opt]
-    )
-    p_mutate.add_argument("--at", required=True, help="mutation slot sequence k1,k2,...")
-    p_seed.add_parser(
-        "verify-equivalence", parents=[common, cartan_opt, word_opt, exact_opt]
-    )
-    p_ts = p_seed.add_parser("tsystem", parents=[common, cartan_opt, word_opt, exact_opt])
-    p_ts.add_argument("--box", required=True, help="lo,hi")
-    p_ts.add_argument("--brace", action="store_true")
-
-    p_qd = top.add_parser("qdatum").add_subparsers(dest="action", required=True)
-    height_opt = argparse.ArgumentParser(add_help=False)
-    height_opt.add_argument("--height", required=True, help="comma-separated heights")
-    p_qd.add_parser("build", parents=[common, cartan_opt, height_opt])
-    p_qd.add_parser("adapted-word", parents=[common, cartan_opt, height_opt])
-    p_win = p_qd.add_parser("window", parents=[common, cartan_opt, height_opt])
-    p_win.add_argument("--k", type=int, default=0)
-    p_phi = p_qd.add_parser("phi", parents=[common, cartan_opt, height_opt])
-    p_phi.add_argument("--point", required=True, help="vertex,level")
-    p_ntab = p_qd.add_parser("ntab", parents=[common, cartan_opt])
-    p_ntab.add_argument("--range", type=int, default=6, dest="level_range")
-
-    p_verify = top.add_parser("verify").add_subparsers(dest="action", required=True)
-    p_verify.add_parser(
-        "corollary", parents=[common, cartan_opt, word_opt, exact_opt]
-    )
-    p_vts = p_verify.add_parser(
-        "tsystem", parents=[common, cartan_opt, word_opt, exact_opt]
-    )
-    p_vts.add_argument("--box", default=None, help="lo,hi; omit to sweep all boxes")
-    p_vts.add_argument("--brace", action="store_true")
-    p_all = p_verify.add_parser("all", parents=[common, cartan_opt, exact_opt])
-    p_all.add_argument("--length-cap", type=int, default=LENGTH_CAP_DEFAULT)
-    p_all.add_argument("--rank-cap", type=int, default=RANK_CAP_DEFAULT)
-
+    groups = {}
+    for (group, action), (_, _, _, options) in COMMANDS.items():
+        if group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(
+                dest="action", required=True
+            )
+        sub = groups[group].add_parser(action)
+        for flag, kwargs in COMMON + CARTAN + options:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
 def parse_args(argv=None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    options = {}
-    for key in (
-        "kind",
-        "box",
-        "brace",
-        "move",
-        "convention",
-        "at",
-        "out",
-        "height",
-        "k",
-        "point",
-        "level_range",
-        "length_cap",
-        "rank_cap",
-    ):
-        if hasattr(ns, key):
-            options[key] = getattr(ns, key)
-    if hasattr(ns, "word"):
-        options["words"] = tuple(_parse_letters(w) for w in ns.word)
-    if hasattr(ns, "vector"):
-        options["vectors"] = tuple(
-            _parse_ints(v, "vector") for v in ns.vector
-        )
-    budget = ns.budget if getattr(ns, "budget", None) is not None else default_budget()
+    ns = vars(_build_parser().parse_args(argv))
+    options = {k: v for k, v in ns.items() if k not in _CONFIG_KEYS}
+    if "word" in options:
+        options["words"] = tuple(_parse_letters(w) for w in options.pop("word"))
+    if "vector" in options:
+        vectors = options.pop("vector")
+        options["vectors"] = tuple(_parse_ints(v, "vector") for v in vectors)
     return RunConfig(
-        command=(ns.group, ns.action),
-        cartan_file=getattr(ns, "cartan", None),
-        budget=budget,
-        exact=getattr(ns, "exact", False),
-        exact_cap=getattr(ns, "exact_cap", EXACT_CAP_DEFAULT),
-        output=getattr(ns, "output", None),
-        format=getattr(ns, "format", "text"),
+        command=(ns["group"], ns["action"]),
+        cartan_file=ns["cartan"],
+        budget=default_budget() if ns["budget"] is None else ns["budget"],
+        exact=ns.get("exact", False),
+        exact_cap=ns.get("exact_cap", EXACT_CAP_DEFAULT),
+        output=ns["output"],
+        format=ns["format"],
         options=options,
     )
 
@@ -299,20 +262,6 @@ def _validate_config(config: RunConfig) -> None:
 # shared handler plumbing
 
 
-def _load_cartan(config: RunConfig) -> CartanData:
-    ref = config.cartan_file
-    if ref is None:
-        raise ConfigInvalid("cartan: missing --cartan")
-    path = Path(ref)
-    if path.exists():
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as err:
-            raise ConfigInvalid(f"cartan: cannot read {ref}: {err}") from err
-        return cartan_from_json(text)
-    return preset(ref)
-
-
 def _infer_a_type(words) -> CartanData:
     """Type-A context of rank max-letter, for letter alphabets 1..n."""
     letters = sorted({x for w in words for x in w})
@@ -326,10 +275,22 @@ def _infer_a_type(words) -> CartanData:
     return validate_cartan(matrix)
 
 
-def _context(config: RunConfig, allow_infer: bool = False) -> CartanData:
-    if config.cartan_file is None and allow_infer:
+def _context(config: RunConfig, how: str) -> CartanData:
+    """The Cartan context of a route: "load" reads --cartan, "infer" also
+    falls back to the type-A context of the words when --cartan is absent."""
+    ref = config.cartan_file
+    if ref is None and how == "infer":
         return _infer_a_type(config.options.get("words", ()))
-    return _load_cartan(config)
+    if ref is None:
+        raise ConfigInvalid("cartan: missing --cartan")
+    path = Path(ref)
+    if path.exists():
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigInvalid(f"cartan: cannot read {ref}: {err}") from err
+        return cartan_from_json(text)
+    return preset(ref)
 
 
 def _build_words(config: RunConfig, cd: CartanData, expect: int) -> tuple:
@@ -348,18 +309,18 @@ def _build_words(config: RunConfig, cd: CartanData, expect: int) -> tuple:
 
 
 def _build_box(config: RunConfig, require_nonempty: bool = False):
-    lo, hi = _box_bounds(config)
-    box = make_ibox(lo, hi, brace=bool(config.options.get("brace")))
+    bounds = _parse_ints(config.options["box"], "box")
+    if len(bounds) != 2:
+        raise ConfigInvalid("box: expected lo,hi")
+    lo, hi = bounds
+    box = make_ibox(lo, hi, brace=config.options["brace"])
     if require_nonempty and isinstance(box, EmptyBox):
         raise ConfigInvalid(f"box: interval [{lo},{hi}] is empty")
     return box
 
 
-def _box_bounds(config: RunConfig) -> tuple:
-    bounds = _parse_ints(config.options["box"], "box")
-    if len(bounds) != 2:
-        raise ConfigInvalid("box: expected lo,hi")
-    return bounds
+def _qdatum(config: RunConfig, cd: CartanData):
+    return validate_height(cd, _parse_ints(config.options["height"], "height"))
 
 
 def _metadata(config: RunConfig, cd: Optional[CartanData] = None) -> dict:
@@ -387,8 +348,7 @@ def _seed_core(seed) -> dict:
 # handlers
 
 
-def _cmd_cartan_check(config: RunConfig) -> Report:
-    cd = _load_cartan(config)
+def _cmd_cartan_check(config: RunConfig, cd: CartanData) -> list:
     n = len(cd.index_set)
     symmetrized = [
         [cd.symmetrizer[i] * cd.matrix[i][j] for j in range(n)] for i in range(n)
@@ -419,12 +379,10 @@ def _cmd_cartan_check(config: RunConfig) -> Report:
                 True,
             )
         )
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
-def _cmd_words_moves(config: RunConfig) -> Report:
-    cd = _context(config)
-    (w,) = _build_words(config, cd, 1)
+def _cmd_words_moves(config: RunConfig, cd: CartanData, w: Word) -> list:
     scan = enumerate_moves(cd, w)
     sections = [echo("word", w.letters)]
     doubled = []
@@ -436,35 +394,27 @@ def _cmd_words_moves(config: RunConfig) -> Report:
         comparison("involutive", doubled, [list(w.letters)] * len(scan.moves))
     )
     sections.append(echo("unsupported-windows", scan.unsupported))
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
-def _cmd_words_path(config: RunConfig) -> Report:
-    cd = _context(config)
-    w, w2 = _build_words(config, cd, 2)
+def _cmd_words_path(config: RunConfig, cd: CartanData, w: Word, w2: Word) -> list:
     path = find_move_path(cd, w, w2, config.budget)
     current = w
     for m in path:
         current = apply_move(current, m)
-    sections = [
+    return [
         echo("path", [move_to_json(m) for m in path]),
         echo("length", len(path)),
         comparison("replay", current.letters, w2.letters),
     ]
-    return report_from_sections(sections, _metadata(config, cd))
 
 
-def _cmd_words_equal(config: RunConfig) -> Report:
-    cd = _context(config)
-    w, w2 = _build_words(config, cd, 2)
+def _cmd_words_equal(config: RunConfig, cd: CartanData, w: Word, w2: Word) -> list:
     equal = words_equal_in_monoid(cd, w, w2, config.budget)
-    sections = [comparison("equal-in-monoid", equal, True)]
-    return report_from_sections(sections, _metadata(config, cd))
+    return [comparison("equal-in-monoid", equal, True)]
 
 
-def _cmd_words_ibox(config: RunConfig) -> Report:
-    cd = _context(config)
-    (w,) = _build_words(config, cd, 1)
+def _cmd_words_ibox(config: RunConfig, cd: CartanData, w: Word) -> list:
     box = _build_box(config)
     resolved = resolve_ibox(w, box)
     sections = []
@@ -478,40 +428,32 @@ def _cmd_words_ibox(config: RunConfig) -> Report:
             )
         )
     sections.append(echo("vector", ibox_vector(w, box)))
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
-def _cmd_transition_apply(config: RunConfig) -> Report:
-    cd = _context(config)
-    (w,) = _build_words(config, cd, 1)
+def _cmd_transition_apply(config: RunConfig, cd: CartanData, w: Word) -> list:
     m = _parse_move(config.options["move"])
-    convention = config.options.get("convention", "tabulated")
+    convention = config.options["convention"]
     wp = apply_move(w, m)
     sections = [echo("move", move_to_json(m)), echo("moved-word", wp.letters)]
-    for idx, vec in enumerate(config.options.get("vectors", ()), start=1):
+    for idx, vec in enumerate(config.options["vectors"], start=1):
         image = transition_apply(cd, w, m, vec, convention)
         back = transition_apply(cd, wp, m, image, convention)
         sections.append(echo(f"image-{idx}", image))
         sections.append(comparison(f"round-trip-{idx}", back, vec))
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
-def _cmd_transition_verify_ibox(config: RunConfig) -> Report:
-    cd = _context(config)
-    (w,) = _build_words(config, cd, 1)
+def _cmd_transition_verify_ibox(config: RunConfig, cd: CartanData, w: Word) -> list:
     m = _parse_move(config.options["move"])
-    box = _build_box(config)
-    result = verify_ibox_transition(cd, w, m, box)
-    sections = [
+    result = verify_ibox_transition(cd, w, m, _build_box(config))
+    return [
         echo("rule", result.rule),
         comparison("transported-vector", result.actual, result.expected),
     ]
-    return report_from_sections(sections, _metadata(config, cd))
 
 
-def _cmd_seed_build(config: RunConfig) -> Report:
-    cd = _context(config)
-    (w,) = _build_words(config, cd, 1)
+def _cmd_seed_build(config: RunConfig, cd: CartanData, w: Word) -> list:
     seed = initial_seed(cd, w, exact=config.exact)
     payload = seed_to_json(seed)
     sections = [
@@ -523,7 +465,7 @@ def _cmd_seed_build(config: RunConfig) -> Report:
         echo("tropical", payload["variables"]["tropical"]),
         comparison("compatible", check_compatibility(seed.lam, seed.b), True),
     ]
-    out = config.options.get("out")
+    out = config.options["out"]
     if out:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         try:
@@ -531,12 +473,10 @@ def _cmd_seed_build(config: RunConfig) -> Report:
         except OSError as err:
             raise ConfigInvalid(f"out: cannot write {out}: {err}") from err
         sections.append(echo("written", out))
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
-def _cmd_seed_mutate(config: RunConfig) -> Report:
-    cd = _context(config)
-    (w,) = _build_words(config, cd, 1)
+def _cmd_seed_mutate(config: RunConfig, cd: CartanData, w: Word) -> list:
     slots = _parse_ints(config.options["at"], "at")
     if not slots:
         raise ConfigInvalid("at: empty mutation sequence")
@@ -567,7 +507,7 @@ def _cmd_seed_mutate(config: RunConfig) -> Report:
             comparison("compatible", check_compatibility(current.lam, current.b), True),
         ]
     )
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
 def _equivalence_sections(report) -> list:
@@ -605,9 +545,9 @@ def _equivalence_sections(report) -> list:
     return sections
 
 
-def _cmd_seed_verify_equivalence(config: RunConfig) -> Report:
-    cd = _context(config)
-    w, w2 = _build_words(config, cd, 2)
+def _cmd_seed_verify_equivalence(
+    config: RunConfig, cd: CartanData, w: Word, w2: Word
+) -> list:
     report = seed_equivalence_report(
         cd,
         w,
@@ -616,7 +556,7 @@ def _cmd_seed_verify_equivalence(config: RunConfig) -> Report:
         exact_max_length=min(6, config.exact_cap),
         budget=config.budget,
     )
-    return report_from_sections(_equivalence_sections(report), _metadata(config, cd))
+    return _equivalence_sections(report)
 
 
 def _tsystem_sections(result, prefix: str = "") -> list:
@@ -648,35 +588,28 @@ def _tsystem_sections(result, prefix: str = "") -> list:
     return sections
 
 
-def _cmd_seed_tsystem(config: RunConfig) -> Report:
-    cd = _context(config, allow_infer=config.command[0] == "verify")
-    (w,) = _build_words(config, cd, 1)
+def _cmd_seed_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
     box = _build_box(config, require_nonempty=True)
     mode = "exact" if config.exact else "tropical"
-    result = tsystem_check(cd, w, box, mode=mode)
-    return report_from_sections(_tsystem_sections(result), _metadata(config, cd))
+    return _tsystem_sections(tsystem_check(cd, w, box, mode=mode))
 
 
-def _cmd_verify_tsystem(config: RunConfig) -> Report:
-    if config.options.get("box"):
-        return _cmd_seed_tsystem(config)
-    cd = _context(config, allow_infer=True)
-    (w,) = _build_words(config, cd, 1)
+def _cmd_verify_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
+    if config.options["box"]:
+        return _cmd_seed_tsystem(config, cd, w)
     checked, degenerate, failures = _tsystem_sweep(cd, w)
-    sections = [
+    return [
         echo("boxes-checked", checked),
         echo("degenerate", degenerate),
         comparison("failures", failures, []),
     ]
-    return report_from_sections(sections, _metadata(config, cd))
 
 
-def _cmd_qdatum_build(config: RunConfig) -> Report:
-    cd = _context(config)
-    qd = validate_height(cd, _parse_ints(config.options["height"], "height"))
+def _cmd_qdatum_build(config: RunConfig, cd: CartanData) -> list:
+    qd = _qdatum(config, cd)
     data = finite_type_data(cd)
     word = adapted_word(qd)
-    sections = [
+    return [
         echo("heights", qd.heights),
         echo("arrows", sorted(qd.arrows)),
         echo("sources", [i for i in cd.index_set if qd.is_source(i)]),
@@ -686,29 +619,25 @@ def _cmd_qdatum_build(config: RunConfig) -> Report:
             "adapted-reduced", roots_of_word(cd, word.letters).all_positive, True
         ),
     ]
-    return report_from_sections(sections, _metadata(config, cd))
 
 
-def _cmd_qdatum_adapted_word(config: RunConfig) -> Report:
-    cd = _context(config)
-    qd = validate_height(cd, _parse_ints(config.options["height"], "height"))
+def _cmd_qdatum_adapted_word(config: RunConfig, cd: CartanData) -> list:
+    qd = _qdatum(config, cd)
     data = finite_type_data(cd)
     word = adapted_word(qd)
     roots = roots_of_word(cd, word.letters)
-    sections = [
+    return [
         echo("word", word.letters),
         comparison("length", word.length, len(data.positive_roots)),
         comparison("reduced", roots.all_positive, True),
         comparison("roots-distinct", len(set(roots.roots)), word.length),
     ]
-    return report_from_sections(sections, _metadata(config, cd))
 
 
-def _cmd_qdatum_window(config: RunConfig) -> Report:
-    cd = _context(config)
-    qd = validate_height(cd, _parse_ints(config.options["height"], "height"))
+def _cmd_qdatum_window(config: RunConfig, cd: CartanData) -> list:
+    qd = _qdatum(config, cd)
     data = finite_type_data(cd)
-    k = config.options.get("k", 0)
+    k = config.options["k"]
     window = delta_window(qd, k)
     points = sorted((pt.vertex, pt.level) for pt in window)
     sections = [
@@ -723,28 +652,25 @@ def _cmd_qdatum_window(config: RunConfig) -> Report:
                 "period-image", sorted((p.vertex, p.level) for p in period), points
             )
         )
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
-def _cmd_qdatum_phi(config: RunConfig) -> Report:
-    cd = _context(config)
-    qd = validate_height(cd, _parse_ints(config.options["height"], "height"))
+def _cmd_qdatum_phi(config: RunConfig, cd: CartanData) -> list:
+    qd = _qdatum(config, cd)
     raw = _parse_letters(config.options["point"])
     if len(raw) != 2 or not isinstance(raw[1], int):
         raise ConfigInvalid("point: expected vertex,level")
     pt = RepetitionPoint(raw[0], raw[1])
     root, level = phi_map(qd, pt)
     back = phi_inverse(qd, root, level)
-    sections = [
+    return [
         echo("phi", {"root": root, "level": level}),
         comparison("round-trip", (back.vertex, back.level), (pt.vertex, pt.level)),
     ]
-    return report_from_sections(sections, _metadata(config, cd))
 
 
-def _cmd_qdatum_ntab(config: RunConfig) -> Report:
-    cd = _load_cartan(config)
-    span = config.options.get("level_range", 6)
+def _cmd_qdatum_ntab(config: RunConfig, cd: CartanData) -> list:
+    span = config.options["level_range"]
     if span < 1:
         raise ConfigInvalid("range: must be >= 1")
     series = cartan_tilde(cd, 2 * span + 4)
@@ -778,7 +704,7 @@ def _cmd_qdatum_ntab(config: RunConfig) -> Report:
         for j in cd.index_set
     ]
     sections.append(comparison("translation-invariant", shifted, forward))
-    return report_from_sections(sections, _metadata(config, cd))
+    return sections
 
 
 # ---------------------------------------------------------------------------
@@ -948,65 +874,84 @@ def exact_exchange_campaign(cd: CartanData, length_cap: int) -> tuple:
     return checked, failures
 
 
-def _cmd_verify_all(config: RunConfig) -> Report:
-    length_cap = config.options.get("length_cap", LENGTH_CAP_DEFAULT)
-    rank_cap = config.options.get("rank_cap", RANK_CAP_DEFAULT)
+def _cmd_verify_all(config: RunConfig, _: None) -> list:
+    length_cap = config.options["length_cap"]
+    rank_cap = config.options["rank_cap"]
     if length_cap < 1:
         raise ConfigInvalid("length-cap: must be >= 1")
     if rank_cap < 1:
         raise ConfigInvalid("rank-cap: must be >= 1")
+    # (checked label, failures label, campaign, cap); the campaigns are read
+    # from the module at run time, so wrappers installed on it see the calls
+    campaigns = [
+        ("round-trips", "round-trip-failures", roundtrip_campaign, length_cap),
+        ("mutations", "mutation-failures", mutation_campaign, min(length_cap, 6)),
+        ("tsystem-boxes", "tsystem-failures", tsystem_campaign, length_cap),
+    ]
+    if config.exact:
+        campaigns += [
+            ("torus-pairs", "torus-failures", torus_campaign, min(length_cap, 6)),
+            (
+                "exchange-steps",
+                "exchange-failures",
+                exact_exchange_campaign,
+                min(length_cap, 4),
+            ),
+        ]
     contexts = campaign_contexts(rank_cap)
     sections = [echo("contexts", [name for name, _ in contexts])]
     for name, cd in contexts:
-        checked, failures = roundtrip_campaign(cd, length_cap)
-        sections.append(echo(f"round-trips-{name}", checked))
-        sections.append(comparison(f"round-trip-failures-{name}", failures, []))
-        checked, failures = mutation_campaign(cd, min(length_cap, 6))
-        sections.append(echo(f"mutations-{name}", checked))
-        sections.append(comparison(f"mutation-failures-{name}", failures, []))
-        checked, failures = tsystem_campaign(cd, length_cap)
-        sections.append(echo(f"tsystem-boxes-{name}", checked))
-        sections.append(comparison(f"tsystem-failures-{name}", failures, []))
-        if config.exact:
-            checked, failures = torus_campaign(cd, min(length_cap, 6))
-            sections.append(echo(f"torus-pairs-{name}", checked))
-            sections.append(comparison(f"torus-failures-{name}", failures, []))
-            checked, failures = exact_exchange_campaign(cd, min(length_cap, 4))
-            sections.append(echo(f"exchange-steps-{name}", checked))
-            sections.append(comparison(f"exchange-failures-{name}", failures, []))
-    return report_from_sections(sections, _metadata(config))
+        for checked_label, failures_label, campaign, cap in campaigns:
+            checked, failures = campaign(cd, cap)
+            sections.append(echo(f"{checked_label}-{name}", checked))
+            sections.append(comparison(f"{failures_label}-{name}", failures, []))
+    return sections
 
 
-_HANDLERS = {
-    ("cartan", "check"): _cmd_cartan_check,
-    ("words", "moves"): _cmd_words_moves,
-    ("words", "path"): _cmd_words_path,
-    ("words", "equal"): _cmd_words_equal,
-    ("words", "ibox"): _cmd_words_ibox,
-    ("transition", "apply"): _cmd_transition_apply,
-    ("transition", "verify-ibox"): _cmd_transition_verify_ibox,
-    ("seed", "build"): _cmd_seed_build,
-    ("seed", "mutate"): _cmd_seed_mutate,
-    ("seed", "verify-equivalence"): _cmd_seed_verify_equivalence,
-    ("seed", "tsystem"): _cmd_seed_tsystem,
-    ("qdatum", "build"): _cmd_qdatum_build,
-    ("qdatum", "adapted-word"): _cmd_qdatum_adapted_word,
-    ("qdatum", "window"): _cmd_qdatum_window,
-    ("qdatum", "phi"): _cmd_qdatum_phi,
-    ("qdatum", "ntab"): _cmd_qdatum_ntab,
-    ("verify", "corollary"): _cmd_seed_verify_equivalence,
-    ("verify", "tsystem"): _cmd_verify_tsystem,
-    ("verify", "all"): _cmd_verify_all,
+# Every route, declared once: (group, action) -> (handler, context, number of
+# --word options, option groups after COMMON and CARTAN, which every route
+# takes).  The context is "load" (--cartan), "infer" (--cartan, else the
+# type-A context of the words) or None.  dispatch calls
+# handler(config, cd, *words) and reports the sections it returns; the
+# subparsers are added in table order.
+COMMANDS = {
+    ("cartan", "check"): (_cmd_cartan_check, "load", 0, ()),
+    ("words", "moves"): (_cmd_words_moves, "load", 1, WORD),
+    ("words", "path"): (_cmd_words_path, "load", 2, WORD),
+    ("words", "equal"): (_cmd_words_equal, "load", 2, WORD),
+    ("words", "ibox"): (_cmd_words_ibox, "load", 1, WORD + BOX),
+    ("transition", "apply"): (_cmd_transition_apply, "load", 1, WORD + MOVE + VECTOR),
+    ("transition", "verify-ibox"): (
+        _cmd_transition_verify_ibox, "load", 1, WORD + MOVE + BOX
+    ),
+    ("seed", "build"): (_cmd_seed_build, "load", 1, WORD + EXACT + OUT),
+    ("seed", "mutate"): (_cmd_seed_mutate, "load", 1, WORD + EXACT + AT),
+    ("seed", "verify-equivalence"): (
+        _cmd_seed_verify_equivalence, "load", 2, WORD + EXACT
+    ),
+    ("seed", "tsystem"): (_cmd_seed_tsystem, "load", 1, WORD + EXACT + BOX),
+    ("qdatum", "build"): (_cmd_qdatum_build, "load", 0, HEIGHT),
+    ("qdatum", "adapted-word"): (_cmd_qdatum_adapted_word, "load", 0, HEIGHT),
+    ("qdatum", "window"): (_cmd_qdatum_window, "load", 0, HEIGHT + K),
+    ("qdatum", "phi"): (_cmd_qdatum_phi, "load", 0, HEIGHT + POINT),
+    ("qdatum", "ntab"): (_cmd_qdatum_ntab, "load", 0, RANGE),
+    ("verify", "corollary"): (_cmd_seed_verify_equivalence, "load", 2, WORD + EXACT),
+    ("verify", "tsystem"): (_cmd_verify_tsystem, "infer", 1, WORD + EXACT + SWEEP_BOX),
+    ("verify", "all"): (_cmd_verify_all, None, 0, EXACT + CAPS),
 }
 
 
 def dispatch(config: RunConfig) -> Report:
-    """Route a validated configuration to its handler."""
+    """Validate a configuration, build its context and words, and turn the
+    sections of its handler into the report."""
     _validate_config(config)
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
+    route = COMMANDS.get(config.command)
+    if route is None:
         raise ConfigInvalid(f"command: unknown subcommand {config.command}")
-    return handler(config)
+    handler, context, word_count, _ = route
+    cd = None if context is None else _context(config, context)
+    words = _build_words(config, cd, word_count)
+    return report_from_sections(handler(config, cd, *words), _metadata(config, cd))
 
 
 def main(argv=None) -> int:

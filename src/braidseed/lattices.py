@@ -139,9 +139,10 @@ def canonical_smallest_solution(
     Coordinates are checked against the radius as soon as they are final,
     and a branch whose final coordinates already hold more entries at the
     radius than the best solution found so far is dropped: it loses on the
-    first part of the canonical order.  The surviving solutions are ranked
-    by the full order.  Raises BudgetExhausted when the search visits more
-    than default_budget() nodes.
+    first part of the canonical order.  For the same reason only the leaves
+    with the fewest entries at the radius are kept and ranked by the full
+    order.  Raises BudgetExhausted when the search visits more than
+    default_budget() nodes.
     """
     x0, kernel = solve_integer_system(rows, rhs)
     n = len(x0)
@@ -168,8 +169,12 @@ def canonical_smallest_solution(
                     f"lattice search stopped after {budget} nodes at radius {radius}"
                 )
             if depth == len(basis):
+                # at_radius <= best here; fewer entries at the radius beat
+                # every earlier leaf on the first part of the canonical order
+                if at_radius < best:
+                    best = at_radius
+                    found.clear()
                 found.append(current)
-                best = min(best, at_radius)
                 return
             p = pivot_rows[depth]
             step = basis[depth][p]

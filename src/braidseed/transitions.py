@@ -36,6 +36,9 @@ from .words import (
 )
 
 
+CONVENTIONS = ("tabulated", "weighted")
+
+
 class OrderVerdict(Enum):
     LESS = "Less"
     GREATER = "Greater"
@@ -77,11 +80,12 @@ def _first_formula(cd: CartanData, i, j, convention: str) -> bool:
     agree on every swap and triple window and differ only in which of the
     two quadruple formulas attaches to which Cartan orientation.
     """
-    if convention == "tabulated":
-        return cd.entry(i, j) == -1
-    if convention == "weighted":
-        return cd.entry(i, j) == -2
-    raise ValueError(f"unknown transition convention {convention!r}")
+    return cd.entry(i, j) == (-1 if convention == "tabulated" else -2)
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown transition convention {convention!r}")
 
 
 def _window_image(cd: CartanData, m: Move, i, j, window, convention: str, minimum):
@@ -111,6 +115,7 @@ def transition_apply(
     cd: CartanData, w: Word, m: Move, a: Sequence[int], convention: str = "tabulated"
 ) -> tuple:
     """Image of the exponent vector a under the move's transition map."""
+    _check_convention(convention)
     if len(a) != w.length:
         raise LengthMismatch(f"vector length {len(a)} != word length {w.length}")
     i, j, k = _move_window(w, m, cd)
@@ -123,6 +128,7 @@ def transition_apply_many(
     cd: CartanData, w: Word, m: Move, arr: np.ndarray, convention: str = "tabulated"
 ) -> np.ndarray:
     """Row-wise transition_apply on an (N, length) integer array."""
+    _check_convention(convention)
     arr = np.asarray(arr)
     if arr.ndim != 2 or arr.shape[1] != w.length:
         raise LengthMismatch(f"array shape {arr.shape} does not fit length {w.length}")

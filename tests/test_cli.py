@@ -5,17 +5,26 @@ comparison agreed, 1 means at least one differed, 2 means a domain error.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import braidseed
 from braidseed.cartan import cartan_to_json, preset
 from braidseed.cli import (
+    CARTAN,
+    COMMANDS,
+    COMMON,
     campaign_contexts,
     main,
     mutation_campaign,
@@ -25,7 +34,8 @@ from braidseed.cli import (
     tsystem_campaign,
 )
 from braidseed.errors import ConfigInvalid
-from braidseed.reports import parse_report
+from braidseed.reports import SCHEMA, parse_report
+from braidseed.transitions import CONVENTIONS
 
 
 def run(tmp_path, *argv):
@@ -461,3 +471,196 @@ def test_campaigns_report_zero_failures_quickly():
 def test_parse_args_rejects_empty_word():
     with pytest.raises(ConfigInvalid):
         parse_args(["words", "moves", "--cartan", "a2", "--word", " , "])
+
+
+# A usage error that argparse detects is a ConfigInvalid report of the parse
+# stage on stdout, like every other malformed input.
+USAGE_ERRORS = [
+    ["bogus"],
+    ["words", "moves", "--cartan", "a2", "--word", "1,2", "--budget", "abc"],
+    ["words", "ibox", "--cartan", "a2", "--word", "1,2,1"],
+    ["cartan", "check", "--cartan", "a2", "--format", "xml"],
+    ["cartan", "check", "--cartan", "a2", "--frobnicate"],
+]
+
+PARSE_ERROR_HEAD = [SCHEMA, "verdict Error", 'meta command ["parse"]']
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_are_config_invalid_reports(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:3] == PARSE_ERROR_HEAD
+    assert lines[3].startswith('meta error {"kind":"ConfigInvalid"')
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["words", "ibox", "--help"])
+    assert exc.value.code == 0
+    assert "--box BOX" in capsys.readouterr().out
+
+
+# SHA-256 of the JSON report of one invocation per route, pinned before the
+# routes were declared in COMMANDS: a new digest means new report bytes.
+# seed build runs without --out, whose path is hashed into meta inputs.
+ROUTE_DIGESTS = [
+    ("cartan check --cartan b2", 0,
+     "71a9da4d08951743e191004b78272a1da8e6eb4f8c7671adc7c8c6c339e90d93"),
+    ("words moves --cartan a2 --word 1,2,1", 0,
+     "a2da9507c3343c437c14ecbe66fff4afbd1d6fd86efb596646e87e6ea135d511"),
+    ("words path --cartan b2 --word 1,2,1,2 --word 2,1,2,1", 0,
+     "8fd59d1e7ff3286cf8c218057e6c613e7c71195b6d8196fb196a84e130e753ab"),
+    ("words equal --cartan a2 --word 1,2,1 --word 2,1,2", 0,
+     "0c0ca861b2643aad744bb38bb222ddaef7d784bb3e6e273e9c0d739d40fe6113"),
+    ("words ibox --cartan a2 --word 1,2,1 --box 1,3", 0,
+     "b46e1f8fb7d92f8c228343faedc3d1eedfa2c3453db4f75458f68643d70ff9d3"),
+    ("transition apply --cartan a2 --word 1,2,1 --move 3,1 --vector 2,0,1", 0,
+     "04b2cdc7284f0c7a6814109351d73ae00538e6c5fabc8b51d3646672849b258e"),
+    ("transition verify-ibox --cartan a2 --word 1,2,1 --move 3,1 --box 1,3", 0,
+     "dad5d23a83caf4a7fdb9edc511e4b325e633b6811443aa100eef186cd4878686"),
+    ("seed build --cartan a2 --word 1,2,1", 0,
+     "cfeaafe5d5d8d754e4b8821c86cebd37fd38ad35114cb715b2c14fc835cb6c13"),
+    ("seed mutate --cartan a2 --word 1,2,1 --at 3 --exact", 0,
+     "5e9a083bc0ebccf7c79f2030a401019fc29b2ede5de359bae95e0cfd5a63096f"),
+    ("seed verify-equivalence --cartan b2 --word 1,2,1,2 --word 2,1,2,1", 0,
+     "31a5e9f8fe4962da9855865a08cb6e7dd3519325941b6e00c16653fc928ec65a"),
+    ("seed tsystem --cartan a2 --word 1,2,1,2 --box 2,4 --exact", 0,
+     "4b8915b7e1d57a5700b5548850e3740265f032112ef1d49ffd8d7b79974e819c"),
+    ("qdatum build --cartan a3 --height 0,1,2", 0,
+     "5a679b3dda9826c3c88dbf2d70a113aed79cc29be80996750edbcc4ca119e6dc"),
+    ("qdatum adapted-word --cartan a2 --height 1,0", 0,
+     "170963ebf82e3e9c6bdc3f6ebe029fa7399ced830ef20900e4bd2bec15aa7a18"),
+    ("qdatum window --cartan a3 --height 0,1,2 --k 0", 0,
+     "8a452b0a3f1cd77bd94c4a4857a04b3153c7fff71d2e1abab6da35e710040dae"),
+    ("qdatum phi --cartan a2 --height 1,0 --point 2,0", 0,
+     "20b6f47be9f5c4621320b4d59c93b153a132a5cd9414c692ee0c4f9ed62d16e9"),
+    ("qdatum ntab --cartan a1 --range 3", 0,
+     "81e76c829661b1ae2301ae8b155a523fa9f7478806458960c7b936051be219b9"),
+    ("verify corollary --cartan a2 --word 1,2,1 --word 2,1,2", 0,
+     "1d69119a94fd321f3046412b5e38e285a0ea5ef3d235c772efab41aa12f5e4e6"),
+    ("verify tsystem --cartan b2 --word 1,2,1,2,1", 0,
+     "ce60d27a024b656b7f94010aa55f1442de490f9c8e5266cc3c9be799c47d970d"),
+    ("verify all --rank-cap 2 --length-cap 7 --exact", 0,
+     "b9d7e8201bb8185876a475959277b0bdb0c5fce9ceaad164b88b8555237fc2ae"),
+]
+
+
+def test_every_route_has_a_pinned_digest():
+    pinned = [tuple(line.split()[:2]) for line, _, _ in ROUTE_DIGESTS]
+    assert sorted(pinned) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "line,code,digest", ROUTE_DIGESTS, ids=[r[0] for r in ROUTE_DIGESTS]
+)
+def test_route_report_digest(line, code, digest, capsys):
+    assert main(line.split() + ["--format", "json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_readme_lists_exactly_the_routes_in_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = set()
+    for group, actions in re.findall(
+        r"^braidseed (\w+) (\{[\w| -]+\}|[\w-]+)$", readme, re.M
+    ):
+        listed.update((group, a.strip()) for a in actions.strip("{}").split("|"))
+    assert listed == set(COMMANDS)
+
+
+# Flag values for the any-argv property: small valid values nine times in
+# ten, junk otherwise.  Integer flags whose default starts a long run
+# (--range, the caps of verify all) always get a small value.
+JUNK = st.sampled_from(["", ",", "x", "1,x", "-"])
+
+
+def _mostly(valid):
+    return st.integers(0, 9).flatmap(lambda r: JUNK if r == 0 else valid)
+
+
+def _ints(lo, hi, size=1):
+    return _mostly(
+        st.lists(st.integers(lo, hi), min_size=1, max_size=size).map(
+            lambda xs: ",".join(map(str, xs))
+        )
+    )
+
+
+FLAG_VALUES = {
+    "--format": _mostly(st.just("json")),
+    "--budget": _ints(1, 200),
+    "--kind": _mostly(st.sampled_from(["positive-braid", "weyl-reduced"])),
+    "--exact-cap": _ints(-1, 8),
+    "--height": _ints(0, 3, 3),
+    "--move": _mostly(
+        st.tuples(st.sampled_from("234"), st.sampled_from("012345")).map(",".join)
+    ),
+    "--box": _ints(0, 5, 2),
+    "--vector": _ints(0, 4, 5),
+    "--convention": _mostly(st.sampled_from(CONVENTIONS)),
+    "--at": _ints(0, 6, 3),
+    "--k": _ints(-2, 2),
+    "--point": _ints(-4, 4, 2),
+}
+# preset -> rank; words are drawn over the letters of the chosen context
+RANKS = {"a1": 1, "a1xa1": 2, "a2": 2, "b2": 2, "c2": 2, "g2": 2, "a3": 3, "zz": 2}
+BOUNDED = {"--range": (0, 3), "--length-cap": (0, 3), "--rank-cap": (0, 2)}
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_any_argv_ends_in_a_report(tmp_path, monkeypatch, data):
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "2000")
+    route = data.draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, word_count, options = COMMANDS[route]
+    report_file = tmp_path / "report.json"
+    argv = [*route, "--format", "json"]
+    rank = 3
+    for flag, kwargs in COMMON + CARTAN + options:
+        if flag in BOUNDED:
+            argv += [flag, str(data.draw(st.integers(*BOUNDED[flag])))]
+            continue
+        # required flags, --cartan and --word are given nine times in ten
+        likely = kwargs.get("required") or flag in ("--cartan", "--word")
+        if data.draw(st.integers(0, 9)) >= (9 if likely else 4):
+            continue
+        if flag == "--output":
+            argv += [flag, str(report_file)]
+        elif flag == "--out":
+            argv += [flag, str(tmp_path / "seed.json")]
+        elif flag == "--cartan":
+            name = data.draw(st.sampled_from(sorted(RANKS)))
+            argv += [flag, name]
+            rank = RANKS[name]
+        elif flag == "--word":
+            # the route's number of words nine times in ten, else the other
+            wrong = data.draw(st.integers(0, 9)) == 0
+            for _ in range(3 - word_count if wrong else word_count):
+                argv += [flag, data.draw(_ints(1, rank, 5))]
+        elif kwargs.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            appended = kwargs.get("action") == "append"
+            for _ in range(data.draw(st.integers(1, 2)) if appended else 1):
+                argv += [flag, data.draw(FLAG_VALUES[flag])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    blob = out.getvalue()
+    if not blob:
+        blob = report_file.read_text()
+        report_file.unlink()
+    if blob.splitlines()[:3] == PARSE_ERROR_HEAD:
+        # the format is unknown until argv parses, so this one is text
+        assert code == 2 and '"kind":"ConfigInvalid"' in blob
+    else:
+        assert parse_report(blob.encode()).exit_code == code

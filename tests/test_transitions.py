@@ -24,6 +24,7 @@ from braidseed.errors import (
     UnsupportedCartanPair,
 )
 from braidseed.transitions import (
+    CONVENTIONS,
     OrderVerdict,
     bilex_compare,
     par_mutation,
@@ -347,6 +348,30 @@ def test_transition_convention_agrees_off_quadruple():
     with pytest.raises(ValueError):
         transition_apply(cd, Word((1, 2, 1, 2), WordKind.WEYL_REDUCED),
                          Move(MoveKind.FOUR, 1), (0, 0, 0, 0), "other")
+
+
+@pytest.mark.parametrize(
+    "cartan,letters,move",
+    [
+        ("a1xa1", (1, 2), Move(MoveKind.TWO, 1)),
+        ("a2", (1, 2, 1), Move(MoveKind.THREE, 1)),
+        ("b2", (1, 2, 1, 2), Move(MoveKind.FOUR, 1)),
+    ],
+)
+def test_unknown_convention_is_refused_on_every_window(cartan, letters, move):
+    # the convention is checked before the window is read, so a 2- or
+    # 3-move window refuses "bogus" exactly as a 4-move window does
+    cd = preset(cartan)
+    w = Word(letters, WordKind.POSITIVE_BRAID)
+    vec = tuple(range(1, len(letters) + 1))
+    with pytest.raises(ValueError, match="unknown transition convention 'bogus'"):
+        transition_apply(cd, w, move, vec, "bogus")
+    with pytest.raises(ValueError, match="unknown transition convention 'bogus'"):
+        transition_apply_many(cd, w, move, np.array([vec], dtype=np.int64), "bogus")
+    for convention in CONVENTIONS:
+        assert transition_apply_many(
+            cd, w, move, np.array([vec], dtype=np.int64), convention
+        ).tolist() == [list(transition_apply(cd, w, move, vec, convention))]
 
 
 def test_transition_weighted_preserves_weight_on_quadruple():
