@@ -19,6 +19,7 @@ import argparse
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -154,8 +155,9 @@ def _parse_move(text: str) -> Move:
 
 # Option groups: (flag, argparse keywords) pairs, combined per route by
 # COMMANDS in the order they appear in --help.
+FORMATS = ("text", "json")
 COMMON = (
-    ("--format", dict(choices=["text", "json"], default="text")),
+    ("--format", dict(choices=FORMATS, default="text")),
     ("--output", dict(default=None, help="report destination file")),
     ("--budget", dict(type=int, default=None, help="BFS node limit")),
 )
@@ -203,7 +205,15 @@ _CONFIG_KEYS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ConfigInvalid, so they end in an Error report."""
+    """Usage errors raise ConfigInvalid, so they end in an Error report.
+
+    An argument starting with '-' and a digit is a value, never a flag, so
+    `--height -1,0` reads as `--height=-1,0` (no flag starts with a digit).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         raise ConfigInvalid(f"{self.prog}: {message}")
@@ -803,9 +813,9 @@ def _tsystem_sweep(cd: CartanData, w: Word) -> tuple:
     w: (boxes checked, degenerate boxes, failures)."""
     checked = degenerate = 0
     failures = []
-    for a in range(1, w.length + 1):
-        for b in range(a, w.length + 1):
-            if w.letter(a) != w.letter(b):
+    for a, i in enumerate(w.letters, 1):
+        for b in w.positions[i]:
+            if b < a:
                 continue
             result = tsystem_check(cd, w, IBox(a, b))
             checked += 1
@@ -954,12 +964,25 @@ def dispatch(config: RunConfig) -> Report:
     return report_from_sections(handler(config, cd, *words), _metadata(config, cd))
 
 
+def _named_format(argv) -> str:
+    """The value of the last --format in argv when it is a valid format,
+    else text: the format of a report on arguments that did not parse."""
+    named = None
+    for t, arg in enumerate(argv):
+        if arg == "--format":
+            named = argv[t + 1] if t + 1 < len(argv) else None
+        elif arg.startswith("--format="):
+            named = arg.partition("=")[2]
+    return named if named in FORMATS else "text"
+
+
 def main(argv=None) -> int:
     try:
         config = parse_args(argv)
     except BraidseedError as err:
         report = error_report(type(err).__name__, str(err), base_metadata(("parse",)))
-        sys.stdout.write(emit_report(report, "text").decode("utf-8"))
+        fmt = _named_format(sys.argv[1:] if argv is None else argv)
+        sys.stdout.write(emit_report(report, fmt).decode("utf-8"))
         return report.exit_code
     try:
         report = dispatch(config)

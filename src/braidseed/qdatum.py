@@ -70,6 +70,28 @@ class QDatum:
         )
 
     @cached_property
+    def _injective_roots(self) -> dict:
+        """vertex -> sum of simple roots over the vertices with an oriented
+        path into it (a search over the arrows, once per vertex)."""
+        cd = self.cartan
+        out = {}
+        for i in cd.index_set:
+            reached = {i}
+            frontier = [i]
+            while frontier:
+                target = frontier.pop()
+                for a, b in self.arrows:
+                    if b == target and a not in reached:
+                        reached.add(a)
+                        frontier.append(a)
+            total = [0] * len(cd.index_set)
+            for j in reached:
+                for t, v in enumerate(cd.simple_root(j)):
+                    total[t] += v
+            out[i] = tuple(total)
+        return out
+
+    @cached_property
     def coxeter(self) -> tuple:
         """The Coxeter element c and its inverse as rows of integer matrices
         on root coordinates; c applies the reflections of one
@@ -304,21 +326,7 @@ def _adapted_pass(qd: QDatum) -> tuple:
 
 def injective_root(qd: QDatum, i):
     """Sum of simple roots over vertices with an oriented path into i."""
-    cd = qd.cartan
-    reached = {i}
-    frontier = [i]
-    arrows = qd.arrows
-    while frontier:
-        target = frontier.pop()
-        for a, b in arrows:
-            if b == target and a not in reached:
-                reached.add(a)
-                frontier.append(a)
-    total = [0] * len(cd.index_set)
-    for j in reached:
-        for t, v in enumerate(cd.simple_root(j)):
-            total[t] += v
-    return tuple(total)
+    return qd._injective_roots[i]
 
 
 def _orbit(qd: QDatum, i, forward: bool):

@@ -11,6 +11,7 @@ NonExactDivision instead of a silently wrong result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from operator import mul
 from typing import Optional, Sequence
 
@@ -35,20 +36,20 @@ from .transitions import (
     OrderVerdict,
     bilex_compare,
     par_mutation,
+    par_product,
     transition_along_path,
 )
 from .words import (
-    EMPTY_BOX,
     IBox,
     Move,
     MoveKind,
     Word,
+    _check_letters,
     _move_window,
     apply_move,
     find_move_path,
     ibox_vector,
     make_ibox,
-    neighbor_index,
     resolve_ibox,
 )
 
@@ -79,6 +80,12 @@ class ExchangeMatrix:
         return k in self.exchange
 
 
+def _exchange_slots(w: Word) -> tuple:
+    """K^ex of the word's seed: the positions with an earlier position
+    carrying the same letter."""
+    return tuple(sorted(k for ks in w.positions.values() for k in ks[1:]))
+
+
 def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
     """Exchange matrix of the word's initial seed.
 
@@ -86,9 +93,7 @@ def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
     when l- < k- < l < k, its negative when k- < l- < k < l, else 0.
     """
     n = w.length
-    minus = [0] * (n + 1)
-    for s in range(1, n + 1):
-        minus[s] = neighbor_index(w, s).minus
+    minus = [0] + [w.before(s, i) for s, i in enumerate(w.letters, 1)]
     rows = []
     for k in range(1, n + 1):
         row = []
@@ -106,10 +111,9 @@ def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
             else:
                 row.append(0)
         rows.append(tuple(row))
-    exchange = tuple(s for s in range(1, n + 1) if minus[s] >= 1)
     d = dict(zip(cd.index_set, cd.symmetrizer))
     d_prime = tuple(d[w.letter(s)] for s in range(1, n + 1))
-    return ExchangeMatrix(tuple(rows), exchange, d_prime)
+    return ExchangeMatrix(tuple(rows), _exchange_slots(w), d_prime)
 
 
 def solve_lambda(b: ExchangeMatrix) -> tuple:
@@ -461,11 +465,12 @@ def move_to_mutation_script(cd: CartanData, w: Word, m: Move) -> MutationScript:
 
     Swap moves permute two slots; triple moves mutate once and permute;
     quadruple moves need three mutations (the two stated orders agree)
-    and the double transposition of both window slot pairs.
+    and the double transposition of both window slot pairs.  Every script
+    index must be an exchange slot of w.
     """
+    _check_letters(cd, w)
     i, j, p = _move_window(w, m, cd)
     n = w.length
-    b = gls_matrix(cd, w)
     if m.kind is MoveKind.TWO:
         return MutationScript((), _transpositions(n, (p, p + 1)))
     if m.kind is MoveKind.THREE:
@@ -478,9 +483,9 @@ def move_to_mutation_script(cd: CartanData, w: Word, m: Move) -> MutationScript:
             muts = (p + 3, p + 2, p + 3)
         perm = _transpositions(n, (p, p + 1), (p + 2, p + 3))
     for k in muts:
-        if not b.is_exchange(k):
+        if not w.before(k, w.letter(k)):
             raise MutationIndexFrozen(
-                f"{m}: script index {k} is frozen in K^ex = {b.exchange}"
+                f"{m}: script index {k} is frozen in K^ex = {_exchange_slots(w)}"
             )
     return MutationScript(muts, perm)
 
@@ -642,14 +647,11 @@ class TSystemReport:
 def _letter_boxes(cd: CartanData, w: Word, a: int, b: int):
     """Lower-product boxes [a+(j), b-(j)] over letters adjacent to i_a."""
     i = w.letter(a)
-    boxes = []
-    for j in cd.index_set:
-        if j == i or cd.entry(i, j) == 0:
-            continue
-        plus_j = neighbor_index(w, a, j).plus_j
-        minus_j = neighbor_index(w, b, j).minus_j
-        boxes.append(make_ibox(plus_j, minus_j))
-    return boxes
+    return [
+        make_ibox(w.after(a, j), w.before(b, j))
+        for j in cd.index_set
+        if j != i and cd.entry(i, j) != 0
+    ]
 
 
 def tsystem_check(
@@ -666,25 +668,20 @@ def tsystem_check(
     """
     resolved = resolve_ibox(w, box)
     a, b = resolved.lo, resolved.hi
-    a_plus = neighbor_index(w, a).plus
-    b_minus = neighbor_index(w, b).minus
+    a_plus = w.after(a, w.letter(a))
+    b_minus = w.before(b, w.letter(a))
     degenerate = a_plus > b
 
     def vec(lo, hi):
         return ibox_vector(w, make_ibox(lo, hi))
 
-    left = tuple(
-        x + y for x, y in zip(vec(a_plus, b), vec(a, b_minus))
+    left = par_product(vec(a_plus, b), vec(a, b_minus))
+    right = par_product(vec(a, b), vec(a_plus, b_minus))
+    lower = reduce(
+        par_product,
+        (ibox_vector(w, lb) for lb in _letter_boxes(cd, w, a, b)),
+        (0,) * w.length,
     )
-    right = tuple(
-        x + y for x, y in zip(vec(a, b), vec(a_plus, b_minus))
-    )
-    lower_boxes = _letter_boxes(cd, w, a, b)
-    lower = [0] * w.length
-    for lb in lower_boxes:
-        for t, v in enumerate(ibox_vector(w, lb)):
-            lower[t] += v
-    lower = tuple(lower)
     verdict = bilex_compare(lower, right)
     strictly = None
     if verdict is not OrderVerdict.INCOMPARABLE:
@@ -704,8 +701,7 @@ def tsystem_check(
         return report
     if degenerate:
         raise MinorNotReachable(f"box {resolved} is degenerate for the exact mode")
-    anchored = resolve_ibox(w, IBox(a, w.length, brace=True))
-    if (anchored.lo, anchored.hi) != (a, b):
+    if w.after(b, w.letter(b)) <= w.length:
         raise MinorNotReachable(
             f"box {resolved} is not right-anchored; its minors are not "
             "variables of the initial seed"

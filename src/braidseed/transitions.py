@@ -21,7 +21,6 @@ from .errors import (
     NegativeEntry,
 )
 from .words import (
-    EMPTY_BOX,
     EmptyBox,
     IBox,
     Move,
@@ -201,10 +200,6 @@ def _unit(length: int, pos: int) -> tuple:
     return tuple(1 if t == pos else 0 for t in range(1, length + 1))
 
 
-def _vec_sum(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _expected_two(w: Word, wp: Word, k: int, a: int, b: int):
     parts = []
     na, nb = a, b
@@ -225,11 +220,11 @@ def _expected_three(w: Word, wp: Word, k: int, a: int, b: int):
     if a == k + 1:
         kplus = neighbor_index(wp, k).plus
         tail = ibox_vector(wp, make_ibox(kplus, b))
-        return "a=k+1", _vec_sum(_unit(length, k - 1), tail)
+        return "a=k+1", par_product(_unit(length, k - 1), tail)
     if b == k - 1:
         kminus = neighbor_index(wp, k).minus
         tail = ibox_vector(wp, make_ibox(a, kminus))
-        return "b=k-1", _vec_sum(_unit(length, k + 1), tail)
+        return "b=k-1", par_product(_unit(length, k + 1), tail)
     parts = []
     na, nb = a, b
     if a == k - 1:
@@ -263,9 +258,9 @@ def _expected_four(cd: CartanData, w: Word, wp: Word, i, j, k: int, a: int, b: i
         return "a=k+1", ibox_vector(wp, IBox(k, b))
     if a == k + 2:
         tail = ibox_vector(wp, make_ibox(k + 3, b))
-        return "a=k+2", _vec_sum(_unit(length, k), tail)
+        return "a=k+2", par_product(_unit(length, k), tail)
     tail = ibox_vector(wp, make_ibox(neighbor_index(wp, k + 2).plus, b))
-    return "a=k+3", _vec_sum(_unit(length, k), tail)
+    return "a=k+3", par_product(_unit(length, k), tail)
 
 
 def verify_ibox_transition(
@@ -282,7 +277,7 @@ def verify_ibox_transition(
     resolved = resolve_ibox(w, box)
     vec = ibox_vector(w, resolved)
     actual = transition_apply(cd, w, m, vec)
-    if resolved is EMPTY_BOX or isinstance(resolved, EmptyBox):
+    if isinstance(resolved, EmptyBox):
         return IBoxTransitionReport("empty", actual, (0,) * w.length)
     wp = apply_move(w, m)
     i, j, _ = _move_window(w, m, cd)

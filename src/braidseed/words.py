@@ -1,15 +1,20 @@
 """Words over a Cartan index set, the 2-/3-/4-move rewriting system, BFS over
 the move graph, and i-box index combinatorics.
 
-Positions are 1-based throughout.  6-move windows (Cartan pairs with
-c_ij * c_ji = 3) are detected and refused rather than rewritten.
+Positions are 1-based throughout.  Where a letter occurs is read only
+from the word's position index, Word.positions, directly or through
+Word.before and Word.after; neighbours a-/a+, i-boxes and exchange slots
+all come from it.  6-move windows (Cartan pairs with c_ij * c_ji = 3) are detected and
+refused rather than rewritten.
 """
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .cartan import CartanData, roots_of_word
@@ -55,6 +60,27 @@ class Word:
         """Letter at 1-based position k."""
         return self.letters[k - 1]
 
+    @cached_property
+    def positions(self) -> dict:
+        """letter -> ascending positions carrying it, letters in order of
+        first occurrence; built once per word."""
+        out = {}
+        for k, i in enumerate(self.letters, 1):
+            out.setdefault(i, []).append(k)
+        return {i: tuple(ks) for i, ks in out.items()}
+
+    def before(self, a: int, i) -> int:
+        """Last position < a carrying letter i; 0 when there is none."""
+        ks = self.positions.get(i, ())
+        t = bisect_left(ks, a)
+        return ks[t - 1] if t else 0
+
+    def after(self, a: int, i) -> int:
+        """First position > a carrying letter i; length + 1 when there is none."""
+        ks = self.positions.get(i, ())
+        t = bisect_right(ks, a)
+        return ks[t] if t < len(ks) else self.length + 1
+
     def replace(self, k: int, new_window: Sequence) -> "Word":
         """New word with positions k..k+len(new_window)-1 overwritten."""
         out = list(self.letters)
@@ -62,11 +88,16 @@ class Word:
         return Word(tuple(out), self.kind)
 
 
-def validate_word(cd: CartanData, w: Word) -> None:
-    """Check letters lie in the index set; WeylReduced words must be reduced."""
-    for i in w.letters:
+def _check_letters(cd: CartanData, w: Word) -> None:
+    """Refuse the first letter of w outside the index set with InvalidBox."""
+    for i in w.positions:
         if i not in cd.position:
             raise InvalidBox(f"letter {i!r} not in the index set")
+
+
+def validate_word(cd: CartanData, w: Word) -> None:
+    """Check letters lie in the index set; WeylReduced words must be reduced."""
+    _check_letters(cd, w)
     if w.kind is WordKind.WEYL_REDUCED:
         if not roots_of_word(cd, w.letters).all_positive:
             raise MoveNotApplicable(
@@ -299,25 +330,16 @@ def neighbor_index(w: Word, a: int, j=None) -> NeighborIndex:
     """a-, a+ for the letter at a, and the j-relative versions when j is given.
 
     a- is the previous position with the same letter (0 when none); a+ the
-    next one (length+1 when none); a-(j) and a+(j) scan for the letter j
+    next one (length+1 when none); a-(j) and a+(j) look for the letter j
     instead of i_a.
     """
     if not 1 <= a <= w.length:
         raise InvalidBox(f"position {a} outside [1, {w.length}]")
-    target = w.letter(a)
-    minus = max((k for k in range(1, a) if w.letter(k) == target), default=0)
-    plus = min(
-        (k for k in range(a + 1, w.length + 1) if w.letter(k) == target),
-        default=w.length + 1,
-    )
+    i = w.letter(a)
     minus_j = plus_j = None
     if j is not None:
-        minus_j = max((k for k in range(1, a) if w.letter(k) == j), default=0)
-        plus_j = min(
-            (k for k in range(a + 1, w.length + 1) if w.letter(k) == j),
-            default=w.length + 1,
-        )
-    return NeighborIndex(minus, plus, minus_j, plus_j)
+        minus_j, plus_j = w.before(a, j), w.after(a, j)
+    return NeighborIndex(w.before(a, i), w.after(a, i), minus_j, plus_j)
 
 
 @dataclass(frozen=True)
@@ -353,7 +375,7 @@ def resolve_ibox(w: Word, box):
     [a, c] with c the last position before b carrying i_a; a itself always
     qualifies, so the resolution never fails for a <= b.
     """
-    if box is EMPTY_BOX or isinstance(box, EmptyBox):
+    if isinstance(box, EmptyBox):
         return EMPTY_BOX
     a, b = box.lo, box.hi
     if not 1 <= a <= b <= w.length:
@@ -362,22 +384,18 @@ def resolve_ibox(w: Word, box):
         if w.letter(a) != w.letter(b):
             raise InvalidBox(f"box {box}: endpoints carry different letters")
         return IBox(a, b, brace=False)
-    if w.letter(a) == w.letter(b):
-        return IBox(a, b, brace=False)
-    c = max(k for k in range(a, b) if w.letter(k) == w.letter(a))
-    return IBox(a, c, brace=False)
+    return IBox(a, w.before(b + 1, w.letter(a)), brace=False)
 
 
 def ibox_vector(w: Word, box) -> tuple:
     """0/1 vector marking the positions of the box letter inside the box."""
-    if box is EMPTY_BOX or isinstance(box, EmptyBox):
-        return (0,) * w.length
-    resolved = resolve_ibox(w, box)
-    target = w.letter(resolved.lo)
-    return tuple(
-        1 if resolved.lo <= k <= resolved.hi and w.letter(k) == target else 0
-        for k in range(1, w.length + 1)
-    )
+    out = [0] * w.length
+    if not isinstance(box, EmptyBox):
+        resolved = resolve_ibox(w, box)
+        for k in w.positions[w.letter(resolved.lo)]:
+            if resolved.lo <= k <= resolved.hi:
+                out[k - 1] = 1
+    return tuple(out)
 
 
 def move_to_json(m: Move) -> dict:

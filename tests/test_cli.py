@@ -496,6 +496,29 @@ def test_usage_errors_are_config_invalid_reports(argv, capsys):
     assert lines[3].startswith('meta error {"kind":"ConfigInvalid"')
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus", "--format", "json"], ["seed", "build", "--format=json", "--budget", "x"]],
+    ids=" ".join,
+)
+def test_usage_errors_take_the_format_argv_names(argv, capsys):
+    assert main(argv) == 2
+    report = parse_report(capsys.readouterr().out.encode())
+    assert report.exit_code == 2
+    assert report.metadata["command"] == ["parse"]
+    assert report.metadata["error"]["kind"] == "ConfigInvalid"
+
+
+def test_negative_values_read_as_flag_values(capsys):
+    spaced = ["qdatum", "build", "--cartan", "a2", "--height", "-1,0"]
+    joined = ["qdatum", "build", "--cartan", "a2", "--height=-1,0"]
+    for fmt in ("text", "json"):
+        assert main(spaced + ["--format", fmt]) == 0
+        first = capsys.readouterr().out
+        assert main(joined + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == first
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["words", "ibox", "--help"])
@@ -660,7 +683,9 @@ def test_any_argv_ends_in_a_report(tmp_path, monkeypatch, data):
         blob = report_file.read_text()
         report_file.unlink()
     if blob.splitlines()[:3] == PARSE_ERROR_HEAD:
-        # the format is unknown until argv parses, so this one is text
+        # a parse-stage report is text only when the last --format is junk
+        last = max(t for t, arg in enumerate(argv) if arg == "--format")
+        assert argv[last + 1] != "json"
         assert code == 2 and '"kind":"ConfigInvalid"' in blob
     else:
         assert parse_report(blob.encode()).exit_code == code

@@ -427,6 +427,20 @@ ORACLE_HEIGHTS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_HEIGHTS))
+def test_injective_roots_are_read_from_one_closure_per_qdatum(name):
+    for qd in ORACLE_HEIGHTS[name]:
+        into = {i: {i} for i in qd.cartan.index_set}
+        for _ in qd.cartan.index_set:  # transitive closure of the arrows
+            for a, b in qd.arrows:
+                into[b] |= into[a]
+        for i in qd.cartan.index_set:
+            want = tuple(map(sum, zip(*(qd.cartan.simple_root(j) for j in into[i]))))
+            assert injective_root(qd, i) == want
+            # computed once per QDatum: every call returns the cached root
+            assert injective_root(qd, i) is injective_root(qd, i)
+
+
 def reflection_phi_map(qd, pt):
     """Reference phi_map: each step applies the simple reflections of one
     source-extraction pass one at a time, with no Coxeter matrix."""

@@ -18,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidseed import seeds
 from braidseed.cartan import finite_type_data, preset, validate_cartan
 from braidseed.errors import (
     BudgetExhausted,
     ExchangeSetNotPreserved,
     FrozenIndex,
+    InvalidBox,
     MinorNotReachable,
     NoIntegralSolution,
     ShapeMismatch,
@@ -46,7 +48,15 @@ from braidseed.seeds import (
     tsystem_check,
 )
 from braidseed.transitions import OrderVerdict, bilex_compare
-from braidseed.words import IBox, Move, MoveKind, Word, WordKind
+from braidseed.words import (
+    IBox,
+    Move,
+    MoveKind,
+    Word,
+    WordKind,
+    apply_move,
+    find_move_path,
+)
 
 BRAID = WordKind.POSITIVE_BRAID
 REDUCED = WordKind.WEYL_REDUCED
@@ -262,6 +272,29 @@ def test_move_scripts_per_kind():
     assert script.permutation == (2, 1, 4, 3)
 
 
+def test_move_scripts_read_the_word_index_not_the_gls_matrix(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        seeds, "gls_matrix", lambda *args: calls.append(args) or gls_matrix(*args)
+    )
+    cd = preset("b3")
+    w = Word(finite_type_data(cd).longest_word, REDUCED)
+    path = find_move_path(cd, w, Word(tuple(reversed(w.letters)), REDUCED))
+    for move in path:
+        script = move_to_mutation_script(cd, w, move)
+        assert all(k in gls_matrix(cd, w).exchange for k in script.mutations)
+        w = apply_move(w, move)
+    assert path and calls == []
+
+
+@pytest.mark.parametrize("letters", [(1, 2, 1, 9), (9, 1, 2, 1), (1, 9, 1)])
+def test_move_script_refuses_letters_outside_the_index_set(letters):
+    with pytest.raises(InvalidBox, match="letter 9 not in the index set"):
+        move_to_mutation_script(
+            preset("a2"), Word(letters, BRAID), Move(MoveKind.THREE, 1)
+        )
+
+
 def test_equivalence_a2():
     report = seed_equivalence_report(
         preset("a2"), Word((1, 2, 1), REDUCED), Word((2, 1, 2), REDUCED)
@@ -353,6 +386,11 @@ def test_tsystem_exact_rejects_unreachable():
     with pytest.raises(MinorNotReachable):
         tsystem_check(
             preset("a2"), Word((1, 2, 1, 2), BRAID), IBox(1, 1), mode="exact"
+        )
+    # the next 1 after the box is the last letter of the word
+    with pytest.raises(MinorNotReachable, match="not right-anchored"):
+        tsystem_check(
+            preset("a2"), Word((1, 2, 1, 2, 1), BRAID), IBox(1, 3), mode="exact"
         )
 
 

@@ -11,6 +11,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidseed.cartan import preset, reflect_root, roots_of_word, validate_cartan
 from braidseed.errors import (
@@ -20,9 +22,12 @@ from braidseed.errors import (
     NotConnected,
     UnsupportedCartanPair,
 )
+from braidseed.seeds import gls_matrix
 from braidseed.words import (
     EMPTY_BOX,
+    EmptyBox,
     IBox,
+    NeighborIndex,
     Move,
     MoveKind,
     Word,
@@ -304,3 +309,126 @@ def test_move_json_round_trip():
         assert move_from_json(move_to_json(move)) == move
     with pytest.raises(MoveNotApplicable):
         move_from_json({"kind": "6", "pos": 1})
+
+
+# Scanning reference copies of the positional readers as they were before
+# the word index: every lookup is a linear pass over the word.
+def scan_neighbor_index(w, a, j=None):
+    if not 1 <= a <= w.length:
+        raise InvalidBox(f"position {a} outside [1, {w.length}]")
+    target = w.letter(a)
+    minus = max((k for k in range(1, a) if w.letter(k) == target), default=0)
+    plus = min(
+        (k for k in range(a + 1, w.length + 1) if w.letter(k) == target),
+        default=w.length + 1,
+    )
+    minus_j = plus_j = None
+    if j is not None:
+        minus_j = max((k for k in range(1, a) if w.letter(k) == j), default=0)
+        plus_j = min(
+            (k for k in range(a + 1, w.length + 1) if w.letter(k) == j),
+            default=w.length + 1,
+        )
+    return NeighborIndex(minus, plus, minus_j, plus_j)
+
+
+def scan_resolve_ibox(w, box):
+    if isinstance(box, EmptyBox):
+        return EMPTY_BOX
+    a, b = box.lo, box.hi
+    if not 1 <= a <= b <= w.length:
+        raise InvalidBox(f"box {box} outside [1, {w.length}]")
+    if not box.brace:
+        if w.letter(a) != w.letter(b):
+            raise InvalidBox(f"box {box}: endpoints carry different letters")
+        return IBox(a, b, brace=False)
+    if w.letter(a) == w.letter(b):
+        return IBox(a, b, brace=False)
+    c = max(k for k in range(a, b) if w.letter(k) == w.letter(a))
+    return IBox(a, c, brace=False)
+
+
+def scan_ibox_vector(w, box):
+    if isinstance(box, EmptyBox):
+        return (0,) * w.length
+    resolved = scan_resolve_ibox(w, box)
+    target = w.letter(resolved.lo)
+    return tuple(
+        1 if resolved.lo <= k <= resolved.hi and w.letter(k) == target else 0
+        for k in range(1, w.length + 1)
+    )
+
+
+def scan_gls_entries(cd, w):
+    n = w.length
+    minus = [0] + [scan_neighbor_index(w, s).minus for s in range(1, n + 1)]
+    rows = []
+    for k in range(1, n + 1):
+        row = []
+        for l in range(1, n + 1):
+            if l == k:
+                row.append(0)
+            elif minus[k] == l:
+                row.append(1)
+            elif minus[l] == k:
+                row.append(-1)
+            elif minus[l] < minus[k] < l < k:
+                row.append(cd.entry(w.letter(k), w.letter(l)))
+            elif minus[k] < minus[l] < k < l:
+                row.append(-cd.entry(w.letter(k), w.letter(l)))
+            else:
+                row.append(0)
+        rows.append(tuple(row))
+    exchange = tuple(s for s in range(1, n + 1) if minus[s] >= 1)
+    return tuple(rows), exchange
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return "value", f(*args)
+    except Exception as err:  # compared by type and message
+        return type(err), str(err)
+
+
+INDEX_CONTEXTS = [
+    preset("a2"),
+    preset("b3"),
+    validate_cartan([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_word_index_readers_agree_with_scans(data):
+    cd = data.draw(st.sampled_from(INDEX_CONTEXTS))
+    letters = data.draw(st.lists(st.sampled_from(cd.index_set), max_size=24))
+    w = Word(tuple(letters), WordKind.POSITIVE_BRAID)
+    n = w.length
+    absent = [j for j in cd.index_set if j not in letters] + [99]
+    for a in range(0, n + 2):
+        for j in (None, *cd.index_set, *absent):
+            assert _outcome(neighbor_index, w, a, j) == _outcome(
+                scan_neighbor_index, w, a, j
+            )
+    boxes = [EMPTY_BOX] + [
+        IBox(lo, hi, brace)
+        for lo in range(0, n + 2)
+        for hi in range(0, n + 2)
+        for brace in (False, True)
+    ]
+    for box in boxes:
+        assert _outcome(resolve_ibox, w, box) == _outcome(scan_resolve_ibox, w, box)
+        assert _outcome(ibox_vector, w, box) == _outcome(scan_ibox_vector, w, box)
+    b = gls_matrix(cd, w)
+    assert (b.entries, b.exchange) == scan_gls_entries(cd, w)
+
+
+def test_word_positions_index():
+    w = Word((2, 1, 2, 3, 2))
+    assert w.positions == {2: (1, 3, 5), 1: (2,), 3: (4,)}
+    assert (w.before(3, 2), w.after(3, 2)) == (1, 5)
+    assert (w.before(1, 2), w.after(5, 2)) == (0, 6)
+    assert (w.before(4, 7), w.after(0, 7)) == (0, 6)
+    # the cached index takes no part in equality or hashing
+    assert w == Word(w.letters) and hash(w) == hash(Word(w.letters))
