@@ -1,8 +1,9 @@
 """Exact integer linear algebra for small systems.
 
-Solves A x = c over the integers via a column-echelon (Hermite-style)
-reduction with unimodular column operations, and selects a canonical
-smallest solution from the affine solution lattice.  The selection is an
+``column_echelon`` is a unimodular column reduction A U = H that can carry
+U^-1 along; ``seeds.solve_lambda`` uses it to solve the pairing system in
+the left-kernel coordinates of the exchange columns.  The canonical
+smallest point of an affine lattice x0 + span(kernel) is selected by an
 iterative-deepening search on the max-norm over the echelonized kernel
 basis.  Each basis vector is zero above its pivot row, so a coordinate is
 final once every vector that reaches it has its coefficient; the search
@@ -13,10 +14,9 @@ arithmetic stays in Python integers.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
-from .errors import BudgetExhausted, NoIntegralSolution
+from .errors import BudgetExhausted
 from .words import default_budget
 
 
@@ -32,17 +32,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def column_echelon(rows: Sequence[Sequence[int]]) -> tuple[list, list, list]:
+def column_echelon(rows: Sequence[Sequence[int]], carry: list | None = None) -> tuple:
     """Unimodular column reduction A U = H.
 
     Returns (H, U, pivots) where H is in column echelon form, U is
     unimodular, and pivots lists (row, column) positions with positive
-    pivot entries.  Columns of H beyond the last pivot are zero.
+    pivot entries.  Columns of H beyond the last pivot are zero.  A carry
+    list, one row per column of A, is replaced in place by U^-1 carry.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     H = [[int(v) for v in row] for row in rows]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    C = [[] for _ in range(n)] if carry is None else carry
     pivots = []
     r = 0
     for i in range(m):
@@ -54,6 +56,7 @@ def column_echelon(rows: Sequence[Sequence[int]]) -> tuple[list, list, list]:
                 row[r], row[piv] = row[piv], row[r]
             for row in U:
                 row[r], row[piv] = row[piv], row[r]
+            C[r], C[piv] = C[piv], C[r]
         for j in range(r + 1, n):
             if H[i][j] == 0:
                 continue
@@ -64,50 +67,23 @@ def column_echelon(rows: Sequence[Sequence[int]]) -> tuple[list, list, list]:
                 x, y = row[r], row[j]
                 row[r] = s * x + t * y
                 row[j] = -bg * x + ag * y
+            # the step's 2 x 2 block [[s, -bg], [t, ag]] has determinant
+            # 1, so its inverse [[ag, bg], [-t, s]] acts on the rows of C
+            cr, cj = C[r], C[j]
+            C[r] = [ag * x + bg * y for x, y in zip(cr, cj)]
+            C[j] = [s * y - t * x for x, y in zip(cr, cj)]
         if H[i][r] < 0:
             for row in (*H, *U):
                 row[r] = -row[r]
+            C[r] = [-x for x in C[r]]
         pivots.append((i, r))
         r += 1
     return H, U, pivots
 
 
-def solve_integer_system(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[list, list]:
-    """One integer solution of A x = c plus a kernel lattice basis.
-
-    Raises NoIntegralSolution when the system has no integer solution.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if len(rhs) != m:
-        raise NoIntegralSolution(f"rhs length {len(rhs)} != row count {m}")
-    H, U, pivots = column_echelon(rows)
-    y = [0] * n
-    for i, c in pivots:
-        residual = rhs[i] - sum(H[i][j] * y[j] for j in range(c))
-        if residual % H[i][c] != 0:
-            raise NoIntegralSolution(
-                f"row {i}: residual {residual} not divisible by pivot {H[i][c]}"
-            )
-        y[c] = residual // H[i][c]
-    for i in range(m):
-        if sum(H[i][j] * y[j] for j in range(n)) != rhs[i]:
-            raise NoIntegralSolution(f"row {i} is inconsistent")
-    x = [sum(U[i][j] * y[j] for j in range(n)) for i in range(n)]
-    rank = len(pivots)
-    kernel = [[U[i][j] for i in range(n)] for j in range(rank, n)]
-    return x, kernel
-
-
 def _echelon_kernel(kernel: list, n: int) -> tuple[list, list]:
-    """Echelonize the kernel basis along coordinate rows for bounded search."""
-    if not kernel:
-        return [], []
-    cols = [list(v) for v in kernel]
-    transposed = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    H, _, pivots = column_echelon(transposed)
+    """Echelonize a nonempty kernel basis along coordinate rows for bounded search."""
+    H, _, pivots = column_echelon([list(row) for row in zip(*kernel)])
     basis = [[H[i][c] for i in range(n)] for _, c in pivots]
     pivot_rows = [i for i, _ in pivots]
     return basis, pivot_rows
@@ -125,16 +101,15 @@ def _size_reduce(x: list, basis: list, pivot_rows: list) -> list:
     return out
 
 
-def canonical_smallest_solution(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> list:
-    """The canonical solution of A x = c.
+def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
+    """The canonical point of the affine lattice x0 + span(kernel).
 
-    Among integer solutions, minimizes the multiset of absolute entries
-    from the largest down, then the absolute entries in position order,
-    then prefers nonnegative entries.  Found by iterative deepening on
-    the max-norm over the echelonized kernel lattice, which makes the
-    coefficient ranges finite at each radius.
+    Among its points, minimizes the multiset of absolute entries from the
+    largest down, then the absolute entries in position order, then
+    prefers nonnegative entries.  The answer depends only on the lattice,
+    not on the choice of x0 or of the kernel generators.  Found by
+    iterative deepening on the max-norm over the echelonized kernel
+    lattice, which makes the coefficient ranges finite at each radius.
 
     Coordinates are checked against the radius as soon as they are final,
     and a branch whose final coordinates already hold more entries at the
@@ -144,7 +119,7 @@ def canonical_smallest_solution(
     order.  Raises BudgetExhausted when the search visits more than
     default_budget() nodes.
     """
-    x0, kernel = solve_integer_system(rows, rhs)
+    x0 = list(x0)
     n = len(x0)
     if not kernel:
         return x0

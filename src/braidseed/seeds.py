@@ -21,10 +21,11 @@ from .errors import (
     FrozenIndex,
     MinorNotReachable,
     MutationIndexFrozen,
+    NoIntegralSolution,
     ShapeMismatch,
     ZeroBlockViolated,
 )
-from .lattices import canonical_smallest_solution
+from .lattices import canonical_smallest_solution, column_echelon
 from .qlaurent import (
     QHalf,
     QuantumLaurent,
@@ -91,7 +92,9 @@ def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
 
     b_{kl} is 1 when l = k-, -1 when l = k+, the Cartan entry c_{i_k i_l}
     when l- < k- < l < k, its negative when k- < l- < k < l, else 0.
+    A letter outside the index set raises InvalidBox.
     """
+    _check_letters(cd, w)
     n = w.length
     minus = [0] + [w.before(s, i) for s, i in enumerate(w.letters, 1)]
     rows = []
@@ -123,32 +126,52 @@ def solve_lambda(b: ExchangeMatrix) -> tuple:
     and j in K^ex over the integers, then picks the canonical smallest
     solution (max-norm first, then absolute entries in row-major order,
     then nonnegative entries preferred).
+
+    Left-kernel coordinates: with B^T U = [G^T | 0] for the exchange
+    columns B (U unimodular, G upper triangular), Lambda = U Lambda' U^T
+    turns the system into Lambda' [G; 0] = U^-1 M.  The exchange columns of
+    Lambda' are P = U^-1 M G^-1, with a skew square block, and the rest is
+    free: the kernel is spanned by the wedges u_a ^ u_b of the last n - n_ex
+    columns of U.  M has rank n_ex, so B of lower rank admits no pairing.
     """
-    n = b.n
-    unknowns = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    index = {pair: t for t, pair in enumerate(unknowns)}
-    rows = []
-    rhs = []
-    for i in range(1, n + 1):
-        for j in b.exchange:
-            row = [0] * len(unknowns)
-            for k in range(1, n + 1):
-                coeff = b.entry(k, j)
-                if coeff == 0 or k == i:
-                    continue
-                if i < k:
-                    row[index[(i, k)]] += coeff
-                else:
-                    row[index[(k, i)]] -= coeff
-            rows.append(row)
-            rhs.append(-2 * b.d_prime[j - 1] if i == j else 0)
-    if not rows:
+    n, n_ex = b.n, len(b.exchange)
+    if not n_ex:
         return tuple((0,) * n for _ in range(n))
-    solution = canonical_smallest_solution(rows, rhs)
+    rhs = [[0] * n_ex for _ in range(n)]
+    for s, j in enumerate(b.exchange):
+        rhs[j - 1][s] = -2 * b.d_prime[j - 1]
+    H, U, pivots = column_echelon([b.column(j) for j in b.exchange], carry=rhs)
+    if len(pivots) < n_ex:
+        raise NoIntegralSolution(f"exchange columns of rank {len(pivots)} < {n_ex}")
+    P = []
+    for i, row in enumerate(rhs, 1):
+        p = []
+        for s, h in enumerate(H):
+            q, rem = divmod(row[s] - sum(map(mul, p, h)), h[s])
+            if rem:
+                raise NoIntegralSolution(f"row {i} of U^-1 M G^-1 is not integral")
+            p.append(q)
+        P.append(p)
+    if any(P[s][t] != -P[t][s] for s in range(n_ex) for t in range(s, n_ex)):
+        raise NoIntegralSolution("the exchange block of U^-1 M G^-1 is not skew")
+    columns = list(zip(*U))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def wedge(u, v):
+        return [u[i] * v[j] - v[i] * u[j] for i, j in pairs]
+
+    # x0 = U Lambda'_0 U^T is the sum of u_k ^ (U c_k) over k < n_ex, c_k the part
+    # of row k of Lambda'_0 = [P | -P[n_ex:]^T above 0] right of the diagonal
+    x0 = [0] * len(pairs)
+    for k in range(n_ex):
+        c = [0] * (k + 1) + P[k][k + 1 :] + [-p[k] for p in P[n_ex:]]
+        w = wedge(columns[k], [sum(map(mul, row, c)) for row in U])
+        x0 = [x + y for x, y in zip(x0, w)]
+    free = columns[n_ex:]
+    kernel = [wedge(u, v) for a, u in enumerate(free) for v in free[a + 1 :]]
     lam = [[0] * n for _ in range(n)]
-    for (i, j), value in zip(unknowns, solution):
-        lam[i - 1][j - 1] = value
-        lam[j - 1][i - 1] = -value
+    for (i, j), value in zip(pairs, canonical_smallest_solution(x0, kernel)):
+        lam[i][j], lam[j][i] = value, -value
     return tuple(tuple(row) for row in lam)
 
 
@@ -664,8 +687,9 @@ def tsystem_check(
     order.  Exact mode additionally realizes the identity as the
     exchange relation at slot a+ when the box is right-anchored and the
     exchange monomials match the boxed terms; otherwise it raises
-    MinorNotReachable.
+    MinorNotReachable.  A letter outside the index set raises InvalidBox.
     """
+    _check_letters(cd, w)
     resolved = resolve_ibox(w, box)
     a, b = resolved.lo, resolved.hi
     a_plus = w.after(a, w.letter(a))

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import braidseed
-from braidseed.cartan import cartan_to_json, preset
+from braidseed.cartan import cartan_to_json, finite_type_data, preset, validate_cartan
 from braidseed.cli import (
     CARTAN,
     COMMANDS,
@@ -148,6 +148,20 @@ def test_seed_build_writes_the_seed_artifact(tmp_path):
     payload = json.loads(artifact.read_text())
     assert payload["labels"] == ["D[1,3]", "D[2,2]", "D[3,3]"]
     assert payload["exchange"] == [3]
+    assert section(report, "compatible").agree
+
+
+def test_seed_build_reaches_the_d6_longest_word(tmp_path):
+    d6 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
+    d6[4][5] = d6[5][4] = 0
+    d6[3][5] = d6[5][3] = -1
+    cd = validate_cartan(d6)
+    path = tmp_path / "d6.json"
+    path.write_text(cartan_to_json(cd))
+    word = ",".join(map(str, finite_type_data(cd).longest_word))
+    code, report = run(tmp_path, "seed", "build", "--cartan", str(path), "--word", word)
+    assert code == 0
+    assert len(section(report, "labels").left) == 30
     assert section(report, "compatible").agree
 
 

@@ -1,7 +1,10 @@
-"""Integer system solving and canonical smallest solutions.
+"""Column echelon, canonical smallest solutions, and a reference solver.
 
 Oracle: exhaustive enumeration over small boxes, on fixed cases and on
-random consistent systems.
+random consistent systems.  ``solve_integer_system`` is the general
+integer solver the pairing solve used before it moved to the left-kernel
+coordinates of the exchange columns; it stays here as the reference that
+the seed tests compare against.
 """
 from __future__ import annotations
 
@@ -17,12 +20,38 @@ from braidseed.lattices import (
     _size_reduce,
     canonical_smallest_solution,
     column_echelon,
-    solve_integer_system,
 )
 
 
 def matmul_vec(rows, x):
     return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+def solve_integer_system(rows, rhs):
+    """One integer solution of A x = c plus a kernel lattice basis.
+
+    Raises NoIntegralSolution when the system has no integer solution.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if len(rhs) != m:
+        raise NoIntegralSolution(f"rhs length {len(rhs)} != row count {m}")
+    H, U, pivots = column_echelon(rows)
+    y = [0] * n
+    for i, c in pivots:
+        residual = rhs[i] - sum(H[i][j] * y[j] for j in range(c))
+        if residual % H[i][c] != 0:
+            raise NoIntegralSolution(
+                f"row {i}: residual {residual} not divisible by pivot {H[i][c]}"
+            )
+        y[c] = residual // H[i][c]
+    for i in range(m):
+        if sum(H[i][j] * y[j] for j in range(n)) != rhs[i]:
+            raise NoIntegralSolution(f"row {i} is inconsistent")
+    x = [sum(U[i][j] * y[j] for j in range(n)) for i in range(n)]
+    rank = len(pivots)
+    kernel = [[U[i][j] for i in range(n)] for j in range(rank, n)]
+    return x, kernel
 
 
 def test_solve_reproduces_random_consistent_systems():
@@ -70,6 +99,21 @@ def test_echelon_is_unimodular_combination():
             assert all(H[i][j] == 0 for j in range(c + 1, n))
 
 
+def test_echelon_carries_the_inverse():
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randrange(1, 5)
+        n = rng.randrange(1, 6)
+        rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+        original = [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(n)]
+        carry = [list(row) for row in original]
+        H, U, pivots = column_echelon(rows, carry=carry)
+        assert (H, U, pivots) == column_echelon(rows)
+        for i in range(n):
+            for j in range(2):
+                assert sum(U[i][k] * carry[k][j] for k in range(n)) == original[i][j]
+
+
 def brute_canonical(rows, rhs, n, box=3):
     best = None
     for x in itertools.product(range(-box, box + 1), repeat=n):
@@ -97,18 +141,18 @@ def test_canonical_matches_brute_force():
         n = len(rows[0])
         expect = brute_canonical(rows, rhs, n)
         assert expect is not None
-        assert canonical_smallest_solution(rows, rhs) == expect
+        assert canonical_smallest_solution(*solve_integer_system(rows, rhs)) == expect
 
 
 def test_canonical_prefers_positive_sign():
     # x1 + x2 = 0 admits (1,-1) and (-1,1) at radius 1; zero is excluded
     # by a second constraint.
     rows = [[1, 1], [1, -1]]
-    assert canonical_smallest_solution(rows, [0, 2]) == [1, -1]
+    assert canonical_smallest_solution(*solve_integer_system(rows, [0, 2])) == [1, -1]
 
 
 def test_canonical_unconstrained_is_zero():
-    assert canonical_smallest_solution([[0, 0]], [0]) == [0, 0]
+    assert canonical_smallest_solution(*solve_integer_system([[0, 0]], [0])) == [0, 0]
 
 
 @st.composite
@@ -127,7 +171,29 @@ def small_consistent_systems(draw):
 @given(small_consistent_systems())
 def test_canonical_matches_brute_force_on_random_systems(system):
     rows, rhs = system
-    assert canonical_smallest_solution(rows, rhs) == brute_canonical(rows, rhs, len(rows[0]))
+    expect = brute_canonical(rows, rhs, len(rows[0]))
+    assert canonical_smallest_solution(*solve_integer_system(rows, rhs)) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_consistent_systems(), st.randoms(use_true_random=False))
+def test_canonical_depends_only_on_the_affine_lattice(system, rng):
+    rows, rhs = system
+    x0, kernel = solve_integer_system(rows, rhs)
+    # another point of the same coset and another basis of the same lattice
+    shifted = list(x0)
+    for vec in kernel:
+        c = rng.randrange(-3, 4)
+        shifted = [a + c * b for a, b in zip(shifted, vec)]
+    mixed = [list(v) for v in kernel]
+    for a in range(len(mixed)):
+        for b in range(a + 1, len(mixed)):
+            c = rng.randrange(-2, 3)
+            mixed[a] = [x + c * y for x, y in zip(mixed[a], mixed[b])]
+    rng.shuffle(mixed)
+    assert canonical_smallest_solution(shifted, mixed) == canonical_smallest_solution(
+        x0, kernel
+    )
 
 
 def test_size_reduce_is_exact_beyond_float_range():

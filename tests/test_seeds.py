@@ -30,6 +30,7 @@ from braidseed.errors import (
     ShapeMismatch,
     ZeroBlockViolated,
 )
+from braidseed.lattices import canonical_smallest_solution
 from braidseed.seeds import (
     EquivalenceReport,
     ExchangeMatrix,
@@ -57,6 +58,7 @@ from braidseed.words import (
     apply_move,
     find_move_path,
 )
+from test_lattices import matmul_vec, solve_integer_system
 
 BRAID = WordKind.POSITIVE_BRAID
 REDUCED = WordKind.WEYL_REDUCED
@@ -68,6 +70,20 @@ def test_gls_matrix_a2_example():
     assert b.exchange == (3,)
     assert b.d_prime == (1, 1, 1)
     assert b.column(3) == (-1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        gls_matrix,
+        initial_seed,
+        lambda cd, w: tsystem_check(cd, w, IBox(1, 3)),
+    ],
+    ids=["gls_matrix", "initial_seed", "tsystem_check"],
+)
+def test_letters_outside_the_index_set_are_refused(build):
+    with pytest.raises(InvalidBox, match="letter 9 not in the index set"):
+        build(preset("a2"), Word((1, 9, 1), BRAID))
 
 
 def test_gls_matrix_no_repeats_no_exchange():
@@ -100,10 +116,109 @@ def test_solve_lambda_empty_exchange_is_zero():
     assert solve_lambda(b) == ((0, 0), (0, 0))
 
 
+def pairing_system(b):
+    """The pairing system over all C(n, 2) unknowns lambda_ij, i < j, in
+    row-major order: one row per (i, j) in K x K^ex."""
+    n = b.n
+    unknowns = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    index = {pair: t for t, pair in enumerate(unknowns)}
+    rows = []
+    rhs = []
+    for i in range(1, n + 1):
+        for j in b.exchange:
+            row = [0] * len(unknowns)
+            for k in range(1, n + 1):
+                coeff = b.entry(k, j)
+                if coeff == 0 or k == i:
+                    continue
+                if i < k:
+                    row[index[(i, k)]] += coeff
+                else:
+                    row[index[(k, i)]] -= coeff
+            rows.append(row)
+            rhs.append(-2 * b.d_prime[j - 1] if i == j else 0)
+    return rows, rhs
+
+
+def reference_solve_lambda(b):
+    """solve_lambda by the general integer solver on the C(n, 2) system."""
+    n = b.n
+    rows, rhs = pairing_system(b)
+    if not rows:
+        return tuple((0,) * n for _ in range(n))
+    solution = iter(canonical_smallest_solution(*solve_integer_system(rows, rhs)))
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lam[i][j] = next(solution)
+            lam[j][i] = -lam[i][j]
+    return tuple(tuple(row) for row in lam)
+
+
+def outcome(solve, b):
+    try:
+        return solve(b)
+    except NoIntegralSolution as err:
+        return type(err)
+
+
+# Exchange matrices without a compatible pairing, and the check that
+# refuses each: exchange columns of rank below n_ex (a zero column, two
+# equal columns), a non-integral U^-1 M G^-1 (the column (0, 4) with
+# d' = 1 needs lambda_12 = -1/2), and a non-skew exchange block.
+INFEASIBLE = [
+    (ExchangeMatrix(((0, 0), (0, 0)), (1,), (1, 1)), "rank 0 < 1"),
+    (ExchangeMatrix(((0, 1, 1), (0, 0, 0), (0, 0, 0)), (2, 3), (1, 1, 1)), "rank 1 < 2"),
+    (ExchangeMatrix(((0, 0), (4, 0)), (1,), (1, 1)), "not integral"),
+    (ExchangeMatrix(((0, 1), (1, 0)), (1, 2), (1, 1)), "not skew"),
+]
+
+
 def test_solve_lambda_infeasible():
-    b = ExchangeMatrix(((0, 0), (0, 0)), (1,), (1, 1))
-    with pytest.raises(NoIntegralSolution):
-        solve_lambda(b)
+    for b, reason in INFEASIBLE:
+        with pytest.raises(NoIntegralSolution, match=reason):
+            solve_lambda(b)
+        assert outcome(reference_solve_lambda, b) is NoIntegralSolution
+
+
+@st.composite
+def exchange_matrices(draw):
+    """Skew-symmetrizable exchange part d_k b_kl = -d_l b_lk on random
+    exchange slots, arbitrary integer rows on the frozen slots."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    exchange = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=n))))
+    entries = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(k + 1, n):
+            c = draw(st.integers(-2, 2))
+            entries[k][l], entries[l][k] = c * d[l], -c * d[k]
+    for k in range(n):
+        if k + 1 not in exchange:
+            entries[k] = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            entries[k][k] = 0
+    return ExchangeMatrix(tuple(map(tuple, entries)), exchange, tuple(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exchange_matrices())
+def test_solve_lambda_matches_the_reference_on_random_matrices(b):
+    assert outcome(solve_lambda, b) == outcome(reference_solve_lambda, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_lambda_matches_the_reference_on_gls_matrices(data):
+    matrix = data.draw(
+        st.sampled_from([preset("a2").matrix, preset("b3").matrix, preset("c3").matrix,
+                         type_a(4), type_d(4)])
+    )
+    cd = validate_cartan(matrix)
+    letters = data.draw(st.lists(st.sampled_from(cd.index_set), max_size=10))
+    b = gls_matrix(cd, Word(tuple(letters), BRAID))
+    lam = solve_lambda(b)
+    assert lam == reference_solve_lambda(b)
+    assert check_compatibility(lam, b)
 
 
 def test_check_compatibility_rejects_perturbation():
@@ -448,7 +563,8 @@ def w0_seed(matrix):
 # Pairing of the seed of each family's canonical longest word: the largest
 # |lambda_ij| and the SHA-256 of the JSON list of lambda_ij, i < j, in
 # row-major order.  Computed by the unpruned search, which checked every
-# coordinate only at the leaves.
+# coordinate only at the leaves, on the C(n, 2) system; D6 (length 30),
+# out of that system's reach, by the left-kernel solve.
 W0_LAMBDA = {
     "A3": (type_a(3), 1,
            "9b91ed4f75c793a794ded4d274c54ada87040a51052d3b7afaef8794bb0c9488"),
@@ -462,6 +578,8 @@ W0_LAMBDA = {
            "5b202ddf05c02cd28c25b8da3c205a3e81dc53f4576a9e61f822954047ac3f50"),
     "D5": (type_d(5), 2,
            "53b77f2e9d9ef81a59c8d00d0adf26fadf1c60ccca4fcdb7bfe89ea157b4a25f"),
+    "D6": (type_d(6), 2,
+           "d97a9eafeefc5664629db3237ad9b1bc9c0440983badb2fb4ed4eb3148dc46f2"),
 }
 
 
@@ -474,6 +592,30 @@ def test_w0_lambda_matches_pinned_values(family):
     assert max(map(abs, upper)) == largest
     assert hashlib.sha256(json.dumps(upper).encode()).hexdigest() == digest
     assert check_compatibility(seed.lam, seed.b)
+
+
+@pytest.mark.parametrize("matrix", [type_a(3), type_a(4), type_d(4), type_b(4)])
+def test_wedge_lattice_is_the_kernel_of_the_pairing_system(matrix, monkeypatch):
+    cd = validate_cartan(matrix)
+    b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
+    seen = []
+
+    def record(x0, kernel):
+        seen.append((x0, kernel))
+        return canonical_smallest_solution(x0, kernel)
+
+    monkeypatch.setattr(seeds, "canonical_smallest_solution", record)
+    solve_lambda(b)
+    [(x0, wedges)] = seen
+    rows, rhs = pairing_system(b)
+    assert matmul_vec(rows, x0) == rhs
+    _, kernel = solve_integer_system(rows, rhs)
+    assert len(wedges) == len(kernel)
+    # each basis lies in the lattice of the other: an integer solution exists
+    for basis, other in [(wedges, kernel), (kernel, wedges)]:
+        columns = [list(col) for col in zip(*basis)]
+        for vec in other:
+            solve_integer_system(columns, vec)
 
 
 def test_a5_w0_seed_is_compatible():
