@@ -33,14 +33,14 @@ k = seed.b.exchange[0]
 up, down = exchange_vectors(seed.b, k)
 print(f"\nexchange vectors at {k}: up {up}, down {down}")
 
-check = exchange_check(seed, k)
+mutated = mutate_seed(seed, k)
+check = exchange_check(seed, k, mutated)
 print(
     f"exchange relation X_{k} mu_{k}(X_{k}) = "
     f"q^({check.alpha_doubled}/2) M1 + q^({check.beta_doubled}/2) M2: "
     f"verified {check.verified}"
 )
 
-mutated = mutate_seed(seed, k)
 print("\nafter mutation:")
 print(f"  labels   {list(mutated.labels)}")
 for row in mutated.b.entries:

@@ -274,7 +274,7 @@ def _validate_config(config: RunConfig) -> None:
 
 def _infer_a_type(words) -> CartanData:
     """Type-A context of rank max-letter, for letter alphabets 1..n."""
-    letters = sorted({x for w in words for x in w})
+    letters = {x for w in words for x in w}
     if not letters or any(not isinstance(x, int) or x < 1 for x in letters):
         raise ConfigInvalid("cartan: cannot infer a context from these letters")
     n = max(letters)
@@ -494,8 +494,9 @@ def _cmd_seed_mutate(config: RunConfig, cd: CartanData, w: Word) -> list:
     current = seed
     sections = []
     for idx, k in enumerate(slots, start=1):
+        previous, current = current, mutate_seed(current, k)
         if config.exact:
-            check = exchange_check(current, k)
+            check = exchange_check(previous, k, current)
             sections.append(comparison(f"exchange-step-{idx}", check.verified, True))
             sections.append(
                 echo(
@@ -503,7 +504,6 @@ def _cmd_seed_mutate(config: RunConfig, cd: CartanData, w: Word) -> list:
                     {"alpha2": check.alpha_doubled, "beta2": check.beta_doubled},
                 )
             )
-        current = mutate_seed(current, k)
     restored = current
     for k in reversed(slots):
         restored = mutate_seed(restored, k)
@@ -877,7 +877,7 @@ def exact_exchange_campaign(cd: CartanData, length_cap: int) -> tuple:
     for w in _iter_braid_words(cd, length_cap, lo=1):
         seed = initial_seed(cd, w, exact=True)
         for k in seed.b.exchange:
-            check = exchange_check(seed, k)
+            check = exchange_check(seed, k, mutate_seed(seed, k))
             checked += 1
             if not check.verified:
                 failures.append({"word": list(w.letters), "k": k})

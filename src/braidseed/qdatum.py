@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from operator import mul
 from typing import Dict, Sequence
 
@@ -93,44 +92,52 @@ class QDatum:
 
     @cached_property
     def coxeter(self) -> tuple:
-        """The Coxeter element c and its inverse as rows of integer matrices
-        on root coordinates; c applies the reflections of one
-        source-extraction pass in extraction order."""
-        order = _adapted_pass(self)
+        """The Coxeter element c as the rows of an integer matrix on root
+        coordinates: the reflections of one source-extraction pass, applied
+        in extraction order."""
         cd = self.cartan
-
-        def matrix(letters) -> tuple:
-            columns = [weyl_act(cd, letters, cd.simple_root(j)) for j in cd.index_set]
-            return tuple(zip(*columns))
-
-        return matrix(order[::-1]), matrix(order)
+        order = _adapted_pass(self)[::-1]
+        columns = [weyl_act(cd, order, cd.simple_root(j)) for j in cd.index_set]
+        return tuple(zip(*columns))
 
     @cached_property
-    def _preimages(self) -> dict:
-        """root -> [(vertex, r, winding, P, gain)] over one period of each
-        vertex's forward orbit (see _orbit), in vertex then step order.
+    def _orbits(self) -> dict:
+        """vertex -> (cycle, gain): the (root, winding) pairs of one period
+        of its orbit (see _orbit) from step 0, and the windings gained per
+        period.
 
-        c permutes the finite root system, so the orbit of gamma_i comes
-        back to +-gamma_i after some P steps, gaining `gain` >= 1 windings
-        (it changes sign in finite type); step qP + r then carries the root
-        of step r at its winding + q * gain, and no root repeats within a
-        period.  The steps count against default_budget(), which also ends
-        the walk outside finite type, where no period exists.
+        c permutes the finite root system, so the orbit of gamma_i is back
+        at +-gamma_i after P = len(cycle) steps with no root repeated and
+        `gain` >= 1; the orbit map is a bijection, so step qP + r, for any
+        integer q, carries the root of step r at its winding + q * gain.
+        Outside finite type this raises NotFiniteType before walking; the
+        steps count against default_budget().
         """
+        _coxeter_number(self.cartan)
         budget = default_budget()
         spent = 0
-        out: Dict[tuple, list] = {}
+        out = {}
         for i in self.cartan.index_set:
             cycle = []
-            for root, winding in _orbit(self, i, True):
+            for root, winding in _orbit(self, i):
                 if cycle and root == cycle[0][0]:
                     break  # back at +-gamma_i: winding is the gain
                 spent += 1
                 if spent > budget:
-                    raise _budget_exhausted(budget)
+                    raise BudgetExhausted(
+                        f"phi walk stopped after {budget} Coxeter steps"
+                    )
                 cycle.append((root, winding))
+            out[i] = (tuple(cycle), winding)
+        return out
+
+    @cached_property
+    def _preimages(self) -> dict:
+        """root -> [(vertex, r, winding, P, gain)] over the _orbits periods."""
+        out: Dict[tuple, list] = {}
+        for i, (cycle, gain) in self._orbits.items():
             for r, (beta, w) in enumerate(cycle):
-                out.setdefault(beta, []).append((i, r, w, len(cycle), winding))
+                out.setdefault(beta, []).append((i, r, w, len(cycle), gain))
         return out
 
 
@@ -329,13 +336,13 @@ def injective_root(qd: QDatum, i):
     return qd._injective_roots[i]
 
 
-def _orbit(qd: QDatum, i, forward: bool):
+def _orbit(qd: QDatum, i):
     """(root, winding) at steps 0, 1, 2, ... from vertex i's injective root.
 
-    A step applies c (forward) or c^-1; a negative image is negated and
-    moves the winding by +1 (forward) or -1, so the winding is monotone.
+    A step applies c; a negative image is negated and raises the winding
+    by 1.
     """
-    matrix = qd.coxeter[0 if forward else 1]
+    matrix = qd.coxeter
     root, level = injective_root(qd, i), 0
     while True:
         yield root, level
@@ -344,45 +351,37 @@ def _orbit(qd: QDatum, i, forward: bool):
             root = moved
         else:
             root = tuple([-v for v in moved])
-            level += 1 if forward else -1
-
-
-def _budget_exhausted(budget: int) -> BudgetExhausted:
-    return BudgetExhausted(f"phi walk stopped after {budget} Coxeter steps")
+            level += 1
 
 
 def phi_map(qd: QDatum, pt: RepetitionPoint):
     """(positive root, winding level) of a lattice point.
 
     The base level of each vertex carries its injective root at winding
-    zero; each 2 levels up (down) is one step of _orbit.  The walk takes
-    |level - height| / 2 steps; more than default_budget() raises
-    BudgetExhausted.
+    zero; each 2 levels up (down) is one step forward (back) along its
+    orbit.  Step qP + r is read in O(1) from the period table
+    (QDatum._orbits): the root of step r at its winding + q * gain.
     """
     _require_point(qd, pt)
-    steps = (pt.level - qd.height(pt.vertex)) // 2
-    budget = default_budget()
-    if abs(steps) > budget:
-        raise _budget_exhausted(budget)
-    return next(islice(_orbit(qd, pt.vertex, steps >= 0), abs(steps), None))
+    cycle, gain = qd._orbits[pt.vertex]
+    q, r = divmod((pt.level - qd.height(pt.vertex)) // 2, len(cycle))
+    root, winding = cycle[r]
+    return root, winding + q * gain
 
 
 def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
     """Lattice point mapping to (root, level).
 
-    Reads the orbit periods walked once per QDatum (QDatum._preimages).
-    A vertex carries `root` at most once per period, at step r, and again
-    every P steps with the winding moved by `gain`, so at most one of its
-    steps has the wanted winding.  The first vertex whose step lies within
-    2h(|level| + 2) levels of its height wins, as in a bounded search over
-    those levels.  A query costs O(|I|) whatever the level.
+    Reads the same period table as phi_map (QDatum._preimages).  A vertex
+    carries `root` at most once per period, at step r, and again every P
+    steps with the winding moved by `gain`, so at most one of its steps
+    has the wanted winding; phi is injective, so the first vertex with
+    one is the only preimage.  A query costs O(|I|) whatever the level.
     """
-    h = _coxeter_number(qd.cartan)
-    reach = h * (abs(level) + 2)
     target = (tuple(root), level)
     for i, r, winding, period, gain in qd._preimages.get(target[0], ()):
         q, rest = divmod(level - winding, gain)
-        if rest == 0 and abs(r + q * period) <= reach:
+        if rest == 0:
             return RepetitionPoint(i, qd.height(i) + 2 * (r + q * period))
     raise PointOutsideLattice(f"no lattice point maps to {target}")
 

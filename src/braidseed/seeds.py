@@ -374,8 +374,8 @@ class ExchangeCheck:
     verified: Optional[bool]
 
 
-def exchange_check(seed: Seed, k: int) -> ExchangeCheck:
-    """Verify the exchange relation at k inside the initial torus."""
+def exchange_check(seed: Seed, k: int, mutated: Seed) -> ExchangeCheck:
+    """Verify the exchange relation at k, given mutated = mutate_seed(seed, k)."""
     if not seed.b.is_exchange(k):
         raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
     n = seed.b.n
@@ -385,7 +385,6 @@ def exchange_check(seed: Seed, k: int) -> ExchangeCheck:
     beta = lambda_pairing(seed.lam, e_k, down)
     verified = None
     if seed.exact is not None:
-        mutated = mutate_seed(seed, k)
         lhs = torus_product(seed.torus_lam, seed.exact[k - 1], mutated.exact[k - 1])
         up_plus = tuple(v + e for v, e in zip(up, e_k))
         down_plus = tuple(v + e for v, e in zip(down, e_k))
@@ -587,8 +586,8 @@ def seed_equivalence_report(
         script = move_to_mutation_script(cd, current, move)
         first = True
         for k in script.mutations:
-            checks.append(exchange_check(seed, k))
-            seed = mutate_seed(seed, k)
+            previous, seed = seed, mutate_seed(seed, k)
+            checks.append(exchange_check(previous, k, seed))
             if first and move.kind is MoveKind.FOUR:
                 p = move.position
                 intermediates.append(
@@ -739,7 +738,7 @@ def tsystem_check(
         raise MinorNotReachable(
             f"the exchange monomials at slot {k} do not realize the boxed terms"
         )
-    check = exchange_check(seed, k)
+    check = exchange_check(seed, k, mutate_seed(seed, k))
     return replace(
         report,
         a_doubled=check.beta_doubled,

@@ -66,6 +66,12 @@ def test_verify_tsystem_example_with_inferred_context(tmp_path):
     assert section(report, "tropical-identity").agree
 
 
+def test_inferred_context_refuses_a_letter_that_is_not_an_integer(tmp_path):
+    code, report = run(tmp_path, "verify", "tsystem", "--word", "1,x", "--box", "1,2")
+    assert code == 2
+    assert error_kind(report) == ("Error", "ConfigInvalid")
+
+
 def test_words_path_not_connected_exits_2(tmp_path):
     code, report = run(
         tmp_path, "words", "path", "--cartan", "a2",
@@ -372,10 +378,13 @@ def test_budget_env_must_be_an_integer(monkeypatch, capsys):
 
 def test_qdatum_phi_far_point_is_budgeted(tmp_path, monkeypatch):
     argv = ("qdatum", "phi", "--cartan", "a2", "--height", "1,0", "--point", "2,20000")
+    # the budget bounds the period walk (3 steps per vertex in A2), not the
+    # distance of the point from its height
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "100")
     code, report = run(tmp_path, *argv)
     assert code == 0
     assert section(report, "phi").left == {"root": [0, 1], "level": 6667}
-    monkeypatch.setenv("BRAIDSEED_BUDGET", "100")
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "5")
     code, report = run(tmp_path, *argv)
     assert code == 2
     assert error_kind(report) == ("Error", "BudgetExhausted")

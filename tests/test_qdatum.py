@@ -29,6 +29,7 @@ from braidseed.errors import (
     HeightParityViolation,
     NonContiguousWindow,
     NotASource,
+    NotFiniteType,
     NotSimplyLaced,
     PointOutsideLattice,
     SeriesOrderInsufficient,
@@ -486,9 +487,13 @@ def outcome(f, *args):
 @pytest.mark.parametrize("name", sorted(ORACLE_CONTEXTS))
 def test_phi_map_matches_reflection_steps(name):
     cd, _ = ORACLE_CONTEXTS[name]
+    # a vertex's orbit has period at most h steps (2h levels), so offsets
+    # out to 10h levels read periods q <= -5 and q >= 5 of the table
+    reach = 10 * finite_type_data(cd).coxeter_number
+    offsets = sorted(set(range(-12, 13, 2)) | set(range(-reach, reach + 1, 2)))
     for qd in ORACLE_HEIGHTS[name]:
         for i in cd.index_set:
-            for offset in range(-12, 13, 2):
+            for offset in offsets:
                 pt = RepetitionPoint(i, qd.height(i) + offset)
                 assert phi_map(qd, pt) == reflection_phi_map(qd, pt)
 
@@ -523,10 +528,10 @@ def test_phi_inverse_undoes_phi_map_far_from_the_height(data):
     assert phi_inverse(qd, root, level) == pt
 
 
-def test_phi_inverse_keeps_the_search_bound():
-    # A1^24 x A6: the bound 2h(|level| + 2) takes h = 2|R+|/|I| = 3, below
-    # the A6 Coxeter number 7, so 40 steps down the last vertex the true
-    # preimage lies beyond it and the bounded search finds nothing.
+def test_phi_inverse_round_trips_beyond_the_global_coxeter_number():
+    # A1^24 x A6: h = 2|R+|/|I| = 3 is below the A6 Coxeter number 7, so
+    # 40 steps down the last vertex the preimage lies beyond 2h(|level| + 2)
+    # levels; phi is injective, so phi_inverse needs no such bound
     n = 30
     matrix = [[2 if a == b else -1 if a >= 24 and abs(a - b) == 1 and b >= 24 else 0
                for b in range(n)] for a in range(n)]
@@ -535,8 +540,7 @@ def test_phi_inverse_keeps_the_search_bound():
     assert phi_inverse(qd, *phi_map(qd, near)) == near
     root, level = phi_map(qd, far)
     assert (root, level) == (qd.cartan.simple_root(25), -10)
-    with pytest.raises(PointOutsideLattice, match="no lattice point maps to"):
-        phi_inverse(qd, root, level)
+    assert phi_inverse(qd, root, level) == far
 
 
 def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
@@ -560,15 +564,27 @@ def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
 
 
 def test_phi_walks_count_against_the_budget(monkeypatch):
+    # both maps read one period per vertex (3 steps each in A2), walked
+    # once per QDatum whatever the level of the point
     far = RepetitionPoint(2, 300)
-    root, level = phi_map(validate_height(preset("a2"), (1, 0)), far)
-    assert (root, level) == ((1, 1), 100)
     monkeypatch.setenv("BRAIDSEED_BUDGET", "100")
     qd = validate_height(preset("a2"), (1, 0))
-    with pytest.raises(BudgetExhausted):
-        phi_map(qd, far)
-    # phi_inverse walks one period per vertex (3 steps each in A2), at any level
+    root, level = phi_map(qd, far)
+    assert (root, level) == ((1, 1), 100)
     assert phi_inverse(qd, root, level) == far
     monkeypatch.setenv("BRAIDSEED_BUDGET", "5")
     with pytest.raises(BudgetExhausted):
+        phi_map(validate_height(preset("a2"), (1, 0)), far)
+    with pytest.raises(BudgetExhausted):
         phi_inverse(validate_height(preset("a2"), (1, 0)), root, level)
+
+
+def test_phi_map_refuses_affine_orientations():
+    # affine A3: c has infinite order, so no orbit has a period
+    cycle = [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
+    qd = validate_height(validate_cartan(cycle), (0, 1, 0, 1))
+    for pt in (RepetitionPoint(1, 0), RepetitionPoint(1, 10), RepetitionPoint(2, -7)):
+        with pytest.raises(NotFiniteType):
+            phi_map(qd, pt)
+    with pytest.raises(NotFiniteType):
+        phi_inverse(qd, (1, 0, 0, 0), 0)

@@ -31,6 +31,7 @@ from braidseed.errors import (
     ZeroBlockViolated,
 )
 from braidseed.lattices import canonical_smallest_solution
+from braidseed.qlaurent import right_divide
 from braidseed.seeds import (
     EquivalenceReport,
     ExchangeMatrix,
@@ -244,13 +245,19 @@ def test_exchange_vectors_and_relation_a2():
     up, down = exchange_vectors(seed.b, 3)
     assert up == (0, 1, -1)
     assert down == (1, 0, -1)
-    chk = exchange_check(seed, 3)
+    mutated = mutate_seed(seed, 3)
+    chk = exchange_check(seed, 3, mutated)
     assert chk.verified is True
     assert (chk.alpha_doubled, chk.beta_doubled) == (-1, 1)
-    mutated = mutate_seed(seed, 3)
     assert mutated.trop[2] == (1, 0, 0)
     exps = sorted(mutated.exact[2].terms)
     assert exps == [(0, 1, -1), (1, 0, -1)]
+
+
+def test_exchange_check_fails_on_a_wrong_mutation():
+    seed = initial_seed(preset("a2"), Word((1, 2, 1), REDUCED), exact=True)
+    assert exchange_check(seed, 3, mutate_seed(seed, 3)).verified is True
+    assert exchange_check(seed, 3, seed).verified is False
 
 
 def test_mutate_seed_rejects_frozen_index():
@@ -258,7 +265,7 @@ def test_mutate_seed_rejects_frozen_index():
     with pytest.raises(FrozenIndex):
         mutate_seed(seed, 1)
     with pytest.raises(FrozenIndex):
-        exchange_check(seed, 2)
+        exchange_check(seed, 2, seed)
 
 
 def random_words(rng, cd, count, max_length):
@@ -321,7 +328,7 @@ def test_exchange_relation_holds_after_mutation_sequences(name, picks):
     for pick in picks:
         seed = mutate_seed(seed, seed.b.exchange[pick % len(seed.b.exchange)])
     for k in seed.b.exchange:
-        assert exchange_check(seed, k).verified is True
+        assert exchange_check(seed, k, mutate_seed(seed, k)).verified is True
 
 
 def test_permute_seed_group_action():
@@ -432,6 +439,24 @@ def test_equivalence_b2_both_orientations():
         inter = report.four_move_intermediates[0]
         assert inter.value == 1
         assert inter.match
+
+
+def test_exact_equivalence_divides_once_per_script_mutation(monkeypatch):
+    divisions = []
+
+    def counting(*args):
+        divisions.append(args)
+        return right_divide(*args)
+
+    monkeypatch.setattr(seeds, "right_divide", counting)
+    cd = preset("b2")
+    report = seed_equivalence_report(
+        cd, Word((1, 2, 1, 2), REDUCED), Word((2, 1, 2, 1), REDUCED), exact=True
+    )
+    script = move_to_mutation_script(cd, Word((1, 2, 1, 2), REDUCED), report.path[0])
+    assert report.exact_verified is True
+    assert len(report.path) == 1 and len(script.mutations) > 1
+    assert len(divisions) == len(script.mutations) == len(report.exchange_checks)
 
 
 def test_equivalence_a3_pairs():
