@@ -248,6 +248,26 @@ def _positive_root_closure(cd: CartanData) -> set:
     return roots
 
 
+def _first_nonpositive_minor(cd: CartanData) -> Optional[tuple]:
+    """(order, value) of the first leading principal minor of the
+    symmetrized matrix d_i c_ij that is not positive; None when all are,
+    that is when the matrix is positive definite (Sylvester), which is
+    exactly finite type.  Fraction-free Bareiss elimination: after step k
+    the pivot a[k][k] is the minor of order k + 1, and every division is
+    exact."""
+    n = cd.rank
+    a = [[cd.symmetrizer[i] * c for c in cd.matrix[i]] for i in range(n)]
+    previous = 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return k + 1, a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return None
+
+
 def finite_type_data(cd: CartanData) -> FiniteTypeData:
     """Positive roots, a canonical w0 word, the star involution, and h.
 
@@ -260,11 +280,20 @@ def finite_type_data(cd: CartanData) -> FiniteTypeData:
 def _finite_type_data(cd: CartanData) -> FiniteTypeData:
     """The uncached body of finite_type_data.
 
+    Data that is not of finite type is refused before the roots are
+    closed, by the leading principal minors of the symmetrized matrix.
+
     The w0 word is built greedily: always append the smallest index whose
     simple root is kept positive, which terminates exactly at w0.  The
     Coxeter number 2|R+|/|I| is stored only when it is an integer (it always
     is for irreducible types).
     """
+    minor = _first_nonpositive_minor(cd)
+    if minor is not None:
+        raise NotFiniteType(
+            "symmetrized Cartan matrix is not positive definite: leading "
+            f"principal minor of order {minor[0]} is {minor[1]}"
+        )
     roots = _positive_root_closure(cd)
     word: list = []
     while True:

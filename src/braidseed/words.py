@@ -1,6 +1,11 @@
 """Words over a Cartan index set, the 2-/3-/4-move rewriting system, BFS over
 the move graph, and i-box index combinatorics.
 
+The move-graph BFS between reduced words is bounded by the rank-2 packets
+of roots still out of the target's order, and finds the same shortest path
+as the unbounded search from far fewer words; words that moves cannot
+connect are refused without a search.
+
 Positions are 1-based throughout.  Where a letter occurs is read only
 from the word's position index, Word.positions, directly or through
 Word.before and Word.after; neighbours a-/a+, i-boxes and exchange slots
@@ -231,8 +236,23 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     """Explore the move graph from start.
 
     Returns ('found', path) when target is reached, ('exhausted', None) when
-    the whole component was enumerated without it, ('budget', None) once
-    `budget` words have been discovered.
+    target is provably not connected to start, ('budget', None) once
+    `budget` words have been discovered, counted over all rounds.
+
+    Moves keep the Weyl element and reducedness (Matsumoto-Tits), so a
+    reduced and a non-reduced word, or two reduced words with different
+    inversion sets, are refused before any search.  A reduced word carries
+    labels: the positions of its roots beta_k in target's root order.  A
+    move reverses the labels of its window, one whole rank-2 packet of roots
+    (a commuting pair, an A2 triple or a B2 quadruple), so it changes the
+    number h of packets out of target order by exactly one: up when
+    labels[k] < labels[k+1].  A path of length d thus makes (d - h(start))
+    / 2 up moves.  Round e = 0, 1, ... skips the moves that would exceed e up
+    moves, without marking their words visited; every word of a shortest
+    path and its first BFS parent survive the round e = (d - h(start)) / 2
+    in the same relative order, so that round returns the unpruned search's
+    path.  Non-reduced words carry constant labels: no move is up, and the
+    first round is final.
 
     Works on letter tuples with one rewrite table per call, built from
     _relation_window for the letter pairs of start (moves never add
@@ -242,6 +262,15 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     """
     if start.letters == target:
         return "found", []
+    roots, goal = roots_of_word(cd, start.letters), roots_of_word(cd, target)
+    if roots.all_positive != goal.all_positive:
+        return "exhausted", None
+    start_labels = (0,) * len(target)  # non-reduced: no move is up, one round
+    if roots.all_positive:
+        order = {beta: t for t, beta in enumerate(goal.roots)}
+        if order.keys() != set(roots.roots):
+            return "exhausted", None
+        start_labels = tuple(order[beta] for beta in roots.roots)
     rules = {}  # (i, j) -> (window, rewrite, kind) for pairs with a supported move
     alphabet = set(start.letters)
     for i in alphabet:
@@ -250,43 +279,57 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
             window = _relation_window(i, j, prod)
             if window is not None and len(window) < 6:
                 rules[(i, j)] = (window, _relation_window(j, i, prod), MoveKind(len(window)))
-    visited = {start.letters: None}  # word -> (previous word, kind, position)
-    queue = deque([start.letters])
-    while queue:
-        current = queue.popleft()
-        for k, pair in enumerate(zip(current, current[1:])):
-            rule = rules.get(pair)
-            if rule is None:
-                continue
-            window, rewrite, kind = rule
-            end = k + len(window)
-            if current[k:end] != window:
-                continue
-            nxt = current[:k] + rewrite + current[end:]
-            if nxt in visited:
-                continue
-            visited[nxt] = (current, kind, k + 1)
-            if nxt == target:
-                path = []
-                while visited[nxt] is not None:
-                    nxt, kind, position = visited[nxt]
-                    path.append(Move(kind, position))
-                path.reverse()
-                return "found", path
-            if len(visited) >= budget:
-                return "budget", None
-            queue.append(nxt)
-    return "exhausted", None
+    spent = 0  # words discovered by the finished rounds
+    bound = 0  # up moves allowed in this round
+    while True:
+        visited = {start.letters: None}  # word -> (previous word, kind, position)
+        queue = deque([(start.letters, start_labels, 0)])
+        pruned = False
+        while queue:
+            current, labels, ups = queue.popleft()
+            for k, pair in enumerate(zip(current, current[1:])):
+                rule = rules.get(pair)
+                if rule is None:
+                    continue
+                window, rewrite, kind = rule
+                end = k + len(window)
+                if current[k:end] != window:
+                    continue
+                up = ups + (labels[k] < labels[k + 1])
+                if up > bound:
+                    pruned = True
+                    continue
+                nxt = current[:k] + rewrite + current[end:]
+                if nxt in visited:
+                    continue
+                visited[nxt] = (current, kind, k + 1)
+                if nxt == target:
+                    path = []
+                    while visited[nxt] is not None:
+                        nxt, kind, position = visited[nxt]
+                        path.append(Move(kind, position))
+                    path.reverse()
+                    return "found", path
+                if spent + len(visited) >= budget:
+                    return "budget", None
+                queue.append((nxt, labels[:k] + labels[k:end][::-1] + labels[end:], up))
+        if not pruned:
+            return "exhausted", None
+        spent += len(visited)
+        bound += 1
 
 
 def find_move_path(
     cd: CartanData, w: Word, w2: Word, budget: Optional[int] = None
 ) -> list:
-    """Shortest move sequence from w to w2, BFS with (position, kind) ties.
+    """Shortest move sequence from w to w2, BFS with (position, kind) ties:
+    of the shortest paths, the smallest by move positions in order.
 
-    Raises NotConnected with definitive=True when the finite component of w
-    was fully enumerated without meeting w2, definitive=False on budget
-    exhaustion.
+    Raises NotConnected with definitive=True when w2 cannot be reached from
+    w: their lengths or reducedness differ, two reduced words have different
+    inversion sets, or the finite component of w was enumerated without
+    meeting w2; definitive=False once the budget of words discovered, over
+    all rounds of _bfs, is spent.
     """
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
@@ -306,7 +349,9 @@ def words_equal_in_monoid(
     """Positive-braid-monoid equality, decided by move-graph connectivity.
 
     The defining relations are length-homogeneous, so unequal lengths decide
-    immediately; otherwise equality is exactly connectivity in the move graph.
+    immediately; otherwise equality is exactly connectivity in the move graph,
+    refused without a search when reducedness differs or two reduced words
+    have different inversion sets.
     """
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from braidseed import cartan
 from braidseed.cartan import (
     bilinear_form,
     cartan_from_json,
@@ -199,6 +200,36 @@ def test_affine_matrix_not_finite_type():
     affine = validate_cartan([[2, -2], [-2, 2]])
     with pytest.raises(NotFiniteType):
         finite_type_data(affine)
+
+
+def test_affine_data_is_refused_before_the_roots_are_closed(monkeypatch):
+    closures = []
+    closure = cartan._positive_root_closure
+    monkeypatch.setattr(
+        cartan, "_positive_root_closure", lambda cd: closures.append(cd) or closure(cd)
+    )
+    affine_a3 = validate_cartan(
+        [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
+    )
+    with pytest.raises(NotFiniteType, match="not positive definite"):
+        finite_type_data(affine_a3)
+    assert closures == []
+    finite_type_data(preset("b3"))
+    assert len(closures) == 1
+    # hyperbolic: minors 2, 3, then the determinant -8
+    hyperbolic = validate_cartan([[2, -1, -1], [-1, 2, -2], [-1, -2, 2]])
+    with pytest.raises(NotFiniteType, match="minor of order 3 is -8"):
+        finite_type_data(hyperbolic)
+
+
+def test_minors_agree_with_the_rank_two_classification():
+    # rank 2 is of finite type exactly when c_12 * c_21 <= 3
+    for a in range(5):
+        for b in range(5):
+            if (a == 0) != (b == 0):
+                continue
+            cd = validate_cartan([[2, -a], [-b, 2]])
+            assert (cartan._first_nonpositive_minor(cd) is None) == (a * b <= 3)
 
 
 def test_json_round_trip():

@@ -36,6 +36,7 @@ from braidseed.cli import (
 from braidseed.errors import ConfigInvalid
 from braidseed.reports import SCHEMA, parse_report
 from braidseed.transitions import CONVENTIONS
+from test_words import D5, D5_FAR_PAIR
 
 
 def run(tmp_path, *argv):
@@ -169,6 +170,19 @@ def test_seed_build_reaches_the_d6_longest_word(tmp_path):
     assert code == 0
     assert len(section(report, "labels").left) == 30
     assert section(report, "compatible").agree
+
+
+def test_words_path_joins_far_d5_longest_words(tmp_path):
+    path = tmp_path / "d5.json"
+    path.write_text(cartan_to_json(validate_cartan(D5)))
+    start, end = (",".join(w) for w in D5_FAR_PAIR)
+    code, report = run(
+        tmp_path, "words", "path", "--cartan", str(path), "--kind", "weyl-reduced",
+        "--word", start, "--word", end,
+    )
+    assert code == 0
+    assert section(report, "length").left == 38
+    assert section(report, "replay").left == list(map(int, D5_FAR_PAIR[1]))
 
 
 def test_seed_mutate_exact_step(tmp_path):

@@ -8,13 +8,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidseed.cartan import preset, reflect_root, roots_of_word, validate_cartan
+from braidseed.cartan import (
+    finite_type_data,
+    preset,
+    reflect_root,
+    roots_of_word,
+    validate_cartan,
+)
 from braidseed.errors import (
     BudgetExhausted,
     InvalidBox,
@@ -22,7 +28,7 @@ from braidseed.errors import (
     NotConnected,
     UnsupportedCartanPair,
 )
-from braidseed.seeds import gls_matrix
+from braidseed.seeds import gls_matrix, seed_equivalence_report
 from braidseed.words import (
     EMPTY_BOX,
     EmptyBox,
@@ -32,6 +38,8 @@ from braidseed.words import (
     MoveKind,
     Word,
     WordKind,
+    _bfs,
+    _relation_window,
     apply_move,
     enumerate_moves,
     find_move_path,
@@ -215,6 +223,32 @@ def test_budget_env_override(monkeypatch):
     assert not info.value.definitive
 
 
+def test_budget_counts_the_words_of_every_round():
+    # round 0 discovers only the start; round 1 reaches the target as its
+    # 18th word, so 1 + 18 words are charged
+    cd = preset("b3")
+    u, v = Word((2, 1, 3, 2, 1, 3, 2, 3, 1)), Word((3, 1, 2, 1, 3, 2, 1, 3, 2))
+    assert len(find_move_path(cd, u, v, budget=19)) == 12
+    with pytest.raises(NotConnected) as info:
+        find_move_path(cd, u, v, budget=18)
+    assert not info.value.definitive
+
+
+def test_unconnectable_words_are_refused_before_the_budget():
+    # moves keep the Weyl element and reducedness, so these pairs are
+    # answered without a search: a budget of 2 words is never charged
+    cd = preset("a3")
+    for u, v in (
+        (Word((1, 2, 1)), Word((2, 3, 2))),  # reduced, different inversion sets
+        (Word((1, 2, 1)), Word((1, 1, 2), WordKind.POSITIVE_BRAID)),  # target not reduced
+        (Word((2, 1, 2, 1), WordKind.POSITIVE_BRAID), Word((1, 2, 3, 2))),  # start not
+    ):
+        with pytest.raises(NotConnected) as info:
+            find_move_path(cd, u, v, budget=2)
+        assert info.value.definitive
+        assert not words_equal_in_monoid(cd, u, v, budget=2)
+
+
 # Rank-4 contexts: A4, D4 (node 4 attached to node 2), and B4 in the
 # orientation of the b3 preset (c_43 = -2).
 RANK4 = {
@@ -250,6 +284,134 @@ def test_find_move_path_matches_pinned_moves(family, start, end, moves):
     path = find_move_path(cd, u, v)
     assert " ".join(f"{m.kind.window}@{m.position}" for m in path) == moves
     for move in path:
+        u = apply_move(u, move)
+    assert u == v
+
+
+# The move-graph search as it was before the up-move bound: one unpruned
+# BFS, kept as the reference for the bounded one.
+def reference_bfs(cd, start, target, budget):
+    if start.letters == target:
+        return "found", []
+    rules = {}
+    alphabet = set(start.letters)
+    for i in alphabet:
+        for j in alphabet - {i}:
+            prod = cd.pair_product(i, j)
+            window = _relation_window(i, j, prod)
+            if window is not None and len(window) < 6:
+                rules[(i, j)] = (window, _relation_window(j, i, prod), MoveKind(len(window)))
+    visited = {start.letters: None}
+    queue = deque([start.letters])
+    while queue:
+        current = queue.popleft()
+        for k, pair in enumerate(zip(current, current[1:])):
+            rule = rules.get(pair)
+            if rule is None:
+                continue
+            window, rewrite, kind = rule
+            end = k + len(window)
+            if current[k:end] != window:
+                continue
+            nxt = current[:k] + rewrite + current[end:]
+            if nxt in visited:
+                continue
+            visited[nxt] = (current, kind, k + 1)
+            if nxt == target:
+                path = []
+                while visited[nxt] is not None:
+                    nxt, kind, position = visited[nxt]
+                    path.append(Move(kind, position))
+                path.reverse()
+                return "found", path
+            if len(visited) >= budget:
+                return "budget", None
+            queue.append(nxt)
+    return "exhausted", None
+
+
+MOVE_GRAPHS = [preset(name) for name in ("a2", "b2", "a3", "b3", "c3")] + [
+    validate_cartan(RANK4[family]) for family in ("A4", "D4", "B4")
+]
+
+
+def _random_walk(cd, w, rng, steps):
+    for _ in range(steps):
+        moves = enumerate_moves(cd, w).moves
+        if not moves:
+            break
+        w = apply_move(w, rng.choice(moves))
+    return w
+
+
+def assert_windows_monotone(cd, w, target):
+    """Every applicable move of the reduced word w holds one rank-2 packet:
+    its window is monotone in the positions of its roots in target's order."""
+    order = {beta: t for t, beta in enumerate(roots_of_word(cd, target).roots)}
+    labels = [order[beta] for beta in roots_of_word(cd, w.letters).roots]
+    for move in enumerate_moves(cd, w).moves:
+        window = labels[move.position - 1 : move.position - 1 + move.kind.window]
+        assert window in (sorted(window), sorted(window, reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bounded_search_finds_the_paths_of_the_unpruned_one(data):
+    cd = data.draw(st.sampled_from(MOVE_GRAPHS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if rng.random() < 0.75:
+        # two random walks from one reduced word in the upper half of the
+        # lengths, whose move graphs are the large ones
+        top = len(finite_type_data(cd).positive_roots)
+        length = rng.randint(top // 2, top)
+        base = []
+        while len(base) < length:
+            i = rng.choice(cd.index_set)
+            if roots_of_word(cd, base + [i]).all_positive:
+                base.append(i)
+        start, target = (
+            _random_walk(cd, Word(tuple(base)), rng, rng.randint(0, 200)) for _ in "st"
+        )
+    else:
+        # a positive-braid word and a random walk from it or a random word
+        kind = WordKind.POSITIVE_BRAID
+        length = rng.randint(0, 7)
+        start, target = (
+            Word(tuple(rng.choice(cd.index_set) for _ in range(length)), kind)
+            for _ in "st"
+        )
+        if rng.random() < 0.5:
+            target = _random_walk(cd, start, rng, rng.randint(0, 20))
+    budget = data.draw(st.sampled_from([2, 50, 200_000]))
+    status, path = _bfs(cd, start, target.letters, budget)
+    expected, reference_path = reference_bfs(cd, start, target.letters, 10**7)
+    if status == "found":
+        assert (expected, path) == ("found", reference_path)
+    if status == "exhausted":
+        assert expected == "exhausted"
+    if roots_of_word(cd, start.letters).all_positive and expected == "found":
+        w = start
+        assert_windows_monotone(cd, w, target.letters)
+        for move in reference_path:
+            w = apply_move(w, move)
+            assert_windows_monotone(cd, w, target.letters)
+
+
+# Two reduced words of the D5 longest word drawn by seeded random walks in
+# its move graph, 38 moves apart; the unpruned search ran out of the default
+# budget of 200,000 words before reaching the second from the first.
+D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
+      [0, 0, -1, 0, 2]]
+D5_FAR_PAIR = ("21232543253413523543", "12321432531423531234")
+
+
+def test_far_d5_longest_words_compare_within_the_default_budget():
+    cd = validate_cartan(D5)
+    u, v = (Word(tuple(map(int, w))) for w in D5_FAR_PAIR)
+    report = seed_equivalence_report(cd, u, v, exact=False)
+    assert report.match and report.lam_gauge_in_kernel
+    assert len(report.path) == 38
+    for move in report.path:
         u = apply_move(u, move)
     assert u == v
 
