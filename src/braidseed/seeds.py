@@ -11,7 +11,6 @@ NonExactDivision instead of a silently wrong result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from operator import mul
 from typing import Optional, Sequence
 
@@ -19,6 +18,7 @@ from .cartan import CartanData
 from .errors import (
     ExchangeSetNotPreserved,
     FrozenIndex,
+    InvalidBox,
     MinorNotReachable,
     MutationIndexFrozen,
     NoIntegralSolution,
@@ -41,16 +41,16 @@ from .transitions import (
     transition_along_path,
 )
 from .words import (
+    EmptyBox,
     IBox,
     Move,
     MoveKind,
     Word,
+    _box_vector,
     _check_letters,
     _move_window,
     apply_move,
     find_move_path,
-    ibox_vector,
-    make_ibox,
     resolve_ibox,
 )
 
@@ -214,10 +214,10 @@ def initial_seed(cd: CartanData, w: Word, exact: bool = False) -> Seed:
     lam = solve_lambda(b)
     trops = []
     labels = []
-    for s in range(1, n + 1):
-        box = resolve_ibox(w, IBox(s, n, brace=True))
-        trops.append(ibox_vector(w, box))
-        labels.append(f"D[{box.lo},{box.hi}]")
+    for s, i in enumerate(w.letters, 1):
+        last = w.positions[i][-1]
+        trops.append(_box_vector(w, i, s, last))
+        labels.append(f"D[{s},{last}]")
     exact_track = None
     if exact:
         exact_track = tuple(QuantumLaurent.generator(n, s) for s in range(1, n + 1))
@@ -666,44 +666,36 @@ class TSystemReport:
         return ok
 
 
-def _letter_boxes(cd: CartanData, w: Word, a: int, b: int):
-    """Lower-product boxes [a+(j), b-(j)] over letters adjacent to i_a."""
-    i = w.letter(a)
-    return [
-        make_ibox(w.after(a, j), w.before(b, j))
-        for j in cd.index_set
-        if j != i and cd.entry(i, j) != 0
-    ]
-
-
 def tsystem_check(
     cd: CartanData, w: Word, box: IBox, mode: str = "tropical"
 ) -> TSystemReport:
     """Check the boxed product identity at one box.
 
+    Only the caller's box is resolved; the boxes [a+,b], [a,b-], [a,b] and
+    [a+,b-] of its letter i are read from the word's position index.
     Tropical mode verifies vec[a+,b] + vec[a,b-] = vec[a,b] + vec[a+,b-]
-    and compares the lower product against the main sum in the bi-lex
-    order.  Exact mode additionally realizes the identity as the
-    exchange relation at slot a+ when the box is right-anchored and the
-    exchange monomials match the boxed terms; otherwise it raises
-    MinorNotReachable.  A letter outside the index set raises InvalidBox.
+    and compares the lower product, the letters adjacent to i strictly
+    inside (a, b), against the main sum in the bi-lex order.  Exact mode
+    additionally realizes the identity as the exchange relation at slot a+
+    when the box is right-anchored and the exchange monomials match the
+    boxed terms; otherwise it raises MinorNotReachable.  A letter outside
+    the index set or the empty box raises InvalidBox.
     """
     _check_letters(cd, w)
+    if isinstance(box, EmptyBox):
+        raise InvalidBox("the empty box has no T-system identity")
     resolved = resolve_ibox(w, box)
     a, b = resolved.lo, resolved.hi
-    a_plus = w.after(a, w.letter(a))
-    b_minus = w.before(b, w.letter(a))
+    i = w.letter(a)
+    a_plus, b_minus = w.after(a, i), w.before(b, i)
     degenerate = a_plus > b
-
-    def vec(lo, hi):
-        return ibox_vector(w, make_ibox(lo, hi))
-
-    left = par_product(vec(a_plus, b), vec(a, b_minus))
-    right = par_product(vec(a, b), vec(a_plus, b_minus))
-    lower = reduce(
-        par_product,
-        (ibox_vector(w, lb) for lb in _letter_boxes(cd, w, a, b)),
-        (0,) * w.length,
+    left = par_product(_box_vector(w, i, a_plus, b), _box_vector(w, i, a, b_minus))
+    right = par_product(_box_vector(w, i, a, b), _box_vector(w, i, a_plus, b_minus))
+    # The box [a+(j), b-(j)] of a letter j adjacent to i holds exactly the
+    # j's strictly inside (a, b), so the lower product marks those positions.
+    adjacent = {j for j in cd.index_set if j != i and cd.entry(i, j) != 0}
+    lower = tuple(
+        1 if a < k < b and j in adjacent else 0 for k, j in enumerate(w.letters, 1)
     )
     verdict = bilex_compare(lower, right)
     strictly = None

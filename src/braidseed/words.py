@@ -4,13 +4,17 @@ the move graph, and i-box index combinatorics.
 The move-graph BFS between reduced words is bounded by the rank-2 packets
 of roots still out of the target's order, and finds the same shortest path
 as the unbounded search from far fewer words; words that moves cannot
-connect are refused without a search.
+connect (their reducedness, inversion sets or Weyl elements differ) are
+refused without a search.
 
 Positions are 1-based throughout.  Where a letter occurs is read only
 from the word's position index, Word.positions, directly or through
 Word.before and Word.after; neighbours a-/a+, i-boxes and exchange slots
-all come from it.  6-move windows (Cartan pairs with c_ij * c_ji = 3) are detected and
-refused rather than rewritten.
+all come from it, and so does every box vector: _box_vector slices the
+positions of one letter in [lo, hi], for ibox_vector, the T-system boxes
+and the right-anchored boxes of initial seeds alike.  6-move windows
+(Cartan pairs with c_ij * c_ji = 3) are detected and refused rather than
+rewritten.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .cartan import CartanData, roots_of_word
+from .cartan import CartanData, roots_of_word, weyl_act
 from .errors import (
     BudgetExhausted,
     ConfigInvalid,
@@ -240,19 +244,20 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     `budget` words have been discovered, counted over all rounds.
 
     Moves keep the Weyl element and reducedness (Matsumoto-Tits), so a
-    reduced and a non-reduced word, or two reduced words with different
-    inversion sets, are refused before any search.  A reduced word carries
-    labels: the positions of its roots beta_k in target's root order.  A
-    move reverses the labels of its window, one whole rank-2 packet of roots
-    (a commuting pair, an A2 triple or a B2 quadruple), so it changes the
-    number h of packets out of target order by exactly one: up when
-    labels[k] < labels[k+1].  A path of length d thus makes (d - h(start))
-    / 2 up moves.  Round e = 0, 1, ... skips the moves that would exceed e up
-    moves, without marking their words visited; every word of a shortest
-    path and its first BFS parent survive the round e = (d - h(start)) / 2
-    in the same relative order, so that round returns the unpruned search's
-    path.  Non-reduced words carry constant labels: no move is up, and the
-    first round is final.
+    reduced and a non-reduced word, two reduced words with different
+    inversion sets, or two non-reduced words whose Weyl elements move the
+    simple roots differently, are refused before any search.  A reduced
+    word carries labels: the positions of its roots beta_k in target's root
+    order.  A move reverses the labels of its window, one whole rank-2
+    packet of roots (a commuting pair, an A2 triple or a B2 quadruple), so
+    it changes the number h of packets out of target order by exactly one:
+    up when labels[k] < labels[k+1].  A path of length d thus makes
+    (d - h(start)) / 2 up moves.  Round e = 0, 1, ... skips the moves that
+    would exceed e up moves, without marking their words visited; every
+    word of a shortest path and its first BFS parent survive the round
+    e = (d - h(start)) / 2 in the same relative order, so that round
+    returns the unpruned search's path.  Non-reduced words carry constant
+    labels: no move is up, and the first round is final.
 
     Works on letter tuples with one rewrite table per call, built from
     _relation_window for the letter pairs of start (moves never add
@@ -271,6 +276,11 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
         if order.keys() != set(roots.roots):
             return "exhausted", None
         start_labels = tuple(order[beta] for beta in roots.roots)
+    elif any(
+        weyl_act(cd, start.letters, x) != weyl_act(cd, target, x)
+        for x in map(cd.simple_root, cd.index_set)
+    ):
+        return "exhausted", None
     rules = {}  # (i, j) -> (window, rewrite, kind) for pairs with a supported move
     alphabet = set(start.letters)
     for i in alphabet:
@@ -327,9 +337,10 @@ def find_move_path(
 
     Raises NotConnected with definitive=True when w2 cannot be reached from
     w: their lengths or reducedness differ, two reduced words have different
-    inversion sets, or the finite component of w was enumerated without
-    meeting w2; definitive=False once the budget of words discovered, over
-    all rounds of _bfs, is spent.
+    inversion sets, two non-reduced words have different Weyl elements, or
+    the finite component of w was enumerated without meeting w2;
+    definitive=False once the budget of words discovered, over all rounds
+    of _bfs, is spent.
     """
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
@@ -350,8 +361,9 @@ def words_equal_in_monoid(
 
     The defining relations are length-homogeneous, so unequal lengths decide
     immediately; otherwise equality is exactly connectivity in the move graph,
-    refused without a search when reducedness differs or two reduced words
-    have different inversion sets.
+    refused without a search when reducedness differs, two reduced words
+    have different inversion sets, or two non-reduced words have different
+    Weyl elements.
     """
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
@@ -432,15 +444,21 @@ def resolve_ibox(w: Word, box):
     return IBox(a, w.before(b + 1, w.letter(a)), brace=False)
 
 
+def _box_vector(w: Word, i, lo: int, hi: int) -> tuple:
+    """0/1 vector of the positions of letter i in [lo, hi]; zero when lo > hi."""
+    out = [0] * w.length
+    ks = w.positions[i]
+    for k in ks[bisect_left(ks, lo) : bisect_right(ks, hi)]:
+        out[k - 1] = 1
+    return tuple(out)
+
+
 def ibox_vector(w: Word, box) -> tuple:
     """0/1 vector marking the positions of the box letter inside the box."""
-    out = [0] * w.length
-    if not isinstance(box, EmptyBox):
-        resolved = resolve_ibox(w, box)
-        for k in w.positions[w.letter(resolved.lo)]:
-            if resolved.lo <= k <= resolved.hi:
-                out[k - 1] = 1
-    return tuple(out)
+    if isinstance(box, EmptyBox):
+        return (0,) * w.length
+    resolved = resolve_ibox(w, box)
+    return _box_vector(w, w.letter(resolved.lo), resolved.lo, resolved.hi)
 
 
 def move_to_json(m: Move) -> dict:

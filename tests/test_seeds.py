@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidseed import seeds
+from braidseed import seeds, words
 from braidseed.cartan import finite_type_data, preset, validate_cartan
 from braidseed.errors import (
     BudgetExhausted,
@@ -49,8 +49,9 @@ from braidseed.seeds import (
     solve_lambda,
     tsystem_check,
 )
-from braidseed.transitions import OrderVerdict, bilex_compare
+from braidseed.transitions import OrderVerdict, bilex_compare, par_product
 from braidseed.words import (
+    EMPTY_BOX,
     IBox,
     Move,
     MoveKind,
@@ -58,6 +59,9 @@ from braidseed.words import (
     WordKind,
     apply_move,
     find_move_path,
+    ibox_vector,
+    make_ibox,
+    resolve_ibox,
 )
 from test_lattices import matmul_vec, solve_integer_system
 
@@ -532,6 +536,12 @@ def test_tsystem_exact_rejects_unreachable():
         tsystem_check(
             preset("a2"), Word((1, 2, 1, 2, 1), BRAID), IBox(1, 3), mode="exact"
         )
+    # the empty box has no identity to check, in either mode
+    for mode in ("tropical", "exact"):
+        with pytest.raises(InvalidBox, match="empty box"):
+            tsystem_check(
+                preset("a2"), Word((1, 2, 1), REDUCED), EMPTY_BOX, mode=mode
+            )
 
 
 def test_tsystem_sweep_small_words():
@@ -548,6 +558,83 @@ def test_tsystem_sweep_small_words():
                         assert report.identity_holds
                         if report.lower_strictly_smaller is not None:
                             assert report.lower_verdict is not OrderVerdict.GREATER
+
+
+def reference_tsystem_terms(cd, w, box):
+    """The tropical fields of tsystem_check as they were computed from one
+    i-box object per term: the lower product sums the boxes [a+(j), b-(j)]
+    of the letters j adjacent to i."""
+    resolved = resolve_ibox(w, box)
+    a, b = resolved.lo, resolved.hi
+    i = w.letter(a)
+    a_plus, b_minus = w.after(a, i), w.before(b, i)
+
+    def vec(lo, hi):
+        return ibox_vector(w, make_ibox(lo, hi))
+
+    left = par_product(vec(a_plus, b), vec(a, b_minus))
+    right = par_product(vec(a, b), vec(a_plus, b_minus))
+    lower = (0,) * w.length
+    for j in cd.index_set:
+        if j != i and cd.entry(i, j) != 0:
+            lower = par_product(lower, vec(w.after(a, j), w.before(b, j)))
+    verdict = bilex_compare(lower, right)
+    strictly = None
+    if verdict is not OrderVerdict.INCOMPARABLE:
+        strictly = verdict is OrderVerdict.LESS
+    return resolved, a_plus > b, left == right, left, right, lower, verdict, strictly
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tsystem_and_initial_seed_boxes_match_the_ibox_reference(data):
+    cd = preset(data.draw(st.sampled_from(["a2", "b2", "c2", "a3", "b3", "c3"])))
+    letters = st.lists(st.sampled_from(cd.index_set), min_size=1, max_size=10)
+    w = Word(tuple(data.draw(letters)), BRAID)
+    for a, i in enumerate(w.letters, 1):
+        for b in w.positions[i]:
+            if b < a:
+                continue
+            report = tsystem_check(cd, w, IBox(a, b))
+            assert (
+                report.box,
+                report.degenerate,
+                report.identity_holds,
+                report.left_sum,
+                report.right_sum,
+                report.lower_sum,
+                report.lower_verdict,
+                report.lower_strictly_smaller,
+            ) == reference_tsystem_terms(cd, w, IBox(a, b))
+    seed = initial_seed(cd, w)
+    anchored = [IBox(s, w.length, brace=True) for s in range(1, w.length + 1)]
+    boxes = [resolve_ibox(w, box) for box in anchored]
+    assert seed.trop == tuple(ibox_vector(w, box) for box in boxes)
+    assert seed.labels == tuple(f"D[{box.lo},{box.hi}]" for box in boxes)
+
+
+def test_tsystem_and_initial_seed_read_boxes_from_the_word_index(monkeypatch):
+    # one tsystem_check resolves the caller's box and no other; initial
+    # seeds resolve none: every other box is read from Word.positions
+    calls = dict.fromkeys(["resolve_ibox", "make_ibox", "ibox_vector"], 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(words, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (words, seeds):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    cd = preset("a3")
+    w = Word((1, 2, 3, 1, 2, 1, 3, 2, 1), BRAID)
+    report = tsystem_check(cd, w, IBox(1, 9))
+    assert report.identity_holds and report.lower_sum == (0, 1, 0, 0, 1, 0, 0, 1, 0)
+    assert calls == {"resolve_ibox": 1, "make_ibox": 0, "ibox_vector": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    seed = initial_seed(cd, w)
+    assert seed.labels[:3] == ("D[1,9]", "D[2,8]", "D[3,7]")
+    assert calls == {"resolve_ibox": 0, "make_ibox": 0, "ibox_vector": 0}
 
 
 def test_seed_to_json_shape():

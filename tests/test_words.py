@@ -242,6 +242,9 @@ def test_unconnectable_words_are_refused_before_the_budget():
         (Word((1, 2, 1)), Word((2, 3, 2))),  # reduced, different inversion sets
         (Word((1, 2, 1)), Word((1, 1, 2), WordKind.POSITIVE_BRAID)),  # target not reduced
         (Word((2, 1, 2, 1), WordKind.POSITIVE_BRAID), Word((1, 2, 3, 2))),  # start not
+        # neither reduced, different Weyl elements: s2 s1 s3 against s1 s2 s3
+        (Word((2, 1, 3, 1, 1), WordKind.POSITIVE_BRAID),
+         Word((1, 1, 1, 2, 3), WordKind.POSITIVE_BRAID)),
     ):
         with pytest.raises(NotConnected) as info:
             find_move_path(cd, u, v, budget=2)
