@@ -77,8 +77,8 @@ from .transitions import (
 from .words import (
     EmptyBox,
     IBox,
+    MOVE_KINDS,
     Move,
-    MoveKind,
     Word,
     WordKind,
     apply_move,
@@ -142,8 +142,7 @@ def _parse_move(text: str) -> Move:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 2:
         raise ConfigInvalid("move: expected KIND,POSITION (e.g. 3,2)")
-    kinds = {"2": MoveKind.TWO, "3": MoveKind.THREE, "4": MoveKind.FOUR}
-    kind = kinds.get(parts[0].lower())
+    kind = MOVE_KINDS.get(parts[0])
     if kind is None:
         raise ConfigInvalid(f"move: unknown kind {parts[0]!r}, expected 2, 3, or 4")
     try:

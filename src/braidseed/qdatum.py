@@ -1,11 +1,14 @@
 """Height functions on simply-laced diagrams and the repetition lattice.
 
-A height function orients the diagram; repeatedly extracting sources
-yields an adapted longest word, whose infinite star-periodic extension
-is in bijection with the lattice of (vertex, level) pairs.  On top of
-that sit the level windows, the bijection to positive roots with a
-winding number, the reindexed exchange matrix of a window, the inverse
-quantum Cartan series, and the standard monomial exponent patterns.
+A height function orients the diagram; its level-0 window, read from the
+top level down, is an adapted longest word w0, whose star-periodic
+extension ..., w0, w0*, w0, ... is in bijection with the lattice of
+(vertex, level) pairs.  One index per Q-datum holds a period w0 w0* of it
+as points and as each vertex's positions, so the point at any position,
+and the position of any point, is read in O(1).  On top of that sit the
+level windows, the bijection to positive roots with a winding number, the
+reindexed exchange matrix of a window, the inverse quantum Cartan series,
+and the standard monomial exponent patterns.
 """
 from __future__ import annotations
 
@@ -61,12 +64,40 @@ class QDatum:
             if self.cartan.entry(i, j) == -1
         )
 
-    def is_sink(self, i) -> bool:
-        return all(
-            self.height(j) > self.height(i)
-            for j in self.cartan.index_set
-            if self.cartan.entry(i, j) == -1
-        )
+    @cached_property
+    def _window_h(self) -> int:
+        """h = 2|R+|/|I|, the level period of the windows, refused unless it
+        is the Coxeter number of every component (A1^3 x A3 has h = 3, where
+        the A1 windows need 2 and the A3 one 4)."""
+        cd = self.cartan
+        h = _coxeter_number(cd)
+        roots = finite_type_data(cd).positive_roots  # by ascending height
+        for t in range(cd.rank):
+            # the highest root of t's component covers it and has height h_C - 1
+            top = next(sum(beta) for beta in reversed(roots) if beta[t])
+            if top + 1 != h:
+                raise NotFiniteType(
+                    f"Coxeter number 2|R+|/|I| = {h} differs from {top + 1}"
+                    f" on the component of {cd.index_set[t]}"
+                )
+        return h
+
+    @cached_property
+    def _extension(self) -> tuple:
+        """(points, positions): one period of the star-periodic extension,
+        w0 then w0* (2l positions), as the point at each position, and
+        vertex -> its ascending positions in that period.  The level at
+        position k is xi_i minus twice the occurrences of i = i_k before k.
+        """
+        w0 = adapted_word(self)
+        star = star_map(self.cartan)
+        positions: Dict[object, list] = {i: [] for i in self.cartan.index_set}
+        points = []
+        for k in range(1, 2 * w0.length + 1):
+            i = extended_sequence(w0, star, k)
+            points.append(RepetitionPoint(i, self.height(i) - 2 * len(positions[i])))
+            positions[i].append(k)
+        return tuple(points), {i: tuple(ks) for i, ks in positions.items()}
 
     @cached_property
     def _injective_roots(self) -> dict:
@@ -187,17 +218,6 @@ def source_reflect(qd: QDatum, i) -> QDatum:
     return QDatum(qd.cartan, heights)
 
 
-def _sink_unreflect(qd: QDatum, i) -> QDatum:
-    """Inverse reflection: raise the height of a sink vertex by 2."""
-    if not qd.is_sink(i):
-        raise NotASource(f"vertex {i} is not a sink, cannot unreflect")
-    pos = qd.cartan.position[i]
-    heights = tuple(
-        v + 2 if t == pos else v for t, v in enumerate(qd.heights)
-    )
-    return QDatum(qd.cartan, heights)
-
-
 def _coxeter_number(cd: CartanData) -> int:
     """h = 2|R+|/|I|, the period of the repetition lattice.
 
@@ -221,19 +241,12 @@ def adapted_word(qd: QDatum) -> Word:
     stepping by 2; same-level vertices share a parity class, hence are
     non-adjacent and commute, so position order breaks those ties.  Pure
     greedy source extraction is not enough: it can overdraw a vertex whose
-    window allotment is exhausted and leave a non-reduced word.
+    window allotment is exhausted and leave a non-reduced word.  Replaying
+    the source reflections certifies that the word is adapted.
     """
-    data = finite_type_data(qd.cartan)
-    h = _coxeter_number(qd.cartan)
-    points = []
-    for i in qd.cartan.index_set:
-        lower = qd.height(data.star_of(qd.cartan, i)) - h
-        p = qd.height(i)
-        while p > lower:
-            points.append((-p, qd.cartan.position[i], i))
-            p -= 2
-    points.sort()
-    letters = tuple(i for _, _, i in points)
+    pos = qd.cartan.position
+    window = sorted(delta_window(qd, 0), key=lambda pt: (-pt.level, pos[pt.vertex]))
+    letters = tuple(pt.vertex for pt in window)
     running = qd
     for i in letters:
         running = source_reflect(running, i)
@@ -258,32 +271,24 @@ def extended_sequence(w0: Word, star: dict, k: int) -> int:
 
 
 def pk_sequence(qd: QDatum, lo: int, hi: int):
-    """Points (i_k, p_k) for k in [lo, hi].
+    """Points (i_k, p_k) for k in [lo, hi], any integers.
 
-    Positive positions replay source reflections forward; nonpositive
-    ones replay inverse reflections backward from position zero.
+    Read from the extension index (QDatum._extension): position
+    q * 2l + r carries the point of position r of the period, 2q levels
+    lower per occurrence of its vertex in a period.
     """
-    w0 = adapted_word(qd)
-    star = star_map(qd.cartan)
-    points: Dict[int, RepetitionPoint] = {}
-    if hi >= 1:
-        running = qd
-        for k in range(1, hi + 1):
-            letter = extended_sequence(w0, star, k)
-            points[k] = RepetitionPoint(letter, running.height(letter))
-            running = source_reflect(running, letter)
-    if lo <= 0:
-        running = qd
-        for k in range(0, lo - 1, -1):
-            letter = extended_sequence(w0, star, k)
-            running = _sink_unreflect(running, letter)
-            points[k] = RepetitionPoint(letter, running.height(letter))
-    return [points[k] for k in range(lo, hi + 1)]
+    points, positions = qd._extension
+    out = []
+    for k in range(lo, hi + 1):
+        q, r = divmod(k - 1, len(points))
+        i, p = points[r].vertex, points[r].level
+        out.append(RepetitionPoint(i, p - 2 * q * len(positions[i])))
+    return out
 
 
 def delta_window(qd: QDatum, k: int) -> frozenset:
     """Lattice points with xi_{i*} - (k+1)h < p <= xi_i - kh."""
-    h = _coxeter_number(qd.cartan)
+    h = qd._window_h
     star = star_map(qd.cartan)
     out = set()
     for i in qd.cartan.index_set:
@@ -399,46 +404,34 @@ class BHLWindow:
 
 
 def _position_of_point(qd: QDatum, pt: RepetitionPoint) -> int:
-    """Position of a lattice point in the extension (theo-style bijection).
+    """Position of a lattice point in the extension.
 
-    A vertex's levels decrease by 2 along successive forward positions
-    starting at its height, and increase backward, so the occurrence
-    count is determined by the level alone.
+    Level p of vertex i is its occurrence n = (xi_i - p) / 2 counted from
+    position 1 (n < 0 at positions <= 0): with the N positions of i in a
+    period of QDatum._extension, occurrence r of period q for n = qN + r.
     """
     _require_point(qd, pt)
-    w0 = adapted_word(qd)
-    star = star_map(qd.cartan)
-    base = qd.height(pt.vertex)
-    if pt.level <= base:
-        wanted = (base - pt.level) // 2
-        seen = 0
-        k = 0
-        while True:
-            k += 1
-            if extended_sequence(w0, star, k) == pt.vertex:
-                if seen == wanted:
-                    return k
-                seen += 1
-    wanted = (pt.level - base) // 2 - 1
-    seen = 0
-    k = 1
-    while True:
-        k -= 1
-        if extended_sequence(w0, star, k) == pt.vertex:
-            if seen == wanted:
-                return k
-            seen += 1
+    points, positions = qd._extension
+    ks = positions[pt.vertex]
+    q, r = divmod((qd.height(pt.vertex) - pt.level) // 2, len(ks))
+    return q * len(points) + ks[r]
 
 
 def b_hl(qd: QDatum, points: Sequence[RepetitionPoint]) -> BHLWindow:
-    """Exchange matrix of the window, entries looked up by lattice point."""
+    """Exchange matrix of the window, entries looked up by lattice point.
+
+    The points, in any order, must fill consecutive positions of the
+    extension; each position is read from the index (_position_of_point).
+    """
     if not points:
         return BHLWindow((), (), ())
     located = sorted(
         ((_position_of_point(qd, pt), pt) for pt in points), key=lambda t: t[0]
     )
     positions = tuple(k for k, _ in located)
-    for a, b in zip(positions, positions[1:]):
+    for (a, pt), b in zip(located, positions[1:]):
+        if b == a:
+            raise NonContiguousWindow(f"point {pt} is repeated at position {a}")
         if b != a + 1:
             raise NonContiguousWindow(
                 f"positions {positions} skip {a + 1}..{b - 1}"

@@ -124,6 +124,10 @@ class MoveKind(Enum):
         return self.value
 
 
+# Move kinds by the text naming them on the command line and in JSON.
+MOVE_KINDS = {str(kind.window): kind for kind in MoveKind}
+
+
 @dataclass(frozen=True)
 class Move:
     kind: MoveKind
@@ -466,7 +470,6 @@ def move_to_json(m: Move) -> dict:
 
 
 def move_from_json(payload: dict) -> Move:
-    kinds = {"2": MoveKind.TWO, "3": MoveKind.THREE, "4": MoveKind.FOUR}
-    if payload.get("kind") not in kinds:
+    if payload.get("kind") not in MOVE_KINDS:
         raise MoveNotApplicable(f"unknown move kind {payload.get('kind')!r}")
-    return Move(kinds[payload["kind"]], int(payload["pos"]))
+    return Move(MOVE_KINDS[payload["kind"]], int(payload["pos"]))

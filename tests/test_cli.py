@@ -351,6 +351,21 @@ def test_qdatum_without_a_coxeter_number_is_an_error(tmp_path, command):
     assert code == 2
     assert error_kind(report) == ("Error", "NotFiniteType")
     assert "Coxeter number" in report.metadata["error"]["message"]
+    # A1^3 x A3: 2|R+|/|I| = 3 is an integer but the Coxeter number of no
+    # component, so the windows are refused; phi reads per-vertex periods
+    matrix = [[2 if a == b else -1 if min(a, b) >= 3 and abs(a - b) == 1 else 0
+               for b in range(6)] for a in range(6)]
+    path = tmp_path / "a1cubedxa3.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, report = run(
+        tmp_path, "qdatum", *command, "--cartan", str(path), "--height", "0,0,0,0,1,2"
+    )
+    if command[0] == "phi":
+        assert (code, report.verdict) == (0, "Match")
+        return
+    assert code == 2
+    assert error_kind(report) == ("Error", "NotFiniteType")
+    assert "Coxeter number" in report.metadata["error"]["message"]
 
 
 def test_python_dash_m_runs_the_cli():

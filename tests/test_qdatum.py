@@ -24,6 +24,7 @@ from braidseed.cartan import (
     validate_cartan,
 )
 from braidseed.errors import (
+    BraidseedError,
     BudgetExhausted,
     DimensionMismatch,
     HeightParityViolation,
@@ -36,6 +37,7 @@ from braidseed.errors import (
 )
 from braidseed.qdatum import (
     BHLWindow,
+    QDatum,
     RepetitionPoint,
     a_monomial,
     adapted_word,
@@ -264,6 +266,8 @@ def test_b_hl_rejects_gaps():
     points = pk_sequence(qd, 1, 3)
     with pytest.raises(NonContiguousWindow):
         b_hl(qd, (points[0], points[2]))
+    with pytest.raises(NonContiguousWindow, match=r"^point \(1,1\) is repeated at position 1$"):
+        b_hl(qd, (points[1], points[0], points[0]))
 
 
 def test_cartan_tilde_a1_series():
@@ -588,3 +592,232 @@ def test_phi_map_refuses_affine_orientations():
             phi_map(qd, pt)
     with pytest.raises(NotFiniteType):
         phi_inverse(qd, (1, 0, 0, 0), 0)
+
+
+# ---------------------------------------------------------------------------
+# The extension index against the reflection replays and position walks it
+# replaced
+
+
+def replay_adapted_word(qd):
+    """Reference adapted word: the level loop over (xi_{i*} - h, xi_i]."""
+    cd = qd.cartan
+    data = finite_type_data(cd)
+    h = qdatum._coxeter_number(cd)
+    points = []
+    for i in cd.index_set:
+        lower = qd.height(data.star_of(cd, i)) - h
+        p = qd.height(i)
+        while p > lower:
+            points.append((-p, cd.position[i], i))
+            p -= 2
+    return Word(tuple(i for _, _, i in sorted(points)), WordKind.WEYL_REDUCED)
+
+
+def sink_unreflect(qd, i):
+    """Inverse reflection: raise the height of a sink vertex by 2."""
+    cd = qd.cartan
+    if not all(qd.height(j) > qd.height(i) for j in cd.index_set if cd.entry(i, j) == -1):
+        raise NotASource(f"vertex {i} is not a sink, cannot unreflect")
+    heights = list(qd.heights)
+    heights[cd.position[i]] += 2
+    return QDatum(cd, tuple(heights))
+
+
+def replay_pk_sequence(qd, lo, hi):
+    """Reference pk_sequence: source reflections replayed forward from
+    position 1, sink unreflections backward from position 0."""
+    w0 = replay_adapted_word(qd)
+    star = star_map(qd.cartan)
+    points = {}
+    running = qd
+    for k in range(1, hi + 1):
+        letter = extended_sequence(w0, star, k)
+        points[k] = RepetitionPoint(letter, running.height(letter))
+        running = source_reflect(running, letter)
+    running = qd
+    for k in range(0, lo - 1, -1):
+        letter = extended_sequence(w0, star, k)
+        running = sink_unreflect(running, letter)
+        points[k] = RepetitionPoint(letter, running.height(letter))
+    return [points[k] for k in range(lo, hi + 1)]
+
+
+def walk_position_of_point(qd, pt):
+    """Reference position: walk the extension forward from position 1 (a
+    level at or below the height) or backward from 0, counting occurrences."""
+    qdatum._require_point(qd, pt)
+    w0 = replay_adapted_word(qd)
+    star = star_map(qd.cartan)
+    base = qd.height(pt.vertex)
+    if pt.level <= base:
+        wanted, k, step = (base - pt.level) // 2, 0, 1
+    else:
+        wanted, k, step = (pt.level - base) // 2 - 1, 1, -1
+    seen = 0
+    while True:
+        k += step
+        if extended_sequence(w0, star, k) == pt.vertex:
+            if seen == wanted:
+                return k
+            seen += 1
+
+
+def walk_b_hl(qd, points):
+    """Reference b_hl over walk_position_of_point."""
+    if not points:
+        return BHLWindow((), (), ())
+    located = sorted(
+        ((walk_position_of_point(qd, pt), pt) for pt in points), key=lambda t: t[0]
+    )
+    positions = tuple(k for k, _ in located)
+    for a, b in zip(positions, positions[1:]):
+        if b != a + 1:
+            raise NonContiguousWindow(f"positions {positions} skip {a + 1}..{b - 1}")
+    ordered = tuple(pt for _, pt in located)
+    letters = tuple(pt.vertex for pt in ordered)
+    matrix = gls_matrix(qd.cartan, Word(letters, WordKind.POSITIVE_BRAID))
+    return BHLWindow(ordered, positions, matrix.entries)
+
+
+def result(f, *args):
+    try:
+        return f(*args)
+    except BraidseedError as err:
+        return type(err).__name__, str(err)
+
+
+EXTENSION_CONTEXTS = {
+    "a1": preset("a1"),
+    "a2": preset("a2"),
+    "a3": preset("a3"),
+    "a4": validate_cartan(_type_a(4)),
+    "d4": validate_cartan(_type_d4()),
+    "a1xa1": preset("a1xa1"),
+}
+
+
+def draw_qdatum(data, cd):
+    """A random valid height: each vertex one step from an earlier
+    neighbour (every context above labels its components that way), or
+    free when it has none."""
+    heights = {}
+    for i in cd.index_set:
+        earlier = [j for j in heights if cd.entry(i, j) == -1]
+        if earlier:
+            heights[i] = heights[earlier[0]] + data.draw(st.sampled_from((-1, 1)))
+        else:
+            heights[i] = data.draw(st.integers(-4, 4))
+    return validate_height(cd, [heights[i] for i in cd.index_set])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_extension_index_matches_the_replays_and_walks(data):
+    cd = EXTENSION_CONTEXTS[data.draw(st.sampled_from(sorted(EXTENSION_CONTEXTS)))]
+    qd = draw_qdatum(data, cd)
+    length = len(finite_type_data(cd).positive_roots)
+    assert adapted_word(qd) == replay_adapted_word(qd)
+    lo, hi = -3 * length, 3 * length
+    points = pk_sequence(qd, lo, hi)
+    assert points == replay_pk_sequence(qd, lo, hi)
+    for k, pt in enumerate(points, start=lo):
+        assert qdatum._position_of_point(qd, pt) == walk_position_of_point(qd, pt) == k
+    # any point: off the lattice, outside the index set, or far away
+    vertex = data.draw(st.sampled_from(cd.index_set + (0,)))
+    pt = RepetitionPoint(vertex, data.draw(st.integers(-8 * length, 8 * length)))
+    assert result(qdatum._position_of_point, qd, pt) == result(
+        walk_position_of_point, qd, pt
+    )
+    # a shuffled window beyond 4l, sometimes with a gap
+    start = data.draw(st.integers(4 * length + 1, 6 * length))
+    size = data.draw(st.integers(1, length + 2))
+    window = pk_sequence(qd, start, start + size - 1)
+    if size > 2 and data.draw(st.booleans()):
+        del window[data.draw(st.integers(1, size - 2))]
+    window = data.draw(st.permutations(window))
+    assert result(b_hl, qd, window) == result(walk_b_hl, qd, window)
+
+
+def test_extension_index_refuses_like_the_replays_without_a_coxeter_number():
+    # A1 x A2: 2|R+|/|I| = 8/3
+    qd = validate_height(validate_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]]), (0, 0, 1))
+    pt = RepetitionPoint(2, 0)
+    want = result(replay_pk_sequence, qd, -2, 2)
+    assert want[0] == "NotFiniteType"
+    assert result(pk_sequence, qd, -2, 2) == want
+    assert result(qdatum._position_of_point, qd, pt) == result(walk_position_of_point, qd, pt)
+    assert result(b_hl, qd, [pt]) == result(walk_b_hl, qd, [pt])
+    assert result(b_hl, qd, [pt]) == want
+
+
+def _blocks(*matrices):
+    n = sum(len(m) for m in matrices)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for m in matrices:
+        for a, row in enumerate(m):
+            out[at + a][at : at + len(row)] = row
+        at += len(m)
+    return out
+
+
+@pytest.mark.parametrize(
+    "matrix,heights",
+    [
+        # h = 3 is no component's Coxeter number (A1: 2, A3: 4): the
+        # windows would hold 12 letters for 9 roots
+        (_blocks([[2]], [[2]], [[2]], _type_a(3)), (0, 0, 0, 0, 1, 2)),
+        # h = 4 again differs from every component's (A1: 2, D4: 6), but
+        # by an even step, so each window still has |R+| = 16 points
+        (_blocks(_type_d4(), [[2]], [[2]], [[2]], [[2]]), (0, 1, 0, 0, 0, 0, 0, 0)),
+        # A1^24 x A6: h = 3
+        (_blocks(*[[[2]]] * 24, _type_a(6)), (0,) * 24 + (0, 1, 2, 3, 4, 5)),
+    ],
+    ids=["a1^3xa3", "d4xa1^4", "a1^24xa6"],
+)
+def test_windows_need_h_to_be_every_components_coxeter_number(matrix, heights):
+    qd = validate_height(validate_cartan(matrix), heights)
+    pt = RepetitionPoint(1, heights[0])
+    for call in (
+        lambda: adapted_word(qd),
+        lambda: delta_window(qd, 0),
+        lambda: pk_sequence(qd, 1, 3),
+        lambda: b_hl(qd, [pt]),
+    ):
+        with pytest.raises(NotFiniteType, match="Coxeter number"):
+            call()
+    # phi reads per-vertex orbit periods, which need no common h
+    for i in qd.cartan.index_set:
+        far = RepetitionPoint(i, qd.height(i) - 6)
+        assert phi_inverse(qd, *phi_map(qd, far)) == far
+
+
+def test_extension_index_makes_one_adapted_word_and_no_other_reflection(monkeypatch):
+    counts = {"adapted_word": 0, "source_reflect outside adapted_word": 0}
+    inside = []
+    real_adapted_word, real_source_reflect = qdatum.adapted_word, qdatum.source_reflect
+
+    def counting_adapted_word(qd):
+        counts["adapted_word"] += 1
+        inside.append(True)
+        try:
+            return real_adapted_word(qd)
+        finally:
+            inside.pop()
+
+    def counting_source_reflect(qd, i):
+        if not inside:
+            counts["source_reflect outside adapted_word"] += 1
+        return real_source_reflect(qd, i)
+
+    monkeypatch.setattr(qdatum, "adapted_word", counting_adapted_word)
+    monkeypatch.setattr(qdatum, "source_reflect", counting_source_reflect)
+    qd = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    length = 12
+    points = qdatum.pk_sequence(qd, -3 * length, 3 * length)
+    for k, pt in enumerate(points, start=-3 * length):
+        assert qdatum._position_of_point(qd, pt) == k
+    window = qdatum.b_hl(qd, qdatum.pk_sequence(qd, 4 * length + 1, 5 * length))
+    assert window.positions == tuple(range(4 * length + 1, 5 * length + 1))
+    assert counts == {"adapted_word": 1, "source_reflect outside adapted_word": 0}

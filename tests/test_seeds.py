@@ -283,8 +283,8 @@ def random_words(rng, cd, count, max_length):
 
 def test_mutation_involution_all_tracks():
     rng = random.Random(7)
-    for name in ["a1xa1", "a2", "b2", "a3", "b3"]:
-        cd = preset(name)
+    rank4 = [validate_cartan(m) for m in (type_a(4), type_d(4), type_b(4))]
+    for cd in [preset(n) for n in ["a1xa1", "a2", "b2", "a3", "b3"]] + rank4:
         for w in random_words(rng, cd, 4, 6):
             seed = initial_seed(cd, w, exact=w.length <= 5)
             for k in seed.b.exchange:
