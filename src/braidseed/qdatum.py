@@ -4,34 +4,33 @@ A height function orients the diagram; its level-0 window, read from the
 top level down, is an adapted longest word w0, whose star-periodic
 extension ..., w0, w0*, w0, ... is in bijection with the lattice of
 (vertex, level) pairs.  One index per Q-datum holds a period w0 w0* of it
-as points and as each vertex's positions, so the point at any position,
-and the position of any point, is read in O(1).  On top of that sit the
-level windows, the bijection to positive roots with a winding number, the
-reindexed exchange matrix of a window, the inverse quantum Cartan series,
-and the standard monomial exponent patterns.
+as points and as each vertex's positions, and the roots of w0, so the
+point at any position, the position of any point, and the bijection to
+positive roots with a winding number (Hernandez-Leclerc) in both
+directions are read in O(1).  The windows of each vertex step by the
+Coxeter number of its component, so reducible data need no common one.
+On top of that sit the reindexed exchange matrix of a window, the inverse
+quantum Cartan series, and the standard monomial exponent patterns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
-from typing import Dict, Sequence
+from typing import Dict, NamedTuple, Sequence
 
-from .cartan import CartanData, finite_type_data, weyl_act
+from .cartan import CartanData, finite_type_data, roots_of_word
 from .errors import (
-    BudgetExhausted,
     DimensionMismatch,
     HeightParityViolation,
     NonContiguousWindow,
     NotASource,
-    NotFiniteType,
     NotInvertibleAtOrder,
     NotSimplyLaced,
     PointOutsideLattice,
     SeriesOrderInsufficient,
 )
 from .seeds import gls_matrix
-from .words import Word, WordKind, default_budget
+from .words import Word, WordKind
 
 
 @dataclass(frozen=True)
@@ -65,30 +64,21 @@ class QDatum:
         )
 
     @cached_property
-    def _window_h(self) -> int:
-        """h = 2|R+|/|I|, the level period of the windows, refused unless it
-        is the Coxeter number of every component (A1^3 x A3 has h = 3, where
-        the A1 windows need 2 and the A3 one 4)."""
-        cd = self.cartan
-        h = _coxeter_number(cd)
-        roots = finite_type_data(cd).positive_roots  # by ascending height
-        for t in range(cd.rank):
-            # the highest root of t's component covers it and has height h_C - 1
-            top = next(sum(beta) for beta in reversed(roots) if beta[t])
-            if top + 1 != h:
-                raise NotFiniteType(
-                    f"Coxeter number 2|R+|/|I| = {h} differs from {top + 1}"
-                    f" on the component of {cd.index_set[t]}"
-                )
-        return h
+    def _window_h(self) -> dict:
+        """vertex -> the Coxeter number of its component, the level period
+        of its windows: one more than the height of the highest root
+        covering the vertex, since that root is its component's highest."""
+        roots = finite_type_data(self.cartan).positive_roots  # by ascending height
+        return {
+            i: next(sum(beta) for beta in reversed(roots) if beta[t]) + 1
+            for t, i in enumerate(self.cartan.index_set)
+        }
 
     @cached_property
-    def _extension(self) -> tuple:
-        """(points, positions): one period of the star-periodic extension,
-        w0 then w0* (2l positions), as the point at each position, and
-        vertex -> its ascending positions in that period.  The level at
-        position k is xi_i minus twice the occurrences of i = i_k before k.
-        """
+    def _extension(self) -> "Extension":
+        """One period of the star-periodic extension, w0 then w0* (2l
+        positions), with the roots of w0.  The level at position k is xi_i
+        minus twice the occurrences of i = i_k before k."""
         w0 = adapted_word(self)
         star = star_map(self.cartan)
         positions: Dict[object, list] = {i: [] for i in self.cartan.index_set}
@@ -97,79 +87,24 @@ class QDatum:
             i = extended_sequence(w0, star, k)
             points.append(RepetitionPoint(i, self.height(i) - 2 * len(positions[i])))
             positions[i].append(k)
-        return tuple(points), {i: tuple(ks) for i, ks in positions.items()}
+        roots = roots_of_word(self.cartan, w0.letters).roots
+        return Extension(
+            tuple(points),
+            {i: tuple(ks) for i, ks in positions.items()},
+            roots,
+            {beta: r for r, beta in enumerate(roots)},
+        )
 
-    @cached_property
-    def _injective_roots(self) -> dict:
-        """vertex -> sum of simple roots over the vertices with an oriented
-        path into it (a search over the arrows, once per vertex)."""
-        cd = self.cartan
-        out = {}
-        for i in cd.index_set:
-            reached = {i}
-            frontier = [i]
-            while frontier:
-                target = frontier.pop()
-                for a, b in self.arrows:
-                    if b == target and a not in reached:
-                        reached.add(a)
-                        frontier.append(a)
-            total = [0] * len(cd.index_set)
-            for j in reached:
-                for t, v in enumerate(cd.simple_root(j)):
-                    total[t] += v
-            out[i] = tuple(total)
-        return out
 
-    @cached_property
-    def coxeter(self) -> tuple:
-        """The Coxeter element c as the rows of an integer matrix on root
-        coordinates: the reflections of one source-extraction pass, applied
-        in extraction order."""
-        cd = self.cartan
-        order = _adapted_pass(self)[::-1]
-        columns = [weyl_act(cd, order, cd.simple_root(j)) for j in cd.index_set]
-        return tuple(zip(*columns))
+class Extension(NamedTuple):
+    """QDatum._extension: the point at each position of one period w0 w0*,
+    vertex -> its ascending positions in that period, the roots
+    beta_1, ..., beta_l of w0 (roots_of_word), and beta_r -> r - 1."""
 
-    @cached_property
-    def _orbits(self) -> dict:
-        """vertex -> (cycle, gain): the (root, winding) pairs of one period
-        of its orbit (see _orbit) from step 0, and the windings gained per
-        period.
-
-        c permutes the finite root system, so the orbit of gamma_i is back
-        at +-gamma_i after P = len(cycle) steps with no root repeated and
-        `gain` >= 1; the orbit map is a bijection, so step qP + r, for any
-        integer q, carries the root of step r at its winding + q * gain.
-        Outside finite type this raises NotFiniteType before walking; the
-        steps count against default_budget().
-        """
-        _coxeter_number(self.cartan)
-        budget = default_budget()
-        spent = 0
-        out = {}
-        for i in self.cartan.index_set:
-            cycle = []
-            for root, winding in _orbit(self, i):
-                if cycle and root == cycle[0][0]:
-                    break  # back at +-gamma_i: winding is the gain
-                spent += 1
-                if spent > budget:
-                    raise BudgetExhausted(
-                        f"phi walk stopped after {budget} Coxeter steps"
-                    )
-                cycle.append((root, winding))
-            out[i] = (tuple(cycle), winding)
-        return out
-
-    @cached_property
-    def _preimages(self) -> dict:
-        """root -> [(vertex, r, winding, P, gain)] over the _orbits periods."""
-        out: Dict[tuple, list] = {}
-        for i, (cycle, gain) in self._orbits.items():
-            for r, (beta, w) in enumerate(cycle):
-                out.setdefault(beta, []).append((i, r, w, len(cycle), gain))
-        return out
+    points: tuple
+    positions: dict
+    roots: tuple
+    slots: dict
 
 
 @dataclass(frozen=True)
@@ -218,27 +153,12 @@ def source_reflect(qd: QDatum, i) -> QDatum:
     return QDatum(qd.cartan, heights)
 
 
-def _coxeter_number(cd: CartanData) -> int:
-    """h = 2|R+|/|I|, the period of the repetition lattice.
-
-    Undefined on reducible data whose components have different Coxeter
-    numbers and 2|R+|/|I| is not an integer (A1 x A2: 8/3).
-    """
-    data = finite_type_data(cd)
-    if data.coxeter_number is None:
-        raise NotFiniteType(
-            f"Coxeter number 2|R+|/|I| = {2 * len(data.positive_roots)}/{cd.rank}"
-            " is not an integer"
-        )
-    return data.coxeter_number
-
-
 def adapted_word(qd: QDatum) -> Word:
     """Longest word adapted to the heights: the level-0 window read from
     the top level down.
 
-    Vertex i contributes one letter per level in (xi_{i*} - h, xi_i],
-    stepping by 2; same-level vertices share a parity class, hence are
+    Vertex i contributes one letter per level in (xi_{i*} - h, xi_i], h
+    the Coxeter number of its component, stepping by 2; same-level vertices share a parity class, hence are
     non-adjacent and commute, so position order breaks those ties.  Pure
     greedy source extraction is not enough: it can overdraw a vertex whose
     window allotment is exhausted and leave a non-reduced word.  Replaying
@@ -270,28 +190,29 @@ def extended_sequence(w0: Word, star: dict, k: int) -> int:
     return letter
 
 
-def pk_sequence(qd: QDatum, lo: int, hi: int):
-    """Points (i_k, p_k) for k in [lo, hi], any integers.
+def _point_at(qd: QDatum, k: int) -> RepetitionPoint:
+    """Point at any integer position k of the extension: position
+    q * 2l + r carries the point of position r of the period
+    (QDatum._extension), 2q levels lower per occurrence of its vertex in a
+    period."""
+    ext = qd._extension
+    q, r = divmod(k - 1, len(ext.points))
+    i, p = ext.points[r].vertex, ext.points[r].level
+    return RepetitionPoint(i, p - 2 * q * len(ext.positions[i]))
 
-    Read from the extension index (QDatum._extension): position
-    q * 2l + r carries the point of position r of the period, 2q levels
-    lower per occurrence of its vertex in a period.
-    """
-    points, positions = qd._extension
-    out = []
-    for k in range(lo, hi + 1):
-        q, r = divmod(k - 1, len(points))
-        i, p = points[r].vertex, points[r].level
-        out.append(RepetitionPoint(i, p - 2 * q * len(positions[i])))
-    return out
+
+def pk_sequence(qd: QDatum, lo: int, hi: int):
+    """Points (i_k, p_k) for k in [lo, hi], any integers."""
+    return [_point_at(qd, k) for k in range(lo, hi + 1)]
 
 
 def delta_window(qd: QDatum, k: int) -> frozenset:
-    """Lattice points with xi_{i*} - (k+1)h < p <= xi_i - kh."""
-    h = qd._window_h
+    """Lattice points with xi_{i*} - (k+1)h < p <= xi_i - kh, where h is
+    the Coxeter number of the component of i."""
     star = star_map(qd.cartan)
     out = set()
     for i in qd.cartan.index_set:
+        h = qd._window_h[i]
         upper = qd.height(i) - k * h
         lower = qd.height(star[i]) - (k + 1) * h
         p = upper if (upper - qd.height(i)) % 2 == 0 else upper - 1
@@ -315,82 +236,6 @@ def _require_point(qd: QDatum, pt: RepetitionPoint) -> None:
         raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
 
 
-def _adapted_pass(qd: QDatum) -> tuple:
-    """One full source-extraction pass: every vertex exactly once.
-
-    Extracted vertices are excluded even if reflection makes them
-    sources again; a remaining source always exists because the running
-    orientation stays acyclic.
-    """
-    order = []
-    remaining = set(qd.cartan.index_set)
-    running = qd
-    while remaining:
-        source = min(
-            (i for i in remaining if running.is_source(i)),
-            key=lambda i: qd.cartan.position[i],
-        )
-        order.append(source)
-        remaining.remove(source)
-        running = source_reflect(running, source)
-    return tuple(order)
-
-
-def injective_root(qd: QDatum, i):
-    """Sum of simple roots over vertices with an oriented path into i."""
-    return qd._injective_roots[i]
-
-
-def _orbit(qd: QDatum, i):
-    """(root, winding) at steps 0, 1, 2, ... from vertex i's injective root.
-
-    A step applies c; a negative image is negated and raises the winding
-    by 1.
-    """
-    matrix = qd.coxeter
-    root, level = injective_root(qd, i), 0
-    while True:
-        yield root, level
-        moved = tuple([sum(map(mul, row, root)) for row in matrix])
-        if min(moved) >= 0:
-            root = moved
-        else:
-            root = tuple([-v for v in moved])
-            level += 1
-
-
-def phi_map(qd: QDatum, pt: RepetitionPoint):
-    """(positive root, winding level) of a lattice point.
-
-    The base level of each vertex carries its injective root at winding
-    zero; each 2 levels up (down) is one step forward (back) along its
-    orbit.  Step qP + r is read in O(1) from the period table
-    (QDatum._orbits): the root of step r at its winding + q * gain.
-    """
-    _require_point(qd, pt)
-    cycle, gain = qd._orbits[pt.vertex]
-    q, r = divmod((pt.level - qd.height(pt.vertex)) // 2, len(cycle))
-    root, winding = cycle[r]
-    return root, winding + q * gain
-
-
-def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
-    """Lattice point mapping to (root, level).
-
-    Reads the same period table as phi_map (QDatum._preimages).  A vertex
-    carries `root` at most once per period, at step r, and again every P
-    steps with the winding moved by `gain`, so at most one of its steps
-    has the wanted winding; phi is injective, so the first vertex with
-    one is the only preimage.  A query costs O(|I|) whatever the level.
-    """
-    target = (tuple(root), level)
-    for i, r, winding, period, gain in qd._preimages.get(target[0], ()):
-        q, rest = divmod(level - winding, gain)
-        if rest == 0:
-            return RepetitionPoint(i, qd.height(i) + 2 * (r + q * period))
-    raise PointOutsideLattice(f"no lattice point maps to {target}")
-
-
 @dataclass(frozen=True)
 class BHLWindow:
     """Reindexed exchange matrix of a contiguous chunk of the extension."""
@@ -411,10 +256,34 @@ def _position_of_point(qd: QDatum, pt: RepetitionPoint) -> int:
     period of QDatum._extension, occurrence r of period q for n = qN + r.
     """
     _require_point(qd, pt)
-    points, positions = qd._extension
-    ks = positions[pt.vertex]
+    ext = qd._extension
+    ks = ext.positions[pt.vertex]
     q, r = divmod((qd.height(pt.vertex) - pt.level) // 2, len(ks))
-    return q * len(points) + ks[r]
+    return q * len(ext.points) + ks[r]
+
+
+def phi_map(qd: QDatum, pt: RepetitionPoint):
+    """(positive root, winding level) of a lattice point.
+
+    The point at extension position k, with k - 1 = q * l + (r - 1), maps
+    to (beta_r, -q), beta_r the r-th root of w0 (QDatum._extension): each
+    period of l positions, w0 or w0*, carries every positive root once.
+    """
+    k = _position_of_point(qd, pt)
+    roots = qd._extension.roots
+    q, r = divmod(k - 1, len(roots))
+    return roots[r], -q
+
+
+def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
+    """Lattice point mapping to (root, level): the point at position
+    -level * l + r of the extension for root = beta_r, so a query costs
+    O(1) whatever the level."""
+    beta = tuple(root)
+    ext = qd._extension
+    if beta not in ext.slots or not isinstance(level, int):
+        raise PointOutsideLattice(f"no lattice point maps to {(beta, level)}")
+    return _point_at(qd, -level * len(ext.roots) + ext.slots[beta] + 1)
 
 
 def b_hl(qd: QDatum, points: Sequence[RepetitionPoint]) -> BHLWindow:

@@ -148,11 +148,16 @@ def parse_report(blob: bytes) -> Report:
         payload = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigInvalid(f"report: not valid JSON ({err})") from err
+    if not isinstance(payload, dict):
+        raise ConfigInvalid(f"report: a JSON {type(payload).__name__}, not an object")
     if payload.get("schema") != SCHEMA:
         raise ConfigInvalid(f"report: schema {payload.get('schema')!r} != {SCHEMA!r}")
     if payload.get("verdict") not in _EXIT_CODES:
         raise ConfigInvalid(f"report: unknown verdict {payload.get('verdict')!r}")
-    sections = tuple(
-        Comparison(s["name"], s["left"], s["right"]) for s in payload["sections"]
-    )
-    return Report(payload["verdict"], sections, payload["metadata"])
+    try:
+        sections = tuple(
+            Comparison(s["name"], s["left"], s["right"]) for s in payload["sections"]
+        )
+        return Report(payload["verdict"], sections, payload["metadata"])
+    except (KeyError, TypeError) as err:
+        raise ConfigInvalid(f"report: missing or malformed field ({err!r})") from err

@@ -470,6 +470,12 @@ def move_to_json(m: Move) -> dict:
 
 
 def move_from_json(payload: dict) -> Move:
-    if payload.get("kind") not in MOVE_KINDS:
-        raise MoveNotApplicable(f"unknown move kind {payload.get('kind')!r}")
-    return Move(MOVE_KINDS[payload["kind"]], int(payload["pos"]))
+    """Inverse of move_to_json; any other payload is MoveNotApplicable."""
+    if not isinstance(payload, dict):
+        raise MoveNotApplicable(f"move payload {payload!r} is not an object")
+    kind, pos = payload.get("kind"), payload.get("pos")
+    if not isinstance(kind, str) or kind not in MOVE_KINDS:
+        raise MoveNotApplicable(f"unknown move kind {kind!r}")
+    if type(pos) is not int:  # bools and floats are not positions
+        raise MoveNotApplicable(f"move position {pos!r} is not an integer")
+    return Move(MOVE_KINDS[kind], pos)

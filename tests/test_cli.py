@@ -342,30 +342,22 @@ def test_qdatum_adapted_word_rejects_malformed_json(tmp_path, payload):
     ],
 )
 def test_qdatum_without_a_coxeter_number_is_an_error(tmp_path, command):
-    # A1 x A2: 2|R+|/|I| = 8/3, so the repetition lattice has no period h
-    path = tmp_path / "a1xa2.json"
-    path.write_text(json.dumps({"matrix": [[2, 0, 0], [0, 2, -1], [0, -1, 2]]}))
-    code, report = run(
-        tmp_path, "qdatum", *command, "--cartan", str(path), "--height", "0,0,1"
-    )
-    assert code == 2
-    assert error_kind(report) == ("Error", "NotFiniteType")
-    assert "Coxeter number" in report.metadata["error"]["message"]
-    # A1^3 x A3: 2|R+|/|I| = 3 is an integer but the Coxeter number of no
-    # component, so the windows are refused; phi reads per-vertex periods
-    matrix = [[2 if a == b else -1 if min(a, b) >= 3 and abs(a - b) == 1 else 0
-               for b in range(6)] for a in range(6)]
-    path = tmp_path / "a1cubedxa3.json"
-    path.write_text(json.dumps({"matrix": matrix}))
-    code, report = run(
-        tmp_path, "qdatum", *command, "--cartan", str(path), "--height", "0,0,0,0,1,2"
-    )
-    if command[0] == "phi":
+    # 2|R+|/|I| is no Coxeter number of A1 x A2 (8/3) or of A1^3 x A3 (3),
+    # but each component's windows step by its own, so every route answers
+    # and each report's own checks pass
+    a1xa3 = [[2 if a == b else -1 if min(a, b) >= 3 and abs(a - b) == 1 else 0
+              for b in range(6)] for a in range(6)]
+    for name, matrix, heights in (
+        ("a1xa2", [[2, 0, 0], [0, 2, -1], [0, -1, 2]], "0,0,1"),
+        ("a1cubedxa3", a1xa3, "0,0,0,0,1,2"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        code, report = run(
+            tmp_path, "qdatum", *command, "--cartan", str(path), "--height", heights
+        )
         assert (code, report.verdict) == (0, "Match")
-        return
-    assert code == 2
-    assert error_kind(report) == ("Error", "NotFiniteType")
-    assert "Coxeter number" in report.metadata["error"]["message"]
+        assert report.sections and all(s.agree for s in report.sections)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -407,16 +399,12 @@ def test_budget_env_must_be_an_integer(monkeypatch, capsys):
 
 def test_qdatum_phi_far_point_is_budgeted(tmp_path, monkeypatch):
     argv = ("qdatum", "phi", "--cartan", "a2", "--height", "1,0", "--point", "2,20000")
-    # the budget bounds the period walk (3 steps per vertex in A2), not the
-    # distance of the point from its height
-    monkeypatch.setenv("BRAIDSEED_BUDGET", "100")
-    code, report = run(tmp_path, *argv)
-    assert code == 0
-    assert section(report, "phi").left == {"root": [0, 1], "level": 6667}
+    # phi reads the Q-datum's extension index and walks nothing, so no
+    # budget bounds it, however far the point lies from its height
     monkeypatch.setenv("BRAIDSEED_BUDGET", "5")
     code, report = run(tmp_path, *argv)
-    assert code == 2
-    assert error_kind(report) == ("Error", "BudgetExhausted")
+    assert (code, report.verdict) == (0, "Match")
+    assert section(report, "phi").left == {"root": [0, 1], "level": 6667}
 
 
 def test_config_invalid_budget(tmp_path):

@@ -25,7 +25,6 @@ from braidseed.cartan import (
 )
 from braidseed.errors import (
     BraidseedError,
-    BudgetExhausted,
     DimensionMismatch,
     HeightParityViolation,
     NonContiguousWindow,
@@ -45,7 +44,6 @@ from braidseed.qdatum import (
     cartan_tilde,
     delta_window,
     extended_sequence,
-    injective_root,
     n_form,
     phi_inverse,
     phi_map,
@@ -419,6 +417,36 @@ def _all_heights(cd, b):
     return out
 
 
+def _blocks(*matrices):
+    n = sum(len(m) for m in matrices)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for m in matrices:
+        for a, row in enumerate(m):
+            out[at + a][at : at + len(row)] = row
+        at += len(m)
+    return out
+
+
+def component_coxeter_numbers(cd):
+    """vertex -> 2|R+_C|/|C|, C the connected component of the vertex:
+    the positive roots of a reducible system are each supported on one
+    component."""
+    roots = finite_type_data(cd).positive_roots
+    out = {}
+    for t, i in enumerate(cd.index_set):
+        component = {t}
+        for _ in cd.index_set:  # closure over the edges
+            component |= {u for s in component for u in range(cd.rank) if cd.matrix[s][u]}
+        count = sum(1 for beta in roots if any(beta[s] for s in component))
+        out[i] = 2 * count // len(component)
+    return out
+
+
+def largest_coxeter_number(cd):
+    return max(component_coxeter_numbers(cd).values())
+
+
 # name -> (context, b); every valid height with entries in [-b, b] is checked
 ORACLE_CONTEXTS = {
     "a1": (preset("a1"), 3),
@@ -426,30 +454,60 @@ ORACLE_CONTEXTS = {
     "a3": (preset("a3"), 3),
     "a4": (validate_cartan(_type_a(4)), 1),
     "d4": (validate_cartan(_type_d4()), 1),
+    # reducible, with no common Coxeter number: 2|R+|/|I| is 8/3 and 18/5
+    "a1xa2": (validate_cartan(_blocks([[2]], _type_a(2))), 1),
+    "a2xa3": (validate_cartan(_blocks(_type_a(2), _type_a(3))), 1),
 }
 ORACLE_HEIGHTS = {
     name: _all_heights(cd, b) for name, (cd, b) in ORACLE_CONTEXTS.items()
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_HEIGHTS))
-def test_injective_roots_are_read_from_one_closure_per_qdatum(name):
-    for qd in ORACLE_HEIGHTS[name]:
-        into = {i: {i} for i in qd.cartan.index_set}
-        for _ in qd.cartan.index_set:  # transitive closure of the arrows
-            for a, b in qd.arrows:
-                into[b] |= into[a]
-        for i in qd.cartan.index_set:
-            want = tuple(map(sum, zip(*(qd.cartan.simple_root(j) for j in into[i]))))
-            assert injective_root(qd, i) == want
-            # computed once per QDatum: every call returns the cached root
-            assert injective_root(qd, i) is injective_root(qd, i)
+def _adapted_pass(qd: QDatum) -> tuple:
+    """One full source-extraction pass: every vertex exactly once.
+
+    Extracted vertices are excluded even if reflection makes them
+    sources again; a remaining source always exists because the running
+    orientation stays acyclic.
+    """
+    order = []
+    remaining = set(qd.cartan.index_set)
+    running = qd
+    while remaining:
+        source = min(
+            (i for i in remaining if running.is_source(i)),
+            key=lambda i: qd.cartan.position[i],
+        )
+        order.append(source)
+        remaining.remove(source)
+        running = source_reflect(running, source)
+    return tuple(order)
+
+
+def injective_root(qd: QDatum, i):
+    """Sum of simple roots over vertices with an oriented path into i."""
+    cd = qd.cartan
+    reached = {i}
+    frontier = [i]
+    while frontier:
+        target = frontier.pop()
+        for a, b in qd.arrows:
+            if b == target and a not in reached:
+                reached.add(a)
+                frontier.append(a)
+    total = [0] * len(cd.index_set)
+    for j in reached:
+        for t, v in enumerate(cd.simple_root(j)):
+            total[t] += v
+    return tuple(total)
 
 
 def reflection_phi_map(qd, pt):
-    """Reference phi_map: each step applies the simple reflections of one
-    source-extraction pass one at a time, with no Coxeter matrix."""
-    order = qdatum._adapted_pass(qd)
+    """Reference phi_map: the base level of each vertex carries its
+    injective root at winding zero, and each 2 levels up (down) applies
+    (undoes) the simple reflections of one source-extraction pass one at a
+    time; a negative image is negated and moves the winding by 1."""
+    order = _adapted_pass(qd)
     steps = (pt.level - qd.height(pt.vertex)) // 2
     if steps < 0:
         order = tuple(reversed(order))
@@ -468,8 +526,9 @@ def reflection_phi_map(qd, pt):
 
 def search_phi_inverse(qd, root, level):
     """Reference phi_inverse, a bounded search: every level within
-    2h(|level| + 2) of each height, vertex by vertex, lowest level first."""
-    h = finite_type_data(qd.cartan).coxeter_number
+    2h(|level| + 2) of each height, vertex by vertex, lowest level first,
+    h the largest Coxeter number of a component."""
+    h = largest_coxeter_number(qd.cartan)
     bound = 2 * h * (abs(level) + 2)
     target = (tuple(root), level)
     for i in qd.cartan.index_set:
@@ -491,9 +550,10 @@ def outcome(f, *args):
 @pytest.mark.parametrize("name", sorted(ORACLE_CONTEXTS))
 def test_phi_map_matches_reflection_steps(name):
     cd, _ = ORACLE_CONTEXTS[name]
-    # a vertex's orbit has period at most h steps (2h levels), so offsets
-    # out to 10h levels read periods q <= -5 and q >= 5 of the table
-    reach = 10 * finite_type_data(cd).coxeter_number
+    # a vertex's orbit has period at most h steps (2h levels), h the
+    # largest Coxeter number of a component, so offsets out to 10h levels
+    # cover five periods each way
+    reach = 10 * largest_coxeter_number(cd)
     offsets = sorted(set(range(-12, 13, 2)) | set(range(-reach, reach + 1, 2)))
     for qd in ORACLE_HEIGHTS[name]:
         for i in cd.index_set:
@@ -526,16 +586,16 @@ def test_phi_inverse_undoes_phi_map_far_from_the_height(data):
     cd, _ = ORACLE_CONTEXTS[name]
     qd = data.draw(st.sampled_from(ORACLE_HEIGHTS[name]))
     i = data.draw(st.sampled_from(cd.index_set))
-    h = finite_type_data(cd).coxeter_number
+    h = largest_coxeter_number(cd)
     pt = RepetitionPoint(i, qd.height(i) + 2 * data.draw(st.integers(-5 * h, 5 * h)))
     root, level = phi_map(qd, pt)
     assert phi_inverse(qd, root, level) == pt
 
 
 def test_phi_inverse_round_trips_beyond_the_global_coxeter_number():
-    # A1^24 x A6: h = 2|R+|/|I| = 3 is below the A6 Coxeter number 7, so
-    # 40 steps down the last vertex the preimage lies beyond 2h(|level| + 2)
-    # levels; phi is injective, so phi_inverse needs no such bound
+    # A1^24 x A6: 2|R+|/|I| = 3 is below the A6 Coxeter number 7, so 40
+    # steps down the last vertex the preimage lies beyond 2h(|level| + 2)
+    # levels for h = 3; phi_inverse reads a position, with no such bound
     n = 30
     matrix = [[2 if a == b else -1 if a >= 24 and abs(a - b) == 1 and b >= 24 else 0
                for b in range(n)] for a in range(n)]
@@ -548,7 +608,9 @@ def test_phi_inverse_round_trips_beyond_the_global_coxeter_number():
 
 
 def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
-    counts = {"phi_map": 0, "_adapted_pass": 0}
+    # the one adapted pass is the adapted_word behind the Q-datum's
+    # extension index, which both maps read
+    counts = {"phi_map": 0, "adapted_word": 0}
     for fname in counts:
         real = getattr(qdatum, fname)
 
@@ -560,31 +622,34 @@ def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
     qd = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
     pt = RepetitionPoint(4, 2 + 2 * 17)
     root, level = qdatum.phi_map(qd, pt)
-    assert counts == {"phi_map": 1, "_adapted_pass": 1}
+    assert counts == {"phi_map": 1, "adapted_word": 1}
     assert phi_inverse(qd, root, level) == pt
     with pytest.raises(PointOutsideLattice):
         phi_inverse(qd, (0, 0, 0, 0), 2)
-    assert counts == {"phi_map": 1, "_adapted_pass": 1}
+    assert counts == {"phi_map": 1, "adapted_word": 1}
+    # on a fresh Q-datum phi_inverse alone builds the index once
+    fresh = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    for shift in range(-20, 21):
+        assert phi_inverse(fresh, root, level + shift) == RepetitionPoint(
+            4, pt.level + 6 * shift
+        )
+    assert counts == {"phi_map": 1, "adapted_word": 2}
 
 
 def test_phi_walks_count_against_the_budget(monkeypatch):
-    # both maps read one period per vertex (3 steps each in A2), walked
-    # once per QDatum whatever the level of the point
+    # both maps read the extension index and walk nothing, so they answer
+    # at any level even under a budget of 5
     far = RepetitionPoint(2, 300)
-    monkeypatch.setenv("BRAIDSEED_BUDGET", "100")
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "5")
     qd = validate_height(preset("a2"), (1, 0))
     root, level = phi_map(qd, far)
     assert (root, level) == ((1, 1), 100)
     assert phi_inverse(qd, root, level) == far
-    monkeypatch.setenv("BRAIDSEED_BUDGET", "5")
-    with pytest.raises(BudgetExhausted):
-        phi_map(validate_height(preset("a2"), (1, 0)), far)
-    with pytest.raises(BudgetExhausted):
-        phi_inverse(validate_height(preset("a2"), (1, 0)), root, level)
+    assert phi_inverse(validate_height(preset("a2"), (1, 0)), root, level) == far
 
 
 def test_phi_map_refuses_affine_orientations():
-    # affine A3: c has infinite order, so no orbit has a period
+    # affine A3 has no longest word, so there is no extension to index
     cycle = [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
     qd = validate_height(validate_cartan(cycle), (0, 1, 0, 1))
     for pt in (RepetitionPoint(1, 0), RepetitionPoint(1, 10), RepetitionPoint(2, -7)):
@@ -600,13 +665,14 @@ def test_phi_map_refuses_affine_orientations():
 
 
 def replay_adapted_word(qd):
-    """Reference adapted word: the level loop over (xi_{i*} - h, xi_i]."""
+    """Reference adapted word: the level loop over (xi_{i*} - h, xi_i], h
+    the Coxeter number of the component of i."""
     cd = qd.cartan
     data = finite_type_data(cd)
-    h = qdatum._coxeter_number(cd)
+    h = component_coxeter_numbers(cd)
     points = []
     for i in cd.index_set:
-        lower = qd.height(data.star_of(cd, i)) - h
+        lower = qd.height(data.star_of(cd, i)) - h[i]
         p = qd.height(i)
         while p > lower:
             points.append((-p, cd.position[i], i))
@@ -694,6 +760,7 @@ EXTENSION_CONTEXTS = {
     "a4": validate_cartan(_type_a(4)),
     "d4": validate_cartan(_type_d4()),
     "a1xa1": preset("a1xa1"),
+    "a1xa2": validate_cartan(_blocks([[2]], _type_a(2))),
 }
 
 
@@ -740,55 +807,45 @@ def test_extension_index_matches_the_replays_and_walks(data):
 
 
 def test_extension_index_refuses_like_the_replays_without_a_coxeter_number():
-    # A1 x A2: 2|R+|/|I| = 8/3
-    qd = validate_height(validate_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]]), (0, 0, 1))
+    # A1 x A2: 2|R+|/|I| = 8/3 is no Coxeter number, but each component
+    # has its own (2 and 3), so the index and the replays agree
+    qd = validate_height(validate_cartan(_blocks([[2]], _type_a(2))), (0, 0, 1))
     pt = RepetitionPoint(2, 0)
-    want = result(replay_pk_sequence, qd, -2, 2)
-    assert want[0] == "NotFiniteType"
-    assert result(pk_sequence, qd, -2, 2) == want
-    assert result(qdatum._position_of_point, qd, pt) == result(walk_position_of_point, qd, pt)
-    assert result(b_hl, qd, [pt]) == result(walk_b_hl, qd, [pt])
-    assert result(b_hl, qd, [pt]) == want
-
-
-def _blocks(*matrices):
-    n = sum(len(m) for m in matrices)
-    out = [[0] * n for _ in range(n)]
-    at = 0
-    for m in matrices:
-        for a, row in enumerate(m):
-            out[at + a][at : at + len(row)] = row
-        at += len(m)
-    return out
+    assert pk_sequence(qd, -8, 8) == replay_pk_sequence(qd, -8, 8)
+    assert qdatum._position_of_point(qd, pt) == walk_position_of_point(qd, pt)
+    window = pk_sequence(qd, 3, 6)
+    assert b_hl(qd, window) == walk_b_hl(qd, window)
+    assert b_hl(qd, [pt]) == walk_b_hl(qd, [pt])
 
 
 @pytest.mark.parametrize(
     "matrix,heights",
     [
-        # h = 3 is no component's Coxeter number (A1: 2, A3: 4): the
-        # windows would hold 12 letters for 9 roots
+        # 2|R+|/|I| = 3 is no component's Coxeter number (A1: 2, A3: 4):
+        # with it the windows would hold 12 letters for 9 roots
         (_blocks([[2]], [[2]], [[2]], _type_a(3)), (0, 0, 0, 0, 1, 2)),
-        # h = 4 again differs from every component's (A1: 2, D4: 6), but
-        # by an even step, so each window still has |R+| = 16 points
+        # 2|R+|/|I| = 4 again differs from every component's (A1: 2, D4: 6)
         (_blocks(_type_d4(), [[2]], [[2]], [[2]], [[2]]), (0, 1, 0, 0, 0, 0, 0, 0)),
-        # A1^24 x A6: h = 3
+        # A1^24 x A6: 2|R+|/|I| = 3
         (_blocks(*[[[2]]] * 24, _type_a(6)), (0,) * 24 + (0, 1, 2, 3, 4, 5)),
     ],
     ids=["a1^3xa3", "d4xa1^4", "a1^24xa6"],
 )
 def test_windows_need_h_to_be_every_components_coxeter_number(matrix, heights):
+    # each vertex's windows step by its own component's Coxeter number, so
+    # no common h is needed and every route answers
     qd = validate_height(validate_cartan(matrix), heights)
+    cd = qd.cartan
+    count = len(finite_type_data(cd).positive_roots)
+    word = adapted_word(qd)
+    assert word == replay_adapted_word(qd)
+    assert word.length == count and roots_of_word(cd, word.letters).all_positive
+    for k in (-1, 0, 1):
+        assert len(delta_window(qd, k)) == count
+    assert set(pk_sequence(qd, 1, count)) == delta_window(qd, 0)
     pt = RepetitionPoint(1, heights[0])
-    for call in (
-        lambda: adapted_word(qd),
-        lambda: delta_window(qd, 0),
-        lambda: pk_sequence(qd, 1, 3),
-        lambda: b_hl(qd, [pt]),
-    ):
-        with pytest.raises(NotFiniteType, match="Coxeter number"):
-            call()
-    # phi reads per-vertex orbit periods, which need no common h
-    for i in qd.cartan.index_set:
+    assert b_hl(qd, [pt]) == walk_b_hl(qd, [pt])
+    for i in cd.index_set:
         far = RepetitionPoint(i, qd.height(i) - 6)
         assert phi_inverse(qd, *phi_map(qd, far)) == far
 

@@ -114,6 +114,18 @@ def test_parse_rejects_foreign_payloads():
                 {"schema": "braidseed-report/1", "verdict": "Maybe", "sections": []}
             ).encode()
         )
+    head = {"schema": "braidseed-report/1", "verdict": "Match"}
+    for payload in (
+        head,  # no sections
+        [head],  # not an object
+        "braidseed-report/1",
+        {**head, "sections": [{"left": 1, "right": 1}], "metadata": {}},  # no name
+        {**head, "sections": [["a", 1, 1]], "metadata": {}},
+        {**head, "sections": 3, "metadata": {}},
+        {**head, "sections": []},  # no metadata
+    ):
+        with pytest.raises(ConfigInvalid):
+            parse_report(json.dumps(payload).encode())
 
 
 def test_emit_rejects_unknown_format():

@@ -472,8 +472,19 @@ def test_ibox_vector_counts_letter_occurrences():
 def test_move_json_round_trip():
     for move in (Move(MoveKind.TWO, 3), Move(MoveKind.THREE, 1), Move(MoveKind.FOUR, 5)):
         assert move_from_json(move_to_json(move)) == move
-    with pytest.raises(MoveNotApplicable):
-        move_from_json({"kind": "6", "pos": 1})
+    for payload in (
+        {"kind": "6", "pos": 1},
+        {"kind": [1], "pos": 1},
+        {"kind": 3, "pos": 1},
+        {"kind": "2"},
+        {"kind": "2", "pos": "x"},
+        {"kind": "2", "pos": "1"},
+        {"kind": "2", "pos": 1.7},
+        {"kind": "2", "pos": True},
+        [{"kind": "2", "pos": 1}],
+    ):
+        with pytest.raises(MoveNotApplicable):
+            move_from_json(payload)
 
 
 # Scanning reference copies of the positional readers as they were before
