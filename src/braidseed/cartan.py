@@ -2,6 +2,11 @@
 
 Root vectors are plain integer tuples in the simple-root basis, ordered like
 the index set of the ambient :class:`CartanData`.  All arithmetic is exact.
+
+Every root a word defines comes from one walk, _WeylWalk, which keeps
+w(alpha_i) for every vertex i as letters are appended to w: the roots
+beta_k of a word, its reducedness and its Weyl element, and for finite
+type w0, the positive roots and the star involution.
 """
 from __future__ import annotations
 
@@ -10,13 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, NotFiniteType, NotGCM, NotSymmetrizable
 
 RootVector = tuple  # integer coordinates over the index set
-
-_ORBIT_BOUND = 10_000  # finite-type detection: orbit closure larger than this aborts
 
 
 @dataclass(frozen=True)
@@ -196,28 +199,52 @@ def weyl_act(cd: CartanData, letters: Sequence, x: Sequence[int]) -> RootVector:
     return v
 
 
+class _WeylWalk:
+    """The images w(alpha_i) of every simple root, in index-set order, as
+    letters are appended to w, starting from the identity.
+
+    Appending j sends w(alpha_i) to w(alpha_i) - c_ji w(alpha_j), so the
+    root beta_k = w_{k-1}(alpha_{i_k}) is the image of i_k read just
+    before i_k is appended.  The roots are the inversions of the word, all
+    positive exactly when it is reduced (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.6-1.7).
+    """
+
+    def __init__(self, cd: CartanData, letters: Sequence = ()):
+        self.cd = cd
+        self.images = [cd.simple_root(i) for i in cd.index_set]
+        self.roots: list = []
+        for j in letters:
+            self.append(j)
+
+    def append(self, j) -> None:
+        p = self.cd.position[j]
+        beta = self.images[p]
+        self.roots.append(beta)
+        self.images = [
+            x if c == 0 else tuple(a - c * b for a, b in zip(x, beta))
+            for x, c in zip(self.images, self.cd.matrix[p])
+        ]
+
+    @property
+    def reduced(self) -> bool:
+        return all(min(beta) >= 0 for beta in self.roots)
+
+
 class WordRoots(NamedTuple):
     roots: tuple
     all_positive: bool
 
 
 def roots_of_word(cd: CartanData, letters: Sequence) -> WordRoots:
-    """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) together with a positivity certificate.
+    """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) together with a positivity certificate,
+    read off one _WeylWalk along the word.
 
     All beta_k positive is exactly the Weyl-reducedness certificate; positive
     roots of a reduced word are automatically pairwise distinct.
     """
-    roots = []
-    prefix: list = []
-    for k, i in enumerate(letters):
-        roots.append(weyl_act(cd, prefix, cd.simple_root(i)))
-        prefix.append(i)
-    positive = all(all(c >= 0 for c in beta) for beta in roots)
-    return WordRoots(tuple(roots), positive)
-
-
-def is_positive_root_vector(beta: Sequence[int]) -> bool:
-    return all(c >= 0 for c in beta) and any(c > 0 for c in beta)
+    walk = _WeylWalk(cd, letters)
+    return WordRoots(tuple(walk.roots), walk.reduced)
 
 
 @dataclass(frozen=True)
@@ -229,23 +256,6 @@ class FiniteTypeData:
 
     def star_of(self, cd: CartanData, i):
         return self.star[cd.position[i]]
-
-
-def _positive_root_closure(cd: CartanData) -> set:
-    roots = {cd.simple_root(i) for i in cd.index_set}
-    frontier = list(roots)
-    while frontier:
-        beta = frontier.pop()
-        for i in cd.index_set:
-            gamma = reflect_root(cd, i, beta)
-            if all(c >= 0 for c in gamma) and gamma not in roots:
-                roots.add(gamma)
-                frontier.append(gamma)
-                if len(roots) > _ORBIT_BOUND:
-                    raise NotFiniteType(
-                        f"positive-root closure exceeded {_ORBIT_BOUND} roots"
-                    )
-    return roots
 
 
 def _first_nonpositive_minor(cd: CartanData) -> Optional[tuple]:
@@ -280,13 +290,14 @@ def finite_type_data(cd: CartanData) -> FiniteTypeData:
 def _finite_type_data(cd: CartanData) -> FiniteTypeData:
     """The uncached body of finite_type_data.
 
-    Data that is not of finite type is refused before the roots are
-    closed, by the leading principal minors of the symmetrized matrix.
-
-    The w0 word is built greedily: always append the smallest index whose
-    simple root is kept positive, which terminates exactly at w0.  The
-    Coxeter number 2|R+|/|I| is stored only when it is an integer (it always
-    is for irreducible types).
+    Data that is not of finite type is refused first, by the leading
+    principal minors of the symmetrized matrix.  The rest is one greedy
+    _WeylWalk: always append the smallest index whose image w(alpha_i) is
+    still positive.  In a finite Weyl group that walk is reduced and stops
+    exactly at w0, after |R+| letters, so its roots are the positive roots
+    and its final images are w0(alpha_i) = -alpha_{i*}, which give the star.
+    The Coxeter number 2|R+|/|I| is stored only when it is an integer (it
+    always is for irreducible types).
     """
     minor = _first_nonpositive_minor(cd)
     if minor is not None:
@@ -294,40 +305,17 @@ def _finite_type_data(cd: CartanData) -> FiniteTypeData:
             "symmetrized Cartan matrix is not positive definite: leading "
             f"principal minor of order {minor[0]} is {minor[1]}"
         )
-    roots = _positive_root_closure(cd)
-    word: list = []
-    while True:
-        chosen = None
-        for i in cd.index_set:
-            if is_positive_root_vector(weyl_act(cd, word, cd.simple_root(i))):
-                chosen = i
-                break
-        if chosen is None:
-            break
-        word.append(chosen)
-        if len(word) > len(roots):
-            raise NotFiniteType("descent walk exceeded the root count")
-    if len(word) != len(roots):
-        raise NotFiniteType("longest-word length disagrees with |R+|")
-    star = []
-    for i in cd.index_set:
-        image = weyl_act(cd, word, cd.simple_root(i))
-        neg = tuple(-c for c in image)
-        target = None
-        for j in cd.index_set:
-            if neg == cd.simple_root(j):
-                target = j
-                break
-        if target is None:
-            raise NotFiniteType("w0 does not send a simple root to minus a simple root")
-        star.append(target)
-    twice = 2 * len(roots)
+    walk, word = _WeylWalk(cd), []
+    while ascents := [i for i, x in zip(cd.index_set, walk.images) if min(x) >= 0]:
+        word.append(ascents[0])
+        walk.append(ascents[0])
+    star = tuple(cd.index_set[x.index(-1)] for x in walk.images)
+    twice = 2 * len(word)
     h = twice // cd.rank if twice % cd.rank == 0 else None
-    ordered = tuple(sorted(roots, key=lambda r: (sum(r), r)))
     return FiniteTypeData(
-        positive_roots=ordered,
+        positive_roots=tuple(sorted(walk.roots, key=lambda r: (sum(r), r))),
         longest_word=tuple(word),
-        star=tuple(star),
+        star=star,
         coxeter_number=h,
     )
 

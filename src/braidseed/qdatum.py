@@ -232,6 +232,8 @@ def in_lattice(qd: QDatum, pt: RepetitionPoint) -> bool:
 def _require_point(qd: QDatum, pt: RepetitionPoint) -> None:
     if pt.vertex not in qd.cartan.position:
         raise PointOutsideLattice(f"{pt}: vertex {pt.vertex!r} is not in the index set")
+    if type(pt.level) is not int:
+        raise PointOutsideLattice(f"{pt}: level {pt.level!r} is not an integer")
     if not in_lattice(qd, pt):
         raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
 

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .cartan import CartanData, roots_of_word, weyl_act
+from .cartan import CartanData, _WeylWalk, roots_of_word
 from .errors import (
     BudgetExhausted,
     ConfigInvalid,
@@ -263,6 +263,9 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     returns the unpruned search's path.  Non-reduced words carry constant
     labels: no move is up, and the first round is final.
 
+    The refusals read one cartan._WeylWalk per word: its roots, and for the
+    Weyl element its final images w(alpha_i).
+
     Works on letter tuples with one rewrite table per call, built from
     _relation_window for the letter pairs of start (moves never add
     letters).  Each word's moves are tried in ascending position, at most one
@@ -271,19 +274,16 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     """
     if start.letters == target:
         return "found", []
-    roots, goal = roots_of_word(cd, start.letters), roots_of_word(cd, target)
-    if roots.all_positive != goal.all_positive:
+    walk, goal = _WeylWalk(cd, start.letters), _WeylWalk(cd, target)
+    if walk.reduced != goal.reduced:
         return "exhausted", None
     start_labels = (0,) * len(target)  # non-reduced: no move is up, one round
-    if roots.all_positive:
+    if walk.reduced:
         order = {beta: t for t, beta in enumerate(goal.roots)}
-        if order.keys() != set(roots.roots):
+        if order.keys() != set(walk.roots):
             return "exhausted", None
-        start_labels = tuple(order[beta] for beta in roots.roots)
-    elif any(
-        weyl_act(cd, start.letters, x) != weyl_act(cd, target, x)
-        for x in map(cd.simple_root, cd.index_set)
-    ):
+        start_labels = tuple(order[beta] for beta in walk.roots)
+    elif walk.images != goal.images:
         return "exhausted", None
     rules = {}  # (i, j) -> (window, rewrite, kind) for pairs with a supported move
     alphabet = set(start.letters)
@@ -346,6 +346,8 @@ def find_move_path(
     definitive=False once the budget of words discovered, over all rounds
     of _bfs, is spent.
     """
+    _check_letters(cd, w)
+    _check_letters(cd, w2)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         raise NotConnected("words of different lengths", definitive=True)
@@ -369,6 +371,8 @@ def words_equal_in_monoid(
     have different inversion sets, or two non-reduced words have different
     Weyl elements.
     """
+    _check_letters(cd, w)
+    _check_letters(cd, w2)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         return False

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidseed import cartan
 from braidseed.cartan import (
+    FiniteTypeData,
     bilinear_form,
     cartan_from_json,
     cartan_to_json,
@@ -203,23 +206,161 @@ def test_affine_matrix_not_finite_type():
 
 
 def test_affine_data_is_refused_before_the_roots_are_closed(monkeypatch):
-    closures = []
-    closure = cartan._positive_root_closure
+    steps = []
+    append = cartan._WeylWalk.append
     monkeypatch.setattr(
-        cartan, "_positive_root_closure", lambda cd: closures.append(cd) or closure(cd)
+        cartan._WeylWalk, "append", lambda walk, j: steps.append(j) or append(walk, j)
     )
     affine_a3 = validate_cartan(
         [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
     )
     with pytest.raises(NotFiniteType, match="not positive definite"):
         finite_type_data(affine_a3)
-    assert closures == []
+    assert steps == []
     finite_type_data(preset("b3"))
-    assert len(closures) == 1
+    assert len(steps) >= 1
     # hyperbolic: minors 2, 3, then the determinant -8
     hyperbolic = validate_cartan([[2, -1, -1], [-1, 2, -2], [-1, -2, 2]])
     with pytest.raises(NotFiniteType, match="minor of order 3 is -8"):
         finite_type_data(hyperbolic)
+
+
+def dynkin(n, edges):
+    """Cartan matrix on 1..n from edges (i, j, c_ij, c_ji)."""
+    m = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
+    for i, j, cij, cji in edges:
+        m[i - 1][j - 1], m[j - 1][i - 1] = cij, cji
+    return m
+
+
+def type_a(n):
+    return dynkin(n, [(k, k + 1, -1, -1) for k in range(1, n)])
+
+
+def type_b(n):
+    return dynkin(n, [(k, k + 1, -1, -1) for k in range(1, n - 1)] + [(n - 1, n, -1, -2)])
+
+
+def type_c(n):
+    return [list(row) for row in zip(*type_b(n))]
+
+
+def type_d(n):
+    return dynkin(n, [(k, k + 1, -1, -1) for k in range(1, n - 1)] + [(n - 2, n, -1, -1)])
+
+
+def type_e(n):
+    return dynkin(n, [(1, 3, -1, -1), (2, 4, -1, -1)] + [(k, k + 1, -1, -1) for k in range(3, n)])
+
+
+def block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for a, row in enumerate(b):
+            m[start + a][start : start + len(b)] = row
+        start += len(b)
+    return m
+
+
+def finite_matrices():
+    out = [type_a(n) for n in range(1, 9)]
+    out += [type_b(n) for n in range(2, 8)]
+    out += [type_c(n) for n in range(3, 8)]
+    out += [type_d(n) for n in range(4, 9)]
+    out += [type_e(n) for n in range(6, 9)]
+    out += [dynkin(4, [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)])]  # F4
+    out += [cartan.PRESET_MATRICES["g2"]]
+    out += [
+        block_sum(type_a(1), type_a(1)),
+        block_sum(type_a(1), type_a(2)),
+        block_sum(type_a(2), type_b(2)),
+        block_sum(type_a(1), type_a(1), type_a(1)),
+        block_sum(type_a(3), cartan.PRESET_MATRICES["g2"]),
+    ]
+    return out
+
+
+def old_finite_type_data(cd):
+    """The closure, greedy replay and star search that the walk replaced."""
+    roots = {cd.simple_root(i) for i in cd.index_set}
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for i in cd.index_set:
+            gamma = reflect_root(cd, i, beta)
+            if all(c >= 0 for c in gamma) and gamma not in roots:
+                roots.add(gamma)
+                frontier.append(gamma)
+    word = []
+    while True:
+        ascents = [
+            i
+            for i in cd.index_set
+            if all(c >= 0 for c in weyl_act(cd, word, cd.simple_root(i)))
+        ]
+        if not ascents:
+            break
+        word.append(ascents[0])
+    assert len(word) == len(roots)
+    star = []
+    for i in cd.index_set:
+        neg = tuple(-c for c in weyl_act(cd, word, cd.simple_root(i)))
+        (target,) = [j for j in cd.index_set if cd.simple_root(j) == neg]
+        star.append(target)
+    twice = 2 * len(roots)
+    return FiniteTypeData(
+        positive_roots=tuple(sorted(roots, key=lambda r: (sum(r), r))),
+        longest_word=tuple(word),
+        star=tuple(star),
+        coxeter_number=twice // cd.rank if twice % cd.rank == 0 else None,
+    )
+
+
+def test_the_walk_gives_the_old_finite_type_data():
+    matrices = finite_matrices()
+    rng = random.Random(14)
+    cases = [validate_cartan(m) for m in matrices]
+    for _ in range(20):
+        m = rng.choice([m for m in matrices if len(m) <= 6])
+        order = rng.sample(range(len(m)), len(m))
+        labels = [f"v{rng.randrange(100)}_{a}" for a in range(len(m))]
+        rng.shuffle(labels)
+        permuted = [[m[a][b] for b in order] for a in order]
+        cases.append(validate_cartan(permuted, index_set=labels))
+    assert len(cases) == 54
+    for cd in cases:
+        assert finite_type_data(cd) == old_finite_type_data(cd)
+    refused = [
+        ("2 is 0", [[2, -2], [-2, 2]]),  # affine A1
+        ("4 is 0", [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]),
+        ("3 is -8", [[2, -1, -1], [-1, 2, -2], [-1, -2, 2]]),  # hyperbolic
+        ("2 is 0", [[2, -1], [-4, 2]]),
+    ]
+    for message, m in refused:
+        with pytest.raises(NotFiniteType, match=f"leading principal minor of order {message}"):
+            finite_type_data(validate_cartan(m))
+
+
+WALK_TYPES = {name: preset(name) for name in ("a2", "b2", "c2", "g2", "a3", "b3", "c3")}
+WALK_TYPES["a4"] = validate_cartan(type_a(4))
+WALK_TYPES["d4"] = validate_cartan(type_d(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_walk_agrees_with_prefix_replays(data):
+    cd = WALK_TYPES[data.draw(st.sampled_from(sorted(WALK_TYPES)))]
+    letters = data.draw(st.lists(st.sampled_from(cd.index_set), max_size=12))
+    roots = tuple(
+        weyl_act(cd, letters[:k], cd.simple_root(i)) for k, i in enumerate(letters)
+    )
+    positive = all(all(c >= 0 for c in beta) for beta in roots)
+    assert roots_of_word(cd, letters) == (roots, positive)
+    assert cartan._WeylWalk(cd, letters).images == [
+        weyl_act(cd, letters, cd.simple_root(i)) for i in cd.index_set
+    ]
 
 
 def test_minors_agree_with_the_rank_two_classification():

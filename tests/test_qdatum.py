@@ -199,6 +199,13 @@ def test_phi_base_and_steps():
     assert phi_map(a1, RepetitionPoint(1, 5)) == ((1,), 1)
     with pytest.raises(PointOutsideLattice):
         phi_map(qd, RepetitionPoint(1, 0))
+    # an even-parity float level is not a lattice point either
+    for call in (
+        lambda: phi_map(qd, RepetitionPoint(1, 3.0)),
+        lambda: b_hl(qd, (RepetitionPoint(1, 3.0),)),
+    ):
+        with pytest.raises(PointOutsideLattice, match="level 3.0 is not an integer"):
+            call()
 
 
 def test_phi_matches_word_roots():
@@ -375,6 +382,8 @@ def test_a_monomial():
     assert exps == {RepetitionPoint(1, 0): 1, RepetitionPoint(1, 2): 1}
     with pytest.raises(PointOutsideLattice):
         a_monomial(qd, 1, 1)
+    with pytest.raises(PointOutsideLattice, match="level 0.0 is not an integer"):
+        a_monomial(qd, 2, 1.0)
 
 
 def test_w0_height_action():

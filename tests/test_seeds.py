@@ -83,8 +83,18 @@ def test_gls_matrix_a2_example():
         gls_matrix,
         initial_seed,
         lambda cd, w: tsystem_check(cd, w, IBox(1, 3)),
+        lambda cd, w: find_move_path(cd, w, Word((1, 2, 1), BRAID)),
+        lambda cd, w: words.words_equal_in_monoid(cd, Word((1, 2, 1), BRAID), w),
+        lambda cd, w: seed_equivalence_report(cd, w, Word((1, 2, 1), BRAID)),
     ],
-    ids=["gls_matrix", "initial_seed", "tsystem_check"],
+    ids=[
+        "gls_matrix",
+        "initial_seed",
+        "tsystem_check",
+        "find_move_path",
+        "words_equal_in_monoid",
+        "seed_equivalence_report",
+    ],
 )
 def test_letters_outside_the_index_set_are_refused(build):
     with pytest.raises(InvalidBox, match="letter 9 not in the index set"):
