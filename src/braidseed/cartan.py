@@ -6,7 +6,9 @@ the index set of the ambient :class:`CartanData`.  All arithmetic is exact.
 Every root a word defines comes from one walk, _WeylWalk, which keeps
 w(alpha_i) for every vertex i as letters are appended to w: the roots
 beta_k of a word, its reducedness and its Weyl element, and for finite
-type w0, the positive roots and the star involution.
+type w0, the positive roots and the star involution.  roots_of_word,
+weyl_act and reflect_root refuse a letter outside the index set with
+InvalidBox.
 """
 from __future__ import annotations
 
@@ -17,7 +19,13 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatch, NotFiniteType, NotGCM, NotSymmetrizable
+from .errors import (
+    DimensionMismatch,
+    InvalidBox,
+    NotFiniteType,
+    NotGCM,
+    NotSymmetrizable,
+)
 
 RootVector = tuple  # integer coordinates over the index set
 
@@ -180,22 +188,34 @@ def bilinear_form(cd: CartanData, x: Sequence[int], y: Sequence[int]) -> int:
     return total
 
 
-def reflect_root(cd: CartanData, i, x: Sequence[int]) -> RootVector:
-    """Simple reflection s_i acting on root coordinates: x - (sum_j x_j c_ij) alpha_i."""
+def _check_letters(cd: CartanData, letters) -> None:
+    """Refuse the first letter outside the index set with InvalidBox."""
+    for i in letters:
+        if i not in cd.position:
+            raise InvalidBox(f"letter {i!r} not in the index set")
+
+
+def _reflect(cd: CartanData, p: int, x: Sequence[int]) -> RootVector:
     if len(x) != cd.rank:
         raise DimensionMismatch("root vector length mismatch")
-    p = cd.position[i]
     coeff = sum(x[j] * cd.matrix[p][j] for j in range(cd.rank))
     out = list(x)
     out[p] -= coeff
     return tuple(out)
 
 
+def reflect_root(cd: CartanData, i, x: Sequence[int]) -> RootVector:
+    """Simple reflection s_i acting on root coordinates: x - (sum_j x_j c_ij) alpha_i."""
+    _check_letters(cd, (i,))
+    return _reflect(cd, cd.position[i], x)
+
+
 def weyl_act(cd: CartanData, letters: Sequence, x: Sequence[int]) -> RootVector:
     """Apply s_{i_1} s_{i_2} ... s_{i_k} to x (rightmost reflection first)."""
+    _check_letters(cd, letters)
     v = tuple(x)
     for i in reversed(letters):
-        v = reflect_root(cd, i, v)
+        v = _reflect(cd, cd.position[i], v)
     return v
 
 
@@ -243,6 +263,7 @@ def roots_of_word(cd: CartanData, letters: Sequence) -> WordRoots:
     All beta_k positive is exactly the Weyl-reducedness certificate; positive
     roots of a reduced word are automatically pairwise distinct.
     """
+    _check_letters(cd, letters)
     walk = _WeylWalk(cd, letters)
     return WordRoots(tuple(walk.roots), walk.reduced)
 

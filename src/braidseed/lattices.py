@@ -5,10 +5,10 @@ U^-1 along; ``seeds.solve_lambda`` uses it to solve the pairing system in
 the left-kernel coordinates of the exchange columns.  The canonical
 smallest point of an affine lattice x0 + span(kernel) is selected by an
 iterative-deepening search on the max-norm over the echelonized kernel
-basis.  Each basis vector is zero above its pivot row, so a coordinate is
-final once every vector that reaches it has its coefficient; the search
-checks coordinates as they become final and drops a branch as soon as they
-rule it out.  Its nodes are counted against the shared search budget
+basis.  A coordinate is final once the last basis vector that touches it
+has its coefficient; the search checks each coordinate then, moving one
+point in place, and drops a branch as soon as its final coordinates rule
+it out.  Its nodes are counted against the shared search budget
 (``BRAIDSEED_BUDGET``), and running out raises BudgetExhausted.  All
 arithmetic stays in Python integers.
 """
@@ -111,32 +111,44 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
     iterative deepening on the max-norm over the echelonized kernel
     lattice, which makes the coefficient ranges finite at each radius.
 
-    Coordinates are checked against the radius as soon as they are final,
-    and a branch whose final coordinates already hold more entries at the
-    radius than the best solution found so far is dropped: it loses on the
-    first part of the canonical order.  For the same reason only the leaves
-    with the fewest entries at the radius are kept and ranked by the full
-    order.  Raises BudgetExhausted when the search visits more than
-    default_budget() nodes.
+    A coordinate is final once the last basis vector that touches it has
+    its coefficient; coordinates no vector touches are checked once per
+    radius, before the search.  The search moves one point in place, adding
+    each coefficient times its vector over the vector's support and undoing
+    it on return, and copies the point only at a leaf.  A branch whose
+    final coordinates already hold more entries at the radius than the best
+    solution found so far is dropped: it loses on the first part of the
+    canonical order.  For the same reason only the leaves with the fewest
+    entries at the radius are kept and ranked by the full order.  Raises
+    BudgetExhausted when the search visits more than default_budget()
+    nodes.
     """
-    x0 = list(x0)
-    n = len(x0)
+    current = list(x0)
+    n = len(current)
     if not kernel:
-        return x0
+        return current
     basis, pivot_rows = _echelon_kernel(kernel, n)
-    x0 = _size_reduce(x0, basis, pivot_rows)
-    ceiling = max(abs(v) for v in x0) if x0 else 0
+    current = _size_reduce(current, basis, pivot_rows)
+    ceiling = max(map(abs, current)) if current else 0
     budget = default_budget()
     support = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
-    # coordinates in [final_from[d], final_from[d + 1]) are final after depth d
-    final_from = pivot_rows + [n]
+    last_touch = [-1] * n
+    for depth, vec in enumerate(support):
+        for i, _ in vec:
+            last_touch[i] = depth
+    # final[d]: the coordinates that are final once vector d has its coefficient
+    final = [
+        [(i, v) for i, v in vec if last_touch[i] == depth]
+        for depth, vec in enumerate(support)
+    ]
+    untouched = [abs(current[i]) for i in range(n) if last_touch[i] < 0]
     nodes = 0
 
     def search(radius: int) -> list:
         found = []
         best = n + 1  # fewest entries at the radius among the solutions found
 
-        def dfs(depth: int, current: list, at_radius: int) -> None:
+        def dfs(depth: int, at_radius: int) -> None:
             nonlocal nodes, best
             nodes += 1
             if nodes > budget:
@@ -149,7 +161,7 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
                 if at_radius < best:
                     best = at_radius
                     found.clear()
-                found.append(current)
+                found.append(list(current))
                 return
             p = pivot_rows[depth]
             step = basis[depth][p]
@@ -158,24 +170,24 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
             # and Python floor division handles negative numerators
             lo = -((radius + base) // step)
             hi = (radius - base) // step
-            final = range(p, final_from[depth + 1])
+            vec, checks = support[depth], final[depth]
             for coeff in range(lo, hi + 1):
-                nxt = list(current)
-                for i, v in support[depth]:
-                    nxt[i] += coeff * v
                 count = at_radius
-                for i in final:
-                    size = abs(nxt[i])
+                for i, v in checks:
+                    size = abs(current[i] + coeff * v)
                     if size > radius:
                         break
                     count += size == radius
                 else:
                     if count <= best:
-                        dfs(depth + 1, nxt, count)
+                        for i, v in vec:
+                            current[i] += coeff * v
+                        dfs(depth + 1, count)
+                        for i, v in vec:
+                            current[i] -= coeff * v
 
-        head = [abs(v) for v in x0[: pivot_rows[0]]]
-        if all(v <= radius for v in head):
-            dfs(0, x0, head.count(radius))
+        if all(v <= radius for v in untouched):
+            dfs(0, untouched.count(radius))
         return found
 
     radius = 0
@@ -185,14 +197,11 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
             break
         radius += 1
         if radius > ceiling:
-            candidates = [x0]
+            candidates = [current]
             break
 
     def key(x: list):
-        return (
-            sorted((abs(v) for v in x), reverse=True),
-            [abs(v) for v in x],
-            [0 if v >= 0 else 1 for v in x],
-        )
+        sizes = list(map(abs, x))
+        return sorted(sizes, reverse=True), sizes, [v < 0 for v in x]
 
     return min(candidates, key=key)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from operator import mul
 from typing import Optional, Sequence
 
-from .cartan import CartanData
+from .cartan import CartanData, _check_letters
 from .errors import (
     ExchangeSetNotPreserved,
     FrozenIndex,
@@ -47,7 +47,6 @@ from .words import (
     MoveKind,
     Word,
     _box_vector,
-    _check_letters,
     _move_window,
     apply_move,
     find_move_path,
@@ -94,7 +93,7 @@ def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
     when l- < k- < l < k, its negative when k- < l- < k < l, else 0.
     A letter outside the index set raises InvalidBox.
     """
-    _check_letters(cd, w)
+    _check_letters(cd, w.positions)
     n = w.length
     minus = [0] + [w.before(s, i) for s, i in enumerate(w.letters, 1)]
     rows = []
@@ -490,7 +489,7 @@ def move_to_mutation_script(cd: CartanData, w: Word, m: Move) -> MutationScript:
     and the double transposition of both window slot pairs.  Every script
     index must be an exchange slot of w.
     """
-    _check_letters(cd, w)
+    _check_letters(cd, w.positions)
     i, j, p = _move_window(w, m, cd)
     n = w.length
     if m.kind is MoveKind.TWO:
@@ -681,7 +680,7 @@ def tsystem_check(
     boxed terms; otherwise it raises MinorNotReachable.  A letter outside
     the index set or the empty box raises InvalidBox.
     """
-    _check_letters(cd, w)
+    _check_letters(cd, w.positions)
     if isinstance(box, EmptyBox):
         raise InvalidBox("the empty box has no T-system identity")
     resolved = resolve_ibox(w, box)

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .cartan import CartanData, _WeylWalk, roots_of_word
+from .cartan import CartanData, _check_letters, _WeylWalk, roots_of_word
 from .errors import (
     BudgetExhausted,
     ConfigInvalid,
@@ -97,16 +97,9 @@ class Word:
         return Word(tuple(out), self.kind)
 
 
-def _check_letters(cd: CartanData, w: Word) -> None:
-    """Refuse the first letter of w outside the index set with InvalidBox."""
-    for i in w.positions:
-        if i not in cd.position:
-            raise InvalidBox(f"letter {i!r} not in the index set")
-
-
 def validate_word(cd: CartanData, w: Word) -> None:
     """Check letters lie in the index set; WeylReduced words must be reduced."""
-    _check_letters(cd, w)
+    _check_letters(cd, w.positions)
     if w.kind is WordKind.WEYL_REDUCED:
         if not roots_of_word(cd, w.letters).all_positive:
             raise MoveNotApplicable(
@@ -346,8 +339,8 @@ def find_move_path(
     definitive=False once the budget of words discovered, over all rounds
     of _bfs, is spent.
     """
-    _check_letters(cd, w)
-    _check_letters(cd, w2)
+    _check_letters(cd, w.positions)
+    _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         raise NotConnected("words of different lengths", definitive=True)
@@ -371,8 +364,8 @@ def words_equal_in_monoid(
     have different inversion sets, or two non-reduced words have different
     Weyl elements.
     """
-    _check_letters(cd, w)
-    _check_letters(cd, w2)
+    _check_letters(cd, w.positions)
+    _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         return False

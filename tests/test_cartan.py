@@ -21,7 +21,7 @@ from braidseed.cartan import (
     validate_cartan,
     weyl_act,
 )
-from braidseed.errors import NotFiniteType, NotGCM, NotSymmetrizable
+from braidseed.errors import InvalidBox, NotFiniteType, NotGCM, NotSymmetrizable
 
 
 def weyl_group_by_bfs(cd):
@@ -146,6 +146,17 @@ def test_roots_of_word_values_a2():
     roots, ok = roots_of_word(cd, (1, 2, 1))
     assert ok
     assert roots == ((1, 0), (1, 1), (0, 1))
+
+
+def test_letters_outside_the_index_set_are_refused():
+    cd = preset("a2")
+    for call in [
+        lambda: roots_of_word(cd, (1, 99)),
+        lambda: weyl_act(cd, (1, 99), (1, 0)),
+        lambda: reflect_root(cd, 99, (1, 0)),
+    ]:
+        with pytest.raises(InvalidBox, match="letter 99 not in the index set"):
+            call()
 
 
 def test_roots_of_reduced_word_are_distinct_inversions():

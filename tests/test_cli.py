@@ -443,18 +443,36 @@ def test_budget_exhaustion_is_an_error(tmp_path):
     assert report.metadata["error"]["kind"] == "BudgetExhausted"
 
 
+A6_W0 = "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1,6,5,4,3,2,1"
+
+
+def a6_cartan(tmp_path):
+    a6 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
+    cartan = tmp_path / "a6.json"
+    cartan.write_text(json.dumps({"matrix": a6}))
+    return str(cartan)
+
+
 def test_lattice_budget_exhaustion_is_an_error(tmp_path, monkeypatch):
+    # the A6 w0 pairing search needs 2,121 nodes
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
-    a5 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
-    cartan = tmp_path / "a5.json"
-    cartan.write_text(json.dumps({"matrix": a5}))
     code, report = run(
-        tmp_path, "seed", "build", "--cartan", str(cartan), "--kind", "weyl-reduced",
-        "--word", "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1",
+        tmp_path, "seed", "build", "--cartan", a6_cartan(tmp_path),
+        "--kind", "weyl-reduced", "--word", A6_W0,
     )
     assert code == 2
     assert report.verdict == "Error"
     assert report.metadata["error"]["kind"] == "BudgetExhausted"
+
+
+def test_a6_w0_seed_builds_at_the_default_budget(tmp_path, monkeypatch):
+    monkeypatch.delenv("BRAIDSEED_BUDGET", raising=False)
+    code, report = run(
+        tmp_path, "seed", "build", "--cartan", a6_cartan(tmp_path),
+        "--kind", "weyl-reduced", "--word", A6_W0,
+    )
+    assert code == 0
+    assert section(report, "compatible").agree
 
 
 def test_malformed_word_reports_config_error(capsys):

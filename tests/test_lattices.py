@@ -175,6 +175,34 @@ def test_canonical_matches_brute_force_on_random_systems(system):
     assert canonical_smallest_solution(*solve_integer_system(rows, rhs)) == expect
 
 
+@st.composite
+def sparse_consistent_systems(draw):
+    """The system whose solutions are x_true + (Q-span(K) ∩ Z^n), with
+    |x_true| <= 2 and K of 2 <= k < n vectors with one to three nonzero
+    entries each.  Coordinates that no kernel vector touches, and kernel
+    vectors that touch coordinates past a later vector's pivot, are common
+    here; they are where each coordinate's last touch matters."""
+    n = draw(st.integers(3, 5))
+    sparse = []
+    for _ in range(draw(st.integers(2, n - 1))):
+        vec = [0] * n
+        for c in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+            vec[c] = draw(st.sampled_from([-2, -1, 1, 2]))
+        sparse.append(vec)
+    _, rows = solve_integer_system(sparse, [0] * len(sparse))
+    x_true = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return rows, matmul_vec(rows, x_true)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_consistent_systems())
+def test_canonical_matches_brute_force_on_sparse_kernels(system):
+    rows, rhs = system
+    # the canonical point is no longer in max-norm than x_true
+    expect = brute_canonical(rows, rhs, len(rows[0]), box=2)
+    assert canonical_smallest_solution(*solve_integer_system(rows, rhs)) == expect
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_consistent_systems(), st.randoms(use_true_random=False))
 def test_canonical_depends_only_on_the_affine_lattice(system, rng):

@@ -686,7 +686,11 @@ def w0_seed(matrix):
 # |lambda_ij| and the SHA-256 of the JSON list of lambda_ij, i < j, in
 # row-major order.  Computed by the unpruned search, which checked every
 # coordinate only at the leaves, on the C(n, 2) system; D6 (length 30),
-# out of that system's reach, by the left-kernel solve.
+# out of that system's reach, by the left-kernel solve.  A6 (length 21)
+# needs 2,121 search nodes, within the default budget; the same pairing
+# came from the search that checked a coordinate only at the next pivot
+# row, which needed a budget of 50,000,000 (SHA-256 of repr(lam) starts
+# fc7bd30ae8fca88f on both).
 W0_LAMBDA = {
     "A3": (type_a(3), 1,
            "9b91ed4f75c793a794ded4d274c54ada87040a51052d3b7afaef8794bb0c9488"),
@@ -702,6 +706,8 @@ W0_LAMBDA = {
            "53b77f2e9d9ef81a59c8d00d0adf26fadf1c60ccca4fcdb7bfe89ea157b4a25f"),
     "D6": (type_d(6), 2,
            "d97a9eafeefc5664629db3237ad9b1bc9c0440983badb2fb4ed4eb3148dc46f2"),
+    "A6": (type_a(6), 2,
+           "8f304ae98cf0918dba0636497967fc4e4b9514cece70f0f766fa68573ed823c3"),
 }
 
 
@@ -756,8 +762,9 @@ def test_b4_word_with_huge_particular_solution_builds_a_seed():
 
 
 def test_lambda_search_is_bounded_by_the_budget(monkeypatch):
+    # the A6 w0 pairing search needs 2,121 nodes
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
-    cd = validate_cartan(type_a(5))
+    cd = validate_cartan(type_a(6))
     b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
     with pytest.raises(BudgetExhausted):
         solve_lambda(b)
