@@ -70,6 +70,7 @@ from .transitions import (
     par_mutation,
     par_product,
     transition_along_path,
+    transition_along_path_many,
     transition_apply,
     transition_apply_many,
     verify_ibox_transition,

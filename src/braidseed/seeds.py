@@ -38,7 +38,7 @@ from .transitions import (
     bilex_compare,
     par_mutation,
     par_product,
-    transition_along_path,
+    transition_along_path_many,
 )
 from .words import (
     EmptyBox,
@@ -572,52 +572,55 @@ def seed_equivalence_report(
     """Walk a move path from w to w2, compiling each move to a script and
     replaying it on the seed of w; compare the outcome with the seed of w2.
 
+    The seed is never relabelled along the walk: slot[k-1] is the seed
+    slot holding word slot k, every script mutation runs at its seed slot,
+    each script's permutation is composed into slot, and the seed is
+    permuted once at the end.  Mutation commutes with relabelling, so this
+    is the seed of permuting after every move; exchange checks keep the
+    word slot.  The target's tropical vectors are pulled back along the
+    reversed path in a single pass.
+
     exact defaults to running the exact track iff the word is short enough.
     """
     path = tuple(find_move_path(cd, w, w2, budget))
     if exact is None:
         exact = w.length <= exact_max_length
     seed = initial_seed(cd, w, exact=exact)
+    slot = list(range(1, w.length + 1))
     current = w
     checks = []
     intermediates = []
     for move in path:
         script = move_to_mutation_script(cd, current, move)
-        first = True
-        for k in script.mutations:
-            previous, seed = seed, mutate_seed(seed, k)
-            checks.append(exchange_check(previous, k, seed))
-            if first and move.kind is MoveKind.FOUR:
+        for t, k in enumerate(script.mutations):
+            previous, seed = seed, mutate_seed(seed, slot[k - 1])
+            checks.append(replace(exchange_check(previous, slot[k - 1], seed), slot=k))
+            if t == 0 and move.kind is MoveKind.FOUR:
                 p = move.position
                 intermediates.append(
-                    FourMoveIntermediate(move, seed.b.entry(p + 1, p + 3))
+                    FourMoveIntermediate(move, seed.b.entry(slot[p], slot[p + 2]))
                 )
-            first = False
-        seed = permute_seed(seed, script.permutation)
+        slot = [slot[r - 1] for r in script.permutation]
         current = apply_move(current, move)
+    seed = permute_seed(seed, slot)
     target = initial_seed(cd, w2, exact=False)
     n = w.length
-    b_exchange_match = all(
-        seed.b.entry(t, l) == target.b.entry(t, l)
-        for t in range(1, n + 1)
-        for l in target.b.exchange
-    ) and seed.b.exchange == target.b.exchange and seed.b.d_prime == target.b.d_prime
+    columns = [target.b.column(l) for l in target.b.exchange]
+    b_exchange_match = (
+        seed.b.exchange == target.b.exchange
+        and seed.b.d_prime == target.b.d_prime
+        and all(seed.b.column(l) == c for l, c in zip(target.b.exchange, columns))
+    )
     b_full_match = seed.b.entries == target.b.entries
     trop_match = seed.trop == target.trop
-    reverse = tuple(reversed(path))
-    transported = tuple(
-        transition_along_path(cd, w2, reverse, vec, convention="weighted")
-        for vec in target.trop
+    transported = transition_along_path_many(
+        cd, w2, path[::-1], target.trop, convention="weighted"
     )
     transported_match = seed.trop == transported
     gauge = tuple(
         tuple(seed.lam[i][j] - target.lam[i][j] for j in range(n)) for i in range(n)
     )
-    in_kernel = all(
-        sum(gauge[i][k - 1] * target.b.entry(k, l) for k in range(1, n + 1)) == 0
-        for i in range(n)
-        for l in target.b.exchange
-    )
+    in_kernel = all(sum(map(mul, row, c)) == 0 for c in columns for row in gauge)
     exact_verified = None
     if exact:
         exact_verified = all(c.verified for c in checks) if checks else True

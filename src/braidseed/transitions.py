@@ -36,6 +36,8 @@ from .words import (
 
 
 CONVENTIONS = ("tabulated", "weighted")
+# Batch images are at most 8 max|entry|, so int64 stays exact up to this bound.
+_INT64_EXACT = np.int64(2**59)
 
 
 class OrderVerdict(Enum):
@@ -90,9 +92,9 @@ def _check_convention(convention: str) -> None:
 def _window_image(cd: CartanData, m: Move, i, j, window, convention: str, minimum):
     """Image of the window entries under the move's PL transition map.
 
-    The one formula table behind transition_apply (entries are ints,
-    minimum is min) and transition_apply_many (entries are columns,
-    minimum is np.minimum).
+    The one formula table behind transition_apply and
+    transition_along_path_many (entries are ints, minimum is min) and
+    transition_apply_many (entries are columns, minimum is np.minimum).
     """
     if m.kind is MoveKind.TWO:
         x, y = window
@@ -126,11 +128,19 @@ def transition_apply(
 def transition_apply_many(
     cd: CartanData, w: Word, m: Move, arr: np.ndarray, convention: str = "tabulated"
 ) -> np.ndarray:
-    """Row-wise transition_apply on an (N, length) integer array."""
+    """Row-wise transition_apply on an (N, length) integer array.
+
+    An int64 array with an entry beyond 2**59 is computed on exact Python
+    ints (an object array) instead of wrapping.
+    """
     _check_convention(convention)
     arr = np.asarray(arr)
     if arr.ndim != 2 or arr.shape[1] != w.length:
         raise LengthMismatch(f"array shape {arr.shape} does not fit length {w.length}")
+    if arr.dtype == np.int64 and arr.size and (
+        arr.max() > _INT64_EXACT or arr.min() < -_INT64_EXACT
+    ):
+        arr = arr.astype(object)
     i, j, k = _move_window(w, m, cd)
     columns = range(k - 1, k - 1 + m.kind.window)
     window = [arr[:, c] for c in columns]
@@ -149,12 +159,38 @@ def transition_along_path(
     convention: str = "tabulated",
 ) -> tuple:
     """Left fold of transition_apply along a move path starting at w."""
-    vec = tuple(a)
+    return transition_along_path_many(cd, w, path, (a,), convention)[0]
+
+
+def transition_along_path_many(
+    cd: CartanData,
+    w: Word,
+    path: Sequence[Move],
+    vectors: Sequence[Sequence[int]],
+    convention: str = "tabulated",
+) -> tuple:
+    """transition_along_path of every vector, in one walk along the path.
+
+    Every vector's length is checked before the walk, also on the empty
+    path; each move's window is validated once, and only its entries are
+    rewritten in every vector, in Python arithmetic, so int entries stay
+    exact.
+    """
+    _check_convention(convention)
+    out = [list(a) for a in vectors]
+    for vec in out:
+        if len(vec) != w.length:
+            raise LengthMismatch(f"vector length {len(vec)} != word length {w.length}")
     current = w
     for move in path:
-        vec = transition_apply(cd, current, move, vec, convention)
+        i, j, k = _move_window(current, move, cd)
+        end = k - 1 + move.kind.window
+        for vec in out:
+            vec[k - 1 : end] = _window_image(
+                cd, move, i, j, vec[k - 1 : end], convention, min
+            )
         current = apply_move(current, move)
-    return vec
+    return tuple(map(tuple, out))
 
 
 def par_product(a: Sequence[int], b: Sequence[int]) -> tuple:

@@ -35,6 +35,7 @@ from braidseed.qlaurent import right_divide
 from braidseed.seeds import (
     EquivalenceReport,
     ExchangeMatrix,
+    FourMoveIntermediate,
     check_compatibility,
     exchange_check,
     exchange_vectors,
@@ -49,7 +50,12 @@ from braidseed.seeds import (
     solve_lambda,
     tsystem_check,
 )
-from braidseed.transitions import OrderVerdict, bilex_compare, par_product
+from braidseed.transitions import (
+    OrderVerdict,
+    bilex_compare,
+    par_product,
+    transition_apply,
+)
 from braidseed.words import (
     EMPTY_BOX,
     IBox,
@@ -493,6 +499,94 @@ def test_equivalence_identical_words_is_trivial():
     assert report.path == ()
     assert report.match
     assert report.trop_match
+
+
+# The equivalence walk as it was before the slot map: the seed is permuted
+# after every move, and each target vector is folded through
+# transition_apply along the reversed path on its own.
+def reference_equivalence_report(cd, w, w2, exact):
+    path = tuple(find_move_path(cd, w, w2))
+    seed = initial_seed(cd, w, exact=exact)
+    current = w
+    checks, intermediates = [], []
+    for move in path:
+        script = move_to_mutation_script(cd, current, move)
+        for t, k in enumerate(script.mutations):
+            previous, seed = seed, mutate_seed(seed, k)
+            checks.append(exchange_check(previous, k, seed))
+            if t == 0 and move.kind is MoveKind.FOUR:
+                p = move.position
+                intermediates.append(
+                    FourMoveIntermediate(move, seed.b.entry(p + 1, p + 3))
+                )
+        seed = permute_seed(seed, script.permutation)
+        current = apply_move(current, move)
+    target = initial_seed(cd, w2)
+    n = w.length
+    transported = []
+    for vec in target.trop:
+        u = w2
+        for move in reversed(path):
+            vec = transition_apply(cd, u, move, vec, "weighted")
+            u = apply_move(u, move)
+        transported.append(vec)
+    gauge = tuple(
+        tuple(seed.lam[i][j] - target.lam[i][j] for j in range(n)) for i in range(n)
+    )
+    ex = target.b.exchange
+    exact_verified = None
+    if exact:
+        exact_verified = all(c.verified for c in checks) if checks else True
+    return EquivalenceReport(
+        word_a=w,
+        word_b=w2,
+        path=path,
+        b_exchange_match=all(
+            seed.b.entry(t, l) == target.b.entry(t, l)
+            for t in range(1, n + 1)
+            for l in ex
+        )
+        and seed.b.exchange == ex
+        and seed.b.d_prime == target.b.d_prime,
+        b_full_match=seed.b.entries == target.b.entries,
+        trop_match=seed.trop == target.trop,
+        transported_match=seed.trop == tuple(transported),
+        transported_targets=tuple(transported),
+        lam_gauge=gauge,
+        lam_gauge_in_kernel=all(
+            sum(gauge[i][k - 1] * target.b.entry(k, l) for k in range(1, n + 1)) == 0
+            for i in range(n)
+            for l in ex
+        ),
+        exchange_checks=tuple(checks),
+        exact_verified=exact_verified,
+        four_move_intermediates=tuple(intermediates),
+    )
+
+
+def random_w0_pair(cd, rng):
+    """Two reduced words of w0, each a random walk of up to 60 moves."""
+    pair = []
+    for _ in "ab":
+        w = Word(finite_type_data(cd).longest_word, REDUCED)
+        for _ in range(rng.randint(0, 60)):
+            w = apply_move(w, rng.choice(words.enumerate_moves(cd, w).moves))
+        pair.append(w)
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["a3", "b3", "c3", "A4", "D4"]), st.integers(0, 2**32))
+def test_slot_map_walk_equals_the_permute_per_move_walk(name, rng_seed):
+    rng = random.Random(rng_seed)
+    matrix = {"A4": type_a(4), "D4": type_d(4)}.get(name) or preset(name).matrix
+    cd = validate_cartan(matrix)
+    w, w2 = random_w0_pair(cd, rng)
+    tracks = [False, True] if name in ("b3", "c3") else [False]
+    for exact in tracks:
+        report = seed_equivalence_report(cd, w, w2, exact=exact)
+        assert report == reference_equivalence_report(cd, w, w2, exact)
+        assert report.match
 
 
 def test_tsystem_reduced_a2():

@@ -30,6 +30,7 @@ from braidseed.transitions import (
     par_mutation,
     par_product,
     transition_along_path,
+    transition_along_path_many,
     transition_apply,
     transition_apply_many,
     verify_ibox_transition,
@@ -461,3 +462,101 @@ def test_transitions_accept_exactly_the_enumerated_moves(named_word):
             assert apply_move(w, m).letters == (
                 w.letters[:k] + rewrite + w.letters[k + len(rewrite) :]
             )
+
+
+def fold_transition_apply(cd, w, path, a, convention):
+    for move in path:
+        a = transition_apply(cd, w, move, a, convention)
+        w = apply_move(w, move)
+    return a
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the type of what it raised."""
+    try:
+        return f(*args)
+    except Exception as err:  # compared by type
+        return type(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(braid_words(["a2", "b2", "a3", "b3", "c3"]), st.data())
+def test_one_walk_equals_one_fold_per_vector(named_word, data):
+    name, w = named_word
+    cd = preset(name)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    path, current = [], w
+    for _ in range(rng.randint(0, 12)):
+        moves = enumerate_moves(cd, current).moves
+        if not moves:
+            break
+        path.append(rng.choice(moves))
+        current = apply_move(current, path[-1])
+    if path and rng.random() < 0.3:
+        # a move that does not apply where it stands in the path
+        path.insert(rng.randrange(len(path) + 1), Move(rng.choice(list(MoveKind)), 1))
+    vectors = data.draw(
+        st.lists(
+            st.lists(st.integers(-3, 6), min_size=w.length, max_size=w.length),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    if path and rng.random() < 0.3:
+        vectors[rng.randrange(len(vectors))].append(0)
+    for convention in CONVENTIONS:
+        scalar = [
+            _outcome(transition_along_path, cd, w, path, v, convention) for v in vectors
+        ]
+        assert scalar == [
+            _outcome(fold_transition_apply, cd, w, path, tuple(v), convention)
+            for v in vectors
+        ]
+        errors = [e for e in scalar if isinstance(e, type)]
+        many = _outcome(transition_along_path_many, cd, w, path, vectors, convention)
+        if errors:
+            assert many in errors
+        else:
+            assert many == tuple(scalar)
+
+
+def test_one_walk_refuses_a_wrong_length_on_the_empty_path():
+    w = Word((1, 2, 1))
+    with pytest.raises(LengthMismatch):
+        transition_along_path_many(preset("a2"), w, (), [(0, 0, 0), (0, 0)])
+    assert transition_along_path_many(preset("a2"), w, (), [(1, 2, 3)]) == ((1, 2, 3),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["a2", "b2", "a3"]), st.data())
+def test_batch_transitions_stay_exact_near_the_int64_limit(name, data):
+    cd = preset(name)
+    letters = {"a2": (1, 2, 1), "b2": (1, 2, 1, 2), "a3": (1, 2, 1, 3, 2, 1)}[name]
+    w = Word(letters, BRAID)
+    big = st.integers(2**62 - 2**20, 2**62)
+    entry = st.one_of(big, big.map(lambda v: -v), st.integers(-5, 5))
+    rows = data.draw(
+        st.lists(
+            st.lists(entry, min_size=w.length, max_size=w.length),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for m in enumerate_moves(cd, w).moves:
+        for convention in CONVENTIONS:
+            batch = transition_apply_many(
+                cd, w, m, np.array(rows, dtype=np.int64), convention
+            )
+            assert [list(map(int, out)) for out in batch] == [
+                list(transition_apply(cd, w, m, row, convention)) for row in rows
+            ]
+
+
+def test_batch_transition_of_the_a2_overflow_witnesses():
+    cd = preset("a2")
+    w = Word((1, 2, 1))
+    arr = np.array([(2**62, 2**62, 0), (-(2**63), 0, 5)], dtype=np.int64)
+    out = transition_apply_many(cd, w, Move(MoveKind.THREE, 1), arr)
+    assert out.tolist() == [[2**62, 0, 2**63], [2**63 + 5, -(2**63), 0]]
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert transition_apply_many(cd, w, Move(MoveKind.THREE, 1), empty).shape == (0, 3)
