@@ -9,7 +9,7 @@ rather than pretending.
 """
 from braidseed.cartan import preset
 from braidseed.errors import MinorNotReachable
-from braidseed.seeds import tsystem_check
+from braidseed.seeds import tsystem_check, tsystem_sweep
 from braidseed.words import IBox, Word, WordKind
 
 cd = preset("a2")
@@ -27,6 +27,8 @@ for a in range(1, w.length + 1):
             f"  [{a},{b}] {r.left_sum} == {r.right_sum}: {r.identity_holds}, "
             f"lower {r.lower_sum} is {r.lower_verdict.name}"
         )
+checked, degenerate, failures = tsystem_sweep(cd, w)
+print(f"tsystem_sweep: {checked} boxes, {degenerate} degenerate, failures {failures}")
 
 print()
 print("exact mode on the braid word (1,2,1,2):")

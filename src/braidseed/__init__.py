@@ -63,6 +63,7 @@ from .seeds import (
     seed_to_json,
     solve_lambda,
     tsystem_check,
+    tsystem_sweep,
 )
 from .transitions import (
     OrderVerdict,

@@ -66,6 +66,7 @@ from .seeds import (
     seed_equivalence_report,
     seed_to_json,
     tsystem_check,
+    tsystem_sweep,
 )
 from .transitions import (
     CONVENTIONS,
@@ -76,7 +77,6 @@ from .transitions import (
 )
 from .words import (
     EmptyBox,
-    IBox,
     MOVE_KINDS,
     Move,
     Word,
@@ -606,7 +606,7 @@ def _cmd_seed_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
 def _cmd_verify_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
     if config.options["box"]:
         return _cmd_seed_tsystem(config, cd, w)
-    checked, degenerate, failures = _tsystem_sweep(cd, w)
+    checked, degenerate, failures = tsystem_sweep(cd, w)
     return [
         echo("boxes-checked", checked),
         echo("degenerate", degenerate),
@@ -807,33 +807,12 @@ def mutation_campaign(cd: CartanData, length_cap: int) -> tuple:
     return checked, failures
 
 
-def _tsystem_sweep(cd: CartanData, w: Word) -> tuple:
-    """Tropical boxed identity and lower-term dominance over every i-box of
-    w: (boxes checked, degenerate boxes, failures)."""
-    checked = degenerate = 0
-    failures = []
-    for a, i in enumerate(w.letters, 1):
-        for b in w.positions[i]:
-            if b < a:
-                continue
-            result = tsystem_check(cd, w, IBox(a, b))
-            checked += 1
-            if result.degenerate:
-                degenerate += 1
-                continue
-            if result.left_sum != result.right_sum:
-                failures.append({"box": [a, b], "kind": "identity"})
-            if result.lower_verdict is OrderVerdict.GREATER:
-                failures.append({"box": [a, b], "kind": "lower-dominant"})
-    return checked, degenerate, failures
-
-
 def tsystem_campaign(cd: CartanData, length_cap: int) -> tuple:
     """Tropical boxed identity and lower-term dominance over all i-boxes."""
     checked = 0
     failures = []
     for w in _iter_braid_words(cd, length_cap, lo=1):
-        boxes, _, found = _tsystem_sweep(cd, w)
+        boxes, _, found = tsystem_sweep(cd, w)
         checked += boxes
         failures += ({"word": list(w.letters), **f} for f in found)
     return checked, failures

@@ -22,7 +22,8 @@ from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
 from typing import Mapping, Sequence
 
-from .errors import ContextMismatch, NonExactDivision
+from .errors import BudgetExhausted, ContextMismatch, NonExactDivision
+from .words import default_budget
 
 
 class QHalf:
@@ -357,7 +358,11 @@ def right_divide(
     the Lambda images of the divisor's terms computed once.  The order is
     translation invariant, so every new term ranks below the one being
     eliminated: the leading term strictly falls and exact divisions
-    terminate.  Inexact ones stop after 10,000 steps.
+    terminate.  Inexact ones stop after 10,000 steps (NonExactDivision),
+    or earlier with BudgetExhausted once the coefficient products formed,
+    quotient entries times divisor entries summed over the steps, exceed
+    default_budget(): the remainder of an inexact division can grow at
+    every step.
     """
     if divisor.is_zero():
         raise NonExactDivision("division by zero")
@@ -371,8 +376,10 @@ def right_divide(
     remainder = {e: dict(c.terms) for e, c in numerator.terms.items()}
     heap = [_heap_key(e) for e in remainder]
     heapify(heap)
+    entries = sum(len(cb) for _, cb, _ in pieces)
+    budget = default_budget()
     previous_key = None
-    steps = 0
+    steps = work = 0
     while remainder:
         steps += 1
         if steps > 10000:
@@ -388,6 +395,11 @@ def right_divide(
         shift = _dot(e_y, lead_image)
         c_r = QHalf._wrap({k - shift: v for k, v in remainder[e_r].items()})
         c_y = out[e_y] = c_r.divide(c_d)
+        work += len(c_y.terms) * entries
+        if work > budget:
+            raise BudgetExhausted(
+                f"division stopped after {steps} steps: over {budget} coefficient products"
+            )
         for b, cb, image in pieces:
             e = tuple(map(add, e_y, b))
             if _accumulate(remainder, e, c_y.terms, cb, _dot(e_y, image), -1):

@@ -48,6 +48,7 @@ from .words import (
     Word,
     _box_vector,
     _move_window,
+    _positions_vector,
     apply_move,
     find_move_path,
     resolve_ibox,
@@ -668,13 +669,70 @@ class TSystemReport:
         return ok
 
 
+def _adjacency_mask(cd: CartanData, w: Word, i) -> tuple:
+    """0/1 vector of the positions of w whose letter is adjacent to i."""
+    adjacent = {j for j in cd.index_set if j != i and cd.entry(i, j) != 0}
+    return tuple(1 if j in adjacent else 0 for j in w.letters)
+
+
+def _tsystem_terms(n: int, ks: tuple, s: int, t: int, mask: tuple) -> tuple:
+    """Tropical terms of the box [a, b] = [ks[s], ks[t]] of a letter i whose
+    positions are ks: (left sum, right sum, lower sum, lower verdict).
+
+    The boxes [a+,b], [a,b-], [a,b] and [a+,b-] hold the positions
+    ks[s+1:t+1], ks[s:t], ks[s:t+1] and ks[s+1:t].  The box [a+(j), b-(j)]
+    of a letter j adjacent to i holds exactly the j's strictly inside
+    (a, b), so the lower product is the adjacency mask of i sliced to (a, b).
+    """
+    left = par_product(
+        _positions_vector(n, ks[s + 1 : t + 1]), _positions_vector(n, ks[s:t])
+    )
+    right = par_product(
+        _positions_vector(n, ks[s : t + 1]), _positions_vector(n, ks[s + 1 : t])
+    )
+    a, b = ks[s], ks[t]
+    lower = (0,) * a + mask[a : b - 1] + (0,) * (n - max(a, b - 1))
+    return left, right, lower, bilex_compare(lower, right)
+
+
+def tsystem_sweep(cd: CartanData, w: Word) -> tuple:
+    """Tropical boxed identity and lower-term dominance over every i-box of
+    w: (boxes checked, degenerate boxes, failures), the failures in the
+    order of the boxes (a, b).
+
+    The letters are checked once and each letter gets one adjacency mask;
+    every box is read from slices of its letter's positions by the same
+    per-box terms as tsystem_check.  A box [a, b] is degenerate exactly
+    when b is the first position of its letter at or after a.
+    """
+    _check_letters(cd, w.positions)
+    n = w.length
+    masks = {i: _adjacency_mask(cd, w, i) for i in w.positions}
+    seen = dict.fromkeys(w.positions, 0)
+    checked = degenerate = 0
+    failures = []
+    for a, i in enumerate(w.letters, 1):
+        ks, mask = w.positions[i], masks[i]
+        s = seen[i]
+        seen[i] = s + 1
+        checked += len(ks) - s
+        degenerate += 1
+        for t in range(s + 1, len(ks)):
+            left, right, _, verdict = _tsystem_terms(n, ks, s, t, mask)
+            if left != right:
+                failures.append({"box": [a, ks[t]], "kind": "identity"})
+            if verdict is OrderVerdict.GREATER:
+                failures.append({"box": [a, ks[t]], "kind": "lower-dominant"})
+    return checked, degenerate, failures
+
+
 def tsystem_check(
     cd: CartanData, w: Word, box: IBox, mode: str = "tropical"
 ) -> TSystemReport:
     """Check the boxed product identity at one box.
 
     Only the caller's box is resolved; the boxes [a+,b], [a,b-], [a,b] and
-    [a+,b-] of its letter i are read from the word's position index.
+    [a+,b-] of its letter i are sliced from the word's position index.
     Tropical mode verifies vec[a+,b] + vec[a,b-] = vec[a,b] + vec[a+,b-]
     and compares the lower product, the letters adjacent to i strictly
     inside (a, b), against the main sum in the bi-lex order.  Exact mode
@@ -689,17 +747,12 @@ def tsystem_check(
     resolved = resolve_ibox(w, box)
     a, b = resolved.lo, resolved.hi
     i = w.letter(a)
-    a_plus, b_minus = w.after(a, i), w.before(b, i)
-    degenerate = a_plus > b
-    left = par_product(_box_vector(w, i, a_plus, b), _box_vector(w, i, a, b_minus))
-    right = par_product(_box_vector(w, i, a, b), _box_vector(w, i, a_plus, b_minus))
-    # The box [a+(j), b-(j)] of a letter j adjacent to i holds exactly the
-    # j's strictly inside (a, b), so the lower product marks those positions.
-    adjacent = {j for j in cd.index_set if j != i and cd.entry(i, j) != 0}
-    lower = tuple(
-        1 if a < k < b and j in adjacent else 0 for k, j in enumerate(w.letters, 1)
+    ks = w.positions[i]
+    s, t = ks.index(a), ks.index(b)
+    left, right, lower, verdict = _tsystem_terms(
+        w.length, ks, s, t, _adjacency_mask(cd, w, i)
     )
-    verdict = bilex_compare(lower, right)
+    degenerate = s == t
     strictly = None
     if verdict is not OrderVerdict.INCOMPARABLE:
         strictly = verdict is OrderVerdict.LESS
@@ -718,13 +771,13 @@ def tsystem_check(
         return report
     if degenerate:
         raise MinorNotReachable(f"box {resolved} is degenerate for the exact mode")
-    if w.after(b, w.letter(b)) <= w.length:
+    if t + 1 < len(ks):
         raise MinorNotReachable(
             f"box {resolved} is not right-anchored; its minors are not "
             "variables of the initial seed"
         )
     seed = initial_seed(cd, w, exact=True)
-    k = a_plus
+    k = ks[s + 1]
     if not seed.b.is_exchange(k):
         raise MinorNotReachable(f"slot {k} is frozen; the identity has no exchange form")
     par_up, par_down = _exchange_parameters(seed, k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -197,7 +198,7 @@ def par_product(a: Sequence[int], b: Sequence[int]) -> tuple:
     """Leading-term parameter of a product: componentwise sum."""
     if len(a) != len(b):
         raise LengthMismatch(f"vector lengths {len(a)} != {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def par_mutation(

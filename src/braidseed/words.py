@@ -10,9 +10,11 @@ refused without a search.
 Positions are 1-based throughout.  Where a letter occurs is read only
 from the word's position index, Word.positions, directly or through
 Word.before and Word.after; neighbours a-/a+, i-boxes and exchange slots
-all come from it, and so does every box vector: _box_vector slices the
-positions of one letter in [lo, hi], for ibox_vector, the T-system boxes
-and the right-anchored boxes of initial seeds alike.  6-move windows
+all come from it, and so does every box vector: _positions_vector marks
+a slice of one letter's positions.  _box_vector bisects the slice in
+[lo, hi] for ibox_vector and the right-anchored boxes of initial seeds;
+the T-system terms in seeds slice by index, ks[s:t+1] for the box
+[ks[s], ks[t]] of a letter with positions ks.  6-move windows
 (Cartan pairs with c_ij * c_ji = 3) are detected and refused rather than
 rewritten.
 """
@@ -445,13 +447,18 @@ def resolve_ibox(w: Word, box):
     return IBox(a, w.before(b + 1, w.letter(a)), brace=False)
 
 
-def _box_vector(w: Word, i, lo: int, hi: int) -> tuple:
-    """0/1 vector of the positions of letter i in [lo, hi]; zero when lo > hi."""
-    out = [0] * w.length
-    ks = w.positions[i]
-    for k in ks[bisect_left(ks, lo) : bisect_right(ks, hi)]:
+def _positions_vector(n: int, ks) -> tuple:
+    """0/1 vector of length n marking the positions ks."""
+    out = [0] * n
+    for k in ks:
         out[k - 1] = 1
     return tuple(out)
+
+
+def _box_vector(w: Word, i, lo: int, hi: int) -> tuple:
+    """0/1 vector of the positions of letter i in [lo, hi]; zero when lo > hi."""
+    ks = w.positions[i]
+    return _positions_vector(w.length, ks[bisect_left(ks, lo) : bisect_right(ks, hi)])
 
 
 def ibox_vector(w: Word, box) -> tuple:

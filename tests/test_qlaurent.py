@@ -7,13 +7,14 @@ the straightforward sum-of-products kernels kept below as references.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidseed import qlaurent
-from braidseed.errors import ContextMismatch, NonExactDivision
+from braidseed.errors import BudgetExhausted, ContextMismatch, NonExactDivision
 from braidseed.qlaurent import (
     QHalf,
     QuantumLaurent,
@@ -340,6 +341,41 @@ def test_inexact_division_stops_after_exactly_10000_steps():
     beyond = QuantumLaurent.monomial(2, (1, 0), QHalf({0: 2**10000}))
     with pytest.raises(NonExactDivision, match="^division failed to terminate within bound$"):
         right_divide(lam, beyond, d)
+
+
+def test_a_monomial_over_a_three_term_divisor_exhausts_the_work_budget(monkeypatch):
+    # X1^2 has no finite quotient by this divisor, and the coefficients of
+    # the remainder grow at every step: the 10,000-step bound alone let the
+    # division run for minutes.  About 180 steps use up the default budget
+    # of coefficient products, in well under a second on a 2-vCPU host.
+    monkeypatch.delenv("BRAIDSEED_BUDGET", raising=False)
+    lam = [[0, 1, -1], [-1, 0, 2], [1, -2, 0]]
+    num = QuantumLaurent.monomial(3, (2, 0, 0))
+    d = QuantumLaurent(
+        3,
+        {
+            (1, 0, 0): QHalf({0: 1}),
+            (0, 1, 0): QHalf({0: 1, 1: 2}),
+            (0, 0, 1): QHalf({2: 1, 0: -1}),
+        },
+    )
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted, match="over 200000 coefficient products"):
+        right_divide(lam, num, d)
+    assert time.perf_counter() - start < 10
+
+
+def test_the_division_work_bound_is_the_search_budget(monkeypatch):
+    lam = [[0, 1, -2], [-1, 0, 1], [2, -1, 0]]
+    rng = random.Random(55)
+    f = random_element(rng, 3, nterms=4)
+    d = random_element(rng, 3, nterms=3)
+    num = torus_product(lam, f, d)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "2")
+    with pytest.raises(BudgetExhausted, match="over 2 coefficient products"):
+        right_divide(lam, num, d)
+    monkeypatch.delenv("BRAIDSEED_BUDGET")
+    assert right_divide(lam, num, d) == f
 
 
 def test_right_divide_makes_no_products_and_no_validated_elements(monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidseed import seeds, words
-from braidseed.cartan import finite_type_data, preset, validate_cartan
+from braidseed.cartan import finite_type_data, preset, roots_of_word, validate_cartan
 from braidseed.errors import (
     BudgetExhausted,
     ExchangeSetNotPreserved,
@@ -49,6 +49,7 @@ from braidseed.seeds import (
     seed_to_json,
     solve_lambda,
     tsystem_check,
+    tsystem_sweep,
 )
 from braidseed.transitions import (
     OrderVerdict,
@@ -89,6 +90,7 @@ def test_gls_matrix_a2_example():
         gls_matrix,
         initial_seed,
         lambda cd, w: tsystem_check(cd, w, IBox(1, 3)),
+        tsystem_sweep,
         lambda cd, w: find_move_path(cd, w, Word((1, 2, 1), BRAID)),
         lambda cd, w: words.words_equal_in_monoid(cd, Word((1, 2, 1), BRAID), w),
         lambda cd, w: seed_equivalence_report(cd, w, Word((1, 2, 1), BRAID)),
@@ -97,6 +99,7 @@ def test_gls_matrix_a2_example():
         "gls_matrix",
         "initial_seed",
         "tsystem_check",
+        "tsystem_sweep",
         "find_move_path",
         "words_equal_in_monoid",
         "seed_equivalence_report",
@@ -739,6 +742,99 @@ def test_tsystem_and_initial_seed_read_boxes_from_the_word_index(monkeypatch):
     seed = initial_seed(cd, w)
     assert seed.labels[:3] == ("D[1,9]", "D[2,8]", "D[3,7]")
     assert calls == {"resolve_ibox": 0, "make_ibox": 0, "ibox_vector": 0}
+
+
+def reference_tsystem_sweep(cd, w):
+    """The campaign's sweep as one tsystem_check per i-box [a, b], in the
+    order of a and then b; each check's tropical fields must equal those
+    of one i-box object per term."""
+    checked = degenerate = 0
+    failures = []
+    for a, i in enumerate(w.letters, 1):
+        for b in w.positions[i]:
+            if b < a:
+                continue
+            result = tsystem_check(cd, w, IBox(a, b))
+            assert (
+                result.box,
+                result.degenerate,
+                result.identity_holds,
+                result.left_sum,
+                result.right_sum,
+                result.lower_sum,
+                result.lower_verdict,
+                result.lower_strictly_smaller,
+            ) == reference_tsystem_terms(cd, w, IBox(a, b))
+            checked += 1
+            if result.degenerate:
+                degenerate += 1
+                continue
+            if result.left_sum != result.right_sum:
+                failures.append({"box": [a, b], "kind": "identity"})
+            if result.lower_verdict is OrderVerdict.GREATER:
+                failures.append({"box": [a, b], "kind": "lower-dominant"})
+    return checked, degenerate, failures
+
+
+def property_context(name):
+    """A preset, or the A4/D4 Cartan matrix for the names a4 and d4."""
+    matrix = {"a4": type_a(4), "d4": type_d(4)}.get(name) or preset(name).matrix
+    return validate_cartan(matrix)
+
+
+def random_word(data, cd, max_length=10):
+    """A word of length 1..max_length over cd, reduced or not; its kind
+    says which."""
+    letters = tuple(
+        data.draw(st.lists(st.sampled_from(cd.index_set), min_size=1, max_size=max_length))
+    )
+    reduced = roots_of_word(cd, letters).all_positive
+    return Word(letters, REDUCED if reduced else BRAID)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tsystem_sweep_equals_one_check_per_box(data):
+    cd = property_context(
+        data.draw(st.sampled_from(["a2", "b2", "c2", "a3", "b3", "c3", "d4", "a4"]))
+    )
+    w = random_word(data, cd)
+    assert tsystem_sweep(cd, w) == reference_tsystem_sweep(cd, w)
+
+
+def test_tsystem_sweep_reads_every_box_with_two_letters_once(monkeypatch):
+    # every box passes, so the totals alone would not show a skipped box
+    boxes = []
+    terms = seeds._tsystem_terms
+
+    def recorded(n, ks, s, t, mask):
+        boxes.append((ks[s], ks[t]))
+        return terms(n, ks, s, t, mask)
+
+    monkeypatch.setattr(seeds, "_tsystem_terms", recorded)
+    cd = preset("b3")
+    w = Word((1, 2, 3, 1, 2, 1, 3, 2, 1, 3), BRAID)
+    checked, degenerate, failures = tsystem_sweep(cd, w)
+    expected = [
+        (a, b) for a, i in enumerate(w.letters, 1) for b in w.positions[i] if b > a
+    ]
+    assert boxes == expected
+    assert (checked, degenerate, failures) == (len(expected) + w.length, w.length, [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutation_is_an_involution_that_keeps_compatibility(data):
+    cd = property_context(data.draw(st.sampled_from(["a4", "d4", "b3", "c3"])))
+    w = random_word(data, cd)
+    seed = initial_seed(cd, w)
+    for k in seed.b.exchange:
+        once = mutate_seed(seed, k)
+        twice = mutate_seed(once, k)
+        assert twice.b.entries == seed.b.entries
+        assert twice.lam == seed.lam
+        assert twice.trop == seed.trop
+        assert check_compatibility(once.lam, once.b)
 
 
 def test_seed_to_json_shape():
