@@ -8,7 +8,8 @@ w(alpha_i) for every vertex i as letters are appended to w: the roots
 beta_k of a word, its reducedness and its Weyl element, and for finite
 type w0, the positive roots and the star involution.  roots_of_word,
 weyl_act and reflect_root refuse a letter outside the index set with
-InvalidBox.
+InvalidBox.  Each context also caches its braid-relation table, which
+the move readers of the words layer share.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -71,35 +72,44 @@ class CartanData:
     def _finite_type(self) -> "FiniteTypeData":
         return _finite_type_data(self)
 
+    @cached_property
+    def _relations(self) -> dict:
+        """The braid-relation table: (i, j) -> the window i j i ... of the
+        relation of distinct labels i, j, whose rewrite is the window of
+        (j, i).  Its length is 2, 3, 4 or 6 by c_ij * c_ji = 0, 1, 2, 3
+        (Tits 1969); pairs with a larger product have no relation and no
+        entry."""
+        return {
+            (i, j): _alternating(i, j, _RELATION_LENGTH[prod])
+            for i in self.index_set
+            for j in self.index_set
+            if i != j and (prod := self.pair_product(i, j)) < len(_RELATION_LENGTH)
+        }
 
-def _components(matrix: Sequence[Sequence[int]]) -> list:
-    n = len(matrix)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if not seen[j] and matrix[i][j] != 0:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
+
+# Length of the braid relation window between distinct letters i, j, indexed
+# by c_ij * c_ji.
+_RELATION_LENGTH = (2, 3, 4, 6)
+
+
+def _alternating(i, j, size: int) -> tuple:
+    """The window i j i ... of the given length: the one shape every move
+    window must have."""
+    return tuple(j if t % 2 else i for t in range(size))
 
 
 def _minimal_symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple:
-    """Solve d_i c_ij = d_j c_ji with positive integers, minimal per component."""
+    """Solve d_i c_ij = d_j c_ji with positive integers, minimal per component.
+
+    One walk per component, from its smallest index, sets the ratios and
+    checks them on every cycle."""
     n = len(matrix)
     ratio: list = [None] * n
-    for comp in _components(matrix):
-        ratio[comp[0]] = Fraction(1)
-        stack = [comp[0]]
+    for start in range(n):
+        if ratio[start] is not None:
+            continue
+        ratio[start] = Fraction(1)
+        comp, stack = [start], [start]
         while stack:
             i = stack.pop()
             for j in range(n):
@@ -109,19 +119,15 @@ def _minimal_symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple:
                 want = ratio[i] * Fraction(matrix[i][j], matrix[j][i])
                 if ratio[j] is None:
                     ratio[j] = want
+                    comp.append(j)
                     stack.append(j)
                 elif ratio[j] != want:
                     raise NotSymmetrizable("inconsistent symmetrizer ratios on a cycle")
-        denom = 1
+        denom = lcm(*(ratio[i].denominator for i in comp))
+        g = gcd(*(int(ratio[i] * denom) for i in comp))
         for i in comp:
-            denom = denom * ratio[i].denominator // gcd(denom, ratio[i].denominator)
-        values = [int(ratio[i] * denom) for i in comp]
-        g = 0
-        for v in values:
-            g = gcd(g, v)
-        for i, v in zip(comp, values):
-            ratio[i] = v // g
-    return tuple(int(r) for r in ratio)
+            ratio[i] = int(ratio[i] * denom) // g
+    return tuple(ratio)
 
 
 def validate_cartan(

@@ -36,7 +36,7 @@ from .cartan import (
     roots_of_word,
     validate_cartan,
 )
-from .errors import BraidseedError, ConfigInvalid, NotFiniteType
+from .errors import BraidseedError, BudgetExhausted, ConfigInvalid, NotFiniteType
 from .qdatum import (
     RepetitionPoint,
     adapted_word,
@@ -272,11 +272,17 @@ def _validate_config(config: RunConfig) -> None:
 
 
 def _infer_a_type(words) -> CartanData:
-    """Type-A context of rank max-letter, for letter alphabets 1..n."""
+    """Type-A context of rank max-letter, for letter alphabets 1..n; a
+    matrix of more than default_budget() cells is BudgetExhausted."""
     letters = {x for w in words for x in w}
     if not letters or any(not isinstance(x, int) or x < 1 for x in letters):
         raise ConfigInvalid("cartan: cannot infer a context from these letters")
     n = max(letters)
+    if n * n > (budget := default_budget()):
+        raise BudgetExhausted(
+            f"cartan: an inferred type-A context of rank {n} has {n * n} "
+            f"matrix cells, over the budget of {budget}"
+        )
     matrix = [
         [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
         for i in range(n)

@@ -104,10 +104,6 @@ class ExchangeSetNotPreserved(BraidseedError):
     pass
 
 
-class MutationIndexFrozen(BraidseedError):
-    pass
-
-
 class MinorNotReachable(BraidseedError):
     pass
 

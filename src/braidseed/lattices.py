@@ -129,7 +129,6 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
         return current
     basis, pivot_rows = _echelon_kernel(kernel, n)
     current = _size_reduce(current, basis, pivot_rows)
-    ceiling = max(map(abs, current)) if current else 0
     budget = default_budget()
     support = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
     last_touch = [-1] * n
@@ -190,15 +189,10 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
             dfs(0, untouched.count(radius))
         return found
 
+    # the size-reduced point is a leaf at radius max|current|, so this ends
     radius = 0
-    while True:
-        candidates = search(radius)
-        if candidates:
-            break
+    while not (candidates := search(radius)):
         radius += 1
-        if radius > ceiling:
-            candidates = [current]
-            break
 
     def key(x: list):
         sizes = list(map(abs, x))

@@ -20,6 +20,7 @@ from typing import Dict, NamedTuple, Sequence
 
 from .cartan import CartanData, finite_type_data, roots_of_word
 from .errors import (
+    BudgetExhausted,
     DimensionMismatch,
     HeightParityViolation,
     NonContiguousWindow,
@@ -30,7 +31,7 @@ from .errors import (
     SeriesOrderInsufficient,
 )
 from .seeds import gls_matrix
-from .words import Word, WordKind
+from .words import Word, WordKind, default_budget
 
 
 @dataclass(frozen=True)
@@ -348,11 +349,18 @@ def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
 
     D is the off-diagonal part of the Cartan matrix; the recurrence
     R_m = -(D R_{m-1} + R_{m-2}) with R_0 = I gives coefficient u = m+1.
+    A series of more than default_budget() cells, u_max * rank^2, is
+    BudgetExhausted.
     """
     n = len(cd.index_set)
     _require_simply_laced(cd)
     if u_max < 1:
         raise NotInvertibleAtOrder(f"order {u_max} < 1 computes nothing")
+    if u_max * n * n > (budget := default_budget()):
+        raise BudgetExhausted(
+            f"a series of order {u_max} has {u_max * n * n} cells, "
+            f"over the budget of {budget}"
+        )
     d = [
         [cd.entry(i, j) if i != j else 0 for j in cd.index_set]
         for i in cd.index_set

@@ -20,7 +20,6 @@ from .errors import (
     FrozenIndex,
     InvalidBox,
     MinorNotReachable,
-    MutationIndexFrozen,
     NoIntegralSolution,
     ShapeMismatch,
     ZeroBlockViolated,
@@ -248,19 +247,16 @@ def _mutate_b(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 
 def _mutate_lam(lam: tuple, b: ExchangeMatrix, k: int) -> tuple:
-    n = b.n
-    down = [max(0, -v) for v in b.column(k)]
-    out = [list(row) for row in lam]
-    for j in range(1, n + 1):
-        if j == k:
-            continue
-        total = -lam[k - 1][j - 1]
-        for d, row in zip(down, lam):
-            total += d * row[j - 1]
-        out[k - 1][j - 1] = total
-        out[j - 1][k - 1] = -total
-    out[k - 1][k - 1] = 0
-    return tuple(tuple(row) for row in out)
+    """Lambda' = E^T Lambda E: row k becomes Lambda(down, e_j), for the down
+    exchange vector at k, and column k its negative."""
+    _, down = exchange_vectors(b, k)
+    row = [sum(map(mul, down, column)) for column in zip(*lam)]
+    row[k - 1] = 0
+    out = [list(r) for r in lam]
+    out[k - 1] = row
+    for r, v in zip(out, row):
+        r[k - 1] = -v
+    return tuple(map(tuple, out))
 
 
 def exchange_vectors(b: ExchangeMatrix, k: int) -> tuple:
@@ -487,8 +483,9 @@ def move_to_mutation_script(cd: CartanData, w: Word, m: Move) -> MutationScript:
 
     Swap moves permute two slots; triple moves mutate once and permute;
     quadruple moves need three mutations (the two stated orders agree)
-    and the double transposition of both window slot pairs.  Every script
-    index must be an exchange slot of w.
+    and the double transposition of both window slot pairs.  The window
+    i j i (j) puts an earlier copy of its letter before each script index
+    p+2 and p+3, so every script index is an exchange slot of w.
     """
     _check_letters(cd, w.positions)
     i, j, p = _move_window(w, m, cd)
@@ -504,11 +501,6 @@ def move_to_mutation_script(cd: CartanData, w: Word, m: Move) -> MutationScript:
         else:
             muts = (p + 3, p + 2, p + 3)
         perm = _transpositions(n, (p, p + 1), (p + 2, p + 3))
-    for k in muts:
-        if not w.before(k, w.letter(k)):
-            raise MutationIndexFrozen(
-                f"{m}: script index {k} is frozen in K^ex = {_exchange_slots(w)}"
-            )
     return MutationScript(muts, perm)
 
 
@@ -777,9 +769,7 @@ def tsystem_check(
             "variables of the initial seed"
         )
     seed = initial_seed(cd, w, exact=True)
-    k = ks[s + 1]
-    if not seed.b.is_exchange(k):
-        raise MinorNotReachable(f"slot {k} is frozen; the identity has no exchange form")
+    k = ks[s + 1]  # an exchange slot: ks[s] carries its letter before it
     par_up, par_down = _exchange_parameters(seed, k)
     if par_down != right or par_up != lower:
         raise MinorNotReachable(

@@ -93,9 +93,9 @@ def _check_convention(convention: str) -> None:
 def _window_image(cd: CartanData, m: Move, i, j, window, convention: str, minimum):
     """Image of the window entries under the move's PL transition map.
 
-    The one formula table behind transition_apply and
-    transition_along_path_many (entries are ints, minimum is min) and
-    transition_apply_many (entries are columns, minimum is np.minimum).
+    The one formula table behind transition_along_path_many (entries are
+    ints, minimum is min) and transition_apply_many (entries are columns,
+    minimum is np.minimum).
     """
     if m.kind is MoveKind.TWO:
         x, y = window
@@ -116,14 +116,9 @@ def _window_image(cd: CartanData, m: Move, i, j, window, convention: str, minimu
 def transition_apply(
     cd: CartanData, w: Word, m: Move, a: Sequence[int], convention: str = "tabulated"
 ) -> tuple:
-    """Image of the exponent vector a under the move's transition map."""
-    _check_convention(convention)
-    if len(a) != w.length:
-        raise LengthMismatch(f"vector length {len(a)} != word length {w.length}")
-    i, j, k = _move_window(w, m, cd)
-    end = k - 1 + m.kind.window
-    image = _window_image(cd, m, i, j, a[k - 1 : end], convention, min)
-    return (*a[: k - 1], *image, *a[end:])
+    """Image of the exponent vector a under the move's transition map: the
+    one-move case of transition_along_path_many."""
+    return transition_along_path_many(cd, w, (m,), (a,), convention)[0]
 
 
 def transition_apply_many(

@@ -14,8 +14,14 @@ all come from it, and so does every box vector: _positions_vector marks
 a slice of one letter's positions.  _box_vector bisects the slice in
 [lo, hi] for ibox_vector and the right-anchored boxes of initial seeds;
 the T-system terms in seeds slice by index, ks[s:t+1] for the box
-[ks[s], ks[t]] of a letter with positions ks.  6-move windows
-(Cartan pairs with c_ij * c_ji = 3) are detected and refused rather than
+[ks[s], ks[t]] of a letter with positions ks.
+
+The braid relations come from one table per Cartan context,
+CartanData._relations, cached with it like its finite-type data: (i, j)
+maps to the window i j i ... of length 2, 3, 4 or 6 by c_ij * c_ji, and
+the rewrite is the window of (j, i).  enumerate_moves, the move-graph
+BFS, the kind check of _move_window and the 6-move refusal all read it.
+6-move windows (c_ij * c_ji = 3) are detected and refused rather than
 rewritten.
 """
 from __future__ import annotations
@@ -28,7 +34,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .cartan import CartanData, _check_letters, _WeylWalk, roots_of_word
+from .cartan import CartanData, _alternating, _check_letters, _WeylWalk, roots_of_word
 from .errors import (
     BudgetExhausted,
     ConfigInvalid,
@@ -137,35 +143,13 @@ class MoveScan(NamedTuple):
     unsupported: tuple  # leftmost positions of 6-move windows
 
 
-# Length of the braid relation window between distinct letters i, j, indexed
-# by c_ij * c_ji; a larger product has no relation.
-_RELATION_LENGTH = (2, 3, 4, 6)
-
-
-def _relation_window(i, j, prod: int) -> Optional[tuple]:
-    """The alternating window i j i ... that a braid relation rewrites, for
-    letters i != j with c_ij * c_ji = prod; None when no relation exists.
-
-    The rewrite is the same window with i and j swapped.  Length 6 is the
-    6-move, which the move system refuses.
-    """
-    if prod >= len(_RELATION_LENGTH):
-        return None
-    return _alternating(i, j, _RELATION_LENGTH[prod])
-
-
-def _alternating(i, j, size: int) -> tuple:
-    """The window i j i ... of the given length: the one shape every move
-    window must have."""
-    return tuple(j if t % 2 else i for t in range(size))
-
-
 def _move_window(w: Word, m: Move, cd: Optional[CartanData] = None) -> tuple:
     """Validate the window of m in w and return (i, j, k).
 
     Checks, in order: the window lies in the word, its first two letters
-    differ, c_ij * c_ji selects m's kind (only when cd is given; 6-move pairs
-    are UnsupportedCartanPair), and the window alternates i j i ...
+    differ, the relation of (i, j) in cd's table has m's length (only when
+    cd is given; 6-move pairs are UnsupportedCartanPair), and the window
+    alternates i j i ...
     """
     k = m.position
     size = m.kind.window
@@ -176,14 +160,14 @@ def _move_window(w: Word, m: Move, cd: Optional[CartanData] = None) -> tuple:
     if i == j:
         raise MoveNotApplicable(f"{m} window letters are equal")
     if cd is not None:
-        prod = cd.pair_product(i, j)
-        if prod == 3:
+        relation = cd._relations.get((i, j), ())
+        if len(relation) == 6:
             raise UnsupportedCartanPair(
                 f"{m}: letters {i!r}, {j!r} form a 6-move Cartan pair"
             )
-        if prod >= len(_RELATION_LENGTH) or _RELATION_LENGTH[prod] != size:
+        if len(relation) != size:
             raise MoveNotApplicable(
-                f"{m}: c_ij*c_ji = {prod} does not match the move kind"
+                f"{m}: c_ij*c_ji = {cd.pair_product(i, j)} does not match the move kind"
             )
     shape = _alternating(i, j, size)
     if window != shape:
@@ -194,17 +178,16 @@ def _move_window(w: Word, m: Move, cd: Optional[CartanData] = None) -> tuple:
 def enumerate_moves(cd: CartanData, w: Word) -> MoveScan:
     """All applicable moves, plus positions of 6-move windows we refuse.
 
-    At a fixed position at most one move kind matches, because the kinds are
-    classified by c_ij * c_ji of the letter pair.
+    At a fixed position at most one move kind matches: the one relation of
+    the letter pair there.
     """
     letters = w.letters
+    _check_letters(cd, letters)
+    relations = cd._relations
     moves = []
     unsupported = []
-    for k in range(1, len(letters)):
-        i, j = letters[k - 1], letters[k]
-        if i == j:
-            continue
-        window = _relation_window(i, j, cd.pair_product(i, j))
+    for k, pair in enumerate(zip(letters, letters[1:]), 1):
+        window = relations.get(pair)
         if window is None or letters[k - 1 : k - 1 + len(window)] != window:
             continue
         if len(window) == 6:
@@ -228,7 +211,7 @@ def _check_no_sixmove_pairs(cd: CartanData, letters: Sequence) -> None:
     present = sorted(set(letters), key=cd.position.__getitem__)
     for a in range(len(present)):
         for b in range(a + 1, len(present)):
-            if cd.pair_product(present[a], present[b]) == 3:
+            if len(cd._relations.get((present[a], present[b]), ())) == 6:
                 raise UnsupportedCartanPair(
                     f"letters {present[a]!r}, {present[b]!r} have c_ij*c_ji = 3; "
                     "their braid relation is outside the move system"
@@ -261,11 +244,11 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     The refusals read one cartan._WeylWalk per word: its roots, and for the
     Weyl element its final images w(alpha_i).
 
-    Works on letter tuples with one rewrite table per call, built from
-    _relation_window for the letter pairs of start (moves never add
-    letters).  Each word's moves are tried in ascending position, at most one
-    kind per position, exactly as enumerate_moves lists them, so words are
-    discovered, and paths found, in the same order.
+    Works on letter tuples and reads cd's relation table, as
+    enumerate_moves does; callers have refused 6-move pairs, so none of its
+    windows is a 6-move.  Each word's moves are tried in ascending position,
+    at most one kind per position, exactly as enumerate_moves lists them, so
+    words are discovered, and paths found, in the same order.
     """
     if start.letters == target:
         return "found", []
@@ -280,27 +263,19 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
         start_labels = tuple(order[beta] for beta in walk.roots)
     elif walk.images != goal.images:
         return "exhausted", None
-    rules = {}  # (i, j) -> (window, rewrite, kind) for pairs with a supported move
-    alphabet = set(start.letters)
-    for i in alphabet:
-        for j in alphabet - {i}:
-            prod = cd.pair_product(i, j)
-            window = _relation_window(i, j, prod)
-            if window is not None and len(window) < 6:
-                rules[(i, j)] = (window, _relation_window(j, i, prod), MoveKind(len(window)))
+    relations = cd._relations
     spent = 0  # words discovered by the finished rounds
     bound = 0  # up moves allowed in this round
     while True:
-        visited = {start.letters: None}  # word -> (previous word, kind, position)
+        visited = {start.letters: None}  # word -> (previous word, window length, position)
         queue = deque([(start.letters, start_labels, 0)])
         pruned = False
         while queue:
             current, labels, ups = queue.popleft()
             for k, pair in enumerate(zip(current, current[1:])):
-                rule = rules.get(pair)
-                if rule is None:
+                window = relations.get(pair)
+                if window is None:
                     continue
-                window, rewrite, kind = rule
                 end = k + len(window)
                 if current[k:end] != window:
                     continue
@@ -308,15 +283,15 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
                 if up > bound:
                     pruned = True
                     continue
-                nxt = current[:k] + rewrite + current[end:]
+                nxt = current[:k] + relations[pair[::-1]] + current[end:]
                 if nxt in visited:
                     continue
-                visited[nxt] = (current, kind, k + 1)
+                visited[nxt] = (current, end - k, k + 1)
                 if nxt == target:
                     path = []
                     while visited[nxt] is not None:
-                        nxt, kind, position = visited[nxt]
-                        path.append(Move(kind, position))
+                        nxt, size, position = visited[nxt]
+                        path.append(Move(MoveKind(size), position))
                     path.reverse()
                     return "found", path
                 if spent + len(visited) >= budget:
@@ -360,23 +335,19 @@ def words_equal_in_monoid(
 ) -> bool:
     """Positive-braid-monoid equality, decided by move-graph connectivity.
 
-    The defining relations are length-homogeneous, so unequal lengths decide
-    immediately; otherwise equality is exactly connectivity in the move graph,
-    refused without a search when reducedness differs, two reduced words
-    have different inversion sets, or two non-reduced words have different
-    Weyl elements.
+    The defining relations are length-homogeneous, so equality is exactly
+    connectivity in the move graph: find_move_path answers, a definitive
+    NotConnected is False, and one that spent the budget is BudgetExhausted.
     """
-    _check_letters(cd, w.positions)
-    _check_letters(cd, w2.positions)
-    _check_no_sixmove_pairs(cd, w.letters + w2.letters)
-    if w.length != w2.length:
-        return False
-    status, _ = _bfs(cd, w, w2.letters, budget or default_budget())
-    if status == "budget":
+    try:
+        find_move_path(cd, w, w2, budget)
+    except NotConnected as err:
+        if err.definitive:
+            return False
         raise BudgetExhausted(
             f"move-graph search stopped after {budget or default_budget()} words"
-        )
-    return status == "found"
+        ) from err
+    return True
 
 
 class NeighborIndex(NamedTuple):

@@ -3,6 +3,8 @@ Weyl group built by BFS on permutation-of-roots representations."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,80 @@ def test_symmetrizer_equation_holds():
         for i in cd.index_set:
             for j in cd.index_set:
                 assert cd.sym(i) * cd.entry(i, j) == cd.sym(j) * cd.entry(j, i)
+
+
+def two_walk_symmetrizer(matrix):
+    """_minimal_symmetrizer as it was before it found each component in
+    its own walk: one walk for the components, then one per component for
+    the ratios."""
+    n = len(matrix)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp, stack = [start], [start]
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if not seen[j] and matrix[i][j] != 0:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        comps.append(sorted(comp))
+    ratio = [None] * n
+    for comp in comps:
+        ratio[comp[0]] = Fraction(1)
+        stack = [comp[0]]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i == j or matrix[i][j] == 0:
+                    continue
+                want = ratio[i] * Fraction(matrix[i][j], matrix[j][i])
+                if ratio[j] is None:
+                    ratio[j] = want
+                    stack.append(j)
+                elif ratio[j] != want:
+                    raise NotSymmetrizable("inconsistent symmetrizer ratios on a cycle")
+        denom = 1
+        for i in comp:
+            denom = denom * ratio[i].denominator // gcd(denom, ratio[i].denominator)
+        values = [int(ratio[i] * denom) for i in comp]
+        g = 0
+        for v in values:
+            g = gcd(g, v)
+        for i, v in zip(comp, values):
+            ratio[i] = v // g
+    return tuple(int(r) for r in ratio)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_walk_per_component_finds_the_two_walk_symmetrizer(data):
+    # a zero pattern with several components, filled either from a hidden
+    # symmetrizer (symmetrizable) or freely (mostly not, once there is a cycle)
+    n = data.draw(st.integers(1, 7))
+    hidden = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    free = data.draw(st.booleans())
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if data.draw(st.integers(0, 2)):
+                continue
+            if free:
+                matrix[i][j], matrix[j][i] = (-data.draw(st.integers(1, 4)) for _ in "ij")
+            else:
+                x = data.draw(st.integers(1, 2))
+                matrix[i][j], matrix[j][i] = -hidden[j] * x, -hidden[i] * x
+    try:
+        expected = two_walk_symmetrizer(matrix)
+    except NotSymmetrizable as err:
+        with pytest.raises(NotSymmetrizable, match=str(err)):
+            cartan._minimal_symmetrizer(matrix)
+        return
+    assert cartan._minimal_symmetrizer(matrix) == expected
 
 
 def test_bilinear_form_symmetric_and_even_diagonal():

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,16 @@ def test_inferred_context_refuses_a_letter_that_is_not_an_integer(tmp_path):
     code, report = run(tmp_path, "verify", "tsystem", "--word", "1,x", "--box", "1,2")
     assert code == 2
     assert error_kind(report) == ("Error", "ConfigInvalid")
+
+
+def test_an_inferred_context_past_the_budget_is_refused_at_once(tmp_path):
+    # rank 10^6 would be a dense matrix of 10^12 cells
+    start = time.perf_counter()
+    code, report = run(tmp_path, "verify", "tsystem", "--word", "1000000,1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert error_kind(report) == ("Error", "BudgetExhausted")
+    assert "rank 1000000" in report.metadata["error"]["message"]
 
 
 def test_words_path_not_connected_exits_2(tmp_path):
@@ -270,6 +281,22 @@ def test_qdatum_ntab_reproduces_the_rank_one_value(tmp_path):
     assert row[5] == 2  # levels -3..3, so index 5 is p = +2
     assert section(report, "antisymmetric").agree
     assert section(report, "translation-invariant").agree
+
+
+def test_qdatum_ntab_range_is_bounded_by_the_series_budget(tmp_path, monkeypatch):
+    # the series of order 2R + 4 has (2R + 4) * rank^2 cells: 16 * 4 = 64
+    # for R = 6 on a2, one over a budget of 63
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "64")
+    assert run(tmp_path, "qdatum", "ntab", "--cartan", "a2", "--range", "6")[0] == 0
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "63")
+    code, report = run(tmp_path, "qdatum", "ntab", "--cartan", "a2", "--range", "6")
+    assert code == 2
+    assert error_kind(report) == ("Error", "BudgetExhausted")
+    monkeypatch.delenv("BRAIDSEED_BUDGET")
+    start = time.perf_counter()
+    code, report = run(tmp_path, "qdatum", "ntab", "--cartan", "a2", "--range", "100000000")
+    assert time.perf_counter() - start < 1
+    assert error_kind(report) == ("Error", "BudgetExhausted")
 
 
 def test_cartan_check_json_file(tmp_path):
@@ -629,6 +656,17 @@ ROUTE_DIGESTS = [
 ]
 
 
+# The campaign answer the benchmark's campaign-sweep workload checks every
+# run against: verify all over the rank-3 presets at length 4.
+CAMPAIGN_DIGEST = "d579d93d67410b13361a1c92411031bb3217b69bb67d4c020d34af337b2c0694"
+
+
+def test_the_benchmark_campaign_answer_is_pinned(capsys):
+    argv = ["verify", "all", "--rank-cap", "3", "--length-cap", "4", "--format", "json"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CAMPAIGN_DIGEST
+
+
 def test_every_route_has_a_pinned_digest():
     pinned = [tuple(line.split()[:2]) for line, _, _ in ROUTE_DIGESTS]
     assert sorted(pinned) == sorted(COMMANDS)
@@ -653,8 +691,9 @@ def test_readme_lists_exactly_the_routes_in_commands():
 
 
 # Flag values for the any-argv property: small valid values nine times in
-# ten, junk otherwise.  Integer flags whose default starts a long run
-# (--range, the caps of verify all) always get a small value.
+# ten, junk otherwise.  Integer flags whose default starts a long run (the
+# caps of verify all) always get a small value; --range draws small values
+# and values up to 10^9, which the series budget refuses.
 JUNK = st.sampled_from(["", ",", "x", "1,x", "-"])
 
 
@@ -688,7 +727,11 @@ FLAG_VALUES = {
 }
 # preset -> rank; words are drawn over the letters of the chosen context
 RANKS = {"a1": 1, "a1xa1": 2, "a2": 2, "b2": 2, "c2": 2, "g2": 2, "a3": 3, "zz": 2}
-BOUNDED = {"--range": (0, 3), "--length-cap": (0, 3), "--rank-cap": (0, 2)}
+BOUNDED = {
+    "--range": st.one_of(st.integers(0, 3), st.integers(0, 10**9)),
+    "--length-cap": st.integers(0, 3),
+    "--rank-cap": st.integers(0, 2),
+}
 
 
 @settings(
@@ -706,7 +749,7 @@ def test_any_argv_ends_in_a_report(tmp_path, monkeypatch, data):
     rank = 3
     for flag, kwargs in COMMON + CARTAN + options:
         if flag in BOUNDED:
-            argv += [flag, str(data.draw(st.integers(*BOUNDED[flag])))]
+            argv += [flag, str(data.draw(BOUNDED[flag]))]
             continue
         # required flags, --cartan and --word are given nine times in ten
         likely = kwargs.get("required") or flag in ("--cartan", "--word")

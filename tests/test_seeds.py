@@ -91,6 +91,7 @@ def test_gls_matrix_a2_example():
         initial_seed,
         lambda cd, w: tsystem_check(cd, w, IBox(1, 3)),
         tsystem_sweep,
+        words.enumerate_moves,
         lambda cd, w: find_move_path(cd, w, Word((1, 2, 1), BRAID)),
         lambda cd, w: words.words_equal_in_monoid(cd, Word((1, 2, 1), BRAID), w),
         lambda cd, w: seed_equivalence_report(cd, w, Word((1, 2, 1), BRAID)),
@@ -100,6 +101,7 @@ def test_gls_matrix_a2_example():
         "initial_seed",
         "tsystem_check",
         "tsystem_sweep",
+        "enumerate_moves",
         "find_move_path",
         "words_equal_in_monoid",
         "seed_equivalence_report",
@@ -835,6 +837,55 @@ def test_mutation_is_an_involution_that_keeps_compatibility(data):
         assert twice.lam == seed.lam
         assert twice.trop == seed.trop
         assert check_compatibility(once.lam, once.b)
+
+
+def column_mutate_lam(lam, b, k):
+    """_mutate_lam as it summed the down column before it read
+    exchange_vectors."""
+    n = b.n
+    down = [max(0, -v) for v in b.column(k)]
+    out = [list(row) for row in lam]
+    for j in range(1, n + 1):
+        if j == k:
+            continue
+        total = -lam[k - 1][j - 1]
+        for d, row in zip(down, lam):
+            total += d * row[j - 1]
+        out[k - 1][j - 1] = total
+        out[j - 1][k - 1] = -total
+    out[k - 1][k - 1] = 0
+    return tuple(tuple(row) for row in out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lambda_mutation_reads_the_down_exchange_vector(data):
+    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
+    seed = initial_seed(cd, random_word(data, cd))
+    # every exchange index of the initial seed, then of one mutated seed
+    for _ in range(2):
+        for k in seed.b.exchange:
+            assert seeds._mutate_lam(seed.lam, seed.b, k) == column_mutate_lam(
+                seed.lam, seed.b, k
+            )
+        if not seed.b.exchange:
+            break
+        seed = mutate_seed(seed, data.draw(st.sampled_from(seed.b.exchange)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_script_indices_and_exact_box_slots_are_exchange_slots(data):
+    # stands in for the runtime checks these indices once had: the window
+    # i j i (j) of a move, and the box [ks[s], ...] of a letter, put an
+    # earlier copy of the letter before p+2, p+3 and ks[s+1]
+    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4", "a4"])))
+    w = random_word(data, cd, max_length=12)
+    exchange = gls_matrix(cd, w).exchange
+    for m in words.enumerate_moves(cd, w).moves:
+        assert set(move_to_mutation_script(cd, w, m).mutations) <= set(exchange)
+    for ks in w.positions.values():
+        assert set(ks[1:]) <= set(exchange)
 
 
 def test_seed_to_json_shape():

@@ -25,6 +25,8 @@ from braidseed.errors import (
 )
 from braidseed.transitions import (
     CONVENTIONS,
+    _check_convention,
+    _window_image,
     OrderVerdict,
     bilex_compare,
     par_mutation,
@@ -41,7 +43,7 @@ from braidseed.words import (
     MoveKind,
     Word,
     WordKind,
-    _relation_window,
+    _move_window,
     apply_move,
     enumerate_moves,
     find_move_path,
@@ -458,15 +460,49 @@ def test_transitions_accept_exactly_the_enumerated_moves(named_word):
             assert m in listed
             k = position - 1
             i, j = w.letters[k], w.letters[k + 1]
-            rewrite = _relation_window(j, i, cd.pair_product(i, j))
+            rewrite = tuple(i if t % 2 else j for t in range(kind.window))
             assert apply_move(w, m).letters == (
                 w.letters[:k] + rewrite + w.letters[k + len(rewrite) :]
             )
 
 
+def window_transition_apply(cd, w, m, a, convention="tabulated"):
+    """transition_apply as it rewrote its one window before it became the
+    one-move case of transition_along_path_many."""
+    _check_convention(convention)
+    if len(a) != w.length:
+        raise LengthMismatch(f"vector length {len(a)} != word length {w.length}")
+    i, j, k = _move_window(w, m, cd)
+    end = k - 1 + m.kind.window
+    image = _window_image(cd, m, i, j, a[k - 1 : end], convention, min)
+    return (*a[: k - 1], *image, *a[end:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(braid_words(["a2", "b2", "c2", "g2", "a3", "b3", "c3"]), st.data())
+def test_transition_apply_is_the_one_window_rewrite(named_word, data):
+    name, w = named_word
+    cd = preset(name)
+    vec = data.draw(
+        st.lists(st.integers(-3, 6), min_size=w.length - 1, max_size=w.length + 1)
+    )
+    convention = data.draw(st.sampled_from(CONVENTIONS + ("bogus",)))
+    for kind in MoveKind:
+        for position in range(0, w.length + 2):
+            args = (cd, w, Move(kind, position), tuple(vec), convention)
+            try:
+                expected = window_transition_apply(*args)
+            except Exception as err:  # compared by type and message
+                with pytest.raises(type(err)) as info:
+                    transition_apply(*args)
+                assert str(info.value) == str(err)
+                continue
+            assert transition_apply(*args) == expected
+
+
 def fold_transition_apply(cd, w, path, a, convention):
     for move in path:
-        a = transition_apply(cd, w, move, a, convention)
+        a = window_transition_apply(cd, w, move, a, convention)
         w = apply_move(w, move)
     return a
 

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidseed.cartan import (
+    PRESET_MATRICES,
+    _check_letters,
     finite_type_data,
     preset,
     reflect_root,
@@ -30,6 +32,7 @@ from braidseed.errors import (
 )
 from braidseed.seeds import gls_matrix, seed_equivalence_report
 from braidseed.words import (
+    default_budget,
     EMPTY_BOX,
     EmptyBox,
     IBox,
@@ -39,7 +42,8 @@ from braidseed.words import (
     Word,
     WordKind,
     _bfs,
-    _relation_window,
+    _check_no_sixmove_pairs,
+    _move_window,
     apply_move,
     enumerate_moves,
     find_move_path,
@@ -291,6 +295,156 @@ def test_find_move_path_matches_pinned_moves(family, start, end, moves):
     assert u == v
 
 
+# The braid relations as each reader derived them per letter pair before
+# the relation table of the context: the window i j i ... of the length
+# that c_ij * c_ji selects, None when the pair has no relation.
+RELATION_LENGTH = (2, 3, 4, 6)
+
+
+def relation_window(i, j, prod):
+    if prod >= len(RELATION_LENGTH):
+        return None
+    return tuple(j if t % 2 else i for t in range(RELATION_LENGTH[prod]))
+
+
+def scan_moves(cd, w):
+    """enumerate_moves as it scanned before the relation table."""
+    letters = w.letters
+    moves = []
+    unsupported = []
+    for k in range(1, len(letters)):
+        i, j = letters[k - 1], letters[k]
+        if i == j:
+            continue
+        window = relation_window(i, j, cd.pair_product(i, j))
+        if window is None or letters[k - 1 : k - 1 + len(window)] != window:
+            continue
+        if len(window) == 6:
+            unsupported.append(k)
+        else:
+            moves.append(Move(MoveKind(len(window)), k))
+    return tuple(moves), tuple(unsupported)
+
+
+def scan_move_window(w, m, cd):
+    """The Cartan side of _move_window before the relation table."""
+    k, size = m.position, m.kind.window
+    if k < 1 or k + size - 1 > w.length:
+        raise MoveNotApplicable(f"{m} window leaves the word")
+    window = w.letters[k - 1 : k - 1 + size]
+    i, j = window[0], window[1]
+    if i == j:
+        raise MoveNotApplicable(f"{m} window letters are equal")
+    prod = cd.pair_product(i, j)
+    if prod == 3:
+        raise UnsupportedCartanPair(f"{m}: letters {i!r}, {j!r} form a 6-move Cartan pair")
+    if prod >= len(RELATION_LENGTH) or RELATION_LENGTH[prod] != size:
+        raise MoveNotApplicable(f"{m}: c_ij*c_ji = {prod} does not match the move kind")
+    shape = relation_window(i, j, prod)
+    if window != shape:
+        raise MoveNotApplicable(f"{m}: window {window} is not of shape {shape}")
+    return i, j, k
+
+
+def scan_sixmove_pairs(cd, letters):
+    present = sorted(set(letters), key=cd.position.__getitem__)
+    for a in range(len(present)):
+        for b in range(a + 1, len(present)):
+            if cd.pair_product(present[a], present[b]) == 3:
+                raise UnsupportedCartanPair(
+                    f"letters {present[a]!r}, {present[b]!r} have c_ij*c_ji = 3; "
+                    "their braid relation is outside the move system"
+                )
+
+
+def search_words_equal(cd, w, w2, budget=None):
+    """words_equal_in_monoid as it searched on its own before it asked
+    find_move_path."""
+    _check_letters(cd, w.positions)
+    _check_letters(cd, w2.positions)
+    scan_sixmove_pairs(cd, w.letters + w2.letters)
+    if w.length != w2.length:
+        return False
+    status, _ = _bfs(cd, w, w2.letters, budget or default_budget())
+    if status == "budget":
+        raise BudgetExhausted(
+            f"move-graph search stopped after {budget or default_budget()} words"
+        )
+    return status == "found"
+
+
+# E6 in Bourbaki labelling: the chain 1-3-4-5-6 with 2 attached to 4.
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+
+
+def relation_contexts():
+    """Every preset (g2 for the 6-move), B4, D4 and E6."""
+    return [preset(name) for name in sorted(PRESET_MATRICES)] + [
+        validate_cartan(m) for m in (RANK4["B4"], RANK4["D4"], E6)
+    ]
+
+
+RELATION_CONTEXTS = relation_contexts()
+
+
+def windowed_letters(data, cd, extra=()):
+    """Letters of cd (and the extra ones) concatenated from alternating
+    windows i j i ... of length 1 to 6, so every relation shape occurs."""
+    alphabet = st.sampled_from(cd.index_set + tuple(extra))
+    segments = data.draw(
+        st.lists(st.tuples(alphabet, alphabet, st.integers(1, 6)), max_size=4)
+    )
+    return tuple(j if t % 2 else i for i, j, size in segments for t in range(size))
+
+
+def test_the_relation_table_is_the_per_pair_window():
+    for cd in RELATION_CONTEXTS:
+        for i in cd.index_set:
+            for j in cd.index_set:
+                if i != j:
+                    prod = cd.pair_product(i, j)
+                    assert cd._relations.get((i, j)) == relation_window(i, j, prod)
+                    assert (i, i) not in cd._relations
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_move_readers_of_the_relation_table_agree_with_the_per_pair_scans(data):
+    cd = data.draw(st.sampled_from(RELATION_CONTEXTS))
+    w = Word(windowed_letters(data, cd), WordKind.POSITIVE_BRAID)
+    assert enumerate_moves(cd, w) == scan_moves(cd, w)
+    for kind in MoveKind:
+        for position in range(0, w.length + 2):
+            m = Move(kind, position)
+            assert _outcome(_move_window, w, m, cd) == _outcome(scan_move_window, w, m, cd)
+    assert _outcome(_check_no_sixmove_pairs, cd, w.letters) == _outcome(
+        scan_sixmove_pairs, cd, w.letters
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_words_equal_in_monoid_answers_as_its_own_search_did(data):
+    cd = data.draw(st.sampled_from(RELATION_CONTEXTS))
+    u = Word(windowed_letters(data, cd, extra=(9,) * data.draw(st.integers(0, 1))),
+             WordKind.POSITIVE_BRAID)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    choice = data.draw(st.sampled_from(["walk", "walk", "other", "longer", "shorter"]))
+    if choice == "walk" and 9 not in u.letters:
+        v = _random_walk(cd, u, rng, rng.randint(0, 12))
+    elif choice == "other":
+        v = Word(windowed_letters(data, cd), WordKind.POSITIVE_BRAID)
+    elif choice == "longer":
+        v = Word(u.letters + (cd.index_set[0],), WordKind.POSITIVE_BRAID)
+    else:
+        v = Word(u.letters[1:], WordKind.POSITIVE_BRAID)
+    budget = data.draw(st.integers(1, 50))
+    assert _outcome(words_equal_in_monoid, cd, u, v, budget) == _outcome(
+        search_words_equal, cd, u, v, budget
+    )
+
+
 # The move-graph search as it was before the up-move bound: one unpruned
 # BFS, kept as the reference for the bounded one.
 def reference_bfs(cd, start, target, budget):
@@ -301,9 +455,9 @@ def reference_bfs(cd, start, target, budget):
     for i in alphabet:
         for j in alphabet - {i}:
             prod = cd.pair_product(i, j)
-            window = _relation_window(i, j, prod)
+            window = relation_window(i, j, prod)
             if window is not None and len(window) < 6:
-                rules[(i, j)] = (window, _relation_window(j, i, prod), MoveKind(len(window)))
+                rules[(i, j)] = (window, relation_window(j, i, prod), MoveKind(len(window)))
     visited = {start.letters: None}
     queue = deque([start.letters])
     while queue:
