@@ -7,10 +7,13 @@ smallest point of an affine lattice x0 + span(kernel) is selected by an
 iterative-deepening search on the max-norm over the echelonized kernel
 basis.  A coordinate is final once the last basis vector that touches it
 has its coefficient; the search checks each coordinate then, moving one
-point in place, and drops a branch as soon as its final coordinates rule
-it out.  Its nodes are counted against the shared search budget
-(``BRAIDSEED_BUDGET``), and running out raises BudgetExhausted.  All
-arithmetic stays in Python integers.
+point in place.  It drops a branch as soon as the sizes of its final
+coordinates, counted at the radius, then at radius - 1 and so on, form a
+histogram above the best leaf's: that order is the first part of the
+canonical key.  Coefficients are tried from the centre out (Schnorr and
+Euchner 1994), so good leaves come early.  Its nodes are counted against
+the shared search budget (``BRAIDSEED_BUDGET``), and running out raises
+BudgetExhausted.  All arithmetic stays in Python integers.
 """
 from __future__ import annotations
 
@@ -115,11 +118,17 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
     its coefficient; coordinates no vector touches are checked once per
     radius, before the search.  The search moves one point in place, adding
     each coefficient times its vector over the vector's support and undoing
-    it on return, and copies the point only at a leaf.  A branch whose
-    final coordinates already hold more entries at the radius than the best
-    solution found so far is dropped: it loses on the first part of the
-    canonical order.  For the same reason only the leaves with the fewest
-    entries at the radius are kept and ranked by the full order.  Raises
+    it on return, and copies the point only at a leaf.
+
+    The first part of the canonical order is the histogram of the sizes,
+    compared lexicographically from the radius down: the count of entries
+    at the radius, then at radius - 1, and so on.  Final sizes only add to
+    a branch's histogram, so a branch whose final coordinates already form
+    a histogram above the best leaf's loses at every leaf and is dropped.
+    Only the leaves with the best histogram are kept, and ranked by the
+    full order.  At each depth the coefficients are tried from the centre
+    out, starting at the one that puts the pivot coordinate nearest 0, so
+    that small leaves come first and prune the rest.  Raises
     BudgetExhausted when the search visits more than default_budget()
     nodes.
     """
@@ -145,9 +154,12 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
 
     def search(radius: int) -> list:
         found = []
-        best = n + 1  # fewest entries at the radius among the solutions found
+        # hist[r] counts the final coordinates of size radius - r, so list
+        # order on histograms is the first part of the canonical order
+        hist = [0] * (radius + 1)
+        best = [n + 1]  # histogram of the best leaves; above every histogram
 
-        def dfs(depth: int, at_radius: int) -> None:
+        def dfs(depth: int) -> None:
             nonlocal nodes, best
             nodes += 1
             if nodes > budget:
@@ -155,10 +167,9 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
                     f"lattice search stopped after {budget} nodes at radius {radius}"
                 )
             if depth == len(basis):
-                # at_radius <= best here; fewer entries at the radius beat
-                # every earlier leaf on the first part of the canonical order
-                if at_radius < best:
-                    best = at_radius
+                # every coordinate is final here, and hist <= best
+                if hist < best:
+                    best = list(hist)
                     found.clear()
                 found.append(list(current))
                 return
@@ -170,23 +181,29 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
             lo = -((radius + base) // step)
             hi = (radius - base) // step
             vec, checks = support[depth], final[depth]
-            for coeff in range(lo, hi + 1):
-                count = at_radius
-                for i, v in checks:
-                    size = abs(current[i] + coeff * v)
-                    if size > radius:
-                        break
-                    count += size == radius
-                else:
-                    if count <= best:
-                        for i, v in vec:
-                            current[i] += coeff * v
-                        dfs(depth + 1, count)
-                        for i, v in vec:
-                            current[i] -= coeff * v
+            # centre out: the pivot coordinate nearest 0 first
+            for coeff in sorted(range(lo, hi + 1), key=lambda c: abs(base + step * c)):
+                # checks holds the pivot: no later echelon vector touches it
+                sizes = [abs(current[i] + coeff * v) for i, v in checks]
+                if max(sizes) > radius:
+                    continue
+                for size in sizes:
+                    hist[radius - size] += 1
+                # the final sizes only add to hist, so a branch above best
+                # stays above it at every leaf
+                if hist <= best:
+                    for i, v in vec:
+                        current[i] += coeff * v
+                    dfs(depth + 1)
+                    for i, v in vec:
+                        current[i] -= coeff * v
+                for size in sizes:
+                    hist[radius - size] -= 1
 
-        if all(v <= radius for v in untouched):
-            dfs(0, untouched.count(radius))
+        if all(size <= radius for size in untouched):
+            for size in untouched:
+                hist[radius - size] += 1
+            dfs(0)
         return found
 
     # the size-reduced point is a leaf at radius max|current|, so this ends

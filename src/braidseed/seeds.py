@@ -11,7 +11,7 @@ NonExactDivision instead of a silently wrong result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .cartan import CartanData, _check_letters
@@ -74,7 +74,7 @@ class ExchangeMatrix:
         return self.entries[k - 1][l - 1]
 
     def column(self, l: int) -> tuple:
-        return tuple(row[l - 1] for row in self.entries)
+        return tuple(map(itemgetter(l - 1), self.entries))
 
     def is_exchange(self, k: int) -> bool:
         return k in self.exchange
@@ -175,15 +175,17 @@ def solve_lambda(b: ExchangeMatrix) -> tuple:
 
 
 def check_compatibility(lam: Sequence[Sequence[int]], b: ExchangeMatrix) -> bool:
-    """True iff sum_k lambda_{ik} b_{kj} = -2 d'_j delta_{ij} on K x K^ex."""
+    """True iff sum_k lambda_{ik} b_{kj} = -2 d'_j delta_{ij} on K x K^ex.
+
+    Each exchange column is summed over its nonzero entries only."""
     n = b.n
     if len(lam) != n or any(len(row) != n for row in lam):
         raise ShapeMismatch(f"pairing size does not match K = [1, {n}]")
-    for i in range(1, n + 1):
-        for j in b.exchange:
-            total = sum(lam[i - 1][k - 1] * b.entry(k, j) for k in range(1, n + 1))
-            want = -2 * b.d_prime[j - 1] if i == j else 0
-            if total != want:
+    for j in b.exchange:
+        column = [(k, v) for k, v in enumerate(b.column(j)) if v]
+        for i, row in enumerate(lam, 1):
+            total = sum(row[k] * v for k, v in column)
+            if total != (-2 * b.d_prime[j - 1] if i == j else 0):
                 return False
     return True
 
@@ -232,31 +234,36 @@ def initial_seed(cd: CartanData, w: Word, exact: bool = False) -> Seed:
 
 
 def _mutate_b(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """B' at k: row k is negated, and only the rows i with b_ik != 0
+    change, to b_ij + sign(b_ik) max(b_ik b_kj, 0) off column k and -b_ik
+    in it; every other row is kept as it is."""
     row_k = b.entries[k - 1]
-    rows = []
-    for i, row in enumerate(b.entries, 1):
-        b_ik = row[k - 1]
-        sign = -1 if b_ik < 0 else 1
-        rows.append(
-            tuple(
-                -b_ij if i == k or j == k else b_ij + sign * max(b_ik * b_kj, 0)
-                for j, (b_ij, b_kj) in enumerate(zip(row, row_k), 1)
-            )
-        )
+    support_k = [(j, b_kj) for j, b_kj in enumerate(row_k) if b_kj]
+    rows = list(b.entries)
+    for i, b_ik in enumerate(b.column(k)):
+        if b_ik and i != k - 1:
+            row = list(rows[i])
+            for j, b_kj in support_k:
+                if b_ik * b_kj > 0:
+                    row[j] += abs(b_ik) * b_kj
+            row[k - 1] = -b_ik
+            rows[i] = tuple(row)
+    rows[k - 1] = tuple(-v for v in row_k)
     return ExchangeMatrix(tuple(rows), b.exchange, b.d_prime)
 
 
-def _mutate_lam(lam: tuple, b: ExchangeMatrix, k: int) -> tuple:
-    """Lambda' = E^T Lambda E: row k becomes Lambda(down, e_j), for the down
-    exchange vector at k, and column k its negative."""
-    _, down = exchange_vectors(b, k)
-    row = [sum(map(mul, down, column)) for column in zip(*lam)]
+def _mutate_lam(lam: tuple, k: int, down: Sequence[int]) -> tuple:
+    """Lambda' = E^T Lambda E for the down exchange vector at k: row k
+    becomes Lambda(down, e_j), summed over down's support, and column k its
+    negative; every other entry stays."""
+    row = [0] * len(lam)
+    for t, power in enumerate(down):
+        if power:
+            row = [x + power * y for x, y in zip(row, lam[t])]
     row[k - 1] = 0
-    out = [list(r) for r in lam]
-    out[k - 1] = row
-    for r, v in zip(out, row):
-        r[k - 1] = -v
-    return tuple(map(tuple, out))
+    out = [r[: k - 1] + (-v,) + r[k:] for r, v in zip(lam, row)]
+    out[k - 1] = tuple(row)
+    return tuple(out)
 
 
 def exchange_vectors(b: ExchangeMatrix, k: int) -> tuple:
@@ -289,8 +296,9 @@ def _current_monomial(seed: Seed, vec: Sequence[int], shift: int = 0) -> Quantum
     return out
 
 
-def _exchange_sum(seed: Seed, k: int) -> QuantumLaurent:
-    """q^c1 m_a + q^c2 m_a' where m is the ordered product skipping slot k.
+def _exchange_sum(seed: Seed, k: int, vectors: tuple) -> QuantumLaurent:
+    """q^c1 m_a + q^c2 m_a' where m is the ordered product skipping slot k,
+    for the exchange vectors at k.
 
     Each based monomial X^a of the current seed (with exponent -1 in slot
     k) is rewritten as q^c * (product over the other slots) * X_k^{-1};
@@ -301,21 +309,21 @@ def _exchange_sum(seed: Seed, k: int) -> QuantumLaurent:
     row = seed.lam[k - 1]
     up, down = (
         _current_monomial(seed, vec, -2 * sum(map(mul, vec[k:], row[k:])))
-        for vec in exchange_vectors(seed.b, k)
+        for vec in vectors
     )
     return up + down
 
 
-def _exchange_parameters(seed: Seed, k: int) -> tuple:
-    """Tropical parameters of the up and down exchange monomials at k: the
-    current parameters summed to the monomial's powers, leaving out slot k
+def _exchange_parameters(trop: tuple, vectors: tuple) -> tuple:
+    """Tropical parameters of the up and down exchange monomials: the
+    current parameters summed to each monomial's powers, leaving out slot k
     (its only negative power)."""
     pars = []
-    for vec in exchange_vectors(seed.b, k):
-        par = (0,) * seed.b.n
-        for power, trop in zip(vec, seed.trop):
+    for vec in vectors:
+        par = (0,) * len(trop)
+        for power, t in zip(vec, trop):
             if power > 0:
-                par = tuple(p + power * t for p, t in zip(par, trop))
+                par = tuple(p + power * x for p, x in zip(par, t))
         pars.append(par)
     return tuple(pars)
 
@@ -323,32 +331,29 @@ def _exchange_parameters(seed: Seed, k: int) -> tuple:
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Mutation at an exchange index; returns a new seed.
 
-    The tropical track applies the parameter mutation rule to the two
-    exchange monomials' parameters; the exact track divides the exchange
-    numerator by the current variable's Laurent form.
+    The exchange vectors at k are formed once; they give the two exchange
+    monomials' tropical parameters and the down vector of Lambda'.  The
+    work follows B's column k: rows of B with b_ik = 0 are kept as they
+    are, and of Lambda only row and column k change.  The tropical track
+    applies the parameter mutation rule to the two monomials' parameters;
+    the exact track divides the exchange numerator by the current
+    variable's Laurent form.
     """
     if not seed.b.is_exchange(k):
         raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
-    n = seed.b.n
-    new_trop_k = par_mutation(seed.trop[k - 1], *_exchange_parameters(seed, k))
-    trop = tuple(
-        new_trop_k if t == k - 1 else seed.trop[t] for t in range(n)
-    )
+    vectors = exchange_vectors(seed.b, k)
+    new_trop_k = par_mutation(seed.trop[k - 1], *_exchange_parameters(seed.trop, vectors))
+    trop = seed.trop[: k - 1] + (new_trop_k,) + seed.trop[k:]
     exact = seed.exact
     if exact is not None:
-        numerator = _exchange_sum(seed, k)
+        numerator = _exchange_sum(seed, k, vectors)
         new_var = right_divide(seed.torus_lam, numerator, exact[k - 1])
-        exact = tuple(
-            new_var if t == k - 1 else exact[t] for t in range(n)
-        )
-    labels = tuple(
-        f"mu{k}({seed.labels[t]})" if t == k - 1 else seed.labels[t]
-        for t in range(n)
-    )
+        exact = exact[: k - 1] + (new_var,) + exact[k:]
+    labels = seed.labels[: k - 1] + (f"mu{k}({seed.labels[k - 1]})",) + seed.labels[k:]
     return replace(
         seed,
         b=_mutate_b(seed.b, k),
-        lam=_mutate_lam(seed.lam, seed.b, k),
+        lam=_mutate_lam(seed.lam, k, vectors[1]),
         trop=trop,
         labels=labels,
         exact=exact,
@@ -770,7 +775,7 @@ def tsystem_check(
         )
     seed = initial_seed(cd, w, exact=True)
     k = ks[s + 1]  # an exchange slot: ks[s] carries its letter before it
-    par_up, par_down = _exchange_parameters(seed, k)
+    par_up, par_down = _exchange_parameters(seed.trop, exchange_vectors(seed.b, k))
     if par_down != right or par_up != lower:
         raise MinorNotReachable(
             f"the exchange monomials at slot {k} do not realize the boxed terms"

@@ -147,9 +147,9 @@ def _move_window(w: Word, m: Move, cd: Optional[CartanData] = None) -> tuple:
     """Validate the window of m in w and return (i, j, k).
 
     Checks, in order: the window lies in the word, its first two letters
-    differ, the relation of (i, j) in cd's table has m's length (only when
-    cd is given; 6-move pairs are UnsupportedCartanPair), and the window
-    alternates i j i ...
+    differ, both are in the index set (InvalidBox) and their relation in
+    cd's table has m's length (only when cd is given; 6-move pairs are
+    UnsupportedCartanPair), and the window alternates i j i ...
     """
     k = m.position
     size = m.kind.window
@@ -160,6 +160,7 @@ def _move_window(w: Word, m: Move, cd: Optional[CartanData] = None) -> tuple:
     if i == j:
         raise MoveNotApplicable(f"{m} window letters are equal")
     if cd is not None:
+        _check_letters(cd, (i, j))
         relation = cd._relations.get((i, j), ())
         if len(relation) == 6:
             raise UnsupportedCartanPair(

@@ -481,7 +481,7 @@ def a6_cartan(tmp_path):
 
 
 def test_lattice_budget_exhaustion_is_an_error(tmp_path, monkeypatch):
-    # the A6 w0 pairing search needs 2,121 nodes
+    # the A6 w0 pairing search needs 1,565 nodes
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
     code, report = run(
         tmp_path, "seed", "build", "--cartan", a6_cartan(tmp_path),

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidseed.errors import NoIntegralSolution
 from braidseed.lattices import (
+    _echelon_kernel,
     _size_reduce,
     canonical_smallest_solution,
     column_echelon,
@@ -222,6 +224,87 @@ def test_canonical_depends_only_on_the_affine_lattice(system, rng):
     assert canonical_smallest_solution(shifted, mixed) == canonical_smallest_solution(
         x0, kernel
     )
+
+
+def det(m):
+    """Determinant by cofactors along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** c * m[0][c] * det([row[:c] + row[c + 1 :] for row in m[1:]])
+        for c in range(len(m))
+    )
+
+
+def adjugate(m):
+    return [
+        [
+            (-1) ** (r + c) * det([row[:r] + row[r + 1 :] for k, row in enumerate(m) if k != c])
+            for c in range(len(m))
+        ]
+        for r in range(len(m))
+    ]
+
+
+def canonical_key(x):
+    sizes = [abs(v) for v in x]
+    return sorted(sizes, reverse=True), sizes, [v < 0 for v in x]
+
+
+def enumerate_canonical(x0, kernel, rows):
+    """min(key) over every point of x0 + span(kernel) within a radius: the
+    max-norm of the size-reduced point, or of x0 when that is smaller (a
+    point beyond the max-norm of a lattice point loses to it on the first
+    part of the key).  The kernel vectors are independent, and their
+    entries at the coordinates rows form an invertible block K_S.  Each
+    point is fixed by its entries y at rows: the coefficients
+    adj(K_S)(y - x0_S) / det(K_S) must be integers."""
+    n, d = len(x0), len(kernel)
+    reduced = _size_reduce(x0, *_echelon_kernel(kernel, n))
+    radius = min(max(map(abs, reduced)), max(map(abs, x0)))
+    block = [[vec[r] for vec in kernel] for r in rows]
+    scale, adj = det(block), adjugate(block)
+    points = []
+    for y in itertools.product(range(-radius, radius + 1), repeat=d):
+        shift = [a - x0[r] for a, r in zip(y, rows)]
+        scaled = [sum(map(mul, row, shift)) for row in adj]
+        if any(c % scale for c in scaled):
+            continue
+        coeffs = [c // scale for c in scaled]
+        x = [x0[i] + sum(c * vec[i] for c, vec in zip(coeffs, kernel)) for i in range(n)]
+        if max(map(abs, x)) <= radius:
+            points.append(x)
+    assert points  # x0 or the size-reduced point is one of them
+    return min(points, key=canonical_key)
+
+
+@st.composite
+def small_lattices(draw):
+    """x0 + span(kernel) in Z^n, n <= 5, with one to three independent
+    kernel vectors and every entry in [-6, 6]; returns it with the
+    coordinates of an invertible block of the kernel."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, min(3, n)))
+    entry = st.integers(-6, 6)
+    kernel = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=d, max_size=d))
+    x0 = draw(st.lists(entry, min_size=n, max_size=n))
+    rows = next(
+        (
+            rows
+            for rows in itertools.combinations(range(n), d)
+            if det([[vec[r] for vec in kernel] for r in rows])
+        ),
+        None,
+    )
+    assume(rows is not None)
+    return x0, kernel, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lattices())
+def test_canonical_search_equals_enumeration_within_the_size_reduced_radius(lattice):
+    x0, kernel, rows = lattice
+    assert canonical_smallest_solution(x0, kernel) == enumerate_canonical(x0, kernel, rows)
 
 
 def test_size_reduce_is_exact_beyond_float_range():

@@ -13,6 +13,8 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from braidseed import seeds, words
 from braidseed.cartan import finite_type_data, preset, roots_of_word, validate_cartan
 from braidseed.errors import (
+    BraidseedError,
     BudgetExhausted,
     ExchangeSetNotPreserved,
     FrozenIndex,
@@ -54,6 +57,7 @@ from braidseed.seeds import (
 from braidseed.transitions import (
     OrderVerdict,
     bilex_compare,
+    par_mutation,
     par_product,
     transition_apply,
 )
@@ -865,12 +869,101 @@ def test_lambda_mutation_reads_the_down_exchange_vector(data):
     # every exchange index of the initial seed, then of one mutated seed
     for _ in range(2):
         for k in seed.b.exchange:
-            assert seeds._mutate_lam(seed.lam, seed.b, k) == column_mutate_lam(
+            down = exchange_vectors(seed.b, k)[1]
+            assert seeds._mutate_lam(seed.lam, k, down) == column_mutate_lam(
                 seed.lam, seed.b, k
             )
         if not seed.b.exchange:
             break
         seed = mutate_seed(seed, data.draw(st.sampled_from(seed.b.exchange)))
+
+
+def dense_mutate_b(b, k):
+    """_mutate_b as it rebuilt every row of B."""
+    row_k = b.entries[k - 1]
+    rows = []
+    for i, row in enumerate(b.entries, 1):
+        b_ik = row[k - 1]
+        sign = -1 if b_ik < 0 else 1
+        rows.append(
+            tuple(
+                -b_ij if i == k or j == k else b_ij + sign * max(b_ik * b_kj, 0)
+                for j, (b_ij, b_kj) in enumerate(zip(row, row_k), 1)
+            )
+        )
+    return ExchangeMatrix(tuple(rows), b.exchange, b.d_prime)
+
+
+def dense_mutate_lam(lam, b, k):
+    """_mutate_lam as it summed row k through every column of Lambda."""
+    _, down = exchange_vectors(b, k)
+    row = [sum(map(mul, down, column)) for column in zip(*lam)]
+    row[k - 1] = 0
+    out = [list(r) for r in lam]
+    out[k - 1] = row
+    for r, v in zip(out, row):
+        r[k - 1] = -v
+    return tuple(map(tuple, out))
+
+
+def dense_exchange_parameters(seed, k):
+    """_exchange_parameters as it formed the exchange vectors itself."""
+    pars = []
+    for vec in exchange_vectors(seed.b, k):
+        par = (0,) * seed.b.n
+        for power, trop in zip(vec, seed.trop):
+            if power > 0:
+                par = tuple(p + power * t for p, t in zip(par, trop))
+        pars.append(par)
+    return tuple(pars)
+
+
+def dense_mutate_seed(seed, k):
+    """mutate_seed with every row of B and every column of Lambda rewritten.
+    The exact track's numerator is the one formula both versions share."""
+    if not seed.b.is_exchange(k):
+        raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
+    n = seed.b.n
+    new_trop_k = par_mutation(seed.trop[k - 1], *dense_exchange_parameters(seed, k))
+    trop = tuple(new_trop_k if t == k - 1 else seed.trop[t] for t in range(n))
+    exact = seed.exact
+    if exact is not None:
+        numerator = seeds._exchange_sum(seed, k, exchange_vectors(seed.b, k))
+        new_var = right_divide(seed.torus_lam, numerator, exact[k - 1])
+        exact = tuple(new_var if t == k - 1 else exact[t] for t in range(n))
+    labels = tuple(
+        f"mu{k}({seed.labels[t]})" if t == k - 1 else seed.labels[t] for t in range(n)
+    )
+    return replace(
+        seed,
+        b=dense_mutate_b(seed.b, k),
+        lam=dense_mutate_lam(seed.lam, seed.b, k),
+        trop=trop,
+        labels=labels,
+        exact=exact,
+    )
+
+
+def _outcome(mutate, seed, k):
+    try:
+        return mutate(seed, k)
+    except BraidseedError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_support_mutation_equals_the_dense_mutation(data):
+    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
+    w = random_word(data, cd)
+    seed = initial_seed(cd, w, exact=w.length <= 5)
+    # any slot, so frozen indices are drawn too
+    for k in data.draw(st.lists(st.integers(1, w.length), max_size=6)):
+        fast = _outcome(mutate_seed, seed, k)
+        assert fast == _outcome(dense_mutate_seed, seed, k)
+        if not isinstance(fast, seeds.Seed):
+            break
+        seed = fast
 
 
 @settings(max_examples=150, deadline=None)
@@ -928,9 +1021,10 @@ def w0_seed(matrix):
 # row-major order.  Computed by the unpruned search, which checked every
 # coordinate only at the leaves, on the C(n, 2) system; D6 (length 30),
 # out of that system's reach, by the left-kernel solve.  A6 (length 21)
-# needs 2,121 search nodes, within the default budget; the same pairing
-# came from the search that checked a coordinate only at the next pivot
-# row, which needed a budget of 50,000,000 (SHA-256 of repr(lam) starts
+# needs 1,565 search nodes, within the default budget (2,121 before the
+# search pruned on the whole size histogram); the same pairing came from
+# the search that checked a coordinate only at the next pivot row, which
+# needed a budget of 50,000,000 (SHA-256 of repr(lam) starts
 # fc7bd30ae8fca88f on both).
 W0_LAMBDA = {
     "A3": (type_a(3), 1,
@@ -1003,7 +1097,7 @@ def test_b4_word_with_huge_particular_solution_builds_a_seed():
 
 
 def test_lambda_search_is_bounded_by_the_budget(monkeypatch):
-    # the A6 w0 pairing search needs 2,121 nodes
+    # the A6 w0 pairing search needs 1,565 nodes
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
     cd = validate_cartan(type_a(6))
     b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))

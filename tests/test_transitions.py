@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidseed.cartan import preset, roots_of_word
+from braidseed.cartan import finite_type_data, preset, roots_of_word, validate_cartan
 from braidseed.errors import (
     CaseNotTabulated,
     IncomparableLeadingTerms,
+    InvalidBox,
     LengthMismatch,
     MoveNotApplicable,
     NegativeEntry,
@@ -139,6 +140,24 @@ def test_transition_rejects_bad_windows():
         )
     with pytest.raises(LengthMismatch):
         transition_apply(cd, Word((1, 2, 1)), Move(MoveKind.THREE, 1), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "letters, move", [((1, 9), Move(MoveKind.TWO, 1)), ((2, 9, 2), Move(MoveKind.THREE, 1))]
+)
+def test_a_window_letter_outside_the_index_set_is_refused(letters, move):
+    # before, formatting the kind-mismatch message raised a raw KeyError
+    cd, w = preset("a2"), Word(letters, BRAID)
+    zeros = (0,) * len(letters)
+    calls = [
+        lambda: transition_apply(cd, w, move, zeros),
+        lambda: transition_apply_many(cd, w, move, np.zeros((1, len(letters)), dtype=np.int64)),
+        lambda: transition_along_path_many(cd, w, (move,), [zeros]),
+        lambda: verify_ibox_transition(cd, w, move, IBox(1, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidBox, match="letter 9 not in the index set"):
+            call()
 
 
 def test_transition_involution_exhaustive():
@@ -596,3 +615,46 @@ def test_batch_transition_of_the_a2_overflow_witnesses():
     assert out.tolist() == [[2**62, 0, 2**63], [2**63 + 5, -(2**63), 0]]
     empty = np.zeros((0, 3), dtype=np.int64)
     assert transition_apply_many(cd, w, Move(MoveKind.THREE, 1), empty).shape == (0, 3)
+
+
+# Rank-4 Cartan matrices beyond the presets; B4 in the orientation of the b3
+# preset, D4 with vertex 4 attached to vertex 2.
+RANK4 = {
+    "a4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "b4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+    "d4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(RANK4)), st.data())
+def test_transport_is_invertible_and_path_independent(name, data):
+    # the paper's invariance beyond the exhaustive caps: a random reduced
+    # word of at least half the length of w0, a random walk of moves from
+    # it, and the move-graph search's path between the same two words
+    cd = validate_cartan(RANK4[name])
+    longest = len(finite_type_data(cd).longest_word)
+    letters = ()
+    for _ in range(data.draw(st.integers((longest + 1) // 2, longest))):
+        extensions = [
+            i for i in cd.index_set if roots_of_word(cd, letters + (i,)).all_positive
+        ]
+        letters += (data.draw(st.sampled_from(extensions)),)
+    w = Word(letters, WordKind.WEYL_REDUCED)
+    walk, current = [], w
+    for _ in range(data.draw(st.integers(0, 12))):
+        walk.append(data.draw(st.sampled_from(enumerate_moves(cd, current).moves)))
+        current = apply_move(current, walk[-1])
+    searched = find_move_path(cd, w, current)
+    vectors = data.draw(
+        st.lists(
+            st.lists(st.integers(0, 6), min_size=w.length, max_size=w.length).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for convention in CONVENTIONS:
+        there = transition_along_path_many(cd, w, walk, vectors, convention)
+        back = transition_along_path_many(cd, current, walk[::-1], there, convention)
+        assert back == tuple(vectors)
+        assert transition_along_path_many(cd, w, searched, vectors, convention) == there
