@@ -1,11 +1,13 @@
-"""Words over a Cartan index set, the 2-/3-/4-move rewriting system, BFS over
-the move graph, and i-box index combinatorics.
+"""Words over a Cartan index set, the 2-/3-/4-move rewriting system, search
+over the move graph, and i-box index combinatorics.
 
-The move-graph BFS between reduced words is bounded by the rank-2 packets
-of roots still out of the target's order, and finds the same shortest path
-as the unbounded search from far fewer words; words that moves cannot
-connect (their reducedness, inversion sets or Weyl elements differ) are
-refused without a search.
+The move-graph search returns the lexicographically least shortest path:
+of the shortest paths, the smallest by move positions in order.  Between
+reduced words it deepens iteratively on the rank-2 packets of roots still
+out of the target's order, depth-first in each round, and finds the same
+path as an unbounded BFS from far fewer words; between non-reduced words
+it is one BFS.  Words that moves cannot connect (their reducedness,
+inversion sets or Weyl elements differ) are refused without a search.
 
 Positions are 1-based throughout.  Where a letter occurs is read only
 from the word's position index, Word.positions, directly or through
@@ -20,7 +22,7 @@ The braid relations come from one table per Cartan context,
 CartanData._relations, cached with it like its finite-type data: (i, j)
 maps to the window i j i ... of length 2, 3, 4 or 6 by c_ij * c_ji, and
 the rewrite is the window of (j, i).  enumerate_moves, the move-graph
-BFS, the kind check of _move_window and the 6-move refusal all read it.
+search, the kind check of _move_window and the 6-move refusal all read it.
 6-move windows (c_ij * c_ji = 3) are detected and refused rather than
 rewritten.
 """
@@ -176,25 +178,27 @@ def _move_window(w: Word, m: Move, cd: Optional[CartanData] = None) -> tuple:
     return i, j, k
 
 
-def enumerate_moves(cd: CartanData, w: Word) -> MoveScan:
-    """All applicable moves, plus positions of 6-move windows we refuse.
+def _windows(relations: dict, letters: tuple, lo: int = 0, hi: Optional[int] = None):
+    """(k, window) for each relation window of letters whose 0-based start k
+    lies in [lo, hi), in ascending k; at most one window starts at k, the
+    one relation of the letter pair there."""
+    top = len(letters) - 1 if hi is None else min(hi, len(letters) - 1)
+    for k in range(lo, top):
+        window = relations.get(letters[k : k + 2])
+        if window is not None and letters[k : k + len(window)] == window:
+            yield k, window
 
-    At a fixed position at most one move kind matches: the one relation of
-    the letter pair there.
-    """
-    letters = w.letters
-    _check_letters(cd, letters)
-    relations = cd._relations
+
+def enumerate_moves(cd: CartanData, w: Word) -> MoveScan:
+    """All applicable moves, plus positions of 6-move windows we refuse."""
+    _check_letters(cd, w.letters)
     moves = []
     unsupported = []
-    for k, pair in enumerate(zip(letters, letters[1:]), 1):
-        window = relations.get(pair)
-        if window is None or letters[k - 1 : k - 1 + len(window)] != window:
-            continue
+    for k, window in _windows(cd._relations, w.letters):
         if len(window) == 6:
-            unsupported.append(k)
+            unsupported.append(k + 1)
         else:
-            moves.append(Move(MoveKind(len(window)), k))
+            moves.append(Move(MoveKind(len(window)), k + 1))
     return MoveScan(tuple(moves), tuple(unsupported))
 
 
@@ -220,95 +224,136 @@ def _check_no_sixmove_pairs(cd: CartanData, letters: Sequence) -> None:
 
 
 def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
-    """Explore the move graph from start.
+    """Search the move graph from start for target.
 
     Returns ('found', path) when target is reached, ('exhausted', None) when
     target is provably not connected to start, ('budget', None) once
-    `budget` words have been discovered, counted over all rounds.
+    `budget` words have been discovered, counted over all rounds.  The path
+    is the lexicographically least shortest one: of the shortest paths, the
+    smallest by move positions in order.
 
     Moves keep the Weyl element and reducedness (Matsumoto-Tits), so a
     reduced and a non-reduced word, two reduced words with different
     inversion sets, or two non-reduced words whose Weyl elements move the
-    simple roots differently, are refused before any search.  A reduced
-    word carries labels: the positions of its roots beta_k in target's root
-    order.  A move reverses the labels of its window, one whole rank-2
-    packet of roots (a commuting pair, an A2 triple or a B2 quadruple), so
-    it changes the number h of packets out of target order by exactly one:
-    up when labels[k] < labels[k+1].  A path of length d thus makes
-    (d - h(start)) / 2 up moves.  Round e = 0, 1, ... skips the moves that
-    would exceed e up moves, without marking their words visited; every
-    word of a shortest path and its first BFS parent survive the round
-    e = (d - h(start)) / 2 in the same relative order, so that round
-    returns the unpruned search's path.  Non-reduced words carry constant
-    labels: no move is up, and the first round is final.
+    simple roots differently, are refused before any search.  The refusals
+    read one cartan._WeylWalk per word: its roots, and for the Weyl element
+    its final images w(alpha_i).  Non-reduced words are then searched by one
+    plain BFS.
 
-    The refusals read one cartan._WeylWalk per word: its roots, and for the
-    Weyl element its final images w(alpha_i).
+    A reduced word carries labels: the positions of its roots beta_k in
+    target's root order.  A move reverses the labels of its window, one
+    whole rank-2 packet of roots (a commuting pair, an A2 triple or a B2
+    quadruple), so it changes the number h of packets out of target order
+    by exactly one: up when labels[k] < labels[k+1].  A path of length d
+    thus makes (d - h(start)) / 2 up moves, and h is an exact lower bound on
+    the distance.  Round e = 0, 1, ... of this iterative deepening (Korf
+    1985) is a depth-first search, moves in ascending position, over the
+    paths of at most e up moves.  Earlier rounds found no path, so every
+    path of round e to target has length h(start) + 2e = d, and the first
+    one found is the least shortest path.  A word reached again is expanded
+    again only with fewer up moves than before, and is not counted again.
+    A word other than target that the round discovers lies nearer start
+    than target, so a BFS of the round would discover it too before
+    answering.  A round without a path is final unless some word, at its
+    fewest up moves, has an up move beyond the bound.
 
-    Works on letter tuples and reads cd's relation table, as
-    enumerate_moves does; callers have refused 6-move pairs, so none of its
-    windows is a 6-move.  Each word's moves are tried in ascending position,
-    at most one kind per position, exactly as enumerate_moves lists them, so
-    words are discovered, and paths found, in the same order.
+    Works on letter tuples and reads cd's relation table through _windows,
+    as enumerate_moves does; a word's move starts are its parent's, with
+    only the windows near the rewrite scanned again.  Callers have refused
+    6-move pairs, so none of its windows is a 6-move.
     """
     if start.letters == target:
         return "found", []
     walk, goal = _WeylWalk(cd, start.letters), _WeylWalk(cd, target)
     if walk.reduced != goal.reduced:
         return "exhausted", None
-    start_labels = (0,) * len(target)  # non-reduced: no move is up, one round
-    if walk.reduced:
-        order = {beta: t for t, beta in enumerate(goal.roots)}
-        if order.keys() != set(walk.roots):
-            return "exhausted", None
-        start_labels = tuple(order[beta] for beta in walk.roots)
-    elif walk.images != goal.images:
-        return "exhausted", None
     relations = cd._relations
+    if not walk.reduced:
+        if walk.images != goal.images:
+            return "exhausted", None
+        return _plain_bfs(relations, start.letters, target, budget)
+    order = {beta: t for t, beta in enumerate(goal.roots)}
+    if order.keys() != set(walk.roots):
+        return "exhausted", None
+    start_labels = tuple(order[beta] for beta in walk.roots)
+    start_ks = [k for k, _ in _windows(relations, start.letters)]
     spent = 0  # words discovered by the finished rounds
     bound = 0  # up moves allowed in this round
     while True:
-        visited = {start.letters: None}  # word -> (previous word, window length, position)
-        queue = deque([(start.letters, start_labels, 0)])
-        pruned = False
-        while queue:
-            current, labels, ups = queue.popleft()
-            for k, pair in enumerate(zip(current, current[1:])):
-                window = relations.get(pair)
-                if window is None:
-                    continue
-                end = k + len(window)
-                if current[k:end] != window:
-                    continue
+        fewest = {start.letters: 0}  # word -> fewest up moves it was expanded with
+        capped = []  # words expanded with an up move beyond the bound
+        # frames: word, labels, up moves, move starts, pending starts, move to it
+        stack = [(start.letters, start_labels, 0, start_ks, iter(start_ks), None)]
+        while stack:
+            current, labels, ups, ks, pending, _ = stack[-1]
+            for k in pending:
                 up = ups + (labels[k] < labels[k + 1])
                 if up > bound:
-                    pruned = True
+                    if not capped or capped[-1] is not current:
+                        capped.append(current)
                     continue
-                nxt = current[:k] + relations[pair[::-1]] + current[end:]
-                if nxt in visited:
+                rewrite = relations[current[k + 1], current[k]]
+                end = k + len(rewrite)
+                nxt = current[:k] + rewrite + current[end:]
+                seen = fewest.get(nxt)
+                if seen is not None and seen <= up:
                     continue
-                visited[nxt] = (current, end - k, k + 1)
+                fewest[nxt] = up
                 if nxt == target:
-                    path = []
-                    while visited[nxt] is not None:
-                        nxt, size, position = visited[nxt]
-                        path.append(Move(MoveKind(size), position))
-                    path.reverse()
-                    return "found", path
-                if spent + len(visited) >= budget:
+                    steps = [frame[5] for frame in stack[1:]] + [(end - k, k + 1)]
+                    return "found", [Move(MoveKind(size), at) for size, at in steps]
+                if spent + len(fewest) >= budget:
                     return "budget", None
-                queue.append((nxt, labels[:k] + labels[k:end][::-1] + labels[end:], up))
-        if not pruned:
+                # windows are at most 4 letters long, so only those starting
+                # in [k - 3, end) can overlap the rewrite
+                lo = max(k - 3, 0)
+                nxt_ks = (
+                    ks[: bisect_left(ks, lo)]
+                    + [j for j, _ in _windows(relations, nxt, lo, end)]
+                    + ks[bisect_left(ks, end) :]
+                )
+                nxt_labels = labels[:k] + labels[k:end][::-1] + labels[end:]
+                stack.append((nxt, nxt_labels, up, nxt_ks, iter(nxt_ks), (end - k, k + 1)))
+                break
+            else:
+                stack.pop()
+        if not any(fewest[word] == bound for word in capped):
             return "exhausted", None
-        spent += len(visited)
+        spent += len(fewest)
         bound += 1
+
+
+def _plain_bfs(relations: dict, start: tuple, target: tuple, budget: int):
+    """_bfs's protocol by one BFS, moves in ascending position."""
+    visited = {start: None}  # word -> (previous word, window length, position)
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for k, window in _windows(relations, current):
+            end = k + len(window)
+            nxt = current[:k] + relations[window[1::-1]] + current[end:]
+            if nxt in visited:
+                continue
+            visited[nxt] = (current, end - k, k + 1)
+            if nxt == target:
+                path = []
+                while visited[nxt] is not None:
+                    nxt, size, position = visited[nxt]
+                    path.append(Move(MoveKind(size), position))
+                path.reverse()
+                return "found", path
+            if len(visited) >= budget:
+                return "budget", None
+            queue.append(nxt)
+    return "exhausted", None
 
 
 def find_move_path(
     cd: CartanData, w: Word, w2: Word, budget: Optional[int] = None
 ) -> list:
-    """Shortest move sequence from w to w2, BFS with (position, kind) ties:
-    of the shortest paths, the smallest by move positions in order.
+    """The lexicographically least shortest move sequence from w to w2: of
+    the shortest paths, the smallest by move positions in order.  _bfs finds
+    it depth-first per round for reduced words, by one BFS otherwise.
 
     Raises NotConnected with definitive=True when w2 cannot be reached from
     w: their lengths or reducedness differ, two reduced words have different

@@ -196,6 +196,22 @@ def test_words_path_joins_far_d5_longest_words(tmp_path):
     assert section(report, "replay").left == list(map(int, D5_FAR_PAIR[1]))
 
 
+def test_verify_corollary_matches_d5_longest_word_against_its_reverse(tmp_path):
+    # 78 moves apart; the breadth-first rounds of the move-graph search ran
+    # out of the default budget here and the route exited 2 with NotConnected
+    path = tmp_path / "d5.json"
+    cd = validate_cartan(D5)
+    path.write_text(cartan_to_json(cd))
+    w0 = finite_type_data(cd).longest_word
+    code, report = run(
+        tmp_path, "verify", "corollary", "--cartan", str(path),
+        "--word", ",".join(map(str, w0)), "--word", ",".join(map(str, reversed(w0))),
+    )
+    assert code == 0
+    assert report.verdict == "Match"
+    assert len(section(report, "path").left) == 78
+
+
 def test_seed_mutate_exact_step(tmp_path):
     code, report = run(
         tmp_path, "seed", "mutate", "--cartan", "a2", "--word", "1,2,1",

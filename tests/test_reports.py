@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidseed.errors import ConfigInvalid
 from braidseed.reports import (
@@ -66,6 +68,49 @@ def test_json_round_trip_is_identity():
     report = report_from_sections(
         [comparison("B", ((0, 1), (-1, 0)), ((0, 1), (-1, 0))), echo("k", 3)], meta
     )
+    blob = emit_report(report, "json")
+    assert parse_report(blob) == report
+    assert emit_report(parse_report(blob), "json") == blob
+
+
+# Section values as the routes build them: nested ints, strings (non-ASCII
+# among them), bools, None, lists, tuples and dicts keyed by ints.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.text(max_size=8)
+    | st.sampled_from(["Λ", "é", "∑ β_k", "日本", "\u2028", "\"\\"])
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.integers(-50, 50), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sections=st.lists(
+        st.tuples(st.text(max_size=12), VALUES, VALUES, st.booleans()), max_size=5
+    ),
+    inputs=st.dictionaries(st.text(max_size=6), VALUES, max_size=3),
+    failure=st.none() | st.tuples(st.text(max_size=12), st.text(max_size=20)),
+)
+def test_json_round_trip_is_identity_on_drawn_sections(sections, inputs, failure):
+    meta = base_metadata(("verify", "drawn"), inputs=inputs)
+    if failure is None:
+        report = report_from_sections(
+            [
+                echo(name, left) if same else comparison(name, left, right)
+                for name, left, right, same in sections
+            ],
+            meta,
+        )
+    else:
+        report = error_report(*failure, meta)
     blob = emit_report(report, "json")
     assert parse_report(blob) == report
     assert emit_report(parse_report(blob), "json") == blob

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from braidseed.cartan import (
     PRESET_MATRICES,
+    _WeylWalk,
     _check_letters,
     finite_type_data,
     preset,
@@ -228,13 +229,15 @@ def test_budget_env_override(monkeypatch):
 
 
 def test_budget_counts_the_words_of_every_round():
-    # round 0 discovers only the start; round 1 reaches the target as its
-    # 18th word, so 1 + 18 words are charged
+    # every move of the start is up, so round 0 discovers only the start;
+    # round 1 walks depth-first straight along the 12-move path and reaches
+    # the target as its 13th word, the start included, so 1 + 13 words are
+    # charged
     cd = preset("b3")
     u, v = Word((2, 1, 3, 2, 1, 3, 2, 3, 1)), Word((3, 1, 2, 1, 3, 2, 1, 3, 2))
-    assert len(find_move_path(cd, u, v, budget=19)) == 12
+    assert len(find_move_path(cd, u, v, budget=14)) == 12
     with pytest.raises(NotConnected) as info:
-        find_move_path(cd, u, v, budget=18)
+        find_move_path(cd, u, v, budget=13)
     assert not info.value.definitive
 
 
@@ -511,14 +514,14 @@ def assert_windows_monotone(cd, w, target):
         assert window in (sorted(window), sorted(window, reverse=True))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_bounded_search_finds_the_paths_of_the_unpruned_one(data):
+def draw_pair(data):
+    """A move graph and two words of it: mostly two random walks from one
+    reduced word in the upper half of the lengths, whose move graphs are the
+    large ones; otherwise a positive-braid word and a random walk from it or
+    a random word."""
     cd = data.draw(st.sampled_from(MOVE_GRAPHS))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     if rng.random() < 0.75:
-        # two random walks from one reduced word in the upper half of the
-        # lengths, whose move graphs are the large ones
         top = len(finite_type_data(cd).positive_roots)
         length = rng.randint(top // 2, top)
         base = []
@@ -530,7 +533,6 @@ def test_bounded_search_finds_the_paths_of_the_unpruned_one(data):
             _random_walk(cd, Word(tuple(base)), rng, rng.randint(0, 200)) for _ in "st"
         )
     else:
-        # a positive-braid word and a random walk from it or a random word
         kind = WordKind.POSITIVE_BRAID
         length = rng.randint(0, 7)
         start, target = (
@@ -539,6 +541,13 @@ def test_bounded_search_finds_the_paths_of_the_unpruned_one(data):
         )
         if rng.random() < 0.5:
             target = _random_walk(cd, start, rng, rng.randint(0, 20))
+    return cd, start, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bounded_search_finds_the_paths_of_the_unpruned_one(data):
+    cd, start, target = draw_pair(data)
     budget = data.draw(st.sampled_from([2, 50, 200_000]))
     status, path = _bfs(cd, start, target.letters, budget)
     expected, reference_path = reference_bfs(cd, start, target.letters, 10**7)
@@ -552,6 +561,93 @@ def test_bounded_search_finds_the_paths_of_the_unpruned_one(data):
         for move in reference_path:
             w = apply_move(w, move)
             assert_windows_monotone(cd, w, target.letters)
+
+
+def test_a_word_reached_with_fewer_up_moves_is_expanded_again():
+    # the depth-first round first reaches some words of this B4 pair along
+    # longer paths; searched only from there, it returned another 43-move
+    # path.  The moves are those of reference_bfs.
+    cd = validate_cartan(RANK4["B4"])
+    u = Word((4, 3, 1, 2, 1, 3, 4, 3, 2, 4, 3, 4, 1, 3, 2, 3))
+    v = Word((2, 1, 3, 4, 2, 3, 1, 4, 3, 2, 1, 3, 2, 4, 3, 4))
+    path = find_move_path(cd, u, v)
+    assert " ".join(f"{m.kind.window}@{m.position}" for m in path) == (
+        "2@2 2@1 2@5 3@3 2@2 2@6 2@5 2@7 2@12 2@11 2@10 3@8 3@6 4@3 2@6 2@8 2@7 "
+        "4@11 3@9 2@8 3@6 2@5 2@4 2@3 3@1 2@11 2@14 3@12 4@9 2@8 3@6 2@5 3@3 2@9 "
+        "2@8 4@5 2@4 2@12 4@13 3@11 3@9 2@8 2@7"
+    )
+
+
+# The bounded search as it was before its rounds went depth-first: each
+# round one BFS that skips the moves beyond the round's up-move bound, kept
+# as the reference for the depth-first rounds.
+def rounds_bfs(cd, start, target, budget):
+    if start.letters == target:
+        return "found", []
+    walk, goal = _WeylWalk(cd, start.letters), _WeylWalk(cd, target)
+    if walk.reduced != goal.reduced:
+        return "exhausted", None
+    start_labels = (0,) * len(target)
+    if walk.reduced:
+        order = {beta: t for t, beta in enumerate(goal.roots)}
+        if order.keys() != set(walk.roots):
+            return "exhausted", None
+        start_labels = tuple(order[beta] for beta in walk.roots)
+    elif walk.images != goal.images:
+        return "exhausted", None
+    relations = cd._relations
+    spent = 0
+    bound = 0
+    while True:
+        visited = {start.letters: None}
+        queue = deque([(start.letters, start_labels, 0)])
+        pruned = False
+        while queue:
+            current, labels, ups = queue.popleft()
+            for k, pair in enumerate(zip(current, current[1:])):
+                window = relations.get(pair)
+                if window is None:
+                    continue
+                end = k + len(window)
+                if current[k:end] != window:
+                    continue
+                up = ups + (labels[k] < labels[k + 1])
+                if up > bound:
+                    pruned = True
+                    continue
+                nxt = current[:k] + relations[pair[::-1]] + current[end:]
+                if nxt in visited:
+                    continue
+                visited[nxt] = (current, end - k, k + 1)
+                if nxt == target:
+                    path = []
+                    while visited[nxt] is not None:
+                        nxt, size, position = visited[nxt]
+                        path.append(Move(MoveKind(size), position))
+                    path.reverse()
+                    return "found", path
+                if spent + len(visited) >= budget:
+                    return "budget", None
+                queue.append((nxt, labels[:k] + labels[k:end][::-1] + labels[end:], up))
+        if not pruned:
+            return "exhausted", None
+        spent += len(visited)
+        bound += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_depth_first_rounds_answer_as_the_breadth_first_rounds(data):
+    cd, start, target = draw_pair(data)
+    reduced = roots_of_word(cd, start.letters).all_positive
+    for budget in (2, 5, 20, 50, 300, 200_000):
+        status, path = _bfs(cd, start, target.letters, budget)
+        expected = rounds_bfs(cd, start, target.letters, budget)
+        if expected[0] != "budget" or not reduced:
+            assert (status, path) == expected
+        elif status != "budget":
+            # it discovers fewer words, and finds the path of an ample budget
+            assert (status, path) == ("found", reference_bfs(cd, start, target.letters, 10**7)[1])
 
 
 # Two reduced words of the D5 longest word drawn by seeded random walks in
@@ -568,6 +664,21 @@ def test_far_d5_longest_words_compare_within_the_default_budget():
     report = seed_equivalence_report(cd, u, v, exact=False)
     assert report.match and report.lam_gauge_in_kernel
     assert len(report.path) == 38
+    for move in report.path:
+        u = apply_move(u, move)
+    assert u == v
+
+
+def test_e6_longest_word_compares_with_its_reverse():
+    # 152 moves apart; the breadth-first rounds ran out of the default
+    # budget before reaching reverse(w0) from w0
+    cd = validate_cartan(E6)
+    w0 = finite_type_data(cd).longest_word
+    u, v = Word(w0), Word(tuple(reversed(w0)))
+    report = seed_equivalence_report(cd, u, v, exact=False)
+    assert report.match
+    assert report.lam_gauge == ((0,) * 36,) * 36
+    assert len(report.path) == 152
     for move in report.path:
         u = apply_move(u, move)
     assert u == v
