@@ -1,18 +1,16 @@
 """Exact integer linear algebra for small systems.
 
 ``column_echelon`` is a unimodular column reduction A U = H that can carry
-U^-1 along; ``seeds.solve_lambda`` uses it to solve the pairing system in
-the left-kernel coordinates of the exchange columns.  The canonical
-smallest point of an affine lattice x0 + span(kernel) is selected by an
-iterative-deepening search on the max-norm over the echelonized kernel
-basis.  A coordinate is final once the last basis vector that touches it
-has its coefficient; the search checks each coordinate then, moving one
-point in place.  It drops a branch as soon as the sizes of its final
-coordinates, counted at the radius, then at radius - 1 and so on, form a
-histogram above the best leaf's: that order is the first part of the
-canonical key.  Coefficients are tried from the centre out (Schnorr and
-Euchner 1994), so good leaves come early.  Its nodes are counted against
-the shared search budget (``BRAIDSEED_BUDGET``), and running out raises
+U^-1 along.  The canonical smallest point of an affine lattice
+x0 + span(kernel) is found by an iterative-deepening search on the
+max-norm, ``_canonical_point``, over an echelon basis of the kernel that
+is reduced at every later pivot into [-step/2, step/2): unique for the
+lattice, with small supports.  Two echelon bases of one lattice have the
+same pivots and steps, and each coordinate has the same last touching
+vector in both, so the search, its node count and its answer depend only
+on the affine lattice.  ``seeds.solve_lambda`` builds such a basis from
+wedges and calls the search directly.  Its nodes are counted against the
+shared search budget (``BRAIDSEED_BUDGET``), and running out raises
 BudgetExhausted.  All arithmetic stays in Python integers.
 """
 from __future__ import annotations
@@ -85,11 +83,13 @@ def column_echelon(rows: Sequence[Sequence[int]], carry: list | None = None) -> 
 
 
 def _echelon_kernel(kernel: list, n: int) -> tuple[list, list]:
-    """Echelonize a nonempty kernel basis along coordinate rows for bounded search."""
+    """The reduced echelon basis of a nonempty kernel basis along
+    coordinate rows, and its pivot rows.  Both are unique for the lattice:
+    any generators of it give the same basis, and the same search."""
     H, _, pivots = column_echelon([list(row) for row in zip(*kernel)])
     basis = [[H[i][c] for i in range(n)] for _, c in pivots]
     pivot_rows = [i for i, _ in pivots]
-    return basis, pivot_rows
+    return _reduce_echelon(basis, pivot_rows), pivot_rows
 
 
 def _size_reduce(x: list, basis: list, pivot_rows: list) -> list:
@@ -104,6 +104,18 @@ def _size_reduce(x: list, basis: list, pivot_rows: list) -> list:
     return out
 
 
+def _reduce_echelon(basis: list, pivot_rows: list) -> list:
+    """Size-reduce each vector of an echelon basis at every later pivot.
+
+    Later vectors vanish before their pivots, so each reduction keeps the
+    earlier pivot entries, and the result, the column Hermite normal form
+    up to the rounding range, is unique for the lattice."""
+    return [
+        _size_reduce(vec, basis[d + 1 :], pivot_rows[d + 1 :])
+        for d, vec in enumerate(basis)
+    ]
+
+
 def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
     """The canonical point of the affine lattice x0 + span(kernel).
 
@@ -111,14 +123,27 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
     largest down, then the absolute entries in position order, then
     prefers nonnegative entries.  The answer depends only on the lattice,
     not on the choice of x0 or of the kernel generators.  Found by
-    iterative deepening on the max-norm over the echelonized kernel
-    lattice, which makes the coefficient ranges finite at each radius.
+    _canonical_point on the reduced echelon basis of the kernel lattice.
+    Raises BudgetExhausted when the search visits more than
+    default_budget() nodes.
+    """
+    if not kernel:
+        return list(x0)
+    return _canonical_point(x0, *_echelon_kernel(kernel, len(x0)))
 
-    A coordinate is final once the last basis vector that touches it has
-    its coefficient; coordinates no vector touches are checked once per
-    radius, before the search.  The search moves one point in place, adding
-    each coefficient times its vector over the vector's support and undoing
-    it on return, and copies the point only at a leaf.
+
+def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
+    """canonical_smallest_solution's point of x0 + span(basis), for a
+    nonempty echelon basis with positive steps at strictly increasing
+    pivot rows, reduced at every later pivot (as _echelon_kernel gives it).
+
+    Iterative deepening on the max-norm: the echelon form makes the
+    coefficient ranges finite at each radius.  A coordinate is final once
+    the last basis vector that touches it has its coefficient; coordinates
+    no vector touches are checked once per radius, before the search.  Each
+    child copies its parent's point and adds its coefficient times its
+    vector over the coordinates not final yet; the final ones are written
+    into the point only at a leaf, from what each depth chose.
 
     The first part of the canonical order is the histogram of the sizes,
     compared lexicographically from the radius down: the count of entries
@@ -127,29 +152,33 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
     a histogram above the best leaf's loses at every leaf and is dropped.
     Only the leaves with the best histogram are kept, and ranked by the
     full order.  At each depth the coefficients are tried from the centre
-    out, starting at the one that puts the pivot coordinate nearest 0, so
-    that small leaves come first and prune the rest.  Raises
+    out (Schnorr and Euchner 1994), starting at the one that puts the pivot
+    coordinate nearest 0, so that small leaves come first and prune the
+    rest.  Every node is fixed
+    by the pivot values so far, so the node count depends only on the
+    affine lattice; the reduction only shrinks the supports.  Raises
     BudgetExhausted when the search visits more than default_budget()
     nodes.
     """
-    current = list(x0)
+    current = _size_reduce(x0, basis, pivot_rows)
     n = len(current)
-    if not kernel:
-        return current
-    basis, pivot_rows = _echelon_kernel(kernel, n)
-    current = _size_reduce(current, basis, pivot_rows)
     budget = default_budget()
     support = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
     last_touch = [-1] * n
     for depth, vec in enumerate(support):
         for i, _ in vec:
             last_touch[i] = depth
-    # final[d]: the coordinates that are final once vector d has its coefficient
-    final = [
-        [(i, v) for i, v in vec if last_touch[i] == depth]
-        for depth, vec in enumerate(support)
-    ]
+    # at depth d the coordinates that are final once vector d has its
+    # coefficient (the pivot among them) are read, and only the others move
+    final, moved = [], []
+    for d, vec in enumerate(support):
+        done = [(i, v) for i, v in vec if last_touch[i] == d]
+        final.append(([i for i, _ in done], [v for _, v in done]))
+        moved.append([(i, v) for i, v in vec if last_touch[i] > d])
     untouched = [abs(current[i]) for i in range(n) if last_touch[i] < 0]
+    # per depth d of the current branch: its final coordinates' values
+    # before vector d is added, and vector d's coefficient
+    chosen = [None] * len(basis)
     nodes = 0
 
     def search(radius: int) -> list:
@@ -159,7 +188,7 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
         hist = [0] * (radius + 1)
         best = [n + 1]  # histogram of the best leaves; above every histogram
 
-        def dfs(depth: int) -> None:
+        def dfs(depth: int, current: list) -> None:
             nonlocal nodes, best
             nodes += 1
             if nodes > budget:
@@ -171,7 +200,10 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
                 if hist < best:
                     best = list(hist)
                     found.clear()
-                found.append(list(current))
+                for (rows, steps), (xs, coeff) in zip(final, chosen):
+                    for i, x, v in zip(rows, xs, steps):
+                        current[i] = x + coeff * v
+                found.append(current)
                 return
             p = pivot_rows[depth]
             step = basis[depth][p]
@@ -180,11 +212,11 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
             # and Python floor division handles negative numerators
             lo = -((radius + base) // step)
             hi = (radius - base) // step
-            vec, checks = support[depth], final[depth]
+            rows, steps = final[depth]
+            xs = [current[i] for i in rows]
             # centre out: the pivot coordinate nearest 0 first
             for coeff in sorted(range(lo, hi + 1), key=lambda c: abs(base + step * c)):
-                # checks holds the pivot: no later echelon vector touches it
-                sizes = [abs(current[i] + coeff * v) for i, v in checks]
+                sizes = [abs(x + coeff * v) for x, v in zip(xs, steps)]
                 if max(sizes) > radius:
                     continue
                 for size in sizes:
@@ -192,18 +224,18 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
                 # the final sizes only add to hist, so a branch above best
                 # stays above it at every leaf
                 if hist <= best:
-                    for i, v in vec:
-                        current[i] += coeff * v
-                    dfs(depth + 1)
-                    for i, v in vec:
-                        current[i] -= coeff * v
+                    chosen[depth] = xs, coeff
+                    child = current.copy()
+                    for i, v in moved[depth]:
+                        child[i] += coeff * v
+                    dfs(depth + 1, child)
                 for size in sizes:
                     hist[radius - size] -= 1
 
         if all(size <= radius for size in untouched):
             for size in untouched:
                 hist[radius - size] += 1
-            dfs(0)
+            dfs(0, list(current))
         return found
 
     # the size-reduced point is a leaf at radius max|current|, so this ends

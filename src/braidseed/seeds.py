@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     ZeroBlockViolated,
 )
-from .lattices import canonical_smallest_solution, column_echelon
+from .lattices import _canonical_point, _reduce_echelon, column_echelon
 from .qlaurent import (
     QHalf,
     QuantumLaurent,
@@ -126,16 +126,82 @@ def solve_lambda(b: ExchangeMatrix) -> tuple:
     solution (max-norm first, then absolute entries in row-major order,
     then nonnegative entries preferred).
 
-    Left-kernel coordinates: with B^T U = [G^T | 0] for the exchange
-    columns B (U unimodular, G upper triangular), Lambda = U Lambda' U^T
-    turns the system into Lambda' [G; 0] = U^-1 M.  The exchange columns of
-    Lambda' are P = U^-1 M G^-1, with a skew square block, and the rest is
-    free: the kernel is spanned by the wedges u_a ^ u_b of the last n - n_ex
-    columns of U.  M has rank n_ex, so B of lower rank admits no pairing.
+    The solutions are Lambda_0 + span(u_a ^ u_b), u a basis of the left
+    kernel of the exchange columns.  _back_substitute finds both when each
+    exchange column has a first entry +-1 in a row of its own, as in every
+    gls_matrix (-1 at row j- of column j); any other B goes through
+    _eliminate.  Both give the same affine lattice, so the same Lambda and
+    the same search node count.
+    """
+    n = b.n
+    if not b.exchange:
+        return tuple((0,) * n for _ in range(n))
+    x0, free = _back_substitute(b) or _eliminate(b)
+    return _canonical_pairing(n, x0, free)
+
+
+def _pairs(n: int) -> list:
+    """The unknowns lambda_ij, i < j, in row-major order."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _back_substitute(b: ExchangeMatrix) -> Optional[tuple]:
+    """(Lambda_0 over _pairs, a left-kernel basis), or None unless each
+    exchange column j has its first nonzero entry, +-1, at a row r_j of its
+    own and the Lambda_0 found is compatible.
+
+    Lambda_0 is 0 on the pairs of two free rows (no r_j) and is filled on
+    the pairs (a, c), a < c, a descending, then c descending: row i's
+    equation at j gives lambda_{i r_j} from entries already filled, with
+    (i, r_j) = (a, c) when c = r_j, else (c, a) when a = r_j.  The left
+    kernel has one vector per free row l: 1 at l, 0 at the other free rows,
+    and u_{r_j} = -b_{r_j j} sum_{k > r_j} u_k b_kj, r_j descending.
+    """
+    n = b.n
+    pivots = {}  # r_j -> (j - 1, b_{r_j j}, the later nonzeros (k, b_kj))
+    for j in b.exchange:
+        column = [(k, v) for k, v in enumerate(b.column(j)) if v]
+        if not column or column[0][1] not in (1, -1) or column[0][0] in pivots:
+            return None
+        (r, unit), *rest = column
+        pivots[r] = (j - 1, unit, rest)
+    lam = [[0] * n for _ in range(n)]
+    for a in reversed(range(n)):
+        for c in reversed(range(a + 1, n)):
+            if c in pivots:
+                i, r = a, c
+            elif a in pivots:
+                i, r = c, a
+            else:
+                continue
+            j, unit, rest = pivots[r]
+            rhs = -2 * b.d_prime[j] if i == j else 0
+            lam[i][r] = unit * (rhs - sum(lam[i][k] * v for k, v in rest))
+            lam[r][i] = -lam[i][r]
+    if not check_compatibility(lam, b):
+        return None
+    descending = sorted(pivots.items(), reverse=True)
+    kernel = []
+    for free in (l for l in range(n) if l not in pivots):
+        u = [0] * n
+        u[free] = 1
+        for r, (_, unit, rest) in descending:
+            u[r] = -unit * sum(u[k] * v for k, v in rest)
+        kernel.append(u)
+    return [lam[i][j] for i, j in _pairs(n)], kernel
+
+
+def _eliminate(b: ExchangeMatrix) -> tuple:
+    """(x0 over _pairs, a left-kernel basis) by unimodular elimination.
+
+    With B^T U = [G^T | 0] for the exchange columns B (U unimodular, G upper
+    triangular), Lambda = U Lambda' U^T turns the system into
+    Lambda' [G; 0] = U^-1 M.  The exchange columns of Lambda' are
+    P = U^-1 M G^-1, with a skew square block, and the rest is free: the
+    left kernel is spanned by the last n - n_ex columns of U.  M has rank
+    n_ex, so B of lower rank admits no pairing.
     """
     n, n_ex = b.n, len(b.exchange)
-    if not n_ex:
-        return tuple((0,) * n for _ in range(n))
     rhs = [[0] * n_ex for _ in range(n)]
     for s, j in enumerate(b.exchange):
         rhs[j - 1][s] = -2 * b.d_prime[j - 1]
@@ -154,22 +220,43 @@ def solve_lambda(b: ExchangeMatrix) -> tuple:
     if any(P[s][t] != -P[t][s] for s in range(n_ex) for t in range(s, n_ex)):
         raise NoIntegralSolution("the exchange block of U^-1 M G^-1 is not skew")
     columns = list(zip(*U))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def wedge(u, v):
-        return [u[i] * v[j] - v[i] * u[j] for i, j in pairs]
-
+    pairs = _pairs(n)
     # x0 = U Lambda'_0 U^T is the sum of u_k ^ (U c_k) over k < n_ex, c_k the part
     # of row k of Lambda'_0 = [P | -P[n_ex:]^T above 0] right of the diagonal
     x0 = [0] * len(pairs)
     for k in range(n_ex):
         c = [0] * (k + 1) + P[k][k + 1 :] + [-p[k] for p in P[n_ex:]]
-        w = wedge(columns[k], [sum(map(mul, row, c)) for row in U])
+        w = _wedge(pairs, columns[k], [sum(map(mul, row, c)) for row in U])
         x0 = [x + y for x, y in zip(x0, w)]
-    free = columns[n_ex:]
-    kernel = [wedge(u, v) for a, u in enumerate(free) for v in free[a + 1 :]]
+    return x0, columns[n_ex:]
+
+
+def _wedge(pairs: list, u: Sequence[int], v: Sequence[int]) -> list:
+    """u ^ v over the pairs."""
+    return [u[i] * v[j] - v[i] * u[j] for i, j in pairs]
+
+
+def _canonical_pairing(n: int, x0: list, free: list) -> tuple:
+    """The canonical point of x0 + span(u_a ^ u_b), u the left-kernel basis
+    free, as a skew matrix.  Once the u are in column echelon form, u_a
+    leading at row lead_a, u_a ^ u_b leads at the pair (lead_a, lead_b):
+    the wedges in (a, b) order are an echelon basis with no elimination
+    over the pairs, reduced and searched as canonical_smallest_solution
+    would."""
+    pairs = _pairs(n)
+    point = x0
+    if len(free) > 1:
+        H, _, leads = column_echelon(list(zip(*free)))
+        us = [([row[c] for row in H], lead) for lead, c in leads]
+        basis, pivot_rows = [], []
+        for a, (u, i) in enumerate(us):
+            for v, j in us[a + 1 :]:
+                basis.append(_wedge(pairs, u, v))
+                # the pair (i, j) follows the n - 1 + ... + n - i pairs of rows < i
+                pivot_rows.append(i * (2 * n - i - 1) // 2 + j - i - 1)
+        point = _canonical_point(x0, _reduce_echelon(basis, pivot_rows), pivot_rows)
     lam = [[0] * n for _ in range(n)]
-    for (i, j), value in zip(pairs, canonical_smallest_solution(x0, kernel)):
+    for (i, j), value in zip(pairs, point):
         lam[i][j], lam[j][i] = value, -value
     return tuple(tuple(row) for row in lam)
 

@@ -379,12 +379,24 @@ def find_move_path(
 def words_equal_in_monoid(
     cd: CartanData, w: Word, w2: Word, budget: Optional[int] = None
 ) -> bool:
-    """Positive-braid-monoid equality, decided by move-graph connectivity.
+    """Positive-braid-monoid equality.
 
-    The defining relations are length-homogeneous, so equality is exactly
-    connectivity in the move graph: find_move_path answers, a definitive
+    The letters and 6-move pairs are refused and different lengths are
+    unequal, as in find_move_path.  Two reduced words are equal iff they
+    are reduced words of one Weyl element (Matsumoto 1964): their
+    cartan._WeylWalk final images agree, so no search is needed.  Any other
+    pair is decided by move-graph connectivity, since the defining relations
+    are length-homogeneous: find_move_path answers, a definitive
     NotConnected is False, and one that spent the budget is BudgetExhausted.
     """
+    _check_letters(cd, w.positions)
+    _check_letters(cd, w2.positions)
+    _check_no_sixmove_pairs(cd, w.letters + w2.letters)
+    if w.length != w2.length:
+        return False
+    walk, walk2 = _WeylWalk(cd, w.letters), _WeylWalk(cd, w2.letters)
+    if walk.reduced and walk2.reduced:
+        return walk.images == walk2.images
     try:
         find_move_path(cd, w, w2, budget)
     except NotConnected as err:

@@ -84,6 +84,24 @@ def test_an_inferred_context_past_the_budget_is_refused_at_once(tmp_path):
     assert "rank 1000000" in report.metadata["error"]["message"]
 
 
+def test_d6_w0_equals_its_reverse_without_a_search(tmp_path):
+    # two reduced words of w0: the move-graph search ran out of its budget
+    # here after about 3 s, one Weyl walk per word answers at once
+    d6 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
+    d6[4][5] = d6[5][4] = 0
+    d6[3][5] = d6[5][3] = -1
+    cartan = tmp_path / "d6.json"
+    cartan.write_text(json.dumps({"matrix": d6}))
+    w0 = finite_type_data(validate_cartan(d6)).longest_word
+    start = time.perf_counter()
+    code, report = run(
+        tmp_path, "words", "equal", "--cartan", str(cartan),
+        "--word", ",".join(map(str, w0)), "--word", ",".join(map(str, w0[::-1])),
+    )
+    assert time.perf_counter() - start < 0.1
+    assert (code, report.verdict) == (0, "Match")
+
+
 def test_words_path_not_connected_exits_2(tmp_path):
     code, report = run(
         tmp_path, "words", "path", "--cartan", "a2",
@@ -480,7 +498,7 @@ def test_budget_env_override(monkeypatch):
 def test_budget_exhaustion_is_an_error(tmp_path):
     code, report = run(
         tmp_path, "words", "equal", "--cartan", "a3",
-        "--word", "1,2,1,3,2,1", "--word", "3,2,3,1,2,3", "--budget", "2",
+        "--word", "1,1,2,1,3,2,1", "--word", "1,3,2,3,1,2,3", "--budget", "2",
     )
     assert code == 2
     assert report.metadata["error"]["kind"] == "BudgetExhausted"

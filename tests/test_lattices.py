@@ -307,6 +307,28 @@ def test_canonical_search_equals_enumeration_within_the_size_reduced_radius(latt
     assert canonical_smallest_solution(x0, kernel) == enumerate_canonical(x0, kernel, rows)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_lattices(), st.randoms(use_true_random=False))
+def test_the_reduced_echelon_kernel_depends_only_on_the_lattice(lattice, rng):
+    _, kernel, _ = lattice
+    n = len(kernel[0])
+    # a random unimodular recombination: adds of multiples, a shuffle, signs
+    mixed = [list(v) for v in kernel]
+    for _ in range(2 * len(mixed)):
+        a, b = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+        if a != b:
+            c = rng.randrange(-3, 4)
+            mixed[a] = [x + c * y for x, y in zip(mixed[a], mixed[b])]
+    rng.shuffle(mixed)
+    mixed = [v if rng.random() < 0.5 else [-x for x in v] for v in mixed]
+    basis, pivot_rows = _echelon_kernel(kernel, n)
+    assert _echelon_kernel(mixed, n) == (basis, pivot_rows)
+    for d, (vec, p) in enumerate(zip(basis, pivot_rows)):
+        assert not any(vec[:p]) and vec[p] > 0
+        for later, q in zip(basis[d + 1 :], pivot_rows[d + 1 :]):
+            assert -later[q] <= 2 * vec[q] < later[q]
+
+
 def test_size_reduce_is_exact_beyond_float_range():
     # Shifts round to the nearest integer, halves up; the first two
     # quotients do not fit in a float.

@@ -21,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidseed import seeds, words
-from braidseed.cartan import finite_type_data, preset, roots_of_word, validate_cartan
+from braidseed.cartan import (
+    bilinear_form,
+    finite_type_data,
+    preset,
+    reflect_root,
+    roots_of_word,
+    validate_cartan,
+)
 from braidseed.errors import (
     BraidseedError,
     BudgetExhausted,
@@ -33,7 +40,7 @@ from braidseed.errors import (
     ShapeMismatch,
     ZeroBlockViolated,
 )
-from braidseed.lattices import canonical_smallest_solution
+from braidseed.lattices import _canonical_point, canonical_smallest_solution
 from braidseed.qlaurent import right_divide
 from braidseed.seeds import (
     EquivalenceReport,
@@ -783,9 +790,9 @@ def reference_tsystem_sweep(cd, w):
 
 
 def property_context(name):
-    """A preset, or the A4/D4 Cartan matrix for the names a4 and d4."""
-    matrix = {"a4": type_a(4), "d4": type_d(4)}.get(name) or preset(name).matrix
-    return validate_cartan(matrix)
+    """A preset, or the rank-4 Cartan matrix for the names a4, b4, c4 and d4."""
+    rank4 = {"a4": type_a(4), "b4": type_b(4), "c4": type_c(4), "d4": type_d(4)}
+    return validate_cartan(rank4.get(name) or preset(name).matrix)
 
 
 def random_word(data, cd, max_length=10):
@@ -1003,6 +1010,11 @@ def type_b(n):
     return m
 
 
+def type_c(n):
+    """C_n, the transpose of B_n: c_{n-1,n} = -2."""
+    return [list(row) for row in zip(*type_b(n))]
+
+
 def type_d(n):
     """D_n: a path 1..n-1 with vertex n attached to n-2."""
     m = type_a(n)
@@ -1063,13 +1075,13 @@ def test_wedge_lattice_is_the_kernel_of_the_pairing_system(matrix, monkeypatch):
     b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
     seen = []
 
-    def record(x0, kernel):
-        seen.append((x0, kernel))
-        return canonical_smallest_solution(x0, kernel)
+    def record(x0, basis, pivot_rows):
+        seen.append((x0, basis, pivot_rows))
+        return _canonical_point(x0, basis, pivot_rows)
 
-    monkeypatch.setattr(seeds, "canonical_smallest_solution", record)
+    monkeypatch.setattr(seeds, "_canonical_point", record)
     solve_lambda(b)
-    [(x0, wedges)] = seen
+    [(x0, wedges, pivot_rows)] = seen
     rows, rhs = pairing_system(b)
     assert matmul_vec(rows, x0) == rhs
     _, kernel = solve_integer_system(rows, rhs)
@@ -1079,6 +1091,78 @@ def test_wedge_lattice_is_the_kernel_of_the_pairing_system(matrix, monkeypatch):
         columns = [list(col) for col in zip(*basis)]
         for vec in other:
             solve_integer_system(columns, vec)
+    # reduced echelon form: each vector is 0 before its positive pivot, and
+    # every later pivot entry of it lies in [-step/2, step/2)
+    assert pivot_rows == sorted(set(pivot_rows))
+    for d, (vec, p) in enumerate(zip(wedges, pivot_rows)):
+        assert not any(vec[:p]) and vec[p] > 0
+        for later, q in zip(wedges[d + 1 :], pivot_rows[d + 1 :]):
+            assert -later[q] <= 2 * vec[q] < later[q]
+
+
+@pytest.mark.parametrize(
+    "matrix, nodes", [(type_a(6), 1_565), (type_b(5), 2_058), (type_d(6), 3_440)]
+)
+def test_w0_pairing_search_needs_exactly_its_pinned_nodes(matrix, nodes, monkeypatch):
+    cd = validate_cartan(matrix)
+    b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
+    monkeypatch.setenv("BRAIDSEED_BUDGET", str(nodes))
+    lam = solve_lambda(b)
+    assert check_compatibility(lam, b)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", str(nodes - 1))
+    with pytest.raises(BudgetExhausted, match=f"after {nodes - 1} nodes"):
+        solve_lambda(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_back_substitution_and_elimination_give_the_same_lambda(data):
+    names = ["a2", "b3", "c3", "a4", "b4", "c4", "d4"]
+    cd = property_context(data.draw(st.sampled_from(names)))
+    b = gls_matrix(cd, random_word(data, cd, max_length=14))
+    if not b.exchange:
+        return
+    # every exchange column j of a GLS matrix starts with -1 at row j-
+    solved = seeds._back_substitute(b)
+    assert solved is not None
+    assert seeds._canonical_pairing(b.n, *solved) == seeds._canonical_pairing(
+        b.n, *seeds._eliminate(b)
+    )
+
+
+def minor_pairing(cd, letters):
+    """The pairing of the initial quantum minors, in closed form: with
+    gamma_k = w_{i_k} - s_{i_n}...s_{i_k}(w_{i_k}) in root coordinates,
+    lambda_kl = (gamma_k, gamma_l) - 2 d_{i_k} [alpha_{i_k}] gamma_l for
+    k < l.  gamma_k is built by reflections from 0: s_{i_m} acts on
+    w_{i_k} - v by s_{i_m}(w_{i_k} - v) + delta(i_m, i_k) alpha_{i_m}."""
+    n = len(letters)
+    gammas = []
+    for k, i in enumerate(letters):
+        gamma = cd.simple_root(i)
+        for j in letters[k + 1 :]:
+            gamma = reflect_root(cd, j, gamma)
+            if j == i:
+                gamma = tuple(x + y for x, y in zip(gamma, cd.simple_root(i)))
+        gammas.append(gamma)
+    d = dict(zip(cd.index_set, cd.symmetrizer))
+    lam = [[0] * n for _ in range(n)]
+    for k, i in enumerate(letters):
+        for l in range(k + 1, n):
+            value = bilinear_form(cd, gammas[k], gammas[l])
+            value -= 2 * d[i] * gammas[l][cd.position[i]]
+            lam[k][l], lam[l][k] = value, -value
+    return lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_minor_pairing_is_compatible_with_the_gls_matrix(data):
+    # so it lies in the affine lattice that solve_lambda searches
+    names = ["a2", "b2", "a3", "b3", "c3", "a4", "b4", "c4", "d4"]
+    cd = property_context(data.draw(st.sampled_from(names)))
+    w = random_word(data, cd, max_length=14)
+    assert check_compatibility(minor_pairing(cd, w.letters), gls_matrix(cd, w))
 
 
 def test_a5_w0_seed_is_compatible():
