@@ -1,17 +1,17 @@
 """Exact integer linear algebra for small systems.
 
-``column_echelon`` is a unimodular column reduction A U = H that can carry
-U^-1 along.  The canonical smallest point of an affine lattice
-x0 + span(kernel) is found by an iterative-deepening search on the
-max-norm, ``_canonical_point``, over an echelon basis of the kernel that
-is reduced at every later pivot into [-step/2, step/2): unique for the
-lattice, with small supports.  Two echelon bases of one lattice have the
-same pivots and steps, and each coordinate has the same last touching
-vector in both, so the search, its node count and its answer depend only
-on the affine lattice.  ``seeds.solve_lambda`` builds such a basis from
-wedges and calls the search directly.  Its nodes are counted against the
-shared search budget (``BRAIDSEED_BUDGET``), and running out raises
-BudgetExhausted.  All arithmetic stays in Python integers.
+``column_echelon`` is a unimodular column reduction A U = H.  The
+canonical smallest point of an affine lattice x0 + span(kernel) is found
+by an iterative-deepening search on the max-norm, ``_canonical_point``,
+over an echelon basis of the kernel that is reduced at every later pivot
+into [-step/2, step/2): unique for the lattice, with small supports.  Two
+echelon bases of one lattice have the same pivots and steps, and each
+coordinate has the same last touching vector in both, so the search, its
+node count and its answer depend only on the affine lattice.
+``seeds.solve_lambda`` builds such a basis from wedges and calls the
+search directly.  Its nodes are counted against the shared search budget
+(``BRAIDSEED_BUDGET``), and running out raises BudgetExhausted.  All
+arithmetic stays in Python integers.
 """
 from __future__ import annotations
 
@@ -33,19 +33,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def column_echelon(rows: Sequence[Sequence[int]], carry: list | None = None) -> tuple:
+def column_echelon(rows: Sequence[Sequence[int]]) -> tuple:
     """Unimodular column reduction A U = H.
 
     Returns (H, U, pivots) where H is in column echelon form, U is
     unimodular, and pivots lists (row, column) positions with positive
-    pivot entries.  Columns of H beyond the last pivot are zero.  A carry
-    list, one row per column of A, is replaced in place by U^-1 carry.
+    pivot entries.  Columns of H beyond the last pivot are zero.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     H = [[int(v) for v in row] for row in rows]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    C = [[] for _ in range(n)] if carry is None else carry
     pivots = []
     r = 0
     for i in range(m):
@@ -57,7 +55,6 @@ def column_echelon(rows: Sequence[Sequence[int]], carry: list | None = None) -> 
                 row[r], row[piv] = row[piv], row[r]
             for row in U:
                 row[r], row[piv] = row[piv], row[r]
-            C[r], C[piv] = C[piv], C[r]
         for j in range(r + 1, n):
             if H[i][j] == 0:
                 continue
@@ -68,15 +65,9 @@ def column_echelon(rows: Sequence[Sequence[int]], carry: list | None = None) -> 
                 x, y = row[r], row[j]
                 row[r] = s * x + t * y
                 row[j] = -bg * x + ag * y
-            # the step's 2 x 2 block [[s, -bg], [t, ag]] has determinant
-            # 1, so its inverse [[ag, bg], [-t, s]] acts on the rows of C
-            cr, cj = C[r], C[j]
-            C[r] = [ag * x + bg * y for x, y in zip(cr, cj)]
-            C[j] = [s * y - t * x for x, y in zip(cr, cj)]
         if H[i][r] < 0:
             for row in (*H, *U):
                 row[r] = -row[r]
-            C[r] = [-x for x in C[r]]
         pivots.append((i, r))
         r += 1
     return H, U, pivots

@@ -127,17 +127,16 @@ def solve_lambda(b: ExchangeMatrix) -> tuple:
     then nonnegative entries preferred).
 
     The solutions are Lambda_0 + span(u_a ^ u_b), u a basis of the left
-    kernel of the exchange columns.  _back_substitute finds both when each
-    exchange column has a first entry +-1 in a row of its own, as in every
-    gls_matrix (-1 at row j- of column j); any other B goes through
-    _eliminate.  Both give the same affine lattice, so the same Lambda and
-    the same search node count.
+    kernel of the exchange columns, both found by _back_substitute.  B must
+    have the shape of a gls_matrix: each exchange column a first nonzero
+    entry +-1 in a row of its own (-1 at row j- of column j).  Any other B
+    raises ShapeMismatch, and a B of that shape with no compatible pairing
+    raises NoIntegralSolution.
     """
     n = b.n
     if not b.exchange:
         return tuple((0,) * n for _ in range(n))
-    x0, free = _back_substitute(b) or _eliminate(b)
-    return _canonical_pairing(n, x0, free)
+    return _canonical_pairing(n, *_back_substitute(b))
 
 
 def _pairs(n: int) -> list:
@@ -145,24 +144,30 @@ def _pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _back_substitute(b: ExchangeMatrix) -> Optional[tuple]:
-    """(Lambda_0 over _pairs, a left-kernel basis), or None unless each
-    exchange column j has its first nonzero entry, +-1, at a row r_j of its
-    own and the Lambda_0 found is compatible.
+def _back_substitute(b: ExchangeMatrix) -> tuple:
+    """(Lambda_0 over _pairs, a left-kernel basis), for a B whose exchange
+    columns j each have their first nonzero entry, +-1, at a row r_j of
+    their own; any other B raises ShapeMismatch.
 
     Lambda_0 is 0 on the pairs of two free rows (no r_j) and is filled on
     the pairs (a, c), a < c, a descending, then c descending: row i's
     equation at j gives lambda_{i r_j} from entries already filled, with
-    (i, r_j) = (a, c) when c = r_j, else (c, a) when a = r_j.  The left
-    kernel has one vector per free row l: 1 at l, 0 at the other free rows,
-    and u_{r_j} = -b_{r_j j} sum_{k > r_j} u_k b_kj, r_j descending.
+    (i, r_j) = (a, c) when c = r_j, else (c, a) when a = r_j.  Every other
+    pair is forced by the equations, so any solution minus the wedges of
+    its free x free entries is Lambda_0: when Lambda_0 fails
+    check_compatibility there is no solution, and NoIntegralSolution is
+    raised.  The left kernel has one vector per free row l: 1 at l, 0 at
+    the other free rows, and u_{r_j} = -b_{r_j j} sum_{k > r_j} u_k b_kj,
+    r_j descending.
     """
     n = b.n
     pivots = {}  # r_j -> (j - 1, b_{r_j j}, the later nonzeros (k, b_kj))
     for j in b.exchange:
         column = [(k, v) for k, v in enumerate(b.column(j)) if v]
         if not column or column[0][1] not in (1, -1) or column[0][0] in pivots:
-            return None
+            raise ShapeMismatch(
+                f"exchange column {j} has no leading +-1 in a row of its own"
+            )
         (r, unit), *rest = column
         pivots[r] = (j - 1, unit, rest)
     lam = [[0] * n for _ in range(n)]
@@ -179,7 +184,7 @@ def _back_substitute(b: ExchangeMatrix) -> Optional[tuple]:
             lam[i][r] = unit * (rhs - sum(lam[i][k] * v for k, v in rest))
             lam[r][i] = -lam[i][r]
     if not check_compatibility(lam, b):
-        return None
+        raise NoIntegralSolution("no skew-symmetric integer pairing is compatible with B")
     descending = sorted(pivots.items(), reverse=True)
     kernel = []
     for free in (l for l in range(n) if l not in pivots):
@@ -189,46 +194,6 @@ def _back_substitute(b: ExchangeMatrix) -> Optional[tuple]:
             u[r] = -unit * sum(u[k] * v for k, v in rest)
         kernel.append(u)
     return [lam[i][j] for i, j in _pairs(n)], kernel
-
-
-def _eliminate(b: ExchangeMatrix) -> tuple:
-    """(x0 over _pairs, a left-kernel basis) by unimodular elimination.
-
-    With B^T U = [G^T | 0] for the exchange columns B (U unimodular, G upper
-    triangular), Lambda = U Lambda' U^T turns the system into
-    Lambda' [G; 0] = U^-1 M.  The exchange columns of Lambda' are
-    P = U^-1 M G^-1, with a skew square block, and the rest is free: the
-    left kernel is spanned by the last n - n_ex columns of U.  M has rank
-    n_ex, so B of lower rank admits no pairing.
-    """
-    n, n_ex = b.n, len(b.exchange)
-    rhs = [[0] * n_ex for _ in range(n)]
-    for s, j in enumerate(b.exchange):
-        rhs[j - 1][s] = -2 * b.d_prime[j - 1]
-    H, U, pivots = column_echelon([b.column(j) for j in b.exchange], carry=rhs)
-    if len(pivots) < n_ex:
-        raise NoIntegralSolution(f"exchange columns of rank {len(pivots)} < {n_ex}")
-    P = []
-    for i, row in enumerate(rhs, 1):
-        p = []
-        for s, h in enumerate(H):
-            q, rem = divmod(row[s] - sum(map(mul, p, h)), h[s])
-            if rem:
-                raise NoIntegralSolution(f"row {i} of U^-1 M G^-1 is not integral")
-            p.append(q)
-        P.append(p)
-    if any(P[s][t] != -P[t][s] for s in range(n_ex) for t in range(s, n_ex)):
-        raise NoIntegralSolution("the exchange block of U^-1 M G^-1 is not skew")
-    columns = list(zip(*U))
-    pairs = _pairs(n)
-    # x0 = U Lambda'_0 U^T is the sum of u_k ^ (U c_k) over k < n_ex, c_k the part
-    # of row k of Lambda'_0 = [P | -P[n_ex:]^T above 0] right of the diagonal
-    x0 = [0] * len(pairs)
-    for k in range(n_ex):
-        c = [0] * (k + 1) + P[k][k + 1 :] + [-p[k] for p in P[n_ex:]]
-        w = _wedge(pairs, columns[k], [sum(map(mul, row, c)) for row in U])
-        x0 = [x + y for x, y in zip(x0, w)]
-    return x0, columns[n_ex:]
 
 
 def _wedge(pairs: list, u: Sequence[int], v: Sequence[int]) -> list:

@@ -238,7 +238,8 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     simple roots differently, are refused before any search.  The refusals
     read one cartan._WeylWalk per word: its roots, and for the Weyl element
     its final images w(alpha_i).  Non-reduced words are then searched by one
-    plain BFS.
+    plain BFS; reduced words left are of one element, so moves connect them
+    (Matsumoto 1964) and their rounds end only in 'found' or 'budget'.
 
     A reduced word carries labels: the positions of its roots beta_k in
     target's root order.  A move reverses the labels of its window, one
@@ -254,8 +255,8 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     again only with fewer up moves than before, and is not counted again.
     A word other than target that the round discovers lies nearer start
     than target, so a BFS of the round would discover it too before
-    answering.  A round without a path is final unless some word, at its
-    fewest up moves, has an up move beyond the bound.
+    answering.  Some path makes e up moves, so round e at the latest
+    finds one, unless the budget is spent first.
 
     Works on letter tuples and reads cd's relation table through _windows,
     as enumerate_moves does; a word's move starts are its parent's, with
@@ -281,7 +282,6 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     bound = 0  # up moves allowed in this round
     while True:
         fewest = {start.letters: 0}  # word -> fewest up moves it was expanded with
-        capped = []  # words expanded with an up move beyond the bound
         # frames: word, labels, up moves, move starts, pending starts, move to it
         stack = [(start.letters, start_labels, 0, start_ks, iter(start_ks), None)]
         while stack:
@@ -289,8 +289,6 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
             for k in pending:
                 up = ups + (labels[k] < labels[k + 1])
                 if up > bound:
-                    if not capped or capped[-1] is not current:
-                        capped.append(current)
                     continue
                 rewrite = relations[current[k + 1], current[k]]
                 end = k + len(rewrite)
@@ -317,8 +315,6 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
                 break
             else:
                 stack.pop()
-        if not any(fewest[word] == bound for word in capped):
-            return "exhausted", None
         spent += len(fewest)
         bound += 1
 
@@ -358,9 +354,10 @@ def find_move_path(
     Raises NotConnected with definitive=True when w2 cannot be reached from
     w: their lengths or reducedness differ, two reduced words have different
     inversion sets, two non-reduced words have different Weyl elements, or
-    the finite component of w was enumerated without meeting w2;
-    definitive=False once the budget of words discovered, over all rounds
-    of _bfs, is spent.
+    the finite component of a non-reduced w was enumerated without meeting
+    w2; definitive=False once the budget of words discovered, over all
+    rounds of _bfs, is spent, the only way it fails on two reduced words of
+    one Weyl element.
     """
     _check_letters(cd, w.positions)
     _check_letters(cd, w2.positions)
@@ -382,19 +379,26 @@ def words_equal_in_monoid(
     """Positive-braid-monoid equality.
 
     The letters and 6-move pairs are refused and different lengths are
-    unequal, as in find_move_path.  Two reduced words are equal iff they
-    are reduced words of one Weyl element (Matsumoto 1964): their
-    cartan._WeylWalk final images agree, so no search is needed.  Any other
-    pair is decided by move-graph connectivity, since the defining relations
-    are length-homogeneous: find_move_path answers, a definitive
-    NotConnected is False, and one that spent the budget is BudgetExhausted.
+    unequal, as in find_move_path.  The monoid is cancellative, so
+    p x s = p y s iff x = y: the longest common prefix and then suffix are
+    stripped.  Two reduced words x, y are equal iff they are reduced words
+    of one Weyl element (Matsumoto 1964): their cartan._WeylWalk final
+    images agree, so no search is needed.  Any other pair is decided on the
+    full words by move-graph connectivity, since the defining relations are
+    length-homogeneous: find_move_path answers, a definitive NotConnected
+    is False, and one that spent the budget is BudgetExhausted.
     """
     _check_letters(cd, w.positions)
     _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         return False
-    walk, walk2 = _WeylWalk(cd, w.letters), _WeylWalk(cd, w2.letters)
+    x, y = w.letters, w2.letters
+    while x and x[0] == y[0]:
+        x, y = x[1:], y[1:]
+    while x and x[-1] == y[-1]:
+        x, y = x[:-1], y[:-1]
+    walk, walk2 = _WeylWalk(cd, x), _WeylWalk(cd, y)
     if walk.reduced and walk2.reduced:
         return walk.images == walk2.images
     try:

@@ -498,7 +498,7 @@ def test_budget_env_override(monkeypatch):
 def test_budget_exhaustion_is_an_error(tmp_path):
     code, report = run(
         tmp_path, "words", "equal", "--cartan", "a3",
-        "--word", "1,1,2,1,3,2,1", "--word", "1,3,2,3,1,2,3", "--budget", "2",
+        "--word", "1,1,2,1,3,2,1", "--word", "3,2,3,1,2,3,3", "--budget", "2",
     )
     assert code == 2
     assert report.metadata["error"]["kind"] == "BudgetExhausted"

@@ -1,0 +1,82 @@
+"""No dead private functions: every module-level function of the package
+whose name starts with an underscore is referenced by name from some
+module of the package, outside its own body.  A private function that
+nothing calls any more is deleted, not kept beside its replacement."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "braidseed"
+
+
+def private_functions(tree: ast.Module) -> list:
+    """The module-level private (not dunder) function definitions."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(tree: ast.Module, skip: set) -> set:
+    """Names read, attributes read and names imported anywhere in tree,
+    except inside the nodes of skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced(sources: dict) -> list:
+    """(module, function) for each private function that no module refers
+    to outside the function's own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for func in private_functions(tree):
+            used = any(
+                func.name
+                in referenced_names(other, {id(func)} if other is tree else set())
+                for other in trees.values()
+            )
+            if not used:
+                dead.append((module, func.name))
+    return dead
+
+
+def package_sources() -> dict:
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_private_function_is_referenced():
+    sources = package_sources()
+    assert sum(len(private_functions(ast.parse(s))) for s in sources.values()) > 50
+    assert unreferenced(sources) == []
+
+
+def test_unreferenced_catches_dead_and_self_recursive_functions():
+    sources = {
+        "a.py": (
+            "def _used():\n    return 1\n"
+            "def _dead():\n    return _used()\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+            "def __dunder__():\n    pass\n"
+            "def public():\n    return 0\n"
+        ),
+        "b.py": "from .a import _imported\nimport a\nx = a._by_attribute\n",
+        "c.py": "def _imported():\n    pass\ndef _by_attribute():\n    pass\n",
+    }
+    assert unreferenced(sources) == [("a.py", "_dead"), ("a.py", "_recursive")]

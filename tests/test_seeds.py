@@ -199,21 +199,24 @@ def outcome(solve, b):
         return type(err)
 
 
-# Exchange matrices without a compatible pairing, and the check that
-# refuses each: exchange columns of rank below n_ex (a zero column, two
-# equal columns), a non-integral U^-1 M G^-1 (the column (0, 4) with
-# d' = 1 needs lambda_12 = -1/2), and a non-skew exchange block.
+# Exchange matrices without a compatible pairing, and the error that
+# refuses each.  A zero column, two equal columns (both leading at row 1)
+# and the column (0, 4) (with d' = 1 it needs lambda_12 = -1/2) have no
+# leading +-1 in a row of their own; the units of ((0, 1), (1, 0)) give a
+# Lambda_0 with a non-skew exchange block.
 INFEASIBLE = [
-    (ExchangeMatrix(((0, 0), (0, 0)), (1,), (1, 1)), "rank 0 < 1"),
-    (ExchangeMatrix(((0, 1, 1), (0, 0, 0), (0, 0, 0)), (2, 3), (1, 1, 1)), "rank 1 < 2"),
-    (ExchangeMatrix(((0, 0), (4, 0)), (1,), (1, 1)), "not integral"),
-    (ExchangeMatrix(((0, 1), (1, 0)), (1, 2), (1, 1)), "not skew"),
+    (ExchangeMatrix(((0, 0), (0, 0)), (1,), (1, 1)), ShapeMismatch, "column 1 "),
+    (ExchangeMatrix(((0, 1, 1), (0, 0, 0), (0, 0, 0)), (2, 3), (1, 1, 1)), ShapeMismatch,
+     "column 3 "),
+    (ExchangeMatrix(((0, 0), (4, 0)), (1,), (1, 1)), ShapeMismatch, "column 1 "),
+    (ExchangeMatrix(((0, 1), (1, 0)), (1, 2), (1, 1)), NoIntegralSolution,
+     "no skew-symmetric integer pairing"),
 ]
 
 
 def test_solve_lambda_infeasible():
-    for b, reason in INFEASIBLE:
-        with pytest.raises(NoIntegralSolution, match=reason):
+    for b, error, reason in INFEASIBLE:
+        with pytest.raises(error, match=reason):
             solve_lambda(b)
         assert outcome(reference_solve_lambda, b) is NoIntegralSolution
 
@@ -237,10 +240,52 @@ def exchange_matrices(draw):
     return ExchangeMatrix(tuple(map(tuple, entries)), exchange, tuple(d))
 
 
+def has_unit_pivots(b):
+    """Each exchange column's first nonzero entry is +-1, in a row of its own."""
+    leads = []
+    for j in b.exchange:
+        column = b.column(j)
+        lead = next((k for k, v in enumerate(column) if v), None)
+        if lead is None or abs(column[lead]) != 1:
+            return False
+        leads.append(lead)
+    return len(set(leads)) == len(leads)
+
+
+@st.composite
+def unit_pivot_matrices(draw):
+    """Arbitrary integer entries, except that exchange column j is 0 above a
+    row r_j of its own and +-1 at it; r_j is drawn among all rows, the
+    diagonal included.  About one in four has a compatible pairing."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    exchange = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n))))
+    leads = draw(st.permutations(range(n)))
+    entries = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(n)]
+    for k in range(n):
+        entries[k][k] = 0
+    for j, r in zip(exchange, leads):
+        for k in range(r):
+            entries[k][j - 1] = 0
+        entries[r][j - 1] = draw(st.sampled_from([1, -1]))
+    return ExchangeMatrix(tuple(map(tuple, entries)), exchange, tuple(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_pivot_matrices())
+def test_solve_lambda_matches_the_reference_on_random_matrices(b):
+    assert has_unit_pivots(b)
+    assert outcome(solve_lambda, b) == outcome(reference_solve_lambda, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(exchange_matrices())
-def test_solve_lambda_matches_the_reference_on_random_matrices(b):
-    assert outcome(solve_lambda, b) == outcome(reference_solve_lambda, b)
+def test_solve_lambda_refuses_matrices_without_unit_pivots(b):
+    if has_unit_pivots(b):
+        assert outcome(solve_lambda, b) == outcome(reference_solve_lambda, b)
+    else:
+        with pytest.raises(ShapeMismatch):
+            solve_lambda(b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1116,18 +1161,13 @@ def test_w0_pairing_search_needs_exactly_its_pinned_nodes(matrix, nodes, monkeyp
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_back_substitution_and_elimination_give_the_same_lambda(data):
+def test_back_substitution_gives_the_reference_lambda(data):
     names = ["a2", "b3", "c3", "a4", "b4", "c4", "d4"]
     cd = property_context(data.draw(st.sampled_from(names)))
     b = gls_matrix(cd, random_word(data, cd, max_length=14))
-    if not b.exchange:
-        return
     # every exchange column j of a GLS matrix starts with -1 at row j-
-    solved = seeds._back_substitute(b)
-    assert solved is not None
-    assert seeds._canonical_pairing(b.n, *solved) == seeds._canonical_pairing(
-        b.n, *seeds._eliminate(b)
-    )
+    assert has_unit_pivots(b)
+    assert solve_lambda(b) == reference_solve_lambda(b)
 
 
 def minor_pairing(cd, letters):

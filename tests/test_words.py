@@ -218,10 +218,15 @@ def test_budget_exhaustion():
     assert not info.value.definitive
     # two reduced words of w0 are equal by Matsumoto's theorem, unsearched
     assert words_equal_in_monoid(cd, u, v, budget=2)
-    # with s1 in front neither word is reduced, so equality needs the search
+    # with s1 in front neither word is reduced, but the common prefix
+    # cancels and leaves the reduced pair
     u1, v1 = (Word((1,) + x.letters, WordKind.POSITIVE_BRAID) for x in (u, v))
+    assert words_equal_in_monoid(cd, u1, v1, budget=2)
+    # s1 w0 = w0 s3 shares no prefix or suffix, so equality needs the search
+    v2 = Word(v.letters + (3,), WordKind.POSITIVE_BRAID)
     with pytest.raises(BudgetExhausted):
-        words_equal_in_monoid(cd, u1, v1, budget=2)
+        words_equal_in_monoid(cd, u1, v2, budget=2)
+    assert words_equal_in_monoid(cd, u1, v2)
 
 
 def test_budget_env_override(monkeypatch):
@@ -448,12 +453,27 @@ def test_words_equal_in_monoid_answers_as_its_own_search_did(data):
         v = Word(u.letters[1:], WordKind.POSITIVE_BRAID)
     budget = data.draw(st.integers(1, 50))
     expected = _outcome(search_words_equal, cd, u, v, budget)
+    x, y = strip_common_ends(u.letters, v.letters)
     if expected[0] is BudgetExhausted and all(
-        roots_of_word(cd, x.letters).all_positive for x in (u, v)
+        roots_of_word(cd, z).all_positive for z in (x, y)
     ):
-        # the search ran out between two reduced words: Matsumoto decides
-        expected = "value", weyl_element(cd, u.letters) == weyl_element(cd, v.letters)
+        # the search ran out, and the words cancel down to two reduced
+        # words: Matsumoto decides
+        expected = "value", weyl_element(cd, x) == weyl_element(cd, y)
     assert _outcome(words_equal_in_monoid, cd, u, v, budget) == expected
+
+
+def strip_common_ends(x, y):
+    """x and y without their longest common prefix, and then without the
+    longest common suffix of what is left."""
+    p = 0
+    while p < min(len(x), len(y)) and x[p] == y[p]:
+        p += 1
+    x, y = x[p:], y[p:]
+    s = 0
+    while s < min(len(x), len(y)) and x[len(x) - 1 - s] == y[len(y) - 1 - s]:
+        s += 1
+    return x[: len(x) - s], y[: len(y) - s]
 
 
 def bourbaki_e(n):
@@ -591,6 +611,68 @@ def test_bounded_search_finds_the_paths_of_the_unpruned_one(data):
             assert_windows_monotone(cd, w, target.letters)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_common_prefix_and_suffix_cancel(data):
+    cd, x, y = draw_pair(data)
+    alphabet = st.sampled_from(cd.index_set)
+    prefix, suffix = (tuple(data.draw(st.lists(alphabet, max_size=4))) for _ in "ps")
+    u, v = (Word(prefix + z.letters + suffix, WordKind.POSITIVE_BRAID) for z in (x, y))
+    budget = data.draw(st.sampled_from([2, 50, 2_000]))
+    answer = _outcome(words_equal_in_monoid, cd, u, v, budget)
+    expected = _outcome(search_words_equal, cd, u, v, budget)
+    if expected[0] is not BudgetExhausted:
+        assert answer == expected
+    if all(roots_of_word(cd, z.letters).all_positive for z in (x, y)):
+        # Br+ is cancellative: u = v iff x = y, whatever the search reached
+        assert answer == ("value", weyl_element(cd, x.letters) == weyl_element(cd, y.letters))
+
+
+def draw_reduced_word(rng, cd, length):
+    """A reduced word of the given length, letter by letter at random."""
+    letters = []
+    while len(letters) < length:
+        i = rng.choice(cd.index_set)
+        if roots_of_word(cd, letters + [i]).all_positive:
+            letters.append(i)
+    return tuple(letters)
+
+
+REDUCED_PAIR_GRAPHS = [preset(name) for name in ("a3", "b3", "c3")] + [
+    validate_cartan(RANK4[family]) for family in ("A4", "B4", "D4")
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reduced_words_of_one_element_end_only_in_found_or_budget(data):
+    # moves connect the reduced words of one Weyl element (Matsumoto 1964),
+    # so the rounds of _bfs never exhaust them
+    cd = data.draw(st.sampled_from(REDUCED_PAIR_GRAPHS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    top = len(finite_type_data(cd).positive_roots)
+    if rng.random() < 0.5:
+        # two reduced words of w0, one in ten of them past the first round
+        base = draw_reduced_word(rng, cd, top)
+        start, target = Word(base), Word(draw_reduced_word(rng, cd, top))
+    else:
+        base = draw_reduced_word(rng, cd, rng.randint(2, top))
+        start, target = (_random_walk(cd, Word(base), rng, rng.randint(0, 200)) for _ in "st")
+    expected = reference_bfs(cd, start, target.letters, 10**7)
+    assert expected[0] == "found"
+    assert _bfs(cd, start, target.letters, 10**7) == expected
+    for budget in range(2, 51):
+        assert _bfs(cd, start, target.letters, budget)[0] in ("found", "budget")
+    # another element, or a word that is not reduced, is refused before
+    # any round, within a budget of 1 word
+    other = draw_reduced_word(rng, cd, len(base))
+    if weyl_element(cd, other) != weyl_element(cd, base):
+        assert _bfs(cd, start, other, 1) == ("exhausted", None)
+    unreduced = Word(start.letters[:1] + start.letters[:-1], WordKind.POSITIVE_BRAID)
+    for u, v in ((start, unreduced), (unreduced, start)):
+        assert _bfs(cd, u, v.letters, 1) == ("exhausted", None)
+
+
 def test_a_word_reached_with_fewer_up_moves_is_expanded_again():
     # the depth-first round first reaches some words of this B4 pair along
     # longer paths; searched only from there, it returned another 43-move
@@ -695,6 +777,16 @@ def test_far_d5_longest_words_compare_within_the_default_budget():
     for move in report.path:
         u = apply_move(u, move)
     assert u == v
+
+
+def test_a_common_prefix_cancels_before_the_weyl_test():
+    # neither word is reduced, and the search of the whole words ran out of
+    # the default budget; without s1 they are reduced words of w0, so no
+    # word is searched
+    cd = validate_cartan(D5)
+    w0 = finite_type_data(cd).longest_word
+    u, v = (Word((1,) + x, WordKind.POSITIVE_BRAID) for x in (w0, w0[::-1]))
+    assert words_equal_in_monoid(cd, u, v, budget=1)
 
 
 def test_e6_longest_word_compares_with_its_reverse():
