@@ -10,12 +10,13 @@ NonExactDivision instead of a silently wrong result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .cartan import CartanData, _check_letters
 from .errors import (
+    ContextMismatch,
     ExchangeSetNotPreserved,
     FrozenIndex,
     InvalidBox,
@@ -26,7 +27,6 @@ from .errors import (
 )
 from .lattices import _canonical_point, _reduce_echelon, column_echelon
 from .qlaurent import (
-    QHalf,
     QuantumLaurent,
     lambda_pairing,
     right_divide,
@@ -249,6 +249,14 @@ class Seed:
     torus_lam is the pairing of the initial torus and never changes along
     mutations; lam is the current seed's pairing.  exact is None when the
     exact track is disabled.
+
+    _products is a private memo of _current_monomial: the ordered
+    products of current variables it has formed, keyed by power vector
+    with the negative powers set to 0.  A product reads only exact and
+    torus_lam, which never change on a seed, so a cached entry cannot go
+    stale; every other seed, made by replace, permute_seed or
+    restrict_seed, starts with an empty memo.  The memo takes no part in
+    ==, hash or repr.
     """
 
     word: Word
@@ -258,6 +266,7 @@ class Seed:
     labels: tuple
     torus_lam: tuple
     exact: Optional[tuple] = None
+    _products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def initial_seed(cd: CartanData, w: Word, exact: bool = False) -> Seed:
@@ -332,20 +341,29 @@ def _current_monomial(seed: Seed, vec: Sequence[int], shift: int = 0) -> Quantum
     """Ordered product of current variables to the given powers, with the
     based-monomial q-prefactor of the current pairing times q^(shift/2).
 
-    A slot with a negative power (the -1 in slot k of an exchange vector)
-    contributes no factor."""
-    n = seed.b.n
+    The prefactor sums v_i v_j l_ij over i > j in vec's support, the -1
+    in slot k of an exchange vector included; a slot with a negative
+    power contributes no factor to the product.  The product is formed
+    once per seed and kept in seed._products under vec with its negative
+    powers set to 0, so mutate_seed's numerator (-1 at k) and
+    exchange_check's right side (0 at k) share it; the prefactor is then
+    applied with q_shift.  The memo is safe because the product reads
+    only seed.exact and seed.torus_lam, which never change on a seed.
+    """
+    lam = seed.lam
+    support = [i for i, v in enumerate(vec) if v]
     doubled = shift + sum(
-        vec[i] * vec[j] * seed.lam[i][j]
-        for i in range(n)
-        for j in range(n)
-        if i > j
+        vec[i] * vec[j] * lam[i][j] for t, i in enumerate(support) for j in support[:t]
     )
-    out = QuantumLaurent.monomial(n, (0,) * n, QHalf.q_power(doubled))
-    for j in range(n):
-        for _ in range(vec[j]):
-            out = torus_product(seed.torus_lam, out, seed.exact[j])
-    return out
+    key = tuple(v if v > 0 else 0 for v in vec)
+    product = seed._products.get(key)
+    if product is None:
+        factors = [seed.exact[j] for j, power in enumerate(key) for _ in range(power)]
+        product = factors[0] if factors else QuantumLaurent.monomial(len(key), key)
+        for factor in factors[1:]:
+            product = torus_product(seed.torus_lam, product, factor)
+        seed._products[key] = product
+    return product.q_shift(doubled)
 
 
 def _exchange_sum(seed: Seed, k: int, vectors: tuple) -> QuantumLaurent:
@@ -438,6 +456,11 @@ def exchange_check(seed: Seed, k: int, mutated: Seed) -> ExchangeCheck:
     beta = lambda_pairing(seed.lam, e_k, down)
     verified = None
     if seed.exact is not None:
+        if mutated.exact is None:
+            raise ContextMismatch(
+                f"exchange check at {k}: the seed has an exact track and the "
+                "mutated seed has none"
+            )
         lhs = torus_product(seed.torus_lam, seed.exact[k - 1], mutated.exact[k - 1])
         up_plus = tuple(v + e for v, e in zip(up, e_k))
         down_plus = tuple(v + e for v, e in zip(down, e_k))

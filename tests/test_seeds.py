@@ -17,7 +17,7 @@ from dataclasses import replace
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidseed import seeds, words
@@ -32,6 +32,7 @@ from braidseed.cartan import (
 from braidseed.errors import (
     BraidseedError,
     BudgetExhausted,
+    ContextMismatch,
     ExchangeSetNotPreserved,
     FrozenIndex,
     InvalidBox,
@@ -410,6 +411,74 @@ def test_exchange_relation_holds_after_mutation_sequences(name, picks):
         seed = mutate_seed(seed, seed.b.exchange[pick % len(seed.b.exchange)])
     for k in seed.b.exchange:
         assert exchange_check(seed, k, mutate_seed(seed, k)).verified is True
+
+
+def test_exchange_check_refuses_a_mutated_seed_without_the_exact_track():
+    cd = preset("b3")
+    w = Word((1, 2, 1, 2), BRAID)
+    seed = initial_seed(cd, w, exact=True)
+    with pytest.raises(ContextMismatch, match="mutated seed has none"):
+        exchange_check(seed, 3, mutate_seed(initial_seed(cd, w), 3))
+
+
+def test_each_exchange_monomial_is_multiplied_out_once(monkeypatch):
+    """mutate_seed's numerator and exchange_check's right side share one
+    product per exchange monomial: its factors after the first, plus the
+    left side X_k * mu_k(X_k).  A second mutation and check on the same
+    seed form only the left side again."""
+    w0_seed = exact_w0_seed("c3")
+    starts = [w0_seed, mutate_seed(w0_seed, w0_seed.b.exchange[0])]
+    product = seeds.torus_product
+    calls = []
+
+    def counting(lam, f, g):
+        calls.append((f, g))
+        return product(lam, f, g)
+
+    monkeypatch.setattr(seeds, "torus_product", counting)
+    for start in starts:
+        for k in start.b.exchange:
+            seed = replace(start)
+            factors = [
+                sum(v for v in vec if v > 0) for vec in exchange_vectors(seed.b, k)
+            ]
+            calls.clear()
+            assert exchange_check(seed, k, mutate_seed(seed, k)).verified is True
+            assert len(calls) == sum(max(f - 1, 0) for f in factors) + 1
+            calls.clear()
+            assert exchange_check(seed, k, mutate_seed(seed, k)).verified is True
+            assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["a3", "b3", "c3"]),
+    st.lists(st.integers(1, 3), min_size=2, max_size=6),
+    st.lists(st.integers(0, 99), max_size=3),
+)
+def test_the_monomial_memo_cannot_be_seen(name, letters, picks):
+    """A seed whose memo is warm answers, compares, hashes, prints and
+    serializes exactly as the same seed with an empty memo."""
+    seed = initial_seed(preset(name), Word(tuple(letters), BRAID), exact=True)
+    assume(seed.b.exchange)
+    for pick in picks:
+        seed = mutate_seed(seed, seed.b.exchange[pick % len(seed.b.exchange)])
+    before = (hash(seed), repr(seed), seed_to_json(seed))
+    warm = [exchange_check(seed, k, mutate_seed(seed, k)) for k in seed.b.exchange]
+    assert seed._products
+    for k, check in zip(seed.b.exchange, warm):
+        cold = replace(seed)
+        assert not cold._products
+        mutated = mutate_seed(cold, k)
+        assert mutate_seed(seed, k) == mutated
+        assert exchange_check(cold, k, mutated) == check
+        assert check.verified is True
+        variables = list(mutated.exact)
+        variables[k - 1] = variables[k - 1].q_shift(2)
+        wrong = replace(mutated, exact=tuple(variables))
+        assert exchange_check(seed, k, wrong).verified is False
+    assert seed == replace(seed)
+    assert (hash(seed), repr(seed), seed_to_json(seed)) == before
 
 
 def test_permute_seed_group_action():
