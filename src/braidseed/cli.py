@@ -22,6 +22,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -59,12 +60,15 @@ from .reports import (
     report_from_sections,
 )
 from .seeds import (
+    _word_seed,
     check_compatibility,
     exchange_check,
+    gls_matrix,
     initial_seed,
     mutate_seed,
     seed_equivalence_report,
     seed_to_json,
+    solve_lambda,
     tsystem_check,
     tsystem_sweep,
 )
@@ -79,6 +83,7 @@ from .words import (
     EmptyBox,
     MOVE_KINDS,
     Move,
+    MoveKind,
     Word,
     WordKind,
     apply_move,
@@ -746,6 +751,12 @@ def _iter_braid_words(cd: CartanData, length_cap: int, lo: int = 2):
             yield Word(letters, WordKind.POSITIVE_BRAID)
 
 
+# Rows at which a round-trip group is transformed: until then its pairs
+# keep only their dense rows, so this bounds the campaign's arrays whatever
+# the caps.
+_ROUNDTRIP_BATCH_ROWS = 8192
+
+
 def roundtrip_campaign(
     cd: CartanData, length_cap: int, entry_cap: int = ENTRY_CAP_DEFAULT
 ) -> tuple:
@@ -754,46 +765,98 @@ def roundtrip_campaign(
 
     Transition formulas read only the window coordinates, so exhausting the
     window combinations together with a dense off-window witness covers all
-    vectors with entries <= entry_cap.
+    vectors with entries <= entry_cap.  The map of a move reads nothing of
+    the word but its window letters, so the (word, move) pairs of one word
+    length are grouped by the move and those letters.  Every row of a
+    group's pairs, none deduplicated, goes through one pair of
+    transition_apply_many calls on the group's first word, when the group
+    reaches _ROUNDTRIP_BATCH_ROWS rows and at the end of its length.  The
+    dense rows are drawn in (word, move) order, and the failures, at most 3
+    per pair, come back in (word, move, row) order.
     """
     rng = random.Random(CAMPAIGN_RNG_SEED)
+    patterns = {
+        kind.window: np.array(
+            list(itertools.product(range(entry_cap + 1), repeat=kind.window)),
+            dtype=np.int64,
+        )
+        for kind in MoveKind
+    }
     checked = 0
-    failures = []
-    for w in _iter_braid_words(cd, length_cap):
-        for m in enumerate_moves(cd, w).moves:
-            wp = apply_move(w, m)
-            width = m.kind.window
-            lead = m.position - 1
-            combos = np.array(
-                list(itertools.product(range(entry_cap + 1), repeat=width)),
-                dtype=np.int64,
-            )
-            arr = np.zeros((len(combos) + 1, w.length), dtype=np.int64)
-            arr[:-1, lead : lead + width] = combos
-            arr[-1] = [rng.randint(0, entry_cap) for _ in range(w.length)]
-            image = transition_apply_many(cd, w, m, arr)
-            back = transition_apply_many(cd, wp, m, image)
-            checked += len(arr)
-            if not np.array_equal(back, arr):
-                bad = np.nonzero((back != arr).any(axis=1))[0]
-                for idx in bad[:3]:
-                    failures.append(
-                        {
-                            "word": list(w.letters),
-                            "move": str(m),
-                            "vector": arr[idx].tolist(),
-                        }
-                    )
-    return checked, failures
+    found = []
+    pair = 0
+    for length in range(2, length_cap + 1):
+        groups = {}
+        for w in _iter_braid_words(cd, length, lo=length):
+            for m in enumerate_moves(cd, w).moves:
+                width = m.kind.window
+                lead = m.position - 1
+                pairs = groups.setdefault((m, w.letters[lead : lead + width]), [])
+                dense = [rng.randint(0, entry_cap) for _ in range(length)]
+                pairs.append((pair, w.letters, dense))
+                pair += 1
+                if len(pairs) * (len(patterns[width]) + 1) >= _ROUNDTRIP_BATCH_ROWS:
+                    checked += _roundtrip_batch(cd, m, patterns[width], pairs, found)
+                    pairs.clear()
+        for (m, _), pairs in groups.items():
+            if pairs:
+                checked += _roundtrip_batch(cd, m, patterns[m.kind.window], pairs, found)
+    found.sort(key=itemgetter(0, 1))
+    return checked, [failure for _, _, failure in found]
+
+
+def _roundtrip_batch(
+    cd: CartanData, m: Move, window: np.ndarray, pairs: list, found: list
+) -> int:
+    """Round trip of the rows of the (pair number, letters, dense row)
+    pairs of one group: per pair, each window pattern at the move's window
+    with zeros elsewhere, then its dense row.  Appends (pair number, row,
+    failure) for at most 3 rows per pair to found and returns the number
+    of rows checked."""
+    w = Word(pairs[0][1], WordKind.POSITIVE_BRAID)
+    lead = m.position - 1
+    per_pair = len(window) + 1
+    arr = np.zeros((len(pairs), per_pair, w.length), dtype=np.int64)
+    arr[:, :-1, lead : lead + m.kind.window] = window
+    arr[:, -1] = [dense for _, _, dense in pairs]
+    arr = arr.reshape(-1, w.length)
+    back = transition_apply_many(
+        cd, apply_move(w, m), m, transition_apply_many(cd, w, m, arr)
+    )
+    bad = np.nonzero((back != arr).any(axis=1))[0].tolist()
+    for p, rows in itertools.groupby(bad, key=lambda row: row // per_pair):
+        number, letters, _ = pairs[p]
+        for row in itertools.islice(rows, 3):
+            failure = {
+                "word": list(letters),
+                "move": str(m),
+                "vector": arr[row].tolist(),
+            }
+            found.append((number, row, failure))
+    return len(arr)
+
+
+def _campaign_seeds(cd: CartanData, length_cap: int, exact: bool):
+    """initial_seed of every word of length 1..length_cap, in enumeration
+    order.  Lambda is a function of B alone, so solve_lambda runs once per
+    distinct gls_matrix; the pairings are kept for this enumeration only."""
+    pairings = {}
+    for w in _iter_braid_words(cd, length_cap, lo=1):
+        b = gls_matrix(cd, w)
+        if b not in pairings:
+            pairings[b] = solve_lambda(b)
+        yield _word_seed(w, b, pairings[b], exact)
 
 
 def mutation_campaign(cd: CartanData, length_cap: int) -> tuple:
     """Mutation involutivity on (B, Lambda, tropical) plus compatibility of
-    every once-mutated seed."""
+    every once-mutated seed, at every exchange slot of the seed of every
+    word of length 1..length_cap.  The seeds come from _campaign_seeds, so
+    each distinct exchange matrix is solved for its pairing once."""
     checked = 0
     failures = []
-    for w in _iter_braid_words(cd, length_cap, lo=1):
-        seed = initial_seed(cd, w)
+    for seed in _campaign_seeds(cd, length_cap, exact=False):
+        letters = list(seed.word.letters)
         for k in seed.b.exchange:
             once = mutate_seed(seed, k)
             twice = mutate_seed(once, k)
@@ -803,13 +866,9 @@ def mutation_campaign(cd: CartanData, length_cap: int) -> tuple:
                 or twice.lam != seed.lam
                 or twice.trop != seed.trop
             ):
-                failures.append(
-                    {"word": list(w.letters), "k": k, "kind": "involution"}
-                )
+                failures.append({"word": letters, "k": k, "kind": "involution"})
             if not check_compatibility(once.lam, once.b):
-                failures.append(
-                    {"word": list(w.letters), "k": k, "kind": "compatibility"}
-                )
+                failures.append({"word": letters, "k": k, "kind": "compatibility"})
     return checked, failures
 
 
@@ -855,16 +914,16 @@ def torus_campaign(cd: CartanData, word_length: int, pairs: int = 200) -> tuple:
 
 
 def exact_exchange_campaign(cd: CartanData, length_cap: int) -> tuple:
-    """Exchange relation of every executed mutation on exact seeds."""
+    """Exchange relation of every executed mutation on exact seeds, one
+    pairing solve per distinct exchange matrix (_campaign_seeds)."""
     checked = 0
     failures = []
-    for w in _iter_braid_words(cd, length_cap, lo=1):
-        seed = initial_seed(cd, w, exact=True)
+    for seed in _campaign_seeds(cd, length_cap, exact=True):
         for k in seed.b.exchange:
             check = exchange_check(seed, k, mutate_seed(seed, k))
             checked += 1
             if not check.verified:
-                failures.append({"word": list(w.letters), "k": k})
+                failures.append({"word": list(seed.word.letters), "k": k})
     return checked, failures
 
 
@@ -893,6 +952,17 @@ def _cmd_verify_all(config: RunConfig, _: None) -> list:
             ),
         ]
     contexts = campaign_contexts(rank_cap)
+    budget = default_budget()
+    for name, cd in contexts:
+        # the words of length 1..length_cap, counted before any campaign runs
+        words = 0
+        for length in range(1, length_cap + 1):
+            words += len(cd.index_set) ** length
+            if words > budget:
+                raise BudgetExhausted(
+                    f"length-cap: the words of {name} up to length "
+                    f"{length_cap} are over the budget of {budget}"
+                )
     sections = [echo("contexts", [name for name, _ in contexts])]
     for name, cd in contexts:
         for checked_label, failures_label, campaign, cap in campaigns:

@@ -271,9 +271,14 @@ class Seed:
 
 def initial_seed(cd: CartanData, w: Word, exact: bool = False) -> Seed:
     """Seed with variables the right-anchored boxes [s, l} of the word."""
-    n = w.length
     b = gls_matrix(cd, w)
-    lam = solve_lambda(b)
+    return _word_seed(w, b, solve_lambda(b), exact)
+
+
+def _word_seed(w: Word, b: ExchangeMatrix, lam: tuple, exact: bool) -> Seed:
+    """initial_seed of w from its gls_matrix b and solve_lambda(b), so a
+    caller that meets one exchange matrix on many words solves it once."""
+    n = w.length
     trops = []
     labels = []
     for s, i in enumerate(w.letters, 1):

@@ -1,0 +1,211 @@
+"""The verify-all campaigns against their per-word loops.
+
+roundtrip_campaign transforms the rows of one window class together, and
+mutation_campaign and exact_exchange_campaign solve each exchange matrix
+for its pairing once.  Each is compared here with the loop it replaced,
+with a fault injected so that the failure paths, their order and the
+at-most-3-per-pair rule are compared too.
+"""
+from __future__ import annotations
+
+import itertools
+import random
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from braidseed import cli
+from braidseed.cli import (
+    CAMPAIGN_RNG_SEED,
+    ENTRY_CAP_DEFAULT,
+    campaign_contexts,
+    exact_exchange_campaign,
+    mutation_campaign,
+    roundtrip_campaign,
+)
+from braidseed.seeds import check_compatibility, exchange_check, gls_matrix, initial_seed
+from braidseed.words import Word, WordKind, apply_move, enumerate_moves
+
+CONTEXTS = campaign_contexts(3)
+NAMES = [name for name, _ in CONTEXTS]
+
+
+def braid_words(cd, lo, hi):
+    for length in range(lo, hi + 1):
+        for letters in itertools.product(cd.index_set, repeat=length):
+            yield Word(letters, WordKind.POSITIVE_BRAID)
+
+
+def roundtrip_per_pair(cd, length_cap, entry_cap=ENTRY_CAP_DEFAULT):
+    """roundtrip_campaign as one pair of transition_apply_many calls per
+    (word, move) pair, through whatever cli.transition_apply_many is."""
+    rng = random.Random(CAMPAIGN_RNG_SEED)
+    checked = 0
+    failures = []
+    for w in braid_words(cd, 2, length_cap):
+        for m in enumerate_moves(cd, w).moves:
+            wp = apply_move(w, m)
+            width = m.kind.window
+            lead = m.position - 1
+            combos = np.array(
+                list(itertools.product(range(entry_cap + 1), repeat=width)),
+                dtype=np.int64,
+            )
+            arr = np.zeros((len(combos) + 1, w.length), dtype=np.int64)
+            arr[:-1, lead : lead + width] = combos
+            arr[-1] = [rng.randint(0, entry_cap) for _ in range(w.length)]
+            image = cli.transition_apply_many(cd, w, m, arr)
+            back = cli.transition_apply_many(cd, wp, m, image)
+            checked += len(arr)
+            if not np.array_equal(back, arr):
+                bad = np.nonzero((back != arr).any(axis=1))[0]
+                for idx in bad[:3]:
+                    failures.append(
+                        {"word": list(w.letters), "move": str(m), "vector": arr[idx].tolist()}
+                    )
+    return checked, failures
+
+
+# Faults chosen by a row's content alone, so they hit the same rows whether
+# the rows are transformed one pair or one window class at a time.  The
+# first picks at least 3 window patterns of every width, the zero one among
+# them, so a pair's first 3 failures are window rows; the second picks no
+# window pattern shorter than its word, so the dense witness rows fail.
+FAULTS = {
+    "sum-0-mod-7": lambda arr: arr.sum(axis=1) % 7 == 0,
+    "no-zero-entry": lambda arr: (arr != 0).all(axis=1),
+}
+
+
+def corrupt_rows(apply, fault):
+    """apply, with 1 added to the first entry of every row the fault picks
+    from the input rows."""
+
+    def corrupted(cd, w, m, arr):
+        out = apply(cd, w, m, arr)
+        out[fault(np.asarray(arr)), 0] += 1
+        return out
+
+    return corrupted
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("name,cd", CONTEXTS, ids=NAMES)
+def test_roundtrips_by_class_equal_the_per_pair_loop_with_faults(
+    name, cd, fault, monkeypatch
+):
+    monkeypatch.setattr(
+        cli, "transition_apply_many", corrupt_rows(cli.transition_apply_many, FAULTS[fault])
+    )
+    for cap in range(2, 7):
+        expected = roundtrip_per_pair(cd, cap)
+        assert roundtrip_campaign(cd, cap) == expected, (name, cap)
+        if expected[0]:
+            assert expected[1], (name, cap)
+
+
+def test_the_sum_fault_reaches_the_three_failures_of_a_pair(monkeypatch):
+    monkeypatch.setattr(
+        cli,
+        "transition_apply_many",
+        corrupt_rows(cli.transition_apply_many, FAULTS["sum-0-mod-7"]),
+    )
+    _, failures = roundtrip_campaign(dict(CONTEXTS)["a3"], 4)
+    per_pair = Counter((tuple(f["word"]), f["move"]) for f in failures)
+    assert max(per_pair.values()) == 3
+
+
+def mutations_per_word(cd, length_cap):
+    """mutation_campaign with one initial_seed per word."""
+    checked = 0
+    failures = []
+    for w in braid_words(cd, 1, length_cap):
+        seed = initial_seed(cd, w)
+        for k in seed.b.exchange:
+            once = cli.mutate_seed(seed, k)
+            twice = cli.mutate_seed(once, k)
+            checked += 1
+            if (
+                twice.b.entries != seed.b.entries
+                or twice.lam != seed.lam
+                or twice.trop != seed.trop
+            ):
+                failures.append({"word": list(w.letters), "k": k, "kind": "involution"})
+            if not check_compatibility(once.lam, once.b):
+                failures.append({"word": list(w.letters), "k": k, "kind": "compatibility"})
+    return checked, failures
+
+
+def exchanges_per_word(cd, length_cap):
+    """exact_exchange_campaign with one initial_seed per word."""
+    checked = 0
+    failures = []
+    for w in braid_words(cd, 1, length_cap):
+        seed = initial_seed(cd, w, exact=True)
+        for k in seed.b.exchange:
+            check = exchange_check(seed, k, cli.mutate_seed(seed, k))
+            checked += 1
+            if not check.verified:
+                failures.append({"word": list(w.letters), "k": k})
+    return checked, failures
+
+
+def faulty_mutation(mutate):
+    """mutate, broken on the words whose letters sum to an even number: the
+    first tropical vector gains 1 in its first entry, which breaks
+    involution, and the exact variable at k is shifted by q, which breaks
+    the exchange relation."""
+
+    def broken(seed, k):
+        out = mutate(seed, k)
+        if sum(seed.word.letters) % 2:
+            return out
+        first = (out.trop[0][0] + 1,) + tuple(out.trop[0][1:])
+        out = replace(out, trop=(first,) + out.trop[1:])
+        if out.exact is not None:
+            shifted = out.exact[k - 1].q_shift(2)
+            out = replace(out, exact=out.exact[: k - 1] + (shifted,) + out.exact[k:])
+        return out
+
+    return broken
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,cd", CONTEXTS, ids=NAMES)
+def test_one_pairing_solve_per_exchange_matrix(name, cd, monkeypatch):
+    calls = counting(monkeypatch, "solve_lambda")
+    for campaign, reference, cap in (
+        (mutation_campaign, mutations_per_word, 4),
+        (exact_exchange_campaign, exchanges_per_word, 3),
+    ):
+        distinct = {gls_matrix(cd, w) for w in braid_words(cd, 1, cap)}
+        calls.clear()
+        assert campaign(cd, cap) == reference(cd, cap)
+        assert len(calls) == len(distinct), (name, campaign.__name__)
+        assert {b for (b,) in calls} == distinct
+
+
+@pytest.mark.parametrize("name,cd", CONTEXTS, ids=NAMES)
+def test_seed_campaigns_equal_the_per_word_loops_with_faults(name, cd, monkeypatch):
+    monkeypatch.setattr(cli, "mutate_seed", faulty_mutation(cli.mutate_seed))
+    for campaign, reference, cap in (
+        (mutation_campaign, mutations_per_word, 4),
+        (exact_exchange_campaign, exchanges_per_word, 3),
+    ):
+        checked, failures = reference(cd, cap)
+        assert campaign(cd, cap) == (checked, failures), (name, campaign.__name__)
+        if checked:
+            assert failures, (name, campaign.__name__)

@@ -569,6 +569,28 @@ def test_verify_all_small_caps(tmp_path):
         assert section(report, f"torus-failures-{name}").left == []
 
 
+@pytest.mark.parametrize("budget,code", [("5", 0), ("4", 2)])
+def test_verify_all_counts_its_words_against_the_budget(
+    tmp_path, monkeypatch, budget, code
+):
+    # --rank-cap 1 runs a1 only: words of length 1..5, one of each length
+    monkeypatch.setenv("BRAIDSEED_BUDGET", budget)
+    got, report = run(tmp_path, "verify", "all", "--rank-cap", "1", "--length-cap", "5")
+    assert got == code
+    if code:
+        assert report.metadata["error"]["kind"] == "BudgetExhausted"
+
+
+def test_verify_all_refuses_a_long_length_cap_at_once(tmp_path, monkeypatch):
+    # a rank-3 context has more than 10^14 words of length at most 30
+    monkeypatch.delenv("BRAIDSEED_BUDGET", raising=False)
+    start = time.monotonic()
+    code, report = run(tmp_path, "verify", "all", "--length-cap", "30")
+    assert code == 2
+    assert report.metadata["error"]["kind"] == "BudgetExhausted"
+    assert time.monotonic() - start < 5.0
+
+
 def test_campaign_contexts_exclude_6_move_types():
     names = [name for name, _ in campaign_contexts(3)]
     assert "g2" not in names
@@ -725,9 +747,12 @@ def test_readme_lists_exactly_the_routes_in_commands():
 
 
 # Flag values for the any-argv property: small valid values nine times in
-# ten, junk otherwise.  Integer flags whose default starts a long run (the
-# caps of verify all) always get a small value; --range draws small values
-# and values up to 10^9, which the series budget refuses.
+# ten, junk otherwise.  The caps of verify all, whose defaults start a long
+# run, are always given: --rank-cap small, --length-cap small or past
+# PROPERTY_BUDGET up to 10^9, where even a1 has more words than the budget,
+# so verify all refuses it before any campaign runs.  --range draws small
+# values and values up to 10^9, which the series budget refuses.
+PROPERTY_BUDGET = 2000
 JUNK = st.sampled_from(["", ",", "x", "1,x", "-"])
 
 
@@ -763,7 +788,9 @@ FLAG_VALUES = {
 RANKS = {"a1": 1, "a1xa1": 2, "a2": 2, "b2": 2, "c2": 2, "g2": 2, "a3": 3, "zz": 2}
 BOUNDED = {
     "--range": st.one_of(st.integers(0, 3), st.integers(0, 10**9)),
-    "--length-cap": st.integers(0, 3),
+    "--length-cap": st.one_of(
+        st.integers(0, 3), st.integers(PROPERTY_BUDGET + 1, 10**9)
+    ),
     "--rank-cap": st.integers(0, 2),
 }
 
@@ -775,7 +802,7 @@ BOUNDED = {
 )
 @given(data=st.data())
 def test_any_argv_ends_in_a_report(tmp_path, monkeypatch, data):
-    monkeypatch.setenv("BRAIDSEED_BUDGET", "2000")
+    monkeypatch.setenv("BRAIDSEED_BUDGET", str(PROPERTY_BUDGET))
     route = data.draw(st.sampled_from(sorted(COMMANDS)))
     _, _, word_count, options = COMMANDS[route]
     report_file = tmp_path / "report.json"
