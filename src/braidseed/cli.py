@@ -60,6 +60,7 @@ from .reports import (
     report_from_sections,
 )
 from .seeds import (
+    Seed,
     _word_seed,
     check_compatibility,
     exchange_check,
@@ -836,40 +837,58 @@ def _roundtrip_batch(
     return len(arr)
 
 
-def _campaign_seeds(cd: CartanData, length_cap: int, exact: bool):
-    """initial_seed of every word of length 1..length_cap, in enumeration
-    order.  Lambda is a function of B alone, so solve_lambda runs once per
-    distinct gls_matrix; the pairings are kept for this enumeration only."""
-    pairings = {}
-    for w in _iter_braid_words(cd, length_cap, lo=1):
-        b = gls_matrix(cd, w)
-        if b not in pairings:
-            pairings[b] = solve_lambda(b)
-        yield _word_seed(w, b, pairings[b], exact)
+def _seed_class_campaign(
+    cd: CartanData, length_cap: int, exact: bool, check, classes
+) -> tuple:
+    """Exchange slots and failures of the seeds of all words of length
+    1..length_cap, in (word, failure) order, running check on one seed per
+    exchange matrix B = gls_matrix.
 
-
-def mutation_campaign(cd: CartanData, length_cap: int) -> tuple:
-    """Mutation involutivity on (B, Lambda, tropical) plus compatibility of
-    every once-mutated seed, at every exchange slot of the seed of every
-    word of length 1..length_cap.  The seeds come from _campaign_seeds, so
-    each distinct exchange matrix is solved for its pairing once."""
+    Apart from its word, a seed is a function of B: Lambda is
+    solve_lambda(B); the strictly lower +1 entries of B are exactly the
+    links b_{k,k-} (off the diagonal c_ij <= 0, and an earlier position of
+    the letter of k forces k- >= it), which fix the tropical track and the
+    labels; the exact track depends on n alone.  Neither mutate_seed nor
+    exchange_check reads the word.  So check(seed) is kept in classes by
+    B (a new table when None), which callers may share across contexts.
+    """
+    classes = {} if classes is None else classes
     checked = 0
     failures = []
-    for seed in _campaign_seeds(cd, length_cap, exact=False):
-        letters = list(seed.word.letters)
-        for k in seed.b.exchange:
-            once = mutate_seed(seed, k)
-            twice = mutate_seed(once, k)
-            checked += 1
-            if (
-                twice.b.entries != seed.b.entries
-                or twice.lam != seed.lam
-                or twice.trop != seed.trop
-            ):
-                failures.append({"word": letters, "k": k, "kind": "involution"})
-            if not check_compatibility(once.lam, once.b):
-                failures.append({"word": letters, "k": k, "kind": "compatibility"})
+    for w in _iter_braid_words(cd, length_cap, lo=1):
+        b = gls_matrix(cd, w)
+        if b not in classes:
+            classes[b] = check(_word_seed(w, b, solve_lambda(b), exact))
+        checked += len(b.exchange)
+        failures += ({"word": list(w.letters), **f} for f in classes[b])
     return checked, failures
+
+
+def _mutation_failures(seed: Seed) -> list:
+    """{k, kind} for each exchange slot k where mutating twice does not
+    give back (B, Lambda, tropical), or the once-mutated pair is not
+    compatible."""
+    failures = []
+    for k in seed.b.exchange:
+        once = mutate_seed(seed, k)
+        twice = mutate_seed(once, k)
+        if (
+            twice.b.entries != seed.b.entries
+            or twice.lam != seed.lam
+            or twice.trop != seed.trop
+        ):
+            failures.append({"k": k, "kind": "involution"})
+        if not check_compatibility(once.lam, once.b):
+            failures.append({"k": k, "kind": "compatibility"})
+    return failures
+
+
+def mutation_campaign(cd: CartanData, length_cap: int, classes=None) -> tuple:
+    """Mutation involutivity on (B, Lambda, tropical) plus compatibility of
+    every once-mutated seed, at every exchange slot of the seed of every
+    word of length 1..length_cap, each exchange matrix checked once
+    (_seed_class_campaign)."""
+    return _seed_class_campaign(cd, length_cap, False, _mutation_failures, classes)
 
 
 def tsystem_campaign(cd: CartanData, length_cap: int) -> tuple:
@@ -913,18 +932,20 @@ def torus_campaign(cd: CartanData, word_length: int, pairs: int = 200) -> tuple:
     return checked, failures
 
 
-def exact_exchange_campaign(cd: CartanData, length_cap: int) -> tuple:
-    """Exchange relation of every executed mutation on exact seeds, one
-    pairing solve per distinct exchange matrix (_campaign_seeds)."""
-    checked = 0
-    failures = []
-    for seed in _campaign_seeds(cd, length_cap, exact=True):
-        for k in seed.b.exchange:
-            check = exchange_check(seed, k, mutate_seed(seed, k))
-            checked += 1
-            if not check.verified:
-                failures.append({"word": list(seed.word.letters), "k": k})
-    return checked, failures
+def _exchange_failures(seed: Seed) -> list:
+    """{k} for each exchange slot k where the exact exchange relation of
+    mutate_seed(seed, k) fails."""
+    return [
+        {"k": k}
+        for k in seed.b.exchange
+        if not exchange_check(seed, k, mutate_seed(seed, k)).verified
+    ]
+
+
+def exact_exchange_campaign(cd: CartanData, length_cap: int, classes=None) -> tuple:
+    """Exchange relation of every executed mutation on exact seeds, each
+    exchange matrix checked once (_seed_class_campaign)."""
+    return _seed_class_campaign(cd, length_cap, True, _exchange_failures, classes)
 
 
 def _cmd_verify_all(config: RunConfig, _: None) -> list:
@@ -934,21 +955,22 @@ def _cmd_verify_all(config: RunConfig, _: None) -> list:
         raise ConfigInvalid("length-cap: must be >= 1")
     if rank_cap < 1:
         raise ConfigInvalid("rank-cap: must be >= 1")
-    # (checked label, failures label, campaign, cap); the campaigns are read
-    # from the module at run time, so wrappers installed on it see the calls
+    # (checked label, failures label, campaign, arguments after cd); the
+    # campaigns are read from the module at run time, so wrappers installed
+    # on it see the calls.  Each seed campaign has one table for the run.
     campaigns = [
-        ("round-trips", "round-trip-failures", roundtrip_campaign, length_cap),
-        ("mutations", "mutation-failures", mutation_campaign, min(length_cap, 6)),
-        ("tsystem-boxes", "tsystem-failures", tsystem_campaign, length_cap),
+        ("round-trips", "round-trip-failures", roundtrip_campaign, (length_cap,)),
+        ("mutations", "mutation-failures", mutation_campaign, (min(length_cap, 6), {})),
+        ("tsystem-boxes", "tsystem-failures", tsystem_campaign, (length_cap,)),
     ]
     if config.exact:
         campaigns += [
-            ("torus-pairs", "torus-failures", torus_campaign, min(length_cap, 6)),
+            ("torus-pairs", "torus-failures", torus_campaign, (min(length_cap, 6),)),
             (
                 "exchange-steps",
                 "exchange-failures",
                 exact_exchange_campaign,
-                min(length_cap, 4),
+                (min(length_cap, 4), {}),
             ),
         ]
     contexts = campaign_contexts(rank_cap)
@@ -965,8 +987,8 @@ def _cmd_verify_all(config: RunConfig, _: None) -> list:
                 )
     sections = [echo("contexts", [name for name, _ in contexts])]
     for name, cd in contexts:
-        for checked_label, failures_label, campaign, cap in campaigns:
-            checked, failures = campaign(cd, cap)
+        for checked_label, failures_label, campaign, args in campaigns:
+            checked, failures = campaign(cd, *args)
             sections.append(echo(f"{checked_label}-{name}", checked))
             sections.append(comparison(f"{failures_label}-{name}", failures, []))
     return sections

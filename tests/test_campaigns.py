@@ -1,10 +1,12 @@
 """The verify-all campaigns against their per-word loops.
 
 roundtrip_campaign transforms the rows of one window class together, and
-mutation_campaign and exact_exchange_campaign solve each exchange matrix
-for its pairing once.  Each is compared here with the loop it replaced,
-with a fault injected so that the failure paths, their order and the
-at-most-3-per-pair rule are compared too.
+mutation_campaign and exact_exchange_campaign check one seed per exchange
+matrix, in a table that verify all shares across its contexts.  Each is
+compared here with the loop it replaced, with a fault injected so that the
+failure paths, their order and the at-most-3-per-pair rule are compared
+too.  The seed campaigns rest on a premise tested here as well: apart from
+its word, a seed is a function of its exchange matrix.
 """
 from __future__ import annotations
 
@@ -25,7 +27,14 @@ from braidseed.cli import (
     mutation_campaign,
     roundtrip_campaign,
 )
-from braidseed.seeds import check_compatibility, exchange_check, gls_matrix, initial_seed
+from braidseed.seeds import (
+    _word_seed,
+    check_compatibility,
+    exchange_check,
+    gls_matrix,
+    initial_seed,
+    solve_lambda,
+)
 from braidseed.words import Word, WordKind, apply_move, enumerate_moves
 
 CONTEXTS = campaign_contexts(3)
@@ -152,15 +161,21 @@ def exchanges_per_word(cd, length_cap):
     return checked, failures
 
 
+def lower_sum(b):
+    """Sum of the strictly lower entries of the exchange matrix b."""
+    return sum(v for r, row in enumerate(b.entries) for v in row[:r])
+
+
 def faulty_mutation(mutate):
-    """mutate, broken on the words whose letters sum to an even number: the
-    first tropical vector gains 1 in its first entry, which breaks
-    involution, and the exact variable at k is shifted by q, which breaks
-    the exchange relation."""
+    """mutate, broken on the seeds whose B has an even lower_sum: the first
+    tropical vector gains 1 in its first entry, which breaks involution,
+    and the exact variable at k is shifted by q, which breaks the exchange
+    relation.  The fault reads only what the checks read, so it breaks
+    whole exchange-matrix classes and spares others."""
 
     def broken(seed, k):
         out = mutate(seed, k)
-        if sum(seed.word.letters) % 2:
+        if lower_sum(seed.b) % 2:
             return out
         first = (out.trop[0][0] + 1,) + tuple(out.trop[0][1:])
         out = replace(out, trop=(first,) + out.trop[1:])
@@ -208,4 +223,70 @@ def test_seed_campaigns_equal_the_per_word_loops_with_faults(name, cd, monkeypat
         checked, failures = reference(cd, cap)
         assert campaign(cd, cap) == (checked, failures), (name, campaign.__name__)
         if checked:
-            assert failures, (name, campaign.__name__)
+            # the fault breaks some words and spares others
+            exchanging = {
+                w.letters
+                for w in braid_words(cd, 1, cap)
+                if gls_matrix(cd, w).exchange
+            }
+            failing = {tuple(f["word"]) for f in failures}
+            assert failing and failing < exchanging, (name, campaign.__name__)
+
+
+def test_a_seed_is_a_function_of_its_exchange_matrix():
+    """Every word of length <= 5 in every campaign context, grouped by
+    gls_matrix across contexts: one group gives one seed, word apart, and
+    the strictly lower +1 entries of B are the links (k, k-)."""
+    groups = {}
+    for _, cd in CONTEXTS:
+        for w in braid_words(cd, 1, 5):
+            b = gls_matrix(cd, w)
+            links = {(k, w.before(k, w.letter(k))) for k in range(1, w.length + 1)}
+            lower_ones = {
+                (k, l)
+                for k in range(1, w.length + 1)
+                for l in range(1, k)
+                if b.entry(k, l) == 1
+            }
+            assert lower_ones == {(k, l) for k, l in links if l}, w.letters
+            groups.setdefault(b, []).append((cd, w))
+    assert any(len({id(cd) for cd, _ in words}) > 1 for words in groups.values())
+    for b, words in groups.items():
+        lam = solve_lambda(b)
+        seeds = [_word_seed(w, b, lam, True) for _, w in words]
+        for seed in seeds[1:]:
+            assert replace(seed, word=seeds[0].word) == seeds[0], seed.word.letters
+
+
+def verify_all(*extra):
+    argv = ["verify", "all", "--rank-cap", "3", "--length-cap", "4", *extra]
+    return cli.dispatch(cli.parse_args(argv))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
+def test_verify_all_reports_every_word_of_every_context_with_faults(
+    exact, monkeypatch
+):
+    monkeypatch.setattr(cli, "mutate_seed", faulty_mutation(cli.mutate_seed))
+    report = verify_all(*(["--exact"] if exact else []))
+    assert report.verdict == "Mismatch"
+    seed_campaigns = [("mutations", "mutation-failures", mutations_per_word, 4)]
+    if exact:
+        seed_campaigns.append(("exchange-steps", "exchange-failures", exchanges_per_word, 4))
+    for name, cd in CONTEXTS:
+        for checked_label, failures_label, reference, cap in seed_campaigns:
+            checked, failures = reference(cd, cap)
+            assert report.section(f"{checked_label}-{name}").left == checked, name
+            assert report.section(f"{failures_label}-{name}").left == failures, name
+
+
+def test_verify_all_checks_each_exchange_matrix_once_per_run(monkeypatch):
+    solves = counting(monkeypatch, "solve_lambda")
+    mutations = counting(monkeypatch, "mutate_seed")
+    distinct = {
+        gls_matrix(cd, w) for _, cd in CONTEXTS for w in braid_words(cd, 1, 4)
+    }
+    assert verify_all().verdict == "Match"
+    assert len(solves) == len(distinct)
+    assert {b for (b,) in solves} == distinct
+    assert len(mutations) == 2 * sum(len(b.exchange) for b in distinct)
