@@ -33,12 +33,12 @@ print(f"tsystem_sweep: {checked} boxes, {degenerate} degenerate, failures {failu
 print()
 print("exact mode on the braid word (1,2,1,2):")
 braid = Word((1, 2, 1, 2), WordKind.POSITIVE_BRAID)
-r = tsystem_check(cd, braid, IBox(2, 4), mode="exact")
+r = tsystem_check(cd, braid, IBox(2, 4), exact=True)
 print(
     f"  [2,4]: identity {r.identity_holds}, exchange verified {r.exact_verified}, "
     f"q-powers ({r.a_doubled}/2, {r.b_doubled}/2)"
 )
 try:
-    tsystem_check(cd, braid, IBox(1, 3), mode="exact")
+    tsystem_check(cd, braid, IBox(1, 3), exact=True)
 except MinorNotReachable as err:
     print(f"  [1,3]: MinorNotReachable ({err})")

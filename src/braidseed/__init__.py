@@ -12,7 +12,6 @@ from .cartan import (
     CartanData,
     FiniteTypeData,
     cartan_from_json,
-    cartan_to_json,
     finite_type_data,
     preset,
     reflect_root,
@@ -41,7 +40,6 @@ from .qlaurent import (
     commutation_doubled,
     lambda_pairing,
     right_divide,
-    torus_power,
     torus_product,
 )
 from .reports import VERSION, Report, emit_report, parse_report

@@ -5,10 +5,12 @@ the index set of the ambient :class:`CartanData`.  All arithmetic is exact.
 
 Every root a word defines comes from one walk, _WeylWalk, which keeps
 w(alpha_i) for every vertex i as letters are appended to w: the roots
-beta_k of a word, its reducedness and its Weyl element, and for finite
+beta_k of a word, its reducedness and its Weyl element, whose action
+w(x) = sum_j x_j w(alpha_j) is weyl_act and reflect_root, and for finite
 type w0, the positive roots and the star involution.  roots_of_word,
 weyl_act and reflect_root refuse a letter outside the index set with
-InvalidBox.  Each context also caches its braid-relation table, which
+InvalidBox, and the last two a root vector of the wrong length with
+DimensionMismatch.  Each context also caches its braid-relation table, which
 the move readers of the words layer share.
 """
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -201,30 +204,6 @@ def _check_letters(cd: CartanData, letters) -> None:
             raise InvalidBox(f"letter {i!r} not in the index set")
 
 
-def _reflect(cd: CartanData, p: int, x: Sequence[int]) -> RootVector:
-    if len(x) != cd.rank:
-        raise DimensionMismatch("root vector length mismatch")
-    coeff = sum(x[j] * cd.matrix[p][j] for j in range(cd.rank))
-    out = list(x)
-    out[p] -= coeff
-    return tuple(out)
-
-
-def reflect_root(cd: CartanData, i, x: Sequence[int]) -> RootVector:
-    """Simple reflection s_i acting on root coordinates: x - (sum_j x_j c_ij) alpha_i."""
-    _check_letters(cd, (i,))
-    return _reflect(cd, cd.position[i], x)
-
-
-def weyl_act(cd: CartanData, letters: Sequence, x: Sequence[int]) -> RootVector:
-    """Apply s_{i_1} s_{i_2} ... s_{i_k} to x (rightmost reflection first)."""
-    _check_letters(cd, letters)
-    v = tuple(x)
-    for i in reversed(letters):
-        v = _reflect(cd, cd.position[i], v)
-    return v
-
-
 class _WeylWalk:
     """The images w(alpha_i) of every simple root, in index-set order, as
     letters are appended to w, starting from the identity.
@@ -255,6 +234,21 @@ class _WeylWalk:
     @property
     def reduced(self) -> bool:
         return all(min(beta) >= 0 for beta in self.roots)
+
+
+def reflect_root(cd: CartanData, i, x: Sequence[int]) -> RootVector:
+    """Simple reflection s_i acting on root coordinates: x - (sum_j x_j c_ij) alpha_i."""
+    return weyl_act(cd, (i,), x)
+
+
+def weyl_act(cd: CartanData, letters: Sequence, x: Sequence[int]) -> RootVector:
+    """Apply w = s_{i_1} s_{i_2} ... s_{i_k} to x: the sum of x_j w(alpha_j)
+    over the images of one _WeylWalk along the letters."""
+    _check_letters(cd, letters)
+    if len(x) != cd.rank:
+        raise DimensionMismatch("root vector length mismatch")
+    images = _WeylWalk(cd, letters).images
+    return tuple(sum(map(mul, x, column)) for column in zip(*images))
 
 
 class WordRoots(NamedTuple):
@@ -345,15 +339,6 @@ def _finite_type_data(cd: CartanData) -> FiniteTypeData:
         star=star,
         coxeter_number=h,
     )
-
-
-def cartan_to_json(cd: CartanData) -> str:
-    payload = {
-        "indices": list(cd.index_set),
-        "matrix": [list(row) for row in cd.matrix],
-        "symmetrizer": list(cd.symmetrizer),
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 def _json_list(value, what: str, kinds: tuple = (int,)) -> list:

@@ -112,7 +112,6 @@ class RunConfig:
 
     command: tuple
     cartan_file: Optional[str]
-    budget: int
     exact: bool
     exact_cap: int
     output: Optional[str]
@@ -164,7 +163,6 @@ FORMATS = ("text", "json")
 COMMON = (
     ("--format", dict(choices=FORMATS, default="text")),
     ("--output", dict(default=None, help="report destination file")),
-    ("--budget", dict(type=int, default=None, help="BFS node limit")),
 )
 CARTAN = (("--cartan", dict(default=None, help="preset name or JSON file")),)
 WORD = (
@@ -204,9 +202,7 @@ CAPS = (
 
 # Namespace keys held by RunConfig fields; every other key is a handler
 # option and is hashed into the report's meta inputs.
-_CONFIG_KEYS = (
-    "group", "action", "cartan", "budget", "exact", "exact_cap", "output", "format"
-)
+_CONFIG_KEYS = ("group", "action", "cartan", "exact", "exact_cap", "output", "format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> RunConfig:
+    """The RunConfig of argv; a usage error or a BRAIDSEED_BUDGET that
+    default_budget() refuses is ConfigInvalid."""
     ns = vars(_build_parser().parse_args(argv))
+    default_budget()
     options = {k: v for k, v in ns.items() if k not in _CONFIG_KEYS}
     if "word" in options:
         options["words"] = tuple(_parse_letters(w) for w in options.pop("word"))
@@ -253,7 +252,6 @@ def parse_args(argv=None) -> RunConfig:
     return RunConfig(
         command=(ns["group"], ns["action"]),
         cartan_file=ns["cartan"],
-        budget=default_budget() if ns["budget"] is None else ns["budget"],
         exact=ns.get("exact", False),
         exact_cap=ns.get("exact_cap", EXACT_CAP_DEFAULT),
         output=ns["output"],
@@ -263,8 +261,6 @@ def parse_args(argv=None) -> RunConfig:
 
 
 def _validate_config(config: RunConfig) -> None:
-    if config.budget < 1:
-        raise ConfigInvalid("budget: must be >= 1")
     if config.exact:
         for letters in config.options.get("words", ()):
             if len(letters) > config.exact_cap:
@@ -419,7 +415,7 @@ def _cmd_words_moves(config: RunConfig, cd: CartanData, w: Word) -> list:
 
 
 def _cmd_words_path(config: RunConfig, cd: CartanData, w: Word, w2: Word) -> list:
-    path = find_move_path(cd, w, w2, config.budget)
+    path = find_move_path(cd, w, w2)
     current = w
     for m in path:
         current = apply_move(current, m)
@@ -431,7 +427,7 @@ def _cmd_words_path(config: RunConfig, cd: CartanData, w: Word, w2: Word) -> lis
 
 
 def _cmd_words_equal(config: RunConfig, cd: CartanData, w: Word, w2: Word) -> list:
-    equal = words_equal_in_monoid(cd, w, w2, config.budget)
+    equal = words_equal_in_monoid(cd, w, w2)
     return [comparison("equal-in-monoid", equal, True)]
 
 
@@ -569,15 +565,10 @@ def _equivalence_sections(report) -> list:
 def _cmd_seed_verify_equivalence(
     config: RunConfig, cd: CartanData, w: Word, w2: Word
 ) -> list:
-    report = seed_equivalence_report(
-        cd,
-        w,
-        w2,
-        exact=True if config.exact else None,
-        exact_max_length=min(6, config.exact_cap),
-        budget=config.budget,
-    )
-    return _equivalence_sections(report)
+    # --exact forces the exact track; else the library's rule decides
+    # (length <= 6), for words within --exact-cap only
+    exact = True if config.exact else (None if w.length <= config.exact_cap else False)
+    return _equivalence_sections(seed_equivalence_report(cd, w, w2, exact=exact))
 
 
 def _tsystem_sections(result, prefix: str = "") -> list:
@@ -611,8 +602,7 @@ def _tsystem_sections(result, prefix: str = "") -> list:
 
 def _cmd_seed_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
     box = _build_box(config, require_nonempty=True)
-    mode = "exact" if config.exact else "tropical"
-    return _tsystem_sections(tsystem_check(cd, w, box, mode=mode))
+    return _tsystem_sections(tsystem_check(cd, w, box, exact=config.exact))
 
 
 def _cmd_verify_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
@@ -746,7 +736,7 @@ def campaign_contexts(rank_cap: int) -> list:
     return out
 
 
-def _iter_braid_words(cd: CartanData, length_cap: int, lo: int = 2):
+def _iter_braid_words(cd: CartanData, length_cap: int, lo: int):
     for length in range(lo, length_cap + 1):
         for letters in itertools.product(cd.index_set, repeat=length):
             yield Word(letters, WordKind.POSITIVE_BRAID)
@@ -758,18 +748,16 @@ def _iter_braid_words(cd: CartanData, length_cap: int, lo: int = 2):
 _ROUNDTRIP_BATCH_ROWS = 8192
 
 
-def roundtrip_campaign(
-    cd: CartanData, length_cap: int, entry_cap: int = ENTRY_CAP_DEFAULT
-) -> tuple:
+def roundtrip_campaign(cd: CartanData, length_cap: int) -> tuple:
     """Move-then-reverse-move identity over all words, moves, and window
     exponent patterns, plus one dense random vector per pair.
 
     Transition formulas read only the window coordinates, so exhausting the
     window combinations together with a dense off-window witness covers all
-    vectors with entries <= entry_cap.  The map of a move reads nothing of
-    the word but its window letters, so the (word, move) pairs of one word
-    length are grouped by the move and those letters.  Every row of a
-    group's pairs, none deduplicated, goes through one pair of
+    vectors with entries <= ENTRY_CAP_DEFAULT.  The map of a move reads
+    nothing of the word but its window letters, so the (word, move) pairs
+    of one word length are grouped by the move and those letters.  Every
+    row of a group's pairs, none deduplicated, goes through one pair of
     transition_apply_many calls on the group's first word, when the group
     reaches _ROUNDTRIP_BATCH_ROWS rows and at the end of its length.  The
     dense rows are drawn in (word, move) order, and the failures, at most 3
@@ -778,7 +766,7 @@ def roundtrip_campaign(
     rng = random.Random(CAMPAIGN_RNG_SEED)
     patterns = {
         kind.window: np.array(
-            list(itertools.product(range(entry_cap + 1), repeat=kind.window)),
+            list(itertools.product(range(ENTRY_CAP_DEFAULT + 1), repeat=kind.window)),
             dtype=np.int64,
         )
         for kind in MoveKind
@@ -793,7 +781,7 @@ def roundtrip_campaign(
                 width = m.kind.window
                 lead = m.position - 1
                 pairs = groups.setdefault((m, w.letters[lead : lead + width]), [])
-                dense = [rng.randint(0, entry_cap) for _ in range(length)]
+                dense = [rng.randint(0, ENTRY_CAP_DEFAULT) for _ in range(length)]
                 pairs.append((pair, w.letters, dense))
                 pair += 1
                 if len(pairs) * (len(patterns[width]) + 1) >= _ROUNDTRIP_BATCH_ROWS:

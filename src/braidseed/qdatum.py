@@ -327,14 +327,6 @@ class CartanSeries:
     u_max: int
     coefficients: tuple
 
-    def matrix(self, u: int):
-        if u <= 0:
-            n = len(self.cartan.index_set)
-            return tuple((0,) * n for _ in range(n))
-        if u > self.u_max:
-            raise SeriesOrderInsufficient(f"order {u} beyond computed {self.u_max}")
-        return self.coefficients[u - 1]
-
     def entry(self, i, j, u: int) -> int:
         if u <= 0:
             return 0
@@ -383,10 +375,9 @@ def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
     return CartanSeries(cd, u_max, frozen)
 
 
-def n_form(
-    series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint, d_i: int = 1
-) -> int:
-    """Pairing from four series coefficients at shifted level differences.
+def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> int:
+    """Pairing from four series coefficients at the level differences
+    shifted by d_i = 1 (cartan_tilde is simply-laced only).
 
     The second pair of terms enters with flipped signs so that the
     pairing is antisymmetric and vanishes on the diagonal, which the
@@ -395,10 +386,10 @@ def n_form(
     i, p = p1.vertex, p1.level
     j, q = p2.vertex, p2.level
     return (
-        series.entry(i, j, p - q - d_i)
-        - series.entry(i, j, p - q + d_i)
-        - series.entry(i, j, q - p - d_i)
-        + series.entry(i, j, q - p + d_i)
+        series.entry(i, j, p - q - 1)
+        - series.entry(i, j, p - q + 1)
+        - series.entry(i, j, q - p - 1)
+        + series.entry(i, j, q - p + 1)
     )
 
 

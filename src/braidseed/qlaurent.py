@@ -334,17 +334,6 @@ def torus_product(
     return QuantumLaurent._wrap(f.rank, {e: QHalf._wrap(c) for e, c in acc.items()})
 
 
-def torus_power(
-    lam: Sequence[Sequence[int]], f: QuantumLaurent, n: int
-) -> QuantumLaurent:
-    if n < 0:
-        raise NonExactDivision("negative powers need explicit division")
-    out = QuantumLaurent.monomial(f.rank, (0,) * f.rank)
-    for _ in range(n):
-        out = torus_product(lam, out, f)
-    return out
-
-
 def right_divide(
     lam: Sequence[Sequence[int]], numerator: QuantumLaurent, divisor: QuantumLaurent
 ) -> QuantumLaurent:

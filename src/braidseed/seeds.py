@@ -644,8 +644,6 @@ def seed_equivalence_report(
     w: Word,
     w2: Word,
     exact: Optional[bool] = None,
-    exact_max_length: int = 6,
-    budget: Optional[int] = None,
 ) -> EquivalenceReport:
     """Walk a move path from w to w2, compiling each move to a script and
     replaying it on the seed of w; compare the outcome with the seed of w2.
@@ -658,11 +656,11 @@ def seed_equivalence_report(
     word slot.  The target's tropical vectors are pulled back along the
     reversed path in a single pass.
 
-    exact defaults to running the exact track iff the word is short enough.
+    exact=None runs the exact track iff the word has length <= 6.
     """
-    path = tuple(find_move_path(cd, w, w2, budget))
+    path = tuple(find_move_path(cd, w, w2))
     if exact is None:
-        exact = w.length <= exact_max_length
+        exact = w.length <= 6
     seed = initial_seed(cd, w, exact=exact)
     slot = list(range(1, w.length + 1))
     current = w
@@ -721,7 +719,8 @@ def seed_equivalence_report(
 
 @dataclass(frozen=True)
 class TSystemReport:
-    """Boxed product identity for one box, tropical or exact mode."""
+    """Boxed product identity for one box; the exchange fields are set
+    only by an exact check."""
 
     box: IBox
     degenerate: bool
@@ -731,7 +730,6 @@ class TSystemReport:
     lower_sum: tuple
     lower_verdict: OrderVerdict
     lower_strictly_smaller: Optional[bool]
-    mode: str
     a_doubled: Optional[int] = None
     b_doubled: Optional[int] = None
     exact_verified: Optional[bool] = None
@@ -746,20 +744,21 @@ class TSystemReport:
         return ok
 
 
-def _adjacency_mask(cd: CartanData, w: Word, i) -> tuple:
-    """0/1 vector of the positions of w whose letter is adjacent to i."""
-    adjacent = {j for j in cd.index_set if j != i and cd.entry(i, j) != 0}
-    return tuple(1 if j in adjacent else 0 for j in w.letters)
+def _lower_powers(cd: CartanData, w: Word, i) -> tuple:
+    """The power -c_ji of each position of w whose letter j is adjacent to
+    i, 0 at the other positions: the T-system exponent of D[a+(j), b-(j)]."""
+    return tuple(0 if j == i else -cd.entry(j, i) for j in w.letters)
 
 
-def _tsystem_terms(n: int, ks: tuple, s: int, t: int, mask: tuple) -> tuple:
+def _tsystem_terms(n: int, ks: tuple, s: int, t: int, powers: tuple) -> tuple:
     """Tropical terms of the box [a, b] = [ks[s], ks[t]] of a letter i whose
     positions are ks: (left sum, right sum, lower sum, lower verdict).
 
     The boxes [a+,b], [a,b-], [a,b] and [a+,b-] hold the positions
     ks[s+1:t+1], ks[s:t], ks[s:t+1] and ks[s+1:t].  The box [a+(j), b-(j)]
     of a letter j adjacent to i holds exactly the j's strictly inside
-    (a, b), so the lower product is the adjacency mask of i sliced to (a, b).
+    (a, b), so the lower product, each such box to the power -c_ji, is
+    _lower_powers of i sliced to (a, b).
     """
     left = par_product(
         _positions_vector(n, ks[s + 1 : t + 1]), _positions_vector(n, ks[s:t])
@@ -768,7 +767,7 @@ def _tsystem_terms(n: int, ks: tuple, s: int, t: int, mask: tuple) -> tuple:
         _positions_vector(n, ks[s : t + 1]), _positions_vector(n, ks[s + 1 : t])
     )
     a, b = ks[s], ks[t]
-    lower = (0,) * a + mask[a : b - 1] + (0,) * (n - max(a, b - 1))
+    lower = (0,) * a + powers[a : b - 1] + (0,) * (n - max(a, b - 1))
     return left, right, lower, bilex_compare(lower, right)
 
 
@@ -777,25 +776,25 @@ def tsystem_sweep(cd: CartanData, w: Word) -> tuple:
     w: (boxes checked, degenerate boxes, failures), the failures in the
     order of the boxes (a, b).
 
-    The letters are checked once and each letter gets one adjacency mask;
+    The letters are checked once and each letter gets one _lower_powers;
     every box is read from slices of its letter's positions by the same
     per-box terms as tsystem_check.  A box [a, b] is degenerate exactly
     when b is the first position of its letter at or after a.
     """
     _check_letters(cd, w.positions)
     n = w.length
-    masks = {i: _adjacency_mask(cd, w, i) for i in w.positions}
+    powers = {i: _lower_powers(cd, w, i) for i in w.positions}
     seen = dict.fromkeys(w.positions, 0)
     checked = degenerate = 0
     failures = []
     for a, i in enumerate(w.letters, 1):
-        ks, mask = w.positions[i], masks[i]
+        ks = w.positions[i]
         s = seen[i]
         seen[i] = s + 1
         checked += len(ks) - s
         degenerate += 1
         for t in range(s + 1, len(ks)):
-            left, right, _, verdict = _tsystem_terms(n, ks, s, t, mask)
+            left, right, _, verdict = _tsystem_terms(n, ks, s, t, powers[i])
             if left != right:
                 failures.append({"box": [a, ks[t]], "kind": "identity"})
             if verdict is OrderVerdict.GREATER:
@@ -804,19 +803,20 @@ def tsystem_sweep(cd: CartanData, w: Word) -> tuple:
 
 
 def tsystem_check(
-    cd: CartanData, w: Word, box: IBox, mode: str = "tropical"
+    cd: CartanData, w: Word, box: IBox, exact: bool = False
 ) -> TSystemReport:
     """Check the boxed product identity at one box.
 
     Only the caller's box is resolved; the boxes [a+,b], [a,b-], [a,b] and
     [a+,b-] of its letter i are sliced from the word's position index.
-    Tropical mode verifies vec[a+,b] + vec[a,b-] = vec[a,b] + vec[a+,b-]
-    and compares the lower product, the letters adjacent to i strictly
-    inside (a, b), against the main sum in the bi-lex order.  Exact mode
-    additionally realizes the identity as the exchange relation at slot a+
-    when the box is right-anchored and the exchange monomials match the
-    boxed terms; otherwise it raises MinorNotReachable.  A letter outside
-    the index set or the empty box raises InvalidBox.
+    The tropical check verifies vec[a+,b] + vec[a,b-] = vec[a,b] +
+    vec[a+,b-] and compares the lower product, each letter j adjacent to i
+    strictly inside (a, b) to the power -c_ji, against the main sum in the
+    bi-lex order.  exact=True (the exact mode) also realizes the identity
+    as the exchange relation at slot a+ when the box is right-anchored and
+    the exchange monomials match the boxed terms; otherwise it raises
+    MinorNotReachable.  A letter outside the index set or the empty box
+    raises InvalidBox.
     """
     _check_letters(cd, w.positions)
     if isinstance(box, EmptyBox):
@@ -827,7 +827,7 @@ def tsystem_check(
     ks = w.positions[i]
     s, t = ks.index(a), ks.index(b)
     left, right, lower, verdict = _tsystem_terms(
-        w.length, ks, s, t, _adjacency_mask(cd, w, i)
+        w.length, ks, s, t, _lower_powers(cd, w, i)
     )
     degenerate = s == t
     strictly = None
@@ -842,9 +842,8 @@ def tsystem_check(
         lower_sum=lower,
         lower_verdict=verdict,
         lower_strictly_smaller=strictly,
-        mode=mode,
     )
-    if mode != "exact":
+    if not exact:
         return report
     if degenerate:
         raise MinorNotReachable(f"box {resolved} is degenerate for the exact mode")

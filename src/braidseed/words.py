@@ -51,11 +51,16 @@ BUDGET_ENV = "BRAIDSEED_BUDGET"
 
 
 def default_budget() -> int:
+    """The search budget: BRAIDSEED_BUDGET when set, else DEFAULT_BUDGET.
+    A value that is not an integer, or is below 1, is ConfigInvalid."""
     raw = os.environ.get(BUDGET_ENV)
     try:
-        return int(raw) if raw else DEFAULT_BUDGET
+        budget = int(raw) if raw else DEFAULT_BUDGET
     except ValueError as err:
         raise ConfigInvalid(f"{BUDGET_ENV}: expected an integer, got {raw!r}") from err
+    if budget < 1:
+        raise ConfigInvalid(f"{BUDGET_ENV}: must be >= 1, got {budget}")
+    return budget
 
 
 class WordKind(Enum):
@@ -355,22 +360,27 @@ def find_move_path(
     w: their lengths or reducedness differ, two reduced words have different
     inversion sets, two non-reduced words have different Weyl elements, or
     the finite component of a non-reduced w was enumerated without meeting
-    w2; definitive=False once the budget of words discovered, over all
-    rounds of _bfs, is spent, the only way it fails on two reduced words of
-    one Weyl element.
+    w2; definitive=False, naming the stopped search, once the budget of
+    words discovered (default_budget() when None), over all rounds of
+    _bfs, is spent, the only way it fails on two reduced words of one Weyl
+    element.
     """
     _check_letters(cd, w.positions)
     _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         raise NotConnected("words of different lengths", definitive=True)
-    status, path = _bfs(cd, w, w2.letters, budget or default_budget())
+    budget = default_budget() if budget is None else budget
+    status, path = _bfs(cd, w, w2.letters, budget)
     if status == "found":
         return path
-    raise NotConnected(
-        f"no move path from {w.letters} to {w2.letters}",
-        definitive=(status == "exhausted"),
-    )
+    if status == "budget":
+        raise NotConnected(
+            f"move-graph search from {w.letters} to {w2.letters} stopped "
+            f"after {budget} words",
+            definitive=False,
+        )
+    raise NotConnected(f"no move path from {w.letters} to {w2.letters}", definitive=True)
 
 
 def words_equal_in_monoid(
@@ -401,14 +411,13 @@ def words_equal_in_monoid(
     walk, walk2 = _WeylWalk(cd, x), _WeylWalk(cd, y)
     if walk.reduced and walk2.reduced:
         return walk.images == walk2.images
+    budget = default_budget() if budget is None else budget
     try:
         find_move_path(cd, w, w2, budget)
     except NotConnected as err:
         if err.definitive:
             return False
-        raise BudgetExhausted(
-            f"move-graph search stopped after {budget or default_budget()} words"
-        ) from err
+        raise BudgetExhausted(f"move-graph search stopped after {budget} words") from err
     return True
 
 
@@ -504,15 +513,3 @@ def ibox_vector(w: Word, box) -> tuple:
 
 def move_to_json(m: Move) -> dict:
     return {"kind": str(m.kind.window), "pos": m.position}
-
-
-def move_from_json(payload: dict) -> Move:
-    """Inverse of move_to_json; any other payload is MoveNotApplicable."""
-    if not isinstance(payload, dict):
-        raise MoveNotApplicable(f"move payload {payload!r} is not an object")
-    kind, pos = payload.get("kind"), payload.get("pos")
-    if not isinstance(kind, str) or kind not in MOVE_KINDS:
-        raise MoveNotApplicable(f"unknown move kind {kind!r}")
-    if type(pos) is not int:  # bools and floats are not positions
-        raise MoveNotApplicable(f"move position {pos!r} is not an integer")
-    return Move(MOVE_KINDS[kind], pos)

@@ -2,6 +2,7 @@
 Weyl group built by BFS on permutation-of-roots representations."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,8 +15,8 @@ from braidseed import cartan
 from braidseed.cartan import (
     FiniteTypeData,
     bilinear_form,
+    PRESET_MATRICES,
     cartan_from_json,
-    cartan_to_json,
     finite_type_data,
     preset,
     reflect_root,
@@ -23,7 +24,13 @@ from braidseed.cartan import (
     validate_cartan,
     weyl_act,
 )
-from braidseed.errors import InvalidBox, NotFiniteType, NotGCM, NotSymmetrizable
+from braidseed.errors import (
+    DimensionMismatch,
+    InvalidBox,
+    NotFiniteType,
+    NotGCM,
+    NotSymmetrizable,
+)
 
 
 def weyl_group_by_bfs(cd):
@@ -233,6 +240,41 @@ def test_letters_outside_the_index_set_are_refused():
     ]:
         with pytest.raises(InvalidBox, match="letter 99 not in the index set"):
             call()
+
+
+def fold_reflections(cd, letters, x):
+    """s_{i_1} ... s_{i_k} x as a fold of single reflections, rightmost
+    first: s_i x = x - (sum_j x_j c_ij) alpha_i."""
+    v = list(x)
+    for i in reversed(letters):
+        p = cd.position[i]
+        v[p] -= sum(v[j] * cd.matrix[p][j] for j in range(cd.rank))
+    return tuple(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weyl_act_and_reflect_root_fold_single_reflections(data):
+    cd = preset(data.draw(st.sampled_from(sorted(PRESET_MATRICES))))
+    letters = data.draw(st.lists(st.sampled_from(cd.index_set), max_size=8))
+    x = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=cd.rank, max_size=cd.rank)))
+    assert weyl_act(cd, letters, x) == fold_reflections(cd, letters, x)
+    i = data.draw(st.sampled_from(cd.index_set))
+    assert reflect_root(cd, i, x) == fold_reflections(cd, (i,), x)
+
+
+def test_root_vectors_of_the_wrong_length_are_refused():
+    cd = preset("a2")
+    for x in [(), (1,), (1, 0, 0)]:
+        for call in [
+            lambda: weyl_act(cd, (1, 2), x),
+            lambda: weyl_act(cd, (), x),
+            lambda: reflect_root(cd, 1, x),
+            lambda: bilinear_form(cd, x, (1, 0)),
+            lambda: bilinear_form(cd, (1, 0), x),
+        ]:
+            with pytest.raises(DimensionMismatch, match="root vector length mismatch"):
+                call()
 
 
 def test_roots_of_reduced_word_are_distinct_inversions():
@@ -460,13 +502,19 @@ def test_minors_agree_with_the_rank_two_classification():
             assert (cartan._first_nonpositive_minor(cd) is None) == (a * b <= 3)
 
 
+def cartan_json(cd):
+    return json.dumps(
+        {"indices": cd.index_set, "matrix": cd.matrix, "symmetrizer": cd.symmetrizer}
+    )
+
+
 def test_json_round_trip():
     for name in ("a2", "b2", "g2", "b3"):
         cd = preset(name)
-        again = cartan_from_json(cartan_to_json(cd))
+        again = cartan_from_json(cartan_json(cd))
         assert again == cd
     custom = validate_cartan([[2, -1], [-1, 2]], index_set=["x", "y"])
-    assert cartan_from_json(cartan_to_json(custom)) == custom
+    assert cartan_from_json(cartan_json(custom)) == custom
 
 
 def test_pair_product_classification():

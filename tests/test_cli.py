@@ -21,7 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import braidseed
-from braidseed.cartan import cartan_to_json, finite_type_data, preset, validate_cartan
+from braidseed.cartan import (
+    PRESET_MATRICES,
+    finite_type_data,
+    preset,
+    validate_cartan,
+)
 from braidseed.cli import (
     CARTAN,
     COMMANDS,
@@ -193,7 +198,7 @@ def test_seed_build_reaches_the_d6_longest_word(tmp_path):
     d6[3][5] = d6[5][3] = -1
     cd = validate_cartan(d6)
     path = tmp_path / "d6.json"
-    path.write_text(cartan_to_json(cd))
+    path.write_text(json.dumps({"matrix": d6}))
     word = ",".join(map(str, finite_type_data(cd).longest_word))
     code, report = run(tmp_path, "seed", "build", "--cartan", str(path), "--word", word)
     assert code == 0
@@ -203,7 +208,7 @@ def test_seed_build_reaches_the_d6_longest_word(tmp_path):
 
 def test_words_path_joins_far_d5_longest_words(tmp_path):
     path = tmp_path / "d5.json"
-    path.write_text(cartan_to_json(validate_cartan(D5)))
+    path.write_text(json.dumps({"matrix": D5}))
     start, end = (",".join(w) for w in D5_FAR_PAIR)
     code, report = run(
         tmp_path, "words", "path", "--cartan", str(path), "--kind", "weyl-reduced",
@@ -219,7 +224,7 @@ def test_verify_corollary_matches_d5_longest_word_against_its_reverse(tmp_path):
     # out of the default budget here and the route exited 2 with NotConnected
     path = tmp_path / "d5.json"
     cd = validate_cartan(D5)
-    path.write_text(cartan_to_json(cd))
+    path.write_text(json.dumps({"matrix": D5}))
     w0 = finite_type_data(cd).longest_word
     code, report = run(
         tmp_path, "verify", "corollary", "--cartan", str(path),
@@ -335,7 +340,7 @@ def test_qdatum_ntab_range_is_bounded_by_the_series_budget(tmp_path, monkeypatch
 
 def test_cartan_check_json_file(tmp_path):
     path = tmp_path / "b2.json"
-    path.write_text(cartan_to_json(preset("b2")))
+    path.write_text(json.dumps({"matrix": PRESET_MATRICES["b2"]}))
     code, report = run(tmp_path, "cartan", "check", "--cartan", str(path))
     assert code == 0
     assert section(report, "symmetrized").agree
@@ -458,6 +463,19 @@ def test_budget_env_must_be_an_integer(monkeypatch, capsys):
     assert "ConfigInvalid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "lots"])
+def test_a_bad_budget_env_is_refused_on_a_route_that_reads_no_budget(
+    monkeypatch, capsys, value
+):
+    # cartan check searches nothing, and still refuses the setting first
+    monkeypatch.setenv("BRAIDSEED_BUDGET", value)
+    assert main(["cartan", "check", "--cartan", "a2", "--format", "json"]) == 2
+    report = parse_report(capsys.readouterr().out.encode())
+    assert report.verdict == "Error"
+    assert report.metadata["error"]["kind"] == "ConfigInvalid"
+    assert "BRAIDSEED_BUDGET" in report.metadata["error"]["message"]
+
+
 def test_qdatum_phi_far_point_is_budgeted(tmp_path, monkeypatch):
     argv = ("qdatum", "phi", "--cartan", "a2", "--height", "1,0", "--point", "2,20000")
     # phi reads the Q-datum's extension index and walks nothing, so no
@@ -468,13 +486,17 @@ def test_qdatum_phi_far_point_is_budgeted(tmp_path, monkeypatch):
     assert section(report, "phi").left == {"root": [0, 1], "level": 6667}
 
 
-def test_config_invalid_budget(tmp_path):
-    code, report = run(
-        tmp_path, "words", "equal", "--cartan", "a2",
-        "--word", "1,2", "--word", "2,1", "--budget", "0",
+def test_config_invalid_budget(capsys):
+    # the budget is BRAIDSEED_BUDGET alone: --budget is an unknown flag
+    code = main(
+        ["words", "equal", "--cartan", "a2", "--word", "1,2", "--word", "2,1",
+         "--budget", "5", "--format", "json"]
     )
     assert code == 2
+    report = parse_report(capsys.readouterr().out.encode())
+    assert report.metadata["command"] == ["parse"]
     assert report.metadata["error"]["kind"] == "ConfigInvalid"
+    assert "--budget" in report.metadata["error"]["message"]
 
 
 def test_config_invalid_exact_cap(tmp_path):
@@ -486,19 +508,25 @@ def test_config_invalid_exact_cap(tmp_path):
     assert report.metadata["error"]["kind"] == "ConfigInvalid"
 
 
-def test_budget_env_override(monkeypatch):
+def test_budget_env_override(tmp_path, monkeypatch):
+    # the search from 1,2,1,3,2,1 reaches 3,2,1,3,2,3, 7 moves away, once
+    # it may discover 8 words
+    argv = ("words", "path", "--cartan", "a3", "--word", "1,2,1,3,2,1", "--word", "3,2,1,3,2,3")
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "8")
+    code, report = run(tmp_path, *argv)
+    assert (code, section(report, "length").left) == (0, 7)
     monkeypatch.setenv("BRAIDSEED_BUDGET", "7")
-    config = parse_args(
-        ["words", "equal", "--cartan", "a3", "--word", "1,2", "--word", "2,1"]
-    )
-    assert config.budget == 7
-    monkeypatch.delenv("BRAIDSEED_BUDGET")
+    code, report = run(tmp_path, *argv)
+    assert error_kind(report) == ("Error", "NotConnected")
+    message = report.metadata["error"]["message"]
+    assert message.startswith("move-graph search from") and "after 7 words" in message
 
 
-def test_budget_exhaustion_is_an_error(tmp_path):
+def test_budget_exhaustion_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "2")
     code, report = run(
         tmp_path, "words", "equal", "--cartan", "a3",
-        "--word", "1,1,2,1,3,2,1", "--word", "3,2,3,1,2,3,3", "--budget", "2",
+        "--word", "1,1,2,1,3,2,1", "--word", "3,2,3,1,2,3,3",
     )
     assert code == 2
     assert report.metadata["error"]["kind"] == "BudgetExhausted"
@@ -618,7 +646,7 @@ def test_parse_args_rejects_empty_word():
 # stage on stdout, like every other malformed input.
 USAGE_ERRORS = [
     ["bogus"],
-    ["words", "moves", "--cartan", "a2", "--word", "1,2", "--budget", "abc"],
+    ["qdatum", "window", "--height", "1", "--k", "x"],
     ["words", "ibox", "--cartan", "a2", "--word", "1,2,1"],
     ["cartan", "check", "--cartan", "a2", "--format", "xml"],
     ["cartan", "check", "--cartan", "a2", "--frobnicate"],
@@ -639,7 +667,7 @@ def test_usage_errors_are_config_invalid_reports(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bogus", "--format", "json"], ["seed", "build", "--format=json", "--budget", "x"]],
+    [["bogus", "--format", "json"], ["seed", "build", "--format=json", "--exact-cap", "x"]],
     ids=" ".join,
 )
 def test_usage_errors_take_the_format_argv_names(argv, capsys):
@@ -746,6 +774,17 @@ def test_readme_lists_exactly_the_routes_in_commands():
     assert listed == set(COMMANDS)
 
 
+def test_readme_lists_exactly_the_flags_the_parser_accepts():
+    # the parser gives each route COMMON + CARTAN + its option groups, and --help
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    command_line = readme[readme.index("## Command line") :]
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", command_line))
+    accepted = {flag for *_, groups in COMMANDS.values() for flag, _ in COMMON + CARTAN + groups}
+    assert listed == accepted | {"--help"}
+    presets = re.search(r"selects a preset \(([^)]*)\)", command_line).group(1)
+    assert sorted(re.findall(r"`(\w+)`", presets)) == sorted(PRESET_MATRICES)
+
+
 # Flag values for the any-argv property: small valid values nine times in
 # ten, junk otherwise.  The caps of verify all, whose defaults start a long
 # run, are always given: --rank-cap small, --length-cap small or past
@@ -770,7 +809,6 @@ def _ints(lo, hi, size=1):
 
 FLAG_VALUES = {
     "--format": _mostly(st.just("json")),
-    "--budget": _ints(1, 200),
     "--kind": _mostly(st.sampled_from(["positive-braid", "weyl-reduced"])),
     "--exact-cap": _ints(-1, 8),
     "--height": _ints(0, 3, 3),

@@ -21,7 +21,6 @@ from braidseed.qlaurent import (
     commutation_doubled,
     lambda_pairing,
     right_divide,
-    torus_power,
     torus_product,
 )
 
@@ -168,11 +167,9 @@ def test_right_divide_inexact_raises():
         right_divide(lam, x1, QuantumLaurent.zero(2))
 
 
-def test_torus_power_and_context_checks():
+def test_torus_product_context_checks():
     lam = [[0, 1], [-1, 0]]
     x1 = QuantumLaurent.generator(2, 1)
-    assert torus_power(lam, x1, 3).terms == {(3, 0): QHalf.one()}
-    assert torus_power(lam, x1, 0) == QuantumLaurent.monomial(2, (0, 0))
     with pytest.raises(ContextMismatch):
         torus_product(lam, x1, QuantumLaurent.generator(3, 1))
     with pytest.raises(ContextMismatch):

@@ -32,6 +32,7 @@ from braidseed.cartan import (
 from braidseed.errors import (
     BraidseedError,
     BudgetExhausted,
+    ConfigInvalid,
     ContextMismatch,
     ExchangeSetNotPreserved,
     FrozenIndex,
@@ -731,7 +732,7 @@ def test_tsystem_reduced_a2():
 
 def test_tsystem_exact_a2():
     report = tsystem_check(
-        preset("a2"), Word((1, 2, 1), REDUCED), IBox(1, 3), mode="exact"
+        preset("a2"), Word((1, 2, 1), REDUCED), IBox(1, 3), exact=True
     )
     assert report.exact_verified is True
     assert (report.a_doubled, report.b_doubled) == (1, -1)
@@ -744,7 +745,7 @@ def test_tsystem_braid_box_and_exact():
     report = tsystem_check(cd, w, IBox(1, 3))
     assert report.identity_holds
     assert report.lower_verdict is OrderVerdict.LESS
-    report = tsystem_check(cd, w, IBox(2, 4), mode="exact")
+    report = tsystem_check(cd, w, IBox(2, 4), exact=True)
     assert report.exact_verified is True
 
 
@@ -753,29 +754,40 @@ def test_tsystem_degenerate_box():
     assert report.degenerate
     assert report.match
     with pytest.raises(MinorNotReachable):
-        tsystem_check(preset("a2"), Word((1, 2, 1), REDUCED), IBox(2, 2), mode="exact")
+        tsystem_check(preset("a2"), Word((1, 2, 1), REDUCED), IBox(2, 2), exact=True)
 
 
 def test_tsystem_exact_rejects_unreachable():
     with pytest.raises(MinorNotReachable):
         tsystem_check(
-            preset("b2"), Word((1, 2, 1, 2), REDUCED), IBox(1, 3), mode="exact"
+            preset("b2"), Word((1, 2, 1, 2), REDUCED), IBox(1, 3), exact=True
         )
     with pytest.raises(MinorNotReachable):
         tsystem_check(
-            preset("a2"), Word((1, 2, 1, 2), BRAID), IBox(1, 1), mode="exact"
+            preset("a2"), Word((1, 2, 1, 2), BRAID), IBox(1, 1), exact=True
         )
     # the next 1 after the box is the last letter of the word
     with pytest.raises(MinorNotReachable, match="not right-anchored"):
         tsystem_check(
-            preset("a2"), Word((1, 2, 1, 2, 1), BRAID), IBox(1, 3), mode="exact"
+            preset("a2"), Word((1, 2, 1, 2, 1), BRAID), IBox(1, 3), exact=True
         )
     # the empty box has no identity to check, in either mode
-    for mode in ("tropical", "exact"):
+    for exact in (False, True):
         with pytest.raises(InvalidBox, match="empty box"):
             tsystem_check(
-                preset("a2"), Word((1, 2, 1), REDUCED), EMPTY_BOX, mode=mode
+                preset("a2"), Word((1, 2, 1), REDUCED), EMPTY_BOX, exact=exact
             )
+
+
+def test_tsystem_exact_weights_the_lower_term_by_the_cartan_entries():
+    # b2 has c_21 = -2: the lower term of the 1-box [3, 5] of 2,2,1,2,1 is
+    # D[4, 4] squared, which is the up exchange monomial at slot 5; a lower
+    # term that took each adjacent letter once left the box unreachable
+    cd = preset("b2")
+    report = tsystem_check(cd, Word((2, 2, 1, 2, 1), BRAID), IBox(3, 5), exact=True)
+    assert report.lower_sum == (0, 0, 0, 2, 0)
+    assert report.exact_verified is True and report.match
+    assert (report.a_doubled, report.b_doubled) == (0, -4)
 
 
 def test_tsystem_sweep_small_words():
@@ -795,9 +807,9 @@ def test_tsystem_sweep_small_words():
 
 
 def reference_tsystem_terms(cd, w, box):
-    """The tropical fields of tsystem_check as they were computed from one
-    i-box object per term: the lower product sums the boxes [a+(j), b-(j)]
-    of the letters j adjacent to i."""
+    """The tropical fields of tsystem_check computed from one i-box object
+    per term: the lower product sums the boxes [a+(j), b-(j)] of the
+    letters j adjacent to i, each -c_ji times, as in the T-system."""
     resolved = resolve_ibox(w, box)
     a, b = resolved.lo, resolved.hi
     i = w.letter(a)
@@ -810,7 +822,7 @@ def reference_tsystem_terms(cd, w, box):
     right = par_product(vec(a, b), vec(a_plus, b_minus))
     lower = (0,) * w.length
     for j in cd.index_set:
-        if j != i and cd.entry(i, j) != 0:
+        for _ in range(0 if j == i else -cd.entry(j, i)):
             lower = par_product(lower, vec(w.after(a, j), w.before(b, j)))
     verdict = bilex_compare(lower, right)
     strictly = None
@@ -1287,6 +1299,14 @@ def test_b4_word_with_huge_particular_solution_builds_a_seed():
     seed = initial_seed(cd, w)
     assert check_compatibility(seed.lam, seed.b)
     assert max(abs(v) for row in seed.lam for v in row) == 4
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "lots"])
+def test_a_seed_build_refuses_a_bad_budget_env(monkeypatch, value):
+    # the a3 w0 seed has three free rows, so its pairing is searched
+    monkeypatch.setenv("BRAIDSEED_BUDGET", value)
+    with pytest.raises(ConfigInvalid, match="BRAIDSEED_BUDGET"):
+        initial_seed(preset("a3"), Word((1, 2, 1, 3, 2, 1), REDUCED))
 
 
 def test_lambda_search_is_bounded_by_the_budget(monkeypatch):

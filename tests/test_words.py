@@ -26,6 +26,7 @@ from braidseed.cartan import (
 )
 from braidseed.errors import (
     BudgetExhausted,
+    ConfigInvalid,
     InvalidBox,
     MoveNotApplicable,
     NotConnected,
@@ -50,7 +51,6 @@ from braidseed.words import (
     find_move_path,
     ibox_vector,
     make_ibox,
-    move_from_json,
     move_to_json,
     neighbor_index,
     resolve_ibox,
@@ -237,6 +237,39 @@ def test_budget_env_override(monkeypatch):
     assert not info.value.definitive
 
 
+def test_a_stopped_search_names_its_budget_not_a_missing_path():
+    cd = preset("a3")
+    u, v = Word((1, 2, 1, 3, 2, 1)), Word((3, 2, 3, 1, 2, 3))
+    with pytest.raises(NotConnected) as info:
+        find_move_path(cd, u, v, budget=2)
+    assert str(info.value) == (
+        "move-graph search from (1, 2, 1, 3, 2, 1) to (3, 2, 3, 1, 2, 3) "
+        "stopped after 2 words"
+    )
+    # a definitive refusal still says there is no path
+    with pytest.raises(NotConnected, match=r"^no move path from \(1, 2, 1\)") as info:
+        find_move_path(cd, Word((1, 2, 1)), Word((2, 3, 2)), budget=2)
+    assert info.value.definitive
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "lots"])
+def test_a_bad_budget_env_is_config_invalid_for_every_reader(monkeypatch, value):
+    monkeypatch.setenv("BRAIDSEED_BUDGET", value)
+    with pytest.raises(ConfigInvalid, match="BRAIDSEED_BUDGET"):
+        default_budget()
+
+
+def test_an_explicit_budget_of_0_is_not_the_default():
+    # None asks for default_budget(); 0 words stop the search at its
+    # first word that is not the target
+    cd = preset("a3")
+    u, v = Word((1, 2, 1, 3, 2, 1)), Word((3, 2, 3, 1, 2, 3))
+    assert len(find_move_path(cd, u, v, budget=None)) > 1
+    with pytest.raises(NotConnected) as info:
+        find_move_path(cd, u, v, budget=0)
+    assert not info.value.definitive
+
+
 def test_budget_counts_the_words_of_every_round():
     # every move of the start is up, so round 0 discovers only the start;
     # round 1 walks depth-first straight along the 12-move path and reaches
@@ -377,11 +410,10 @@ def search_words_equal(cd, w, w2, budget=None):
     scan_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         return False
-    status, _ = _bfs(cd, w, w2.letters, budget or default_budget())
+    budget = default_budget() if budget is None else budget
+    status, _ = _bfs(cd, w, w2.letters, budget)
     if status == "budget":
-        raise BudgetExhausted(
-            f"move-graph search stopped after {budget or default_budget()} words"
-        )
+        raise BudgetExhausted(f"move-graph search stopped after {budget} words")
     return status == "found"
 
 
@@ -854,22 +886,9 @@ def test_ibox_vector_counts_letter_occurrences():
         assert sum(vec) == len([k for k in matches if k <= b])
 
 
-def test_move_json_round_trip():
+def test_move_json_names_the_window_length_and_position():
     for move in (Move(MoveKind.TWO, 3), Move(MoveKind.THREE, 1), Move(MoveKind.FOUR, 5)):
-        assert move_from_json(move_to_json(move)) == move
-    for payload in (
-        {"kind": "6", "pos": 1},
-        {"kind": [1], "pos": 1},
-        {"kind": 3, "pos": 1},
-        {"kind": "2"},
-        {"kind": "2", "pos": "x"},
-        {"kind": "2", "pos": "1"},
-        {"kind": "2", "pos": 1.7},
-        {"kind": "2", "pos": True},
-        [{"kind": "2", "pos": 1}],
-    ):
-        with pytest.raises(MoveNotApplicable):
-            move_from_json(payload)
+        assert move_to_json(move) == {"kind": str(move.kind.window), "pos": move.position}
 
 
 # Scanning reference copies of the positional readers as they were before
