@@ -11,6 +11,7 @@ Words are read as positive-braid words unless --kind weyl-reduced is given;
 reduced words are then certified before use.  The Cartan context comes from
 --cartan, naming either a preset (a2, b2, ...) or a JSON file; `verify
 tsystem` can infer a simply-laced type-A context from the word's letters.
+A route without a context, `verify all`, takes no --cartan.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ from .words import (
     words_equal_in_monoid,
 )
 
-EXACT_CAP_DEFAULT = 8
 LENGTH_CAP_DEFAULT = 8
 RANK_CAP_DEFAULT = 3
 ENTRY_CAP_DEFAULT = 4
@@ -113,7 +113,6 @@ class RunConfig:
     command: tuple
     cartan_file: Optional[str]
     exact: bool
-    exact_cap: int
     output: Optional[str]
     format: str
     options: dict = field(default_factory=dict)
@@ -175,10 +174,7 @@ WORD = (
         ),
     ),
 )
-EXACT = (
-    ("--exact", dict(action="store_true")),
-    ("--exact-cap", dict(type=int, default=EXACT_CAP_DEFAULT)),
-)
+EXACT = (("--exact", dict(action="store_true")),)
 HEIGHT = (("--height", dict(required=True, help="comma-separated heights")),)
 MOVE = (("--move", dict(required=True, help="KIND,POSITION")),)
 BRACE = (("--brace", dict(action="store_true")),)
@@ -202,7 +198,7 @@ CAPS = (
 
 # Namespace keys held by RunConfig fields; every other key is a handler
 # option and is hashed into the report's meta inputs.
-_CONFIG_KEYS = ("group", "action", "cartan", "exact", "exact_cap", "output", "format")
+_CONFIG_KEYS = ("group", "action", "cartan", "exact", "output", "format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,13 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
     groups = {}
-    for (group, action), (_, _, _, options) in COMMANDS.items():
+    for (group, action), (_, context, _, options) in COMMANDS.items():
         if group not in groups:
             groups[group] = top.add_parser(group).add_subparsers(
                 dest="action", required=True
             )
         sub = groups[group].add_parser(action)
-        for flag, kwargs in COMMON + CARTAN + options:
+        for flag, kwargs in COMMON + (() if context is None else CARTAN) + options:
             sub.add_argument(flag, **kwargs)
     return parser
 
@@ -251,22 +247,12 @@ def parse_args(argv=None) -> RunConfig:
         options["vectors"] = tuple(_parse_ints(v, "vector") for v in vectors)
     return RunConfig(
         command=(ns["group"], ns["action"]),
-        cartan_file=ns["cartan"],
+        cartan_file=ns.get("cartan"),
         exact=ns.get("exact", False),
-        exact_cap=ns.get("exact_cap", EXACT_CAP_DEFAULT),
         output=ns["output"],
         format=ns["format"],
         options=options,
     )
-
-
-def _validate_config(config: RunConfig) -> None:
-    if config.exact:
-        for letters in config.options.get("words", ()):
-            if len(letters) > config.exact_cap:
-                raise ConfigInvalid(
-                    f"exact: word length {len(letters)} exceeds cap {config.exact_cap}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +311,12 @@ def _build_words(config: RunConfig, cd: CartanData, expect: int) -> tuple:
     return tuple(out)
 
 
-def _build_box(config: RunConfig, require_nonempty: bool = False):
+def _build_box(config: RunConfig):
     bounds = _parse_ints(config.options["box"], "box")
     if len(bounds) != 2:
         raise ConfigInvalid("box: expected lo,hi")
     lo, hi = bounds
-    box = make_ibox(lo, hi, brace=config.options["brace"])
-    if require_nonempty and isinstance(box, EmptyBox):
-        raise ConfigInvalid(f"box: interval [{lo},{hi}] is empty")
-    return box
+    return make_ibox(lo, hi, brace=config.options["brace"])
 
 
 def _qdatum(config: RunConfig, cd: CartanData):
@@ -565,35 +548,34 @@ def _equivalence_sections(report) -> list:
 def _cmd_seed_verify_equivalence(
     config: RunConfig, cd: CartanData, w: Word, w2: Word
 ) -> list:
-    # --exact forces the exact track; else the library's rule decides
-    # (length <= 6), for words within --exact-cap only
-    exact = True if config.exact else (None if w.length <= config.exact_cap else False)
+    # --exact forces the exact track; else the library's rule (length <= 6)
+    exact = True if config.exact else None
     return _equivalence_sections(seed_equivalence_report(cd, w, w2, exact=exact))
 
 
-def _tsystem_sections(result, prefix: str = "") -> list:
+def _tsystem_sections(result) -> list:
     sections = [
-        echo(prefix + "box", {"lo": result.box.lo, "hi": result.box.hi}),
-        echo(prefix + "degenerate", result.degenerate),
+        echo("box", {"lo": result.box.lo, "hi": result.box.hi}),
+        echo("degenerate", result.degenerate),
     ]
     if result.degenerate:
         return sections
     sections.append(
-        comparison(prefix + "tropical-identity", result.left_sum, result.right_sum)
+        comparison("tropical-identity", result.left_sum, result.right_sum)
     )
-    sections.append(echo(prefix + "lower-verdict", result.lower_verdict.name))
+    sections.append(echo("lower-verdict", result.lower_verdict.name))
     sections.append(
         comparison(
-            prefix + "lower-not-dominant",
+            "lower-not-dominant",
             result.lower_verdict is not OrderVerdict.GREATER,
             True,
         )
     )
     if result.exact_verified is not None:
-        sections.append(comparison(prefix + "exact-exchange", result.exact_verified, True))
+        sections.append(comparison("exact-exchange", result.exact_verified, True))
         sections.append(
             echo(
-                prefix + "exchange-exponents",
+                "exchange-exponents",
                 {"alpha2": result.a_doubled, "beta2": result.b_doubled},
             )
         )
@@ -601,13 +583,15 @@ def _tsystem_sections(result, prefix: str = "") -> list:
 
 
 def _cmd_seed_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
-    box = _build_box(config, require_nonempty=True)
+    box = _build_box(config)
     return _tsystem_sections(tsystem_check(cd, w, box, exact=config.exact))
 
 
 def _cmd_verify_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
     if config.options["box"]:
         return _cmd_seed_tsystem(config, cd, w)
+    if config.exact or config.options["brace"]:
+        raise ConfigInvalid("box: --exact and --brace check one box; give --box")
     checked, degenerate, failures = tsystem_sweep(cd, w)
     return [
         echo("boxes-checked", checked),
@@ -983,11 +967,11 @@ def _cmd_verify_all(config: RunConfig, _: None) -> list:
 
 
 # Every route, declared once: (group, action) -> (handler, context, number of
-# --word options, option groups after COMMON and CARTAN, which every route
-# takes).  The context is "load" (--cartan), "infer" (--cartan, else the
-# type-A context of the words) or None.  dispatch calls
-# handler(config, cd, *words) and reports the sections it returns; the
-# subparsers are added in table order.
+# --word options, option groups after COMMON, which every route takes, and
+# CARTAN, which every route with a context takes).  The context is "load"
+# (--cartan), "infer" (--cartan, else the type-A context of the words) or
+# None.  dispatch calls handler(config, cd, *words) and reports the sections
+# it returns; the subparsers are added in table order.
 COMMANDS = {
     ("cartan", "check"): (_cmd_cartan_check, "load", 0, ()),
     ("words", "moves"): (_cmd_words_moves, "load", 1, WORD),
@@ -1016,9 +1000,8 @@ COMMANDS = {
 
 
 def dispatch(config: RunConfig) -> Report:
-    """Validate a configuration, build its context and words, and turn the
-    sections of its handler into the report."""
-    _validate_config(config)
+    """Build the context and words of a configuration, and turn the sections
+    of its handler into the report."""
     route = COMMANDS.get(config.command)
     if route is None:
         raise ConfigInvalid(f"command: unknown subcommand {config.command}")

@@ -736,9 +736,11 @@ class TSystemReport:
 
     @property
     def match(self) -> bool:
+        """The identity holds, the lower term does not dominate the main
+        sum, and an exact check, if any, verified the exchange relation."""
         if self.degenerate:
             return True
-        ok = self.identity_holds
+        ok = self.identity_holds and self.lower_verdict is not OrderVerdict.GREATER
         if self.exact_verified is not None:
             ok = ok and self.exact_verified
         return ok

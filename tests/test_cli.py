@@ -42,7 +42,10 @@ from braidseed.cli import (
 from braidseed.errors import ConfigInvalid
 from braidseed.reports import SCHEMA, parse_report
 from braidseed.transitions import CONVENTIONS
+from test_seeds import type_d
 from test_words import D5, D5_FAR_PAIR
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(tmp_path, *argv):
@@ -499,13 +502,55 @@ def test_config_invalid_budget(capsys):
     assert "--budget" in report.metadata["error"]["message"]
 
 
-def test_config_invalid_exact_cap(tmp_path):
+def test_seed_build_exact_takes_a_word_longer_than_8(tmp_path):
+    # no word length is refused on the exact track; the budget bounds it
     code, report = run(
         tmp_path, "seed", "build", "--cartan", "a2",
         "--word", "1,2,1,2,1,2,1,2,1", "--exact",
     )
-    assert code == 2
+    assert code == 0
+    assert section(report, "compatible").agree
+
+
+def test_verify_corollary_exact_matches_d5_longest_word_against_its_reverse(tmp_path):
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps({"matrix": type_d(5)}))
+    w0 = finite_type_data(validate_cartan(type_d(5))).longest_word
+    code, report = run(
+        tmp_path, "verify", "corollary", "--cartan", str(path), "--exact",
+        "--word", ",".join(map(str, w0)), "--word", ",".join(map(str, reversed(w0))),
+    )
+    assert (code, report.verdict) == (0, "Match")
+    assert section(report, "exchange-relations").agree
+
+
+def test_verify_all_takes_no_cartan(capsys):
+    argv = ["verify", "all", "--rank-cap", "1", "--length-cap", "2"]
+    assert main(argv + ["--cartan", "a2", "--format", "json"]) == 2
+    report = parse_report(capsys.readouterr().out.encode())
+    assert report.metadata["command"] == ["parse"]
     assert report.metadata["error"]["kind"] == "ConfigInvalid"
+    assert "--cartan" in report.metadata["error"]["message"]
+
+
+@pytest.mark.parametrize("flag", ["--exact", "--brace"])
+def test_verify_tsystem_takes_exact_and_brace_only_with_a_box(tmp_path, flag):
+    word = ("verify", "tsystem", "--word", "1,2,1,2")
+    code, report = run(tmp_path, *word, flag)
+    assert code == 2
+    assert error_kind(report) == ("Error", "ConfigInvalid")
+    assert "--box" in report.metadata["error"]["message"]
+    code, report = run(tmp_path, *word, flag, "--box", "2,4")
+    assert (code, report.verdict) == (0, "Match")
+
+
+def test_seed_tsystem_refuses_the_empty_box_once(tmp_path):
+    # tsystem_check's InvalidBox is the one refusal of the empty box
+    code, report = run(
+        tmp_path, "seed", "tsystem", "--cartan", "a2", "--word", "1,2,1,2", "--box", "3,2"
+    )
+    assert code == 2
+    assert error_kind(report) == ("Error", "InvalidBox")
 
 
 def test_budget_env_override(tmp_path, monkeypatch):
@@ -667,7 +712,7 @@ def test_usage_errors_are_config_invalid_reports(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bogus", "--format", "json"], ["seed", "build", "--format=json", "--exact-cap", "x"]],
+    [["bogus", "--format", "json"], ["seed", "build", "--format=json", "--exact-cap", "8"]],
     ids=" ".join,
 )
 def test_usage_errors_take_the_format_argv_names(argv, capsys):
@@ -751,6 +796,15 @@ def test_the_benchmark_campaign_answer_is_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CAMPAIGN_DIGEST
 
 
+@pytest.mark.parametrize("line", [r[0] for r in ROUTE_DIGESTS])
+def test_exact_cap_is_an_unknown_flag_on_every_route(line, capsys):
+    assert main(line.split() + ["--exact-cap", "8", "--format", "json"]) == 2
+    report = parse_report(capsys.readouterr().out.encode())
+    assert report.metadata["command"] == ["parse"]
+    assert report.metadata["error"]["kind"] == "ConfigInvalid"
+    assert "--exact-cap" in report.metadata["error"]["message"]
+
+
 def test_every_route_has_a_pinned_digest():
     pinned = [tuple(line.split()[:2]) for line, _, _ in ROUTE_DIGESTS]
     assert sorted(pinned) == sorted(COMMANDS)
@@ -765,7 +819,7 @@ def test_route_report_digest(line, code, digest, capsys):
 
 
 def test_readme_lists_exactly_the_routes_in_commands():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     listed = set()
     for group, actions in re.findall(
         r"^braidseed (\w+) (\{[\w| -]+\}|[\w-]+)$", readme, re.M
@@ -774,15 +828,43 @@ def test_readme_lists_exactly_the_routes_in_commands():
     assert listed == set(COMMANDS)
 
 
+def route_flags(route) -> tuple:
+    """The (flag, keywords) pairs the parser gives a route: COMMON, CARTAN
+    when the route has a context, then its option groups."""
+    _, context, _, options = COMMANDS[route]
+    return COMMON + (() if context is None else CARTAN) + options
+
+
 def test_readme_lists_exactly_the_flags_the_parser_accepts():
-    # the parser gives each route COMMON + CARTAN + its option groups, and --help
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # every route also takes --help
+    readme = README.read_text()
     command_line = readme[readme.index("## Command line") :]
     listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", command_line))
-    accepted = {flag for *_, groups in COMMANDS.values() for flag, _ in COMMON + CARTAN + groups}
+    accepted = {flag for route in COMMANDS for flag, _ in route_flags(route)}
     assert listed == accepted | {"--help"}
     presets = re.search(r"selects a preset \(([^)]*)\)", command_line).group(1)
     assert sorted(re.findall(r"`(\w+)`", presets)) == sorted(PRESET_MATRICES)
+
+
+# Every command line with flags in README's example blocks.
+README_EXAMPLES = [
+    line.removeprefix("$ ").split()[1:]
+    for block in re.findall(r"^```\n(.*?)^```", README.read_text(), re.M | re.S)
+    for line in block.splitlines()
+    if line.removeprefix("$ ").startswith("braidseed ") and " --" in line
+]
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 18
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_example_exits_0(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BRAIDSEED_BUDGET", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "verdict Match"
 
 
 # Flag values for the any-argv property: small valid values nine times in
@@ -810,7 +892,6 @@ def _ints(lo, hi, size=1):
 FLAG_VALUES = {
     "--format": _mostly(st.just("json")),
     "--kind": _mostly(st.sampled_from(["positive-braid", "weyl-reduced"])),
-    "--exact-cap": _ints(-1, 8),
     "--height": _ints(0, 3, 3),
     "--move": _mostly(
         st.tuples(st.sampled_from("234"), st.sampled_from("012345")).map(",".join)
@@ -842,11 +923,11 @@ BOUNDED = {
 def test_any_argv_ends_in_a_report(tmp_path, monkeypatch, data):
     monkeypatch.setenv("BRAIDSEED_BUDGET", str(PROPERTY_BUDGET))
     route = data.draw(st.sampled_from(sorted(COMMANDS)))
-    _, _, word_count, options = COMMANDS[route]
+    word_count = COMMANDS[route][2]
     report_file = tmp_path / "report.json"
     argv = [*route, "--format", "json"]
     rank = 3
-    for flag, kwargs in COMMON + CARTAN + options:
+    for flag, kwargs in route_flags(route):
         if flag in BOUNDED:
             argv += [flag, str(data.draw(BOUNDED[flag]))]
             continue

@@ -730,6 +730,14 @@ def test_tsystem_reduced_a2():
     assert report.match
 
 
+def test_a_dominant_lower_term_fails_the_match():
+    # tsystem_sweep counts such a box as a lower-dominant failure and the
+    # CLI's lower-not-dominant comparison differs, so match fails too
+    report = tsystem_check(preset("a2"), Word((1, 2, 1), REDUCED), IBox(1, 3))
+    assert report.match
+    assert not replace(report, lower_verdict=OrderVerdict.GREATER).match
+
+
 def test_tsystem_exact_a2():
     report = tsystem_check(
         preset("a2"), Word((1, 2, 1), REDUCED), IBox(1, 3), exact=True
