@@ -588,7 +588,7 @@ def _cmd_seed_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
 
 
 def _cmd_verify_tsystem(config: RunConfig, cd: CartanData, w: Word) -> list:
-    if config.options["box"]:
+    if config.options["box"] is not None:
         return _cmd_seed_tsystem(config, cd, w)
     if config.exact or config.options["brace"]:
         raise ConfigInvalid("box: --exact and --brace check one box; give --box")

@@ -11,7 +11,7 @@ NonExactDivision instead of a silently wrong result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
 
 from .cartan import CartanData, _check_letters
@@ -26,18 +26,13 @@ from .errors import (
     ZeroBlockViolated,
 )
 from .lattices import _canonical_point, _reduce_echelon, column_echelon
-from .qlaurent import (
-    QuantumLaurent,
-    lambda_pairing,
-    right_divide,
-    torus_product,
-)
+from .qlaurent import QuantumLaurent, right_divide, torus_product
 from .transitions import (
     OrderVerdict,
+    _transport,
     bilex_compare,
     par_mutation,
     par_product,
-    transition_along_path_many,
 )
 from .words import (
     EmptyBox,
@@ -47,8 +42,8 @@ from .words import (
     Word,
     _box_vector,
     _move_window,
+    _path_windows,
     _positions_vector,
-    apply_move,
     find_move_path,
     resolve_ibox,
 )
@@ -254,7 +249,9 @@ class Seed:
     products of current variables it has formed, keyed by power vector
     with the negative powers set to 0.  A product reads only exact and
     torus_lam, which never change on a seed, so a cached entry cannot go
-    stale; every other seed, made by replace, permute_seed or
+    stale.  mutate_seed's _SeedState starts from this memo, so the
+    products of its exchange numerator stay here for exchange_check;
+    every other seed, made by mutate_seed, replace, permute_seed or
     restrict_seed, starts with an empty memo.  The memo takes no part in
     ==, hash or repr.
     """
@@ -299,42 +296,47 @@ def _word_seed(w: Word, b: ExchangeMatrix, lam: tuple, exact: bool) -> Seed:
     )
 
 
-def _mutate_b(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """B' at k: row k is negated, and only the rows i with b_ik != 0
-    change, to b_ij + sign(b_ik) max(b_ik b_kj, 0) off column k and -b_ik
-    in it; every other row is kept as it is."""
-    row_k = b.entries[k - 1]
-    support_k = [(j, b_kj) for j, b_kj in enumerate(row_k) if b_kj]
-    rows = list(b.entries)
-    for i, b_ik in enumerate(b.column(k)):
-        if b_ik and i != k - 1:
-            row = list(rows[i])
-            for j, b_kj in support_k:
-                if b_ik * b_kj > 0:
-                    row[j] += abs(b_ik) * b_kj
-            row[k - 1] = -b_ik
-            rows[i] = tuple(row)
-    rows[k - 1] = tuple(-v for v in row_k)
-    return ExchangeMatrix(tuple(rows), b.exchange, b.d_prime)
+class _SeedState:
+    """A seed's exchange data and variable tracks, mutated in place: the
+    walk of seed_equivalence_report, and mutate_seed between thawing a
+    seed and freezing the result.  b and lam are lists of row lists, trop
+    and exact lists of slots (exact is None when the exact track is off);
+    exchange, d_prime and torus_lam never change.
+
+    _products is the memo of _current_monomial for the current variables,
+    first the thawed seed's own.  A product reads exact only at the slots
+    of its key's positive powers, so a mutation at k drops exactly the
+    entries with a positive power at k, into a new dict; the two products
+    of the exchange numerator at k have power 0 there and stay.
+    """
+
+    __slots__ = (
+        "b", "exchange", "d_prime", "lam", "trop", "exact", "torus_lam", "_products"
+    )
+
+    def __init__(self, seed: Seed):
+        self.b = [list(row) for row in seed.b.entries]
+        self.exchange = seed.b.exchange
+        self.d_prime = seed.b.d_prime
+        self.lam = [list(row) for row in seed.lam]
+        self.trop = list(seed.trop)
+        self.exact = None if seed.exact is None else list(seed.exact)
+        self.torus_lam = seed.torus_lam
+        self._products = seed._products
+
+    def freeze(self, word: Word, labels: tuple) -> Seed:
+        return Seed(
+            word=word,
+            b=ExchangeMatrix(tuple(map(tuple, self.b)), self.exchange, self.d_prime),
+            lam=tuple(map(tuple, self.lam)),
+            trop=tuple(self.trop),
+            labels=labels,
+            torus_lam=self.torus_lam,
+            exact=None if self.exact is None else tuple(self.exact),
+        )
 
 
-def _mutate_lam(lam: tuple, k: int, down: Sequence[int]) -> tuple:
-    """Lambda' = E^T Lambda E for the down exchange vector at k: row k
-    becomes Lambda(down, e_j), summed over down's support, and column k its
-    negative; every other entry stays."""
-    row = [0] * len(lam)
-    for t, power in enumerate(down):
-        if power:
-            row = [x + power * y for x, y in zip(row, lam[t])]
-    row[k - 1] = 0
-    out = [r[: k - 1] + (-v,) + r[k:] for r, v in zip(lam, row)]
-    out[k - 1] = tuple(row)
-    return tuple(out)
-
-
-def exchange_vectors(b: ExchangeMatrix, k: int) -> tuple:
-    """The two exchange monomial exponent vectors at k, each with -1 in slot k."""
-    column = b.column(k)
+def _exchange_vectors(column: Sequence[int], k: int) -> tuple:
     up = [max(v, 0) for v in column]
     down = [max(-v, 0) for v in column]
     up[k - 1] = -1
@@ -342,18 +344,79 @@ def exchange_vectors(b: ExchangeMatrix, k: int) -> tuple:
     return tuple(up), tuple(down)
 
 
-def _current_monomial(seed: Seed, vec: Sequence[int], shift: int = 0) -> QuantumLaurent:
+def exchange_vectors(b: ExchangeMatrix, k: int) -> tuple:
+    """The two exchange monomial exponent vectors at k, each with -1 in slot k."""
+    return _exchange_vectors(b.column(k), k)
+
+
+def _pairings(lam: Sequence[Sequence[int]], k: int, vectors: tuple) -> tuple:
+    """Lambda(e_k, v) for each exchange vector v: the doubled q-exponents
+    alpha and beta of the exchange relation at k."""
+    row = lam[k - 1]
+    return tuple(sum(map(mul, vec, row)) for vec in vectors)
+
+
+def _mutate_in_place(state: _SeedState, k: int) -> tuple:
+    """Mutation at an exchange index k, in place: the one home of the B,
+    Lambda, tropical and exact mutation rules.  Returns the exchange
+    vectors at k and their _pairings under the Lambda before the step.
+
+    The exchange vectors are formed once from B's column k.  The tropical
+    track applies the parameter mutation rule to the two monomials'
+    parameters; the exact track divides the exchange numerator by the
+    current variable's Laurent form.  Of B only the rows i with b_ik != 0
+    change, to b_ij + sign(b_ik) max(b_ik b_kj, 0) off column k and -b_ik
+    in it, and row k is negated.  Lambda' = E^T Lambda E for the down
+    vector: row k becomes Lambda(down, e_j), summed over down's support,
+    and column k its negative.
+    """
+    if k not in state.exchange:
+        raise FrozenIndex(f"index {k} is not in the exchange set {state.exchange}")
+    b, lam, trop = state.b, state.lam, state.trop
+    column = [row[k - 1] for row in b]
+    vectors = _exchange_vectors(column, k)
+    pairings = _pairings(lam, k, vectors)
+    trop[k - 1] = par_mutation(trop[k - 1], *_exchange_parameters(trop, vectors))
+    if state.exact is not None:
+        numerator = _exchange_sum(state, k, vectors)
+        state.exact[k - 1] = right_divide(state.torus_lam, numerator, state.exact[k - 1])
+        state._products = {
+            key: product for key, product in state._products.items() if not key[k - 1]
+        }
+    row_k = b[k - 1]
+    support_k = [(j, b_kj) for j, b_kj in enumerate(row_k) if b_kj]
+    for i, b_ik in enumerate(column):
+        if b_ik and i != k - 1:
+            row = b[i]
+            for j, b_kj in support_k:
+                if b_ik * b_kj > 0:
+                    row[j] += abs(b_ik) * b_kj
+            row[k - 1] = -b_ik
+    b[k - 1] = [-v for v in row_k]
+    row = [0] * len(lam)
+    for t, power in enumerate(vectors[1]):
+        if power:
+            row = [x + power * y for x, y in zip(row, lam[t])]
+    row[k - 1] = 0
+    for r, v in zip(lam, row):
+        r[k - 1] = -v
+    lam[k - 1] = row
+    return vectors, pairings
+
+
+def _current_monomial(seed, vec: Sequence[int], shift: int = 0) -> QuantumLaurent:
     """Ordered product of current variables to the given powers, with the
     based-monomial q-prefactor of the current pairing times q^(shift/2).
 
     The prefactor sums v_i v_j l_ij over i > j in vec's support, the -1
     in slot k of an exchange vector included; a slot with a negative
     power contributes no factor to the product.  The product is formed
-    once per seed and kept in seed._products under vec with its negative
-    powers set to 0, so mutate_seed's numerator (-1 at k) and
-    exchange_check's right side (0 at k) share it; the prefactor is then
-    applied with q_shift.  The memo is safe because the product reads
-    only seed.exact and seed.torus_lam, which never change on a seed.
+    once and kept in seed._products under vec with its negative powers
+    set to 0, so the exchange numerator (-1 at k) and the exchange check's
+    right side (0 at k) share it; the prefactor is then applied with
+    q_shift.  seed is a Seed or a _SeedState: the memo is safe because the
+    product reads only seed.exact and seed.torus_lam, which never change
+    on a Seed, and a _SeedState drops the entries a mutation invalidates.
     """
     lam = seed.lam
     support = [i for i, v in enumerate(vec) if v]
@@ -371,7 +434,7 @@ def _current_monomial(seed: Seed, vec: Sequence[int], shift: int = 0) -> Quantum
     return product.q_shift(doubled)
 
 
-def _exchange_sum(seed: Seed, k: int, vectors: tuple) -> QuantumLaurent:
+def _exchange_sum(seed, k: int, vectors: tuple) -> QuantumLaurent:
     """q^c1 m_a + q^c2 m_a' where m is the ordered product skipping slot k,
     for the exchange vectors at k.
 
@@ -389,7 +452,7 @@ def _exchange_sum(seed: Seed, k: int, vectors: tuple) -> QuantumLaurent:
     return up + down
 
 
-def _exchange_parameters(trop: tuple, vectors: tuple) -> tuple:
+def _exchange_parameters(trop: Sequence, vectors: tuple) -> tuple:
     """Tropical parameters of the up and down exchange monomials: the
     current parameters summed to each monomial's powers, leaving out slot k
     (its only negative power)."""
@@ -404,35 +467,13 @@ def _exchange_parameters(trop: tuple, vectors: tuple) -> tuple:
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Mutation at an exchange index; returns a new seed.
-
-    The exchange vectors at k are formed once; they give the two exchange
-    monomials' tropical parameters and the down vector of Lambda'.  The
-    work follows B's column k: rows of B with b_ik = 0 are kept as they
-    are, and of Lambda only row and column k change.  The tropical track
-    applies the parameter mutation rule to the two monomials' parameters;
-    the exact track divides the exchange numerator by the current
-    variable's Laurent form.
-    """
-    if not seed.b.is_exchange(k):
-        raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
-    vectors = exchange_vectors(seed.b, k)
-    new_trop_k = par_mutation(seed.trop[k - 1], *_exchange_parameters(seed.trop, vectors))
-    trop = seed.trop[: k - 1] + (new_trop_k,) + seed.trop[k:]
-    exact = seed.exact
-    if exact is not None:
-        numerator = _exchange_sum(seed, k, vectors)
-        new_var = right_divide(seed.torus_lam, numerator, exact[k - 1])
-        exact = exact[: k - 1] + (new_var,) + exact[k:]
+    """Mutation at an exchange index; returns a new seed: the seed thawed
+    into a _SeedState, one _mutate_in_place step, and the state frozen
+    with slot k's label wrapped in mu_k."""
+    state = _SeedState(seed)
+    _mutate_in_place(state, k)
     labels = seed.labels[: k - 1] + (f"mu{k}({seed.labels[k - 1]})",) + seed.labels[k:]
-    return replace(
-        seed,
-        b=_mutate_b(seed.b, k),
-        lam=_mutate_lam(seed.lam, k, vectors[1]),
-        trop=trop,
-        labels=labels,
-        exact=exact,
-    )
+    return state.freeze(seed.word, labels)
 
 
 @dataclass(frozen=True)
@@ -454,11 +495,8 @@ def exchange_check(seed: Seed, k: int, mutated: Seed) -> ExchangeCheck:
     """Verify the exchange relation at k, given mutated = mutate_seed(seed, k)."""
     if not seed.b.is_exchange(k):
         raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
-    n = seed.b.n
-    up, down = exchange_vectors(seed.b, k)
-    e_k = tuple(1 if t == k - 1 else 0 for t in range(n))
-    alpha = lambda_pairing(seed.lam, e_k, up)
-    beta = lambda_pairing(seed.lam, e_k, down)
+    vectors = exchange_vectors(seed.b, k)
+    pairings = _pairings(seed.lam, k, vectors)
     verified = None
     if seed.exact is not None:
         if mutated.exact is None:
@@ -466,14 +504,26 @@ def exchange_check(seed: Seed, k: int, mutated: Seed) -> ExchangeCheck:
                 f"exchange check at {k}: the seed has an exact track and the "
                 "mutated seed has none"
             )
-        lhs = torus_product(seed.torus_lam, seed.exact[k - 1], mutated.exact[k - 1])
-        up_plus = tuple(v + e for v, e in zip(up, e_k))
-        down_plus = tuple(v + e for v, e in zip(down, e_k))
-        rhs = _current_monomial(seed, up_plus, alpha) + _current_monomial(
-            seed, down_plus, beta
+        verified = _exchange_holds(
+            seed, k, vectors, pairings, seed.exact[k - 1], mutated.exact[k - 1]
         )
-        verified = lhs == rhs
-    return ExchangeCheck(k, alpha, beta, verified)
+    return ExchangeCheck(k, *pairings, verified)
+
+
+def _exchange_holds(
+    seed, k: int, vectors: tuple, pairings: tuple, x_k, mu_x_k
+) -> bool:
+    """X_k * mu_k(X_k) == q^(alpha/2) M_up + q^(beta/2) M_down, the right
+    side read from seed (a Seed or a _SeedState) at the exchange vectors
+    with slot k set to 0.  Those powers read neither X_k nor row and column
+    k of Lambda, so the state after _mutate_in_place at k gives the same
+    right side as before it, from the same memo entries."""
+    lhs = torus_product(seed.torus_lam, x_k, mu_x_k)
+    up, down = (
+        _current_monomial(seed, vec[: k - 1] + (0,) + vec[k:], pairing)
+        for vec, pairing in zip(vectors, pairings)
+    )
+    return lhs == up + down
 
 
 def permute_seed(seed: Seed, rho: Sequence[int]) -> Seed:
@@ -485,24 +535,36 @@ def permute_seed(seed: Seed, rho: Sequence[int]) -> Seed:
     n = seed.b.n
     if sorted(rho) != list(range(1, n + 1)):
         raise ExchangeSetNotPreserved(f"{rho} is not a permutation of [1, {n}]")
-    entries = tuple(
-        tuple(seed.b.entry(rho[i], rho[j]) for j in range(n)) for i in range(n)
-    )
-    exchange = tuple(
-        sorted(i + 1 for i in range(n) if rho[i] in seed.b.exchange)
-    )
-    d_prime = tuple(seed.b.d_prime[rho[i] - 1] for i in range(n))
-    b = ExchangeMatrix(entries, exchange, d_prime)
-    lam = tuple(
-        tuple(seed.lam[rho[i] - 1][rho[j] - 1] for j in range(n)) for i in range(n)
-    )
-    trop = tuple(seed.trop[rho[i] - 1] for i in range(n))
-    labels = tuple(seed.labels[rho[i] - 1] for i in range(n))
     exact = None
     if seed.exact is not None:
-        exact = tuple(seed.exact[rho[i] - 1] for i in range(n))
+        exact = _relabelled(seed.exact, rho)
     return replace(
-        seed, b=b, lam=lam, trop=trop, labels=labels, exact=exact
+        seed,
+        b=_permuted_b(seed.b.entries, seed.b.exchange, seed.b.d_prime, rho),
+        lam=_permuted(seed.lam, rho),
+        trop=_relabelled(seed.trop, rho),
+        labels=_relabelled(seed.labels, rho),
+        exact=exact,
+    )
+
+
+def _relabelled(slots: Sequence, rho: Sequence[int]) -> tuple:
+    """New slot i carries old slot rho(i)."""
+    return tuple(slots[r - 1] for r in rho)
+
+
+def _permuted(matrix: Sequence[Sequence[int]], rho: Sequence[int]) -> tuple:
+    """Rows and columns relabelled: entry (i, j) is old entry (rho(i), rho(j))."""
+    return tuple(tuple(row[c - 1] for c in rho) for row in _relabelled(matrix, rho))
+
+
+def _permuted_b(entries, exchange: tuple, d_prime: tuple, rho: Sequence[int]):
+    """B relabelled by rho; the exchange set is transported, and the
+    symmetrizer values move with their slots."""
+    return ExchangeMatrix(
+        _permuted(entries, rho),
+        tuple(i for i, r in enumerate(rho, 1) if r in exchange),
+        _relabelled(d_prime, rho),
     )
 
 
@@ -573,8 +635,12 @@ def move_to_mutation_script(cd: CartanData, w: Word, m: Move) -> MutationScript:
     p+2 and p+3, so every script index is an exchange slot of w.
     """
     _check_letters(cd, w.positions)
-    i, j, p = _move_window(w, m, cd)
-    n = w.length
+    return _window_script(cd, w.length, m, *_move_window(w, m, cd))
+
+
+def _window_script(cd: CartanData, n: int, m: Move, i, j, p: int) -> MutationScript:
+    """move_to_mutation_script of m on a word of length n whose window
+    (i, j, p) has been validated."""
     if m.kind is MoveKind.TWO:
         return MutationScript((), _transpositions(n, (p, p + 1)))
     if m.kind is MoveKind.THREE:
@@ -648,53 +714,67 @@ def seed_equivalence_report(
     """Walk a move path from w to w2, compiling each move to a script and
     replaying it on the seed of w; compare the outcome with the seed of w2.
 
-    The seed is never relabelled along the walk: slot[k-1] is the seed
-    slot holding word slot k, every script mutation runs at its seed slot,
-    each script's permutation is composed into slot, and the seed is
-    permuted once at the end.  Mutation commutes with relabelling, so this
-    is the seed of permuting after every move; exchange checks keep the
-    word slot.  The target's tropical vectors are pulled back along the
-    reversed path in a single pass.
+    The whole walk runs on one _SeedState, mutated in place by
+    _mutate_in_place: no seed is built per step.  Each move's window is
+    validated once (words._path_windows); the scripts and the pull-back of
+    the target's tropical vectors along the reversed path, in one pass,
+    read the same windows.  The state is never relabelled along the walk:
+    slot[k-1] is the state slot holding word slot k, every script mutation
+    runs at its state slot, and each script's permutation is composed into
+    slot.  Mutation commutes with relabelling, so the state read through
+    slot, as it is compared with the target's seed, is the seed of
+    permuting after every move; exchange checks keep the word slot, and on
+    the exact track reuse the exchange vectors, pairings and products of
+    their step.
 
     exact=None runs the exact track iff the word has length <= 6.
     """
     path = tuple(find_move_path(cd, w, w2))
     if exact is None:
         exact = w.length <= 6
-    seed = initial_seed(cd, w, exact=exact)
-    slot = list(range(1, w.length + 1))
-    current = w
+    state = _SeedState(initial_seed(cd, w, exact=exact))
+    windows = _path_windows(cd, w, path)
+    n = w.length
+    slot = list(range(1, n + 1))
     checks = []
     intermediates = []
-    for move in path:
-        script = move_to_mutation_script(cd, current, move)
+    for move, window in zip(path, windows):
+        script = _window_script(cd, n, move, *window)
         for t, k in enumerate(script.mutations):
-            previous, seed = seed, mutate_seed(seed, slot[k - 1])
-            checks.append(replace(exchange_check(previous, slot[k - 1], seed), slot=k))
+            s = slot[k - 1]
+            x_k = state.exact[s - 1] if exact else None
+            vectors, pairings = _mutate_in_place(state, s)
+            verified = None
+            if exact:
+                verified = _exchange_holds(
+                    state, s, vectors, pairings, x_k, state.exact[s - 1]
+                )
+            checks.append(ExchangeCheck(k, *pairings, verified))
             if t == 0 and move.kind is MoveKind.FOUR:
                 p = move.position
                 intermediates.append(
-                    FourMoveIntermediate(move, seed.b.entry(slot[p], slot[p + 2]))
+                    FourMoveIntermediate(move, state.b[slot[p] - 1][slot[p + 2] - 1])
                 )
-        slot = [slot[r - 1] for r in script.permutation]
-        current = apply_move(current, move)
-    seed = permute_seed(seed, slot)
+        slot = _relabelled(slot, script.permutation)
+    b = _permuted_b(state.b, state.exchange, state.d_prime, slot)
+    trop = _relabelled(state.trop, slot)
     target = initial_seed(cd, w2, exact=False)
-    n = w.length
     columns = [target.b.column(l) for l in target.b.exchange]
     b_exchange_match = (
-        seed.b.exchange == target.b.exchange
-        and seed.b.d_prime == target.b.d_prime
-        and all(seed.b.column(l) == c for l, c in zip(target.b.exchange, columns))
+        b.exchange == target.b.exchange
+        and b.d_prime == target.b.d_prime
+        and all(b.column(l) == c for l, c in zip(target.b.exchange, columns))
     )
-    b_full_match = seed.b.entries == target.b.entries
-    trop_match = seed.trop == target.trop
-    transported = transition_along_path_many(
-        cd, w2, path[::-1], target.trop, convention="weighted"
+    transported = _transport(
+        cd,
+        path[::-1],
+        [(j, i, p) for i, j, p in reversed(windows)],
+        target.trop,
+        "weighted",
     )
-    transported_match = seed.trop == transported
     gauge = tuple(
-        tuple(seed.lam[i][j] - target.lam[i][j] for j in range(n)) for i in range(n)
+        tuple(map(sub, row, target_row))
+        for row, target_row in zip(_permuted(state.lam, slot), target.lam)
     )
     in_kernel = all(sum(map(mul, row, c)) == 0 for c in columns for row in gauge)
     exact_verified = None
@@ -705,9 +785,9 @@ def seed_equivalence_report(
         word_b=w2,
         path=path,
         b_exchange_match=b_exchange_match,
-        b_full_match=b_full_match,
-        trop_match=trop_match,
-        transported_match=transported_match,
+        b_full_match=b.entries == target.b.entries,
+        trop_match=trop == target.trop,
+        transported_match=trop == transported,
         transported_targets=transported,
         lam_gauge=gauge,
         lam_gauge_in_kernel=in_kernel,

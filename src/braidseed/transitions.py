@@ -28,6 +28,7 @@ from .words import (
     MoveKind,
     Word,
     _move_window,
+    _path_windows,
     apply_move,
     ibox_vector,
     make_ibox,
@@ -168,24 +169,28 @@ def transition_along_path_many(
     """transition_along_path of every vector, in one walk along the path.
 
     Every vector's length is checked before the walk, also on the empty
-    path; each move's window is validated once, and only its entries are
-    rewritten in every vector, in Python arithmetic, so int entries stay
-    exact.
+    path; each move's window is validated once (words._path_windows).
     """
     _check_convention(convention)
-    out = [list(a) for a in vectors]
-    for vec in out:
+    for vec in vectors:
         if len(vec) != w.length:
             raise LengthMismatch(f"vector length {len(vec)} != word length {w.length}")
-    current = w
-    for move in path:
-        i, j, k = _move_window(current, move, cd)
+    return _transport(cd, path, _path_windows(cd, w, path), vectors, convention)
+
+
+def _transport(
+    cd: CartanData, path: Sequence[Move], windows: Sequence, vectors, convention: str
+) -> tuple:
+    """The vectors carried along path, move t's window (i, j, k) given by
+    windows[t] and not checked again: only its entries are rewritten in
+    every vector, in Python arithmetic, so int entries stay exact."""
+    out = [list(a) for a in vectors]
+    for move, (i, j, k) in zip(path, windows):
         end = k - 1 + move.kind.window
         for vec in out:
             vec[k - 1 : end] = _window_image(
                 cd, move, i, j, vec[k - 1 : end], convention, min
             )
-        current = apply_move(current, move)
     return tuple(map(tuple, out))
 
 

@@ -58,9 +58,15 @@ def default_budget() -> int:
         budget = int(raw) if raw else DEFAULT_BUDGET
     except ValueError as err:
         raise ConfigInvalid(f"{BUDGET_ENV}: expected an integer, got {raw!r}") from err
-    if budget < 1:
-        raise ConfigInvalid(f"{BUDGET_ENV}: must be >= 1, got {budget}")
+    _check_budget(budget, BUDGET_ENV)
     return budget
+
+
+def _check_budget(budget: Optional[int], source: str = "budget") -> None:
+    """Refuse a budget below 1 with ConfigInvalid naming its source; None
+    stands for default_budget()."""
+    if budget is not None and budget < 1:
+        raise ConfigInvalid(f"{source}: must be >= 1, got {budget}")
 
 
 class WordKind(Enum):
@@ -217,6 +223,19 @@ def apply_move(w: Word, m: Move) -> Word:
     return w.replace(k, _alternating(j, i, m.kind.window))
 
 
+def _path_windows(cd: CartanData, w: Word, path: Sequence[Move]) -> list:
+    """(i, j, k) of each move of path, walked from w: every window is
+    validated once, by _move_window against cd, and rewritten to j i j ...
+    without a second check.  Walked back from the end of the path, move t
+    meets its window with i and j swapped."""
+    windows = []
+    for move in path:
+        i, j, k = _move_window(w, move, cd)
+        windows.append((i, j, k))
+        w = w.replace(k, _alternating(j, i, move.kind.window))
+    return windows
+
+
 def _check_no_sixmove_pairs(cd: CartanData, letters: Sequence) -> None:
     present = sorted(set(letters), key=cd.position.__getitem__)
     for a in range(len(present)):
@@ -363,8 +382,9 @@ def find_move_path(
     w2; definitive=False, naming the stopped search, once the budget of
     words discovered (default_budget() when None), over all rounds of
     _bfs, is spent, the only way it fails on two reduced words of one Weyl
-    element.
+    element.  A budget below 1 is ConfigInvalid, before any other check.
     """
+    _check_budget(budget)
     _check_letters(cd, w.positions)
     _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
@@ -396,8 +416,10 @@ def words_equal_in_monoid(
     images agree, so no search is needed.  Any other pair is decided on the
     full words by move-graph connectivity, since the defining relations are
     length-homogeneous: find_move_path answers, a definitive NotConnected
-    is False, and one that spent the budget is BudgetExhausted.
+    is False, and one that spent the budget is BudgetExhausted.  A budget
+    below 1 is ConfigInvalid, before any other check.
     """
+    _check_budget(budget)
     _check_letters(cd, w.positions)
     _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)

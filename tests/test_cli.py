@@ -544,6 +544,18 @@ def test_verify_tsystem_takes_exact_and_brace_only_with_a_box(tmp_path, flag):
     assert (code, report.verdict) == (0, "Match")
 
 
+@pytest.mark.parametrize("command", ["verify", "seed"])
+@pytest.mark.parametrize("box", ["", " , ", "1", "1,3,4"])
+def test_tsystem_refuses_a_given_malformed_box(tmp_path, command, box):
+    # a --box that is given is parsed, never read as no box
+    code, report = run(
+        tmp_path, command, "tsystem", "--cartan", "a2", "--word", "1,2,1", "--box", box
+    )
+    assert code == 2
+    assert error_kind(report) == ("Error", "ConfigInvalid")
+    assert report.metadata["error"]["message"] == "box: expected lo,hi"
+
+
 def test_seed_tsystem_refuses_the_empty_box_once(tmp_path):
     # tsystem_check's InvalidBox is the one refusal of the empty box
     code, report = run(

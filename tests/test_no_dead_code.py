@@ -80,3 +80,53 @@ def test_unreferenced_catches_dead_and_self_recursive_functions():
         "c.py": "def _imported():\n    pass\ndef _by_attribute():\n    pass\n",
     }
     assert unreferenced(sources) == [("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+def calls(sources: dict) -> dict:
+    """module:function -> the names its body calls, directly or as an
+    attribute, for each module-level function and method."""
+    out = {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for top in tree.body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[f"{module}:{func.name}"] = {
+                        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, (ast.Name, ast.Attribute))
+                    }
+    return out
+
+
+def callers(sources: dict, name: str) -> set:
+    """The module-level functions and methods, as module:function, whose
+    bodies call name."""
+    return {func for func, called in calls(sources).items() if name in called}
+
+
+def test_the_mutation_rules_have_one_in_place_home():
+    """seed_equivalence_report walks one mutable state and builds no seed
+    per step, mutate_seed thaws, steps and freezes, and the tropical and
+    exact mutation rules are reached only through the one in-place step:
+    a forked copy of the rules adds a caller and fails here."""
+    sources = package_sources()
+    step = {"seeds.py:mutate_seed", "seeds.py:seed_equivalence_report"}
+    assert callers(sources, "_mutate_in_place") == step
+    assert calls(sources)["seeds.py:mutate_seed"] == {"_SeedState", "_mutate_in_place", "freeze"}
+    for seed_builder in ("mutate_seed", "permute_seed"):
+        assert "seeds.py:seed_equivalence_report" not in callers(sources, seed_builder)
+    for rule in ("par_mutation", "right_divide", "_exchange_sum"):
+        assert callers(sources, rule) == {"seeds.py:_mutate_in_place"}, rule
+
+
+def test_callers_sees_calls_by_name_and_by_attribute_in_methods():
+    sources = {
+        "a.py": (
+            "def f():\n    return g()\n"
+            "def h():\n    return g\n"
+            "class C:\n    def m(self):\n        return mod.g(1)\n"
+        ),
+    }
+    assert callers(sources, "g") == {"a.py:f", "a.py:m"}

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidseed import seeds, words
+from braidseed import seeds, transitions, words
 from braidseed.cartan import (
     bilinear_form,
     finite_type_data,
@@ -48,6 +48,7 @@ from braidseed.seeds import (
     EquivalenceReport,
     ExchangeMatrix,
     FourMoveIntermediate,
+    MutationScript,
     check_compatibility,
     exchange_check,
     exchange_vectors,
@@ -707,17 +708,82 @@ def random_w0_pair(cd, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["a3", "b3", "c3", "A4", "D4"]), st.integers(0, 2**32))
+@given(st.sampled_from(["a3", "b3", "c3", "A4", "D4", "B4", "D5"]), st.integers(0, 2**32))
 def test_slot_map_walk_equals_the_permute_per_move_walk(name, rng_seed):
+    # B4 paths carry 4-moves with 3-mutation scripts, so their reports have
+    # four_move_intermediates; D5 words are the longest, 20 letters
     rng = random.Random(rng_seed)
-    matrix = {"A4": type_a(4), "D4": type_d(4)}.get(name) or preset(name).matrix
-    cd = validate_cartan(matrix)
+    matrix = {"A4": type_a(4), "D4": type_d(4), "B4": type_b(4), "D5": type_d(5)}
+    cd = validate_cartan(matrix.get(name) or preset(name).matrix)
     w, w2 = random_w0_pair(cd, rng)
     tracks = [False, True] if name in ("b3", "c3") else [False]
     for exact in tracks:
         report = seed_equivalence_report(cd, w, w2, exact=exact)
         assert report == reference_equivalence_report(cd, w, w2, exact)
         assert report.match
+
+
+def test_each_report_validates_each_move_window_once(monkeypatch):
+    # the walk, its scripts and the pull-back of the target all read the
+    # windows of words._path_windows
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return words_move_window(*args)
+
+    words_move_window = words._move_window
+    for module in (words, seeds, transitions):
+        monkeypatch.setattr(module, "_move_window", counting)
+    for cd, tracks in ((preset("b3"), (False, True)), (validate_cartan(type_b(4)), (False,))):
+        w0 = finite_type_data(cd).longest_word
+        w, w2 = Word(w0, REDUCED), Word(w0[::-1], REDUCED)
+        for exact in tracks:
+            calls.clear()
+            report = seed_equivalence_report(cd, w, w2, exact)
+            assert report.match and report.four_move_intermediates
+            assert len(calls) == len(report.path) > 0
+
+
+def test_the_exact_walk_multiplies_each_exchange_monomial_out_once(monkeypatch):
+    # the check after an in-place step reads the products its numerator
+    # formed, so the walk makes no more products than a fresh seed per step
+    product = seeds.torus_product
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(seeds, "torus_product", counting)
+    for name in ("b3", "c3"):
+        cd = preset(name)
+        w0 = finite_type_data(cd).longest_word
+        w, w2 = Word(w0, REDUCED), Word(w0[::-1], REDUCED)
+        calls.clear()
+        report = seed_equivalence_report(cd, w, w2, exact=True)
+        walked = len(calls)
+        calls.clear()
+        assert report == reference_equivalence_report(cd, w, w2, True)
+        assert report.exact_verified is True
+        assert 0 < walked <= len(calls)
+
+
+def test_a_script_mutation_at_a_frozen_slot_raises_frozen_index(monkeypatch):
+    # scripts mutate only at exchange slots, so a frozen one takes a broken
+    # script; the walk refuses it as mutate_seed does, naming the seed slot
+    monkeypatch.setattr(
+        seeds,
+        "_window_script",
+        lambda cd, n, m, i, j, p: MutationScript((1,), tuple(range(1, n + 1))),
+    )
+    cd = preset("a2")
+    with pytest.raises(FrozenIndex) as info:
+        seed_equivalence_report(cd, Word((1, 2, 1), REDUCED), Word((2, 1, 2), REDUCED))
+    assert str(info.value) == "index 1 is not in the exchange set (3,)"
+    seed = initial_seed(cd, Word((1, 2, 1), REDUCED))
+    with pytest.raises(FrozenIndex, match=r"^index 1 is not in the exchange set \(3,\)$"):
+        mutate_seed(seed, 1)
 
 
 def test_tsystem_reduced_a2():
@@ -985,7 +1051,7 @@ def test_mutation_is_an_involution_that_keeps_compatibility(data):
 
 
 def column_mutate_lam(lam, b, k):
-    """_mutate_lam as it summed the down column before it read
+    """The Lambda mutation as it summed the down column before it read
     exchange_vectors."""
     n = b.n
     down = [max(0, -v) for v in b.column(k)]
@@ -1010,17 +1076,14 @@ def test_lambda_mutation_reads_the_down_exchange_vector(data):
     # every exchange index of the initial seed, then of one mutated seed
     for _ in range(2):
         for k in seed.b.exchange:
-            down = exchange_vectors(seed.b, k)[1]
-            assert seeds._mutate_lam(seed.lam, k, down) == column_mutate_lam(
-                seed.lam, seed.b, k
-            )
+            assert mutate_seed(seed, k).lam == column_mutate_lam(seed.lam, seed.b, k)
         if not seed.b.exchange:
             break
         seed = mutate_seed(seed, data.draw(st.sampled_from(seed.b.exchange)))
 
 
 def dense_mutate_b(b, k):
-    """_mutate_b as it rebuilt every row of B."""
+    """The B mutation as it rebuilt every row of B."""
     row_k = b.entries[k - 1]
     rows = []
     for i, row in enumerate(b.entries, 1):
@@ -1036,7 +1099,7 @@ def dense_mutate_b(b, k):
 
 
 def dense_mutate_lam(lam, b, k):
-    """_mutate_lam as it summed row k through every column of Lambda."""
+    """The Lambda mutation as it summed row k through every column of Lambda."""
     _, down = exchange_vectors(b, k)
     row = [sum(map(mul, down, column)) for column in zip(*lam)]
     row[k - 1] = 0

@@ -260,14 +260,31 @@ def test_a_bad_budget_env_is_config_invalid_for_every_reader(monkeypatch, value)
 
 
 def test_an_explicit_budget_of_0_is_not_the_default():
-    # None asks for default_budget(); 0 words stop the search at its
-    # first word that is not the target
+    # None asks for default_budget(); 0 is refused like BRAIDSEED_BUDGET=0
     cd = preset("a3")
     u, v = Word((1, 2, 1, 3, 2, 1)), Word((3, 2, 3, 1, 2, 3))
     assert len(find_move_path(cd, u, v, budget=None)) > 1
-    with pytest.raises(NotConnected) as info:
+    with pytest.raises(ConfigInvalid, match=r"^budget: must be >= 1, got 0$"):
         find_move_path(cd, u, v, budget=0)
-    assert not info.value.definitive
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_budget_below_1_is_refused_before_the_target_test(budget):
+    # a target one move away, or the start itself, needs no word of budget,
+    # and reduced words of one Weyl element need no search: the budget is
+    # refused all the same
+    cd = preset("a3")
+    u, v = Word((1, 2, 1)), Word((2, 1, 2))
+    for call, w2 in (
+        (find_move_path, v),
+        (find_move_path, u),
+        (words_equal_in_monoid, v),
+        (words_equal_in_monoid, Word((1, 2, 1, 3), WordKind.POSITIVE_BRAID)),
+    ):
+        with pytest.raises(ConfigInvalid, match=f"^budget: must be >= 1, got {budget}$"):
+            call(cd, u, w2, budget=budget)
+    assert find_move_path(cd, u, v, budget=1) == [Move(MoveKind.THREE, 1)]
+    assert words_equal_in_monoid(cd, u, v, budget=1)
 
 
 def test_budget_counts_the_words_of_every_round():
