@@ -56,7 +56,6 @@ from .seeds import (
     move_to_mutation_script,
     mutate_seed,
     permute_seed,
-    restrict_seed,
     seed_equivalence_report,
     seed_to_json,
     solve_lambda,

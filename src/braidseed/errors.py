@@ -96,10 +96,6 @@ class NonExactDivision(BraidseedError):
     pass
 
 
-class ZeroBlockViolated(BraidseedError):
-    pass
-
-
 class ExchangeSetNotPreserved(BraidseedError):
     pass
 

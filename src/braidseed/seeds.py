@@ -23,7 +23,6 @@ from .errors import (
     MinorNotReachable,
     NoIntegralSolution,
     ShapeMismatch,
-    ZeroBlockViolated,
 )
 from .lattices import _canonical_point, _reduce_echelon, column_echelon
 from .qlaurent import QuantumLaurent, right_divide, torus_product
@@ -251,9 +250,8 @@ class Seed:
     torus_lam, which never change on a seed, so a cached entry cannot go
     stale.  mutate_seed's _SeedState starts from this memo, so the
     products of its exchange numerator stay here for exchange_check;
-    every other seed, made by mutate_seed, replace, permute_seed or
-    restrict_seed, starts with an empty memo.  The memo takes no part in
-    ==, hash or repr.
+    every other seed, made by mutate_seed, replace or permute_seed, starts
+    with an empty memo.  The memo takes no part in ==, hash or repr.
     """
 
     word: Word
@@ -568,48 +566,6 @@ def _permuted_b(entries, exchange: tuple, d_prime: tuple, rho: Sequence[int]):
     )
 
 
-def restrict_seed(seed: Seed, J: Sequence[int], Jex: Sequence[int]) -> Seed:
-    """Restriction to a sub-index set; requires the zero block outside J.
-
-    Tropical vectors are projected to the J coordinates; the exact track
-    is dropped because the ambient torus changes rank.
-    """
-    n = seed.b.n
-    J = tuple(sorted(J))
-    Jex = tuple(sorted(Jex))
-    if not set(Jex) <= set(J) & set(seed.b.exchange):
-        raise ShapeMismatch("restricted exchange set must lie in J and K^ex")
-    outside = [k for k in range(1, n + 1) if k not in set(J)]
-    for k in outside:
-        for l in Jex:
-            if seed.b.entry(k, l) != 0:
-                raise ZeroBlockViolated(
-                    f"b[{k},{l}] = {seed.b.entry(k, l)} outside the restricted block"
-                )
-    entries = tuple(tuple(seed.b.entry(i, j) for j in J) for i in J)
-    new_index = {old: new + 1 for new, old in enumerate(J)}
-    b = ExchangeMatrix(
-        entries,
-        tuple(new_index[s] for s in Jex),
-        tuple(seed.b.d_prime[s - 1] for s in J),
-    )
-    lam = tuple(tuple(seed.lam[i - 1][j - 1] for j in J) for i in J)
-    torus_lam = tuple(tuple(seed.torus_lam[i - 1][j - 1] for j in J) for i in J)
-    trop = tuple(tuple(seed.trop[s - 1][j - 1] for j in J) for s in J)
-    labels = tuple(seed.labels[s - 1] for s in J)
-    sub_letters = tuple(seed.word.letters[s - 1] for s in J)
-    word = Word(sub_letters, seed.word.kind)
-    return Seed(
-        word=word,
-        b=b,
-        lam=lam,
-        trop=trop,
-        labels=labels,
-        torus_lam=torus_lam,
-        exact=None,
-    )
-
-
 @dataclass(frozen=True)
 class MutationScript:
     """Mutations in application order, then a slot permutation."""
@@ -663,23 +619,16 @@ class FourMoveIntermediate:
     value: int
     displayed: int = 1
 
-    @property
-    def match(self) -> bool:
-        return self.value == self.displayed
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Comparison of a script-transported seed against the target's seed."""
 
-    word_a: Word
-    word_b: Word
     path: tuple
     b_exchange_match: bool
     b_full_match: bool
     trop_match: bool
     transported_match: bool
-    transported_targets: tuple
     lam_gauge: tuple
     lam_gauge_in_kernel: bool
     exchange_checks: tuple
@@ -781,14 +730,11 @@ def seed_equivalence_report(
     if exact:
         exact_verified = all(c.verified for c in checks) if checks else True
     return EquivalenceReport(
-        word_a=w,
-        word_b=w2,
         path=path,
         b_exchange_match=b_exchange_match,
         b_full_match=b.entries == target.b.entries,
         trop_match=trop == target.trop,
         transported_match=trop == transported,
-        transported_targets=transported,
         lam_gauge=gauge,
         lam_gauge_in_kernel=in_kernel,
         exchange_checks=tuple(checks),
@@ -809,7 +755,6 @@ class TSystemReport:
     right_sum: tuple
     lower_sum: tuple
     lower_verdict: OrderVerdict
-    lower_strictly_smaller: Optional[bool]
     a_doubled: Optional[int] = None
     b_doubled: Optional[int] = None
     exact_verified: Optional[bool] = None
@@ -912,9 +857,6 @@ def tsystem_check(
         w.length, ks, s, t, _lower_powers(cd, w, i)
     )
     degenerate = s == t
-    strictly = None
-    if verdict is not OrderVerdict.INCOMPARABLE:
-        strictly = verdict is OrderVerdict.LESS
     report = TSystemReport(
         box=resolved,
         degenerate=degenerate,
@@ -923,7 +865,6 @@ def tsystem_check(
         right_sum=right,
         lower_sum=lower,
         lower_verdict=verdict,
-        lower_strictly_smaller=strictly,
     )
     if not exact:
         return report

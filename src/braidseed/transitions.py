@@ -123,14 +123,14 @@ def transition_apply(
 
 
 def transition_apply_many(
-    cd: CartanData, w: Word, m: Move, arr: np.ndarray, convention: str = "tabulated"
+    cd: CartanData, w: Word, m: Move, arr: np.ndarray
 ) -> np.ndarray:
-    """Row-wise transition_apply on an (N, length) integer array.
+    """Row-wise transition_apply, in the tabulated convention, on an
+    (N, length) integer array.
 
     An int64 array with an entry beyond 2**59 is computed on exact Python
     ints (an object array) instead of wrapping.
     """
-    _check_convention(convention)
     arr = np.asarray(arr)
     if arr.ndim != 2 or arr.shape[1] != w.length:
         raise LengthMismatch(f"array shape {arr.shape} does not fit length {w.length}")
@@ -141,7 +141,7 @@ def transition_apply_many(
     i, j, k = _move_window(w, m, cd)
     columns = range(k - 1, k - 1 + m.kind.window)
     window = [arr[:, c] for c in columns]
-    image = _window_image(cd, m, i, j, window, convention, np.minimum)
+    image = _window_image(cd, m, i, j, window, "tabulated", np.minimum)
     out = arr.copy()
     for c, column in zip(columns, image):
         out[:, c] = column
@@ -237,7 +237,7 @@ def _unit(length: int, pos: int) -> tuple:
     return tuple(1 if t == pos else 0 for t in range(1, length + 1))
 
 
-def _expected_two(w: Word, wp: Word, k: int, a: int, b: int):
+def _expected_two(wp: Word, k: int, a: int, b: int):
     parts = []
     na, nb = a, b
     if a == k:
@@ -320,7 +320,7 @@ def verify_ibox_transition(
     i, j, _ = _move_window(w, m, cd)
     a, b = resolved.lo, resolved.hi
     if m.kind is MoveKind.TWO:
-        rule, expected = _expected_two(w, wp, m.position, a, b)
+        rule, expected = _expected_two(wp, m.position, a, b)
     elif m.kind is MoveKind.THREE:
         rule, expected = _expected_three(w, wp, m.position + 1, a, b)
     else:

@@ -6,8 +6,8 @@ of the shortest paths, the smallest by move positions in order.  Between
 reduced words it deepens iteratively on the rank-2 packets of roots still
 out of the target's order, depth-first in each round, and finds the same
 path as an unbounded BFS from far fewer words; between non-reduced words
-it is one BFS.  Words that moves cannot connect (their reducedness,
-inversion sets or Weyl elements differ) are refused without a search.
+it is one BFS.  Words that moves cannot connect (their reducedness or
+Weyl elements differ) are refused without a search.
 
 Positions are 1-based throughout.  Where a letter occurs is read only
 from the word's position index, Word.positions, directly or through
@@ -256,14 +256,14 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     is the lexicographically least shortest one: of the shortest paths, the
     smallest by move positions in order.
 
-    Moves keep the Weyl element and reducedness (Matsumoto-Tits), so a
-    reduced and a non-reduced word, two reduced words with different
-    inversion sets, or two non-reduced words whose Weyl elements move the
-    simple roots differently, are refused before any search.  The refusals
-    read one cartan._WeylWalk per word: its roots, and for the Weyl element
-    its final images w(alpha_i).  Non-reduced words are then searched by one
-    plain BFS; reduced words left are of one element, so moves connect them
-    (Matsumoto 1964) and their rounds end only in 'found' or 'budget'.
+    Moves keep reducedness and the Weyl element (Matsumoto-Tits), so two
+    words that differ in either are refused before any search, by one test
+    on one cartan._WeylWalk per word: its reducedness and its final images
+    w(alpha_i), which fix the Weyl element.  Two reduced words of one
+    element have one inversion set, so each root of start is a root of
+    target and gets a label below.  Non-reduced words are then searched by one plain BFS; reduced
+    words left are of one element, so moves connect them (Matsumoto 1964)
+    and their rounds end only in 'found' or 'budget'.
 
     A reduced word carries labels: the positions of its roots beta_k in
     target's root order.  A move reverses the labels of its window, one
@@ -290,16 +290,12 @@ def _bfs(cd: CartanData, start: Word, target: tuple, budget: int):
     if start.letters == target:
         return "found", []
     walk, goal = _WeylWalk(cd, start.letters), _WeylWalk(cd, target)
-    if walk.reduced != goal.reduced:
+    if walk.reduced != goal.reduced or walk.images != goal.images:
         return "exhausted", None
     relations = cd._relations
     if not walk.reduced:
-        if walk.images != goal.images:
-            return "exhausted", None
         return _plain_bfs(relations, start.letters, target, budget)
     order = {beta: t for t, beta in enumerate(goal.roots)}
-    if order.keys() != set(walk.roots):
-        return "exhausted", None
     start_labels = tuple(order[beta] for beta in walk.roots)
     start_ks = [k for k, _ in _windows(relations, start.letters)]
     spent = 0  # words discovered by the finished rounds
@@ -376,13 +372,12 @@ def find_move_path(
     it depth-first per round for reduced words, by one BFS otherwise.
 
     Raises NotConnected with definitive=True when w2 cannot be reached from
-    w: their lengths or reducedness differ, two reduced words have different
-    inversion sets, two non-reduced words have different Weyl elements, or
-    the finite component of a non-reduced w was enumerated without meeting
-    w2; definitive=False, naming the stopped search, once the budget of
-    words discovered (default_budget() when None), over all rounds of
-    _bfs, is spent, the only way it fails on two reduced words of one Weyl
-    element.  A budget below 1 is ConfigInvalid, before any other check.
+    w: their lengths, reducedness or Weyl elements differ, or the finite
+    component of a non-reduced w was enumerated without meeting w2;
+    definitive=False, naming the stopped search, once the budget of words
+    discovered (default_budget() when None), over all rounds of _bfs, is
+    spent, the only way it fails on two reduced words of one Weyl element.
+    A budget below 1 is ConfigInvalid, before any other check.
     """
     _check_budget(budget)
     _check_letters(cd, w.positions)
@@ -446,24 +441,15 @@ def words_equal_in_monoid(
 class NeighborIndex(NamedTuple):
     minus: int
     plus: int
-    minus_j: Optional[int]
-    plus_j: Optional[int]
 
 
-def neighbor_index(w: Word, a: int, j=None) -> NeighborIndex:
-    """a-, a+ for the letter at a, and the j-relative versions when j is given.
-
-    a- is the previous position with the same letter (0 when none); a+ the
-    next one (length+1 when none); a-(j) and a+(j) look for the letter j
-    instead of i_a.
-    """
+def neighbor_index(w: Word, a: int) -> NeighborIndex:
+    """a- and a+ for the letter at a: a- is the previous position with the
+    same letter (0 when none), a+ the next one (length+1 when none)."""
     if not 1 <= a <= w.length:
         raise InvalidBox(f"position {a} outside [1, {w.length}]")
     i = w.letter(a)
-    minus_j = plus_j = None
-    if j is not None:
-        minus_j, plus_j = w.before(a, j), w.after(a, j)
-    return NeighborIndex(w.before(a, i), w.after(a, i), minus_j, plus_j)
+    return NeighborIndex(w.before(a, i), w.after(a, i))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from braidseed import cli
+from braidseed import cli, seeds
 from braidseed.cli import (
     CAMPAIGN_RNG_SEED,
     ENTRY_CAP_DEFAULT,
@@ -26,6 +26,8 @@ from braidseed.cli import (
     exact_exchange_campaign,
     mutation_campaign,
     roundtrip_campaign,
+    torus_campaign,
+    tsystem_campaign,
 )
 from braidseed.seeds import (
     _word_seed,
@@ -35,6 +37,7 @@ from braidseed.seeds import (
     initial_seed,
     solve_lambda,
 )
+from braidseed.transitions import OrderVerdict
 from braidseed.words import Word, WordKind, apply_move, enumerate_moves
 
 CONTEXTS = campaign_contexts(3)
@@ -290,3 +293,144 @@ def test_verify_all_checks_each_exchange_matrix_once_per_run(monkeypatch):
     assert len(solves) == len(distinct)
     assert {b for (b,) in solves} == distinct
     assert len(mutations) == 2 * sum(len(b.exchange) for b in distinct)
+
+
+# Faults for the failure rows that the faults above never produce: the
+# compatibility kind of the mutation campaign, the torus campaign's {a, b}
+# rows and both kinds of the T-system campaign.  Each reference lists the
+# rows its fault injects, since without a fault every campaign is empty.
+
+
+def perturbed_lambda(mutate):
+    """mutate, with the once-mutated Lambda perturbed: mutating a slot k not
+    yet mutated adds 1 to Lambda at (1, l), l the first nonzero entry of
+    column k of B, and mutating it back takes that 1 off first.  So the
+    once-mutated pair is never compatible, and mutating twice still gives
+    the seed back."""
+
+    def shift(seed, k, by):
+        l = next(t for t, v in enumerate(seed.b.column(k), 1) if v)
+        first = seed.lam[0][: l - 1] + (seed.lam[0][l - 1] + by,) + seed.lam[0][l:]
+        return replace(seed, lam=(first,) + seed.lam[1:])
+
+    def broken(seed, k):
+        if seed.labels[k - 1].startswith("mu"):
+            return mutate(shift(seed, k, -1), k)
+        return shift(mutate(seed, k), k, 1)
+
+    return broken
+
+
+def compatibility_failures(cd, length_cap):
+    return [
+        {"word": list(w.letters), "k": k, "kind": "compatibility"}
+        for w in braid_words(cd, 1, length_cap)
+        for k in gls_matrix(cd, w).exchange
+    ]
+
+
+def shifted_commutation(doubled):
+    """doubled, off by 2 on the pairs whose first entries agree."""
+    return lambda lam, a, b: doubled(lam, a, b) + 2 * (a[0] == b[0])
+
+
+def shifted_torus_failures(rank, pairs=200):
+    """The {a, b} rows of shifted_commutation: the campaign's pairs drawn
+    again, in order, kept where the first entries agree."""
+    rng = random.Random(CAMPAIGN_RNG_SEED)
+    failures = []
+    for _ in range(pairs):
+        a = [rng.randint(-3, 3) for _ in range(rank)]
+        b = [rng.randint(-3, 3) for _ in range(rank)]
+        if a[0] == b[0]:
+            failures.append({"a": a, "b": b})
+    return failures
+
+
+def faulty_tsystem_terms(terms):
+    """terms, whose left sum gains 1 on the boxes that start at position 1
+    and whose lower verdict is Greater on the boxes [ks[s], ks[s + 2]]."""
+
+    def broken(n, ks, s, t, powers):
+        left, right, lower, verdict = terms(n, ks, s, t, powers)
+        if ks[s] == 1:
+            left = (left[0] + 1,) + left[1:]
+        if t == s + 2:
+            verdict = OrderVerdict.GREATER
+        return left, right, lower, verdict
+
+    return broken
+
+
+def faulty_tsystem_failures(cd, length_cap):
+    """The rows of faulty_tsystem_terms, box by box in campaign order."""
+    failures = []
+    for w in braid_words(cd, 1, length_cap):
+        for a, i in enumerate(w.letters, 1):
+            later = [b for b in w.positions[i] if b > a]
+            for t, b in enumerate(later, 1):
+                row = {"word": list(w.letters), "box": [a, b]}
+                if a == 1:
+                    failures.append({**row, "kind": "identity"})
+                if t == 2:
+                    failures.append({**row, "kind": "lower-dominant"})
+    return failures
+
+
+def test_a_perturbed_once_mutated_lambda_fails_compatibility_only(monkeypatch):
+    monkeypatch.setattr(cli, "mutate_seed", perturbed_lambda(cli.mutate_seed))
+    cd = dict(CONTEXTS)["a2"]
+    assert mutation_campaign(cd, 2) == (
+        2,
+        [
+            {"word": [1, 1], "k": 2, "kind": "compatibility"},
+            {"word": [2, 2], "k": 2, "kind": "compatibility"},
+        ],
+    )
+    for name, cd in CONTEXTS:
+        expected = compatibility_failures(cd, 4)
+        assert mutation_campaign(cd, 4) == (len(expected), expected), name
+    report = verify_all()
+    assert report.verdict == "Mismatch"
+    for name, cd in CONTEXTS:
+        failures = report.section(f"mutation-failures-{name}").left
+        assert failures == compatibility_failures(cd, 4), name
+
+
+def test_a_shifted_commutation_fails_the_torus_pairs_it_shifts(monkeypatch):
+    monkeypatch.setattr(
+        cli, "commutation_doubled", shifted_commutation(cli.commutation_doubled)
+    )
+    cd = dict(CONTEXTS)["a2"]
+    assert torus_campaign(cd, 3, pairs=6) == (
+        6, [{"a": [-2, -3, 3], "b": [-2, 2, 0]}]
+    )
+    for name, cd in CONTEXTS:
+        assert torus_campaign(cd, 5) == (200, shifted_torus_failures(5)), name
+    report = verify_all("--exact")
+    assert report.verdict == "Mismatch"
+    for name, _ in CONTEXTS:
+        failures = report.section(f"torus-failures-{name}").left
+        assert failures == shifted_torus_failures(4), name
+        assert report.section(f"exchange-failures-{name}").agree, name
+
+
+def test_faulty_tsystem_terms_fail_identity_and_lower_dominance(monkeypatch):
+    monkeypatch.setattr(
+        seeds, "_tsystem_terms", faulty_tsystem_terms(seeds._tsystem_terms)
+    )
+    assert tsystem_campaign(dict(CONTEXTS)["a1"], 3) == (
+        10,
+        [
+            {"word": [1, 1], "box": [1, 2], "kind": "identity"},
+            {"word": [1, 1, 1], "box": [1, 2], "kind": "identity"},
+            {"word": [1, 1, 1], "box": [1, 3], "kind": "identity"},
+            {"word": [1, 1, 1], "box": [1, 3], "kind": "lower-dominant"},
+        ],
+    )
+    report = verify_all()
+    assert report.verdict == "Mismatch"
+    for name, cd in CONTEXTS:
+        failures = report.section(f"tsystem-failures-{name}").left
+        assert failures == faulty_tsystem_failures(cd, 4), name
+        assert report.section(f"mutation-failures-{name}").agree, name

@@ -173,6 +173,43 @@ def test_transition_apply_round_trips(tmp_path):
     assert section(report, "round-trip-2").agree
 
 
+def test_words_ibox_of_an_inverted_box_is_empty(tmp_path):
+    code, report = run(
+        tmp_path, "words", "ibox", "--cartan", "a2",
+        "--word", "1,2,1", "--box", "3,1",
+    )
+    assert (code, report.verdict) == (0, "Match")
+    assert section(report, "empty").left is True
+    assert section(report, "vector").left == [0, 0, 0]
+
+
+# Option values that parse as strings but not as what their flag names:
+# each is a ConfigInvalid report of the route, with its own message.
+APPLY = ["transition", "apply", "--cartan", "a2", "--word", "1,2,1", "--vector", "2,0,1"]
+PHI = ["qdatum", "phi", "--cartan", "a2", "--height", "1,0"]
+MALFORMED_VALUES = [
+    (APPLY + ["--move", "3"], "move: expected KIND,POSITION (e.g. 3,2)"),
+    (APPLY + ["--move", "5,1"], "move: unknown kind '5', expected 2, 3, or 4"),
+    (APPLY + ["--move", "3,x"], "move: position must be an integer"),
+    (
+        ["seed", "mutate", "--cartan", "a2", "--word", "1,2,1", "--at", ","],
+        "at: empty mutation sequence",
+    ),
+    (PHI + ["--point", "1"], "point: expected vertex,level"),
+    (PHI + ["--point", "1,x"], "point: expected vertex,level"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", MALFORMED_VALUES, ids=[" ".join(a[-2:]) for a, _ in MALFORMED_VALUES]
+)
+def test_malformed_option_values_are_config_invalid(tmp_path, argv, message):
+    code, report = run(tmp_path, *argv)
+    assert code == 2
+    assert error_kind(report) == ("Error", "ConfigInvalid")
+    assert report.metadata["error"]["message"] == message
+
+
 def test_transition_verify_ibox(tmp_path):
     code, report = run(
         tmp_path, "transition", "verify-ibox", "--cartan", "a2",
@@ -349,6 +386,16 @@ def test_cartan_check_json_file(tmp_path):
     assert section(report, "symmetrized").agree
     assert section(report, "longest-word-length").left == 4
     assert str(path) in report.metadata.get("inputs", {}) or True
+
+
+def test_cartan_check_of_affine_a1_is_not_finite_type(tmp_path):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"matrix": [[2, -2], [-2, 2]]}))
+    code, report = run(tmp_path, "cartan", "check", "--cartan", str(path))
+    assert (code, report.verdict) == (1, "Mismatch")
+    finite = section(report, "finite-type")
+    assert (finite.left, finite.right) == (False, True)
+    assert section(report, "symmetrized").agree
 
 
 def test_cartan_check_rejects_unknown_preset(tmp_path):

@@ -1,29 +1,51 @@
-"""No dead private functions: every module-level function of the package
-whose name starts with an underscore is referenced by name from some
-module of the package, outside its own body.  A private function that
-nothing calls any more is deleted, not kept beside its replacement."""
+"""No dead functions.  Every module-level function of the package whose
+name starts with an underscore is referenced by name from some module of
+the package, outside its own body.  Every public one is read by name
+from another function of the package, from a demo or from the benchmark
+(a re-export in __init__.py is not a reader), or is listed in
+UNREAD_PUBLIC with the reason it stays.  A function that nothing calls
+any more is deleted, not kept beside its replacement."""
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "braidseed"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "braidseed"
+
+# Public functions that no other function of the package, no demo and no
+# benchmark reads, each with the reason it stays.
+UNREAD_PUBLIC = {
+    "bilinear_form": "the invariant form that ROADMAP item 1 gives a caller",
+    "b_hl": "the window exchange matrix of ROADMAP item 6",
+    "canonical_smallest_solution": "the test reference for solve_lambda",
+    "permute_seed": "the seed relabelling of the test reference walk",
+    "parse_report": "reads the JSON that emit_report writes",
+    "reflect_root": "named in the benchmark's README, which stays as it is",
+}
+
+
+def functions(tree: ast.Module) -> list:
+    """The module-level function definitions."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
 
 
 def private_functions(tree: ast.Module) -> list:
     """The module-level private (not dunder) function definitions."""
     return [
         node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        for node in functions(tree)
+        if node.name.startswith("_") and not node.name.startswith("__")
     ]
 
 
-def referenced_names(tree: ast.Module, skip: set) -> set:
-    """Names read, attributes read and names imported anywhere in tree,
-    except inside the nodes of skip."""
+def referenced_names(tree: ast.Module, skip: set, imports: bool = True) -> set:
+    """Names read, attributes read and, when imports, names imported
+    anywhere in tree, except inside the nodes of skip."""
     names = set()
     stack = [tree]
     while stack:
@@ -34,7 +56,7 @@ def referenced_names(tree: ast.Module, skip: set) -> set:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif imports and isinstance(node, ast.alias):
             names.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
     return names
@@ -57,8 +79,41 @@ def unreferenced(sources: dict) -> list:
     return dead
 
 
+def unread_public(sources: dict, readers: dict) -> list:
+    """(module, function) for each public function of sources that is not
+    read by name, outside its own definition, in a module of sources other
+    than __init__.py, nor in a module of readers.  Imports are not reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    trees.pop("__init__.py", None)
+    outside = [ast.parse(text) for text in readers.values()]
+    unread = []
+    for module, tree in trees.items():
+        for func in functions(tree):
+            if func.name.startswith("_"):
+                continue
+            read = any(
+                func.name
+                in referenced_names(
+                    other, {id(func)} if other is tree else set(), imports=False
+                )
+                for other in [*trees.values(), *outside]
+            )
+            if not read:
+                unread.append((module, func.name))
+    return unread
+
+
 def package_sources() -> dict:
     return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def reader_sources() -> dict:
+    """The demos and the benchmark, by path relative to the repository."""
+    return {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
 
 
 def test_every_private_function_is_referenced():
@@ -80,6 +135,43 @@ def test_unreferenced_catches_dead_and_self_recursive_functions():
         "c.py": "def _imported():\n    pass\ndef _by_attribute():\n    pass\n",
     }
     assert unreferenced(sources) == [("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+def test_every_public_function_has_a_reader_or_a_reason():
+    sources = package_sources()
+    public = [
+        func.name
+        for text in sources.values()
+        for func in functions(ast.parse(text))
+        if not func.name.startswith("_")
+    ]
+    assert len(public) > 50
+    assert all(reason for reason in UNREAD_PUBLIC.values())
+    # equality: a listed function that gains a reader or goes leaves the list
+    unread = unread_public(sources, reader_sources())
+    assert sorted(name for _, name in unread) == sorted(UNREAD_PUBLIC)
+
+
+def test_unread_public_skips_exports_imports_and_self_reads():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": (
+            "def called():\n    return 1\n"
+            "def exported():\n    return called()\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+            "def imported():\n    pass\n"
+            "def by_demo():\n    pass\n"
+            "def by_table():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b.py": "from .a import imported\nTABLE = {'t': a.by_table}\n",
+    }
+    readers = {"demos/d.py": "from braidseed.a import by_demo\nby_demo()\n"}
+    assert unread_public(sources, readers) == [
+        ("a.py", "exported"),
+        ("a.py", "recursive"),
+        ("a.py", "imported"),
+    ]
 
 
 def calls(sources: dict) -> dict:

@@ -388,12 +388,9 @@ def test_unknown_convention_is_refused_on_every_window(cartan, letters, move):
     vec = tuple(range(1, len(letters) + 1))
     with pytest.raises(ValueError, match="unknown transition convention 'bogus'"):
         transition_apply(cd, w, move, vec, "bogus")
-    with pytest.raises(ValueError, match="unknown transition convention 'bogus'"):
-        transition_apply_many(cd, w, move, np.array([vec], dtype=np.int64), "bogus")
-    for convention in CONVENTIONS:
-        assert transition_apply_many(
-            cd, w, move, np.array([vec], dtype=np.int64), convention
-        ).tolist() == [list(transition_apply(cd, w, move, vec, convention))]
+    assert transition_apply_many(
+        cd, w, move, np.array([vec], dtype=np.int64)
+    ).tolist() == [list(transition_apply(cd, w, move, vec))]
 
 
 def test_transition_weighted_preserves_weight_on_quadruple():
@@ -451,14 +448,9 @@ def test_scalar_and_batch_transitions_agree(named_word, data):
         )
     )
     for m in enumerate_moves(cd, w).moves:
-        for convention in ("tabulated", "weighted"):
-            batch = transition_apply_many(
-                cd, w, m, np.array(rows, dtype=np.int64), convention
-            )
-            for row, out in zip(rows, batch):
-                assert tuple(int(v) for v in out) == transition_apply(
-                    cd, w, m, row, convention
-                )
+        batch = transition_apply_many(cd, w, m, np.array(rows, dtype=np.int64))
+        for row, out in zip(rows, batch):
+            assert tuple(int(v) for v in out) == transition_apply(cd, w, m, row)
 
 
 @settings(max_examples=150, deadline=None)
@@ -598,13 +590,10 @@ def test_batch_transitions_stay_exact_near_the_int64_limit(name, data):
         )
     )
     for m in enumerate_moves(cd, w).moves:
-        for convention in CONVENTIONS:
-            batch = transition_apply_many(
-                cd, w, m, np.array(rows, dtype=np.int64), convention
-            )
-            assert [list(map(int, out)) for out in batch] == [
-                list(transition_apply(cd, w, m, row, convention)) for row in rows
-            ]
+        batch = transition_apply_many(cd, w, m, np.array(rows, dtype=np.int64))
+        assert [list(map(int, out)) for out in batch] == [
+            list(transition_apply(cd, w, m, row)) for row in rows
+        ]
 
 
 def test_batch_transition_of_the_a2_overflow_witnesses():

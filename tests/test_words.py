@@ -856,14 +856,11 @@ def test_e6_longest_word_compares_with_its_reverse():
 def test_neighbor_index_examples():
     w = Word((1, 2, 1))
     assert neighbor_index(w, 3)[:2] == (1, 4)
-    rec = neighbor_index(w, 1, j=2)
-    assert rec.minus_j == 0
-    assert rec.plus_j == 2
+    assert (w.before(1, 2), w.after(1, 2)) == (0, 2)
     w2 = Word((1, 2, 1, 2))
     rec2 = neighbor_index(w2, 2)
     assert rec2.minus == 0
     assert rec2.plus == 4
-    assert rec2.minus_j is None
     with pytest.raises(InvalidBox):
         neighbor_index(w, 0)
 
@@ -911,22 +908,16 @@ def test_move_json_names_the_window_length_and_position():
 # Scanning reference copies of the positional readers as they were before
 # the word index: every lookup is a linear pass over the word.
 def scan_neighbor_index(w, a, j=None):
+    """a- and a+ of the letter j, by default the letter at a."""
     if not 1 <= a <= w.length:
         raise InvalidBox(f"position {a} outside [1, {w.length}]")
-    target = w.letter(a)
+    target = w.letter(a) if j is None else j
     minus = max((k for k in range(1, a) if w.letter(k) == target), default=0)
     plus = min(
         (k for k in range(a + 1, w.length + 1) if w.letter(k) == target),
         default=w.length + 1,
     )
-    minus_j = plus_j = None
-    if j is not None:
-        minus_j = max((k for k in range(1, a) if w.letter(k) == j), default=0)
-        plus_j = min(
-            (k for k in range(a + 1, w.length + 1) if w.letter(k) == j),
-            default=w.length + 1,
-        )
-    return NeighborIndex(minus, plus, minus_j, plus_j)
+    return NeighborIndex(minus, plus)
 
 
 def scan_resolve_ibox(w, box):
@@ -1004,10 +995,9 @@ def test_word_index_readers_agree_with_scans(data):
     n = w.length
     absent = [j for j in cd.index_set if j not in letters] + [99]
     for a in range(0, n + 2):
-        for j in (None, *cd.index_set, *absent):
-            assert _outcome(neighbor_index, w, a, j) == _outcome(
-                scan_neighbor_index, w, a, j
-            )
+        assert _outcome(neighbor_index, w, a) == _outcome(scan_neighbor_index, w, a)
+        for j in (*cd.index_set, *absent) if 1 <= a <= n else ():
+            assert (w.before(a, j), w.after(a, j)) == scan_neighbor_index(w, a, j)
     boxes = [EMPTY_BOX] + [
         IBox(lo, hi, brace)
         for lo in range(0, n + 2)
