@@ -11,8 +11,12 @@ The product and right-division kernels work on plain dicts
 Lambda(a, b) as a . (Lambda b): the Lambda images of one factor's terms
 (the divisor's, in a division) are computed once, and each term pair then
 costs one O(r) dot product.  Division keeps its remainder in such a dict
-and takes the leading term from a heap.  Terms and coefficient entries
-keep the insertion order of a sum of QHalf objects, so the messages of
+and takes the leading term from a heap.  A product, a division step and
+a shifted_sum each hand all their term pairs to one _accumulate call,
+the one home of the merge rule; a pair with a one-entry coefficient, the
+common case, merges its entry products straight in.  A one-entry QHalf
+divisor divides entry by entry.  Terms and coefficient entries keep the
+insertion order of a sum of QHalf objects, so the messages of
 NonExactDivision, which print coefficient dicts, do not depend on the
 kernel.
 """
@@ -100,9 +104,25 @@ class QHalf:
         return QHalf._wrap({k + doubled: v for k, v in self.terms.items()})
 
     def divide(self, other: "QHalf") -> "QHalf":
-        """Exact division; raises NonExactDivision on any remainder."""
+        """Exact division; raises NonExactDivision on any remainder.
+
+        By a one-entry divisor c q^(d/2) each entry is checked and divided
+        on its own, in descending degree order: the quotient, entry order
+        included, and the message are those of the long division below.
+        """
         if other.is_zero():
             raise NonExactDivision("division by zero coefficient")
+        if len(other.terms) == 1:
+            ((lo_d, den_lead),) = other.terms.items()
+            quo = {}
+            for k in sorted(self.terms, reverse=True):
+                lead = self.terms[k]
+                if lead % den_lead:
+                    raise NonExactDivision(
+                        f"coefficient {self.terms} is not divisible by {other.terms}"
+                    )
+                quo[k - lo_d] = lead // den_lead
+            return QHalf._wrap(quo)
         if self.is_zero():
             return QHalf()
         lo_d = min(other.terms)
@@ -242,6 +262,10 @@ class QuantumLaurent:
         return " + ".join(bits)
 
 
+# the coefficient 1, a right factor that leaves a left one's entries as they are
+_UNIT = {0: 1}
+
+
 def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
@@ -264,13 +288,9 @@ def lambda_pairing(lam: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[i
     return total
 
 
-def _image(lam: Sequence[Sequence[int]], b: Sequence[int]) -> tuple:
+def _image(lam: Sequence[Sequence[int]], b: Sequence[int]) -> list:
     """Lambda b, so that Lambda(a, b) = a . (Lambda b)."""
-    return tuple(sum(map(mul, row, b)) for row in lam)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
+    return [sum(map(mul, row, b)) for row in lam]
 
 
 def _check_context(lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLaurent) -> None:
@@ -280,32 +300,48 @@ def _check_context(lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLa
         raise ContextMismatch(f"Lambda size {len(lam)} != rank {f.rank}")
 
 
-def _accumulate(acc: dict, key: tuple, a: dict, b: dict, shift: int, sign: int) -> bool:
-    """acc[key] += sign * q^(shift/2) * a * b on doubled-exponent dicts.
+def _accumulate(acc: dict, pairs, sign: int) -> list:
+    """acc[key] += sign * q^(shift/2) * a * b on doubled-exponent dicts,
+    for each (key, a, b, shift) of pairs in turn: the one merge rule of
+    products, right divisions and shifted sums.
 
     a * b is summed first, then merged entry by entry; zero entries and
     empty terms are dropped at once, so a term that cancels and comes back
-    is re-appended, exactly as in a sum of QHalf objects.  Returns True
-    when key was not in acc before.
+    is re-appended, exactly as in a sum of QHalf objects.  When a or b has
+    one entry, the entry products are the other's entries moved and
+    scaled, all nonzero and with distinct keys, so they merge straight in,
+    in the same order.  Returns the keys that were not in acc when their
+    pair was merged.
     """
-    prod: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2 + shift
-            prod[k] = prod.get(k, 0) + v1 * v2
-    coeff = acc.get(key)
-    fresh = coeff is None
-    if fresh:
-        coeff = acc[key] = {}
-    for k, v in prod.items():
-        if v:
-            v = coeff.get(k, 0) + sign * v
+    fresh = []
+    for key, a, b, shift in pairs:
+        if len(b) == 1:
+            ((k2, factor),) = b.items()
+            entries, shift = a, shift + k2
+        elif len(a) == 1:
+            ((k1, factor),) = a.items()
+            entries, shift = b, shift + k1
+        else:
+            entries, factor = {}, 1
+            for k1, v1 in a.items():
+                for k2, v2 in b.items():
+                    k = k1 + k2
+                    entries[k] = entries.get(k, 0) + v1 * v2
+        factor *= sign
+        coeff = acc.get(key)
+        if coeff is None:
+            coeff = acc[key] = {}
+            fresh.append(key)
+        for k, v in entries.items():
             if v:
-                coeff[k] = v
-            else:
-                del coeff[k]
-    if not coeff:
-        del acc[key]
+                k += shift
+                v = coeff.get(k, 0) + factor * v
+                if v:
+                    coeff[k] = v
+                else:
+                    del coeff[k]
+        if not coeff:
+            del acc[key]
     return fresh
 
 
@@ -321,17 +357,39 @@ def torus_product(
     """
     _check_context(lam, f, g)
     if len(g.terms) <= len(f.terms):
-        images = [_image(lam, b) for b in g.terms]
-        shifts = [[_dot(a, image) for image in images] for a in f.terms]
+        pieces = [(b, cb.terms, _image(lam, b)) for b, cb in g.terms.items()]
+        pairs = [
+            (tuple(map(add, a, b)), ca.terms, cb, sum(map(mul, a, image)))
+            for a, ca in f.terms.items()
+            for b, cb, image in pieces
+        ]
     else:
         transposed = tuple(zip(*lam))
         images = [_image(transposed, a) for a in f.terms]
-        shifts = [[_dot(image, b) for b in g.terms] for image in images]
+        pieces = [(b, cb.terms) for b, cb in g.terms.items()]
+        pairs = [
+            (tuple(map(add, a, b)), ca.terms, cb, sum(map(mul, image, b)))
+            for (a, ca), image in zip(f.terms.items(), images)
+            for b, cb in pieces
+        ]
     acc: dict = {}
-    for (a, ca), row in zip(f.terms.items(), shifts):
-        for (b, cb), shift in zip(g.terms.items(), row):
-            _accumulate(acc, tuple(map(add, a, b)), ca.terms, cb.terms, shift, 1)
+    _accumulate(acc, pairs, 1)
     return QuantumLaurent._wrap(f.rank, {e: QHalf._wrap(c) for e, c in acc.items()})
+
+
+def shifted_sum(parts: Sequence[tuple]) -> QuantumLaurent:
+    """The sum of q^(shift/2) * x over the (x, shift) of parts, in one pass:
+    terms and coefficient entries come in the order of
+    x1.q_shift(s1) + x2.q_shift(s2) + ..., with no shifted copies."""
+    (first, shift), rest = parts[0], parts[1:]
+    for x, _ in rest:
+        if x.rank != first.rank:
+            raise ContextMismatch(f"ranks {first.rank} != {x.rank}")
+    acc = {e: {k + shift: v for k, v in c.terms.items()} for e, c in first.terms.items()}
+    _accumulate(
+        acc, [(e, c.terms, _UNIT, s) for x, s in rest for e, c in x.terms.items()], 1
+    )
+    return QuantumLaurent._wrap(first.rank, {e: QHalf._wrap(c) for e, c in acc.items()})
 
 
 def right_divide(
@@ -351,14 +409,15 @@ def right_divide(
     or earlier with BudgetExhausted once the coefficient products formed,
     quotient entries times divisor entries summed over the steps, exceed
     default_budget(): the remainder of an inexact division can grow at
-    every step.
+    every step.  The context is checked first, as in torus_product, so a
+    zero numerator or divisor of another torus raises ContextMismatch.
     """
+    _check_context(lam, numerator, divisor)
     if divisor.is_zero():
         raise NonExactDivision("division by zero")
     out: dict[tuple, QHalf] = {}
     if numerator.is_zero():
         return QuantumLaurent._wrap(numerator.rank, out)
-    _check_context(lam, numerator, divisor)
     e_d, c_d = divisor.leading()
     lead_image = _image(lam, e_d)
     pieces = [(b, cb.terms, _image(lam, b)) for b, cb in divisor.terms.items()]
@@ -381,7 +440,7 @@ def right_divide(
         previous_key = key
         e_r = key[2]
         e_y = tuple(map(sub, e_r, e_d))
-        shift = _dot(e_y, lead_image)
+        shift = sum(map(mul, e_y, lead_image))
         c_r = QHalf._wrap({k - shift: v for k, v in remainder[e_r].items()})
         c_y = out[e_y] = c_r.divide(c_d)
         work += len(c_y.terms) * entries
@@ -389,10 +448,12 @@ def right_divide(
             raise BudgetExhausted(
                 f"division stopped after {steps} steps: over {budget} coefficient products"
             )
-        for b, cb, image in pieces:
-            e = tuple(map(add, e_y, b))
-            if _accumulate(remainder, e, c_y.terms, cb, _dot(e_y, image), -1):
-                heappush(heap, _heap_key(e))
+        pairs = [
+            (tuple(map(add, e_y, b)), c_y.terms, cb, sum(map(mul, e_y, image)))
+            for b, cb, image in pieces
+        ]
+        for e in _accumulate(remainder, pairs, -1):
+            heappush(heap, _heap_key(e))
     return QuantumLaurent._wrap(numerator.rank, out)
 
 

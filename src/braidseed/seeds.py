@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .lattices import _canonical_point, _reduce_echelon, column_echelon
-from .qlaurent import QuantumLaurent, right_divide, torus_product
+from .qlaurent import QuantumLaurent, right_divide, shifted_sum, torus_product
 from .transitions import (
     OrderVerdict,
     _transport,
@@ -402,19 +402,21 @@ def _mutate_in_place(state: _SeedState, k: int) -> tuple:
     return vectors, pairings
 
 
-def _current_monomial(seed, vec: Sequence[int], shift: int = 0) -> QuantumLaurent:
-    """Ordered product of current variables to the given powers, with the
-    based-monomial q-prefactor of the current pairing times q^(shift/2).
+def _current_monomial(seed, vec: Sequence[int], shift: int = 0) -> tuple:
+    """The ordered product of current variables to the given powers and
+    its doubled q-prefactor: the based-monomial prefactor of the current
+    pairing plus shift.  The monomial is q^(doubled/2) times the product.
 
     The prefactor sums v_i v_j l_ij over i > j in vec's support, the -1
     in slot k of an exchange vector included; a slot with a negative
     power contributes no factor to the product.  The product is formed
     once and kept in seed._products under vec with its negative powers
     set to 0, so the exchange numerator (-1 at k) and the exchange check's
-    right side (0 at k) share it; the prefactor is then applied with
-    q_shift.  seed is a Seed or a _SeedState: the memo is safe because the
-    product reads only seed.exact and seed.torus_lam, which never change
-    on a Seed, and a _SeedState drops the entries a mutation invalidates.
+    right side (0 at k) share it; the callers apply the prefactors in
+    their one shifted_sum.  seed is a Seed or a _SeedState: the memo is
+    safe because the product reads only seed.exact and seed.torus_lam,
+    which never change on a Seed, and a _SeedState drops the entries a
+    mutation invalidates.
     """
     lam = seed.lam
     support = [i for i, v in enumerate(vec) if v]
@@ -429,7 +431,7 @@ def _current_monomial(seed, vec: Sequence[int], shift: int = 0) -> QuantumLauren
         for factor in factors[1:]:
             product = torus_product(seed.torus_lam, product, factor)
         seed._products[key] = product
-    return product.q_shift(doubled)
+    return product, doubled
 
 
 def _exchange_sum(seed, k: int, vectors: tuple) -> QuantumLaurent:
@@ -443,11 +445,9 @@ def _exchange_sum(seed, k: int, vectors: tuple) -> QuantumLaurent:
     on the right yields the mutated variable.
     """
     row = seed.lam[k - 1]
-    up, down = (
-        _current_monomial(seed, vec, -2 * sum(map(mul, vec[k:], row[k:])))
-        for vec in vectors
+    return shifted_sum(
+        [_current_monomial(seed, vec, -2 * sum(map(mul, vec[k:], row[k:]))) for vec in vectors]
     )
-    return up + down
 
 
 def _exchange_parameters(trop: Sequence, vectors: tuple) -> tuple:
@@ -517,11 +517,12 @@ def _exchange_holds(
     k of Lambda, so the state after _mutate_in_place at k gives the same
     right side as before it, from the same memo entries."""
     lhs = torus_product(seed.torus_lam, x_k, mu_x_k)
-    up, down = (
-        _current_monomial(seed, vec[: k - 1] + (0,) + vec[k:], pairing)
-        for vec, pairing in zip(vectors, pairings)
+    return lhs == shifted_sum(
+        [
+            _current_monomial(seed, vec[: k - 1] + (0,) + vec[k:], pairing)
+            for vec, pairing in zip(vectors, pairings)
+        ]
     )
-    return lhs == up + down
 
 
 def permute_seed(seed: Seed, rho: Sequence[int]) -> Seed:

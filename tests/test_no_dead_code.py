@@ -4,7 +4,9 @@ the package, outside its own body.  Every public one is read by name
 from another function of the package, from a demo or from the benchmark
 (a re-export in __init__.py is not a reader), or is listed in
 UNREAD_PUBLIC with the reason it stays.  A function that nothing calls
-any more is deleted, not kept beside its replacement."""
+any more is deleted, not kept beside its replacement.  seeds and cli call
+no private name of qlaurent, so every product and division passes through
+the public kernels."""
 from __future__ import annotations
 
 import ast
@@ -222,3 +224,66 @@ def test_callers_sees_calls_by_name_and_by_attribute_in_methods():
         ),
     }
     assert callers(sources, "g") == {"a.py:f", "a.py:m"}
+
+
+def private_names(text: str) -> set:
+    """The private (not dunder) names a module defines at its top level,
+    functions, classes and constants, and as methods of its classes."""
+    names = set()
+    for top in ast.parse(text).body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def private_kernel_callers(sources: dict) -> dict:
+    """module:function -> the private qlaurent names it calls, for each
+    function and method of seeds and cli that calls one."""
+    kernel = private_names(sources["qlaurent.py"])
+    found = {}
+    for func, called in calls({m: sources[m] for m in ("seeds.py", "cli.py")}).items():
+        if called & kernel:
+            found[func] = called & kernel
+    return found
+
+
+def test_seeds_and_cli_reach_qlaurent_through_public_names_only():
+    """Every product and division of the exact track runs inside the
+    public torus_product and right_divide, which the benchmark's tracer
+    wraps as the qlaurent.product and qlaurent.divide spans: a private
+    kernel called from seeds or cli would hide its work in the caller."""
+    sources = package_sources()
+    assert {"_accumulate", "_wrap", "_image"} <= private_names(sources["qlaurent.py"])
+    assert private_kernel_callers(sources) == {}
+
+
+def test_private_kernel_callers_sees_imports_methods_and_attributes():
+    sources = {
+        "qlaurent.py": (
+            "_ONE = {0: 1}\n"
+            "def _kernel():\n    pass\n"
+            "def public():\n    return _kernel()\n"
+            "class Q:\n    @classmethod\n    def _wrap(cls):\n        pass\n"
+            "    def __init__(self):\n        pass\n"
+        ),
+        "seeds.py": (
+            "from .qlaurent import _kernel, public\n"
+            "def by_name():\n    return _kernel()\n"
+            "def by_method():\n    return Q._wrap()\n"
+            "def public_only():\n    return public(), Q()\n"
+        ),
+        "cli.py": (
+            "from . import qlaurent\n"
+            "class C:\n    def m(self):\n        return qlaurent._kernel()\n"
+        ),
+    }
+    assert private_names(sources["qlaurent.py"]) == {"_ONE", "_kernel", "_wrap"}
+    assert private_kernel_callers(sources) == {
+        "seeds.py:by_name": {"_kernel"},
+        "seeds.py:by_method": {"_wrap"},
+        "cli.py:m": {"_kernel"},
+    }

@@ -176,6 +176,63 @@ def test_torus_product_context_checks():
         torus_product([[0]], x1, x1)
 
 
+def test_right_divide_checks_its_context_before_its_zero_shortcuts():
+    x1 = QuantumLaurent.generator(2, 1)
+    with pytest.raises(ContextMismatch, match=r"^Lambda size 1 != rank 2$"):
+        right_divide([[0]], QuantumLaurent.zero(2), x1)
+    with pytest.raises(ContextMismatch, match=r"^ranks 3 != 2$"):
+        right_divide([[0, 1], [-1, 0]], QuantumLaurent.zero(3), x1)
+    with pytest.raises(ContextMismatch, match=r"^ranks 2 != 3$"):
+        right_divide([[0, 1], [-1, 0]], x1, QuantumLaurent.zero(3))
+
+
+def reference_coefficient_quotient(num, den):
+    """Long division of doubled-exponent dicts from the top entry down:
+    the quotient dict, or None when a remainder is left."""
+    num, quo = dict(num), {}
+    top, lead = max(den), den[max(den)]
+    floor = min(num) - min(den)
+    while num:
+        deg = max(num)
+        if deg - top < floor or num[deg] % lead:
+            return None
+        k, c = deg - top, num[deg] // lead
+        quo[k] = c
+        for dk, dv in den.items():
+            num[dk + k] = num.get(dk + k, 0) - c * dv
+            if not num[dk + k]:
+                del num[dk + k]
+    return quo
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(-6, 6), st.integers(-12, 12).filter(bool), min_size=1, max_size=5),
+    st.dictionaries(st.integers(-3, 3), st.sampled_from((1, -1, 2, -3)), min_size=1, max_size=2),
+)
+def test_coefficient_division_matches_the_long_division(entries, divisor):
+    """One-entry divisors divide entry by entry, longer ones by long
+    division: both give the reference's quotient, entry order included,
+    or its message, on products and on arbitrary numerators."""
+    c, d = QHalf(entries), QHalf(divisor)
+    for num in (c * d, c):
+        quotient = reference_coefficient_quotient(num.terms, d.terms)
+        if quotient is None:
+            with pytest.raises(NonExactDivision) as err:
+                num.divide(d)
+            assert str(err.value) == f"coefficient {num.terms} is not divisible by {d.terms}"
+        else:
+            assert list(num.divide(d).terms.items()) == list(quotient.items())
+
+
+def test_a_one_entry_divisor_names_the_whole_coefficient():
+    divisible = QHalf({1: 4, 3: 6, -1: 2})
+    assert list(divisible.divide(QHalf({2: 2})).terms.items()) == [(1, 3), (-1, 2), (-3, 1)]
+    with pytest.raises(NonExactDivision) as err:
+        QHalf({1: 4, 3: 6, -1: 3}).divide(QHalf({2: 2}))
+    assert str(err.value) == "coefficient {1: 4, 3: 6, -1: 3} is not divisible by {2: 2}"
+
+
 # Reference kernels: one QHalf sum per term pair, and a remainder rebuilt
 # by `remainder - product` on every elimination step.  The library's
 # kernels must agree with them term by term, in insertion order too, since

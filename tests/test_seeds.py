@@ -42,7 +42,7 @@ from braidseed.errors import (
     ShapeMismatch,
 )
 from braidseed.lattices import _canonical_point, canonical_smallest_solution
-from braidseed.qlaurent import right_divide
+from braidseed.qlaurent import QuantumLaurent, right_divide
 from braidseed.seeds import (
     EquivalenceReport,
     ExchangeMatrix,
@@ -83,6 +83,7 @@ from braidseed.words import (
     resolve_ibox,
 )
 from test_lattices import matmul_vec, solve_integer_system
+from test_qlaurent import in_order, reference_product, reference_right_divide
 
 BRAID = WordKind.POSITIVE_BRAID
 REDUCED = WordKind.WEYL_REDUCED
@@ -479,6 +480,64 @@ def test_the_monomial_memo_cannot_be_seen(name, letters, picks):
         assert exchange_check(seed, k, wrong).verified is False
     assert seed == replace(seed)
     assert (hash(seed), repr(seed), seed_to_json(seed)) == before
+
+
+def reference_exchange_monomial(seed, vec, shift):
+    """q^(shift/2) times the based exchange monomial of vec, multiplied out
+    from the current variables with reference_product and shifted as an
+    object with q_shift."""
+    n = seed.b.n
+    support = [i for i, v in enumerate(vec) if v]
+    doubled = shift + sum(
+        vec[i] * vec[j] * seed.lam[i][j] for t, i in enumerate(support) for j in support[:t]
+    )
+    factors = [seed.exact[j] for j, power in enumerate(vec) for _ in range(max(power, 0))]
+    product = factors[0] if factors else QuantumLaurent.monomial(n, (0,) * n)
+    for factor in factors[1:]:
+        product = reference_product(seed.torus_lam, product, factor)
+    return product.q_shift(doubled)
+
+
+def reference_exact_step(seed, k):
+    """The exchange numerator at k, the new variable and the exchange
+    relation's verdict, through the reference kernels and two-object sums
+    up.q_shift(a) + down.q_shift(b)."""
+    vectors = exchange_vectors(seed.b, k)
+    row = seed.lam[k - 1]
+    up, down = (
+        reference_exchange_monomial(seed, vec, -2 * sum(map(mul, vec[k:], row[k:])))
+        for vec in vectors
+    )
+    numerator = up + down
+    new = reference_right_divide(seed.torus_lam, numerator, seed.exact[k - 1])
+    up, down = (
+        reference_exchange_monomial(seed, vec[: k - 1] + (0,) + vec[k:], sum(map(mul, vec, row)))
+        for vec in vectors
+    )
+    lhs = reference_product(seed.torus_lam, seed.exact[k - 1], new)
+    return numerator, new, lhs == up + down
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_steps_equal_the_reference_kernels_in_insertion_order(data):
+    """Products, divisions and exchange sums of the exact track keep the
+    term and entry order of the one-object-per-step reference kernels.  A
+    quotient's order follows from its values alone, so the exchange
+    numerator is compared in order too."""
+    cd = preset(data.draw(st.sampled_from(["a2", "b2", "a3", "b3", "c3"])))
+    seed = initial_seed(cd, random_word(data, cd, max_length=6), exact=True)
+    assume(seed.b.exchange)
+    for pick in data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=5)):
+        k = seed.b.exchange[pick % len(seed.b.exchange)]
+        numerator, new, holds = reference_exact_step(seed, k)
+        vectors = exchange_vectors(seed.b, k)
+        assert in_order(seeds._exchange_sum(seed, k, vectors)) == in_order(numerator)
+        mutated = mutate_seed(seed, k)
+        assert in_order(mutated.exact[k - 1]) == in_order(new)
+        assert mutated.exact[: k - 1] + mutated.exact[k:] == seed.exact[: k - 1] + seed.exact[k:]
+        assert exchange_check(seed, k, mutated).verified is holds is True
+        seed = mutated
 
 
 def test_permute_seed_group_action():
