@@ -11,10 +11,19 @@ directions are read in O(1).  The windows of each vertex step by the
 Coxeter number of its component, so reducible data need no common one.
 On top of that sit the reindexed exchange matrix of a window, the inverse
 quantum Cartan series, and the standard monomial exponent patterns.
+
+Each QDatum builds what its queries read once, on first use, and keeps it:
+each vertex's neighbours, the star involution, the window period of each
+vertex, the adapted word (one window sort and one source-reflection
+replay) and the extension index.  Each CartanSeries keeps, per vertex pair
+(i, j) read by n_form, the row N_ij(d) for |d| < u_max of the four-term
+combination of its coefficients, so n_form is one lookup; further out it
+reads the four coefficients, which refuse the orders not computed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, NamedTuple, Sequence
 
@@ -39,7 +48,10 @@ class QDatum:
     """Simply-laced Cartan data with a height per vertex.
 
     The orientation is derived: an arrow i -> j exists exactly when the
-    vertices are adjacent and the height drops along it.
+    vertices are adjacent and the height drops along it.  What the queries
+    read is built once per datum, on first use: the neighbours, the star
+    involution, the window periods, the adapted word and the extension
+    index.
     """
 
     cartan: CartanData
@@ -49,20 +61,32 @@ class QDatum:
         return self.heights[self.cartan.position[i]]
 
     @cached_property
+    def _neighbours(self) -> dict:
+        """vertex -> the vertices j with c_ij = -1, in index order."""
+        labels = self.cartan.index_set
+        return {
+            i: tuple(j for j, c in zip(labels, row) if c == -1)
+            for i, row in zip(labels, self.cartan.matrix)
+        }
+
+    @cached_property
     def arrows(self) -> tuple:
-        out = []
-        for i in self.cartan.index_set:
-            for j in self.cartan.index_set:
-                if self.cartan.entry(i, j) == -1 and self.height(i) > self.height(j):
-                    out.append((i, j))
-        return tuple(out)
+        return tuple(
+            (i, j)
+            for i in self.cartan.index_set
+            for j in self._neighbours[i]
+            if self.height(i) > self.height(j)
+        )
 
     def is_source(self, i) -> bool:
-        return all(
-            self.height(j) < self.height(i)
-            for j in self.cartan.index_set
-            if self.cartan.entry(i, j) == -1
-        )
+        heights, pos = self.heights, self.cartan.position
+        top = heights[pos[i]]
+        return all(heights[pos[j]] < top for j in self._neighbours[i])
+
+    @cached_property
+    def _star(self) -> dict:
+        """star_map of the diagram: vertex -> i*."""
+        return star_map(self.cartan)
 
     @cached_property
     def _window_h(self) -> dict:
@@ -76,12 +100,25 @@ class QDatum:
         }
 
     @cached_property
+    def _adapted_word(self) -> Word:
+        """The body of adapted_word, run once per datum."""
+        pos = self.cartan.position
+        window = sorted(
+            delta_window(self, 0), key=lambda pt: (-pt.level, pos[pt.vertex])
+        )
+        letters = tuple(pt.vertex for pt in window)
+        running = self
+        for i in letters:
+            running = source_reflect(running, i)
+        return Word(letters, WordKind.WEYL_REDUCED)
+
+    @cached_property
     def _extension(self) -> "Extension":
         """One period of the star-periodic extension, w0 then w0* (2l
         positions), with the roots of w0.  The level at position k is xi_i
         minus twice the occurrences of i = i_k before k."""
         w0 = adapted_word(self)
-        star = star_map(self.cartan)
+        star = self._star
         positions: Dict[object, list] = {i: [] for i in self.cartan.index_set}
         points = []
         for k in range(1, 2 * w0.length + 1):
@@ -118,27 +155,39 @@ class RepetitionPoint:
 
 
 def _require_simply_laced(cd: CartanData) -> None:
-    for i in cd.index_set:
-        for j in cd.index_set:
-            if i != j and cd.entry(i, j) not in (0, -1):
-                raise NotSimplyLaced(
-                    f"entry c[{i},{j}] = {cd.entry(i, j)} outside {{0, -1}}"
-                )
+    for i, row in zip(cd.index_set, cd.matrix):
+        for j, c in zip(cd.index_set, row):
+            if i != j and c not in (0, -1):
+                raise NotSimplyLaced(f"entry c[{i},{j}] = {c} outside {{0, -1}}")
+
+
+def _as_int(value, error: type, name: str) -> int:
+    """value as an int: whatever operator.index accepts.  Anything else is
+    refused with error, naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} = {value!r} is not an integer") from None
 
 
 def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
-    """Build a QDatum, checking simply-lacedness and the unit-step rule."""
+    """Build a QDatum, checking simply-lacedness, integer heights and the
+    unit-step rule."""
     _require_simply_laced(cd)
     if len(xi) != len(cd.index_set):
         raise DimensionMismatch(
             f"got {len(xi)} heights for {len(cd.index_set)} vertices"
         )
-    qd = QDatum(cd, tuple(int(v) for v in xi))
-    for i in cd.index_set:
-        for j in cd.index_set:
-            if cd.entry(i, j) == -1 and abs(qd.height(i) - qd.height(j)) != 1:
+    heights = tuple(
+        _as_int(v, HeightParityViolation, f"xi_{i}") for i, v in zip(cd.index_set, xi)
+    )
+    qd = QDatum(cd, heights)
+    height = dict(zip(cd.index_set, heights))
+    for i, near in qd._neighbours.items():
+        for j in near:
+            if abs(height[i] - height[j]) != 1:
                 raise HeightParityViolation(
-                    f"|xi_{i} - xi_{j}| = {abs(qd.height(i) - qd.height(j))} on an edge"
+                    f"|xi_{i} - xi_{j}| = {abs(height[i] - height[j])} on an edge"
                 )
     return qd
 
@@ -147,31 +196,27 @@ def source_reflect(qd: QDatum, i) -> QDatum:
     """Lower the height of a source vertex by 2."""
     if not qd.is_source(i):
         raise NotASource(f"vertex {i} has an incoming arrow")
-    pos = qd.cartan.position[i]
-    heights = tuple(
-        v - 2 if t == pos else v for t, v in enumerate(qd.heights)
-    )
-    return QDatum(qd.cartan, heights)
+    heights = list(qd.heights)
+    heights[qd.cartan.position[i]] -= 2
+    lowered = QDatum(qd.cartan, tuple(heights))
+    # the same diagram: the reflected datum reads the same neighbours
+    lowered.__dict__["_neighbours"] = qd._neighbours
+    return lowered
 
 
 def adapted_word(qd: QDatum) -> Word:
     """Longest word adapted to the heights: the level-0 window read from
-    the top level down.
+    the top level down, built once per datum and cached on it.
 
     Vertex i contributes one letter per level in (xi_{i*} - h, xi_i], h
-    the Coxeter number of its component, stepping by 2; same-level vertices share a parity class, hence are
-    non-adjacent and commute, so position order breaks those ties.  Pure
-    greedy source extraction is not enough: it can overdraw a vertex whose
-    window allotment is exhausted and leave a non-reduced word.  Replaying
-    the source reflections certifies that the word is adapted.
+    the Coxeter number of its component, stepping by 2; same-level
+    vertices share a parity class, hence are non-adjacent and commute, so
+    position order breaks those ties.  Pure greedy source extraction is
+    not enough: it can overdraw a vertex whose window allotment is
+    exhausted and leave a non-reduced word.  Replaying the source
+    reflections certifies that the word is adapted.
     """
-    pos = qd.cartan.position
-    window = sorted(delta_window(qd, 0), key=lambda pt: (-pt.level, pos[pt.vertex]))
-    letters = tuple(pt.vertex for pt in window)
-    running = qd
-    for i in letters:
-        running = source_reflect(running, i)
-    return Word(letters, WordKind.WEYL_REDUCED)
+    return qd._adapted_word
 
 
 def star_map(cd: CartanData) -> dict:
@@ -209,17 +254,17 @@ def pk_sequence(qd: QDatum, lo: int, hi: int):
 
 def delta_window(qd: QDatum, k: int) -> frozenset:
     """Lattice points with xi_{i*} - (k+1)h < p <= xi_i - kh, where h is
-    the Coxeter number of the component of i."""
-    star = star_map(qd.cartan)
+    the Coxeter number of the component of i.  A k that is not an integer
+    is PointOutsideLattice."""
+    k = _as_int(k, PointOutsideLattice, "k")
+    star, period = qd._star, qd._window_h
     out = set()
-    for i in qd.cartan.index_set:
-        h = qd._window_h[i]
-        upper = qd.height(i) - k * h
+    for i, xi in zip(qd.cartan.index_set, qd.heights):
+        h = period[i]
+        upper = xi - k * h
         lower = qd.height(star[i]) - (k + 1) * h
-        p = upper if (upper - qd.height(i)) % 2 == 0 else upper - 1
-        while p > lower:
-            out.add(RepetitionPoint(i, p))
-            p -= 2
+        top = upper if (k * h) % 2 == 0 else upper - 1
+        out.update(RepetitionPoint(i, p) for p in range(top, lower, -2))
     return frozenset(out)
 
 
@@ -247,8 +292,17 @@ class BHLWindow:
     positions: tuple
     entries: tuple
 
+    @cached_property
+    def _row_of(self) -> dict:
+        """point -> its row (and column) of entries, built once."""
+        return {pt: r for r, pt in enumerate(self.points)}
+
     def entry(self, a: RepetitionPoint, b: RepetitionPoint) -> int:
-        return self.entries[self.points.index(a)][self.points.index(b)]
+        row_of = self._row_of
+        try:
+            return self.entries[row_of[a]][row_of[b]]
+        except KeyError as err:
+            raise ValueError(f"{err.args[0]} is not a point of the window") from None
 
 
 def _position_of_point(qd: QDatum, pt: RepetitionPoint) -> int:
@@ -321,11 +375,16 @@ class CartanSeries:
     Expanded with nonnegative exponents around q = 0, so the support
     starts at u = 1 and every coefficient with u <= 0 is zero.  Requests
     beyond the computed order raise instead of returning a wrong zero.
+
+    _rows is a private memo of n_form: vertex pair -> its kernel row, built
+    from the coefficients the first time the pair is read.  It takes no
+    part in ==, hash or repr.
     """
 
     cartan: CartanData
     u_max: int
     coefficients: tuple
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, i, j, u: int) -> int:
         if u <= 0:
@@ -335,17 +394,33 @@ class CartanSeries:
         pos = self.cartan.position
         return self.coefficients[u - 1][pos[i]][pos[j]]
 
+    def _row(self, i, j) -> tuple:
+        """Build and memoise the kernel row of (i, j): N_ij(d) =
+        c(d-1) - c(d+1) - c(-d-1) + c(-d+1) for |d| < u_max, at index
+        d + u_max - 1, c(u) = entry(i, j, u).  As c vanishes at u <= 0,
+        N(d) = c(d-1) - c(d+1) for d > 0, N(0) = 0 and N(-d) = -N(d)."""
+        pos = self.cartan.position
+        a, b = pos[i], pos[j]
+        c = [0] + [m[a][b] for m in self.coefficients]
+        half = [c[d - 1] - c[d + 1] for d in range(1, self.u_max)]
+        row = self._rows[(i, j)] = (*(-v for v in reversed(half)), 0, *half)
+        return row
+
 
 def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
     """Invert C(q) = q^{-1}(I + qD + q^2 I) as a power series times q.
 
     D is the off-diagonal part of the Cartan matrix; the recurrence
     R_m = -(D R_{m-1} + R_{m-2}) with R_0 = I gives coefficient u = m+1.
-    A series of more than default_budget() cells, u_max * rank^2, is
+    D is -1 exactly on the edges, so row a of R_m is the sum of the rows
+    of R_{m-1} at the neighbours of a, minus row a of R_{m-2}.  A u_max
+    that is not an integer, or is below 1, is NotInvertibleAtOrder; a
+    series of more than default_budget() cells, u_max * rank^2, is
     BudgetExhausted.
     """
     n = len(cd.index_set)
     _require_simply_laced(cd)
+    u_max = _as_int(u_max, NotInvertibleAtOrder, "u_max")
     if u_max < 1:
         raise NotInvertibleAtOrder(f"order {u_max} < 1 computes nothing")
     if u_max * n * n > (budget := default_budget()):
@@ -353,22 +428,18 @@ def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
             f"a series of order {u_max} has {u_max * n * n} cells, "
             f"over the budget of {budget}"
         )
-    d = [
-        [cd.entry(i, j) if i != j else 0 for j in cd.index_set]
-        for i in cd.index_set
-    ]
+    neighbours = [[t for t, c in enumerate(row) if c == -1] for row in cd.matrix]
     identity = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
     coeffs = [identity]
     prev2 = [[0] * n for _ in range(n)]
     prev1 = identity
     for _ in range(u_max - 1):
-        nxt = [
-            [
-                -(sum(d[a][t] * prev1[t][b] for t in range(n)) + prev2[a][b])
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
+        nxt = []
+        for a, near in enumerate(neighbours):
+            row = [-v for v in prev2[a]]
+            for t in near:
+                row = [x + y for x, y in zip(row, prev1[t])]
+            nxt.append(row)
         coeffs.append(nxt)
         prev2, prev1 = prev1, nxt
     frozen = tuple(tuple(tuple(row) for row in m) for m in coeffs)
@@ -381,10 +452,16 @@ def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> in
 
     The second pair of terms enters with flipped signs so that the
     pairing is antisymmetric and vanishes on the diagonal, which the
-    torus commutation rule it feeds requires.
+    torus commutation rule it feeds requires.  For an integer level
+    difference |d| < u_max it is one lookup in the series' row of the
+    vertex pair (CartanSeries._row); beyond, the four reads raise
+    SeriesOrderInsufficient for the first order not computed.
     """
     i, p = p1.vertex, p1.level
     j, q = p2.vertex, p2.level
+    d, u = p - q, series.u_max
+    if type(d) is int and -u < d < u:
+        return (series._rows.get((i, j)) or series._row(i, j))[d + u - 1]
     return (
         series.entry(i, j, p - q - 1)
         - series.entry(i, j, p - q + 1)
@@ -404,7 +481,6 @@ def a_monomial(qd: QDatum, i, p: int) -> dict:
         RepetitionPoint(i, p - 1): 1,
         RepetitionPoint(i, p + 1): 1,
     }
-    for j in qd.cartan.index_set:
-        if qd.cartan.entry(i, j) == -1:
-            out[RepetitionPoint(j, p)] = -1
+    for j in qd._neighbours[i]:
+        out[RepetitionPoint(j, p)] = -1
     return out

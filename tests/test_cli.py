@@ -801,8 +801,10 @@ def test_help_still_exits_0(capsys):
     assert "--box BOX" in capsys.readouterr().out
 
 
-# SHA-256 of the JSON report of one invocation per route, pinned before the
-# routes were declared in COMMANDS: a new digest means new report bytes.
+# SHA-256 of the JSON report of at least one invocation per route, pinned
+# before the routes were declared in COMMANDS: a new digest means new report
+# bytes.  The qdatum routes are also pinned on a3 at k = +-1 and with rank-3
+# series rows, where the neighbour sums and per-pair rows are not trivial.
 # seed build runs without --out, whose path is hashed into meta inputs.
 ROUTE_DIGESTS = [
     ("cartan check --cartan b2", 0,
@@ -833,10 +835,18 @@ ROUTE_DIGESTS = [
      "170963ebf82e3e9c6bdc3f6ebe029fa7399ced830ef20900e4bd2bec15aa7a18"),
     ("qdatum window --cartan a3 --height 0,1,2 --k 0", 0,
      "8a452b0a3f1cd77bd94c4a4857a04b3153c7fff71d2e1abab6da35e710040dae"),
+    ("qdatum window --cartan a3 --height 0,1,2 --k 1", 0,
+     "abfb6a6299bfdda556bb983b08acd9411244fda10244f2a5eff041532c363374"),
+    ("qdatum window --cartan a3 --height 0,1,2 --k -1", 0,
+     "de84fbb0d08ababee252b306e3101adb3c3cfacba3da4902237307a712e77f16"),
     ("qdatum phi --cartan a2 --height 1,0 --point 2,0", 0,
      "20b6f47be9f5c4621320b4d59c93b153a132a5cd9414c692ee0c4f9ed62d16e9"),
+    ("qdatum phi --cartan a3 --height 0,1,2 --point 2,7", 0,
+     "eb59602f26ace996b11219327b939a9c479e6f429699b947f20729ab08fcecd0"),
     ("qdatum ntab --cartan a1 --range 3", 0,
      "81e76c829661b1ae2301ae8b155a523fa9f7478806458960c7b936051be219b9"),
+    ("qdatum ntab --cartan a3 --range 3", 0,
+     "d546e947bf5bf0383f5b6a37bb85bd2da91fe5a42f96c5a3d265465668021811"),
     ("verify corollary --cartan a2 --word 1,2,1 --word 2,1,2", 0,
      "1d69119a94fd321f3046412b5e38e285a0ea5ef3d235c772efab41aa12f5e4e6"),
     ("verify tsystem --cartan b2 --word 1,2,1,2,1", 0,
@@ -867,7 +877,7 @@ def test_exact_cap_is_an_unknown_flag_on_every_route(line, capsys):
 
 
 def test_every_route_has_a_pinned_digest():
-    pinned = [tuple(line.split()[:2]) for line, _, _ in ROUTE_DIGESTS]
+    pinned = {tuple(line.split()[:2]) for line, _, _ in ROUTE_DIGESTS}
     assert sorted(pinned) == sorted(COMMANDS)
 
 

@@ -30,6 +30,7 @@ from braidseed.errors import (
     NonContiguousWindow,
     NotASource,
     NotFiniteType,
+    NotInvertibleAtOrder,
     NotSimplyLaced,
     PointOutsideLattice,
     SeriesOrderInsufficient,
@@ -266,6 +267,15 @@ def test_b_hl_shifted_windows_agree():
     assert b_hl(qd, ()) == BHLWindow((), (), ())
 
 
+def test_b_hl_entry_agrees_with_entries_on_every_pair_of_points():
+    qd = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    window = b_hl(qd, pk_sequence(qd, 5, 16))
+    for (r, a), (c, b) in itertools.product(enumerate(window.points), repeat=2):
+        assert window.entry(a, b) == window.entries[r][c]
+    with pytest.raises(ValueError, match=r"^\(1,100\) is not a point of the window$"):
+        window.entry(window.points[0], RepetitionPoint(1, 100))
+
+
 def test_b_hl_rejects_gaps():
     qd = validate_height(preset("a2"), (1, 0))
     points = pk_sequence(qd, 1, 3)
@@ -315,8 +325,8 @@ def brute_inverse_series(cd, u_max):
 
 
 def test_cartan_tilde_matches_dense_inversion():
-    for name in ["a1", "a2", "a3"]:
-        cd = preset(name)
+    contexts = [preset(name) for name in ("a1", "a2", "a3", "a1xa1")]
+    for cd in contexts + [validate_cartan(_type_d4())]:
         series = cartan_tilde(cd, 8)
         dense = brute_inverse_series(cd, 8)
         labels = list(cd.index_set)
@@ -366,6 +376,66 @@ def test_n_form_values_and_antisymmetry():
                 RepetitionPoint(y.vertex, y.level + 2),
             )
             assert shifted == n_form(a2, x, y)
+
+
+def four_entry_n_form(series, p1, p2):
+    """Reference n_form: the four coefficient reads, each raising beyond
+    the computed order."""
+    i, p = p1.vertex, p1.level
+    j, q = p2.vertex, p2.level
+    return (
+        series.entry(i, j, p - q - 1)
+        - series.entry(i, j, p - q + 1)
+        - series.entry(i, j, q - p - 1)
+        + series.entry(i, j, q - p + 1)
+    )
+
+
+@pytest.mark.parametrize("u_max", [1, 2, 7])
+def test_n_form_reads_the_four_entry_formula_from_its_rows(u_max):
+    # a value or the same error and message at every level difference,
+    # inside the computed rows and up to two orders beyond them
+    contexts = [preset(name) for name in ("a1", "a3", "a1xa1")]
+    for cd in contexts + [validate_cartan(_type_d4())]:
+        series = cartan_tilde(cd, u_max)
+        for i, j in itertools.product(cd.index_set, repeat=2):
+            for d in range(-u_max - 2, u_max + 3):
+                for base in (0, 3):
+                    x, y = RepetitionPoint(i, base + d), RepetitionPoint(j, base)
+                    assert result(n_form, series, x, y) == result(
+                        four_entry_n_form, series, x, y
+                    )
+        fresh = cartan_tilde(cd, u_max)  # the rows take no part in ==, hash, repr
+        assert series == fresh and hash(series) == hash(fresh)
+        assert repr(series) == repr(fresh)
+
+
+def test_non_integer_inputs_are_refused_naming_the_argument():
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    a2 = preset("a2")
+    with pytest.raises(HeightParityViolation, match=r"^xi_1 = 1\.5 is not an integer$"):
+        validate_height(a2, (1.5, 0))
+    with pytest.raises(HeightParityViolation, match=r"^xi_1 = '1' is not an integer$"):
+        validate_height(a2, ("1", 0))
+    with pytest.raises(HeightParityViolation, match=r"^xi_2 = None is not an integer$"):
+        validate_height(a2, (1, None))
+    qd = validate_height(a2, (Index(1), 0))
+    assert qd == validate_height(a2, (1, 0)) and type(qd.heights[0]) is int
+    with pytest.raises(PointOutsideLattice, match=r"^k = 0\.5 is not an integer$"):
+        delta_window(qd, 0.5)
+    assert delta_window(qd, Index(-1)) == delta_window(qd, -1)
+    assert all(type(pt.level) is int for pt in delta_window(qd, Index(2)))
+    with pytest.raises(NotInvertibleAtOrder, match=r"^u_max = 2\.5 is not an integer$"):
+        cartan_tilde(a2, 2.5)
+    assert cartan_tilde(a2, Index(3)) == cartan_tilde(a2, 3)
+    for kind in (HeightParityViolation, PointOutsideLattice, NotInvertibleAtOrder):
+        assert issubclass(kind, BraidseedError)
 
 
 def test_a_monomial():
