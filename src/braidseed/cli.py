@@ -17,6 +17,7 @@ A route without a context, `verify all`, takes no --cartan.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -216,7 +217,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing leaves
+    it as it was: an append action copies its default list before adding
+    to it, and the list reaches RunConfig only as a tuple."""
     parser = _Parser(
         prog="braidseed",
         description="exact combinatorics of words, transitions, and quantum seeds",

@@ -7,17 +7,24 @@ over an echelon basis of the kernel that is reduced at every later pivot
 into [-step/2, step/2): unique for the lattice, with small supports.  Two
 echelon bases of one lattice have the same pivots and steps, and each
 coordinate has the same last touching vector in both, so the search, its
-node count and its answer depend only on the affine lattice.
-``seeds.solve_lambda`` builds such a basis from wedges and calls the
-search directly.  Its nodes are counted against the shared search budget
-(``BRAIDSEED_BUDGET``), and running out raises BudgetExhausted.  All
-arithmetic stays in Python integers.
+node count and its answer depend only on the affine lattice.  At each
+depth the search tries only the coefficients in the interval that keeps
+every coordinate final there within the radius, read off the least and
+the largest value per step size, and orders them centre out by
+arithmetic: a coefficient outside the interval would be dropped without
+a node, so the tree is the one every coefficient of the pivot's range
+would give.  ``seeds.solve_lambda`` builds such a basis from wedges and
+calls the search directly.  Its nodes are counted against the shared
+search budget (``BRAIDSEED_BUDGET``), and running out raises
+BudgetExhausted.  All arithmetic stays in Python integers.
 """
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter, mul
 from typing import Sequence
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, ShapeMismatch
 from .words import default_budget
 
 
@@ -84,14 +91,16 @@ def _echelon_kernel(kernel: list, n: int) -> tuple[list, list]:
 
 
 def _size_reduce(x: list, basis: list, pivot_rows: list) -> list:
-    """Shift x by the basis so each pivot entry lies in [-step/2, step/2)."""
+    """Shift x by the basis so each pivot entry lies in [-step/2, step/2).
+    Each shift touches only the nonzero entries of its vector."""
     out = list(x)
     for vec, p in zip(basis, pivot_rows):
         step = vec[p]
         if step:
             q = (2 * out[p] + step) // (2 * step)  # nearest integer, halves up
             if q:
-                out = [a - q * b for a, b in zip(out, vec)]
+                for i in compress(range(len(vec)), vec):
+                    out[i] -= q * vec[i]
     return out
 
 
@@ -116,8 +125,11 @@ def canonical_smallest_solution(x0: Sequence[int], kernel: list) -> list:
     not on the choice of x0 or of the kernel generators.  Found by
     _canonical_point on the reduced echelon basis of the kernel lattice.
     Raises BudgetExhausted when the search visits more than
-    default_budget() nodes.
+    default_budget() nodes, and ShapeMismatch when a kernel vector's length
+    is not x0's.
     """
+    if any(len(vec) != len(x0) for vec in kernel):
+        raise ShapeMismatch(f"kernel vectors of lengths other than {len(x0)}")
     if not kernel:
         return list(x0)
     return _canonical_point(x0, *_echelon_kernel(kernel, len(x0)))
@@ -131,108 +143,161 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
     Iterative deepening on the max-norm: the echelon form makes the
     coefficient ranges finite at each radius.  A coordinate is final once
     the last basis vector that touches it has its coefficient; coordinates
-    no vector touches are checked once per radius, before the search.  Each
-    child copies its parent's point and adds its coefficient times its
-    vector over the coordinates not final yet; the final ones are written
-    into the point only at a leaf, from what each depth chose.
+    no vector touches are checked once, and the radius starts at their
+    largest size, since no smaller radius has a node.  The search runs on
+    the point with each coordinate's sign flipped where the step of its
+    last vector is negative, which keeps every size, so every final step
+    is positive; the best leaves are flipped back.  At each depth the
+    coefficient range is the interval that keeps every coordinate final
+    there, the pivot among them, within the radius: per step size, the
+    least and the largest current value of its coordinates bound it.  A
+    coefficient outside it would put a final coordinate beyond the radius
+    and be dropped without a node, so the tree is the one the pivot's
+    whole range gives.  Each child copies its parent's point and adds its
+    coefficient times its vector over the coordinates not final yet; the
+    final ones are written only into the best leaves, at the end, from
+    what each depth chose.
 
     The first part of the canonical order is the histogram of the sizes,
     compared lexicographically from the radius down: the count of entries
-    at the radius, then at radius - 1, and so on.  Final sizes only add to
-    a branch's histogram, so a branch whose final coordinates already form
-    a histogram above the best leaf's loses at every leaf and is dropped.
-    Only the leaves with the best histogram are kept, and ranked by the
-    full order.  At each depth the coefficients are tried from the centre
-    out (Schnorr and Euchner 1994), starting at the one that puts the pivot
-    coordinate nearest 0, so that small leaves come first and prune the
-    rest.  Every node is fixed
-    by the pivot values so far, so the node count depends only on the
-    affine lattice; the reduction only shrinks the supports.  Raises
+    at the radius, then at radius - 1, and so on.  It is kept as one
+    integer with the count of size s in digit s, in a base above the
+    number of coordinates, so integer order is histogram order.  Final
+    sizes only add to a branch's histogram, so a branch whose final
+    coordinates already form a histogram above the best leaf's loses at
+    every leaf and is dropped.  Only the leaves with the best histogram are
+    kept, and ranked by the full order.  At each depth the coefficients are
+    tried from the centre out (Schnorr and Euchner 1994), in the order of a
+    stable sort of the range by the pivot's size, built by arithmetic: the
+    coefficient that puts the pivot coordinate nearest 0, the lower one on
+    a tie, then one step further on the other side of 0 and one on its own
+    side in turn, then the rest of the longer side.  Every node is fixed by
+    the pivot values so far, so the node count depends only on the affine
+    lattice; the reduction only shrinks the supports.  Raises
     BudgetExhausted when the search visits more than default_budget()
     nodes.
     """
     current = _size_reduce(x0, basis, pivot_rows)
     n = len(current)
+    dim = len(basis)
     budget = default_budget()
-    support = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
-    last_touch = [-1] * n
-    for depth, vec in enumerate(support):
-        for i, _ in vec:
-            last_touch[i] = depth
-    # at depth d the coordinates that are final once vector d has its
-    # coefficient (the pivot among them) are read, and only the others move
-    final, moved = [], []
-    for d, vec in enumerate(support):
-        done = [(i, v) for i, v in vec if last_touch[i] == d]
-        final.append(([i for i, _ in done], [v for _, v in done]))
-        moved.append([(i, v) for i, v in vec if last_touch[i] > d])
-    untouched = [abs(current[i]) for i in range(n) if last_touch[i] < 0]
+    # per depth d, walking the basis backwards: the pivot row and step; the
+    # coordinates of vector d that no later vector touches, final at depth
+    # d (the pivot among them), grouped by step size for the coefficient
+    # bounds, then in group order with their step sizes; and the others,
+    # which move, with their steps on the flipped point
+    levels = [None] * dim
+    sign = [1] * n
+    later = set()
+    for d in reversed(range(dim)):
+        vec, p = basis[d], pivot_rows[d]
+        rows = list(compress(range(n), vec))
+        groups = {}
+        for i in rows:
+            if i not in later:
+                if vec[i] < 0:
+                    sign[i] = -1
+                groups.setdefault(abs(vec[i]), []).append(i)
+        done = [i for group in groups.values() for i in group]
+        levels[d] = (
+            p,
+            vec[p],
+            # an itemgetter of one row returns a bare value: the repeated
+            # first row keeps every group a tuple
+            [(v, itemgetter(*group, group[0])) for v, group in groups.items()],
+            done,
+            [abs(vec[i]) for i in done],
+            [(i, sign[i] * vec[i]) for i in rows if i in later],
+        )
+        later.update(rows)
+    current = list(map(mul, sign, current))
+    untouched = [abs(current[i]) for i in range(n) if i not in later]
     # per depth d of the current branch: its final coordinates' values
     # before vector d is added, and vector d's coefficient
-    chosen = [None] * len(basis)
+    chosen = [None] * dim
+    digit = n.bit_length()  # 2**digit > n, the most entries of one size
+    weight = [1 << (digit * size) for size in range(max(map(abs, current)) + 1)]
     nodes = 0
 
     def search(radius: int) -> list:
         found = []
-        # hist[r] counts the final coordinates of size radius - r, so list
-        # order on histograms is the first part of the canonical order
-        hist = [0] * (radius + 1)
-        best = [n + 1]  # histogram of the best leaves; above every histogram
+        best = 1 << (digit * (radius + 1))  # above every histogram
 
-        def dfs(depth: int, current: list) -> None:
+        def dfs(depth: int, current: list, hist: int) -> None:
             nonlocal nodes, best
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(
                     f"lattice search stopped after {budget} nodes at radius {radius}"
                 )
-            if depth == len(basis):
+            if depth == dim:
                 # every coordinate is final here, and hist <= best
                 if hist < best:
-                    best = list(hist)
+                    best = hist
                     found.clear()
-                for (rows, steps), (xs, coeff) in zip(final, chosen):
-                    for i, x, v in zip(rows, xs, steps):
-                        current[i] = x + coeff * v
-                found.append(current)
+                found.append((current, chosen.copy()))
                 return
-            p = pivot_rows[depth]
-            step = basis[depth][p]
+            p, step, groups, rows, steps, shifts = levels[depth]
             base = current[p]
-            # integer coeff with |base + step*coeff| <= radius; step > 0,
-            # and Python floor division handles negative numerators
+            # integer coeff with |x + v*coeff| <= radius for the pivot, then
+            # for every final x with step v > 0; Python floor division
+            # handles negative numerators
             lo = -((radius + base) // step)
             hi = (radius - base) // step
-            rows, steps = final[depth]
+            for v, values in groups:
+                group = values(current)
+                least, most = -((radius + min(group)) // v), (radius - max(group)) // v
+                if least > lo:
+                    lo = least
+                if most < hi:
+                    hi = most
+            if lo > hi:
+                return
+            # centre out: the centre puts the pivot nearest 0, the lower
+            # coefficient on a tie; side points from it across 0
+            zero = -(base // step)  # the least coeff with base + step*coeff >= 0
+            if step <= 2 * (base + step * zero):
+                centre, side = zero - 1, 1
+            else:
+                centre, side = zero, -1
+            if lo >= centre:  # all at or above the centre: upwards
+                order = range(lo, hi + 1)
+            elif hi <= centre:  # all at or below it: downwards
+                order = range(hi, lo - 1, -1)
+            else:  # m steps to each side in turn, then the longer side's rest
+                m = min(centre - lo, hi - centre)
+                order = [centre]
+                for t in range(1, m + 1):
+                    order += centre + side * t, centre - side * t
+                if hi - centre == m:
+                    order += range(centre - m - 1, lo - 1, -1)
+                else:
+                    order += range(centre + m + 1, hi + 1)
             xs = [current[i] for i in rows]
-            # centre out: the pivot coordinate nearest 0 first
-            for coeff in sorted(range(lo, hi + 1), key=lambda c: abs(base + step * c)):
-                sizes = [abs(x + coeff * v) for x, v in zip(xs, steps)]
-                if max(sizes) > radius:
-                    continue
-                for size in sizes:
-                    hist[radius - size] += 1
+            for coeff in order:
+                branch = hist + sum([weight[abs(x + coeff * v)] for x, v in zip(xs, steps)])
                 # the final sizes only add to hist, so a branch above best
                 # stays above it at every leaf
-                if hist <= best:
+                if branch <= best:
                     chosen[depth] = xs, coeff
                     child = current.copy()
-                    for i, v in moved[depth]:
+                    for i, v in shifts:
                         child[i] += coeff * v
-                    dfs(depth + 1, child)
-                for size in sizes:
-                    hist[radius - size] -= 1
+                    dfs(depth + 1, child, branch)
 
-        if all(size <= radius for size in untouched):
-            for size in untouched:
-                hist[radius - size] += 1
-            dfs(0, list(current))
+        dfs(0, current, sum(map(weight.__getitem__, untouched)))
         return found
 
     # the size-reduced point is a leaf at radius max|current|, so this ends
-    radius = 0
-    while not (candidates := search(radius)):
+    radius = max(untouched, default=0)
+    while not (leaves := search(radius)):
         radius += 1
+    candidates = []
+    for point, picks in leaves:
+        for (_, _, _, rows, steps, _), (xs, coeff) in zip(levels, picks):
+            for i, x, v in zip(rows, xs, steps):
+                point[i] = x + coeff * v
+        candidates.append(list(map(mul, sign, point)))
 
     def key(x: list):
         sizes = list(map(abs, x))

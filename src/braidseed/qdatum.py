@@ -162,12 +162,15 @@ def _require_simply_laced(cd: CartanData) -> None:
 
 
 def _as_int(value, error: type, name: str) -> int:
-    """value as an int: whatever operator.index accepts.  Anything else is
-    refused with error, naming the argument."""
+    """value as an int: whatever operator.index accepts (ints, bools and
+    integer scalars such as numpy's).  Anything else is refused with error,
+    "<name> <value> is not an integer"; name ends with " =" for an argument
+    and with ": level" for the level of a point.  This is the one integer
+    rule of every Q-datum query."""
     try:
         return operator.index(value)
     except TypeError:
-        raise error(f"{name} = {value!r} is not an integer") from None
+        raise error(f"{name} {value!r} is not an integer") from None
 
 
 def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
@@ -179,7 +182,7 @@ def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
             f"got {len(xi)} heights for {len(cd.index_set)} vertices"
         )
     heights = tuple(
-        _as_int(v, HeightParityViolation, f"xi_{i}") for i, v in zip(cd.index_set, xi)
+        _as_int(v, HeightParityViolation, f"xi_{i} =") for i, v in zip(cd.index_set, xi)
     )
     qd = QDatum(cd, heights)
     height = dict(zip(cd.index_set, heights))
@@ -227,6 +230,8 @@ def star_map(cd: CartanData) -> dict:
 
 def extended_sequence(w0: Word, star: dict, k: int) -> int:
     """Letter at any integer position of the star-periodic extension."""
+    if type(k) is not int:
+        k = _as_int(k, PointOutsideLattice, "k =")
     length = w0.length
     base = (k - 1) % length + 1
     shifts = (k - 1) // length
@@ -249,6 +254,8 @@ def _point_at(qd: QDatum, k: int) -> RepetitionPoint:
 
 def pk_sequence(qd: QDatum, lo: int, hi: int):
     """Points (i_k, p_k) for k in [lo, hi], any integers."""
+    lo = _as_int(lo, PointOutsideLattice, "lo =")
+    hi = _as_int(hi, PointOutsideLattice, "hi =")
     return [_point_at(qd, k) for k in range(lo, hi + 1)]
 
 
@@ -256,7 +263,7 @@ def delta_window(qd: QDatum, k: int) -> frozenset:
     """Lattice points with xi_{i*} - (k+1)h < p <= xi_i - kh, where h is
     the Coxeter number of the component of i.  A k that is not an integer
     is PointOutsideLattice."""
-    k = _as_int(k, PointOutsideLattice, "k")
+    k = _as_int(k, PointOutsideLattice, "k =")
     star, period = qd._star, qd._window_h
     out = set()
     for i, xi in zip(qd.cartan.index_set, qd.heights):
@@ -269,19 +276,31 @@ def delta_window(qd: QDatum, k: int) -> frozenset:
 
 
 def in_lattice(qd: QDatum, pt: RepetitionPoint) -> bool:
-    return (
-        pt.vertex in qd.cartan.position
-        and (pt.level - qd.height(pt.vertex)) % 2 == 0
-    )
+    """True iff pt is a point of qd's lattice: a vertex of the index set
+    and an integer level (_as_int) of the vertex's parity."""
+    if pt.vertex not in qd.cartan.position:
+        return False
+    try:
+        level = pt.level if type(pt.level) is int else _level(pt)
+    except PointOutsideLattice:
+        return False
+    return (level - qd.height(pt.vertex)) % 2 == 0
 
 
-def _require_point(qd: QDatum, pt: RepetitionPoint) -> None:
+def _require_point(qd: QDatum, pt: RepetitionPoint) -> int:
+    """The level of pt as an int when in_lattice(qd, pt); otherwise
+    PointOutsideLattice, naming the vertex, the level or the parity."""
+    if in_lattice(qd, pt):
+        return pt.level if type(pt.level) is int else _level(pt)
     if pt.vertex not in qd.cartan.position:
         raise PointOutsideLattice(f"{pt}: vertex {pt.vertex!r} is not in the index set")
-    if type(pt.level) is not int:
-        raise PointOutsideLattice(f"{pt}: level {pt.level!r} is not an integer")
-    if not in_lattice(qd, pt):
-        raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
+    _level(pt)
+    raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
+
+
+def _level(pt: RepetitionPoint) -> int:
+    """The level of a point as an int, or PointOutsideLattice."""
+    return _as_int(pt.level, PointOutsideLattice, f"{pt}: level")
 
 
 @dataclass(frozen=True)
@@ -298,6 +317,12 @@ class BHLWindow:
         return {pt: r for r, pt in enumerate(self.points)}
 
     def entry(self, a: RepetitionPoint, b: RepetitionPoint) -> int:
+        """The entry at two points of the window; a point with a level
+        that is not an integer is PointOutsideLattice, any other point
+        outside the window ValueError."""
+        for pt in (a, b):
+            if type(pt.level) is not int:
+                _level(pt)
         row_of = self._row_of
         try:
             return self.entries[row_of[a]][row_of[b]]
@@ -312,10 +337,10 @@ def _position_of_point(qd: QDatum, pt: RepetitionPoint) -> int:
     position 1 (n < 0 at positions <= 0): with the N positions of i in a
     period of QDatum._extension, occurrence r of period q for n = qN + r.
     """
-    _require_point(qd, pt)
+    level = _require_point(qd, pt)
     ext = qd._extension
     ks = ext.positions[pt.vertex]
-    q, r = divmod((qd.height(pt.vertex) - pt.level) // 2, len(ks))
+    q, r = divmod((qd.height(pt.vertex) - level) // 2, len(ks))
     return q * len(ext.points) + ks[r]
 
 
@@ -337,8 +362,10 @@ def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
     -level * l + r of the extension for root = beta_r, so a query costs
     O(1) whatever the level."""
     beta = tuple(root)
+    if type(level) is not int:
+        level = _as_int(level, PointOutsideLattice, "level =")
     ext = qd._extension
-    if beta not in ext.slots or not isinstance(level, int):
+    if beta not in ext.slots:
         raise PointOutsideLattice(f"no lattice point maps to {(beta, level)}")
     return _point_at(qd, -level * len(ext.roots) + ext.slots[beta] + 1)
 
@@ -387,6 +414,10 @@ class CartanSeries:
     _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, i, j, u: int) -> int:
+        """Coefficient (i, j) at order u; an order that is not an integer
+        is NotInvertibleAtOrder."""
+        if type(u) is not int:
+            u = _as_int(u, NotInvertibleAtOrder, "u =")
         if u <= 0:
             return 0
         if u > self.u_max:
@@ -420,7 +451,7 @@ def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
     """
     n = len(cd.index_set)
     _require_simply_laced(cd)
-    u_max = _as_int(u_max, NotInvertibleAtOrder, "u_max")
+    u_max = _as_int(u_max, NotInvertibleAtOrder, "u_max =")
     if u_max < 1:
         raise NotInvertibleAtOrder(f"order {u_max} < 1 computes nothing")
     if u_max * n * n > (budget := default_budget()):
@@ -452,15 +483,23 @@ def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> in
 
     The second pair of terms enters with flipped signs so that the
     pairing is antisymmetric and vanishes on the diagonal, which the
-    torus commutation rule it feeds requires.  For an integer level
-    difference |d| < u_max it is one lookup in the series' row of the
-    vertex pair (CartanSeries._row); beyond, the four reads raise
+    torus commutation rule it feeds requires.  A level that is not an
+    integer (_as_int) is PointOutsideLattice.  For a level difference
+    |d| < u_max it is one lookup in the series' row of the vertex pair
+    (CartanSeries._row); beyond, the four reads raise
     SeriesOrderInsufficient for the first order not computed.
     """
     i, p = p1.vertex, p1.level
     j, q = p2.vertex, p2.level
-    d, u = p - q, series.u_max
-    if type(d) is int and -u < d < u:
+    try:
+        d = p - q
+    except TypeError:  # a level that is not even a number
+        d = None
+    if type(d) is not int:
+        p, q = _level(p1), _level(p2)
+        d = p - q
+    u = series.u_max
+    if -u < d < u:
         return (series._rows.get((i, j)) or series._row(i, j))[d + u - 1]
     return (
         series.entry(i, j, p - q - 1)
@@ -476,7 +515,11 @@ def a_monomial(qd: QDatum, i, p: int) -> dict:
     +1 at levels p-1 and p+1 of vertex i, -1 at level p of each adjacent
     vertex; adjacency parity makes every listed point a lattice point.
     """
-    _require_point(qd, RepetitionPoint(i, p - 1))
+    try:
+        below = RepetitionPoint(i, p - 1)
+    except TypeError:
+        raise PointOutsideLattice(f"p = {p!r} is not an integer") from None
+    p = _require_point(qd, below) + 1
     out = {
         RepetitionPoint(i, p - 1): 1,
         RepetitionPoint(i, p + 1): 1,

@@ -26,7 +26,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
 from typing import Mapping, Sequence
 
-from .errors import BudgetExhausted, ContextMismatch, NonExactDivision
+from .errors import BudgetExhausted, ContextMismatch, NonExactDivision, ShapeMismatch
 from .words import default_budget
 
 
@@ -276,7 +276,14 @@ def _heap_key(exps: tuple) -> tuple:
 
 
 def lambda_pairing(lam: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
-    """Lambda(a, b) = sum_ij a_i b_j l_ij."""
+    """Lambda(a, b) = sum_ij a_i b_j l_ij.  A vector whose length is not
+    the size of Lambda is ContextMismatch, as in torus_product, and a
+    Lambda that is not square is ShapeMismatch."""
+    n = len(lam)
+    if len(a) != n or len(b) != n:
+        raise ContextMismatch(f"vector lengths {len(a)}, {len(b)} != Lambda size {n}")
+    if any(len(row) != n for row in lam):
+        raise ShapeMismatch(f"Lambda of size {n} is not square")
     total = 0
     for i, ai in enumerate(a):
         if not ai:

@@ -11,6 +11,7 @@ NonExactDivision instead of a silently wrong result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
 
@@ -88,27 +89,32 @@ def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
     A letter outside the index set raises InvalidBox.
     """
     _check_letters(cd, w.positions)
-    n = w.length
-    minus = [0] + [w.before(s, i) for s, i in enumerate(w.letters, 1)]
+    letters = w.letters
+    n = len(letters)
+    # minus[s] = s-, plus[s] = s+, 0 when there is none (plus[0] is unread)
+    minus, plus, last = [0] * (n + 1), [0] * (n + 1), {}
+    for s, i in enumerate(letters, 1):
+        minus[s] = last.get(i, 0)
+        plus[minus[s]] = s
+        last[i] = s
     rows = []
     for k in range(1, n + 1):
-        row = []
-        for l in range(1, n + 1):
-            if l == k:
-                row.append(0)
-            elif minus[k] == l:
-                row.append(1)
-            elif minus[l] == k:
-                row.append(-1)
-            elif minus[l] < minus[k] < l < k:
-                row.append(cd.entry(w.letter(k), w.letter(l)))
-            elif minus[k] < minus[l] < k < l:
-                row.append(-cd.entry(w.letter(k), w.letter(l)))
-            else:
-                row.append(0)
+        # every l of a Cartan entry has l or l- strictly between k- and k
+        row = [0] * n
+        low, cartan = minus[k], cd.matrix[cd.position[letters[k - 1]]]
+        if low:
+            row[low - 1] = 1
+        if plus[k]:
+            row[plus[k] - 1] = -1
+        for s in range(low + 1, k):
+            c = cartan[cd.position[letters[s - 1]]]
+            if minus[s] < low:
+                row[s - 1] = c
+            if plus[s] > k:
+                row[plus[s] - 1] = -c
         rows.append(tuple(row))
     d = dict(zip(cd.index_set, cd.symmetrizer))
-    d_prime = tuple(d[w.letter(s)] for s in range(1, n + 1))
+    d_prime = tuple(d[i] for i in letters)
     return ExchangeMatrix(tuple(rows), _exchange_slots(w), d_prime)
 
 
@@ -150,20 +156,24 @@ def _back_substitute(b: ExchangeMatrix) -> tuple:
     pair is forced by the equations, so any solution minus the wedges of
     its free x free entries is Lambda_0: when Lambda_0 fails
     check_compatibility there is no solution, and NoIntegralSolution is
-    raised.  The left kernel has one vector per free row l: 1 at l, 0 at
-    the other free rows, and u_{r_j} = -b_{r_j j} sum_{k > r_j} u_k b_kj,
-    r_j descending.
+    raised.  Each equation that filled an entry holds, since every entry
+    it reads was filled before and stays; the others, at j in rows r_j
+    and the later r_k, are the ones checked.  The left kernel has one
+    vector per free row l: 1 at l, 0 at the other free rows, and u_{r_j} =
+    -b_{r_j j} sum_{k > r_j} u_k b_kj, r_j descending.  Each sum runs over
+    the whole column j: it is 0 above r_j, and the entry at r_j is still 0
+    when it is read.
     """
     n = b.n
-    pivots = {}  # r_j -> (j - 1, b_{r_j j}, the later nonzeros (k, b_kj))
+    pivots = {}  # r_j -> (j - 1, b_{r_j j}, column j)
     for j in b.exchange:
-        column = [(k, v) for k, v in enumerate(b.column(j)) if v]
-        if not column or column[0][1] not in (1, -1) or column[0][0] in pivots:
+        column = b.column(j)
+        r = next(compress(range(n), column), None)
+        if r is None or column[r] not in (1, -1) or r in pivots:
             raise ShapeMismatch(
                 f"exchange column {j} has no leading +-1 in a row of its own"
             )
-        (r, unit), *rest = column
-        pivots[r] = (j - 1, unit, rest)
+        pivots[r] = (j - 1, column[r], column)
     lam = [[0] * n for _ in range(n)]
     for a in reversed(range(n)):
         for c in reversed(range(a + 1, n)):
@@ -173,19 +183,25 @@ def _back_substitute(b: ExchangeMatrix) -> tuple:
                 i, r = c, a
             else:
                 continue
-            j, unit, rest = pivots[r]
+            j, unit, column = pivots[r]
             rhs = -2 * b.d_prime[j] if i == j else 0
-            lam[i][r] = unit * (rhs - sum(lam[i][k] * v for k, v in rest))
+            lam[i][r] = unit * (rhs - sum(map(mul, lam[i], column)))
             lam[r][i] = -lam[i][r]
-    if not check_compatibility(lam, b):
-        raise NoIntegralSolution("no skew-symmetric integer pairing is compatible with B")
+    # row i's equation at j filled lambda_{i r_j} unless i = r_j or i is a
+    # later pivot row
+    pivot_rows = sorted(pivots)
+    for k, r in enumerate(pivot_rows):
+        j, _, column = pivots[r]
+        for i in pivot_rows[k:]:
+            if sum(map(mul, lam[i], column)) != (-2 * b.d_prime[j] if i == j else 0):
+                raise NoIntegralSolution("no skew-symmetric integer pairing is compatible with B")
     descending = sorted(pivots.items(), reverse=True)
     kernel = []
     for free in (l for l in range(n) if l not in pivots):
         u = [0] * n
         u[free] = 1
-        for r, (_, unit, rest) in descending:
-            u[r] = -unit * sum(u[k] * v for k, v in rest)
+        for r, (_, unit, column) in descending:
+            u[r] = -unit * sum(map(mul, u, column))
         kernel.append(u)
     return [lam[i][j] for i, j in _pairs(n)], kernel
 
@@ -209,10 +225,13 @@ def _canonical_pairing(n: int, x0: list, free: list) -> tuple:
         us = [([row[c] for row in H], lead) for lead, c in leads]
         basis, pivot_rows = [], []
         for a, (u, i) in enumerate(us):
+            # the n - 1 + ... + n - i pairs of rows < i come first, and u and
+            # every later v vanish on them
+            start = i * (2 * n - i - 1) // 2
+            rest = pairs[start:]
             for v, j in us[a + 1 :]:
-                basis.append(_wedge(pairs, u, v))
-                # the pair (i, j) follows the n - 1 + ... + n - i pairs of rows < i
-                pivot_rows.append(i * (2 * n - i - 1) // 2 + j - i - 1)
+                basis.append([0] * start + _wedge(rest, u, v))
+                pivot_rows.append(start + j - i - 1)
         point = _canonical_point(x0, _reduce_echelon(basis, pivot_rows), pivot_rows)
     lam = [[0] * n for _ in range(n)]
     for (i, j), value in zip(pairs, point):
@@ -223,16 +242,18 @@ def _canonical_pairing(n: int, x0: list, free: list) -> tuple:
 def check_compatibility(lam: Sequence[Sequence[int]], b: ExchangeMatrix) -> bool:
     """True iff sum_k lambda_{ik} b_{kj} = -2 d'_j delta_{ij} on K x K^ex.
 
-    Each exchange column is summed over its nonzero entries only."""
+    Checked one exchange column at a time: the column's sums over all rows
+    i are compared with the expected column at once."""
     n = b.n
     if len(lam) != n or any(len(row) != n for row in lam):
         raise ShapeMismatch(f"pairing size does not match K = [1, {n}]")
+    expected = [0] * n
     for j in b.exchange:
-        column = [(k, v) for k, v in enumerate(b.column(j)) if v]
-        for i, row in enumerate(lam, 1):
-            total = sum(row[k] * v for k, v in column)
-            if total != (-2 * b.d_prime[j - 1] if i == j else 0):
-                return False
+        column = b.column(j)
+        expected[j - 1] = -2 * b.d_prime[j - 1]
+        if [sum(map(mul, row, column)) for row in lam] != expected:
+            return False
+        expected[j - 1] = 0
     return True
 
 

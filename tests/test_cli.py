@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import braidseed
+from braidseed import cli
 from braidseed.cartan import (
     PRESET_MATRICES,
     finite_type_data,
@@ -757,6 +758,46 @@ USAGE_ERRORS = [
     ["cartan", "check", "--cartan", "a2", "--format", "xml"],
     ["cartan", "check", "--cartan", "a2", "--frobnicate"],
 ]
+
+USAGE_ERROR_TEXTS = [
+    "braidseed: argument group: invalid choice: 'bogus' (choose from 'cartan', "
+    "'words', 'transition', 'seed', 'qdatum', 'verify')",
+    "braidseed qdatum window: argument --k: invalid int value: 'x'",
+    "braidseed words ibox: the following arguments are required: --box",
+    "braidseed cartan check: argument --format: invalid choice: 'xml' "
+    "(choose from 'text', 'json')",
+    "braidseed: unrecognized arguments: --frobnicate",
+]
+
+
+@pytest.mark.parametrize("argv, text", zip(USAGE_ERRORS, USAGE_ERROR_TEXTS), ids=" ".join)
+def test_the_one_parser_raises_the_same_usage_error_on_every_call(argv, text):
+    # one parser per process: built on the first call, kept by the rest
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid) as err:
+            parse_args(argv)
+        assert str(err.value) == text
+
+
+def test_back_to_back_parse_args_share_no_list():
+    apply = ["transition", "apply", "--cartan", "a2", "--move", "3,1"]
+    both = apply + ["--word", "1,2,1", "--word", "2,1,2", "--vector", "2,0,1", "--vector", "0,3,1"]
+    one = apply + ["--word", "1,2,1", "--vector", "0,3,1"]
+    bare = ["words", "moves", "--cartan", "a2"]
+    for _ in range(2):
+        first, second, third = parse_args(both), parse_args(one), parse_args(bare)
+        assert first.options["words"] == ((1, 2, 1), (2, 1, 2))
+        assert first.options["vectors"] == ((2, 0, 1), (0, 3, 1))
+        assert second.options["words"] == ((1, 2, 1),)
+        assert second.options["vectors"] == ((0, 3, 1),)
+        assert third.options["words"] == ()
+        # what a config holds is no list, so no call can change another's
+        for config in (first, second, third):
+            assert not any(isinstance(v, list) for v in config.options.values())
+    # the append actions copied their defaults: the parser's stay empty
+    assert vars(cli._build_parser().parse_args(bare))["word"] == []
+
 
 PARSE_ERROR_HEAD = [SCHEMA, "verdict Error", 'meta command ["parse"]']
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidseed.errors import NoIntegralSolution
+from braidseed.errors import BudgetExhausted, NoIntegralSolution, ShapeMismatch
 from braidseed.lattices import (
     _echelon_kernel,
     _size_reduce,
@@ -231,6 +231,87 @@ def adjugate(m):
     ]
 
 
+def reference_canonical_point(x0, basis, pivot_rows, budget):
+    """The canonical search in its plain form, as a reference that freezes
+    the search tree: every coefficient of the pivot's range is tried, in a
+    stable sort by the pivot's size; one that puts a final coordinate
+    beyond the radius is skipped without a node; the histogram is a list.
+    Returns (the point, the nodes visited); raises BudgetExhausted, with
+    the library's message, past budget nodes."""
+
+    def size_reduce(x):
+        out = list(x)
+        for vec, p in zip(basis, pivot_rows):
+            q = (2 * out[p] + vec[p]) // (2 * vec[p])
+            out = [a - q * b for a, b in zip(out, vec)]
+        return out
+
+    current = size_reduce(x0)
+    n = len(current)
+    support = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
+    last_touch = [-1] * n
+    for depth, vec in enumerate(support):
+        for i, _ in vec:
+            last_touch[i] = depth
+    final = [[(i, v) for i, v in vec if last_touch[i] == d] for d, vec in enumerate(support)]
+    moved = [[(i, v) for i, v in vec if last_touch[i] > d] for d, vec in enumerate(support)]
+    untouched = [abs(current[i]) for i in range(n) if last_touch[i] < 0]
+    chosen = [None] * len(basis)
+    nodes = 0
+
+    def search(radius):
+        found = []
+        hist = [0] * (radius + 1)  # hist[r] counts the sizes radius - r
+        best = [n + 1]
+
+        def dfs(depth, point):
+            nonlocal nodes, best
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted(
+                    f"lattice search stopped after {budget} nodes at radius {radius}"
+                )
+            if depth == len(basis):
+                if hist < best:
+                    best = list(hist)
+                    found.clear()
+                leaf = list(point)
+                for done, (xs, coeff) in zip(final, chosen):
+                    for (i, v), x in zip(done, xs):
+                        leaf[i] = x + coeff * v
+                found.append(leaf)
+                return
+            p = pivot_rows[depth]
+            step, base = basis[depth][p], point[p]
+            xs = [point[i] for i, _ in final[depth]]
+            coeffs = range(-((radius + base) // step), (radius - base) // step + 1)
+            for coeff in sorted(coeffs, key=lambda c: abs(base + step * c)):
+                sizes = [abs(x + coeff * v) for x, (_, v) in zip(xs, final[depth])]
+                if max(sizes) > radius:
+                    continue
+                for size in sizes:
+                    hist[radius - size] += 1
+                if hist <= best:
+                    chosen[depth] = xs, coeff
+                    child = list(point)
+                    for i, v in moved[depth]:
+                        child[i] += coeff * v
+                    dfs(depth + 1, child)
+                for size in sizes:
+                    hist[radius - size] -= 1
+
+        if all(size <= radius for size in untouched):
+            for size in untouched:
+                hist[radius - size] += 1
+            dfs(0, current)
+        return found
+
+    radius = 0
+    while not (candidates := search(radius)):
+        radius += 1
+    return min(candidates, key=canonical_key), nodes
+
+
 def canonical_key(x):
     sizes = [abs(v) for v in x]
     return sorted(sizes, reverse=True), sizes, [v < 0 for v in x]
@@ -312,6 +393,13 @@ def test_the_reduced_echelon_kernel_depends_only_on_the_lattice(lattice, rng):
         assert not any(vec[:p]) and vec[p] > 0
         for later, q in zip(basis[d + 1 :], pivot_rows[d + 1 :]):
             assert -later[q] <= 2 * vec[q] < later[q]
+
+
+def test_canonical_solution_refuses_kernel_vectors_of_another_length():
+    for kernel in ([[1]], [[1, 0, 0]], [[1, 0], [1]]):
+        with pytest.raises(ShapeMismatch, match=r"^kernel vectors of lengths other than 2$"):
+            canonical_smallest_solution([1, 2], kernel)
+    assert canonical_smallest_solution([1, 2], []) == [1, 2]
 
 
 def test_size_reduce_is_exact_beyond_float_range():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -436,6 +437,55 @@ def test_non_integer_inputs_are_refused_naming_the_argument():
     assert cartan_tilde(a2, Index(3)) == cartan_tilde(a2, 3)
     for kind in (HeightParityViolation, PointOutsideLattice, NotInvertibleAtOrder):
         assert issubclass(kind, BraidseedError)
+
+
+def _integer_entry_points():
+    """Each Q-datum query that takes an integer (a height, a level, a
+    position, an order), as a call of that integer value, with every other
+    argument one that the value 1 makes valid.  Vertex labels are not
+    integers here: they are looked up in the index set."""
+    a1 = preset("a1")
+    qd = validate_height(a1, (1,))
+    low = validate_height(a1, (0,))
+    w0, star = adapted_word(qd), star_map(a1)
+    series = cartan_tilde(a1, 4)
+    window = b_hl(qd, [RepetitionPoint(1, 1)])
+    return {
+        "validate_height": lambda v: validate_height(a1, (v,)),
+        "delta_window": lambda v: delta_window(qd, v),
+        "cartan_tilde": lambda v: cartan_tilde(a1, v),
+        "extended_sequence": lambda v: extended_sequence(w0, star, v),
+        "pk_sequence lo": lambda v: pk_sequence(qd, v, 2),
+        "pk_sequence hi": lambda v: pk_sequence(qd, 0, v),
+        "in_lattice": lambda v: qdatum.in_lattice(qd, RepetitionPoint(1, v)),
+        "phi_map": lambda v: phi_map(qd, RepetitionPoint(1, v)),
+        "phi_inverse": lambda v: phi_inverse(qd, (1,), v),
+        "b_hl": lambda v: b_hl(qd, [RepetitionPoint(1, v)]),
+        "BHLWindow.entry": lambda v: window.entry(RepetitionPoint(1, v), RepetitionPoint(1, 1)),
+        "CartanSeries.entry": lambda v: series.entry(1, 1, v),
+        "n_form": lambda v: n_form(series, RepetitionPoint(1, v), RepetitionPoint(1, 3)),
+        "a_monomial": lambda v: a_monomial(low, 1, v),
+    }
+
+
+@pytest.mark.parametrize(
+    "value", [1, True, numpy.int64(1), 1.0, "1"], ids=["int", "bool", "int64", "float", "str"]
+)
+def test_one_integer_rule_for_every_q_datum_entry_point(value):
+    # operator.index decides: what it accepts is the integer 1 everywhere,
+    # with the answer of 1; anything else is refused everywhere with a typed
+    # error (in_lattice, a predicate, answers False)
+    accepted = {}
+    for name, call in _integer_entry_points().items():
+        try:
+            answer = call(value)
+        except BraidseedError:
+            accepted[name] = False
+        else:
+            accepted[name] = answer is not False
+            assert not accepted[name] or answer == call(1), name
+    expected = not isinstance(value, (float, str))
+    assert accepted == dict.fromkeys(accepted, expected)
 
 
 def test_a_monomial():

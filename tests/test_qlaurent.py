@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidseed import qlaurent
-from braidseed.errors import BudgetExhausted, ContextMismatch, NonExactDivision
+from braidseed.errors import BudgetExhausted, ContextMismatch, NonExactDivision, ShapeMismatch
 from braidseed.qlaurent import (
     QHalf,
     QuantumLaurent,
@@ -174,6 +174,21 @@ def test_torus_product_context_checks():
         torus_product(lam, x1, QuantumLaurent.generator(3, 1))
     with pytest.raises(ContextMismatch):
         torus_product([[0]], x1, x1)
+
+
+@pytest.mark.parametrize("pairing, scale", [(lambda_pairing, 1), (commutation_doubled, 2)])
+def test_pairings_refuse_ragged_vectors_and_a_ragged_lambda(pairing, scale):
+    lam = [[0, 1], [-1, 0]]
+    assert pairing(lam, (1, 0), (0, 1)) == scale
+    # too long and too short: an IndexError, and a silently truncated sum
+    with pytest.raises(ContextMismatch, match=r"^vector lengths 3, 2 != Lambda size 2$"):
+        pairing(lam, (1, 2, 3), (1, 1))
+    with pytest.raises(ContextMismatch, match=r"^vector lengths 1, 2 != Lambda size 2$"):
+        pairing(lam, (1,), (1, 1))
+    with pytest.raises(ContextMismatch, match=r"^vector lengths 2, 1 != Lambda size 2$"):
+        pairing(lam, (1, 1), (1,))
+    with pytest.raises(ShapeMismatch, match=r"^Lambda of size 2 is not square$"):
+        pairing([[0, 1], [-1]], (1, 1), (1, 1))
 
 
 def test_right_divide_checks_its_context_before_its_zero_shortcuts():

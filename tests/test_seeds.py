@@ -17,7 +17,7 @@ from dataclasses import replace
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from braidseed import seeds, transitions, words
@@ -41,7 +41,7 @@ from braidseed.errors import (
     NoIntegralSolution,
     ShapeMismatch,
 )
-from braidseed.lattices import _canonical_point, canonical_smallest_solution
+from braidseed.lattices import _canonical_point, _reduce_echelon, canonical_smallest_solution
 from braidseed.qlaurent import QuantumLaurent, right_divide
 from braidseed.seeds import (
     EquivalenceReport,
@@ -82,7 +82,7 @@ from braidseed.words import (
     make_ibox,
     resolve_ibox,
 )
-from test_lattices import matmul_vec, solve_integer_system
+from test_lattices import matmul_vec, reference_canonical_point, solve_integer_system
 from test_qlaurent import in_order, reference_product, reference_right_divide
 
 BRAID = WordKind.POSITIVE_BRAID
@@ -313,6 +313,62 @@ def test_check_compatibility_rejects_perturbation():
     assert not check_compatibility(lam, b)
     with pytest.raises(ShapeMismatch):
         check_compatibility(lam[:2], b)
+
+
+def naive_compatibility_failures(lam, b):
+    """The equations sum_k lambda_ik b_kj = -2 d'_j delta_ij, (i, j) in
+    K x K^ex (1-based), that fail, each summed entry by entry."""
+    n = b.n
+    return [
+        (i, j)
+        for j in b.exchange
+        for i in range(1, n + 1)
+        if sum(lam[i - 1][k - 1] * b.entry(k, j) for k in range(1, n + 1))
+        != (-2 * b.d_prime[j - 1] if i == j else 0)
+    ]
+
+
+def test_check_compatibility_fails_on_each_kind_of_equation():
+    b = gls_matrix(preset("a2"), Word((1, 2, 1, 2), BRAID))
+    lam = [list(row) for row in solve_lambda(b)]
+    assert check_compatibility(lam, b) and not naive_compatibility_failures(lam, b)
+    # a nonzero off-diagonal sum
+    nudged = [list(row) for row in lam]
+    nudged[0][3] += 1
+    nudged[3][0] -= 1
+    assert naive_compatibility_failures(nudged, b) == [(1, 3), (4, 3)]
+    assert not check_compatibility(nudged, b)
+    # a diagonal sum other than -2 d'_j
+    doubled = replace(b, d_prime=tuple(2 * d for d in b.d_prime))
+    assert naive_compatibility_failures(lam, doubled) == [(3, 3), (4, 4)]
+    assert not check_compatibility(lam, doubled)
+    # a ragged or short pairing
+    for ragged in (lam[:3], [*lam[:3], lam[3][:3]], [*lam[:3], lam[3] + [0]]):
+        with pytest.raises(ShapeMismatch, match=r"^pairing size does not match K = \[1, 4\]$"):
+            check_compatibility(ragged, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_compatibility_matches_the_naive_sums(data):
+    cd = property_context(data.draw(st.sampled_from(["a2", "b2", "a3", "b3", "c3", "d4"])))
+    b = gls_matrix(cd, random_word(data, cd, max_length=8))
+    n = b.n
+    kind = data.draw(st.sampled_from(["random", "solution", "nudged", "rescaled"]))
+    if kind == "random":
+        lam = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            lam[i][j] = data.draw(st.integers(-2, 2))
+            lam[j][i] = -lam[i][j]
+    else:
+        lam = [list(row) for row in solve_lambda(b)]
+    if kind == "nudged" and n > 1:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        lam[i][j] += 1
+        lam[j][i] -= 1
+    if kind == "rescaled":
+        b = replace(b, d_prime=tuple(data.draw(st.integers(1, 3)) for _ in b.d_prime))
+    assert check_compatibility(lam, b) == (not naive_compatibility_failures(lam, b))
 
 
 def test_initial_seed_a2():
@@ -1338,6 +1394,89 @@ def test_w0_pairing_search_needs_exactly_its_pinned_nodes(matrix, nodes, monkeyp
     monkeypatch.setenv("BRAIDSEED_BUDGET", str(nodes - 1))
     with pytest.raises(BudgetExhausted, match=f"after {nodes - 1} nodes"):
         solve_lambda(b)
+
+
+W0_LATTICE_FAMILIES = {
+    "A3": type_a(3), "B3": type_b(3), "A4": type_a(4),
+    "D4": type_d(4), "B4": type_b(4), "D5": type_d(5),
+}
+
+
+@functools.cache
+def w0_lattice(family):
+    """(x0, basis, pivot_rows) that solve_lambda searches for the seed of
+    the family's canonical longest word."""
+    cd = validate_cartan(W0_LATTICE_FAMILIES[family])
+    b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
+    seen = []
+
+    def record(x0, basis, pivot_rows):
+        # the solve goes on from x0 itself: nothing is searched here, so
+        # no budget applies
+        seen.append((x0, basis, pivot_rows))
+        return list(x0)
+
+    search, seeds._canonical_point = seeds._canonical_point, record
+    try:
+        solve_lambda(b)
+    finally:
+        seeds._canonical_point = search
+    [lattice] = seen
+    return lattice
+
+
+@st.composite
+def reduced_echelon_lattices(draw):
+    """x0 + span(basis) in Z^n, n <= 12: one to six echelon vectors with
+    positive steps at increasing pivot rows, entries in [-3, 3], reduced at
+    every later pivot as the search requires."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, min(6, n)))
+    rows = st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim, unique=True)
+    pivot_rows = sorted(draw(rows))
+    entry = st.integers(-3, 3)
+    basis = []
+    for p in pivot_rows:
+        rest = draw(st.lists(entry, min_size=n - p - 1, max_size=n - p - 1))
+        basis.append([0] * p + [draw(st.integers(1, 3))] + rest)
+    x0 = draw(st.lists(entry, min_size=n, max_size=n))
+    return x0, _reduce_echelon(basis, pivot_rows), pivot_rows
+
+
+def assert_the_search_tree_is_the_plain_one(lattice, monkeypatch):
+    """_canonical_point finds the plain reference's point within exactly
+    the reference's node count, and one node less stops it with the
+    reference's message."""
+    x0, basis, pivot_rows = lattice
+    point, nodes = reference_canonical_point(x0, basis, pivot_rows, budget=10**7)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", str(nodes))
+    assert _canonical_point(x0, basis, pivot_rows) == point
+    monkeypatch.setenv("BRAIDSEED_BUDGET", str(nodes - 1))
+    with pytest.raises(BudgetExhausted) as stopped:
+        _canonical_point(x0, basis, pivot_rows)
+    with pytest.raises(BudgetExhausted) as reference:
+        reference_canonical_point(x0, basis, pivot_rows, nodes - 1)
+    assert str(stopped.value) == str(reference.value)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    lattice=st.one_of(
+        reduced_echelon_lattices(),
+        st.sampled_from(sorted(W0_LATTICE_FAMILIES)).map(w0_lattice),
+    )
+)
+def test_the_search_visits_the_nodes_of_the_plain_search(lattice, monkeypatch):
+    assert_the_search_tree_is_the_plain_one(lattice, monkeypatch)
+
+
+@pytest.mark.parametrize("family", sorted(W0_LATTICE_FAMILIES))
+def test_the_w0_searches_visit_the_nodes_of_the_plain_search(family, monkeypatch):
+    assert_the_search_tree_is_the_plain_one(w0_lattice(family), monkeypatch)
 
 
 @settings(max_examples=100, deadline=None)
