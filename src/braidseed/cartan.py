@@ -10,8 +10,11 @@ w(x) = sum_j x_j w(alpha_j) is weyl_act and reflect_root, and for finite
 type w0, the positive roots and the star involution.  roots_of_word,
 weyl_act and reflect_root refuse a letter outside the index set with
 InvalidBox, and the last two a root vector of the wrong length with
-DimensionMismatch.  Each context also caches its braid-relation table, which
-the move readers of the words layer share.
+DimensionMismatch.  Each context is the one owner of what its matrix says
+about the diagram, cached on first use: the braid-relation table that the
+move readers of the words layer share, and for the Q-datum layer each
+vertex's neighbours, the star involution and the Coxeter number of each
+vertex's component.
 """
 from __future__ import annotations
 
@@ -87,6 +90,32 @@ class CartanData:
             for i in self.index_set
             for j in self.index_set
             if i != j and (prod := self.pair_product(i, j)) < len(_RELATION_LENGTH)
+        }
+
+    @cached_property
+    def _neighbours(self) -> dict:
+        """label -> the labels j with c_ij = -1, in index order."""
+        labels = self.index_set
+        return {
+            i: tuple(j for j, c in zip(labels, row) if c == -1)
+            for i, row in zip(labels, self.matrix)
+        }
+
+    @cached_property
+    def _star(self) -> dict:
+        """The involution i -> i* induced by the longest element; data that
+        is not of finite type raises NotFiniteType."""
+        return dict(zip(self.index_set, self._finite_type.star))
+
+    @cached_property
+    def _periods(self) -> dict:
+        """label -> the Coxeter number of its component: one more than the
+        height of the highest root covering the label, since that root is
+        its component's highest.  Finite type only, as _star."""
+        roots = self._finite_type.positive_roots  # by ascending height
+        return {
+            i: next(sum(beta) for beta in reversed(roots) if beta[t]) + 1
+            for t, i in enumerate(self.index_set)
         }
 
 

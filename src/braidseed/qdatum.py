@@ -12,13 +12,16 @@ Coxeter number of its component, so reducible data need no common one.
 On top of that sit the reindexed exchange matrix of a window, the inverse
 quantum Cartan series, and the standard monomial exponent patterns.
 
-Each QDatum builds what its queries read once, on first use, and keeps it:
-each vertex's neighbours, the star involution, the window period of each
-vertex, the adapted word (one window sort and one source-reflection
-replay) and the extension index.  Each CartanSeries keeps, per vertex pair
-(i, j) read by n_form, the row N_ij(d) for |d| < u_max of the four-term
-combination of its coefficients, so n_form is one lookup; further out it
-reads the four coefficients, which refuse the orders not computed.
+The diagram's facts, each vertex's neighbours, the star involution and
+the Coxeter number of each vertex's component, are read from the
+CartanData, which derives each once.  A QDatum caches, on first use, only
+what its heights decide: the adapted word and the extension index.  A
+CartanSeries memoises, per vertex pair read by n_form, the row N_ij(d) for
+|d| < u_max, so n_form is one lookup; further out it reads the four
+coefficients, which refuse the orders not computed.  One rule checks a
+point, _require_point: a vertex of the index set, an integer level
+(_as_int) and the vertex's parity, each refused with PointOutsideLattice,
+as is a lone vertex outside the index set (_vertex_position).
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, NamedTuple, Sequence
 
-from .cartan import CartanData, finite_type_data, roots_of_word
+from .cartan import CartanData, roots_of_word
 from .errors import (
     BudgetExhausted,
     DimensionMismatch,
@@ -48,10 +51,9 @@ class QDatum:
     """Simply-laced Cartan data with a height per vertex.
 
     The orientation is derived: an arrow i -> j exists exactly when the
-    vertices are adjacent and the height drops along it.  What the queries
-    read is built once per datum, on first use: the neighbours, the star
-    involution, the window periods, the adapted word and the extension
-    index.
+    vertices are adjacent and the height drops along it.  The diagram's
+    facts are the CartanData's; a datum caches only the adapted word and
+    the extension index, which its heights decide.
     """
 
     cartan: CartanData
@@ -60,44 +62,20 @@ class QDatum:
     def height(self, i) -> int:
         return self.heights[self.cartan.position[i]]
 
-    @cached_property
-    def _neighbours(self) -> dict:
-        """vertex -> the vertices j with c_ij = -1, in index order."""
-        labels = self.cartan.index_set
-        return {
-            i: tuple(j for j, c in zip(labels, row) if c == -1)
-            for i, row in zip(labels, self.cartan.matrix)
-        }
-
-    @cached_property
+    @property
     def arrows(self) -> tuple:
         return tuple(
             (i, j)
             for i in self.cartan.index_set
-            for j in self._neighbours[i]
+            for j in self.cartan._neighbours[i]
             if self.height(i) > self.height(j)
         )
 
     def is_source(self, i) -> bool:
+        """True iff every neighbour of the vertex i is lower."""
         heights, pos = self.heights, self.cartan.position
-        top = heights[pos[i]]
-        return all(heights[pos[j]] < top for j in self._neighbours[i])
-
-    @cached_property
-    def _star(self) -> dict:
-        """star_map of the diagram: vertex -> i*."""
-        return star_map(self.cartan)
-
-    @cached_property
-    def _window_h(self) -> dict:
-        """vertex -> the Coxeter number of its component, the level period
-        of its windows: one more than the height of the highest root
-        covering the vertex, since that root is its component's highest."""
-        roots = finite_type_data(self.cartan).positive_roots  # by ascending height
-        return {
-            i: next(sum(beta) for beta in reversed(roots) if beta[t]) + 1
-            for t, i in enumerate(self.cartan.index_set)
-        }
+        top = heights[_vertex_position(self.cartan, i)]
+        return all(heights[pos[j]] < top for j in self.cartan._neighbours[i])
 
     @cached_property
     def _adapted_word(self) -> Word:
@@ -118,7 +96,7 @@ class QDatum:
         positions), with the roots of w0.  The level at position k is xi_i
         minus twice the occurrences of i = i_k before k."""
         w0 = adapted_word(self)
-        star = self._star
+        star = self.cartan._star
         positions: Dict[object, list] = {i: [] for i in self.cartan.index_set}
         points = []
         for k in range(1, 2 * w0.length + 1):
@@ -161,16 +139,28 @@ def _require_simply_laced(cd: CartanData) -> None:
                 raise NotSimplyLaced(f"entry c[{i},{j}] = {c} outside {{0, -1}}")
 
 
-def _as_int(value, error: type, name: str) -> int:
+def _as_int(value, error: type, name: str | RepetitionPoint) -> int:
     """value as an int: whatever operator.index accepts (ints, bools and
     integer scalars such as numpy's).  Anything else is refused with error,
-    "<name> <value> is not an integer"; name ends with " =" for an argument
-    and with ": level" for the level of a point.  This is the one integer
-    rule of every Q-datum query."""
+    "<name> <value> is not an integer"; name ends with " =" for an argument,
+    and a point as name stands for "<point>: level", formatted only on
+    refusal.  This is the one integer rule of every Q-datum query."""
     try:
         return operator.index(value)
     except TypeError:
+        if isinstance(name, RepetitionPoint):
+            name = f"{name}: level"
         raise error(f"{name} {value!r} is not an integer") from None
+
+
+def _vertex_position(cd: CartanData, i, pt=None) -> int:
+    """The position of vertex i in the index set; a vertex outside it is
+    PointOutsideLattice, its message led by "<pt>: " for the vertex of pt."""
+    try:
+        return cd.position[i]
+    except KeyError:
+        lead = "" if pt is None else f"{pt}: "
+        raise PointOutsideLattice(f"{lead}vertex {i!r} is not in the index set") from None
 
 
 def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
@@ -184,27 +174,23 @@ def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
     heights = tuple(
         _as_int(v, HeightParityViolation, f"xi_{i} =") for i, v in zip(cd.index_set, xi)
     )
-    qd = QDatum(cd, heights)
     height = dict(zip(cd.index_set, heights))
-    for i, near in qd._neighbours.items():
+    for i, near in cd._neighbours.items():
         for j in near:
             if abs(height[i] - height[j]) != 1:
                 raise HeightParityViolation(
                     f"|xi_{i} - xi_{j}| = {abs(height[i] - height[j])} on an edge"
                 )
-    return qd
+    return QDatum(cd, heights)
 
 
 def source_reflect(qd: QDatum, i) -> QDatum:
-    """Lower the height of a source vertex by 2."""
+    """Lower the height of a source vertex by 2 (is_source)."""
     if not qd.is_source(i):
         raise NotASource(f"vertex {i} has an incoming arrow")
     heights = list(qd.heights)
     heights[qd.cartan.position[i]] -= 2
-    lowered = QDatum(qd.cartan, tuple(heights))
-    # the same diagram: the reflected datum reads the same neighbours
-    lowered.__dict__["_neighbours"] = qd._neighbours
-    return lowered
+    return QDatum(qd.cartan, tuple(heights))
 
 
 def adapted_word(qd: QDatum) -> Word:
@@ -222,16 +208,9 @@ def adapted_word(qd: QDatum) -> Word:
     return qd._adapted_word
 
 
-def star_map(cd: CartanData) -> dict:
-    """The involution i -> i* induced by the longest element."""
-    data = finite_type_data(cd)
-    return {i: data.star_of(cd, i) for i in cd.index_set}
-
-
 def extended_sequence(w0: Word, star: dict, k: int) -> int:
     """Letter at any integer position of the star-periodic extension."""
-    if type(k) is not int:
-        k = _as_int(k, PointOutsideLattice, "k =")
+    k = _as_int(k, PointOutsideLattice, "k =")
     length = w0.length
     base = (k - 1) % length + 1
     shifts = (k - 1) // length
@@ -264,7 +243,7 @@ def delta_window(qd: QDatum, k: int) -> frozenset:
     the Coxeter number of the component of i.  A k that is not an integer
     is PointOutsideLattice."""
     k = _as_int(k, PointOutsideLattice, "k =")
-    star, period = qd._star, qd._window_h
+    star, period = qd.cartan._star, qd.cartan._periods
     out = set()
     for i, xi in zip(qd.cartan.index_set, qd.heights):
         h = period[i]
@@ -276,31 +255,23 @@ def delta_window(qd: QDatum, k: int) -> frozenset:
 
 
 def in_lattice(qd: QDatum, pt: RepetitionPoint) -> bool:
-    """True iff pt is a point of qd's lattice: a vertex of the index set
-    and an integer level (_as_int) of the vertex's parity."""
-    if pt.vertex not in qd.cartan.position:
-        return False
+    """True iff pt is a point of qd's lattice (_require_point)."""
     try:
-        level = pt.level if type(pt.level) is int else _level(pt)
+        _require_point(qd, pt)
     except PointOutsideLattice:
         return False
-    return (level - qd.height(pt.vertex)) % 2 == 0
+    return True
 
 
 def _require_point(qd: QDatum, pt: RepetitionPoint) -> int:
-    """The level of pt as an int when in_lattice(qd, pt); otherwise
-    PointOutsideLattice, naming the vertex, the level or the parity."""
-    if in_lattice(qd, pt):
-        return pt.level if type(pt.level) is int else _level(pt)
-    if pt.vertex not in qd.cartan.position:
-        raise PointOutsideLattice(f"{pt}: vertex {pt.vertex!r} is not in the index set")
-    _level(pt)
-    raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
-
-
-def _level(pt: RepetitionPoint) -> int:
-    """The level of a point as an int, or PointOutsideLattice."""
-    return _as_int(pt.level, PointOutsideLattice, f"{pt}: level")
+    """The level of pt as an int when pt is a point of qd's lattice: a
+    vertex of the index set, then an integer level (_as_int), then of the
+    vertex's parity.  Otherwise PointOutsideLattice naming the failure."""
+    position = _vertex_position(qd.cartan, pt.vertex, pt)
+    level = _as_int(pt.level, PointOutsideLattice, pt)
+    if (level - qd.heights[position]) % 2:
+        raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
+    return level
 
 
 @dataclass(frozen=True)
@@ -321,8 +292,7 @@ class BHLWindow:
         that is not an integer is PointOutsideLattice, any other point
         outside the window ValueError."""
         for pt in (a, b):
-            if type(pt.level) is not int:
-                _level(pt)
+            _as_int(pt.level, PointOutsideLattice, pt)
         row_of = self._row_of
         try:
             return self.entries[row_of[a]][row_of[b]]
@@ -362,8 +332,7 @@ def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
     -level * l + r of the extension for root = beta_r, so a query costs
     O(1) whatever the level."""
     beta = tuple(root)
-    if type(level) is not int:
-        level = _as_int(level, PointOutsideLattice, "level =")
+    level = _as_int(level, PointOutsideLattice, "level =")
     ext = qd._extension
     if beta not in ext.slots:
         raise PointOutsideLattice(f"no lattice point maps to {(beta, level)}")
@@ -414,24 +383,23 @@ class CartanSeries:
     _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, i, j, u: int) -> int:
-        """Coefficient (i, j) at order u; an order that is not an integer
-        is NotInvertibleAtOrder."""
-        if type(u) is not int:
-            u = _as_int(u, NotInvertibleAtOrder, "u =")
+        """Coefficient (i, j) at order u; a u that is not an integer is
+        NotInvertibleAtOrder, a vertex outside the index set (at any u)
+        PointOutsideLattice."""
+        u = _as_int(u, NotInvertibleAtOrder, "u =")
+        a, b = _vertex_position(self.cartan, i), _vertex_position(self.cartan, j)
         if u <= 0:
             return 0
         if u > self.u_max:
             raise SeriesOrderInsufficient(f"order {u} beyond computed {self.u_max}")
-        pos = self.cartan.position
-        return self.coefficients[u - 1][pos[i]][pos[j]]
+        return self.coefficients[u - 1][a][b]
 
     def _row(self, i, j) -> tuple:
         """Build and memoise the kernel row of (i, j): N_ij(d) =
         c(d-1) - c(d+1) - c(-d-1) + c(-d+1) for |d| < u_max, at index
         d + u_max - 1, c(u) = entry(i, j, u).  As c vanishes at u <= 0,
         N(d) = c(d-1) - c(d+1) for d > 0, N(0) = 0 and N(-d) = -N(d)."""
-        pos = self.cartan.position
-        a, b = pos[i], pos[j]
+        a, b = _vertex_position(self.cartan, i), _vertex_position(self.cartan, j)
         c = [0] + [m[a][b] for m in self.coefficients]
         half = [c[d - 1] - c[d + 1] for d in range(1, self.u_max)]
         row = self._rows[(i, j)] = (*(-v for v in reversed(half)), 0, *half)
@@ -459,17 +427,17 @@ def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
             f"a series of order {u_max} has {u_max * n * n} cells, "
             f"over the budget of {budget}"
         )
-    neighbours = [[t for t, c in enumerate(row) if c == -1] for row in cd.matrix]
+    pos, near = cd.position, cd._neighbours
     identity = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
     coeffs = [identity]
     prev2 = [[0] * n for _ in range(n)]
     prev1 = identity
     for _ in range(u_max - 1):
         nxt = []
-        for a, near in enumerate(neighbours):
+        for a, i in enumerate(cd.index_set):
             row = [-v for v in prev2[a]]
-            for t in near:
-                row = [x + y for x, y in zip(row, prev1[t])]
+            for j in near[i]:
+                row = [x + y for x, y in zip(row, prev1[pos[j]])]
             nxt.append(row)
         coeffs.append(nxt)
         prev2, prev1 = prev1, nxt
@@ -484,20 +452,18 @@ def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> in
     The second pair of terms enters with flipped signs so that the
     pairing is antisymmetric and vanishes on the diagonal, which the
     torus commutation rule it feeds requires.  A level that is not an
-    integer (_as_int) is PointOutsideLattice.  For a level difference
-    |d| < u_max it is one lookup in the series' row of the vertex pair
-    (CartanSeries._row); beyond, the four reads raise
-    SeriesOrderInsufficient for the first order not computed.
+    integer (_as_int), or a vertex outside the index set, is
+    PointOutsideLattice.  For a level difference |d| < u_max it is one
+    lookup in the series' row of the vertex pair (CartanSeries._row);
+    beyond, the four reads raise SeriesOrderInsufficient for the first
+    order not computed.
     """
     i, p = p1.vertex, p1.level
     j, q = p2.vertex, p2.level
-    try:
-        d = p - q
-    except TypeError:  # a level that is not even a number
-        d = None
-    if type(d) is not int:
-        p, q = _level(p1), _level(p2)
-        d = p - q
+    if not (type(p) is type(q) is int):
+        p = _as_int(p, PointOutsideLattice, p1)
+        q = _as_int(q, PointOutsideLattice, p2)
+    d = p - q
     u = series.u_max
     if -u < d < u:
         return (series._rows.get((i, j)) or series._row(i, j))[d + u - 1]
@@ -524,6 +490,6 @@ def a_monomial(qd: QDatum, i, p: int) -> dict:
         RepetitionPoint(i, p - 1): 1,
         RepetitionPoint(i, p + 1): 1,
     }
-    for j in qd._neighbours[i]:
+    for j in qd.cartan._neighbours[i]:
         out[RepetitionPoint(j, p)] = -1
     return out

@@ -113,9 +113,7 @@ def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
             if plus[s] > k:
                 row[plus[s] - 1] = -c
         rows.append(tuple(row))
-    d = dict(zip(cd.index_set, cd.symmetrizer))
-    d_prime = tuple(d[i] for i in letters)
-    return ExchangeMatrix(tuple(rows), _exchange_slots(w), d_prime)
+    return ExchangeMatrix(tuple(rows), _exchange_slots(w), tuple(map(cd.sym, letters)))
 
 
 def solve_lambda(b: ExchangeMatrix) -> tuple:

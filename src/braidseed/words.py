@@ -58,15 +58,9 @@ def default_budget() -> int:
         budget = int(raw) if raw else DEFAULT_BUDGET
     except ValueError as err:
         raise ConfigInvalid(f"{BUDGET_ENV}: expected an integer, got {raw!r}") from err
-    _check_budget(budget, BUDGET_ENV)
+    if budget < 1:
+        raise ConfigInvalid(f"{BUDGET_ENV}: must be >= 1, got {budget}")
     return budget
-
-
-def _check_budget(budget: Optional[int], source: str = "budget") -> None:
-    """Refuse a budget below 1 with ConfigInvalid naming its source; None
-    stands for default_budget()."""
-    if budget is not None and budget < 1:
-        raise ConfigInvalid(f"{source}: must be >= 1, got {budget}")
 
 
 class WordKind(Enum):
@@ -364,9 +358,7 @@ def _plain_bfs(relations: dict, start: tuple, target: tuple, budget: int):
     return "exhausted", None
 
 
-def find_move_path(
-    cd: CartanData, w: Word, w2: Word, budget: Optional[int] = None
-) -> list:
+def find_move_path(cd: CartanData, w: Word, w2: Word) -> list:
     """The lexicographically least shortest move sequence from w to w2: of
     the shortest paths, the smallest by move positions in order.  _bfs finds
     it depth-first per round for reduced words, by one BFS otherwise.
@@ -374,18 +366,17 @@ def find_move_path(
     Raises NotConnected with definitive=True when w2 cannot be reached from
     w: their lengths, reducedness or Weyl elements differ, or the finite
     component of a non-reduced w was enumerated without meeting w2;
-    definitive=False, naming the stopped search, once the budget of words
-    discovered (default_budget() when None), over all rounds of _bfs, is
-    spent, the only way it fails on two reduced words of one Weyl element.
-    A budget below 1 is ConfigInvalid, before any other check.
+    definitive=False, naming the stopped search, once the default_budget()
+    words discovered, over all rounds of _bfs, are spent, the only way it
+    fails on two reduced words of one Weyl element.  A budget that
+    default_budget() refuses is ConfigInvalid, before any other check.
     """
-    _check_budget(budget)
+    budget = default_budget()
     _check_letters(cd, w.positions)
     _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
     if w.length != w2.length:
         raise NotConnected("words of different lengths", definitive=True)
-    budget = default_budget() if budget is None else budget
     status, path = _bfs(cd, w, w2.letters, budget)
     if status == "found":
         return path
@@ -398,9 +389,7 @@ def find_move_path(
     raise NotConnected(f"no move path from {w.letters} to {w2.letters}", definitive=True)
 
 
-def words_equal_in_monoid(
-    cd: CartanData, w: Word, w2: Word, budget: Optional[int] = None
-) -> bool:
+def words_equal_in_monoid(cd: CartanData, w: Word, w2: Word) -> bool:
     """Positive-braid-monoid equality.
 
     The letters and 6-move pairs are refused and different lengths are
@@ -412,9 +401,9 @@ def words_equal_in_monoid(
     full words by move-graph connectivity, since the defining relations are
     length-homogeneous: find_move_path answers, a definitive NotConnected
     is False, and one that spent the budget is BudgetExhausted.  A budget
-    below 1 is ConfigInvalid, before any other check.
+    that default_budget() refuses is ConfigInvalid, before any other check.
     """
-    _check_budget(budget)
+    budget = default_budget()
     _check_letters(cd, w.positions)
     _check_letters(cd, w2.positions)
     _check_no_sixmove_pairs(cd, w.letters + w2.letters)
@@ -428,9 +417,8 @@ def words_equal_in_monoid(
     walk, walk2 = _WeylWalk(cd, x), _WeylWalk(cd, y)
     if walk.reduced and walk2.reduced:
         return walk.images == walk2.images
-    budget = default_budget() if budget is None else budget
     try:
-        find_move_path(cd, w, w2, budget)
+        find_move_path(cd, w, w2)
     except NotConnected as err:
         if err.definitive:
             return False

@@ -6,7 +6,8 @@ from another function of the package, from a demo or from the benchmark
 UNREAD_PUBLIC with the reason it stays.  A function that nothing calls
 any more is deleted, not kept beside its replacement.  seeds and cli call
 no private name of qlaurent, so every product and division passes through
-the public kernels."""
+the public kernels.  No module but __init__.py, which re-exports, imports
+a name at its top level that it never reads."""
 from __future__ import annotations
 
 import ast
@@ -21,6 +22,7 @@ UNREAD_PUBLIC = {
     "bilinear_form": "the invariant form that ROADMAP item 1 gives a caller",
     "b_hl": "the window exchange matrix of ROADMAP item 6",
     "canonical_smallest_solution": "the test reference for solve_lambda",
+    "in_lattice": "the lattice predicate; every query checks by _require_point",
     "permute_seed": "the seed relabelling of the test reference walk",
     "parse_report": "reads the JSON that emit_report writes",
     "reflect_root": "named in the benchmark's README, which stays as it is",
@@ -174,6 +176,44 @@ def test_unread_public_skips_exports_imports_and_self_reads():
         ("a.py", "recursive"),
         ("a.py", "imported"),
     ]
+
+
+def unused_imports(text: str) -> list:
+    """The names that a module's top-level imports bind and that the module
+    never reads; a __future__ import binds nothing."""
+    tree = ast.parse(text)
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_every_module_level_import_is_read():
+    sources = package_sources()
+    sources.pop("__init__.py")
+    assert len(sources) > 5
+    unused = {m: names for m, text in sources.items() if (names := unused_imports(text))}
+    assert unused == {}
+
+
+def test_unused_imports_sees_aliases_attributes_and_annotations():
+    text = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nimport re\n"
+        "from typing import Optional, Sequence\nfrom .a import b, c as d\n"
+        "Sequence = list\n"
+        "def f(x: Optional[int]) -> None:\n    return j.dumps(os.sep), d\n"
+    )
+    assert unused_imports(text) == ["re", "Sequence", "b"]
 
 
 def calls(sources: dict) -> dict:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import fields
+from functools import cached_property
 
 import numpy
 import pytest
@@ -18,11 +21,13 @@ from hypothesis import strategies as st
 
 from braidseed import qdatum
 from braidseed.cartan import (
+    CartanData,
     finite_type_data,
     preset,
     reflect_root,
     roots_of_word,
     validate_cartan,
+    weyl_act,
 )
 from braidseed.errors import (
     BraidseedError,
@@ -51,7 +56,6 @@ from braidseed.qdatum import (
     phi_map,
     pk_sequence,
     source_reflect,
-    star_map,
     validate_height,
 )
 from braidseed.seeds import gls_matrix
@@ -134,7 +138,7 @@ def test_extended_sequence():
     cd = preset("a2")
     qd = validate_height(cd, (1, 0))
     w0 = adapted_word(qd)
-    star = star_map(cd)
+    star = cd._star
     assert star == {1: 2, 2: 1}
     assert extended_sequence(w0, star, 4) == 2
     assert extended_sequence(w0, star, -2) == 2
@@ -262,14 +266,14 @@ def test_b_hl_shifted_windows_agree():
     second = b_hl(qd, pk_sequence(qd, 1 + 6, 5 + 6))
     assert first.entries != ()
     assert second.positions == tuple(k + 6 for k in first.positions)
-    star = star_map(preset("a3"))
+    star = preset("a3")._star
     for a, b in zip(first.points, second.points):
         assert b.vertex == star[a.vertex]
     assert b_hl(qd, ()) == BHLWindow((), (), ())
 
 
 def test_b_hl_entry_agrees_with_entries_on_every_pair_of_points():
-    qd = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    qd = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
     window = b_hl(qd, pk_sequence(qd, 5, 16))
     for (r, a), (c, b) in itertools.product(enumerate(window.points), repeat=2):
         assert window.entry(a, b) == window.entries[r][c]
@@ -327,7 +331,7 @@ def brute_inverse_series(cd, u_max):
 
 def test_cartan_tilde_matches_dense_inversion():
     contexts = [preset(name) for name in ("a1", "a2", "a3", "a1xa1")]
-    for cd in contexts + [validate_cartan(_type_d4())]:
+    for cd in contexts + [validate_cartan(_type_d(4))]:
         series = cartan_tilde(cd, 8)
         dense = brute_inverse_series(cd, 8)
         labels = list(cd.index_set)
@@ -397,7 +401,7 @@ def test_n_form_reads_the_four_entry_formula_from_its_rows(u_max):
     # a value or the same error and message at every level difference,
     # inside the computed rows and up to two orders beyond them
     contexts = [preset(name) for name in ("a1", "a3", "a1xa1")]
-    for cd in contexts + [validate_cartan(_type_d4())]:
+    for cd in contexts + [validate_cartan(_type_d(4))]:
         series = cartan_tilde(cd, u_max)
         for i, j in itertools.product(cd.index_set, repeat=2):
             for d in range(-u_max - 2, u_max + 3):
@@ -447,7 +451,7 @@ def _integer_entry_points():
     a1 = preset("a1")
     qd = validate_height(a1, (1,))
     low = validate_height(a1, (0,))
-    w0, star = adapted_word(qd), star_map(a1)
+    w0, star = adapted_word(qd), a1._star
     series = cartan_tilde(a1, 4)
     window = b_hl(qd, [RepetitionPoint(1, 1)])
     return {
@@ -511,7 +515,7 @@ def test_w0_height_action():
     for name in ["a1", "a2", "a3"]:
         cd = preset(name)
         data = finite_type_data(cd)
-        star = star_map(cd)
+        star = cd._star
         for _ in range(3):
             qd = validate_height(cd, sample_heights(rng, cd))
             running = qd
@@ -529,10 +533,11 @@ def _type_a(n):
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
 
 
-def _type_d4():
-    m = _type_a(4)
-    m[2][3] = m[3][2] = 0
-    m[1][3] = m[3][1] = -1
+def _type_d(n):
+    """D_n: the chain 1-...-(n-1) with n attached to n-2."""
+    m = _type_a(n)
+    m[n - 2][n - 1] = m[n - 1][n - 2] = 0
+    m[n - 3][n - 1] = m[n - 1][n - 3] = -1
     return m
 
 
@@ -582,7 +587,7 @@ ORACLE_CONTEXTS = {
     "a2": (preset("a2"), 3),
     "a3": (preset("a3"), 3),
     "a4": (validate_cartan(_type_a(4)), 1),
-    "d4": (validate_cartan(_type_d4()), 1),
+    "d4": (validate_cartan(_type_d(4)), 1),
     # reducible, with no common Coxeter number: 2|R+|/|I| is 8/3 and 18/5
     "a1xa2": (validate_cartan(_blocks([[2]], _type_a(2))), 1),
     "a2xa3": (validate_cartan(_blocks(_type_a(2), _type_a(3))), 1),
@@ -748,7 +753,7 @@ def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(qdatum, fname, counting)
-    qd = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    qd = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
     pt = RepetitionPoint(4, 2 + 2 * 17)
     root, level = qdatum.phi_map(qd, pt)
     assert counts == {"phi_map": 1, "adapted_word": 1}
@@ -757,7 +762,7 @@ def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
         phi_inverse(qd, (0, 0, 0, 0), 2)
     assert counts == {"phi_map": 1, "adapted_word": 1}
     # on a fresh Q-datum phi_inverse alone builds the index once
-    fresh = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    fresh = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
     for shift in range(-20, 21):
         assert phi_inverse(fresh, root, level + shift) == RepetitionPoint(
             4, pt.level + 6 * shift
@@ -823,7 +828,7 @@ def replay_pk_sequence(qd, lo, hi):
     """Reference pk_sequence: source reflections replayed forward from
     position 1, sink unreflections backward from position 0."""
     w0 = replay_adapted_word(qd)
-    star = star_map(qd.cartan)
+    star = qd.cartan._star
     points = {}
     running = qd
     for k in range(1, hi + 1):
@@ -843,7 +848,7 @@ def walk_position_of_point(qd, pt):
     level at or below the height) or backward from 0, counting occurrences."""
     qdatum._require_point(qd, pt)
     w0 = replay_adapted_word(qd)
-    star = star_map(qd.cartan)
+    star = qd.cartan._star
     base = qd.height(pt.vertex)
     if pt.level <= base:
         wanted, k, step = (base - pt.level) // 2, 0, 1
@@ -887,7 +892,7 @@ EXTENSION_CONTEXTS = {
     "a2": preset("a2"),
     "a3": preset("a3"),
     "a4": validate_cartan(_type_a(4)),
-    "d4": validate_cartan(_type_d4()),
+    "d4": validate_cartan(_type_d(4)),
     "a1xa1": preset("a1xa1"),
     "a1xa2": validate_cartan(_blocks([[2]], _type_a(2))),
 }
@@ -954,7 +959,7 @@ def test_extension_index_refuses_like_the_replays_without_a_coxeter_number():
         # with it the windows would hold 12 letters for 9 roots
         (_blocks([[2]], [[2]], [[2]], _type_a(3)), (0, 0, 0, 0, 1, 2)),
         # 2|R+|/|I| = 4 again differs from every component's (A1: 2, D4: 6)
-        (_blocks(_type_d4(), [[2]], [[2]], [[2]], [[2]]), (0, 1, 0, 0, 0, 0, 0, 0)),
+        (_blocks(_type_d(4), [[2]], [[2]], [[2]], [[2]]), (0, 1, 0, 0, 0, 0, 0, 0)),
         # A1^24 x A6: 2|R+|/|I| = 3
         (_blocks(*[[[2]]] * 24, _type_a(6)), (0,) * 24 + (0, 1, 2, 3, 4, 5)),
     ],
@@ -999,7 +1004,7 @@ def test_extension_index_makes_one_adapted_word_and_no_other_reflection(monkeypa
 
     monkeypatch.setattr(qdatum, "adapted_word", counting_adapted_word)
     monkeypatch.setattr(qdatum, "source_reflect", counting_source_reflect)
-    qd = validate_height(validate_cartan(_type_d4()), (0, 1, 0, 2))
+    qd = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
     length = 12
     points = qdatum.pk_sequence(qd, -3 * length, 3 * length)
     for k, pt in enumerate(points, start=-3 * length):
@@ -1007,3 +1012,110 @@ def test_extension_index_makes_one_adapted_word_and_no_other_reflection(monkeypa
     window = qdatum.b_hl(qd, qdatum.pk_sequence(qd, 4 * length + 1, 5 * length))
     assert window.positions == tuple(range(4 * length + 1, 5 * length + 1))
     assert counts == {"adapted_word": 1, "source_reflect outside adapted_word": 0}
+
+
+# ---------------------------------------------------------------------------
+# The diagram's facts belong to the CartanData
+
+
+def _bourbaki_e6():
+    """E6 in Bourbaki labelling: the chain 1-3-4-5-6 with 2 attached to 4."""
+    m = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+    for a, b in ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6)):
+        m[a - 1][b - 1] = m[b - 1][a - 1] = -1
+    return m
+
+
+FACT_CONTEXTS = {
+    **{f"a{n}": validate_cartan(_type_a(n)) for n in range(1, 6)},
+    "d4": validate_cartan(_type_d(4)),
+    "d5": validate_cartan(_type_d(5)),
+    "e6": validate_cartan(_bourbaki_e6()),
+    # labels that are not positions, on a reducible diagram
+    "a2xa3": validate_cartan(_blocks(_type_a(2), _type_a(3)), index_set="abcde"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACT_CONTEXTS))
+def test_the_diagram_facts_equal_their_definitions(name):
+    cd = FACT_CONTEXTS[name]
+    labels = cd.index_set
+    assert cd._neighbours == {
+        i: tuple(j for j in labels if cd.entry(i, j) == -1) for i in labels
+    }
+    assert cd._star == dict(zip(labels, finite_type_data(cd).star))
+    w0 = finite_type_data(cd).longest_word
+    for i in labels:
+        # w0(alpha_i) = -alpha_{i*}, and * is an involution
+        image = weyl_act(cd, w0, cd.simple_root(i))
+        assert image == tuple(-v for v in cd.simple_root(cd._star[i]))
+        assert cd._star[cd._star[i]] == i
+    assert cd._periods == component_coxeter_numbers(cd)
+
+
+def test_height_queries_derive_each_diagram_fact_once(monkeypatch):
+    # many heights on one CartanData: each fact is derived once, on the
+    # CartanData, and no datum or series keeps a copy
+    cd = validate_cartan(_type_a(4))
+    counts = {"_neighbours": 0, "_star": 0, "_periods": 0}
+    for name in counts:
+        fact = vars(CartanData)[name]
+
+        def counting(self, real=fact.func, name=name):
+            counts[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(fact, "func", counting)
+    data = _all_heights(cd, 2)
+    assert len(data) == 24
+    for qd in data:
+        top = max(cd.index_set, key=qd.height)
+        assert qd.arrows and qd.is_source(top)
+        assert adapted_word(qd) == replay_adapted_word(qd)
+        source_reflect(qd, top)
+        for pt in delta_window(qd, 1):
+            assert phi_inverse(qd, *phi_map(qd, pt)) == pt
+            a_monomial(qd, pt.vertex, pt.level + 1)
+    series = cartan_tilde(cd, 6)
+    n_form(series, RepetitionPoint(1, 0), RepetitionPoint(2, 3))
+    assert counts == {"_neighbours": 1, "_star": 1, "_periods": 1}
+    allowed = {f.name for f in fields(QDatum)} | {"_adapted_word", "_extension"}
+    assert all(set(vars(qd)) <= allowed for qd in data)
+    assert {
+        name for name, value in vars(QDatum).items() if isinstance(value, cached_property)
+    } == {"_adapted_word", "_extension"}
+
+
+def _vertex_entry_points():
+    """Each Q-datum query that takes a vertex on its own, not inside a
+    point of the lattice, as a call of that vertex, with every other
+    argument one that the vertex 1 makes valid."""
+    a2 = preset("a2")
+    qd = validate_height(a2, (1, 0))
+    series = cartan_tilde(a2, 4)
+    return {
+        "QDatum.is_source": lambda v: qd.is_source(v),
+        "source_reflect": lambda v: source_reflect(qd, v),
+        "CartanSeries.entry": lambda v: series.entry(v, 1, 2),
+        "CartanSeries.entry at u <= 0": lambda v: series.entry(1, v, 0),
+        "CartanSeries.entry beyond u_max": lambda v: series.entry(v, 2, 9),
+        "n_form": lambda v: n_form(series, RepetitionPoint(v, 0), RepetitionPoint(2, 1)),
+        "n_form beyond u_max": lambda v: n_form(
+            series, RepetitionPoint(1, 0), RepetitionPoint(v, 20)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_vertex_entry_points()))
+def test_a_vertex_outside_the_index_set_is_refused_naming_it(name):
+    call = _vertex_entry_points()[name]
+    try:
+        call(1)
+    except SeriesOrderInsufficient:
+        pass  # the vertex 1 is read; only the order is out of reach
+    for vertex in (9, 0, "1"):
+        with pytest.raises(
+            PointOutsideLattice,
+            match=rf"^vertex {re.escape(repr(vertex))} is not in the index set$",
+        ):
+            call(vertex)

@@ -209,23 +209,25 @@ def test_sixmove_pairs_are_rejected():
     assert words_equal_in_monoid(cd, Word((1, 1), WordKind.POSITIVE_BRAID), Word((1, 1), WordKind.POSITIVE_BRAID))
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
     cd = preset("a3")
     u = Word((1, 2, 1, 3, 2, 1))
     v = Word((3, 2, 3, 1, 2, 3))
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "2")
     with pytest.raises(NotConnected) as info:
-        find_move_path(cd, u, v, budget=2)
+        find_move_path(cd, u, v)
     assert not info.value.definitive
     # two reduced words of w0 are equal by Matsumoto's theorem, unsearched
-    assert words_equal_in_monoid(cd, u, v, budget=2)
+    assert words_equal_in_monoid(cd, u, v)
     # with s1 in front neither word is reduced, but the common prefix
     # cancels and leaves the reduced pair
     u1, v1 = (Word((1,) + x.letters, WordKind.POSITIVE_BRAID) for x in (u, v))
-    assert words_equal_in_monoid(cd, u1, v1, budget=2)
+    assert words_equal_in_monoid(cd, u1, v1)
     # s1 w0 = w0 s3 shares no prefix or suffix, so equality needs the search
     v2 = Word(v.letters + (3,), WordKind.POSITIVE_BRAID)
     with pytest.raises(BudgetExhausted):
-        words_equal_in_monoid(cd, u1, v2, budget=2)
+        words_equal_in_monoid(cd, u1, v2)
+    monkeypatch.delenv("BRAIDSEED_BUDGET")
     assert words_equal_in_monoid(cd, u1, v2)
 
 
@@ -237,18 +239,19 @@ def test_budget_env_override(monkeypatch):
     assert not info.value.definitive
 
 
-def test_a_stopped_search_names_its_budget_not_a_missing_path():
+def test_a_stopped_search_names_its_budget_not_a_missing_path(monkeypatch):
     cd = preset("a3")
     u, v = Word((1, 2, 1, 3, 2, 1)), Word((3, 2, 3, 1, 2, 3))
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "2")
     with pytest.raises(NotConnected) as info:
-        find_move_path(cd, u, v, budget=2)
+        find_move_path(cd, u, v)
     assert str(info.value) == (
         "move-graph search from (1, 2, 1, 3, 2, 1) to (3, 2, 3, 1, 2, 3) "
         "stopped after 2 words"
     )
     # a definitive refusal still says there is no path
     with pytest.raises(NotConnected, match=r"^no move path from \(1, 2, 1\)") as info:
-        find_move_path(cd, Word((1, 2, 1)), Word((2, 3, 2)), budget=2)
+        find_move_path(cd, Word((1, 2, 1)), Word((2, 3, 2)))
     assert info.value.definitive
 
 
@@ -259,51 +262,60 @@ def test_a_bad_budget_env_is_config_invalid_for_every_reader(monkeypatch, value)
         default_budget()
 
 
-def test_an_explicit_budget_of_0_is_not_the_default():
-    # None asks for default_budget(); 0 is refused like BRAIDSEED_BUDGET=0
+def test_an_explicit_budget_of_0_is_not_the_default(monkeypatch):
+    # an empty BRAIDSEED_BUDGET asks for the default; 0 is refused
     cd = preset("a3")
     u, v = Word((1, 2, 1, 3, 2, 1)), Word((3, 2, 3, 1, 2, 3))
-    assert len(find_move_path(cd, u, v, budget=None)) > 1
-    with pytest.raises(ConfigInvalid, match=r"^budget: must be >= 1, got 0$"):
-        find_move_path(cd, u, v, budget=0)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "")
+    assert len(find_move_path(cd, u, v)) > 1
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "0")
+    with pytest.raises(ConfigInvalid, match=r"^BRAIDSEED_BUDGET: must be >= 1, got 0$"):
+        find_move_path(cd, u, v)
 
 
 @pytest.mark.parametrize("budget", [0, -5])
-def test_a_budget_below_1_is_refused_before_the_target_test(budget):
+def test_a_budget_below_1_is_refused_before_the_target_test(monkeypatch, budget):
     # a target one move away, or the start itself, needs no word of budget,
     # and reduced words of one Weyl element need no search: the budget is
     # refused all the same
     cd = preset("a3")
     u, v = Word((1, 2, 1)), Word((2, 1, 2))
+    monkeypatch.setenv("BRAIDSEED_BUDGET", str(budget))
     for call, w2 in (
         (find_move_path, v),
         (find_move_path, u),
         (words_equal_in_monoid, v),
         (words_equal_in_monoid, Word((1, 2, 1, 3), WordKind.POSITIVE_BRAID)),
     ):
-        with pytest.raises(ConfigInvalid, match=f"^budget: must be >= 1, got {budget}$"):
-            call(cd, u, w2, budget=budget)
-    assert find_move_path(cd, u, v, budget=1) == [Move(MoveKind.THREE, 1)]
-    assert words_equal_in_monoid(cd, u, v, budget=1)
+        with pytest.raises(
+            ConfigInvalid, match=f"^BRAIDSEED_BUDGET: must be >= 1, got {budget}$"
+        ):
+            call(cd, u, w2)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "1")
+    assert find_move_path(cd, u, v) == [Move(MoveKind.THREE, 1)]
+    assert words_equal_in_monoid(cd, u, v)
 
 
-def test_budget_counts_the_words_of_every_round():
+def test_budget_counts_the_words_of_every_round(monkeypatch):
     # every move of the start is up, so round 0 discovers only the start;
     # round 1 walks depth-first straight along the 12-move path and reaches
     # the target as its 13th word, the start included, so 1 + 13 words are
     # charged
     cd = preset("b3")
     u, v = Word((2, 1, 3, 2, 1, 3, 2, 3, 1)), Word((3, 1, 2, 1, 3, 2, 1, 3, 2))
-    assert len(find_move_path(cd, u, v, budget=14)) == 12
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "14")
+    assert len(find_move_path(cd, u, v)) == 12
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "13")
     with pytest.raises(NotConnected) as info:
-        find_move_path(cd, u, v, budget=13)
+        find_move_path(cd, u, v)
     assert not info.value.definitive
 
 
-def test_unconnectable_words_are_refused_before_the_budget():
+def test_unconnectable_words_are_refused_before_the_budget(monkeypatch):
     # moves keep the Weyl element and reducedness, so these pairs are
     # answered without a search: a budget of 2 words is never charged
     cd = preset("a3")
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "2")
     for u, v in (
         (Word((1, 2, 1)), Word((2, 3, 2))),  # reduced, different inversion sets
         (Word((1, 2, 1)), Word((1, 1, 2), WordKind.POSITIVE_BRAID)),  # target not reduced
@@ -313,9 +325,9 @@ def test_unconnectable_words_are_refused_before_the_budget():
          Word((1, 1, 1, 2, 3), WordKind.POSITIVE_BRAID)),
     ):
         with pytest.raises(NotConnected) as info:
-            find_move_path(cd, u, v, budget=2)
+            find_move_path(cd, u, v)
         assert info.value.definitive
-        assert not words_equal_in_monoid(cd, u, v, budget=2)
+        assert not words_equal_in_monoid(cd, u, v)
 
 
 # Rank-4 contexts: A4, D4 (node 4 attached to node 2), and B4 in the
@@ -509,7 +521,9 @@ def test_words_equal_in_monoid_answers_as_its_own_search_did(data):
         # the search ran out, and the words cancel down to two reduced
         # words: Matsumoto decides
         expected = "value", weyl_element(cd, x) == weyl_element(cd, y)
-    assert _outcome(words_equal_in_monoid, cd, u, v, budget) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("BRAIDSEED_BUDGET", str(budget))
+        assert _outcome(words_equal_in_monoid, cd, u, v) == expected
 
 
 def strip_common_ends(x, y):
@@ -535,14 +549,15 @@ def bourbaki_e(n):
 
 
 @pytest.mark.parametrize("rank", [7, 8])
-def test_reduced_words_of_one_element_are_equal_without_a_search(rank):
+def test_reduced_words_of_one_element_are_equal_without_a_search(monkeypatch, rank):
     # w0 against reverse(w0) runs the move-graph search out of its budget
     # at rank 7 and 8; one walk per word answers, and a budget of 1 word
     # is never charged
     cd = validate_cartan(bourbaki_e(rank))
     w0 = finite_type_data(cd).longest_word
     u, v = Word(w0), Word(w0[::-1])
-    assert words_equal_in_monoid(cd, u, v, budget=1)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "1")
+    assert words_equal_in_monoid(cd, u, v)
 
 
 # The move-graph search as it was before the up-move bound: one unpruned
@@ -668,7 +683,9 @@ def test_a_common_prefix_and_suffix_cancel(data):
     prefix, suffix = (tuple(data.draw(st.lists(alphabet, max_size=4))) for _ in "ps")
     u, v = (Word(prefix + z.letters + suffix, WordKind.POSITIVE_BRAID) for z in (x, y))
     budget = data.draw(st.sampled_from([2, 50, 2_000]))
-    answer = _outcome(words_equal_in_monoid, cd, u, v, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("BRAIDSEED_BUDGET", str(budget))
+        answer = _outcome(words_equal_in_monoid, cd, u, v)
     expected = _outcome(search_words_equal, cd, u, v, budget)
     if expected[0] is not BudgetExhausted:
         assert answer == expected
@@ -828,14 +845,15 @@ def test_far_d5_longest_words_compare_within_the_default_budget():
     assert u == v
 
 
-def test_a_common_prefix_cancels_before_the_weyl_test():
+def test_a_common_prefix_cancels_before_the_weyl_test(monkeypatch):
     # neither word is reduced, and the search of the whole words ran out of
     # the default budget; without s1 they are reduced words of w0, so no
     # word is searched
     cd = validate_cartan(D5)
     w0 = finite_type_data(cd).longest_word
     u, v = (Word((1,) + x, WordKind.POSITIVE_BRAID) for x in (w0, w0[::-1]))
-    assert words_equal_in_monoid(cd, u, v, budget=1)
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "1")
+    assert words_equal_in_monoid(cd, u, v)
 
 
 def test_e6_longest_word_compares_with_its_reverse():
