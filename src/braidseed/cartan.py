@@ -304,9 +304,6 @@ class FiniteTypeData:
     star: tuple  # star[n] is the label i* for the n-th label of index_set
     coxeter_number: Optional[int]
 
-    def star_of(self, cd: CartanData, i):
-        return self.star[cd.position[i]]
-
 
 def _first_nonpositive_minor(cd: CartanData) -> Optional[tuple]:
     """(order, value) of the first leading principal minor of the

@@ -893,16 +893,11 @@ def torus_campaign(cd: CartanData, word_length: int, pairs: int = 200) -> tuple:
     for _ in range(pairs):
         a = tuple(rng.randint(-3, 3) for _ in range(rank))
         b = tuple(rng.randint(-3, 3) for _ in range(rank))
-        left = torus_product(
-            seed.lam,
-            QuantumLaurent.monomial(rank, a),
-            QuantumLaurent.monomial(rank, b),
+        x_a, x_b = QuantumLaurent.monomial(rank, a), QuantumLaurent.monomial(rank, b)
+        left = torus_product(seed.lam, x_a, x_b)
+        right = torus_product(seed.lam, x_b, x_a).q_shift(
+            commutation_doubled(seed.lam, a, b)
         )
-        right = torus_product(
-            seed.lam,
-            QuantumLaurent.monomial(rank, b),
-            QuantumLaurent.monomial(rank, a),
-        ).q_shift(commutation_doubled(seed.lam, a, b))
         checked += 1
         if left != right:
             failures.append({"a": list(a), "b": list(b)})

@@ -96,6 +96,11 @@ class NonExactDivision(BraidseedError):
     pass
 
 
+class NotRepresentable(BraidseedError):
+    """A coefficient entry or exponent that is not an integer, or an
+    exponent that a torus element's packed keys cannot hold."""
+
+
 class ExchangeSetNotPreserved(BraidseedError):
     pass
 

@@ -5,29 +5,78 @@ stored doubled so every arithmetic step stays in plain integers.  Torus
 elements are finite sums of based monomials X^a indexed by integer
 exponent vectors; the based normalization makes the product rule
 X^a X^b = q^(Lambda(a,b)/2) X^(a+b) with Lambda(a,b) = sum a_i b_j l_ij.
+Coefficient entries and exponents are whatever operator.index accepts;
+anything else is NotRepresentable.
+
+Each term of a rank-r element is keyed by one int, the Kronecker packing
+
+    key(a) = |a| B^r + a_1 B^(r-1) + ... + a_r,   |a| = a_1 + ... + a_r,
+
+with B = 2^32 and signed digits.  The key is linear, so key(a + b) is
+key(a) + key(b), one int add.  While every |a_i| is at most
+M = 2^31 - 1, two vectors' digits differ by at most 2M < B, so no
+difference carries into the digit above it: the key is one-to-one, and
+int order compares |a| first, then a_1, a_2, ... -- the graded
+lexicographic order.  The total degree is the top digit and needs no
+bound.  So a carry must be impossible, and every element carries a
+bound on its |a_i|: the exact maximum when built from exponent tuples,
+the larger one for a sum, and the two bounds added for a product and for
+a quotient (right_divide says why).  An exponent beyond M, and a product
+or division whose terms could pass M, is refused with NotRepresentable.
+
+The exponent tuples, which the Lambda dot products and the public view
+terms = {exponent tuple: QHalf} read, are unpacked from an element's
+keys when first read, and kept.  A product or sum builds none, so one
+that is only compared, like the exchange check's X_k * mu_k(X_k), never
+does; a quotient keeps the tuples its steps unpack.
 
 The product and right-division kernels work on plain dicts
-{exponent: {doubled_q: int}} and wrap the result once.  They read
+{key: {doubled_q: int}} and wrap the result once.  They read
 Lambda(a, b) as a . (Lambda b): the Lambda images of one factor's terms
 (the divisor's, in a division) are computed once, and each term pair then
 costs one O(r) dot product.  Division keeps its remainder in such a dict
-and takes the leading term from a heap.  A product, a division step and
-a shifted_sum each hand all their term pairs to one _accumulate call,
-the one home of the merge rule; a pair with a one-entry coefficient, the
-common case, merges its entry products straight in.  A one-entry QHalf
-divisor divides entry by entry.  Terms and coefficient entries keep the
-insertion order of a sum of QHalf objects, so the messages of
-NonExactDivision, which print coefficient dicts, do not depend on the
-kernel.
+and takes the leading term from a heap of negated keys; a one-term
+divisor c X^e instead divides the numerator's terms in one pass, in
+grlex order.  A product, a division step and a shifted_sum each hand all
+their term pairs to one _accumulate call, the one home of the merge
+rule; a pair with a one-entry coefficient, the common case, merges its
+entry products straight in.  A one-entry QHalf divisor divides entry by
+entry.  Terms and coefficient entries keep the insertion order of a sum
+of QHalf objects, so the messages of NonExactDivision, which print
+coefficient dicts, do not depend on the kernel.
 """
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
-from operator import add, mul, neg, sub
+from operator import index, mul
+from struct import Struct
 from typing import Mapping, Sequence
 
-from .errors import BudgetExhausted, ContextMismatch, NonExactDivision, ShapeMismatch
+from .errors import (
+    BudgetExhausted,
+    ContextMismatch,
+    NonExactDivision,
+    NotRepresentable,
+    ShapeMismatch,
+)
 from .words import default_budget
+
+# One digit of a packed key, and the largest |exponent| its signed digits hold.
+_DIGIT = 1 << 32
+_EXPONENT_BOUND = (1 << 31) - 1
+# Elimination steps after which an inexact division gives up.
+_MAX_STEPS = 10000
+
+
+def _as_int(value, name: str) -> int:
+    """value as an int: whatever operator.index accepts (ints, bools and
+    integer scalars such as numpy's); anything else is NotRepresentable,
+    "<name> <value> is not an integer".  The integer rule of qdatum."""
+    try:
+        return index(value)
+    except TypeError:
+        raise NotRepresentable(f"{name} {value!r} is not an integer") from None
 
 
 class QHalf:
@@ -42,8 +91,10 @@ class QHalf:
         self.terms = {}
         if terms:
             for k, v in terms.items():
+                k = _as_int(k, "doubled q-exponent")
+                v = _as_int(v, "coefficient entry")
                 if v:
-                    self.terms[int(k)] = int(v)
+                    self.terms[k] = v
 
     @classmethod
     def _wrap(cls, terms: dict) -> "QHalf":
@@ -59,7 +110,7 @@ class QHalf:
 
     @classmethod
     def one(cls) -> "QHalf":
-        return cls({0: 1})
+        return cls._wrap({0: 1})
 
     @classmethod
     def q_power(cls, doubled: int, coeff: int = 1) -> "QHalf":
@@ -168,32 +219,89 @@ class QHalf:
         return " + ".join(bits)
 
 
-class QuantumLaurent:
-    """Finite sum of based monomials coeff * X^a in a rank-r torus."""
+@cache
+def _packing(rank: int) -> tuple:
+    """The weights B^r + B^(r-1-i) of slots i = 0 .. r-1, so that
+    key(a) = a . weights, and the unpacking of a key to its exponent tuple.
 
-    __slots__ = ("rank", "terms")
+    Adding 2^31 to every low digit makes each one a_i + 2^31, in [1, B),
+    so the low r digits of key + bias are read off without borrows;
+    flipping bit 31 of each leaves a_i mod 2^32, which the r big-endian
+    signed 32-bit fields of its bytes read back as a_i.
+    """
+    weights = tuple(_DIGIT**rank + _DIGIT ** (rank - 1 - i) for i in range(rank))
+    bias = sum(_DIGIT**i for i in range(rank)) << 31
+    low, size, fields = _DIGIT**rank - 1, 4 * rank, Struct(f">{rank}i").unpack
+
+    def unpack(key: int) -> tuple:
+        return fields((((key + bias) & low) ^ bias).to_bytes(size, "big"))
+
+    return weights, unpack
+
+
+class QuantumLaurent:
+    """Finite sum of based monomials coeff * X^a in a rank-r torus.
+
+    _terms maps each term's packed key to its nonzero QHalf, in term
+    order; every |a_i| of a term is at most _bound.  _exps maps the keys
+    to their exponent tuples, or is None until _exponents() first unpacks
+    them.  terms is the public view.
+    """
+
+    __slots__ = ("rank", "_terms", "_exps", "_bound")
 
     def __init__(self, rank: int, terms: Mapping[Sequence[int], QHalf] | None = None):
-        self.rank = rank
-        self.terms: dict[tuple, QHalf] = {}
+        self.rank = rank = _as_int(rank, "rank")
+        self._terms: dict[int, QHalf] = {}
+        self._exps: dict[int, tuple] = {}
+        self._bound = 0
         if terms:
             for exps, coeff in terms.items():
-                key = tuple(int(e) for e in exps)
-                if len(key) != rank:
+                try:
+                    exps = tuple(map(index, exps))
+                except TypeError:
+                    # refused at the first entry that is not an integer
+                    exps = tuple(_as_int(e, "exponent") for e in exps)
+                if len(exps) != rank:
                     raise ContextMismatch(
-                        f"exponent vector {key} does not have rank {rank}"
+                        f"exponent vector {exps} does not have rank {rank}"
+                    )
+                bound = max(map(abs, exps)) if exps else 0
+                if bound > _EXPONENT_BOUND:
+                    raise NotRepresentable(
+                        f"exponent vector {exps} is beyond the packing bound {_EXPONENT_BOUND}"
                     )
                 if coeff:
-                    self.terms[key] = coeff
+                    key = sum(map(mul, exps, _packing(rank)[0]))
+                    self._terms[key] = coeff
+                    self._exps[key] = exps
+                    self._bound = max(self._bound, bound)
 
     @classmethod
-    def _wrap(cls, rank: int, terms: dict) -> "QuantumLaurent":
-        """Element over a dict built in this module (rank-r tuple keys,
-        nonzero QHalf values); the dict is not copied."""
+    def _wrap(cls, rank: int, terms: dict, bound: int, exps: dict | None = None) -> "QuantumLaurent":
+        """Element over a dict built in this module (packed keys, nonzero
+        QHalf values), a bound on its exponents, and its keys' exponent
+        tuples if already at hand; the dicts are not copied."""
         out = object.__new__(cls)
         out.rank = rank
-        out.terms = terms
+        out._terms = terms
+        out._bound = bound
+        out._exps = exps
         return out
+
+    def _exponents(self) -> dict:
+        """{key: exponent tuple} of the terms, unpacked on first read."""
+        exps = self._exps
+        if exps is None:
+            unpack = _packing(self.rank)[1]
+            exps = self._exps = {key: unpack(key) for key in self._terms}
+        return exps
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: QHalf}, in term order."""
+        exps = self._exponents()
+        return {exps[key]: coeff for key, coeff in self._terms.items()}
 
     @classmethod
     def zero(cls, rank: int) -> "QuantumLaurent":
@@ -213,50 +321,55 @@ class QuantumLaurent:
         return cls.monomial(rank, exps)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QuantumLaurent)
             and self.rank == other.rank
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, frozenset(self._terms.items())))
 
     def __add__(self, other: "QuantumLaurent") -> "QuantumLaurent":
         if self.rank != other.rank:
             raise ContextMismatch(f"ranks {self.rank} != {other.rank}")
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = out.get(exps, QHalf.zero()) + coeff
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            total = out.get(key, QHalf.zero()) + coeff
             if total:
-                out[exps] = total
-            elif exps in out:
-                del out[exps]
-        return QuantumLaurent._wrap(self.rank, out)
+                out[key] = total
+            elif key in out:
+                del out[key]
+        return QuantumLaurent._wrap(self.rank, out, max(self._bound, other._bound))
 
     def __neg__(self) -> "QuantumLaurent":
-        return QuantumLaurent._wrap(self.rank, {e: -c for e, c in self.terms.items()})
+        return QuantumLaurent._wrap(
+            self.rank, {k: -c for k, c in self._terms.items()}, self._bound, self._exps
+        )
 
     def __sub__(self, other: "QuantumLaurent") -> "QuantumLaurent":
         return self + (-other)
 
     def q_shift(self, doubled: int) -> "QuantumLaurent":
         return QuantumLaurent._wrap(
-            self.rank, {e: c.shift(doubled) for e, c in self.terms.items()}
+            self.rank,
+            {k: c.shift(doubled) for k, c in self._terms.items()},
+            self._bound,
+            self._exps,
         )
 
     def leading(self) -> tuple[tuple, QHalf]:
-        """Graded-lexicographically largest term."""
-        if not self.terms:
+        """Graded-lexicographically largest term: the largest key."""
+        if not self._terms:
             raise NonExactDivision("zero element has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        key = max(self._terms)
+        return self._exponents()[key], self._terms[key]
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = [f"({c!r})*X^{list(e)}" for e, c in sorted(self.terms.items())]
         return " + ".join(bits)
@@ -266,24 +379,21 @@ class QuantumLaurent:
 _UNIT = {0: 1}
 
 
-def _grlex_key(exps: tuple) -> tuple:
-    return (sum(exps), exps)
-
-
-def _heap_key(exps: tuple) -> tuple:
-    """Min-heap key that pops the graded-lexicographically largest first."""
-    return (-sum(exps), tuple(map(neg, exps)), exps)
+def _check_square(lam: Sequence[Sequence[int]]) -> None:
+    """The shape rule of every pairing and kernel: Lambda is square."""
+    n = len(lam)
+    if not set(map(len, lam)) <= {n}:
+        raise ShapeMismatch(f"Lambda of size {n} is not square")
 
 
 def lambda_pairing(lam: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
     """Lambda(a, b) = sum_ij a_i b_j l_ij.  A vector whose length is not
     the size of Lambda is ContextMismatch, as in torus_product, and a
-    Lambda that is not square is ShapeMismatch."""
+    Lambda that is not square is ShapeMismatch, as there too."""
     n = len(lam)
     if len(a) != n or len(b) != n:
         raise ContextMismatch(f"vector lengths {len(a)}, {len(b)} != Lambda size {n}")
-    if any(len(row) != n for row in lam):
-        raise ShapeMismatch(f"Lambda of size {n} is not square")
+    _check_square(lam)
     total = 0
     for i, ai in enumerate(a):
         if not ai:
@@ -305,6 +415,15 @@ def _check_context(lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLa
         raise ContextMismatch(f"ranks {f.rank} != {g.rank}")
     if len(lam) != f.rank:
         raise ContextMismatch(f"Lambda size {len(lam)} != rank {f.rank}")
+    _check_square(lam)
+
+
+def _check_reach(reach: int, what: str) -> None:
+    """Refuse a kernel whose terms could have an |exponent| of reach."""
+    if reach > _EXPONENT_BOUND:
+        raise NotRepresentable(
+            f"{what} could reach exponents beyond the packing bound {_EXPONENT_BOUND}"
+        )
 
 
 def _accumulate(acc: dict, pairs, sign: int) -> list:
@@ -352,6 +471,11 @@ def _accumulate(acc: dict, pairs, sign: int) -> list:
     return fresh
 
 
+def _wrap_sum(rank: int, acc: dict, bound: int) -> QuantumLaurent:
+    """The element whose terms are acc's doubled-exponent dicts."""
+    return QuantumLaurent._wrap(rank, {k: QHalf._wrap(c) for k, c in acc.items()}, bound)
+
+
 def torus_product(
     lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLaurent
 ) -> QuantumLaurent:
@@ -360,28 +484,33 @@ def torus_product(
     Lambda(a, b) is read as a . (Lambda b) when g has no more terms than
     f, and as (Lambda^T a) . b otherwise, so only the smaller factor's
     terms are multiplied by Lambda; each term pair then costs one O(r)
-    dot product, and coefficients accumulate in plain int dicts.
+    dot product and one key add, and coefficients accumulate in plain int
+    dicts.  The product's exponent tuples are unpacked when first read.
     """
     _check_context(lam, f, g)
-    if len(g.terms) <= len(f.terms):
-        pieces = [(b, cb.terms, _image(lam, b)) for b, cb in g.terms.items()]
+    bound = f._bound + g._bound
+    _check_reach(bound, "product")
+    f_exps, g_exps = f._exponents(), g._exponents()
+    if len(g._terms) <= len(f._terms):
+        pieces = [(kb, cb.terms, _image(lam, g_exps[kb])) for kb, cb in g._terms.items()]
         pairs = [
-            (tuple(map(add, a, b)), ca.terms, cb, sum(map(mul, a, image)))
-            for a, ca in f.terms.items()
-            for b, cb, image in pieces
+            (ka + kb, ca.terms, cb, sum(map(mul, a, image)))
+            for ka, ca in f._terms.items()
+            for a in (f_exps[ka],)
+            for kb, cb, image in pieces
         ]
     else:
         transposed = tuple(zip(*lam))
-        images = [_image(transposed, a) for a in f.terms]
-        pieces = [(b, cb.terms) for b, cb in g.terms.items()]
+        pieces = [(kb, cb.terms, g_exps[kb]) for kb, cb in g._terms.items()]
         pairs = [
-            (tuple(map(add, a, b)), ca.terms, cb, sum(map(mul, image, b)))
-            for (a, ca), image in zip(f.terms.items(), images)
-            for b, cb in pieces
+            (ka + kb, ca.terms, cb, sum(map(mul, image, b)))
+            for ka, ca in f._terms.items()
+            for image in (_image(transposed, f_exps[ka]),)
+            for kb, cb, b in pieces
         ]
     acc: dict = {}
     _accumulate(acc, pairs, 1)
-    return QuantumLaurent._wrap(f.rank, {e: QHalf._wrap(c) for e, c in acc.items()})
+    return _wrap_sum(f.rank, acc, bound)
 
 
 def shifted_sum(parts: Sequence[tuple]) -> QuantumLaurent:
@@ -392,11 +521,11 @@ def shifted_sum(parts: Sequence[tuple]) -> QuantumLaurent:
     for x, _ in rest:
         if x.rank != first.rank:
             raise ContextMismatch(f"ranks {first.rank} != {x.rank}")
-    acc = {e: {k + shift: v for k, v in c.terms.items()} for e, c in first.terms.items()}
+    acc = {key: {k + shift: v for k, v in c.terms.items()} for key, c in first._terms.items()}
     _accumulate(
-        acc, [(e, c.terms, _UNIT, s) for x, s in rest for e, c in x.terms.items()], 1
+        acc, [(key, c.terms, _UNIT, s) for x, s in rest for key, c in x._terms.items()], 1
     )
-    return QuantumLaurent._wrap(first.rank, {e: QHalf._wrap(c) for e, c in acc.items()})
+    return _wrap_sum(first.rank, acc, max(x._bound for x, _ in parts))
 
 
 def right_divide(
@@ -405,63 +534,98 @@ def right_divide(
     """The unique Y with Y * divisor = numerator; raises NonExactDivision.
 
     Leading-term elimination under the graded-lexicographic order.  The
-    remainder is one mutable {exponent: {doubled_q: int}} dict whose
-    exponents sit in a heap; entries of terms that have since cancelled
-    are skipped when popped.  Each step divides the leading coefficient
-    by the divisor's and subtracts c_y X^(e_y) * divisor in place, with
-    the Lambda images of the divisor's terms computed once.  The order is
+    remainder is one mutable {key: {doubled_q: int}} dict whose keys sit,
+    negated, in a heap; entries of terms that have since cancelled are
+    skipped when popped.  Each step divides the leading coefficient by the
+    divisor's and subtracts c_y X^(e_y) * divisor in place, with the
+    Lambda images of the divisor's terms computed once; e_y is unpacked
+    from its key, the leading key minus the divisor's.  The order is
     translation invariant, so every new term ranks below the one being
     eliminated: the leading term strictly falls and exact divisions
-    terminate.  Inexact ones stop after 10,000 steps (NonExactDivision),
-    or earlier with BudgetExhausted once the coefficient products formed,
-    quotient entries times divisor entries summed over the steps, exceed
-    default_budget(): the remainder of an inexact division can grow at
-    every step.  The context is checked first, as in torus_product, so a
-    zero numerator or divisor of another torus raises ContextMismatch.
+    terminate.  By a one-term divisor c X^e a step cancels the leading
+    term and forms no other, so the steps take the numerator's terms once,
+    from the largest key down, with no heap and no merge.  Inexact
+    divisions stop after 10,000 steps (NonExactDivision), or earlier with
+    BudgetExhausted once the coefficient products formed, quotient entries
+    times divisor entries summed over the steps, exceed default_budget():
+    the remainder of an inexact division can grow at every step.  The
+    context is checked first, as in torus_product, so a zero numerator or
+    divisor of another torus raises ContextMismatch.
+
+    Each step moves a term by e_b - e_d for a divisor term e_b, at most
+    2 bd in each slot for the divisor's bound bd, so no term of 10,000
+    steps passes bn + bd + 20,000 bd for the numerator's bound bn, and
+    that must fit the packing (one-term divisors: bn + bd).  A quotient's
+    exponents lie within bn + bd: in the torus, a domain, the top and
+    bottom exponent in each slot of Y * divisor are those of Y plus those
+    of the divisor.
     """
     _check_context(lam, numerator, divisor)
     if divisor.is_zero():
         raise NonExactDivision("division by zero")
-    out: dict[tuple, QHalf] = {}
+    rank = numerator.rank
     if numerator.is_zero():
-        return QuantumLaurent._wrap(numerator.rank, out)
-    e_d, c_d = divisor.leading()
+        return QuantumLaurent._wrap(rank, {}, 0)
+    d_exps = divisor._exponents()
+    k_d = max(divisor._terms)
+    e_d, c_d = d_exps[k_d], divisor._terms[k_d]
     lead_image = _image(lam, e_d)
-    pieces = [(b, cb.terms, _image(lam, b)) for b, cb in divisor.terms.items()]
-    remainder = {e: dict(c.terms) for e, c in numerator.terms.items()}
-    heap = [_heap_key(e) for e in remainder]
-    heapify(heap)
-    entries = sum(len(cb) for _, cb, _ in pieces)
     budget = default_budget()
-    previous_key = None
+    bound = numerator._bound + divisor._bound
+    if len(divisor._terms) == 1:
+        _check_reach(bound, "division")
+        pieces = []
+        remainder = {key: c.terms for key, c in numerator._terms.items()}
+        order = sorted(remainder, reverse=True)
+    else:
+        _check_reach(bound + 2 * _MAX_STEPS * divisor._bound, "division")
+        pieces = [(kb, cb.terms, _image(lam, d_exps[kb])) for kb, cb in divisor._terms.items()]
+        remainder = {key: dict(c.terms) for key, c in numerator._terms.items()}
+        heap = [-key for key in remainder]
+        heapify(heap)
+        order = _leading_keys(heap, remainder)
+    unpack = _packing(rank)[1]
+    entries = sum(len(c.terms) for c in divisor._terms.values())
+    out: dict[int, QHalf] = {}
+    exps = {}
+    previous = None
     steps = work = 0
-    while remainder:
+    for key in order:
         steps += 1
-        if steps > 10000:
+        if steps > _MAX_STEPS:
             raise NonExactDivision("division failed to terminate within bound")
-        key = heappop(heap)
-        while key[2] not in remainder:
-            key = heappop(heap)
-        if previous_key is not None and key <= previous_key:
+        if previous is not None and key >= previous:
             raise NonExactDivision("leading term failed to decrease")
-        previous_key = key
-        e_r = key[2]
-        e_y = tuple(map(sub, e_r, e_d))
+        previous = key
+        k_y = key - k_d
+        e_y = exps[k_y] = unpack(k_y)
         shift = sum(map(mul, e_y, lead_image))
-        c_r = QHalf._wrap({k - shift: v for k, v in remainder[e_r].items()})
-        c_y = out[e_y] = c_r.divide(c_d)
+        c_r = QHalf._wrap({k - shift: v for k, v in remainder[key].items()})
+        c_y = out[k_y] = c_r.divide(c_d)
         work += len(c_y.terms) * entries
         if work > budget:
             raise BudgetExhausted(
                 f"division stopped after {steps} steps: over {budget} coefficient products"
             )
-        pairs = [
-            (tuple(map(add, e_y, b)), c_y.terms, cb, sum(map(mul, e_y, image)))
-            for b, cb, image in pieces
-        ]
-        for e in _accumulate(remainder, pairs, -1):
-            heappush(heap, _heap_key(e))
-    return QuantumLaurent._wrap(numerator.rank, out)
+        if pieces:
+            pairs = [
+                (k_y + kb, c_y.terms, cb, sum(map(mul, e_y, image)))
+                for kb, cb, image in pieces
+            ]
+            for new in _accumulate(remainder, pairs, -1):
+                heappush(heap, -new)
+    return QuantumLaurent._wrap(rank, out, bound, exps)
+
+
+def _leading_keys(heap: list, remainder: dict):
+    """The leading keys of remainder as it changes between reads: popped
+    from heap, which holds them negated, skipping keys that have left
+    remainder since they were pushed."""
+    while remainder:
+        key = -heappop(heap)
+        while key not in remainder:
+            key = -heappop(heap)
+        yield key
 
 
 def commutation_doubled(

@@ -3,8 +3,10 @@ name starts with an underscore is referenced by name from some module of
 the package, outside its own body.  Every public one is read by name
 from another function of the package, from a demo or from the benchmark
 (a re-export in __init__.py is not a reader), or is listed in
-UNREAD_PUBLIC with the reason it stays.  A function that nothing calls
-any more is deleted, not kept beside its replacement.  seeds and cli call
+UNREAD_PUBLIC with the reason it stays.  Every method of a class, dunders
+aside, is read by name in the same way, or is listed in UNREAD_METHODS.
+A function that nothing calls any more is deleted, not kept beside its
+replacement.  seeds and cli call
 no private name of qlaurent, so every product and division passes through
 the public kernels.  No module but __init__.py, which re-exports, imports
 a name at its top level that it never reads."""
@@ -26,6 +28,14 @@ UNREAD_PUBLIC = {
     "permute_seed": "the seed relabelling of the test reference walk",
     "parse_report": "reads the JSON that emit_report writes",
     "reflect_root": "named in the benchmark's README, which stays as it is",
+}
+
+# Methods, as Class.method, that nothing of the package, no demo and no
+# benchmark reads, each with the reason it stays.
+UNREAD_METHODS = {
+    "QHalf.q_power": "the coefficient q^(k/2) by name; the tests build coefficients with it",
+    "QuantumLaurent.leading": "the grlex leading term; the tests' reference division reads it",
+    "Report.section": "a report's section by name; the tests read reports through it",
 }
 
 
@@ -107,6 +117,41 @@ def unread_public(sources: dict, readers: dict) -> list:
     return unread
 
 
+def methods(tree: ast.Module) -> list:
+    """(class name, definition) of each method of a module-level class,
+    properties included and dunders excluded."""
+    return [
+        (top.name, node)
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for node in top.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def unread_methods(sources: dict, readers: dict) -> list:
+    """(module, Class.method) for each method of sources that is not read
+    by name, outside its own definition, in a module of sources other than
+    __init__.py, nor in a module of readers.  Imports are not reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    trees.pop("__init__.py", None)
+    outside = [ast.parse(text) for text in readers.values()]
+    unread = []
+    for module, tree in trees.items():
+        for owner, func in methods(tree):
+            read = any(
+                func.name
+                in referenced_names(
+                    other, {id(func)} if other is tree else set(), imports=False
+                )
+                for other in [*trees.values(), *outside]
+            )
+            if not read:
+                unread.append((module, f"{owner}.{func.name}"))
+    return unread
+
+
 def package_sources() -> dict:
     return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -154,6 +199,35 @@ def test_every_public_function_has_a_reader_or_a_reason():
     # equality: a listed function that gains a reader or goes leaves the list
     unread = unread_public(sources, reader_sources())
     assert sorted(name for _, name in unread) == sorted(UNREAD_PUBLIC)
+
+
+def test_every_method_has_a_reader_or_a_reason():
+    sources = package_sources()
+    assert sum(len(methods(ast.parse(s))) for s in sources.values()) > 40
+    assert all(reason for reason in UNREAD_METHODS.values())
+    # equality: a listed method that gains a reader or goes leaves the list
+    unread = unread_methods(sources, reader_sources())
+    assert sorted(name for _, name in unread) == sorted(UNREAD_METHODS)
+
+
+def test_unread_methods_sees_attributes_properties_and_self_reads():
+    sources = {
+        "__init__.py": "from .a import C\n",
+        "a.py": (
+            "class C:\n"
+            "    def __init__(self):\n        self.used()\n"
+            "    def used(self):\n        return self._private\n"
+            "    @property\n    def _private(self):\n        return 1\n"
+            "    def recursive(self, n):\n        return self.recursive(n - 1)\n"
+            "    def by_demo(self):\n        pass\n"
+            "    def dead(self):\n        pass\n"
+            "def dead():\n    pass\n"
+        ),
+        "b.py": "from .a import dead\n",
+    }
+    readers = {"demos/d.py": "from braidseed import C\nC().by_demo()\n"}
+    # a function of the same name, defined or imported, is not a read
+    assert unread_methods(sources, readers) == [("a.py", "C.recursive"), ("a.py", "C.dead")]
 
 
 def test_unread_public_skips_exports_imports_and_self_reads():

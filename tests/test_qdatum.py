@@ -806,7 +806,7 @@ def replay_adapted_word(qd):
     h = component_coxeter_numbers(cd)
     points = []
     for i in cd.index_set:
-        lower = qd.height(data.star_of(cd, i)) - h[i]
+        lower = qd.height(data.star[cd.position[i]]) - h[i]
         p = qd.height(i)
         while p > lower:
             points.append((-p, cd.position[i], i))

@@ -8,19 +8,32 @@ from __future__ import annotations
 
 import random
 import time
+from heapq import heapify, heappop, heappush
+from operator import add, mul, neg, sub
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidseed import qlaurent
-from braidseed.errors import BudgetExhausted, ContextMismatch, NonExactDivision, ShapeMismatch
+from braidseed.errors import (
+    BraidseedError,
+    BudgetExhausted,
+    ContextMismatch,
+    NonExactDivision,
+    NotRepresentable,
+    ShapeMismatch,
+)
+from braidseed.words import default_budget
 from braidseed.qlaurent import (
     QHalf,
     QuantumLaurent,
     commutation_doubled,
     lambda_pairing,
     right_divide,
+    shifted_sum,
     torus_product,
 )
 
@@ -477,3 +490,319 @@ def test_right_divide_makes_no_products_and_no_validated_elements(monkeypatch):
     assert calls["steps"] == len(f.terms) > 1
     assert calls["product"] == 0
     assert calls["init"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Shape and integer rules of the kernels
+
+
+def test_a_lambda_that_is_not_square_is_refused_by_every_kernel():
+    """Lambda [[0, 1], [-1]] once gave X1 X2 = q^(1/2) X^(1,1); the kernels
+    now refuse it as lambda_pairing does."""
+    lam = [[0, 1], [-1]]
+    x1 = QuantumLaurent.generator(2, 1)
+    x2 = QuantumLaurent.generator(2, 2)
+    message = r"^Lambda of size 2 is not square$"
+    with pytest.raises(ShapeMismatch, match=message):
+        lambda_pairing(lam, (1, 0), (0, 1))
+    with pytest.raises(ShapeMismatch, match=message):
+        torus_product(lam, x1, x2)
+    with pytest.raises(ShapeMismatch, match=message):
+        torus_product(lam, x1 + x2, x2)
+    with pytest.raises(ShapeMismatch, match=message):
+        right_divide(lam, x1, x2)
+    with pytest.raises(ShapeMismatch, match=message):
+        right_divide(lam, QuantumLaurent.zero(2), x2)
+    with pytest.raises(ShapeMismatch, match=r"^Lambda of size 2 is not square$"):
+        torus_product([[0, 1, 2], [-1, 0, 1]], x1, x2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QHalf({1: 2.7}), "coefficient entry 2.7 is not an integer"),
+        (lambda: QHalf({1: 0.0}), "coefficient entry 0.0 is not an integer"),
+        (lambda: QHalf({1.5: 2}), "doubled q-exponent 1.5 is not an integer"),
+        (lambda: QHalf({0: Fraction(4, 2)}), "coefficient entry Fraction(2, 1) is not an integer"),
+        (lambda: QHalf({0: "3"}), "coefficient entry '3' is not an integer"),
+        (
+            lambda: QuantumLaurent(2, {(1.9, 0): QHalf.one()}),
+            "exponent 1.9 is not an integer",
+        ),
+        (
+            lambda: QuantumLaurent(2, {(0, 1): QHalf.one(), (1, 2.0): QHalf.one()}),
+            "exponent 2.0 is not an integer",
+        ),
+        (lambda: QuantumLaurent.monomial(1, (Decimal(1),)), "exponent Decimal('1') is not an integer"),
+        (lambda: QuantumLaurent(2.0), "rank 2.0 is not an integer"),
+    ],
+)
+def test_non_integers_are_refused_not_truncated(build, message):
+    with pytest.raises(NotRepresentable) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_what_operator_index_accepts_is_taken_as_an_integer():
+    numpy = pytest.importorskip("numpy")
+    coeff = QHalf({numpy.int64(2): numpy.int32(-3), True: 1})
+    assert list(coeff.terms.items()) == [(2, -3), (1, 1)]
+    assert all(type(k) is int and type(v) is int for k, v in coeff.terms.items())
+    x = QuantumLaurent(2, {(numpy.int16(1), False): coeff})
+    assert x.terms == {(1, 0): coeff}
+    assert all(type(e) is int for e in next(iter(x.terms)))
+
+
+BOUND = qlaurent._EXPONENT_BOUND
+
+
+def test_exponents_beyond_the_packing_bound_are_refused():
+    assert BOUND == 2**31 - 1
+    edge = QuantumLaurent(2, {(BOUND, -BOUND): QHalf.one(), (-BOUND, 0): QHalf.one()})
+    assert list(edge.terms) == [(BOUND, -BOUND), (-BOUND, 0)]
+    for exps in ((BOUND + 1, 0), (0, -BOUND - 1)):
+        with pytest.raises(NotRepresentable) as err:
+            QuantumLaurent(2, {exps: QHalf.one()})
+        assert str(err.value) == (
+            f"exponent vector {exps} is beyond the packing bound {BOUND}"
+        )
+
+
+def test_a_kernel_that_could_pass_the_packing_bound_is_refused():
+    lam = [[0, 1], [-1, 0]]
+    half = QuantumLaurent.monomial(2, (BOUND // 2, 0))
+    # the bounds add: BOUND // 2 twice fits, once more does not
+    assert torus_product(lam, half, half).terms == {(2 * (BOUND // 2), 0): QHalf.one()}
+    over = QuantumLaurent.monomial(2, (0, BOUND // 2 + 2))
+    with pytest.raises(NotRepresentable) as err:
+        torus_product(lam, half, over)
+    assert str(err.value) == f"product could reach exponents beyond the packing bound {BOUND}"
+    # a one-term divisor moves no term: bn + bd must fit
+    assert right_divide(lam, half, half).terms == {(0, 0): QHalf.one()}
+    with pytest.raises(NotRepresentable, match="^division could reach"):
+        right_divide(lam, half, over)
+    # a longer divisor may drift 2 bd per step for 10,000 steps
+    x1, x2 = QuantumLaurent.generator(2, 1), QuantumLaurent.generator(2, 2)
+    far = QuantumLaurent.monomial(2, (BOUND - 20002, 0))
+    assert right_divide(lam, torus_product(lam, far, x1 + x2), x1 + x2) == far
+    beyond = QuantumLaurent.monomial(2, (BOUND - 20000, 0))
+    with pytest.raises(NotRepresentable) as err:
+        right_divide(lam, beyond, x1 + x2)
+    assert str(err.value) == f"division could reach exponents beyond the packing bound {BOUND}"
+
+
+EXTREMES = st.sampled_from((0, 1, -1, 2, -2, BOUND, -BOUND, BOUND - 1, 1 - BOUND))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(st.tuples(*[EXTREMES] * r), min_size=1, max_size=6)))
+def test_packed_keys_order_and_unpack_exactly_up_to_the_bound(vectors):
+    """leading() is the grlex maximum and the view gives back every
+    exponent vector, also at +-BOUND, where a carry between digits would
+    show; a q_shift and a negation keep the tuples they were built with,
+    and a sum, which keeps none, unpacks the same ones."""
+    rank = len(vectors[0])
+    terms = {v: QHalf({i: 1}) for i, v in enumerate(vectors)}
+    x = QuantumLaurent(rank, terms)
+    assert x.terms == terms and list(x.terms) == list(terms)
+    assert x.leading() == max(terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    for y in (x.q_shift(2), -x, x + x, x + QuantumLaurent.zero(rank)):
+        assert list(y.terms) == list(terms)
+    assert (x + x).leading()[0] == x.leading()[0]
+
+
+# ---------------------------------------------------------------------------
+# The tuple-keyed kernels that packed keys replaced, kept as they were: on
+# {exponent tuple: QHalf} views, with the grlex order read from
+# (degree, exponents) tuples.  The packed kernels must agree with them on
+# values, term order, entry order, exception types and messages.
+
+
+def _tuple_grlex_key(exps: tuple) -> tuple:
+    return (sum(exps), exps)
+
+
+def _tuple_heap_key(exps: tuple) -> tuple:
+    return (-sum(exps), tuple(map(neg, exps)), exps)
+
+
+def _tuple_image(lam, b) -> list:
+    return [sum(map(mul, row, b)) for row in lam]
+
+
+def _tuple_check_context(lam, f, g) -> None:
+    if f.rank != g.rank:
+        raise ContextMismatch(f"ranks {f.rank} != {g.rank}")
+    if len(lam) != f.rank:
+        raise ContextMismatch(f"Lambda size {len(lam)} != rank {f.rank}")
+
+
+def _tuple_accumulate(acc: dict, pairs, sign: int) -> list:
+    fresh = []
+    for key, a, b, shift in pairs:
+        if len(b) == 1:
+            ((k2, factor),) = b.items()
+            entries, shift = a, shift + k2
+        elif len(a) == 1:
+            ((k1, factor),) = a.items()
+            entries, shift = b, shift + k1
+        else:
+            entries, factor = {}, 1
+            for k1, v1 in a.items():
+                for k2, v2 in b.items():
+                    k = k1 + k2
+                    entries[k] = entries.get(k, 0) + v1 * v2
+        factor *= sign
+        coeff = acc.get(key)
+        if coeff is None:
+            coeff = acc[key] = {}
+            fresh.append(key)
+        for k, v in entries.items():
+            if v:
+                k += shift
+                v = coeff.get(k, 0) + factor * v
+                if v:
+                    coeff[k] = v
+                else:
+                    del coeff[k]
+        if not coeff:
+            del acc[key]
+    return fresh
+
+
+def tuple_torus_product(lam, f, g) -> dict:
+    _tuple_check_context(lam, f, g)
+    f_terms, g_terms = f.terms, g.terms
+    if len(g_terms) <= len(f_terms):
+        pieces = [(b, cb.terms, _tuple_image(lam, b)) for b, cb in g_terms.items()]
+        pairs = [
+            (tuple(map(add, a, b)), ca.terms, cb, sum(map(mul, a, image)))
+            for a, ca in f_terms.items()
+            for b, cb, image in pieces
+        ]
+    else:
+        transposed = tuple(zip(*lam))
+        images = [_tuple_image(transposed, a) for a in f_terms]
+        pieces = [(b, cb.terms) for b, cb in g_terms.items()]
+        pairs = [
+            (tuple(map(add, a, b)), ca.terms, cb, sum(map(mul, image, b)))
+            for (a, ca), image in zip(f_terms.items(), images)
+            for b, cb in pieces
+        ]
+    acc: dict = {}
+    _tuple_accumulate(acc, pairs, 1)
+    return {e: QHalf(c) for e, c in acc.items()}
+
+
+def tuple_shifted_sum(parts) -> dict:
+    (first, shift), rest = parts[0], parts[1:]
+    for x, _ in rest:
+        if x.rank != first.rank:
+            raise ContextMismatch(f"ranks {first.rank} != {x.rank}")
+    acc = {e: {k + shift: v for k, v in c.terms.items()} for e, c in first.terms.items()}
+    _tuple_accumulate(
+        acc, [(e, c.terms, {0: 1}, s) for x, s in rest for e, c in x.terms.items()], 1
+    )
+    return {e: QHalf(c) for e, c in acc.items()}
+
+
+def tuple_right_divide(lam, numerator, divisor) -> dict:
+    _tuple_check_context(lam, numerator, divisor)
+    if divisor.is_zero():
+        raise NonExactDivision("division by zero")
+    out: dict = {}
+    if numerator.is_zero():
+        return out
+    d_terms = divisor.terms
+    e_d = max(d_terms, key=_tuple_grlex_key)
+    c_d = d_terms[e_d]
+    lead_image = _tuple_image(lam, e_d)
+    pieces = [(b, cb.terms, _tuple_image(lam, b)) for b, cb in d_terms.items()]
+    remainder = {e: dict(c.terms) for e, c in numerator.terms.items()}
+    heap = [_tuple_heap_key(e) for e in remainder]
+    heapify(heap)
+    entries = sum(len(cb) for _, cb, _ in pieces)
+    budget = default_budget()
+    previous_key = None
+    steps = work = 0
+    while remainder:
+        steps += 1
+        if steps > 10000:
+            raise NonExactDivision("division failed to terminate within bound")
+        key = heappop(heap)
+        while key[2] not in remainder:
+            key = heappop(heap)
+        if previous_key is not None and key <= previous_key:
+            raise NonExactDivision("leading term failed to decrease")
+        previous_key = key
+        e_r = key[2]
+        e_y = tuple(map(sub, e_r, e_d))
+        shift = sum(map(mul, e_y, lead_image))
+        c_r = QHalf({k - shift: v for k, v in remainder[e_r].items()})
+        c_y = out[e_y] = c_r.divide(c_d)
+        work += len(c_y.terms) * entries
+        if work > budget:
+            raise BudgetExhausted(
+                f"division stopped after {steps} steps: over {budget} coefficient products"
+            )
+        pairs = [
+            (tuple(map(add, e_y, b)), c_y.terms, cb, sum(map(mul, e_y, image)))
+            for b, cb, image in pieces
+        ]
+        for e in _tuple_accumulate(remainder, pairs, -1):
+            heappush(heap, _tuple_heap_key(e))
+    return out
+
+
+def settled(kernel, *args):
+    """("value", terms and entries in order) or (error type, message)."""
+    try:
+        value = kernel(*args)
+    except BraidseedError as err:
+        return type(err).__name__, str(err)
+    terms = value if isinstance(value, dict) else value.terms
+    return "value", [(e, list(c.terms.items())) for e, c in terms.items()]
+
+
+ENTRY = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def packed_case(draw):
+    """A rank 1-4 context, a left factor f and a divisor d of 1-4 terms,
+    and a numerator: f * d (exact), or f alone (mostly inexact).  A
+    one-term divisor often has a multi-entry, non-unit coefficient."""
+    rank = draw(st.integers(1, 4))
+    lam = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            lam[i][j] = draw(st.integers(-2, 2))
+            lam[j][i] = -lam[i][j]
+    vectors = st.tuples(*[st.integers(-2, 2)] * rank)
+    coeffs = st.dictionaries(st.integers(-3, 3), ENTRY, min_size=1, max_size=3)
+    terms = st.dictionaries(vectors, coeffs.map(QHalf), min_size=1, max_size=4)
+    f, d = QuantumLaurent(rank, draw(terms)), QuantumLaurent(rank, draw(terms))
+    numerator = draw(st.sampled_from(("product", "left")))
+    budget = draw(st.sampled_from((None, None, 1, 4, 30, 300)))
+    return lam, f, d, numerator, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_case(), st.integers(-4, 4))
+def test_packed_kernels_match_the_tuple_keyed_ones(case, shift):
+    lam, f, d, numerator, budget = case
+    num = torus_product(lam, f, d) if numerator == "product" else f
+    for left, right in ((f, d), (d, f), (num, d)):
+        assert settled(torus_product, lam, left, right) == settled(
+            tuple_torus_product, lam, left, right
+        )
+    parts = [(f, shift), (d, -shift), (num, 1)]
+    assert settled(shifted_sum, parts) == settled(tuple_shifted_sum, parts)
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is None:
+            patch.delenv("BRAIDSEED_BUDGET", raising=False)
+        else:
+            patch.setenv("BRAIDSEED_BUDGET", str(budget))
+        # a multi-term divisor of an arbitrary numerator can run to the
+        # 10,000-step bound; the default budget stops it well before
+        assert settled(right_divide, lam, num, d) == settled(tuple_right_divide, lam, num, d)
