@@ -6,6 +6,8 @@ the precise condition.
 """
 from __future__ import annotations
 
+from operator import index
+
 
 class BraidseedError(Exception):
     """Base class for all library errors."""
@@ -141,3 +143,14 @@ class NotInvertibleAtOrder(BraidseedError):
 # CLI layer.
 class ConfigInvalid(BraidseedError):
     pass
+
+
+def as_int(value, error: type, *name) -> int:
+    """value as an int: whatever operator.index accepts (ints, bools and
+    integer scalars such as numpy's).  Anything else is refused with error,
+    "<name> <value> is not an integer", the parts of name joined, and
+    formatted only on refusal.  The one integer rule of the library."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{''.join(map(str, name))} {value!r} is not an integer") from None

@@ -20,12 +20,11 @@ CartanSeries memoises, per vertex pair read by n_form, the row N_ij(d) for
 |d| < u_max, so n_form is one lookup; further out it reads the four
 coefficients, which refuse the orders not computed.  One rule checks a
 point, _require_point: a vertex of the index set, an integer level
-(_as_int) and the vertex's parity, each refused with PointOutsideLattice,
+(as_int) and the vertex's parity, each refused with PointOutsideLattice,
 as is a lone vertex outside the index set (_vertex_position).
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, NamedTuple, Sequence
@@ -41,6 +40,7 @@ from .errors import (
     NotSimplyLaced,
     PointOutsideLattice,
     SeriesOrderInsufficient,
+    as_int,
 )
 from .seeds import gls_matrix
 from .words import Word, WordKind, default_budget
@@ -139,20 +139,6 @@ def _require_simply_laced(cd: CartanData) -> None:
                 raise NotSimplyLaced(f"entry c[{i},{j}] = {c} outside {{0, -1}}")
 
 
-def _as_int(value, error: type, name: str | RepetitionPoint) -> int:
-    """value as an int: whatever operator.index accepts (ints, bools and
-    integer scalars such as numpy's).  Anything else is refused with error,
-    "<name> <value> is not an integer"; name ends with " =" for an argument,
-    and a point as name stands for "<point>: level", formatted only on
-    refusal.  This is the one integer rule of every Q-datum query."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        if isinstance(name, RepetitionPoint):
-            name = f"{name}: level"
-        raise error(f"{name} {value!r} is not an integer") from None
-
-
 def _vertex_position(cd: CartanData, i, pt=None) -> int:
     """The position of vertex i in the index set; a vertex outside it is
     PointOutsideLattice, its message led by "<pt>: " for the vertex of pt."""
@@ -172,7 +158,7 @@ def validate_height(cd: CartanData, xi: Sequence[int]) -> QDatum:
             f"got {len(xi)} heights for {len(cd.index_set)} vertices"
         )
     heights = tuple(
-        _as_int(v, HeightParityViolation, f"xi_{i} =") for i, v in zip(cd.index_set, xi)
+        as_int(v, HeightParityViolation, f"xi_{i} =") for i, v in zip(cd.index_set, xi)
     )
     height = dict(zip(cd.index_set, heights))
     for i, near in cd._neighbours.items():
@@ -210,7 +196,7 @@ def adapted_word(qd: QDatum) -> Word:
 
 def extended_sequence(w0: Word, star: dict, k: int) -> int:
     """Letter at any integer position of the star-periodic extension."""
-    k = _as_int(k, PointOutsideLattice, "k =")
+    k = as_int(k, PointOutsideLattice, "k =")
     length = w0.length
     base = (k - 1) % length + 1
     shifts = (k - 1) // length
@@ -233,8 +219,8 @@ def _point_at(qd: QDatum, k: int) -> RepetitionPoint:
 
 def pk_sequence(qd: QDatum, lo: int, hi: int):
     """Points (i_k, p_k) for k in [lo, hi], any integers."""
-    lo = _as_int(lo, PointOutsideLattice, "lo =")
-    hi = _as_int(hi, PointOutsideLattice, "hi =")
+    lo = as_int(lo, PointOutsideLattice, "lo =")
+    hi = as_int(hi, PointOutsideLattice, "hi =")
     return [_point_at(qd, k) for k in range(lo, hi + 1)]
 
 
@@ -242,7 +228,7 @@ def delta_window(qd: QDatum, k: int) -> frozenset:
     """Lattice points with xi_{i*} - (k+1)h < p <= xi_i - kh, where h is
     the Coxeter number of the component of i.  A k that is not an integer
     is PointOutsideLattice."""
-    k = _as_int(k, PointOutsideLattice, "k =")
+    k = as_int(k, PointOutsideLattice, "k =")
     star, period = qd.cartan._star, qd.cartan._periods
     out = set()
     for i, xi in zip(qd.cartan.index_set, qd.heights):
@@ -265,10 +251,10 @@ def in_lattice(qd: QDatum, pt: RepetitionPoint) -> bool:
 
 def _require_point(qd: QDatum, pt: RepetitionPoint) -> int:
     """The level of pt as an int when pt is a point of qd's lattice: a
-    vertex of the index set, then an integer level (_as_int), then of the
+    vertex of the index set, then an integer level (as_int), then of the
     vertex's parity.  Otherwise PointOutsideLattice naming the failure."""
     position = _vertex_position(qd.cartan, pt.vertex, pt)
-    level = _as_int(pt.level, PointOutsideLattice, pt)
+    level = as_int(pt.level, PointOutsideLattice, pt, ": level")
     if (level - qd.heights[position]) % 2:
         raise PointOutsideLattice(f"{pt} violates the level parity at {pt.vertex}")
     return level
@@ -292,7 +278,7 @@ class BHLWindow:
         that is not an integer is PointOutsideLattice, any other point
         outside the window ValueError."""
         for pt in (a, b):
-            _as_int(pt.level, PointOutsideLattice, pt)
+            as_int(pt.level, PointOutsideLattice, pt, ": level")
         row_of = self._row_of
         try:
             return self.entries[row_of[a]][row_of[b]]
@@ -332,7 +318,7 @@ def phi_inverse(qd: QDatum, root, level: int) -> RepetitionPoint:
     -level * l + r of the extension for root = beta_r, so a query costs
     O(1) whatever the level."""
     beta = tuple(root)
-    level = _as_int(level, PointOutsideLattice, "level =")
+    level = as_int(level, PointOutsideLattice, "level =")
     ext = qd._extension
     if beta not in ext.slots:
         raise PointOutsideLattice(f"no lattice point maps to {(beta, level)}")
@@ -386,7 +372,7 @@ class CartanSeries:
         """Coefficient (i, j) at order u; a u that is not an integer is
         NotInvertibleAtOrder, a vertex outside the index set (at any u)
         PointOutsideLattice."""
-        u = _as_int(u, NotInvertibleAtOrder, "u =")
+        u = as_int(u, NotInvertibleAtOrder, "u =")
         a, b = _vertex_position(self.cartan, i), _vertex_position(self.cartan, j)
         if u <= 0:
             return 0
@@ -419,7 +405,7 @@ def cartan_tilde(cd: CartanData, u_max: int) -> CartanSeries:
     """
     n = len(cd.index_set)
     _require_simply_laced(cd)
-    u_max = _as_int(u_max, NotInvertibleAtOrder, "u_max =")
+    u_max = as_int(u_max, NotInvertibleAtOrder, "u_max =")
     if u_max < 1:
         raise NotInvertibleAtOrder(f"order {u_max} < 1 computes nothing")
     if u_max * n * n > (budget := default_budget()):
@@ -452,7 +438,7 @@ def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> in
     The second pair of terms enters with flipped signs so that the
     pairing is antisymmetric and vanishes on the diagonal, which the
     torus commutation rule it feeds requires.  A level that is not an
-    integer (_as_int), or a vertex outside the index set, is
+    integer (as_int), or a vertex outside the index set, is
     PointOutsideLattice.  For a level difference |d| < u_max it is one
     lookup in the series' row of the vertex pair (CartanSeries._row);
     beyond, the four reads raise SeriesOrderInsufficient for the first
@@ -461,8 +447,8 @@ def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> in
     i, p = p1.vertex, p1.level
     j, q = p2.vertex, p2.level
     if not (type(p) is type(q) is int):
-        p = _as_int(p, PointOutsideLattice, p1)
-        q = _as_int(q, PointOutsideLattice, p2)
+        p = as_int(p, PointOutsideLattice, p1, ": level")
+        q = as_int(q, PointOutsideLattice, p2, ": level")
     d = p - q
     u = series.u_max
     if -u < d < u:

@@ -6,7 +6,7 @@ elements are finite sums of based monomials X^a indexed by integer
 exponent vectors; the based normalization makes the product rule
 X^a X^b = q^(Lambda(a,b)/2) X^(a+b) with Lambda(a,b) = sum a_i b_j l_ij.
 Coefficient entries and exponents are whatever operator.index accepts;
-anything else is NotRepresentable.
+anything else is NotRepresentable (errors.as_int).
 
 Each term of a rank-r element is keyed by one int, the Kronecker packing
 
@@ -19,10 +19,11 @@ difference carries into the digit above it: the key is one-to-one, and
 int order compares |a| first, then a_1, a_2, ... -- the graded
 lexicographic order.  The total degree is the top digit and needs no
 bound.  So a carry must be impossible, and every element carries a
-bound on its |a_i|: the exact maximum when built from exponent tuples,
-the larger one for a sum, and the two bounds added for a product and for
-a quotient (right_divide says why).  An exponent beyond M, and a product
-or division whose terms could pass M, is refused with NotRepresentable.
+bound on its |a_i|: the exact maximum when built from exponent tuples
+and for a quotient, whose steps unpack them all (right_divide says why),
+the larger one for a sum, and the two bounds added for a product.  An
+exponent beyond M, and a product or division whose terms could pass M,
+is refused with NotRepresentable.
 
 The exponent tuples, which the Lambda dot products and the public view
 terms = {exponent tuple: QHalf} read, are unpacked from an element's
@@ -59,6 +60,7 @@ from .errors import (
     NonExactDivision,
     NotRepresentable,
     ShapeMismatch,
+    as_int,
 )
 from .words import default_budget
 
@@ -67,16 +69,6 @@ _DIGIT = 1 << 32
 _EXPONENT_BOUND = (1 << 31) - 1
 # Elimination steps after which an inexact division gives up.
 _MAX_STEPS = 10000
-
-
-def _as_int(value, name: str) -> int:
-    """value as an int: whatever operator.index accepts (ints, bools and
-    integer scalars such as numpy's); anything else is NotRepresentable,
-    "<name> <value> is not an integer".  The integer rule of qdatum."""
-    try:
-        return index(value)
-    except TypeError:
-        raise NotRepresentable(f"{name} {value!r} is not an integer") from None
 
 
 class QHalf:
@@ -91,8 +83,8 @@ class QHalf:
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                k = _as_int(k, "doubled q-exponent")
-                v = _as_int(v, "coefficient entry")
+                k = as_int(k, NotRepresentable, "doubled q-exponent")
+                v = as_int(v, NotRepresentable, "coefficient entry")
                 if v:
                     self.terms[k] = v
 
@@ -251,7 +243,7 @@ class QuantumLaurent:
     __slots__ = ("rank", "_terms", "_exps", "_bound")
 
     def __init__(self, rank: int, terms: Mapping[Sequence[int], QHalf] | None = None):
-        self.rank = rank = _as_int(rank, "rank")
+        self.rank = rank = as_int(rank, NotRepresentable, "rank")
         self._terms: dict[int, QHalf] = {}
         self._exps: dict[int, tuple] = {}
         self._bound = 0
@@ -261,7 +253,7 @@ class QuantumLaurent:
                     exps = tuple(map(index, exps))
                 except TypeError:
                     # refused at the first entry that is not an integer
-                    exps = tuple(_as_int(e, "exponent") for e in exps)
+                    exps = tuple(as_int(e, NotRepresentable, "exponent") for e in exps)
                 if len(exps) != rank:
                     raise ContextMismatch(
                         f"exponent vector {exps} does not have rank {rank}"
@@ -555,10 +547,12 @@ def right_divide(
     Each step moves a term by e_b - e_d for a divisor term e_b, at most
     2 bd in each slot for the divisor's bound bd, so no term of 10,000
     steps passes bn + bd + 20,000 bd for the numerator's bound bn, and
-    that must fit the packing (one-term divisors: bn + bd).  A quotient's
-    exponents lie within bn + bd: in the torus, a domain, the top and
-    bottom exponent in each slot of Y * divisor are those of Y plus those
-    of the divisor.
+    that must fit the packing (one-term divisors: bn + bd).  The
+    quotient's bound is the largest |exponent| of the tuples its steps
+    unpacked, not bn + bd: a cluster variable is a quotient whose
+    numerator's bound adds up those of the variables before it, so bounds
+    added along a sequence of mutations would grow with no end while the
+    exponents themselves stay small.
     """
     _check_context(lam, numerator, divisor)
     if divisor.is_zero():
@@ -614,6 +608,9 @@ def right_divide(
             ]
             for new in _accumulate(remainder, pairs, -1):
                 heappush(heap, -new)
+    if rank:
+        tuples = exps.values()
+        bound = max(max(map(max, tuples)), -min(map(min, tuples)))
     return QuantumLaurent._wrap(rank, out, bound, exps)
 
 

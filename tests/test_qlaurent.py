@@ -591,6 +591,17 @@ def test_a_kernel_that_could_pass_the_packing_bound_is_refused():
     assert str(err.value) == f"division could reach exponents beyond the packing bound {BOUND}"
 
 
+
+def test_a_quotient_is_bounded_by_its_own_exponents():
+    """A quotient's bound is its largest |exponent|, not the numerator's
+    and the divisor's bounds added, for multi-term and one-term divisors."""
+    lam = [[0, 1], [-1, 0]]
+    x1, x2 = QuantumLaurent.generator(2, 1), QuantumLaurent.generator(2, 2)
+    y = QuantumLaurent.monomial(2, (3, -1)) + x2
+    for divisor in (x1 + x2, QuantumLaurent.monomial(2, (-2, 5), QHalf({1: 3, 4: -1}))):
+        quotient = right_divide(lam, torus_product(lam, y, divisor), divisor)
+        assert quotient == y and quotient._bound == 3
+
 EXTREMES = st.sampled_from((0, 1, -1, 2, -2, BOUND, -BOUND, BOUND - 1, 1 - BOUND))
 
 

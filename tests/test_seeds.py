@@ -596,6 +596,24 @@ def test_exact_steps_equal_the_reference_kernels_in_insertion_order(data):
         seed = mutated
 
 
+
+def test_a_long_alternating_exact_walk_keeps_its_period_and_its_bounds():
+    """Thirty alternating mutations at the two exchange slots of a2's
+    1,2,1,2, a walk around the pentagon: every step equals the reference
+    step, the exact track is back at its start after each tenth step and
+    only then, and each variable's exponent bound is its largest
+    |exponent|.  Bounds that added up from step to step would pass the
+    packing bound within about 25 steps and refuse the walk."""
+    start = seed = initial_seed(preset("a2"), Word((1, 2, 1, 2), BRAID), exact=True)
+    for step in range(1, 31):
+        k = start.b.exchange[step % 2]
+        numerator, new, holds = reference_exact_step(seed, k)
+        seed = mutate_seed(seed, k)
+        assert in_order(seed.exact[k - 1]) == in_order(new) and holds
+        assert (seed.exact == start.exact) == (step % 10 == 0)
+        for var in seed.exact:
+            assert var._bound == max(abs(a) for exps in var.terms for a in exps)
+
 def test_permute_seed_group_action():
     rng = random.Random(3)
     cd = preset("a3")
