@@ -31,20 +31,26 @@ keys when first read, and kept.  A product or sum builds none, so one
 that is only compared, like the exchange check's X_k * mu_k(X_k), never
 does; a quotient keeps the tuples its steps unpack.
 
-The product and right-division kernels work on plain dicts
-{key: {doubled_q: int}} and wrap the result once.  They read
-Lambda(a, b) as a . (Lambda b): the Lambda images of one factor's terms
-(the divisor's, in a division) are computed once, and each term pair then
-costs one O(r) dot product.  Division keeps its remainder in such a dict
-and takes the leading term from a heap of negated keys; a one-term
-divisor c X^e instead divides the numerator's terms in one pass, in
-grlex order.  A product, a division step and a shifted_sum each hand all
-their term pairs to one _accumulate call, the one home of the merge
-rule; a pair with a one-entry coefficient, the common case, merges its
-entry products straight in.  A one-entry QHalf divisor divides entry by
-entry.  Terms and coefficient entries keep the insertion order of a sum
-of QHalf objects, so the messages of NonExactDivision, which print
-coefficient dicts, do not depend on the kernel.
+A torus element stores each coefficient in one form, the plain dict
+{doubled_q: int} of its nonzero entries, which every kernel computes in;
+a QHalf enters through the constructor and is built again only where a
+caller asks for one (terms and leading).  Each rule of the torus has one
+home.  _accumulate merges every sum: the term pairs of a product, of a
+division step and of a shifted_sum, of which x + y and x - y are the
+two-part cases; a pair with a one-entry coefficient, the common case,
+merges its entry products straight in.  _divide divides every
+coefficient, and QHalf.divide wraps it; a one-entry divisor divides entry
+by entry.  _scaled is the one term map, of -x and x.q_shift(s).  _image
+is the one Lambda rule: Lambda(a, b) is a . (Lambda b) in lambda_pairing
+and in the kernels, where the images of one factor's terms (the
+divisor's, in a division) are computed once and each term pair then
+costs one O(r) dot product.  Division keeps its remainder in a
+{key: {doubled_q: int}} dict and takes the leading term from a heap of
+negated keys; a one-term divisor c X^e instead divides the numerator's
+terms in one pass, in grlex order.  Terms and coefficient entries keep
+the insertion order of a sum of QHalf objects, so the messages of
+NonExactDivision, which print coefficient dicts, do not depend on the
+kernel.  Every doubled q-shift passes the integer rule.
 """
 from __future__ import annotations
 
@@ -97,10 +103,6 @@ class QHalf:
         return out
 
     @classmethod
-    def zero(cls) -> "QHalf":
-        return cls()
-
-    @classmethod
     def one(cls) -> "QHalf":
         return cls._wrap({0: 1})
 
@@ -142,59 +144,12 @@ class QHalf:
 
     def shift(self, doubled: int) -> "QHalf":
         """Multiply by q^(doubled/2)."""
-        if doubled == 0:
-            return self
+        doubled = as_int(doubled, NotRepresentable, "doubled q-exponent")
         return QHalf._wrap({k + doubled: v for k, v in self.terms.items()})
 
     def divide(self, other: "QHalf") -> "QHalf":
-        """Exact division; raises NonExactDivision on any remainder.
-
-        By a one-entry divisor c q^(d/2) each entry is checked and divided
-        on its own, in descending degree order: the quotient, entry order
-        included, and the message are those of the long division below.
-        """
-        if other.is_zero():
-            raise NonExactDivision("division by zero coefficient")
-        if len(other.terms) == 1:
-            ((lo_d, den_lead),) = other.terms.items()
-            quo = {}
-            for k in sorted(self.terms, reverse=True):
-                lead = self.terms[k]
-                if lead % den_lead:
-                    raise NonExactDivision(
-                        f"coefficient {self.terms} is not divisible by {other.terms}"
-                    )
-                quo[k - lo_d] = lead // den_lead
-            return QHalf._wrap(quo)
-        if self.is_zero():
-            return QHalf()
-        lo_d = min(other.terms)
-        num = {k - lo_d: v for k, v in self.terms.items()}
-        den = {k - lo_d: v for k, v in other.terms.items()}
-        den_deg = max(den)
-        den_lead = den[den_deg]
-        # an exact Laurent quotient has min degree exactly min(num) here,
-        # so quotient terms below that bound prove inexactness
-        quo_floor = min(num)
-        quo: dict[int, int] = {}
-        while num:
-            deg = max(num)
-            lead = num[deg]
-            if deg - den_deg < quo_floor or lead % den_lead != 0:
-                raise NonExactDivision(
-                    f"coefficient {self.terms} is not divisible by {other.terms}"
-                )
-            c = lead // den_lead
-            k = deg - den_deg
-            quo[k] = quo.get(k, 0) + c
-            for dk, dv in den.items():
-                key = dk + k
-                val = num.get(key, 0) - c * dv
-                if val:
-                    num[key] = val
-                elif key in num:
-                    del num[key]
-        return QHalf(quo)
+        """Exact division; raises NonExactDivision on any remainder (_divide)."""
+        return QHalf._wrap(_divide(self.terms, other.terms))
 
     def __repr__(self):
         if not self.terms:
@@ -209,6 +164,55 @@ class QHalf:
             else:
                 bits.append(f"{v}*q^{k}/2")
         return " + ".join(bits)
+
+
+def _divide(num: dict, den: dict) -> dict:
+    """num / den on doubled-exponent dicts, the one coefficient division;
+    raises NonExactDivision on any remainder.
+
+    By a one-entry divisor c q^(d/2) each entry is checked and divided on
+    its own, in descending degree order: the quotient, entry order
+    included, and the message are those of the long division below.
+    """
+    if not den:
+        raise NonExactDivision("division by zero coefficient")
+    if len(den) == 1:
+        ((lo_d, den_lead),) = den.items()
+        quo = {}
+        for k in sorted(num, reverse=True):
+            lead = num[k]
+            if lead % den_lead:
+                raise NonExactDivision(f"coefficient {num} is not divisible by {den}")
+            quo[k - lo_d] = lead // den_lead
+        return quo
+    if not num:
+        return {}
+    lo_d = min(den)
+    rem = {k - lo_d: v for k, v in num.items()}
+    d = {k - lo_d: v for k, v in den.items()}
+    den_deg = max(d)
+    den_lead = d[den_deg]
+    # an exact Laurent quotient has min degree exactly min(rem) here,
+    # so quotient terms below that bound prove inexactness
+    quo_floor = min(rem)
+    quo = {}
+    while rem:
+        deg = max(rem)
+        lead = rem[deg]
+        k = deg - den_deg
+        if k < quo_floor or lead % den_lead != 0:
+            raise NonExactDivision(f"coefficient {num} is not divisible by {den}")
+        # the leading entry cancels and every other lands below it, so
+        # each k is new and each c nonzero
+        c = quo[k] = lead // den_lead
+        for dk, dv in d.items():
+            key = dk + k
+            val = rem.get(key, 0) - c * dv
+            if val:
+                rem[key] = val
+            elif key in rem:
+                del rem[key]
+    return quo
 
 
 @cache
@@ -234,17 +238,19 @@ def _packing(rank: int) -> tuple:
 class QuantumLaurent:
     """Finite sum of based monomials coeff * X^a in a rank-r torus.
 
-    _terms maps each term's packed key to its nonzero QHalf, in term
-    order; every |a_i| of a term is at most _bound.  _exps maps the keys
-    to their exponent tuples, or is None until _exponents() first unpacks
-    them.  terms is the public view.
+    _terms maps each term's packed key to its coefficient in its one
+    stored form, the nonzero dict {doubled_q: int}, in term order; every
+    |a_i| of a term is at most _bound.  _exps maps the keys to their
+    exponent tuples, or is None until _exponents() first unpacks them.
+    terms is the public view, which wraps each coefficient in a QHalf.
+    Sums go through shifted_sum, -x and q_shift through _scaled.
     """
 
     __slots__ = ("rank", "_terms", "_exps", "_bound")
 
     def __init__(self, rank: int, terms: Mapping[Sequence[int], QHalf] | None = None):
         self.rank = rank = as_int(rank, NotRepresentable, "rank")
-        self._terms: dict[int, QHalf] = {}
+        self._terms: dict[int, dict] = {}
         self._exps: dict[int, tuple] = {}
         self._bound = 0
         if terms:
@@ -263,17 +269,19 @@ class QuantumLaurent:
                     raise NotRepresentable(
                         f"exponent vector {exps} is beyond the packing bound {_EXPONENT_BOUND}"
                     )
-                if coeff:
+                if not isinstance(coeff, QHalf):
+                    raise NotRepresentable(f"coefficient {coeff!r} is not a QHalf")
+                if coeff.terms:
                     key = sum(map(mul, exps, _packing(rank)[0]))
-                    self._terms[key] = coeff
+                    self._terms[key] = coeff.terms
                     self._exps[key] = exps
                     self._bound = max(self._bound, bound)
 
     @classmethod
     def _wrap(cls, rank: int, terms: dict, bound: int, exps: dict | None = None) -> "QuantumLaurent":
         """Element over a dict built in this module (packed keys, nonzero
-        QHalf values), a bound on its exponents, and its keys' exponent
-        tuples if already at hand; the dicts are not copied."""
+        doubled-exponent dicts), a bound on its exponents, and its keys'
+        exponent tuples if already at hand; the dicts are not copied."""
         out = object.__new__(cls)
         out.rank = rank
         out._terms = terms
@@ -293,11 +301,7 @@ class QuantumLaurent:
     def terms(self) -> dict:
         """{exponent tuple: QHalf}, in term order."""
         exps = self._exponents()
-        return {exps[key]: coeff for key, coeff in self._terms.items()}
-
-    @classmethod
-    def zero(cls, rank: int) -> "QuantumLaurent":
-        return cls(rank)
+        return {exps[key]: QHalf._wrap(coeff) for key, coeff in self._terms.items()}
 
     @classmethod
     def monomial(
@@ -307,7 +311,12 @@ class QuantumLaurent:
 
     @classmethod
     def generator(cls, rank: int, slot: int) -> "QuantumLaurent":
-        """X_slot (1-based slot index)."""
+        """X_slot (1-based slot index); a slot outside [1, rank] is
+        ContextMismatch."""
+        rank = as_int(rank, NotRepresentable, "rank")
+        slot = as_int(slot, NotRepresentable, "slot")
+        if not 1 <= slot <= rank:
+            raise ContextMismatch(f"slot {slot} is not in [1, {rank}]")
         exps = [0] * rank
         exps[slot - 1] = 1
         return cls.monomial(rank, exps)
@@ -323,42 +332,36 @@ class QuantumLaurent:
         )
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self._terms.items())))
+        terms = frozenset((key, frozenset(c.items())) for key, c in self._terms.items())
+        return hash((self.rank, terms))
 
     def __add__(self, other: "QuantumLaurent") -> "QuantumLaurent":
-        if self.rank != other.rank:
-            raise ContextMismatch(f"ranks {self.rank} != {other.rank}")
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = out.get(key, QHalf.zero()) + coeff
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-        return QuantumLaurent._wrap(self.rank, out, max(self._bound, other._bound))
-
-    def __neg__(self) -> "QuantumLaurent":
-        return QuantumLaurent._wrap(
-            self.rank, {k: -c for k, c in self._terms.items()}, self._bound, self._exps
-        )
+        return shifted_sum([(self, 0), (other, 0)])
 
     def __sub__(self, other: "QuantumLaurent") -> "QuantumLaurent":
-        return self + (-other)
+        return shifted_sum([(self, 0), (-other, 0)])
+
+    def _scaled(self, sign: int, doubled: int) -> "QuantumLaurent":
+        """sign * q^(doubled/2) * self: the one term map.  The keys, the
+        bound and the exponent tuples stay."""
+        doubled = as_int(doubled, NotRepresentable, "doubled q-exponent")
+        terms = {
+            key: {k + doubled: sign * v for k, v in c.items()} for key, c in self._terms.items()
+        }
+        return QuantumLaurent._wrap(self.rank, terms, self._bound, self._exps)
+
+    def __neg__(self) -> "QuantumLaurent":
+        return self._scaled(-1, 0)
 
     def q_shift(self, doubled: int) -> "QuantumLaurent":
-        return QuantumLaurent._wrap(
-            self.rank,
-            {k: c.shift(doubled) for k, c in self._terms.items()},
-            self._bound,
-            self._exps,
-        )
+        return self._scaled(1, doubled)
 
     def leading(self) -> tuple[tuple, QHalf]:
         """Graded-lexicographically largest term: the largest key."""
         if not self._terms:
             raise NonExactDivision("zero element has no leading term")
         key = max(self._terms)
-        return self._exponents()[key], self._terms[key]
+        return self._exponents()[key], QHalf._wrap(self._terms[key])
 
     def __repr__(self):
         if not self._terms:
@@ -386,19 +389,11 @@ def lambda_pairing(lam: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[i
     if len(a) != n or len(b) != n:
         raise ContextMismatch(f"vector lengths {len(a)}, {len(b)} != Lambda size {n}")
     _check_square(lam)
-    total = 0
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        row = lam[i]
-        for j, bj in enumerate(b):
-            if bj:
-                total += ai * bj * row[j]
-    return total
+    return sum(map(mul, a, _image(lam, b)))
 
 
 def _image(lam: Sequence[Sequence[int]], b: Sequence[int]) -> list:
-    """Lambda b, so that Lambda(a, b) = a . (Lambda b)."""
+    """Lambda b, so that Lambda(a, b) = a . (Lambda b): the one Lambda rule."""
     return [sum(map(mul, row, b)) for row in lam]
 
 
@@ -421,7 +416,7 @@ def _check_reach(reach: int, what: str) -> None:
 def _accumulate(acc: dict, pairs, sign: int) -> list:
     """acc[key] += sign * q^(shift/2) * a * b on doubled-exponent dicts,
     for each (key, a, b, shift) of pairs in turn: the one merge rule of
-    products, right divisions and shifted sums.
+    every sum: products, right divisions and shifted sums.
 
     a * b is summed first, then merged entry by entry; zero entries and
     empty terms are dropped at once, so a term that cancels and comes back
@@ -463,11 +458,6 @@ def _accumulate(acc: dict, pairs, sign: int) -> list:
     return fresh
 
 
-def _wrap_sum(rank: int, acc: dict, bound: int) -> QuantumLaurent:
-    """The element whose terms are acc's doubled-exponent dicts."""
-    return QuantumLaurent._wrap(rank, {k: QHalf._wrap(c) for k, c in acc.items()}, bound)
-
-
 def torus_product(
     lam: Sequence[Sequence[int]], f: QuantumLaurent, g: QuantumLaurent
 ) -> QuantumLaurent:
@@ -482,42 +472,40 @@ def torus_product(
     _check_context(lam, f, g)
     bound = f._bound + g._bound
     _check_reach(bound, "product")
-    f_exps, g_exps = f._exponents(), g._exponents()
+    f_vecs, g_vecs = f._exponents(), g._exponents()
     if len(g._terms) <= len(f._terms):
-        pieces = [(kb, cb.terms, _image(lam, g_exps[kb])) for kb, cb in g._terms.items()]
-        pairs = [
-            (ka + kb, ca.terms, cb, sum(map(mul, a, image)))
-            for ka, ca in f._terms.items()
-            for a in (f_exps[ka],)
-            for kb, cb, image in pieces
-        ]
+        g_vecs = {kb: _image(lam, b) for kb, b in g_vecs.items()}
     else:
         transposed = tuple(zip(*lam))
-        pieces = [(kb, cb.terms, g_exps[kb]) for kb, cb in g._terms.items()]
-        pairs = [
-            (ka + kb, ca.terms, cb, sum(map(mul, image, b)))
-            for ka, ca in f._terms.items()
-            for image in (_image(transposed, f_exps[ka]),)
-            for kb, cb, b in pieces
-        ]
+        f_vecs = {ka: _image(transposed, a) for ka, a in f_vecs.items()}
+    pieces = [(kb, cb, g_vecs[kb]) for kb, cb in g._terms.items()]
+    pairs = [
+        (ka + kb, ca, cb, sum(map(mul, u, v)))
+        for ka, ca in f._terms.items()
+        for u in (f_vecs[ka],)
+        for kb, cb, v in pieces
+    ]
     acc: dict = {}
     _accumulate(acc, pairs, 1)
-    return _wrap_sum(f.rank, acc, bound)
+    return QuantumLaurent._wrap(f.rank, acc, bound)
 
 
 def shifted_sum(parts: Sequence[tuple]) -> QuantumLaurent:
     """The sum of q^(shift/2) * x over the (x, shift) of parts, in one pass:
     terms and coefficient entries come in the order of
-    x1.q_shift(s1) + x2.q_shift(s2) + ..., with no shifted copies."""
-    (first, shift), rest = parts[0], parts[1:]
-    for x, _ in rest:
-        if x.rank != first.rank:
-            raise ContextMismatch(f"ranks {first.rank} != {x.rank}")
-    acc = {key: {k + shift: v for k, v in c.terms.items()} for key, c in first._terms.items()}
-    _accumulate(
-        acc, [(key, c.terms, _UNIT, s) for x, s in rest for key, c in x._terms.items()], 1
-    )
-    return _wrap_sum(first.rank, acc, max(x._bound for x, _ in parts))
+    x1.q_shift(s1) + x2.q_shift(s2) + ..., with no shifted copies.  No
+    parts, or parts of two ranks, are ContextMismatch."""
+    if not parts:
+        raise ContextMismatch("a shifted sum needs at least one part")
+    rank = parts[0][0].rank
+    checked = []
+    for x, shift in parts:
+        if x.rank != rank:
+            raise ContextMismatch(f"ranks {rank} != {x.rank}")
+        checked.append((x, as_int(shift, NotRepresentable, "doubled q-exponent")))
+    acc: dict = {}
+    _accumulate(acc, [(key, c, _UNIT, s) for x, s in checked for key, c in x._terms.items()], 1)
+    return QuantumLaurent._wrap(rank, acc, max(x._bound for x, _ in parts))
 
 
 def right_divide(
@@ -569,18 +557,18 @@ def right_divide(
     if len(divisor._terms) == 1:
         _check_reach(bound, "division")
         pieces = []
-        remainder = {key: c.terms for key, c in numerator._terms.items()}
+        remainder = numerator._terms
         order = sorted(remainder, reverse=True)
     else:
         _check_reach(bound + 2 * _MAX_STEPS * divisor._bound, "division")
-        pieces = [(kb, cb.terms, _image(lam, d_exps[kb])) for kb, cb in divisor._terms.items()]
-        remainder = {key: dict(c.terms) for key, c in numerator._terms.items()}
+        pieces = [(kb, cb, _image(lam, d_exps[kb])) for kb, cb in divisor._terms.items()]
+        remainder = {key: dict(c) for key, c in numerator._terms.items()}
         heap = [-key for key in remainder]
         heapify(heap)
         order = _leading_keys(heap, remainder)
     unpack = _packing(rank)[1]
-    entries = sum(len(c.terms) for c in divisor._terms.values())
-    out: dict[int, QHalf] = {}
+    entries = sum(map(len, divisor._terms.values()))
+    out: dict[int, dict] = {}
     exps = {}
     previous = None
     steps = work = 0
@@ -594,16 +582,15 @@ def right_divide(
         k_y = key - k_d
         e_y = exps[k_y] = unpack(k_y)
         shift = sum(map(mul, e_y, lead_image))
-        c_r = QHalf._wrap({k - shift: v for k, v in remainder[key].items()})
-        c_y = out[k_y] = c_r.divide(c_d)
-        work += len(c_y.terms) * entries
+        c_y = out[k_y] = _divide({k - shift: v for k, v in remainder[key].items()}, c_d)
+        work += len(c_y) * entries
         if work > budget:
             raise BudgetExhausted(
                 f"division stopped after {steps} steps: over {budget} coefficient products"
             )
         if pieces:
             pairs = [
-                (k_y + kb, c_y.terms, cb, sum(map(mul, e_y, image)))
+                (k_y + kb, c_y, cb, sum(map(mul, e_y, image)))
                 for kb, cb, image in pieces
             ]
             for new in _accumulate(remainder, pairs, -1):

@@ -4,7 +4,9 @@ the package, outside its own body.  Every public one is read by name
 from another function of the package, from a demo or from the benchmark
 (a re-export in __init__.py is not a reader), or is listed in
 UNREAD_PUBLIC with the reason it stays.  Every method of a class, dunders
-aside, is read by name in the same way, or is listed in UNREAD_METHODS.
+aside, is read as an attribute in the same way (a bare name of the same
+spelling, such as a local variable, is not a read), or is listed in
+UNREAD_METHODS.
 A function that nothing calls any more is deleted, not kept beside its
 replacement.  seeds and cli call
 no private name of qlaurent, so every product and division passes through
@@ -33,7 +35,10 @@ UNREAD_PUBLIC = {
 # Methods, as Class.method, that nothing of the package, no demo and no
 # benchmark reads, each with the reason it stays.
 UNREAD_METHODS = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "QHalf.divide": "exact coefficient division, which wraps _divide; the tests check it",
     "QHalf.q_power": "the coefficient q^(k/2) by name; the tests build coefficients with it",
+    "QHalf.shift": "the coefficient times q^(k/2); the tests' reference kernels read it",
     "QuantumLaurent.leading": "the grlex leading term; the tests' reference division reads it",
     "Report.section": "a report's section by name; the tests read reports through it",
 }
@@ -57,16 +62,18 @@ def private_functions(tree: ast.Module) -> list:
     ]
 
 
-def referenced_names(tree: ast.Module, skip: set, imports: bool = True) -> set:
-    """Names read, attributes read and, when imports, names imported
-    anywhere in tree, except inside the nodes of skip."""
+def referenced_names(
+    tree: ast.Module, skip: set, imports: bool = True, bare: bool = True
+) -> set:
+    """Attributes read and, when bare, names read and, when imports, names
+    imported anywhere in tree, except inside the nodes of skip."""
     names = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if id(node) in skip:
             continue
-        if isinstance(node, ast.Name):
+        if bare and isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -132,8 +139,9 @@ def methods(tree: ast.Module) -> list:
 
 def unread_methods(sources: dict, readers: dict) -> list:
     """(module, Class.method) for each method of sources that is not read
-    by name, outside its own definition, in a module of sources other than
-    __init__.py, nor in a module of readers.  Imports are not reads."""
+    as an attribute, outside its own definition, in a module of sources
+    other than __init__.py, nor in a module of readers.  Imports and bare
+    names are not reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     trees.pop("__init__.py", None)
     outside = [ast.parse(text) for text in readers.values()]
@@ -143,7 +151,7 @@ def unread_methods(sources: dict, readers: dict) -> list:
             read = any(
                 func.name
                 in referenced_names(
-                    other, {id(func)} if other is tree else set(), imports=False
+                    other, {id(func)} if other is tree else set(), imports=False, bare=False
                 )
                 for other in [*trees.values(), *outside]
             )
@@ -221,13 +229,19 @@ def test_unread_methods_sees_attributes_properties_and_self_reads():
             "    def recursive(self, n):\n        return self.recursive(n - 1)\n"
             "    def by_demo(self):\n        pass\n"
             "    def dead(self):\n        pass\n"
+            "    def shadowed(self):\n        pass\n"
             "def dead():\n    pass\n"
         ),
-        "b.py": "from .a import dead\n",
+        "b.py": "from .a import dead\ndef f(shadowed):\n    return shadowed + dead()\n",
     }
-    readers = {"demos/d.py": "from braidseed import C\nC().by_demo()\n"}
-    # a function of the same name, defined or imported, is not a read
-    assert unread_methods(sources, readers) == [("a.py", "C.recursive"), ("a.py", "C.dead")]
+    readers = {"demos/d.py": "from braidseed import C\nC().by_demo()\nshadowed = 1\n"}
+    # a function of the same name, defined or imported, is not a read, nor
+    # is a local variable or a parameter that shadows a method's name
+    assert unread_methods(sources, readers) == [
+        ("a.py", "C.recursive"),
+        ("a.py", "C.dead"),
+        ("a.py", "C.shadowed"),
+    ]
 
 
 def test_unread_public_skips_exports_imports_and_self_reads():

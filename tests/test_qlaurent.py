@@ -41,7 +41,7 @@ from braidseed.qlaurent import (
 def test_qhalf_ring_basics():
     one = QHalf.one()
     u = QHalf.q_power(1)
-    assert one + (-one) == QHalf.zero()
+    assert one + (-one) == QHalf()
     assert (one + u) * (one - u) == QHalf({0: 1, 2: -1})
     assert u * u == QHalf.q_power(2)
     assert u.shift(3) == QHalf.q_power(4)
@@ -64,7 +64,7 @@ def test_qhalf_division_inexact():
     with pytest.raises(NonExactDivision):
         QHalf({0: 3}).divide(QHalf({0: 2}))
     with pytest.raises(NonExactDivision):
-        QHalf.one().divide(QHalf.zero())
+        QHalf.one().divide(QHalf())
 
 
 def ordered_form(lam, exps, coeff):
@@ -177,7 +177,7 @@ def test_right_divide_inexact_raises():
     with pytest.raises(NonExactDivision):
         right_divide(lam, x1 + x2, x1 + x1)
     with pytest.raises(NonExactDivision):
-        right_divide(lam, x1, QuantumLaurent.zero(2))
+        right_divide(lam, x1, QuantumLaurent(2))
 
 
 def test_torus_product_context_checks():
@@ -207,11 +207,11 @@ def test_pairings_refuse_ragged_vectors_and_a_ragged_lambda(pairing, scale):
 def test_right_divide_checks_its_context_before_its_zero_shortcuts():
     x1 = QuantumLaurent.generator(2, 1)
     with pytest.raises(ContextMismatch, match=r"^Lambda size 1 != rank 2$"):
-        right_divide([[0]], QuantumLaurent.zero(2), x1)
+        right_divide([[0]], QuantumLaurent(2), x1)
     with pytest.raises(ContextMismatch, match=r"^ranks 3 != 2$"):
-        right_divide([[0, 1], [-1, 0]], QuantumLaurent.zero(3), x1)
+        right_divide([[0, 1], [-1, 0]], QuantumLaurent(3), x1)
     with pytest.raises(ContextMismatch, match=r"^ranks 2 != 3$"):
-        right_divide([[0, 1], [-1, 0]], x1, QuantumLaurent.zero(3))
+        right_divide([[0, 1], [-1, 0]], x1, QuantumLaurent(3))
 
 
 def reference_coefficient_quotient(num, den):
@@ -281,7 +281,7 @@ def reference_product(lam, f, g):
         for eb, cb in g.terms.items():
             key = tuple(x + y for x, y in zip(ea, eb))
             coeff = (ca * cb).shift(lambda_pairing(lam, ea, eb))
-            total = out.get(key, QHalf.zero()) + coeff
+            total = out.get(key, QHalf()) + coeff
             if total:
                 out[key] = total
             elif key in out:
@@ -309,7 +309,7 @@ def reference_right_divide(lam, numerator, divisor):
         e_y = tuple(a - b for a, b in zip(e_r, e_d))
         shift = lambda_pairing(lam, e_y, e_d)
         c_y = c_r.shift(-shift).divide(c_d)
-        out[e_y] = out.get(e_y, QHalf.zero()) + c_y
+        out[e_y] = out.get(e_y, QHalf()) + c_y
         piece = QuantumLaurent.monomial(numerator.rank, e_y, c_y)
         remainder = remainder - reference_product(lam, piece, divisor)
     return QuantumLaurent(numerator.rank, out)
@@ -397,10 +397,10 @@ def test_edge_case_divisions_fail_like_the_reference():
     one = QuantumLaurent.monomial(2, (0, 0))
     cases = [
         ([[0, 0], [0, 0]], x1 + x2, x1 + x1),
-        ([[0, 0], [0, 0]], x1, QuantumLaurent.zero(2)),
+        ([[0, 0], [0, 0]], x1, QuantumLaurent(2)),
         ([[0, 1], [-1, 0]], x1, x1 + x2),
         ([[0, -2], [2, 0]], x1 + x2, binomial + one),
-        ([[0, 1], [-1, 0]], QuantumLaurent.zero(2), x1 + x2),
+        ([[0, 1], [-1, 0]], QuantumLaurent(2), x1 + x2),
     ]
     for lam, num, d in cases:
         assert outcome(right_divide, lam, num, d) == outcome(
@@ -469,7 +469,7 @@ def test_right_divide_makes_no_products_and_no_validated_elements(monkeypatch):
     calls = {"product": 0, "init": 0, "steps": 0}
     product = qlaurent.torus_product
     init = QuantumLaurent.__init__
-    divide = QHalf.divide
+    divide = qlaurent._divide
 
     def counted_product(*args):
         calls["product"] += 1
@@ -479,13 +479,13 @@ def test_right_divide_makes_no_products_and_no_validated_elements(monkeypatch):
         calls["init"] += 1
         init(self, *args, **kwargs)
 
-    def counted_divide(self, other):
+    def counted_divide(num, den):
         calls["steps"] += 1
-        return divide(self, other)
+        return divide(num, den)
 
     monkeypatch.setattr(qlaurent, "torus_product", counted_product)
     monkeypatch.setattr(QuantumLaurent, "__init__", counted_init)
-    monkeypatch.setattr(QHalf, "divide", counted_divide)
+    monkeypatch.setattr(qlaurent, "_divide", counted_divide)
     assert right_divide(lam, num, d) == f
     assert calls["steps"] == len(f.terms) > 1
     assert calls["product"] == 0
@@ -512,7 +512,7 @@ def test_a_lambda_that_is_not_square_is_refused_by_every_kernel():
     with pytest.raises(ShapeMismatch, match=message):
         right_divide(lam, x1, x2)
     with pytest.raises(ShapeMismatch, match=message):
-        right_divide(lam, QuantumLaurent.zero(2), x2)
+        right_divide(lam, QuantumLaurent(2), x2)
     with pytest.raises(ShapeMismatch, match=r"^Lambda of size 2 is not square$"):
         torus_product([[0, 1, 2], [-1, 0, 1]], x1, x2)
 
@@ -535,12 +535,53 @@ def test_a_lambda_that_is_not_square_is_refused_by_every_kernel():
         ),
         (lambda: QuantumLaurent.monomial(1, (Decimal(1),)), "exponent Decimal('1') is not an integer"),
         (lambda: QuantumLaurent(2.0), "rank 2.0 is not an integer"),
+        # doubled q-shifts: each once gave float keys or a bare TypeError
+        (
+            lambda: QuantumLaurent.generator(2, 1).q_shift(1.5),
+            "doubled q-exponent 1.5 is not an integer",
+        ),
+        (
+            lambda: QuantumLaurent.generator(2, 1).q_shift("1"),
+            "doubled q-exponent '1' is not an integer",
+        ),
+        (lambda: QHalf.one().shift(0.5), "doubled q-exponent 0.5 is not an integer"),
+        (lambda: QHalf.one().shift("1"), "doubled q-exponent '1' is not an integer"),
+        (
+            lambda: shifted_sum([(QuantumLaurent.generator(2, 1), 0.5)]),
+            "doubled q-exponent 0.5 is not an integer",
+        ),
+        (
+            lambda: shifted_sum([(QuantumLaurent(2), 0), (QuantumLaurent(2), 1.0)]),
+            "doubled q-exponent 1.0 is not an integer",
+        ),
+        (lambda: QuantumLaurent.generator(2, 1.0), "slot 1.0 is not an integer"),
+        (lambda: QuantumLaurent.generator(2.0, 1), "rank 2.0 is not an integer"),
     ],
 )
 def test_non_integers_are_refused_not_truncated(build, message):
     with pytest.raises(NotRepresentable) as err:
         build()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("coeff", [3, 0, {0: 1}, "1", None])
+def test_a_coefficient_that_is_not_a_qhalf_is_refused(coeff):
+    """An int coefficient was once stored as it was: x + x then had the
+    int 6 as a coefficient and torus_product raised AttributeError."""
+    with pytest.raises(NotRepresentable) as err:
+        QuantumLaurent(2, {(0, 1): QHalf.one(), (1, 0): coeff})
+    assert str(err.value) == f"coefficient {coeff!r} is not a QHalf"
+
+
+def test_slots_outside_the_rank_and_empty_sums_are_context_mismatches():
+    # slot 0 once wrapped to X_2, and slot 3 and an empty sum were IndexError
+    assert QuantumLaurent.generator(2, 2).terms == {(0, 1): QHalf.one()}
+    for slot in (0, -1, 3):
+        with pytest.raises(ContextMismatch) as err:
+            QuantumLaurent.generator(2, slot)
+        assert str(err.value) == f"slot {slot} is not in [1, 2]"
+    with pytest.raises(ContextMismatch, match="^a shifted sum needs at least one part$"):
+        shifted_sum([])
 
 
 def test_what_operator_index_accepts_is_taken_as_an_integer():
@@ -617,7 +658,7 @@ def test_packed_keys_order_and_unpack_exactly_up_to_the_bound(vectors):
     x = QuantumLaurent(rank, terms)
     assert x.terms == terms and list(x.terms) == list(terms)
     assert x.leading() == max(terms.items(), key=lambda t: (sum(t[0]), t[0]))
-    for y in (x.q_shift(2), -x, x + x, x + QuantumLaurent.zero(rank)):
+    for y in (x.q_shift(2), -x, x + x, x + QuantumLaurent(rank)):
         assert list(y.terms) == list(terms)
     assert (x + x).leading()[0] == x.leading()[0]
 
@@ -765,6 +806,44 @@ def tuple_right_divide(lam, numerator, divisor) -> dict:
     return out
 
 
+# ---------------------------------------------------------------------------
+# The QHalf-based sums that shifted_sum and the term map replaced, kept as
+# they were: a merge through QHalf.__add__ and a QHalf per term.
+
+
+def reference_add(x, y):
+    if x.rank != y.rank:
+        raise ContextMismatch(f"ranks {x.rank} != {y.rank}")
+    out = dict(x.terms)
+    for e, coeff in y.terms.items():
+        total = out.get(e, QHalf()) + coeff
+        if total:
+            out[e] = total
+        elif e in out:
+            del out[e]
+    return QuantumLaurent(x.rank, out)
+
+
+def reference_neg(x):
+    return QuantumLaurent(x.rank, {e: -c for e, c in x.terms.items()})
+
+
+def reference_sub(x, y):
+    return reference_add(x, reference_neg(y))
+
+
+def reference_q_shift(x, doubled):
+    return QuantumLaurent(x.rank, {e: c.shift(doubled) for e, c in x.terms.items()})
+
+
+def reference_shifted_sum(parts):
+    total = None
+    for x, s in parts:
+        shifted = reference_q_shift(x, s)
+        total = shifted if total is None else reference_add(total, shifted)
+    return total
+
+
 def settled(kernel, *args):
     """("value", terms and entries in order) or (error type, message)."""
     try:
@@ -817,3 +896,40 @@ def test_packed_kernels_match_the_tuple_keyed_ones(case, shift):
         # a multi-term divisor of an arbitrary numerator can run to the
         # 10,000-step bound; the default budget stops it well before
         assert settled(right_divide, lam, num, d) == settled(tuple_right_divide, lam, num, d)
+
+
+@st.composite
+def sum_case(draw):
+    """Rank 1-4 elements x, y and z on a small support, so that terms and
+    coefficient entries often cancel, and an element of another rank."""
+    rank = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.integers(-1, 1)] * rank)
+    coeffs = st.dictionaries(st.integers(-2, 2), ENTRY, min_size=1, max_size=3)
+    terms = st.dictionaries(vectors, coeffs.map(QHalf), max_size=4)
+    x, y, z = (QuantumLaurent(rank, draw(terms)) for _ in range(3))
+    other = QuantumLaurent(draw(st.sampled_from([r for r in range(1, 6) if r != rank])))
+    return x, y, z, other
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_case(), st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+def test_sums_match_the_qhalf_based_ones(case, shifts):
+    """x + y, x - y, -x, x.q_shift(s) and shifted_sum agree with the
+    QHalf-based references on values, term order, entry order and the
+    message of a rank mismatch."""
+    x, y, z, other = case
+    s1, s2, s3 = shifts
+    parts = [(x, s1), (y, s2), (z, s3)]
+    for got, want in [
+        ((add, x, y), (reference_add, x, y)),
+        ((sub, x, y), (reference_sub, x, y)),
+        ((neg, x), (reference_neg, x)),
+        ((QuantumLaurent.q_shift, x, s1), (reference_q_shift, x, s1)),
+        ((shifted_sum, parts), (reference_shifted_sum, parts)),
+        ((shifted_sum, parts[:1]), (reference_shifted_sum, parts[:1])),
+        ((add, x, other), (reference_add, x, other)),
+        ((sub, other, y), (reference_sub, other, y)),
+        ((shifted_sum, [*parts, (other, 0)]), (reference_shifted_sum, [*parts, (other, 0)])),
+    ]:
+        assert settled(*got) == settled(*want)
+    assert settled(add, x, other)[0] == "ContextMismatch"
