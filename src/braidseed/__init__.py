@@ -49,6 +49,7 @@ from .seeds import (
     Seed,
     TSystemReport,
     check_compatibility,
+    checked_mutation,
     exchange_check,
     exchange_vectors,
     gls_matrix,

@@ -65,7 +65,7 @@ from .seeds import (
     Seed,
     _word_seed,
     check_compatibility,
-    exchange_check,
+    checked_mutation,
     gls_matrix,
     initial_seed,
     mutate_seed,
@@ -489,9 +489,8 @@ def _cmd_seed_mutate(config: RunConfig, cd: CartanData, w: Word) -> list:
     current = seed
     sections = []
     for idx, k in enumerate(slots, start=1):
-        previous, current = current, mutate_seed(current, k)
+        current, check = checked_mutation(current, k)
         if config.exact:
-            check = exchange_check(previous, k, current)
             sections.append(comparison(f"exchange-step-{idx}", check.verified, True))
             sections.append(
                 echo(
@@ -826,7 +825,7 @@ def _seed_class_campaign(
     links b_{k,k-} (off the diagonal c_ij <= 0, and an earlier position of
     the letter of k forces k- >= it), which fix the tropical track and the
     labels; the exact track depends on n alone.  Neither mutate_seed nor
-    exchange_check reads the word.  So check(seed) is kept in classes by
+    checked_mutation reads the word.  So check(seed) is kept in classes by
     B (a new table when None), which callers may share across contexts.
     """
     classes = {} if classes is None else classes
@@ -906,12 +905,8 @@ def torus_campaign(cd: CartanData, word_length: int, pairs: int = 200) -> tuple:
 
 def _exchange_failures(seed: Seed) -> list:
     """{k} for each exchange slot k where the exact exchange relation of
-    mutate_seed(seed, k) fails."""
-    return [
-        {"k": k}
-        for k in seed.b.exchange
-        if not exchange_check(seed, k, mutate_seed(seed, k)).verified
-    ]
+    the mutation at k fails."""
+    return [{"k": k} for k in seed.b.exchange if not checked_mutation(seed, k)[1].verified]
 
 
 def exact_exchange_campaign(cd: CartanData, length_cap: int, classes=None) -> tuple:

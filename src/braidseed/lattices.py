@@ -43,14 +43,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def column_echelon(rows: Sequence[Sequence[int]]) -> tuple:
     """Unimodular column reduction A U = H.
 
-    Returns (H, U, pivots) where H is in column echelon form, U is
-    unimodular, and pivots lists (row, column) positions with positive
-    pivot entries.  Columns of H beyond the last pivot are zero.
+    Returns (H, pivots) where H is in column echelon form and pivots lists
+    (row, column) positions with positive pivot entries.  Columns of H
+    beyond the last pivot are zero.  U is not formed: a caller that needs
+    it reduces A stacked over the identity, whose bottom block is U.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     H = [[int(v) for v in row] for row in rows]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     pivots = []
     r = 0
     for i in range(m):
@@ -60,31 +60,29 @@ def column_echelon(rows: Sequence[Sequence[int]]) -> tuple:
         if piv != r:
             for row in H:
                 row[r], row[piv] = row[piv], row[r]
-            for row in U:
-                row[r], row[piv] = row[piv], row[r]
         for j in range(r + 1, n):
             if H[i][j] == 0:
                 continue
             a, b = H[i][r], H[i][j]
             g, s, t = _xgcd(a, b)
             ag, bg = a // g, b // g
-            for row in (*H, *U):
+            for row in H:
                 x, y = row[r], row[j]
                 row[r] = s * x + t * y
                 row[j] = -bg * x + ag * y
         if H[i][r] < 0:
-            for row in (*H, *U):
+            for row in H:
                 row[r] = -row[r]
         pivots.append((i, r))
         r += 1
-    return H, U, pivots
+    return H, pivots
 
 
 def _echelon_kernel(kernel: list, n: int) -> tuple[list, list]:
     """The reduced echelon basis of a nonempty kernel basis along
     coordinate rows, and its pivot rows.  Both are unique for the lattice:
     any generators of it give the same basis, and the same search."""
-    H, _, pivots = column_echelon([list(row) for row in zip(*kernel)])
+    H, pivots = column_echelon([list(row) for row in zip(*kernel)])
     basis = [[H[i][c] for i in range(n)] for _, c in pivots]
     pivot_rows = [i for i, _ in pivots]
     return _reduce_echelon(basis, pivot_rows), pivot_rows

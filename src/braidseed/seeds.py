@@ -10,7 +10,7 @@ NonExactDivision instead of a silently wrong result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
@@ -71,22 +71,14 @@ class ExchangeMatrix:
     def column(self, l: int) -> tuple:
         return tuple(map(itemgetter(l - 1), self.entries))
 
-    def is_exchange(self, k: int) -> bool:
-        return k in self.exchange
-
-
-def _exchange_slots(w: Word) -> tuple:
-    """K^ex of the word's seed: the positions with an earlier position
-    carrying the same letter."""
-    return tuple(sorted(k for ks in w.positions.values() for k in ks[1:]))
-
 
 def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
     """Exchange matrix of the word's initial seed.
 
     b_{kl} is 1 when l = k-, -1 when l = k+, the Cartan entry c_{i_k i_l}
     when l- < k- < l < k, its negative when k- < l- < k < l, else 0.
-    A letter outside the index set raises InvalidBox.
+    K^ex is the positions k with a k-, in ascending order.  A letter
+    outside the index set raises InvalidBox.
     """
     _check_letters(cd, w.positions)
     letters = w.letters
@@ -113,7 +105,8 @@ def gls_matrix(cd: CartanData, w: Word) -> ExchangeMatrix:
             if plus[s] > k:
                 row[plus[s] - 1] = -c
         rows.append(tuple(row))
-    return ExchangeMatrix(tuple(rows), _exchange_slots(w), tuple(map(cd.sym, letters)))
+    exchange = tuple(k for k in range(1, n + 1) if minus[k])
+    return ExchangeMatrix(tuple(rows), exchange, tuple(map(cd.sym, letters)))
 
 
 def solve_lambda(b: ExchangeMatrix) -> tuple:
@@ -219,7 +212,7 @@ def _canonical_pairing(n: int, x0: list, free: list) -> tuple:
     pairs = _pairs(n)
     point = x0
     if len(free) > 1:
-        H, _, leads = column_echelon(list(zip(*free)))
+        H, leads = column_echelon(list(zip(*free)))
         us = [([row[c] for row in H], lead) for lead, c in leads]
         basis, pivot_rows = [], []
         for a, (u, i) in enumerate(us):
@@ -261,16 +254,8 @@ class Seed:
 
     torus_lam is the pairing of the initial torus and never changes along
     mutations; lam is the current seed's pairing.  exact is None when the
-    exact track is disabled.
-
-    _products is a private memo of _current_monomial: the ordered
-    products of current variables it has formed, keyed by power vector
-    with the negative powers set to 0.  A product reads only exact and
-    torus_lam, which never change on a seed, so a cached entry cannot go
-    stale.  mutate_seed's _SeedState starts from this memo, so the
-    products of its exchange numerator stay here for exchange_check;
-    every other seed, made by mutate_seed, replace or permute_seed, starts
-    with an empty memo.  The memo takes no part in ==, hash or repr.
+    exact track is disabled.  A seed holds values only: the products that
+    a mutation forms live on the _SeedState it thaws into.
     """
 
     word: Word
@@ -280,7 +265,6 @@ class Seed:
     labels: tuple
     torus_lam: tuple
     exact: Optional[tuple] = None
-    _products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def initial_seed(cd: CartanData, w: Word, exact: bool = False) -> Seed:
@@ -315,16 +299,18 @@ def _word_seed(w: Word, b: ExchangeMatrix, lam: tuple, exact: bool) -> Seed:
 
 class _SeedState:
     """A seed's exchange data and variable tracks, mutated in place: the
-    walk of seed_equivalence_report, and mutate_seed between thawing a
-    seed and freezing the result.  b and lam are lists of row lists, trop
-    and exact lists of slots (exact is None when the exact track is off);
-    exchange, d_prime and torus_lam never change.
+    walk of seed_equivalence_report, and mutate_seed, checked_mutation and
+    exchange_check between thawing a seed and freezing the result.  b and
+    lam are lists of row lists, trop and exact lists of slots (exact is
+    None when the exact track is off); exchange, d_prime and torus_lam
+    never change.
 
     _products is the memo of _current_monomial for the current variables,
-    first the thawed seed's own.  A product reads exact only at the slots
-    of its key's positive powers, so a mutation at k drops exactly the
-    entries with a positive power at k, into a new dict; the two products
-    of the exchange numerator at k have power 0 there and stay.
+    owned by the state and empty on every thaw.  A product reads exact
+    only at the slots of its key's positive powers, so a mutation at k
+    drops exactly the entries with a positive power at k, into a new dict;
+    the two products of the exchange numerator at k have power 0 there
+    and stay for the step's exchange check.
     """
 
     __slots__ = (
@@ -339,11 +325,14 @@ class _SeedState:
         self.trop = list(seed.trop)
         self.exact = None if seed.exact is None else list(seed.exact)
         self.torus_lam = seed.torus_lam
-        self._products = seed._products
+        self._products = {}
 
-    def freeze(self, word: Word, labels: tuple) -> Seed:
+    def freeze(self, seed: Seed, k: int) -> Seed:
+        """The state as a Seed: seed mutated at k, slot k's label wrapped
+        in mu_k."""
+        labels = seed.labels[: k - 1] + (f"mu{k}({seed.labels[k - 1]})",) + seed.labels[k:]
         return Seed(
-            word=word,
+            word=seed.word,
             b=ExchangeMatrix(tuple(map(tuple, self.b)), self.exchange, self.d_prime),
             lam=tuple(map(tuple, self.lam)),
             trop=tuple(self.trop),
@@ -376,7 +365,8 @@ def _pairings(lam: Sequence[Sequence[int]], k: int, vectors: tuple) -> tuple:
 def _mutate_in_place(state: _SeedState, k: int) -> tuple:
     """Mutation at an exchange index k, in place: the one home of the B,
     Lambda, tropical and exact mutation rules.  Returns the exchange
-    vectors at k and their _pairings under the Lambda before the step.
+    vectors at k, their _pairings under the Lambda before the step, and
+    X_k before the step (None when the exact track is off).
 
     The exchange vectors are formed once from B's column k.  The tropical
     track applies the parameter mutation rule to the two monomials'
@@ -394,9 +384,11 @@ def _mutate_in_place(state: _SeedState, k: int) -> tuple:
     vectors = _exchange_vectors(column, k)
     pairings = _pairings(lam, k, vectors)
     trop[k - 1] = par_mutation(trop[k - 1], *_exchange_parameters(trop, vectors))
+    x_k = None
     if state.exact is not None:
+        x_k = state.exact[k - 1]
         numerator = _exchange_sum(state, k, vectors)
-        state.exact[k - 1] = right_divide(state.torus_lam, numerator, state.exact[k - 1])
+        state.exact[k - 1] = right_divide(state.torus_lam, numerator, x_k)
         state._products = {
             key: product for key, product in state._products.items() if not key[k - 1]
         }
@@ -418,42 +410,40 @@ def _mutate_in_place(state: _SeedState, k: int) -> tuple:
     for r, v in zip(lam, row):
         r[k - 1] = -v
     lam[k - 1] = row
-    return vectors, pairings
+    return vectors, pairings, x_k
 
 
-def _current_monomial(seed, vec: Sequence[int], shift: int = 0) -> tuple:
-    """The ordered product of current variables to the given powers and
-    its doubled q-prefactor: the based-monomial prefactor of the current
-    pairing plus shift.  The monomial is q^(doubled/2) times the product.
+def _current_monomial(state: _SeedState, vec: Sequence[int], shift: int = 0) -> tuple:
+    """The ordered product of the state's current variables to the given
+    powers and its doubled q-prefactor: the based-monomial prefactor of
+    the current pairing plus shift.  The monomial is q^(doubled/2) times
+    the product.
 
     The prefactor sums v_i v_j l_ij over i > j in vec's support, the -1
     in slot k of an exchange vector included; a slot with a negative
     power contributes no factor to the product.  The product is formed
-    once and kept in seed._products under vec with its negative powers
-    set to 0, so the exchange numerator (-1 at k) and the exchange check's
-    right side (0 at k) share it; the callers apply the prefactors in
-    their one shifted_sum.  seed is a Seed or a _SeedState: the memo is
-    safe because the product reads only seed.exact and seed.torus_lam,
-    which never change on a Seed, and a _SeedState drops the entries a
-    mutation invalidates.
+    once and kept in state._products under vec with its negative powers
+    set to 0, so a step's exchange numerator (-1 at k) and its exchange
+    check's right side (0 at k) share it; the callers apply the
+    prefactors in their one shifted_sum.
     """
-    lam = seed.lam
+    lam = state.lam
     support = [i for i, v in enumerate(vec) if v]
     doubled = shift + sum(
         vec[i] * vec[j] * lam[i][j] for t, i in enumerate(support) for j in support[:t]
     )
     key = tuple(v if v > 0 else 0 for v in vec)
-    product = seed._products.get(key)
+    product = state._products.get(key)
     if product is None:
-        factors = [seed.exact[j] for j, power in enumerate(key) for _ in range(power)]
+        factors = [state.exact[j] for j, power in enumerate(key) for _ in range(power)]
         product = factors[0] if factors else QuantumLaurent.monomial(len(key), key)
         for factor in factors[1:]:
-            product = torus_product(seed.torus_lam, product, factor)
-        seed._products[key] = product
+            product = torus_product(state.torus_lam, product, factor)
+        state._products[key] = product
     return product, doubled
 
 
-def _exchange_sum(seed, k: int, vectors: tuple) -> QuantumLaurent:
+def _exchange_sum(state: _SeedState, k: int, vectors: tuple) -> QuantumLaurent:
     """q^c1 m_a + q^c2 m_a' where m is the ordered product skipping slot k,
     for the exchange vectors at k.
 
@@ -463,9 +453,9 @@ def _exchange_sum(seed, k: int, vectors: tuple) -> QuantumLaurent:
     returned element is that numerator, so dividing by X_k's Laurent form
     on the right yields the mutated variable.
     """
-    row = seed.lam[k - 1]
+    row = state.lam[k - 1]
     return shifted_sum(
-        [_current_monomial(seed, vec, -2 * sum(map(mul, vec[k:], row[k:]))) for vec in vectors]
+        [_current_monomial(state, vec, -2 * sum(map(mul, vec[k:], row[k:]))) for vec in vectors]
     )
 
 
@@ -489,8 +479,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     with slot k's label wrapped in mu_k."""
     state = _SeedState(seed)
     _mutate_in_place(state, k)
-    labels = seed.labels[: k - 1] + (f"mu{k}({seed.labels[k - 1]})",) + seed.labels[k:]
-    return state.freeze(seed.word, labels)
+    return state.freeze(seed, k)
 
 
 @dataclass(frozen=True)
@@ -508,40 +497,54 @@ class ExchangeCheck:
     verified: Optional[bool]
 
 
-def exchange_check(seed: Seed, k: int, mutated: Seed) -> ExchangeCheck:
-    """Verify the exchange relation at k, given mutated = mutate_seed(seed, k)."""
-    if not seed.b.is_exchange(k):
-        raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
-    vectors = exchange_vectors(seed.b, k)
-    pairings = _pairings(seed.lam, k, vectors)
+def _checked_step(state: _SeedState, s: int, slot: int) -> ExchangeCheck:
+    """One step, _mutate_in_place at state slot s, and its ExchangeCheck
+    reported at slot.  On the exact track the check verifies X_s * mu_s(X_s)
+    == q^(alpha/2) M_up + q^(beta/2) M_down: the only place where both
+    sides are formed.
+
+    The right side reads the exchange vectors with slot s set to 0, which
+    read neither X_s nor row and column s of Lambda: the state after the
+    step gives the same right side as before it, from the products that
+    the step's numerator left in the state's memo.
+    """
+    vectors, pairings, x_s = _mutate_in_place(state, s)
     verified = None
-    if seed.exact is not None:
-        if mutated.exact is None:
-            raise ContextMismatch(
-                f"exchange check at {k}: the seed has an exact track and the "
-                "mutated seed has none"
-            )
-        verified = _exchange_holds(
-            seed, k, vectors, pairings, seed.exact[k - 1], mutated.exact[k - 1]
+    if x_s is not None:
+        lhs = torus_product(state.torus_lam, x_s, state.exact[s - 1])
+        verified = lhs == shifted_sum(
+            [
+                _current_monomial(state, vec[: s - 1] + (0,) + vec[s:], pairing)
+                for vec, pairing in zip(vectors, pairings)
+            ]
         )
-    return ExchangeCheck(k, *pairings, verified)
+    return ExchangeCheck(slot, *pairings, verified)
 
 
-def _exchange_holds(
-    seed, k: int, vectors: tuple, pairings: tuple, x_k, mu_x_k
-) -> bool:
-    """X_k * mu_k(X_k) == q^(alpha/2) M_up + q^(beta/2) M_down, the right
-    side read from seed (a Seed or a _SeedState) at the exchange vectors
-    with slot k set to 0.  Those powers read neither X_k nor row and column
-    k of Lambda, so the state after _mutate_in_place at k gives the same
-    right side as before it, from the same memo entries."""
-    lhs = torus_product(seed.torus_lam, x_k, mu_x_k)
-    return lhs == shifted_sum(
-        [
-            _current_monomial(seed, vec[: k - 1] + (0,) + vec[k:], pairing)
-            for vec, pairing in zip(vectors, pairings)
-        ]
-    )
+def checked_mutation(seed: Seed, k: int) -> tuple:
+    """(mutate_seed(seed, k), the ExchangeCheck of that step), from one
+    _checked_step."""
+    state = _SeedState(seed)
+    check = _checked_step(state, k, k)
+    return state.freeze(seed, k), check
+
+
+def exchange_check(seed: Seed, k: int, mutated: Seed) -> ExchangeCheck:
+    """Verify the exchange relation at k, given mutated = mutate_seed(seed, k):
+    the relation of the step at k holds, and mutated's variable at k is the
+    step's.  A variable that meets the relation is the step's, since the
+    quantum torus has no zero divisors.  A frozen k is refused by the
+    step, before the tracks are compared."""
+    if k in seed.b.exchange and seed.exact is not None and mutated.exact is None:
+        raise ContextMismatch(
+            f"exchange check at {k}: the seed has an exact track and the "
+            "mutated seed has none"
+        )
+    state = _SeedState(seed)
+    check = _checked_step(state, k, k)
+    if not check.verified:
+        return check
+    return replace(check, verified=mutated.exact[k - 1] == state.exact[k - 1])
 
 
 def permute_seed(seed: Seed, rho: Sequence[int]) -> Seed:
@@ -692,9 +695,8 @@ def seed_equivalence_report(
     runs at its state slot, and each script's permutation is composed into
     slot.  Mutation commutes with relabelling, so the state read through
     slot, as it is compared with the target's seed, is the seed of
-    permuting after every move; exchange checks keep the word slot, and on
-    the exact track reuse the exchange vectors, pairings and products of
-    their step.
+    permuting after every move; each mutation is one _checked_step, whose
+    exchange check keeps the word slot.
 
     exact=None runs the exact track iff the word has length <= 6.
     """
@@ -710,15 +712,7 @@ def seed_equivalence_report(
     for move, window in zip(path, windows):
         script = _window_script(cd, n, move, *window)
         for t, k in enumerate(script.mutations):
-            s = slot[k - 1]
-            x_k = state.exact[s - 1] if exact else None
-            vectors, pairings = _mutate_in_place(state, s)
-            verified = None
-            if exact:
-                verified = _exchange_holds(
-                    state, s, vectors, pairings, x_k, state.exact[s - 1]
-                )
-            checks.append(ExchangeCheck(k, *pairings, verified))
+            checks.append(_checked_step(state, slot[k - 1], k))
             if t == 0 and move.kind is MoveKind.FOUR:
                 p = move.position
                 intermediates.append(
@@ -902,7 +896,7 @@ def tsystem_check(
         raise MinorNotReachable(
             f"the exchange monomials at slot {k} do not realize the boxed terms"
         )
-    check = exchange_check(seed, k, mutate_seed(seed, k))
+    _, check = checked_mutation(seed, k)
     return replace(
         report,
         a_doubled=check.beta_doubled,

@@ -399,9 +399,9 @@ def words_equal_in_monoid(cd: CartanData, w: Word, w2: Word) -> bool:
     of one Weyl element (Matsumoto 1964): their cartan._WeylWalk final
     images agree, so no search is needed.  Any other pair is decided on the
     full words by move-graph connectivity, since the defining relations are
-    length-homogeneous: find_move_path answers, a definitive NotConnected
-    is False, and one that spent the budget is BudgetExhausted.  A budget
-    that default_budget() refuses is ConfigInvalid, before any other check.
+    length-homogeneous: one _bfs answers, found is True, exhausted is False,
+    and a spent budget is BudgetExhausted.  A budget that default_budget()
+    refuses is ConfigInvalid, before any other check.
     """
     budget = default_budget()
     _check_letters(cd, w.positions)
@@ -417,13 +417,10 @@ def words_equal_in_monoid(cd: CartanData, w: Word, w2: Word) -> bool:
     walk, walk2 = _WeylWalk(cd, x), _WeylWalk(cd, y)
     if walk.reduced and walk2.reduced:
         return walk.images == walk2.images
-    try:
-        find_move_path(cd, w, w2)
-    except NotConnected as err:
-        if err.definitive:
-            return False
-        raise BudgetExhausted(f"move-graph search stopped after {budget} words") from err
-    return True
+    status, _ = _bfs(cd, w, w2.letters, budget)
+    if status == "budget":
+        raise BudgetExhausted(f"move-graph search stopped after {budget} words")
+    return status == "found"
 
 
 class NeighborIndex(NamedTuple):

@@ -35,6 +35,7 @@ from braidseed.seeds import (
     exchange_check,
     gls_matrix,
     initial_seed,
+    mutate_seed,
     solve_lambda,
 )
 from braidseed.transitions import OrderVerdict
@@ -157,37 +158,54 @@ def exchanges_per_word(cd, length_cap):
     for w in braid_words(cd, 1, length_cap):
         seed = initial_seed(cd, w, exact=True)
         for k in seed.b.exchange:
-            check = exchange_check(seed, k, cli.mutate_seed(seed, k))
+            check = exchange_check(seed, k, mutate_seed(seed, k))
             checked += 1
             if not check.verified:
                 failures.append({"word": list(w.letters), "k": k})
     return checked, failures
 
 
-def lower_sum(b):
-    """Sum of the strictly lower entries of the exchange matrix b."""
-    return sum(v for r, row in enumerate(b.entries) for v in row[:r])
+def lower_sum(rows):
+    """Sum of the strictly lower entries of an exchange matrix's rows."""
+    return sum(v for r, row in enumerate(rows) for v in row[:r])
 
 
 def faulty_mutation(mutate):
     """mutate, broken on the seeds whose B has an even lower_sum: the first
-    tropical vector gains 1 in its first entry, which breaks involution,
-    and the exact variable at k is shifted by q, which breaks the exchange
-    relation.  The fault reads only what the checks read, so it breaks
-    whole exchange-matrix classes and spares others."""
+    tropical vector gains 1 in its first entry, which breaks involution.
+    The fault reads only what the checks read, so it breaks whole
+    exchange-matrix classes and spares others."""
 
     def broken(seed, k):
         out = mutate(seed, k)
-        if lower_sum(seed.b) % 2:
+        if lower_sum(seed.b.entries) % 2:
             return out
         first = (out.trop[0][0] + 1,) + tuple(out.trop[0][1:])
-        out = replace(out, trop=(first,) + out.trop[1:])
-        if out.exact is not None:
-            shifted = out.exact[k - 1].q_shift(2)
-            out = replace(out, exact=out.exact[: k - 1] + (shifted,) + out.exact[k:])
+        return replace(out, trop=(first,) + out.trop[1:])
+
+    return broken
+
+
+def faulty_step(step):
+    """The in-place step, broken on the states whose B has an even
+    lower_sum before the step: the new exact variable at k is shifted by
+    q, which breaks the exchange relation of every checked mutation."""
+
+    def broken(state, k):
+        even = lower_sum(state.b) % 2 == 0
+        out = step(state, k)
+        if even and state.exact is not None:
+            state.exact[k - 1] = state.exact[k - 1].q_shift(2)
         return out
 
     return broken
+
+
+def inject_faults(monkeypatch):
+    """faulty_mutation into the mutation campaign's mutate_seed, and
+    faulty_step into the step that every exact mutation runs."""
+    monkeypatch.setattr(cli, "mutate_seed", faulty_mutation(cli.mutate_seed))
+    monkeypatch.setattr(seeds, "_mutate_in_place", faulty_step(seeds._mutate_in_place))
 
 
 def counting(monkeypatch, name):
@@ -218,7 +236,7 @@ def test_one_pairing_solve_per_exchange_matrix(name, cd, monkeypatch):
 
 @pytest.mark.parametrize("name,cd", CONTEXTS, ids=NAMES)
 def test_seed_campaigns_equal_the_per_word_loops_with_faults(name, cd, monkeypatch):
-    monkeypatch.setattr(cli, "mutate_seed", faulty_mutation(cli.mutate_seed))
+    inject_faults(monkeypatch)
     for campaign, reference, cap in (
         (mutation_campaign, mutations_per_word, 4),
         (exact_exchange_campaign, exchanges_per_word, 3),
@@ -270,7 +288,7 @@ def verify_all(*extra):
 def test_verify_all_reports_every_word_of_every_context_with_faults(
     exact, monkeypatch
 ):
-    monkeypatch.setattr(cli, "mutate_seed", faulty_mutation(cli.mutate_seed))
+    inject_faults(monkeypatch)
     report = verify_all(*(["--exact"] if exact else []))
     assert report.verdict == "Mismatch"
     seed_campaigns = [("mutations", "mutation-failures", mutations_per_word, 4)]

@@ -29,6 +29,16 @@ def matmul_vec(rows, x):
     return [sum(a * b for a, b in zip(row, x)) for row in rows]
 
 
+def echelon_with_transform(rows, n):
+    """(H, U, pivots) with A U = H, U unimodular: column_echelon of A
+    stacked over the n x n identity is [H; U], since the identity rows come
+    after every row of A and only touch the columns past its pivots."""
+    m = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    stacked, pivots = column_echelon([list(row) for row in rows] + identity)
+    return stacked[:m], stacked[m:], [(i, c) for i, c in pivots if i < m]
+
+
 def solve_integer_system(rows, rhs):
     """One integer solution of A x = c plus a kernel lattice basis.
 
@@ -38,7 +48,7 @@ def solve_integer_system(rows, rhs):
     n = len(rows[0]) if m else 0
     if len(rhs) != m:
         raise NoIntegralSolution(f"rhs length {len(rhs)} != row count {m}")
-    H, U, pivots = column_echelon(rows)
+    H, U, pivots = echelon_with_transform(rows, n)
     y = [0] * n
     for i, c in pivots:
         residual = rhs[i] - sum(H[i][j] * y[j] for j in range(c))
@@ -91,7 +101,9 @@ def test_echelon_is_unimodular_combination():
         m = rng.randrange(1, 4)
         n = rng.randrange(1, 5)
         rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
-        H, U, pivots = column_echelon(rows)
+        H, U, pivots = echelon_with_transform(rows, n)
+        assert column_echelon(rows) == (H, pivots)
+        assert abs(determinant(U)) == 1
         for i in range(m):
             for j in range(n):
                 got = sum(rows[i][k] * U[k][j] for k in range(n))
@@ -99,6 +111,16 @@ def test_echelon_is_unimodular_combination():
         for i, c in pivots:
             assert H[i][c] > 0
             assert all(H[i][j] == 0 for j in range(c + 1, n))
+
+
+def determinant(matrix):
+    """The determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * v * determinant([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j, v in enumerate(matrix[0])
+    )
 
 
 def brute_canonical(rows, rhs, n, box=3):

@@ -15,6 +15,7 @@ a name at its top level that it never reads."""
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,42 +63,39 @@ def private_functions(tree: ast.Module) -> list:
     ]
 
 
-def referenced_names(
-    tree: ast.Module, skip: set, imports: bool = True, bare: bool = True
-) -> set:
-    """Attributes read and, when bare, names read and, when imports, names
-    imported anywhere in tree, except inside the nodes of skip."""
-    names = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) in skip:
-            continue
-        if bare and isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif imports and isinstance(node, ast.alias):
-            names.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
+def name_counts(node: ast.AST, imports: bool = True, bare: bool = True) -> Counter:
+    """How often each attribute and, when bare, each name and, when imports,
+    each imported name is read within node."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if bare and isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+        elif imports and isinstance(child, ast.alias):
+            counts[child.name] += 1
+    return counts
+
+
+def unread(trees: dict, readers: list, definitions, **mode) -> list:
+    """(module, label) for each (label, definition) of definitions(tree),
+    for each tree of trees, whose name is read nowhere in trees and
+    readers outside its own definition.  Each tree is counted once, and
+    each definition once more, to take its own reads away."""
+    total = sum((name_counts(tree, **mode) for tree in [*trees.values(), *readers]), Counter())
+    return [
+        (module, label)
+        for module, tree in trees.items()
+        for label, func in definitions(tree)
+        if total[func.name] == name_counts(func, **mode)[func.name]
+    ]
 
 
 def unreferenced(sources: dict) -> list:
     """(module, function) for each private function that no module refers
     to outside the function's own definition."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    dead = []
-    for module, tree in trees.items():
-        for func in private_functions(tree):
-            used = any(
-                func.name
-                in referenced_names(other, {id(func)} if other is tree else set())
-                for other in trees.values()
-            )
-            if not used:
-                dead.append((module, func.name))
-    return dead
+    return unread(trees, [], lambda tree: [(f.name, f) for f in private_functions(tree)])
 
 
 def unread_public(sources: dict, readers: dict) -> list:
@@ -106,22 +104,12 @@ def unread_public(sources: dict, readers: dict) -> list:
     than __init__.py, nor in a module of readers.  Imports are not reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     trees.pop("__init__.py", None)
-    outside = [ast.parse(text) for text in readers.values()]
-    unread = []
-    for module, tree in trees.items():
-        for func in functions(tree):
-            if func.name.startswith("_"):
-                continue
-            read = any(
-                func.name
-                in referenced_names(
-                    other, {id(func)} if other is tree else set(), imports=False
-                )
-                for other in [*trees.values(), *outside]
-            )
-            if not read:
-                unread.append((module, func.name))
-    return unread
+    return unread(
+        trees,
+        [ast.parse(text) for text in readers.values()],
+        lambda tree: [(f.name, f) for f in functions(tree) if not f.name.startswith("_")],
+        imports=False,
+    )
 
 
 def methods(tree: ast.Module) -> list:
@@ -144,20 +132,13 @@ def unread_methods(sources: dict, readers: dict) -> list:
     names are not reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     trees.pop("__init__.py", None)
-    outside = [ast.parse(text) for text in readers.values()]
-    unread = []
-    for module, tree in trees.items():
-        for owner, func in methods(tree):
-            read = any(
-                func.name
-                in referenced_names(
-                    other, {id(func)} if other is tree else set(), imports=False, bare=False
-                )
-                for other in [*trees.values(), *outside]
-            )
-            if not read:
-                unread.append((module, f"{owner}.{func.name}"))
-    return unread
+    return unread(
+        trees,
+        [ast.parse(text) for text in readers.values()],
+        lambda tree: [(f"{owner}.{f.name}", f) for owner, f in methods(tree)],
+        imports=False,
+        bare=False,
+    )
 
 
 def package_sources() -> dict:
@@ -332,15 +313,66 @@ def test_the_mutation_rules_have_one_in_place_home():
     """seed_equivalence_report walks one mutable state and builds no seed
     per step, mutate_seed thaws, steps and freezes, and the tropical and
     exact mutation rules are reached only through the one in-place step:
-    a forked copy of the rules adds a caller and fails here."""
+    a forked copy of the rules adds a caller and fails here.  Each exact
+    step and its exchange relation is one _checked_step, called by the
+    walk, checked_mutation and exchange_check; it alone forms both sides
+    of the relation, and the products that _current_monomial memoizes are
+    stored only on the _SeedState that formed them."""
     sources = package_sources()
-    step = {"seeds.py:mutate_seed", "seeds.py:seed_equivalence_report"}
-    assert callers(sources, "_mutate_in_place") == step
-    assert calls(sources)["seeds.py:mutate_seed"] == {"_SeedState", "_mutate_in_place", "freeze"}
+    table = calls(sources)  # the package parsed once, not once per name
+
+    def callers_of(name):
+        return {func for func, called in table.items() if name in called}
+
+    step = {"seeds.py:mutate_seed", "seeds.py:_checked_step"}
+    assert callers_of("_mutate_in_place") == step
+    assert table["seeds.py:mutate_seed"] == {"_SeedState", "_mutate_in_place", "freeze"}
+    checked = {
+        "seeds.py:seed_equivalence_report",
+        "seeds.py:checked_mutation",
+        "seeds.py:exchange_check",
+    }
+    assert callers_of("_checked_step") == checked
     for seed_builder in ("mutate_seed", "permute_seed"):
-        assert "seeds.py:seed_equivalence_report" not in callers(sources, seed_builder)
+        assert "seeds.py:seed_equivalence_report" not in callers_of(seed_builder)
     for rule in ("par_mutation", "right_divide", "_exchange_sum"):
-        assert callers(sources, rule) == {"seeds.py:_mutate_in_place"}, rule
+        assert callers_of(rule) == {"seeds.py:_mutate_in_place"}, rule
+    seeds = {"seeds.py": sources["seeds.py"]}
+    assert callers(seeds, "torus_product") == {
+        "seeds.py:_current_monomial",
+        "seeds.py:_checked_step",
+    }
+    assert callers(seeds, "shifted_sum") == {"seeds.py:_exchange_sum", "seeds.py:_checked_step"}
+    assert "_exchange_holds" not in {name.split(":")[1] for name in table}
+    # a memo is a new dict on every thaw and every step, never another
+    # object's memo handed over
+    assert memo_writers(sources) == {
+        "seeds.py:__init__": ["Dict"],
+        "seeds.py:_mutate_in_place": ["DictComp"],
+    }
+
+
+def memo_writers(sources: dict) -> dict:
+    """module:function -> the node type of each value it assigns to a
+    _products attribute, for each function and method that assigns one."""
+    found = {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for top in tree.body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    values = [
+                        type(node.value).__name__
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Assign)
+                        and any(
+                            isinstance(t, ast.Attribute) and t.attr == "_products"
+                            for t in node.targets
+                        )
+                    ]
+                    if values:
+                        found[f"{module}:{func.name}"] = values
+    return found
 
 
 def test_callers_sees_calls_by_name_and_by_attribute_in_methods():

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import mul
 
 import pytest
@@ -49,6 +49,7 @@ from braidseed.seeds import (
     FourMoveIntermediate,
     MutationScript,
     check_compatibility,
+    checked_mutation,
     exchange_check,
     exchange_vectors,
     gls_matrix,
@@ -478,11 +479,12 @@ def test_exchange_check_refuses_a_mutated_seed_without_the_exact_track():
         exchange_check(seed, 3, mutate_seed(initial_seed(cd, w), 3))
 
 
-def test_each_exchange_monomial_is_multiplied_out_once(monkeypatch):
-    """mutate_seed's numerator and exchange_check's right side share one
-    product per exchange monomial: its factors after the first, plus the
-    left side X_k * mu_k(X_k).  A second mutation and check on the same
-    seed form only the left side again."""
+def test_a_checked_mutation_multiplies_each_exchange_monomial_out_once(monkeypatch):
+    """checked_mutation's numerator and exchange check share one product
+    per exchange monomial: its factors after the first, plus the left side
+    X_k * mu_k(X_k).  The memo lives on the thawed state, so a second call
+    on the same seed forms them all again, and a Seed holds no memo."""
+    assert "_products" not in {f.name for f in fields(seeds.Seed)}
     w0_seed = exact_w0_seed("c3")
     starts = [w0_seed, mutate_seed(w0_seed, w0_seed.b.exchange[0])]
     product = seeds.torus_product
@@ -493,49 +495,17 @@ def test_each_exchange_monomial_is_multiplied_out_once(monkeypatch):
         return product(lam, f, g)
 
     monkeypatch.setattr(seeds, "torus_product", counting)
-    for start in starts:
-        for k in start.b.exchange:
-            seed = replace(start)
+    for seed in starts:
+        for k in seed.b.exchange:
             factors = [
                 sum(v for v in vec if v > 0) for vec in exchange_vectors(seed.b, k)
             ]
-            calls.clear()
-            assert exchange_check(seed, k, mutate_seed(seed, k)).verified is True
-            assert len(calls) == sum(max(f - 1, 0) for f in factors) + 1
-            calls.clear()
-            assert exchange_check(seed, k, mutate_seed(seed, k)).verified is True
-            assert len(calls) == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["a3", "b3", "c3"]),
-    st.lists(st.integers(1, 3), min_size=2, max_size=6),
-    st.lists(st.integers(0, 99), max_size=3),
-)
-def test_the_monomial_memo_cannot_be_seen(name, letters, picks):
-    """A seed whose memo is warm answers, compares, hashes, prints and
-    serializes exactly as the same seed with an empty memo."""
-    seed = initial_seed(preset(name), Word(tuple(letters), BRAID), exact=True)
-    assume(seed.b.exchange)
-    for pick in picks:
-        seed = mutate_seed(seed, seed.b.exchange[pick % len(seed.b.exchange)])
-    before = (hash(seed), repr(seed), seed_to_json(seed))
-    warm = [exchange_check(seed, k, mutate_seed(seed, k)) for k in seed.b.exchange]
-    assert seed._products
-    for k, check in zip(seed.b.exchange, warm):
-        cold = replace(seed)
-        assert not cold._products
-        mutated = mutate_seed(cold, k)
-        assert mutate_seed(seed, k) == mutated
-        assert exchange_check(cold, k, mutated) == check
-        assert check.verified is True
-        variables = list(mutated.exact)
-        variables[k - 1] = variables[k - 1].q_shift(2)
-        wrong = replace(mutated, exact=tuple(variables))
-        assert exchange_check(seed, k, wrong).verified is False
-    assert seed == replace(seed)
-    assert (hash(seed), repr(seed), seed_to_json(seed)) == before
+            for _ in range(2):
+                calls.clear()
+                mutated, check = checked_mutation(seed, k)
+                assert check.verified is True
+                assert len(calls) == sum(max(f - 1, 0) for f in factors) + 1
+            assert mutated == mutate_seed(seed, k)
 
 
 def reference_exchange_monomial(seed, vec, shift):
@@ -552,6 +522,49 @@ def reference_exchange_monomial(seed, vec, shift):
     for factor in factors[1:]:
         product = reference_product(seed.torus_lam, product, factor)
     return product.q_shift(doubled)
+
+
+def parent_exchange_rule(seed, k, mutated):
+    """The exchange relation as exchange_check once decided it from the
+    mutated seed alone: X_k times mutated's variable at k against the right
+    side q^(alpha/2) M_up + q^(beta/2) M_down of the exchange vectors with
+    slot k set to 0, through the reference kernels."""
+    row = seed.lam[k - 1]
+    up, down = (
+        reference_exchange_monomial(seed, vec[: k - 1] + (0,) + vec[k:], sum(map(mul, vec, row)))
+        for vec in exchange_vectors(seed.b, k)
+    )
+    return reference_product(seed.torus_lam, seed.exact[k - 1], mutated.exact[k - 1]) == up + down
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exchange_check_decides_as_the_relation_on_the_mutated_variable(data):
+    """exchange_check agrees with parent_exchange_rule on mutate_seed's
+    output and on three wrong variants: the new variable q-shifted,
+    another slot's variable in its place, and the unmutated seed.  The
+    mutation is checked_mutation's, with exchange_check's verdict."""
+    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
+    seed = initial_seed(cd, random_word(data, cd, max_length=6), exact=True)
+    assume(seed.b.exchange)
+    for pick in data.draw(st.lists(st.integers(0, 99), max_size=3)):
+        seed = mutate_seed(seed, seed.b.exchange[pick % len(seed.b.exchange)])
+    k = data.draw(st.sampled_from(seed.b.exchange))
+    mutated = mutate_seed(seed, k)
+    check = exchange_check(seed, k, mutated)
+    assert checked_mutation(seed, k) == (mutated, check)
+    other = data.draw(st.sampled_from([j for j in range(1, seed.b.n + 1) if j != k]))
+    variants = [mutated, seed]
+    for wrong in (mutated.exact[k - 1].q_shift(2), mutated.exact[other - 1]):
+        exact = mutated.exact[: k - 1] + (wrong,) + mutated.exact[k:]
+        variants.append(replace(mutated, exact=exact))
+    verdicts = [exchange_check(seed, k, v).verified for v in variants]
+    assert verdicts == [parent_exchange_rule(seed, k, v) for v in variants]
+    assert verdicts == [True, False, False, False]
+    assert all(
+        replace(exchange_check(seed, k, v), verified=None) == replace(check, verified=None)
+        for v in variants
+    )
 
 
 def reference_exact_step(seed, k):
@@ -588,7 +601,8 @@ def test_exact_steps_equal_the_reference_kernels_in_insertion_order(data):
         k = seed.b.exchange[pick % len(seed.b.exchange)]
         numerator, new, holds = reference_exact_step(seed, k)
         vectors = exchange_vectors(seed.b, k)
-        assert in_order(seeds._exchange_sum(seed, k, vectors)) == in_order(numerator)
+        numerator_now = seeds._exchange_sum(seeds._SeedState(seed), k, vectors)
+        assert in_order(numerator_now) == in_order(numerator)
         mutated = mutate_seed(seed, k)
         assert in_order(mutated.exact[k - 1]) == in_order(new)
         assert mutated.exact[: k - 1] + mutated.exact[k:] == seed.exact[: k - 1] + seed.exact[k:]
@@ -1228,14 +1242,14 @@ def dense_exchange_parameters(seed, k):
 def dense_mutate_seed(seed, k):
     """mutate_seed with every row of B and every column of Lambda rewritten.
     The exact track's numerator is the one formula both versions share."""
-    if not seed.b.is_exchange(k):
+    if k not in seed.b.exchange:
         raise FrozenIndex(f"index {k} is not in the exchange set {seed.b.exchange}")
     n = seed.b.n
     new_trop_k = par_mutation(seed.trop[k - 1], *dense_exchange_parameters(seed, k))
     trop = tuple(new_trop_k if t == k - 1 else seed.trop[t] for t in range(n))
     exact = seed.exact
     if exact is not None:
-        numerator = seeds._exchange_sum(seed, k, exchange_vectors(seed.b, k))
+        numerator = seeds._exchange_sum(seeds._SeedState(seed), k, exchange_vectors(seed.b, k))
         new_var = right_divide(seed.torus_lam, numerator, exact[k - 1])
         exact = tuple(new_var if t == k - 1 else exact[t] for t in range(n))
     labels = tuple(
