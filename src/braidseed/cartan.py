@@ -15,10 +15,15 @@ about the diagram, cached on first use: the braid-relation table that the
 move readers of the words layer share, and for the Q-datum layer each
 vertex's neighbours, the star involution and the Coxeter number of each
 vertex's component.
+
+preset names a context: a key of PRESET_MATRICES (a1, a1xa1, a2, b2, c2,
+g2, a3, b3, c3), else a finite family, a<n>, b<n>, c<n>, d<n>, e6, e7, e8
+or f4, from the one family builder, _finite_family.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,11 +32,14 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
+    BudgetExhausted,
     DimensionMismatch,
     InvalidBox,
     NotFiniteType,
     NotGCM,
     NotSymmetrizable,
+    as_int,
+    default_budget,
 )
 
 RootVector = tuple  # integer coordinates over the index set
@@ -169,18 +177,22 @@ def validate_cartan(
 ) -> CartanData:
     """Check the GCM axioms and attach a symmetrizer.
 
-    Raises NotGCM for a broken diagonal, positive off-diagonal entries, or an
-    asymmetric zero pattern; NotSymmetrizable when no positive solution of
-    d_i c_ij = d_j c_ji exists (or a supplied one fails the equation).
+    Raises NotGCM for an entry that is not an integer (as_int), a broken
+    diagonal, positive off-diagonal entries, or an asymmetric zero pattern;
+    NotSymmetrizable for a supplied symmetrizer entry that is not an integer,
+    or when no positive solution of d_i c_ij = d_j c_ji exists (or a
+    supplied one fails the equation).
     """
     n = len(matrix)
     if n == 0:
         raise NotGCM("empty index set")
     rows = []
-    for row in matrix:
+    for i, row in enumerate(matrix):
         if len(row) != n:
             raise DimensionMismatch("matrix is not square")
-        rows.append(tuple(int(v) for v in row))
+        rows.append(
+            tuple(as_int(v, NotGCM, "entry c[", i, "][", j, "] =") for j, v in enumerate(row))
+        )
     mat = tuple(rows)
     for i in range(n):
         if mat[i][i] != 2:
@@ -193,7 +205,10 @@ def validate_cartan(
             if (mat[i][j] == 0) != (mat[j][i] == 0):
                 raise NotGCM(f"zero pattern asymmetric at ({i},{j})")
     if opt_symmetrizer is not None:
-        d = tuple(int(v) for v in opt_symmetrizer)
+        d = tuple(
+            as_int(v, NotSymmetrizable, "symmetrizer entry d[", i, "] =")
+            for i, v in enumerate(opt_symmetrizer)
+        )
         if len(d) != n:
             raise DimensionMismatch("symmetrizer length mismatch")
         if any(v <= 0 for v in d):
@@ -393,8 +408,9 @@ def cartan_from_json(text: str) -> CartanData:
     )
 
 
-# Small named matrices used by tests, demos, and the CLI presets.  The b2
-# preset has c_12 = -1, c_21 = -2; c2 is the transposed orientation.
+# The fixed named matrices, looked up before any family name; the campaigns
+# of verify all run on them.  The b2 preset has c_12 = -1, c_21 = -2; c2 is
+# the transposed orientation, as _finite_family builds them.
 PRESET_MATRICES = {
     "a1": [[2]],
     "a1xa1": [[2, 0], [0, 2]],
@@ -408,8 +424,54 @@ PRESET_MATRICES = {
 }
 
 
+# The least rank of each infinite family; e6, e7, e8 and f4 are the only
+# exceptional names.
+_LEAST_RANK = {"a": 1, "b": 2, "c": 2, "d": 4}
+_EXCEPTIONAL = ("e6", "e7", "e8", "f4")
+
+
+def _finite_family(letter: str, n: int) -> CartanData:
+    """The Cartan matrix of the finite family letter ("a" to "f") at a rank
+    n it has: the chain 1-2-...-n with at most two edges replaced, an edge
+    (i, j, c_ij, c_ji).  b keeps c_{n,n-1} = -2 and c is
+    its transpose; d attaches n to n-2; e (Bourbaki) joins 1-3 and 2-4
+    before the chain 3-4-...-n; f4 has c_32 = -2.  A rank whose matrix has
+    more than default_budget() cells is BudgetExhausted."""
+    if n * n > (budget := default_budget()):
+        raise BudgetExhausted(
+            f"type-{letter.upper()} context of rank {n} has {n * n} "
+            f"matrix cells, over the budget of {budget}"
+        )
+    edges = [(k, k + 1, -1, -1) for k in range(1, n)]
+    if letter == "b":
+        edges[-1] = (n - 1, n, -1, -2)
+    elif letter == "c":
+        edges[-1] = (n - 1, n, -2, -1)
+    elif letter == "d":
+        edges[-1] = (n - 2, n, -1, -1)
+    elif letter == "e":
+        edges[:2] = [(1, 3, -1, -1), (2, 4, -1, -1)]
+    elif letter == "f":
+        edges[1] = (2, 3, -1, -2)
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, cij, cji in edges:
+        matrix[i - 1][j - 1], matrix[j - 1][i - 1] = cij, cji
+    return validate_cartan(matrix)
+
+
 def preset(name: str) -> CartanData:
-    key = name.lower()
-    if key not in PRESET_MATRICES:
-        raise NotGCM(f"unknown Cartan preset {name!r}")
-    return validate_cartan(PRESET_MATRICES[key])
+    """The context of a name, case-insensitive: a key of PRESET_MATRICES,
+    else a finite family a<n> (n >= 1), b<n> and c<n> (n >= 2), d<n>
+    (n >= 4), e6, e7, e8 or f4 (_finite_family).  Any other name, a non-str
+    included, is NotGCM."""
+    key = name.lower() if isinstance(name, str) else ""
+    if key in PRESET_MATRICES:
+        return validate_cartan(PRESET_MATRICES[key])
+    letter, digits = key[:1], key[1:]
+    if key in _EXCEPTIONAL or (
+        letter in _LEAST_RANK
+        and re.fullmatch("[1-9][0-9]*", digits, re.ASCII)
+        and int(digits) >= _LEAST_RANK[letter]
+    ):
+        return _finite_family(letter, int(digits))
+    raise NotGCM(f"unknown Cartan preset {name!r}")

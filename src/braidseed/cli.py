@@ -9,7 +9,8 @@ byte-identical reports.
 
 Words are read as positive-braid words unless --kind weyl-reduced is given;
 reduced words are then certified before use.  The Cartan context comes from
---cartan, naming either a preset (a2, b2, ...) or a JSON file; `verify
+--cartan, naming either a JSON file or a preset (a1xa1, g2, or a finite
+family such as a2, b3, d5 or e8: cartan.preset); `verify
 tsystem` can infer a simply-laced type-A context from the word's letters.
 A route without a context, `verify all`, takes no --cartan.
 """
@@ -33,13 +34,13 @@ import numpy as np
 from .cartan import (
     CartanData,
     PRESET_MATRICES,
+    _finite_family,
     cartan_from_json,
     finite_type_data,
     preset,
     roots_of_word,
-    validate_cartan,
 )
-from .errors import BraidseedError, BudgetExhausted, ConfigInvalid, NotFiniteType
+from .errors import BraidseedError, BudgetExhausted, ConfigInvalid, NotFiniteType, default_budget
 from .qdatum import (
     RepetitionPoint,
     adapted_word,
@@ -90,7 +91,6 @@ from .words import (
     Word,
     WordKind,
     apply_move,
-    default_budget,
     enumerate_moves,
     find_move_path,
     ibox_vector,
@@ -164,7 +164,8 @@ COMMON = (
     ("--format", dict(choices=FORMATS, default="text")),
     ("--output", dict(default=None, help="report destination file")),
 )
-CARTAN = (("--cartan", dict(default=None, help="preset name or JSON file")),)
+CARTAN_NAMES = "a1xa1, g2, a<n>, b<n>, c<n>, d<n>, e6, e7, e8 or f4"
+CARTAN = (("--cartan", dict(default=None, help=f"JSON file, or a preset: {CARTAN_NAMES}")),)
 WORD = (
     ("--word", dict(action="append", default=[], help="comma-separated letters")),
     (
@@ -265,22 +266,15 @@ def parse_args(argv=None) -> RunConfig:
 
 
 def _infer_a_type(words) -> CartanData:
-    """Type-A context of rank max-letter, for letter alphabets 1..n; a
-    matrix of more than default_budget() cells is BudgetExhausted."""
+    """Type-A context of rank max-letter, for letter alphabets 1..n, from
+    the family builder, whose budget refusal it names as inferred."""
     letters = {x for w in words for x in w}
     if not letters or any(not isinstance(x, int) or x < 1 for x in letters):
         raise ConfigInvalid("cartan: cannot infer a context from these letters")
-    n = max(letters)
-    if n * n > (budget := default_budget()):
-        raise BudgetExhausted(
-            f"cartan: an inferred type-A context of rank {n} has {n * n} "
-            f"matrix cells, over the budget of {budget}"
-        )
-    matrix = [
-        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return validate_cartan(matrix)
+    try:
+        return _finite_family("a", max(letters))
+    except BudgetExhausted as err:
+        raise BudgetExhausted(f"cartan: an inferred {err}") from None
 
 
 def _context(config: RunConfig, how: str) -> CartanData:

@@ -2,10 +2,12 @@
 
 Every failure mode that callers are expected to handle has its own class so
 that the CLI can map any BraidseedError to exit code 2 while tests can pin
-the precise condition.
+the precise condition.  It also holds the two rules every layer shares:
+as_int, the one integer rule, and default_budget, the one budget setting.
 """
 from __future__ import annotations
 
+import os
 from operator import index
 
 
@@ -154,3 +156,20 @@ def as_int(value, error: type, *name) -> int:
         return index(value)
     except TypeError:
         raise error(f"{''.join(map(str, name))} {value!r} is not an integer") from None
+
+
+DEFAULT_BUDGET = 200_000
+BUDGET_ENV = "BRAIDSEED_BUDGET"
+
+
+def default_budget() -> int:
+    """The search budget: BRAIDSEED_BUDGET when set, else DEFAULT_BUDGET.
+    A value that is not an integer, or is below 1, is ConfigInvalid."""
+    raw = os.environ.get(BUDGET_ENV)
+    try:
+        budget = int(raw) if raw else DEFAULT_BUDGET
+    except ValueError as err:
+        raise ConfigInvalid(f"{BUDGET_ENV}: expected an integer, got {raw!r}") from err
+    if budget < 1:
+        raise ConfigInvalid(f"{BUDGET_ENV}: must be >= 1, got {budget}")
+    return budget

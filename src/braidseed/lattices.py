@@ -24,8 +24,7 @@ from itertools import compress
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .errors import BudgetExhausted, ShapeMismatch
-from .words import default_budget
+from .errors import BudgetExhausted, ShapeMismatch, default_budget
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

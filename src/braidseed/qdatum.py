@@ -17,8 +17,8 @@ the Coxeter number of each vertex's component, are read from the
 CartanData, which derives each once.  A QDatum caches, on first use, only
 what its heights decide: the adapted word and the extension index.  A
 CartanSeries memoises, per vertex pair read by n_form, the row N_ij(d) for
-|d| < u_max, so n_form is one lookup; further out it reads the four
-coefficients, which refuse the orders not computed.  One rule checks a
+|d| < u_max, so n_form is one lookup; further out it refuses the first
+order of the four that was not computed.  One rule checks a
 point, _require_point: a vertex of the index set, an integer level
 (as_int) and the vertex's parity, each refused with PointOutsideLattice,
 as is a lone vertex outside the index set (_vertex_position).
@@ -41,9 +41,10 @@ from .errors import (
     PointOutsideLattice,
     SeriesOrderInsufficient,
     as_int,
+    default_budget,
 )
 from .seeds import gls_matrix
-from .words import Word, WordKind, default_budget
+from .words import Word, WordKind
 
 
 @dataclass(frozen=True)
@@ -441,8 +442,10 @@ def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> in
     integer (as_int), or a vertex outside the index set, is
     PointOutsideLattice.  For a level difference |d| < u_max it is one
     lookup in the series' row of the vertex pair (CartanSeries._row);
-    beyond, the four reads raise SeriesOrderInsufficient for the first
-    order not computed.
+    beyond, once both vertices are checked, it is SeriesOrderInsufficient
+    for the first order past u_max that the four coefficients c(d-1),
+    c(d+1), c(-d-1), c(-d+1) would read: |d|-1 if that is past it, else
+    |d|+1.
     """
     i, p = p1.vertex, p1.level
     j, q = p2.vertex, p2.level
@@ -453,12 +456,10 @@ def n_form(series: CartanSeries, p1: RepetitionPoint, p2: RepetitionPoint) -> in
     u = series.u_max
     if -u < d < u:
         return (series._rows.get((i, j)) or series._row(i, j))[d + u - 1]
-    return (
-        series.entry(i, j, p - q - 1)
-        - series.entry(i, j, p - q + 1)
-        - series.entry(i, j, q - p - 1)
-        + series.entry(i, j, q - p + 1)
-    )
+    for vertex in (i, j):
+        _vertex_position(series.cartan, vertex)
+    order = abs(d) - 1 if abs(d) - 1 > u else abs(d) + 1
+    raise SeriesOrderInsufficient(f"order {order} beyond computed {u}")
 
 
 def a_monomial(qd: QDatum, i, p: int) -> dict:

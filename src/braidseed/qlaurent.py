@@ -67,8 +67,8 @@ from .errors import (
     NotRepresentable,
     ShapeMismatch,
     as_int,
+    default_budget,
 )
-from .words import default_budget
 
 # One digit of a packed key, and the largest |exponent| its signed digits hold.
 _DIGIT = 1 << 32

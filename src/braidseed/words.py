@@ -28,7 +28,6 @@ rewritten.
 """
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -39,28 +38,12 @@ from typing import NamedTuple, Optional, Sequence
 from .cartan import CartanData, _alternating, _check_letters, _WeylWalk, roots_of_word
 from .errors import (
     BudgetExhausted,
-    ConfigInvalid,
     InvalidBox,
     MoveNotApplicable,
     NotConnected,
     UnsupportedCartanPair,
+    default_budget,
 )
-
-DEFAULT_BUDGET = 200_000
-BUDGET_ENV = "BRAIDSEED_BUDGET"
-
-
-def default_budget() -> int:
-    """The search budget: BRAIDSEED_BUDGET when set, else DEFAULT_BUDGET.
-    A value that is not an integer, or is below 1, is ConfigInvalid."""
-    raw = os.environ.get(BUDGET_ENV)
-    try:
-        budget = int(raw) if raw else DEFAULT_BUDGET
-    except ValueError as err:
-        raise ConfigInvalid(f"{BUDGET_ENV}: expected an integer, got {raw!r}") from err
-    if budget < 1:
-        raise ConfigInvalid(f"{BUDGET_ENV}: must be >= 1, got {budget}")
-    return budget
 
 
 class WordKind(Enum):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from braidseed.cartan import (
     weyl_act,
 )
 from braidseed.errors import (
+    BudgetExhausted,
     DimensionMismatch,
     InvalidBox,
     NotFiniteType,
@@ -354,32 +357,9 @@ def test_affine_data_is_refused_before_the_roots_are_closed(monkeypatch):
         finite_type_data(hyperbolic)
 
 
-def dynkin(n, edges):
-    """Cartan matrix on 1..n from edges (i, j, c_ij, c_ji)."""
-    m = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
-    for i, j, cij, cji in edges:
-        m[i - 1][j - 1], m[j - 1][i - 1] = cij, cji
-    return m
-
-
-def type_a(n):
-    return dynkin(n, [(k, k + 1, -1, -1) for k in range(1, n)])
-
-
-def type_b(n):
-    return dynkin(n, [(k, k + 1, -1, -1) for k in range(1, n - 1)] + [(n - 1, n, -1, -2)])
-
-
-def type_c(n):
-    return [list(row) for row in zip(*type_b(n))]
-
-
-def type_d(n):
-    return dynkin(n, [(k, k + 1, -1, -1) for k in range(1, n - 1)] + [(n - 2, n, -1, -1)])
-
-
-def type_e(n):
-    return dynkin(n, [(1, 3, -1, -1), (2, 4, -1, -1)] + [(k, k + 1, -1, -1) for k in range(3, n)])
+def matrix(name):
+    """The matrix of a preset, as lists."""
+    return [list(row) for row in preset(name).matrix]
 
 
 def block_sum(*blocks):
@@ -394,19 +374,19 @@ def block_sum(*blocks):
 
 
 def finite_matrices():
-    out = [type_a(n) for n in range(1, 9)]
-    out += [type_b(n) for n in range(2, 8)]
-    out += [type_c(n) for n in range(3, 8)]
-    out += [type_d(n) for n in range(4, 9)]
-    out += [type_e(n) for n in range(6, 9)]
-    out += [dynkin(4, [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)])]  # F4
+    out = [matrix(f"a{n}") for n in range(1, 9)]
+    out += [matrix(f"b{n}") for n in range(2, 8)]
+    out += [matrix(f"c{n}") for n in range(3, 8)]
+    out += [matrix(f"d{n}") for n in range(4, 9)]
+    out += [matrix(f"e{n}") for n in range(6, 9)]
+    out += [[list(row) for row in zip(*matrix("f4"))]]  # F4 with c_23 = -2
     out += [cartan.PRESET_MATRICES["g2"]]
     out += [
-        block_sum(type_a(1), type_a(1)),
-        block_sum(type_a(1), type_a(2)),
-        block_sum(type_a(2), type_b(2)),
-        block_sum(type_a(1), type_a(1), type_a(1)),
-        block_sum(type_a(3), cartan.PRESET_MATRICES["g2"]),
+        block_sum(matrix("a1"), matrix("a1")),
+        block_sum(matrix("a1"), matrix("a2")),
+        block_sum(matrix("a2"), matrix("b2")),
+        block_sum(matrix("a1"), matrix("a1"), matrix("a1")),
+        block_sum(matrix("a3"), cartan.PRESET_MATRICES["g2"]),
     ]
     return out
 
@@ -472,9 +452,9 @@ def test_the_walk_gives_the_old_finite_type_data():
             finite_type_data(validate_cartan(m))
 
 
-WALK_TYPES = {name: preset(name) for name in ("a2", "b2", "c2", "g2", "a3", "b3", "c3")}
-WALK_TYPES["a4"] = validate_cartan(type_a(4))
-WALK_TYPES["d4"] = validate_cartan(type_d(4))
+WALK_TYPES = {
+    name: preset(name) for name in ("a2", "b2", "c2", "g2", "a3", "b3", "c3", "a4", "d4")
+}
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,3 +503,124 @@ def test_pair_product_classification():
     assert preset("a2").pair_product(1, 2) == 1
     assert preset("g2").pair_product(1, 2) == 3
     assert preset("a1xa1").pair_product(1, 2) == 0
+
+
+def test_the_nine_fixed_presets_keep_their_matrices():
+    # looked up before any family name, so verify all keeps its contexts;
+    # the seven that are family names are also the family builder's
+    fixed = {
+        "a1": [[2]],
+        "a1xa1": [[2, 0], [0, 2]],
+        "a2": [[2, -1], [-1, 2]],
+        "b2": [[2, -1], [-2, 2]],
+        "c2": [[2, -2], [-1, 2]],
+        "g2": [[2, -1], [-3, 2]],
+        "a3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        "b3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+        "c3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    }
+    assert PRESET_MATRICES == fixed
+    for name, m in fixed.items():
+        assert preset(name) == preset(name.upper()) == validate_cartan(m)
+        if name not in ("a1xa1", "g2"):
+            assert cartan._finite_family(name[0], int(name[1])) == preset(name)
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
+
+
+def swap_last_two(n):
+    return identity(n - 2) + (n, n - 1)
+
+
+# name -> (|R+|, Coxeter number, star involution) of each finite family
+# from rank 1 to 8 (Bourbaki, Plates I-IX)
+FAMILY_TABLE = {
+    **{f"a{n}": (n * (n + 1) // 2, n + 1, identity(n)[::-1]) for n in range(1, 9)},
+    **{f"b{n}": (n * n, 2 * n, identity(n)) for n in range(2, 8)},
+    **{f"c{n}": (n * n, 2 * n, identity(n)) for n in range(2, 8)},
+    **{
+        f"d{n}": (n * (n - 1), 2 * n - 2, swap_last_two(n) if n % 2 else identity(n))
+        for n in range(4, 9)
+    },
+    "e6": (36, 12, (6, 2, 5, 4, 3, 1)),
+    "e7": (63, 18, identity(7)),
+    "e8": (120, 30, identity(8)),
+    "f4": (24, 12, identity(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TABLE))
+def test_each_family_name_is_its_finite_type(name):
+    positive, coxeter, star = FAMILY_TABLE[name]
+    cd = preset(name)
+    assert cd == preset(name.upper())
+    assert cd.index_set == identity(len(star))
+    data = finite_type_data(cd)  # NotFiniteType unless positive definite
+    assert len(data.positive_roots) == len(data.longest_word) == positive
+    assert data.coxeter_number == coxeter
+    assert data.star == star
+
+
+def test_the_family_orientations():
+    # b<n> keeps c_{n,n-1} = -2 and c<n> is its transpose; d<n> attaches n
+    # to n-2; e<n> joins 1-3 and 2-4; f4 has c_32 = -2
+    for n in range(2, 8):
+        b, c = preset(f"b{n}"), preset(f"c{n}")
+        assert b.entry(n, n - 1) == -2 and b.entry(n - 1, n) == -1
+        assert c.matrix == tuple(zip(*b.matrix))
+    assert preset("d5")._neighbours == {1: (2,), 2: (1, 3), 3: (2, 4, 5), 4: (3,), 5: (3,)}
+    assert preset("e6")._neighbours == {
+        1: (3,), 2: (4,), 3: (1, 4), 4: (2, 3, 5), 5: (4, 6), 6: (5,)
+    }
+    f4 = preset("f4")
+    assert (f4.entry(3, 2), f4.entry(2, 3)) == (-2, -1)
+    assert f4.symmetrizer == (2, 2, 1, 1)  # 1 and 2 long, as in b<n> all but n
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a0", "b1", "c1", "d3", "e5", "e9", "f5", "g3", "a03", "a-1", "a 3", "e6 ", "a1xa2",
+     "ａ6", "", 5, None],
+)
+def test_any_other_name_is_an_unknown_preset(name):
+    with pytest.raises(NotGCM, match=rf"^unknown Cartan preset {re.escape(repr(name))}$"):
+        preset(name)
+
+
+def test_a_family_past_the_budget_is_refused_before_it_is_built(monkeypatch):
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "63")
+    message = "^type-E context of rank 8 has 64 matrix cells, over the budget of 63$"
+    with pytest.raises(BudgetExhausted, match=message):
+        preset("e8")
+    with pytest.raises(BudgetExhausted, match="^type-D context of rank 8 "):
+        preset("D8")
+    assert preset("e7").rank == 7
+    monkeypatch.setenv("BRAIDSEED_BUDGET", "1")
+    assert preset("c3").rank == 3  # the fixed table is not budgeted
+    monkeypatch.delenv("BRAIDSEED_BUDGET")
+    with pytest.raises(BudgetExhausted, match="rank 448 has 200704 matrix cells"):
+        preset("a448")
+
+
+@pytest.mark.parametrize(
+    "matrix, symmetrizer, error, message",
+    [
+        ([[2.9, -1.5], [-1, 2]], None, NotGCM, "entry c[0][0] = 2.9"),
+        ([[2, -1.0], [-1, 2]], None, NotGCM, "entry c[0][1] = -1.0"),
+        ([["2", "-1"], ["-1", "2"]], None, NotGCM, "entry c[0][0] = '2'"),
+        ([[2, -1], [-1, Fraction(2)]], None, NotGCM, "entry c[1][1] = Fraction(2, 1)"),
+        ([[2, -1], [-2, 2]], [2, 1.0], NotSymmetrizable, "symmetrizer entry d[1] = 1.0"),
+        ([[2, -1], [-2, 2]], ["2", 1], NotSymmetrizable, "symmetrizer entry d[0] = '2'"),
+    ],
+)
+def test_validate_refuses_entries_that_are_not_integers(matrix, symmetrizer, error, message):
+    with pytest.raises(error, match=rf"^{re.escape(message)} is not an integer$"):
+        validate_cartan(matrix, symmetrizer)
+
+
+def test_validate_takes_any_integer_entries():
+    b2 = np.array([[2, -1], [-2, 2]])
+    assert validate_cartan(b2, np.array([2, 1])) == preset("b2")
+    assert validate_cartan([[2, -1], [-2, 2]], [2, True]) == preset("b2")

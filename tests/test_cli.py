@@ -26,7 +26,6 @@ from braidseed.cartan import (
     PRESET_MATRICES,
     finite_type_data,
     preset,
-    validate_cartan,
 )
 from braidseed.cli import (
     CARTAN,
@@ -43,8 +42,7 @@ from braidseed.cli import (
 from braidseed.errors import ConfigInvalid
 from braidseed.reports import SCHEMA, parse_report
 from braidseed.transitions import CONVENTIONS
-from test_seeds import type_d
-from test_words import D5, D5_FAR_PAIR
+from test_words import D5_FAR_PAIR
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,6 +55,18 @@ def run(tmp_path, *argv):
 
 def section(report, name):
     return report.section(name)
+
+
+def cartan_file(tmp_path, name):
+    """The path of a JSON file that holds the matrix of a preset."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"matrix": preset(name).matrix}))
+    return str(path)
+
+
+def w0_argument(name):
+    """The preset's canonical longest word as a --word argument."""
+    return ",".join(map(str, finite_type_data(preset(name)).longest_word))
 
 
 def test_verify_corollary_example(tmp_path):
@@ -83,28 +93,28 @@ def test_inferred_context_refuses_a_letter_that_is_not_an_integer(tmp_path):
     assert error_kind(report) == ("Error", "ConfigInvalid")
 
 
-def test_an_inferred_context_past_the_budget_is_refused_at_once(tmp_path):
+def test_an_inferred_context_past_the_budget_is_refused_at_once(tmp_path, monkeypatch):
     # rank 10^6 would be a dense matrix of 10^12 cells
+    monkeypatch.delenv("BRAIDSEED_BUDGET", raising=False)
     start = time.perf_counter()
     code, report = run(tmp_path, "verify", "tsystem", "--word", "1000000,1")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert error_kind(report) == ("Error", "BudgetExhausted")
-    assert "rank 1000000" in report.metadata["error"]["message"]
+    assert report.metadata["error"]["message"] == (
+        "cartan: an inferred type-A context of rank 1000000 has 1000000000000 "
+        "matrix cells, over the budget of 200000"
+    )
 
 
 def test_d6_w0_equals_its_reverse_without_a_search(tmp_path):
     # two reduced words of w0: the move-graph search ran out of its budget
     # here after about 3 s, one Weyl walk per word answers at once
-    d6 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
-    d6[4][5] = d6[5][4] = 0
-    d6[3][5] = d6[5][3] = -1
-    cartan = tmp_path / "d6.json"
-    cartan.write_text(json.dumps({"matrix": d6}))
-    w0 = finite_type_data(validate_cartan(d6)).longest_word
+    cartan = cartan_file(tmp_path, "d6")
+    w0 = finite_type_data(preset("d6")).longest_word
     start = time.perf_counter()
     code, report = run(
-        tmp_path, "words", "equal", "--cartan", str(cartan),
+        tmp_path, "words", "equal", "--cartan", cartan,
         "--word", ",".join(map(str, w0)), "--word", ",".join(map(str, w0[::-1])),
     )
     assert time.perf_counter() - start < 0.1
@@ -234,26 +244,20 @@ def test_seed_build_writes_the_seed_artifact(tmp_path):
 
 
 def test_seed_build_reaches_the_d6_longest_word(tmp_path):
-    d6 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
-    d6[4][5] = d6[5][4] = 0
-    d6[3][5] = d6[5][3] = -1
-    cd = validate_cartan(d6)
-    path = tmp_path / "d6.json"
-    path.write_text(json.dumps({"matrix": d6}))
-    word = ",".join(map(str, finite_type_data(cd).longest_word))
-    code, report = run(tmp_path, "seed", "build", "--cartan", str(path), "--word", word)
+    code, report = run(
+        tmp_path, "seed", "build", "--cartan", cartan_file(tmp_path, "d6"),
+        "--word", w0_argument("d6"),
+    )
     assert code == 0
     assert len(section(report, "labels").left) == 30
     assert section(report, "compatible").agree
 
 
 def test_words_path_joins_far_d5_longest_words(tmp_path):
-    path = tmp_path / "d5.json"
-    path.write_text(json.dumps({"matrix": D5}))
     start, end = (",".join(w) for w in D5_FAR_PAIR)
     code, report = run(
-        tmp_path, "words", "path", "--cartan", str(path), "--kind", "weyl-reduced",
-        "--word", start, "--word", end,
+        tmp_path, "words", "path", "--cartan", cartan_file(tmp_path, "d5"),
+        "--kind", "weyl-reduced", "--word", start, "--word", end,
     )
     assert code == 0
     assert section(report, "length").left == 38
@@ -263,12 +267,9 @@ def test_words_path_joins_far_d5_longest_words(tmp_path):
 def test_verify_corollary_matches_d5_longest_word_against_its_reverse(tmp_path):
     # 78 moves apart; the breadth-first rounds of the move-graph search ran
     # out of the default budget here and the route exited 2 with NotConnected
-    path = tmp_path / "d5.json"
-    cd = validate_cartan(D5)
-    path.write_text(json.dumps({"matrix": D5}))
-    w0 = finite_type_data(cd).longest_word
+    w0 = finite_type_data(preset("d5")).longest_word
     code, report = run(
-        tmp_path, "verify", "corollary", "--cartan", str(path),
+        tmp_path, "verify", "corollary", "--cartan", "d5",
         "--word", ",".join(map(str, w0)), "--word", ",".join(map(str, reversed(w0))),
     )
     assert code == 0
@@ -402,9 +403,40 @@ def test_cartan_check_of_affine_a1_is_not_finite_type(tmp_path):
 
 
 def test_cartan_check_rejects_unknown_preset(tmp_path):
-    code, report = run(tmp_path, "cartan", "check", "--cartan", "zz9")
-    assert code == 2
-    assert report.metadata["error"]["kind"] == "NotGCM"
+    # names outside the finite families among them
+    for name in ("zz9", "e5", "d3", "a03"):
+        code, report = run(tmp_path, "cartan", "check", "--cartan", name)
+        assert code == 2
+        assert report.metadata["error"] == {
+            "kind": "NotGCM", "message": f"unknown Cartan preset {name!r}"
+        }
+
+
+def test_cartan_check_names_e8(tmp_path):
+    code, report = run(tmp_path, "cartan", "check", "--cartan", "e8")
+    assert (code, report.verdict) == (0, "Match")
+    assert section(report, "positive-roots").left == 120
+    assert section(report, "coxeter-number").left == 30
+    assert section(report, "longest-word-length").left == 120
+
+
+def test_verify_corollary_matches_e6_longest_word_against_its_reverse(tmp_path):
+    # 152 moves apart
+    w0 = finite_type_data(preset("e6")).longest_word
+    code, report = run(
+        tmp_path, "verify", "corollary", "--cartan", "e6",
+        "--word", ",".join(map(str, w0)), "--word", ",".join(map(str, reversed(w0))),
+    )
+    assert (code, report.verdict) == (0, "Match")
+
+
+def test_seed_build_names_d7(tmp_path):
+    code, report = run(
+        tmp_path, "seed", "build", "--cartan", "d7", "--word", w0_argument("d7")
+    )
+    assert (code, report.verdict) == (0, "Match")
+    assert len(section(report, "labels").left) == 42
+    assert section(report, "compatible").agree
 
 
 MALFORMED_CARTAN = [
@@ -563,11 +595,9 @@ def test_seed_build_exact_takes_a_word_longer_than_8(tmp_path):
 
 
 def test_verify_corollary_exact_matches_d5_longest_word_against_its_reverse(tmp_path):
-    path = tmp_path / "d5.json"
-    path.write_text(json.dumps({"matrix": type_d(5)}))
-    w0 = finite_type_data(validate_cartan(type_d(5))).longest_word
+    w0 = finite_type_data(preset("d5")).longest_word
     code, report = run(
-        tmp_path, "verify", "corollary", "--cartan", str(path), "--exact",
+        tmp_path, "verify", "corollary", "--cartan", cartan_file(tmp_path, "d5"), "--exact",
         "--word", ",".join(map(str, w0)), "--word", ",".join(map(str, reversed(w0))),
     )
     assert (code, report.verdict) == (0, "Match")
@@ -642,18 +672,11 @@ def test_budget_exhaustion_is_an_error(tmp_path, monkeypatch):
 A6_W0 = "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1,6,5,4,3,2,1"
 
 
-def a6_cartan(tmp_path):
-    a6 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
-    cartan = tmp_path / "a6.json"
-    cartan.write_text(json.dumps({"matrix": a6}))
-    return str(cartan)
-
-
 def test_lattice_budget_exhaustion_is_an_error(tmp_path, monkeypatch):
     # the A6 w0 pairing search needs 1,565 nodes
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
     code, report = run(
-        tmp_path, "seed", "build", "--cartan", a6_cartan(tmp_path),
+        tmp_path, "seed", "build", "--cartan", cartan_file(tmp_path, "a6"),
         "--kind", "weyl-reduced", "--word", A6_W0,
     )
     assert code == 2
@@ -664,7 +687,7 @@ def test_lattice_budget_exhaustion_is_an_error(tmp_path, monkeypatch):
 def test_a6_w0_seed_builds_at_the_default_budget(tmp_path, monkeypatch):
     monkeypatch.delenv("BRAIDSEED_BUDGET", raising=False)
     code, report = run(
-        tmp_path, "seed", "build", "--cartan", a6_cartan(tmp_path),
+        tmp_path, "seed", "build", "--cartan", cartan_file(tmp_path, "a6"),
         "--kind", "weyl-reduced", "--word", A6_W0,
     )
     assert code == 0

@@ -11,10 +11,13 @@ A function that nothing calls any more is deleted, not kept beside its
 replacement.  seeds and cli call
 no private name of qlaurent, so every product and division passes through
 the public kernels.  No module but __init__.py, which re-exports, imports
-a name at its top level that it never reads."""
+a name at its top level that it never reads.  The finite-type Cartan
+matrices have one builder, cartan._finite_family, and no test or demo
+writes a family out again."""
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -350,6 +353,54 @@ def test_the_mutation_rules_have_one_in_place_home():
         "seeds.py:__init__": ["Dict"],
         "seeds.py:_mutate_in_place": ["DictComp"],
     }
+
+
+def family_builders(sources: dict) -> list:
+    """module:function for each function or method of sources whose name
+    is that of a Cartan family builder: type_<x>, _type_<x> or
+    bourbaki_<x>, with any leading underscores."""
+    pattern = re.compile(r"_*(type|bourbaki)_\w+")
+    return [
+        f"{module}:{node.name}"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and pattern.fullmatch(node.name)
+    ]
+
+
+def test_the_finite_families_have_one_home():
+    """cartan._finite_family builds every finite-type Cartan matrix: preset
+    reads it for each family name and the CLI for an inferred context.  A
+    test or demo module that writes out a family again fails here."""
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("tests", "demos")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert len(sources) > 10
+    assert family_builders(sources) == []
+    assert callers(package_sources(), "_finite_family") == {
+        "cartan.py:preset",
+        "cli.py:_infer_a_type",
+    }
+
+
+def test_family_builders_sees_each_spelling_of_the_names():
+    sources = {
+        "a.py": (
+            "def type_a(n):\n    pass\n"
+            "def _type_d(n):\n    pass\n"
+            "class C:\n    def bourbaki_e(self, n):\n        pass\n"
+            "def w0_seed(name):\n    def __type_b():\n        pass\n"
+            "def typed(n):\n    pass\n"
+            "def type_(n):\n    pass\n"
+        ),
+    }
+    # methods and nested functions count; typed and type_ are no family
+    assert sorted(family_builders(sources)) == [
+        "a.py:__type_b", "a.py:_type_d", "a.py:bourbaki_e", "a.py:type_a"
+    ]
 
 
 def memo_writers(sources: dict) -> dict:

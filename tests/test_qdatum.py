@@ -273,7 +273,7 @@ def test_b_hl_shifted_windows_agree():
 
 
 def test_b_hl_entry_agrees_with_entries_on_every_pair_of_points():
-    qd = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
+    qd = validate_height(preset("d4"), (0, 1, 0, 2))
     window = b_hl(qd, pk_sequence(qd, 5, 16))
     for (r, a), (c, b) in itertools.product(enumerate(window.points), repeat=2):
         assert window.entry(a, b) == window.entries[r][c]
@@ -331,7 +331,7 @@ def brute_inverse_series(cd, u_max):
 
 def test_cartan_tilde_matches_dense_inversion():
     contexts = [preset(name) for name in ("a1", "a2", "a3", "a1xa1")]
-    for cd in contexts + [validate_cartan(_type_d(4))]:
+    for cd in contexts + [preset("d4")]:
         series = cartan_tilde(cd, 8)
         dense = brute_inverse_series(cd, 8)
         labels = list(cd.index_set)
@@ -396,15 +396,16 @@ def four_entry_n_form(series, p1, p2):
     )
 
 
-@pytest.mark.parametrize("u_max", [1, 2, 7])
+@pytest.mark.parametrize("u_max", [1, 2, 3, 5, 7])
 def test_n_form_reads_the_four_entry_formula_from_its_rows(u_max):
     # a value or the same error and message at every level difference,
-    # inside the computed rows and up to two orders beyond them
-    contexts = [preset(name) for name in ("a1", "a3", "a1xa1")]
-    for cd in contexts + [validate_cartan(_type_d(4))]:
+    # inside the computed rows and up to four orders beyond them, where
+    # n_form refuses without reading a coefficient
+    contexts = [preset(name) for name in ("a1", "a2", "a3", "a1xa1")]
+    for cd in contexts + [preset("d4")]:
         series = cartan_tilde(cd, u_max)
         for i, j in itertools.product(cd.index_set, repeat=2):
-            for d in range(-u_max - 2, u_max + 3):
+            for d in range(-u_max - 4, u_max + 5):
                 for base in (0, 3):
                     x, y = RepetitionPoint(i, base + d), RepetitionPoint(j, base)
                     assert result(n_form, series, x, y) == result(
@@ -529,18 +530,6 @@ def test_w0_height_action():
 # phi_map and phi_inverse against their reference definitions
 
 
-def _type_a(n):
-    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
-
-
-def _type_d(n):
-    """D_n: the chain 1-...-(n-1) with n attached to n-2."""
-    m = _type_a(n)
-    m[n - 2][n - 1] = m[n - 1][n - 2] = 0
-    m[n - 3][n - 1] = m[n - 1][n - 3] = -1
-    return m
-
-
 def _all_heights(cd, b):
     out = []
     for xi in itertools.product(range(-b, b + 1), repeat=len(cd.index_set)):
@@ -586,11 +575,11 @@ ORACLE_CONTEXTS = {
     "a1": (preset("a1"), 3),
     "a2": (preset("a2"), 3),
     "a3": (preset("a3"), 3),
-    "a4": (validate_cartan(_type_a(4)), 1),
-    "d4": (validate_cartan(_type_d(4)), 1),
+    "a4": (preset("a4"), 1),
+    "d4": (preset("d4"), 1),
     # reducible, with no common Coxeter number: 2|R+|/|I| is 8/3 and 18/5
-    "a1xa2": (validate_cartan(_blocks([[2]], _type_a(2))), 1),
-    "a2xa3": (validate_cartan(_blocks(_type_a(2), _type_a(3))), 1),
+    "a1xa2": (validate_cartan(_blocks([[2]], preset("a2").matrix)), 1),
+    "a2xa3": (validate_cartan(_blocks(preset("a2").matrix, preset("a3").matrix)), 1),
 }
 ORACLE_HEIGHTS = {
     name: _all_heights(cd, b) for name, (cd, b) in ORACLE_CONTEXTS.items()
@@ -753,7 +742,7 @@ def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(qdatum, fname, counting)
-    qd = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
+    qd = validate_height(preset("d4"), (0, 1, 0, 2))
     pt = RepetitionPoint(4, 2 + 2 * 17)
     root, level = qdatum.phi_map(qd, pt)
     assert counts == {"phi_map": 1, "adapted_word": 1}
@@ -762,7 +751,7 @@ def test_phi_inverse_calls_no_phi_map_and_one_adapted_pass(monkeypatch):
         phi_inverse(qd, (0, 0, 0, 0), 2)
     assert counts == {"phi_map": 1, "adapted_word": 1}
     # on a fresh Q-datum phi_inverse alone builds the index once
-    fresh = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
+    fresh = validate_height(preset("d4"), (0, 1, 0, 2))
     for shift in range(-20, 21):
         assert phi_inverse(fresh, root, level + shift) == RepetitionPoint(
             4, pt.level + 6 * shift
@@ -891,10 +880,10 @@ EXTENSION_CONTEXTS = {
     "a1": preset("a1"),
     "a2": preset("a2"),
     "a3": preset("a3"),
-    "a4": validate_cartan(_type_a(4)),
-    "d4": validate_cartan(_type_d(4)),
+    "a4": preset("a4"),
+    "d4": preset("d4"),
     "a1xa1": preset("a1xa1"),
-    "a1xa2": validate_cartan(_blocks([[2]], _type_a(2))),
+    "a1xa2": validate_cartan(_blocks([[2]], preset("a2").matrix)),
 }
 
 
@@ -943,7 +932,7 @@ def test_extension_index_matches_the_replays_and_walks(data):
 def test_extension_index_refuses_like_the_replays_without_a_coxeter_number():
     # A1 x A2: 2|R+|/|I| = 8/3 is no Coxeter number, but each component
     # has its own (2 and 3), so the index and the replays agree
-    qd = validate_height(validate_cartan(_blocks([[2]], _type_a(2))), (0, 0, 1))
+    qd = validate_height(validate_cartan(_blocks([[2]], preset("a2").matrix)), (0, 0, 1))
     pt = RepetitionPoint(2, 0)
     assert pk_sequence(qd, -8, 8) == replay_pk_sequence(qd, -8, 8)
     assert qdatum._position_of_point(qd, pt) == walk_position_of_point(qd, pt)
@@ -957,11 +946,11 @@ def test_extension_index_refuses_like_the_replays_without_a_coxeter_number():
     [
         # 2|R+|/|I| = 3 is no component's Coxeter number (A1: 2, A3: 4):
         # with it the windows would hold 12 letters for 9 roots
-        (_blocks([[2]], [[2]], [[2]], _type_a(3)), (0, 0, 0, 0, 1, 2)),
+        (_blocks([[2]], [[2]], [[2]], preset("a3").matrix), (0, 0, 0, 0, 1, 2)),
         # 2|R+|/|I| = 4 again differs from every component's (A1: 2, D4: 6)
-        (_blocks(_type_d(4), [[2]], [[2]], [[2]], [[2]]), (0, 1, 0, 0, 0, 0, 0, 0)),
+        (_blocks(preset("d4").matrix, [[2]], [[2]], [[2]], [[2]]), (0, 1, 0, 0, 0, 0, 0, 0)),
         # A1^24 x A6: 2|R+|/|I| = 3
-        (_blocks(*[[[2]]] * 24, _type_a(6)), (0,) * 24 + (0, 1, 2, 3, 4, 5)),
+        (_blocks(*[[[2]]] * 24, preset("a6").matrix), (0,) * 24 + (0, 1, 2, 3, 4, 5)),
     ],
     ids=["a1^3xa3", "d4xa1^4", "a1^24xa6"],
 )
@@ -1004,7 +993,7 @@ def test_extension_index_makes_one_adapted_word_and_no_other_reflection(monkeypa
 
     monkeypatch.setattr(qdatum, "adapted_word", counting_adapted_word)
     monkeypatch.setattr(qdatum, "source_reflect", counting_source_reflect)
-    qd = validate_height(validate_cartan(_type_d(4)), (0, 1, 0, 2))
+    qd = validate_height(preset("d4"), (0, 1, 0, 2))
     length = 12
     points = qdatum.pk_sequence(qd, -3 * length, 3 * length)
     for k, pt in enumerate(points, start=-3 * length):
@@ -1018,21 +1007,13 @@ def test_extension_index_makes_one_adapted_word_and_no_other_reflection(monkeypa
 # The diagram's facts belong to the CartanData
 
 
-def _bourbaki_e6():
-    """E6 in Bourbaki labelling: the chain 1-3-4-5-6 with 2 attached to 4."""
-    m = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
-    for a, b in ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6)):
-        m[a - 1][b - 1] = m[b - 1][a - 1] = -1
-    return m
-
-
 FACT_CONTEXTS = {
-    **{f"a{n}": validate_cartan(_type_a(n)) for n in range(1, 6)},
-    "d4": validate_cartan(_type_d(4)),
-    "d5": validate_cartan(_type_d(5)),
-    "e6": validate_cartan(_bourbaki_e6()),
+    **{f"a{n}": preset(f"a{n}") for n in range(1, 6)},
+    "d4": preset("d4"),
+    "d5": preset("d5"),
+    "e6": preset("e6"),
     # labels that are not positions, on a reducible diagram
-    "a2xa3": validate_cartan(_blocks(_type_a(2), _type_a(3)), index_set="abcde"),
+    "a2xa3": validate_cartan(_blocks(preset("a2").matrix, preset("a3").matrix), index_set="abcde"),
 }
 
 
@@ -1056,7 +1037,7 @@ def test_the_diagram_facts_equal_their_definitions(name):
 def test_height_queries_derive_each_diagram_fact_once(monkeypatch):
     # many heights on one CartanData: each fact is derived once, on the
     # CartanData, and no datum or series keeps a copy
-    cd = validate_cartan(_type_a(4))
+    cd = preset("a4")
     counts = {"_neighbours": 0, "_star": 0, "_periods": 0}
     for name in counts:
         fact = vars(CartanData)[name]

@@ -294,11 +294,7 @@ def test_solve_lambda_refuses_matrices_without_unit_pivots(b):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_solve_lambda_matches_the_reference_on_gls_matrices(data):
-    matrix = data.draw(
-        st.sampled_from([preset("a2").matrix, preset("b3").matrix, preset("c3").matrix,
-                         type_a(4), type_d(4)])
-    )
-    cd = validate_cartan(matrix)
+    cd = data.draw(st.sampled_from([preset(name) for name in ("a2", "b3", "c3", "a4", "d4")]))
     letters = data.draw(st.lists(st.sampled_from(cd.index_set), max_size=10))
     b = gls_matrix(cd, Word(tuple(letters), BRAID))
     lam = solve_lambda(b)
@@ -352,7 +348,7 @@ def test_check_compatibility_fails_on_each_kind_of_equation():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_check_compatibility_matches_the_naive_sums(data):
-    cd = property_context(data.draw(st.sampled_from(["a2", "b2", "a3", "b3", "c3", "d4"])))
+    cd = preset(data.draw(st.sampled_from(["a2", "b2", "a3", "b3", "c3", "d4"])))
     b = gls_matrix(cd, random_word(data, cd, max_length=8))
     n = b.n
     kind = data.draw(st.sampled_from(["random", "solution", "nudged", "rescaled"]))
@@ -419,8 +415,7 @@ def random_words(rng, cd, count, max_length):
 
 def test_mutation_involution_all_tracks():
     rng = random.Random(7)
-    rank4 = [validate_cartan(m) for m in (type_a(4), type_d(4), type_b(4))]
-    for cd in [preset(n) for n in ["a1xa1", "a2", "b2", "a3", "b3"]] + rank4:
+    for cd in [preset(n) for n in ["a1xa1", "a2", "b2", "a3", "b3", "a4", "d4", "b4"]]:
         for w in random_words(rng, cd, 4, 6):
             seed = initial_seed(cd, w, exact=w.length <= 5)
             for k in seed.b.exchange:
@@ -544,7 +539,7 @@ def test_exchange_check_decides_as_the_relation_on_the_mutated_variable(data):
     output and on three wrong variants: the new variable q-shifted,
     another slot's variable in its place, and the unmutated seed.  The
     mutation is checked_mutation's, with exchange_check's verdict."""
-    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
+    cd = preset(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
     seed = initial_seed(cd, random_word(data, cd, max_length=6), exact=True)
     assume(seed.b.exchange)
     for pick in data.draw(st.lists(st.integers(0, 99), max_size=3)):
@@ -835,8 +830,7 @@ def test_slot_map_walk_equals_the_permute_per_move_walk(name, rng_seed):
     # B4 paths carry 4-moves with 3-mutation scripts, so their reports have
     # four_move_intermediates; D5 words are the longest, 20 letters
     rng = random.Random(rng_seed)
-    matrix = {"A4": type_a(4), "D4": type_d(4), "B4": type_b(4), "D5": type_d(5)}
-    cd = validate_cartan(matrix.get(name) or preset(name).matrix)
+    cd = preset(name)
     w, w2 = random_w0_pair(cd, rng)
     tracks = [False, True] if name in ("b3", "c3") else [False]
     for exact in tracks:
@@ -857,7 +851,7 @@ def test_each_report_validates_each_move_window_once(monkeypatch):
     words_move_window = words._move_window
     for module in (words, seeds, transitions):
         monkeypatch.setattr(module, "_move_window", counting)
-    for cd, tracks in ((preset("b3"), (False, True)), (validate_cartan(type_b(4)), (False,))):
+    for cd, tracks in ((preset("b3"), (False, True)), (preset("b4"), (False,))):
         w0 = finite_type_data(cd).longest_word
         w, w2 = Word(w0, REDUCED), Word(w0[::-1], REDUCED)
         for exact in tracks:
@@ -1106,12 +1100,6 @@ def reference_tsystem_sweep(cd, w):
     return checked, degenerate, failures
 
 
-def property_context(name):
-    """A preset, or the rank-4 Cartan matrix for the names a4, b4, c4 and d4."""
-    rank4 = {"a4": type_a(4), "b4": type_b(4), "c4": type_c(4), "d4": type_d(4)}
-    return validate_cartan(rank4.get(name) or preset(name).matrix)
-
-
 def random_word(data, cd, max_length=10):
     """A word of length 1..max_length over cd, reduced or not; its kind
     says which."""
@@ -1125,7 +1113,7 @@ def random_word(data, cd, max_length=10):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_tsystem_sweep_equals_one_check_per_box(data):
-    cd = property_context(
+    cd = preset(
         data.draw(st.sampled_from(["a2", "b2", "c2", "a3", "b3", "c3", "d4", "a4"]))
     )
     w = random_word(data, cd)
@@ -1155,7 +1143,7 @@ def test_tsystem_sweep_reads_every_box_with_two_letters_once(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_mutation_is_an_involution_that_keeps_compatibility(data):
-    cd = property_context(data.draw(st.sampled_from(["a4", "d4", "b3", "c3"])))
+    cd = preset(data.draw(st.sampled_from(["a4", "d4", "b3", "c3"])))
     w = random_word(data, cd)
     seed = initial_seed(cd, w)
     for k in seed.b.exchange:
@@ -1188,7 +1176,7 @@ def column_mutate_lam(lam, b, k):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_lambda_mutation_reads_the_down_exchange_vector(data):
-    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
+    cd = preset(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
     seed = initial_seed(cd, random_word(data, cd))
     # every exchange index of the initial seed, then of one mutated seed
     for _ in range(2):
@@ -1275,7 +1263,7 @@ def _outcome(mutate, seed, k):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_support_mutation_equals_the_dense_mutation(data):
-    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
+    cd = preset(data.draw(st.sampled_from(["a3", "b3", "c3", "d4"])))
     w = random_word(data, cd)
     seed = initial_seed(cd, w, exact=w.length <= 5)
     # any slot, so frozen indices are drawn too
@@ -1293,7 +1281,7 @@ def test_script_indices_and_exact_box_slots_are_exchange_slots(data):
     # stands in for the runtime checks these indices once had: the window
     # i j i (j) of a move, and the box [ks[s], ...] of a letter, put an
     # earlier copy of the letter before p+2, p+3 and ks[s+1]
-    cd = property_context(data.draw(st.sampled_from(["a3", "b3", "c3", "d4", "a4"])))
+    cd = preset(data.draw(st.sampled_from(["a3", "b3", "c3", "d4", "a4"])))
     w = random_word(data, cd, max_length=12)
     exchange = gls_matrix(cd, w).exchange
     for m in words.enumerate_moves(cd, w).moves:
@@ -1313,32 +1301,8 @@ def test_seed_to_json_shape():
     assert payload["word"] == {"letters": [1, 2, 1], "kind": "weyl-reduced"}
 
 
-def type_a(n):
-    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
-
-
-def type_b(n):
-    """B_n in the orientation of the b3 preset: c_{n,n-1} = -2."""
-    m = type_a(n)
-    m[n - 1][n - 2] = -2
-    return m
-
-
-def type_c(n):
-    """C_n, the transpose of B_n: c_{n-1,n} = -2."""
-    return [list(row) for row in zip(*type_b(n))]
-
-
-def type_d(n):
-    """D_n: a path 1..n-1 with vertex n attached to n-2."""
-    m = type_a(n)
-    m[n - 2][n - 1] = m[n - 1][n - 2] = 0
-    m[n - 3][n - 1] = m[n - 1][n - 3] = -1
-    return m
-
-
-def w0_seed(matrix):
-    cd = validate_cartan(matrix)
+def w0_seed(name):
+    cd = preset(name)
     return initial_seed(cd, Word(finite_type_data(cd).longest_word, REDUCED))
 
 
@@ -1353,29 +1317,21 @@ def w0_seed(matrix):
 # needed a budget of 50,000,000 (SHA-256 of repr(lam) starts
 # fc7bd30ae8fca88f on both).
 W0_LAMBDA = {
-    "A3": (type_a(3), 1,
-           "9b91ed4f75c793a794ded4d274c54ada87040a51052d3b7afaef8794bb0c9488"),
-    "B3": (type_b(3), 2,
-           "903274a933f5cc34db5b0e19a63ad6fc1e76e58578b5d3cde8ba529492982ba0"),
-    "A4": (type_a(4), 1,
-           "2b12d172d92f8206cd163a7cfc0e7acaaf01bd047a47ba02f93da4b07164aac3"),
-    "D4": (type_d(4), 2,
-           "dd2d15958f3f5587fdfa6df1dc21daf00e7270ee9f6257fea59a849024d633d9"),
-    "B4": (type_b(4), 3,
-           "5b202ddf05c02cd28c25b8da3c205a3e81dc53f4576a9e61f822954047ac3f50"),
-    "D5": (type_d(5), 2,
-           "53b77f2e9d9ef81a59c8d00d0adf26fadf1c60ccca4fcdb7bfe89ea157b4a25f"),
-    "D6": (type_d(6), 2,
-           "d97a9eafeefc5664629db3237ad9b1bc9c0440983badb2fb4ed4eb3148dc46f2"),
-    "A6": (type_a(6), 2,
-           "8f304ae98cf0918dba0636497967fc4e4b9514cece70f0f766fa68573ed823c3"),
+    "A3": (1, "9b91ed4f75c793a794ded4d274c54ada87040a51052d3b7afaef8794bb0c9488"),
+    "B3": (2, "903274a933f5cc34db5b0e19a63ad6fc1e76e58578b5d3cde8ba529492982ba0"),
+    "A4": (1, "2b12d172d92f8206cd163a7cfc0e7acaaf01bd047a47ba02f93da4b07164aac3"),
+    "D4": (2, "dd2d15958f3f5587fdfa6df1dc21daf00e7270ee9f6257fea59a849024d633d9"),
+    "B4": (3, "5b202ddf05c02cd28c25b8da3c205a3e81dc53f4576a9e61f822954047ac3f50"),
+    "D5": (2, "53b77f2e9d9ef81a59c8d00d0adf26fadf1c60ccca4fcdb7bfe89ea157b4a25f"),
+    "D6": (2, "d97a9eafeefc5664629db3237ad9b1bc9c0440983badb2fb4ed4eb3148dc46f2"),
+    "A6": (2, "8f304ae98cf0918dba0636497967fc4e4b9514cece70f0f766fa68573ed823c3"),
 }
 
 
 @pytest.mark.parametrize("family", sorted(W0_LAMBDA))
 def test_w0_lambda_matches_pinned_values(family):
-    matrix, largest, digest = W0_LAMBDA[family]
-    seed = w0_seed(matrix)
+    largest, digest = W0_LAMBDA[family]
+    seed = w0_seed(family)
     n = seed.b.n
     upper = [seed.lam[i][j] for i in range(n) for j in range(i + 1, n)]
     assert max(map(abs, upper)) == largest
@@ -1383,7 +1339,7 @@ def test_w0_lambda_matches_pinned_values(family):
     assert check_compatibility(seed.lam, seed.b)
 
 
-@pytest.mark.parametrize("matrix", [type_a(3), type_a(4), type_d(4), type_b(4)])
+@pytest.mark.parametrize("matrix", [preset(name).matrix for name in ("a3", "a4", "d4", "b4")])
 def test_wedge_lattice_is_the_kernel_of_the_pairing_system(matrix, monkeypatch):
     cd = validate_cartan(matrix)
     b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
@@ -1415,7 +1371,8 @@ def test_wedge_lattice_is_the_kernel_of_the_pairing_system(matrix, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "matrix, nodes", [(type_a(6), 1_565), (type_b(5), 2_058), (type_d(6), 3_440)]
+    "matrix, nodes",
+    [(preset(name).matrix, nodes) for name, nodes in (("a6", 1_565), ("b5", 2_058), ("d6", 3_440))],
 )
 def test_w0_pairing_search_needs_exactly_its_pinned_nodes(matrix, nodes, monkeypatch):
     cd = validate_cartan(matrix)
@@ -1428,17 +1385,16 @@ def test_w0_pairing_search_needs_exactly_its_pinned_nodes(matrix, nodes, monkeyp
         solve_lambda(b)
 
 
-W0_LATTICE_FAMILIES = {
-    "A3": type_a(3), "B3": type_b(3), "A4": type_a(4),
-    "D4": type_d(4), "B4": type_b(4), "D5": type_d(5),
-}
+# built at import: the tests that draw from them set small budgets, which a
+# family name of preset must fit
+W0_LATTICE_FAMILIES = {name: preset(name) for name in ("A3", "B3", "A4", "D4", "B4", "D5")}
 
 
 @functools.cache
 def w0_lattice(family):
     """(x0, basis, pivot_rows) that solve_lambda searches for the seed of
     the family's canonical longest word."""
-    cd = validate_cartan(W0_LATTICE_FAMILIES[family])
+    cd = W0_LATTICE_FAMILIES[family]
     b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
     seen = []
 
@@ -1515,7 +1471,7 @@ def test_the_w0_searches_visit_the_nodes_of_the_plain_search(family, monkeypatch
 @given(st.data())
 def test_back_substitution_gives_the_reference_lambda(data):
     names = ["a2", "b3", "c3", "a4", "b4", "c4", "d4"]
-    cd = property_context(data.draw(st.sampled_from(names)))
+    cd = preset(data.draw(st.sampled_from(names)))
     b = gls_matrix(cd, random_word(data, cd, max_length=14))
     # every exchange column j of a GLS matrix starts with -1 at row j-
     assert has_unit_pivots(b)
@@ -1552,20 +1508,20 @@ def minor_pairing(cd, letters):
 def test_the_minor_pairing_is_compatible_with_the_gls_matrix(data):
     # so it lies in the affine lattice that solve_lambda searches
     names = ["a2", "b2", "a3", "b3", "c3", "a4", "b4", "c4", "d4"]
-    cd = property_context(data.draw(st.sampled_from(names)))
+    cd = preset(data.draw(st.sampled_from(names)))
     w = random_word(data, cd, max_length=14)
     assert check_compatibility(minor_pairing(cd, w.letters), gls_matrix(cd, w))
 
 
 def test_a5_w0_seed_is_compatible():
-    seed = w0_seed(type_a(5))
+    seed = w0_seed("a5")
     assert check_compatibility(seed.lam, seed.b)
 
 
 def test_b4_word_with_huge_particular_solution_builds_a_seed():
     # The particular solution and kernel basis of this word reach entries
     # whose quotients overflow a float; size reduction must stay exact.
-    cd = validate_cartan(type_b(4))
+    cd = preset("b4")
     w = Word((1, 2, 1, 3, 4, 3, 4, 2, 3, 4, 3, 1, 2, 3, 4, 3), REDUCED)
     seed = initial_seed(cd, w)
     assert check_compatibility(seed.lam, seed.b)
@@ -1583,7 +1539,7 @@ def test_a_seed_build_refuses_a_bad_budget_env(monkeypatch, value):
 def test_lambda_search_is_bounded_by_the_budget(monkeypatch):
     # the A6 w0 pairing search needs 1,565 nodes
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1000")
-    cd = validate_cartan(type_a(6))
+    cd = preset("a6")
     b = gls_matrix(cd, Word(finite_type_data(cd).longest_word, REDUCED))
     with pytest.raises(BudgetExhausted):
         solve_lambda(b)

@@ -22,7 +22,6 @@ from braidseed.cartan import (
     preset,
     reflect_root,
     roots_of_word,
-    validate_cartan,
 )
 from braidseed.errors import (
     BudgetExhausted,
@@ -332,12 +331,6 @@ def test_unconnectable_words_are_refused_before_the_budget(monkeypatch):
 
 # Rank-4 contexts: A4, D4 (node 4 attached to node 2), and B4 in the
 # orientation of the b3 preset (c_43 = -2).
-RANK4 = {
-    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
-    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
-}
-
 # Reduced words of w0 drawn by seeded random walks in the move graph, and
 # the moves of find_move_path between them as found by the search that
 # listed each word's moves with enumerate_moves.
@@ -359,7 +352,7 @@ PINNED_PATHS = [
 
 @pytest.mark.parametrize("family, start, end, moves", PINNED_PATHS)
 def test_find_move_path_matches_pinned_moves(family, start, end, moves):
-    cd = validate_cartan(RANK4[family])
+    cd = preset(family)
     u = Word(tuple(map(int, start)), WordKind.WEYL_REDUCED)
     v = Word(tuple(map(int, end)), WordKind.WEYL_REDUCED)
     path = find_move_path(cd, u, v)
@@ -446,16 +439,9 @@ def search_words_equal(cd, w, w2, budget=None):
     return status == "found"
 
 
-# E6 in Bourbaki labelling: the chain 1-3-4-5-6 with 2 attached to 4.
-E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
-      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
-
-
 def relation_contexts():
     """Every preset (g2 for the 6-move), B4, D4 and E6."""
-    return [preset(name) for name in sorted(PRESET_MATRICES)] + [
-        validate_cartan(m) for m in (RANK4["B4"], RANK4["D4"], E6)
-    ]
+    return [preset(name) for name in (*sorted(PRESET_MATRICES), "b4", "d4", "e6")]
 
 
 RELATION_CONTEXTS = relation_contexts()
@@ -539,21 +525,12 @@ def strip_common_ends(x, y):
     return x[: len(x) - s], y[: len(y) - s]
 
 
-def bourbaki_e(n):
-    """E_n in Bourbaki labelling: the chain 1-3-4-...-n with 2 attached to 4."""
-    edges = [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, n)]
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b in edges:
-        m[a - 1][b - 1] = m[b - 1][a - 1] = -1
-    return m
-
-
 @pytest.mark.parametrize("rank", [7, 8])
 def test_reduced_words_of_one_element_are_equal_without_a_search(monkeypatch, rank):
     # w0 against reverse(w0) runs the move-graph search out of its budget
     # at rank 7 and 8; one walk per word answers, and a budget of 1 word
     # is never charged
-    cd = validate_cartan(bourbaki_e(rank))
+    cd = preset(f"e{rank}")
     w0 = finite_type_data(cd).longest_word
     u, v = Word(w0), Word(w0[::-1])
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1")
@@ -602,9 +579,7 @@ def reference_bfs(cd, start, target, budget):
     return "exhausted", None
 
 
-MOVE_GRAPHS = [preset(name) for name in ("a2", "b2", "a3", "b3", "c3")] + [
-    validate_cartan(RANK4[family]) for family in ("A4", "D4", "B4")
-]
+MOVE_GRAPHS = [preset(name) for name in ("a2", "b2", "a3", "b3", "c3", "a4", "d4", "b4")]
 
 
 def _random_walk(cd, w, rng, steps):
@@ -704,9 +679,7 @@ def draw_reduced_word(rng, cd, length):
     return tuple(letters)
 
 
-REDUCED_PAIR_GRAPHS = [preset(name) for name in ("a3", "b3", "c3")] + [
-    validate_cartan(RANK4[family]) for family in ("A4", "B4", "D4")
-]
+REDUCED_PAIR_GRAPHS = [preset(name) for name in ("a3", "b3", "c3", "a4", "b4", "d4")]
 
 
 @settings(max_examples=100, deadline=None)
@@ -743,7 +716,7 @@ def test_a_word_reached_with_fewer_up_moves_is_expanded_again():
     # the depth-first round first reaches some words of this B4 pair along
     # longer paths; searched only from there, it returned another 43-move
     # path.  The moves are those of reference_bfs.
-    cd = validate_cartan(RANK4["B4"])
+    cd = preset("b4")
     u = Word((4, 3, 1, 2, 1, 3, 4, 3, 2, 4, 3, 4, 1, 3, 2, 3))
     v = Word((2, 1, 3, 4, 2, 3, 1, 4, 3, 2, 1, 3, 2, 4, 3, 4))
     path = find_move_path(cd, u, v)
@@ -829,13 +802,11 @@ def test_depth_first_rounds_answer_as_the_breadth_first_rounds(data):
 # Two reduced words of the D5 longest word drawn by seeded random walks in
 # its move graph, 38 moves apart; the unpruned search ran out of the default
 # budget of 200,000 words before reaching the second from the first.
-D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
-      [0, 0, -1, 0, 2]]
 D5_FAR_PAIR = ("21232543253413523543", "12321432531423531234")
 
 
 def test_far_d5_longest_words_compare_within_the_default_budget():
-    cd = validate_cartan(D5)
+    cd = preset("d5")
     u, v = (Word(tuple(map(int, w))) for w in D5_FAR_PAIR)
     report = seed_equivalence_report(cd, u, v, exact=False)
     assert report.match and report.lam_gauge_in_kernel
@@ -849,7 +820,7 @@ def test_a_common_prefix_cancels_before_the_weyl_test(monkeypatch):
     # neither word is reduced, and the search of the whole words ran out of
     # the default budget; without s1 they are reduced words of w0, so no
     # word is searched
-    cd = validate_cartan(D5)
+    cd = preset("d5")
     w0 = finite_type_data(cd).longest_word
     u, v = (Word((1,) + x, WordKind.POSITIVE_BRAID) for x in (w0, w0[::-1]))
     monkeypatch.setenv("BRAIDSEED_BUDGET", "1")
@@ -859,7 +830,7 @@ def test_a_common_prefix_cancels_before_the_weyl_test(monkeypatch):
 def test_e6_longest_word_compares_with_its_reverse():
     # 152 moves apart; the breadth-first rounds ran out of the default
     # budget before reaching reverse(w0) from w0
-    cd = validate_cartan(E6)
+    cd = preset("e6")
     w0 = finite_type_data(cd).longest_word
     u, v = Word(w0), Word(tuple(reversed(w0)))
     report = seed_equivalence_report(cd, u, v, exact=False)
@@ -1000,7 +971,7 @@ def _outcome(f, *args):
 INDEX_CONTEXTS = [
     preset("a2"),
     preset("b3"),
-    validate_cartan([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]),
+    preset("d4"),
 ]
 
 
