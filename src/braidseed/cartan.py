@@ -430,17 +430,24 @@ _LEAST_RANK = {"a": 1, "b": 2, "c": 2, "d": 4}
 _EXCEPTIONAL = ("e6", "e7", "e8", "f4")
 
 
-def _finite_family(letter: str, n: int) -> CartanData:
+def _finite_family(letter: str, n) -> CartanData:
     """The Cartan matrix of the finite family letter ("a" to "f") at a rank
-    n it has: the chain 1-2-...-n with at most two edges replaced, an edge
-    (i, j, c_ij, c_ji).  b keeps c_{n,n-1} = -2 and c is
-    its transpose; d attaches n to n-2; e (Bourbaki) joins 1-3 and 2-4
-    before the chain 3-4-...-n; f4 has c_32 = -2.  A rank whose matrix has
-    more than default_budget() cells is BudgetExhausted."""
-    if n * n > (budget := default_budget()):
+    n it has, an int or its decimal numeral: the chain 1-2-...-n with at
+    most two edges replaced, an edge (i, j, c_ij, c_ji).  b keeps
+    c_{n,n-1} = -2 and c is its transpose; d attaches n to n-2; e
+    (Bourbaki) joins 1-3 and 2-4 before the chain 3-4-...-n; f4 has
+    c_32 = -2.  A rank whose matrix has more than default_budget() cells is
+    BudgetExhausted, named by its number of digits where it or its cell
+    count is past Python's int/str digit limit."""
+    budget = default_budget()
+    try:
+        n = int(n)
+        size = f"rank {n} has {n * n} matrix cells" if n * n > budget else ""
+    except ValueError:  # past the digit limit, so n * n is past any budget
+        size = f"a {len(str(n))}-digit rank"
+    if size:
         raise BudgetExhausted(
-            f"type-{letter.upper()} context of rank {n} has {n * n} "
-            f"matrix cells, over the budget of {budget}"
+            f"type-{letter.upper()} context of {size}, over the budget of {budget}"
         )
     edges = [(k, k + 1, -1, -1) for k in range(1, n)]
     if letter == "b":
@@ -470,8 +477,8 @@ def preset(name: str) -> CartanData:
     letter, digits = key[:1], key[1:]
     if key in _EXCEPTIONAL or (
         letter in _LEAST_RANK
-        and re.fullmatch("[1-9][0-9]*", digits, re.ASCII)
-        and int(digits) >= _LEAST_RANK[letter]
+        # a numeral of the least rank or more, read only by _finite_family
+        and re.fullmatch(f"[{_LEAST_RANK[letter]}-9]|[1-9][0-9]+", digits, re.ASCII)
     ):
-        return _finite_family(letter, int(digits))
+        return _finite_family(letter, digits)
     raise NotGCM(f"unknown Cartan preset {name!r}")

@@ -21,6 +21,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import random
 import re
 import sys
@@ -285,10 +286,11 @@ def _context(config: RunConfig, how: str) -> CartanData:
         return _infer_a_type(config.options.get("words", ()))
     if ref is None:
         raise ConfigInvalid("cartan: missing --cartan")
-    path = Path(ref)
-    if path.exists():
+    # os.path.exists, unlike Path.exists, is False for a name no file can
+    # have, such as one over 255 bytes
+    if os.path.exists(ref):
         try:
-            text = path.read_text()
+            text = Path(ref).read_text()
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigInvalid(f"cartan: cannot read {ref}: {err}") from err
         return cartan_from_json(text)

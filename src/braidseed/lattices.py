@@ -10,13 +10,14 @@ coordinate has the same last touching vector in both, so the search, its
 node count and its answer depend only on the affine lattice.  At each
 depth the search tries only the coefficients in the interval that keeps
 every coordinate final there within the radius, read off the least and
-the largest value per step size, and orders them centre out by
-arithmetic: a coefficient outside the interval would be dropped without
-a node, so the tree is the one every coefficient of the pivot's range
-would give.  ``seeds.solve_lambda`` builds such a basis from wedges and
-calls the search directly.  Its nodes are counted against the shared
-search budget (``BRAIDSEED_BUDGET``), and running out raises
-BudgetExhausted.  All arithmetic stays in Python integers.
+the largest value per step size, in a stable sort by the pivot's size:
+a coefficient outside the interval would be dropped without a node, so
+the tree is the one every coefficient of the pivot's range would give.
+Each child carries a whole point, so the leaves are the candidates.
+``seeds.solve_lambda`` builds such a basis from wedges and calls the
+search directly.  Its nodes are counted against the shared search budget
+(``BRAIDSEED_BUDGET``), and running out raises BudgetExhausted.  All
+arithmetic stays in Python integers.
 """
 from __future__ import annotations
 
@@ -151,9 +152,7 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
     coefficient outside it would put a final coordinate beyond the radius
     and be dropped without a node, so the tree is the one the pivot's
     whole range gives.  Each child copies its parent's point and adds its
-    coefficient times its vector over the coordinates not final yet; the
-    final ones are written only into the best leaves, at the end, from
-    what each depth chose.
+    coefficient times its vector, so every leaf is a whole point.
 
     The first part of the canonical order is the histogram of the sizes,
     compared lexicographically from the radius down: the count of entries
@@ -164,15 +163,12 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
     coordinates already form a histogram above the best leaf's loses at
     every leaf and is dropped.  Only the leaves with the best histogram are
     kept, and ranked by the full order.  At each depth the coefficients are
-    tried from the centre out (Schnorr and Euchner 1994), in the order of a
-    stable sort of the range by the pivot's size, built by arithmetic: the
-    coefficient that puts the pivot coordinate nearest 0, the lower one on
-    a tie, then one step further on the other side of 0 and one on its own
-    side in turn, then the rest of the longer side.  Every node is fixed by
-    the pivot values so far, so the node count depends only on the affine
-    lattice; the reduction only shrinks the supports.  Raises
-    BudgetExhausted when the search visits more than default_budget()
-    nodes.
+    tried from the centre out (Schnorr and Euchner 1994), in a stable sort
+    of the range by the pivot's size: the lower coefficient first on a
+    tie.  Every node is fixed by the pivot values so far, so the node count
+    depends only on the affine lattice; the reduction only shrinks the
+    supports.  Raises BudgetExhausted when the search visits more than
+    default_budget() nodes.
     """
     current = _size_reduce(x0, basis, pivot_rows)
     n = len(current)
@@ -181,8 +177,8 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
     # per depth d, walking the basis backwards: the pivot row and step; the
     # coordinates of vector d that no later vector touches, final at depth
     # d (the pivot among them), grouped by step size for the coefficient
-    # bounds, then in group order with their step sizes; and the others,
-    # which move, with their steps on the flipped point
+    # bounds, then in group order with their step sizes; and every row of
+    # vector d with its step on the flipped point
     levels = [None] * dim
     sign = [1] * n
     later = set()
@@ -204,14 +200,11 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
             [(v, itemgetter(*group, group[0])) for v, group in groups.items()],
             done,
             [abs(vec[i]) for i in done],
-            [(i, sign[i] * vec[i]) for i in rows if i in later],
+            [(i, sign[i] * vec[i]) for i in rows],
         )
         later.update(rows)
     current = list(map(mul, sign, current))
     untouched = [abs(current[i]) for i in range(n) if i not in later]
-    # per depth d of the current branch: its final coordinates' values
-    # before vector d is added, and vector d's coefficient
-    chosen = [None] * dim
     digit = n.bit_length()  # 2**digit > n, the most entries of one size
     weight = [1 << (digit * size) for size in range(max(map(abs, current)) + 1)]
     nodes = 0
@@ -232,7 +225,7 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
                 if hist < best:
                     best = hist
                     found.clear()
-                found.append((current, chosen.copy()))
+                found.append(current)
                 return
             p, step, groups, rows, steps, shifts = levels[depth]
             base = current[p]
@@ -248,35 +241,14 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
                     lo = least
                 if most < hi:
                     hi = most
-            if lo > hi:
-                return
-            # centre out: the centre puts the pivot nearest 0, the lower
-            # coefficient on a tie; side points from it across 0
-            zero = -(base // step)  # the least coeff with base + step*coeff >= 0
-            if step <= 2 * (base + step * zero):
-                centre, side = zero - 1, 1
-            else:
-                centre, side = zero, -1
-            if lo >= centre:  # all at or above the centre: upwards
-                order = range(lo, hi + 1)
-            elif hi <= centre:  # all at or below it: downwards
-                order = range(hi, lo - 1, -1)
-            else:  # m steps to each side in turn, then the longer side's rest
-                m = min(centre - lo, hi - centre)
-                order = [centre]
-                for t in range(1, m + 1):
-                    order += centre + side * t, centre - side * t
-                if hi - centre == m:
-                    order += range(centre - m - 1, lo - 1, -1)
-                else:
-                    order += range(centre + m + 1, hi + 1)
+            # a stable sort: the pivot's size, the lower coefficient on a tie
+            order = sorted(range(lo, hi + 1), key=lambda c: abs(base + step * c))
             xs = [current[i] for i in rows]
             for coeff in order:
                 branch = hist + sum([weight[abs(x + coeff * v)] for x, v in zip(xs, steps)])
                 # the final sizes only add to hist, so a branch above best
                 # stays above it at every leaf
                 if branch <= best:
-                    chosen[depth] = xs, coeff
                     child = current.copy()
                     for i, v in shifts:
                         child[i] += coeff * v
@@ -289,15 +261,9 @@ def _canonical_point(x0: Sequence[int], basis: list, pivot_rows: list) -> list:
     radius = max(untouched, default=0)
     while not (leaves := search(radius)):
         radius += 1
-    candidates = []
-    for point, picks in leaves:
-        for (_, _, _, rows, steps, _), (xs, coeff) in zip(levels, picks):
-            for i, x, v in zip(rows, xs, steps):
-                point[i] = x + coeff * v
-        candidates.append(list(map(mul, sign, point)))
 
     def key(x: list):
         sizes = list(map(abs, x))
         return sorted(sizes, reverse=True), sizes, [v < 0 for v in x]
 
-    return min(candidates, key=key)
+    return min([list(map(mul, sign, point)) for point in leaves], key=key)

@@ -11,7 +11,7 @@ NonExactDivision instead of a silently wrong result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import combinations, compress
 from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
 
@@ -214,15 +214,9 @@ def _canonical_pairing(n: int, x0: list, free: list) -> tuple:
     if len(free) > 1:
         H, leads = column_echelon(list(zip(*free)))
         us = [([row[c] for row in H], lead) for lead, c in leads]
-        basis, pivot_rows = [], []
-        for a, (u, i) in enumerate(us):
-            # the n - 1 + ... + n - i pairs of rows < i come first, and u and
-            # every later v vanish on them
-            start = i * (2 * n - i - 1) // 2
-            rest = pairs[start:]
-            for v, j in us[a + 1 :]:
-                basis.append([0] * start + _wedge(rest, u, v))
-                pivot_rows.append(start + j - i - 1)
+        basis = [_wedge(pairs, u, v) for (u, _), (v, _) in combinations(us, 2)]
+        # the pair (i, j) comes after the n - 1 + ... + n - i pairs of rows < i
+        pivot_rows = [i * (2 * n - i - 1) // 2 + j - i - 1 for (_, i), (_, j) in combinations(us, 2)]
         point = _canonical_point(x0, _reduce_echelon(basis, pivot_rows), pivot_rows)
     lam = [[0] * n for _ in range(n)]
     for (i, j), value in zip(pairs, point):

@@ -341,6 +341,16 @@ def _plain_bfs(relations: dict, start: tuple, target: tuple, budget: int):
     return "exhausted", None
 
 
+def _checked_pair(cd: CartanData, w: Word, w2: Word) -> int:
+    """default_budget(), once both words' letters are in cd and no letter
+    pair of theirs needs a 6-move; refused in that order."""
+    budget = default_budget()
+    _check_letters(cd, w.positions)
+    _check_letters(cd, w2.positions)
+    _check_no_sixmove_pairs(cd, w.letters + w2.letters)
+    return budget
+
+
 def find_move_path(cd: CartanData, w: Word, w2: Word) -> list:
     """The lexicographically least shortest move sequence from w to w2: of
     the shortest paths, the smallest by move positions in order.  _bfs finds
@@ -354,10 +364,7 @@ def find_move_path(cd: CartanData, w: Word, w2: Word) -> list:
     fails on two reduced words of one Weyl element.  A budget that
     default_budget() refuses is ConfigInvalid, before any other check.
     """
-    budget = default_budget()
-    _check_letters(cd, w.positions)
-    _check_letters(cd, w2.positions)
-    _check_no_sixmove_pairs(cd, w.letters + w2.letters)
+    budget = _checked_pair(cd, w, w2)
     if w.length != w2.length:
         raise NotConnected("words of different lengths", definitive=True)
     status, path = _bfs(cd, w, w2.letters, budget)
@@ -386,10 +393,7 @@ def words_equal_in_monoid(cd: CartanData, w: Word, w2: Word) -> bool:
     and a spent budget is BudgetExhausted.  A budget that default_budget()
     refuses is ConfigInvalid, before any other check.
     """
-    budget = default_budget()
-    _check_letters(cd, w.positions)
-    _check_letters(cd, w2.positions)
-    _check_no_sixmove_pairs(cd, w.letters + w2.letters)
+    budget = _checked_pair(cd, w, w2)
     if w.length != w2.length:
         return False
     x, y = w.letters, w2.letters

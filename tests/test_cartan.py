@@ -602,6 +602,12 @@ def test_a_family_past_the_budget_is_refused_before_it_is_built(monkeypatch):
     monkeypatch.delenv("BRAIDSEED_BUDGET")
     with pytest.raises(BudgetExhausted, match="rank 448 has 200704 matrix cells"):
         preset("a448")
+    # the numeral and the cell count are past Python's 4,300-digit limit
+    message = "^type-D context of a 4400-digit rank, over the budget of 200000$"
+    with pytest.raises(BudgetExhausted, match=message):
+        preset("d" + "9" * 4400)
+    with pytest.raises(BudgetExhausted, match="^type-B context of a 2200-digit rank, "):
+        preset("b" + "9" * 2200)
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,46 @@ def test_an_inferred_context_past_the_budget_is_refused_at_once(tmp_path, monkey
     )
 
 
+def run_quietly(*argv):
+    """main(argv) with a JSON report on stdout: (exit code, report, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    return code, parse_report(out.getvalue().encode()), err.getvalue()
+
+
+@pytest.mark.parametrize("length", [255, 256, 4096])
+def test_a_cartan_name_too_long_for_a_file_is_an_unknown_preset(length):
+    # a name over 255 bytes makes the file check raise ENAMETOOLONG
+    code, report, err = run_quietly("cartan", "check", "--cartan", "x" * length)
+    assert (code, err) == (2, "")
+    assert error_kind(report) == ("Error", "NotGCM")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("verify", "tsystem", "--word", "1," + "9" * 2200),
+            "cartan: an inferred type-A context of a 2200-digit rank, over the "
+            "budget of 200000",
+        ),
+        (
+            ("cartan", "check", "--cartan", "a" + "9" * 4400),
+            "type-A context of a 4400-digit rank, over the budget of 200000",
+        ),
+    ],
+    ids=["inferred", "preset"],
+)
+def test_a_rank_past_the_decimal_digit_limit_is_past_the_budget(monkeypatch, argv, message):
+    # n * n, or the numeral itself, is past Python's 4,300-digit int/str limit
+    monkeypatch.delenv("BRAIDSEED_BUDGET", raising=False)
+    code, report, err = run_quietly(*argv)
+    assert (code, err) == (2, "")
+    assert error_kind(report) == ("Error", "BudgetExhausted")
+    assert report.metadata["error"]["message"] == message
+
+
 def test_d6_w0_equals_its_reverse_without_a_search(tmp_path):
     # two reduced words of w0: the move-graph search ran out of its budget
     # here after about 3 s, one Weyl walk per word answers at once
@@ -1038,8 +1078,13 @@ FLAG_VALUES = {
     "--k": _ints(-2, 2),
     "--point": _ints(-4, 4, 2),
 }
-# preset -> rank; words are drawn over the letters of the chosen context
-RANKS = {"a1": 1, "a1xa1": 2, "a2": 2, "b2": 2, "c2": 2, "g2": 2, "a3": 3, "zz": 2}
+# --cartan name -> rank; words are drawn over the letters of the chosen
+# context.  "zz" and the last two are no context: "x" * 256 is too long a
+# name for a file, and a<4,400 nines> has a rank too long for Python to read
+RANKS = {
+    "a1": 1, "a1xa1": 2, "a2": 2, "b2": 2, "c2": 2, "g2": 2, "a3": 3, "zz": 2,
+    "x" * 256: 2, "a" + "9" * 4400: 2,
+}
 BOUNDED = {
     "--range": st.one_of(st.integers(0, 3), st.integers(0, 10**9)),
     "--length-cap": st.one_of(
