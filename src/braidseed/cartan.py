@@ -358,6 +358,9 @@ def _finite_type_data(cd: CartanData) -> FiniteTypeData:
     still positive.  In a finite Weyl group that walk is reduced and stops
     exactly at w0, after |R+| letters, so its roots are the positive roots
     and its final images are w0(alpha_i) = -alpha_{i*}, which give the star.
+    One ascent flag per index says whether its image is positive; appending
+    p changes only the images of the i with c_pi != 0, so only their flags
+    are tested again.
     The Coxeter number 2|R+|/|I| is stored only when it is an integer (it
     always is for irreducible types).
     """
@@ -368,9 +371,14 @@ def _finite_type_data(cd: CartanData) -> FiniteTypeData:
             f"principal minor of order {minor[0]} is {minor[1]}"
         )
     walk, word = _WeylWalk(cd), []
-    while ascents := [i for i, x in zip(cd.index_set, walk.images) if min(x) >= 0]:
-        word.append(ascents[0])
-        walk.append(ascents[0])
+    ascent = [min(x) >= 0 for x in walk.images]
+    while True in ascent:
+        p = ascent.index(True)
+        word.append(cd.index_set[p])
+        walk.append(cd.index_set[p])
+        for i, c in enumerate(cd.matrix[p]):
+            if c:
+                ascent[i] = min(walk.images[i]) >= 0
     star = tuple(cd.index_set[x.index(-1)] for x in walk.images)
     twice = 2 * len(word)
     h = twice // cd.rank if twice % cd.rank == 0 else None

@@ -28,7 +28,7 @@ is refused with NotRepresentable.
 The exponent tuples, which the Lambda dot products and the public view
 terms = {exponent tuple: QHalf} read, are unpacked from an element's
 keys when first read, and kept.  A product or sum builds none, so one
-that is only compared, like the exchange check's X_k * mu_k(X_k), never
+that is only compared, like an exchange relation's right side, never
 does; a quotient keeps the tuples its steps unpack.
 
 A torus element stores each coefficient in one form, the plain dict
@@ -40,11 +40,15 @@ division step and of a shifted_sum, of which x + y and x - y are the
 two-part cases; a pair with a one-entry coefficient, the common case,
 merges its entry products straight in.  _divide divides every
 coefficient, and QHalf.divide wraps it; a one-entry divisor divides entry
-by entry.  _scaled is the one term map, of -x and x.q_shift(s).  _image
-is the one Lambda rule: Lambda(a, b) is a . (Lambda b) in lambda_pairing
-and in the kernels, where the images of one factor's terms (the
-divisor's, in a division) are computed once and each term pair then
-costs one O(r) dot product.  Division keeps its remainder in a
+by entry.  _scaled is the one term map, of -x and x.q_shift(s); bar is
+the one home of the bar involution, which negates every doubled
+q-exponent and fixes each based monomial.  Under a skew Lambda bar
+reverses products, bar(f g) = bar(g) bar(f); bar_invariant tests
+bar(x) == x entry by entry and builds no element.  _image is the one
+Lambda rule: Lambda(a, b) is a . (Lambda b) in lambda_pairing and in
+the kernels, where the images of one factor's terms (the divisor's, in
+a division) are computed once and each term pair then costs one O(r)
+dot product.  Division keeps its remainder in a
 {key: {doubled_q: int}} dict and takes the leading term from a heap of
 negated keys; a one-term divisor c X^e instead divides the numerator's
 terms in one pass, in grlex order.  Terms and coefficient entries keep
@@ -349,6 +353,19 @@ class QuantumLaurent:
             key: {k + doubled: sign * v for k, v in c.items()} for key, c in self._terms.items()
         }
         return QuantumLaurent._wrap(self.rank, terms, self._bound, self._exps)
+
+    def bar(self) -> "QuantumLaurent":
+        """The bar involution q^(1/2) -> q^(-1/2), X^a -> X^a: every doubled
+        q-exponent negated.  The keys, the bound and the exponent tuples
+        stay.  Under a skew Lambda it is a ring anti-automorphism, so
+        bar(f g) = bar(g) bar(f)."""
+        terms = {key: {-k: v for k, v in c.items()} for key, c in self._terms.items()}
+        return QuantumLaurent._wrap(self.rank, terms, self._bound, self._exps)
+
+    def bar_invariant(self) -> bool:
+        """bar(self) == self, read off the entries: each q^(k/2) entry
+        equals its q^(-k/2) one."""
+        return all(c.get(-k) == v for c in self._terms.values() for k, v in c.items())
 
     def __neg__(self) -> "QuantumLaurent":
         return self._scaled(-1, 0)

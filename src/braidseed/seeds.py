@@ -6,7 +6,12 @@ Position conventions are 1-based throughout, matching the word layer.
 The exact track stores every cluster variable as a Laurent element of
 the initial quantum torus; mutated variables are produced by exact
 right division, so any internal inconsistency surfaces as
-NonExactDivision instead of a silently wrong result.
+NonExactDivision instead of a silently wrong result.  The division proves
+mu_k(X_k) * X_k = N for the exchange numerator N, and the exchange check
+reads the other order X_k * mu_k(X_k) off bar(N): both variables are
+bar-invariant and the torus pairing is skew, or the check fails.  The only
+products of a step are its exchange monomials, multiplied out once in
+_current_monomial.
 """
 from __future__ import annotations
 
@@ -297,7 +302,9 @@ class _SeedState:
     exchange_check between thawing a seed and freezing the result.  b and
     lam are lists of row lists, trop and exact lists of slots (exact is
     None when the exact track is off); exchange, d_prime and torus_lam
-    never change.
+    never change.  skew says whether torus_lam is skew-symmetric, the
+    condition under which bar reverses products, decided once per thaw and
+    only when the exact track is on (otherwise False).
 
     _products is the memo of _current_monomial for the current variables,
     owned by the state and empty on every thaw.  A product reads exact
@@ -308,7 +315,7 @@ class _SeedState:
     """
 
     __slots__ = (
-        "b", "exchange", "d_prime", "lam", "trop", "exact", "torus_lam", "_products"
+        "b", "exchange", "d_prime", "lam", "trop", "exact", "torus_lam", "skew", "_products"
     )
 
     def __init__(self, seed: Seed):
@@ -318,7 +325,10 @@ class _SeedState:
         self.lam = [list(row) for row in seed.lam]
         self.trop = list(seed.trop)
         self.exact = None if seed.exact is None else list(seed.exact)
-        self.torus_lam = seed.torus_lam
+        self.torus_lam = lam = seed.torus_lam
+        self.skew = self.exact is not None and list(map(tuple, lam)) == [
+            tuple(-v for v in column) for column in zip(*lam)
+        ]
         self._products = {}
 
     def freeze(self, seed: Seed, k: int) -> Seed:
@@ -359,8 +369,10 @@ def _pairings(lam: Sequence[Sequence[int]], k: int, vectors: tuple) -> tuple:
 def _mutate_in_place(state: _SeedState, k: int) -> tuple:
     """Mutation at an exchange index k, in place: the one home of the B,
     Lambda, tropical and exact mutation rules.  Returns the exchange
-    vectors at k, their _pairings under the Lambda before the step, and
-    X_k before the step (None when the exact track is off).
+    vectors at k, their _pairings under the Lambda before the step, X_k
+    before the step and the exchange numerator N that the step divided by
+    it, so that mu_k(X_k) * X_k = N (both None when the exact track is
+    off).
 
     The exchange vectors are formed once from B's column k.  The tropical
     track applies the parameter mutation rule to the two monomials'
@@ -378,7 +390,7 @@ def _mutate_in_place(state: _SeedState, k: int) -> tuple:
     vectors = _exchange_vectors(column, k)
     pairings = _pairings(lam, k, vectors)
     trop[k - 1] = par_mutation(trop[k - 1], *_exchange_parameters(trop, vectors))
-    x_k = None
+    x_k = numerator = None
     if state.exact is not None:
         x_k = state.exact[k - 1]
         numerator = _exchange_sum(state, k, vectors)
@@ -404,7 +416,7 @@ def _mutate_in_place(state: _SeedState, k: int) -> tuple:
     for r, v in zip(lam, row):
         r[k - 1] = -v
     lam[k - 1] = row
-    return vectors, pairings, x_k
+    return vectors, pairings, x_k, numerator
 
 
 def _current_monomial(state: _SeedState, vec: Sequence[int], shift: int = 0) -> tuple:
@@ -495,22 +507,34 @@ def _checked_step(state: _SeedState, s: int, slot: int) -> ExchangeCheck:
     """One step, _mutate_in_place at state slot s, and its ExchangeCheck
     reported at slot.  On the exact track the check verifies X_s * mu_s(X_s)
     == q^(alpha/2) M_up + q^(beta/2) M_down: the only place where both
-    sides are formed.
+    sides are decided, with no product formed.
+
+    The step's division proved mu_s(X_s) * X_s = N for the numerator N it
+    divided.  Under a skew torus_lam bar reverses products, so when X_s and
+    mu_s(X_s) are both bar-invariant, as quantum cluster variables are
+    (Berenstein-Zelevinsky 2005), X_s * mu_s(X_s) = bar(N).  The check is
+    therefore: state.skew, both variables bar-invariant, and bar(N) equal
+    to the right side.
 
     The right side reads the exchange vectors with slot s set to 0, which
     read neither X_s nor row and column s of Lambda: the state after the
     step gives the same right side as before it, from the products that
     the step's numerator left in the state's memo.
     """
-    vectors, pairings, x_s = _mutate_in_place(state, s)
+    vectors, pairings, x_s, numerator = _mutate_in_place(state, s)
     verified = None
     if x_s is not None:
-        lhs = torus_product(state.torus_lam, x_s, state.exact[s - 1])
-        verified = lhs == shifted_sum(
+        right = shifted_sum(
             [
                 _current_monomial(state, vec[: s - 1] + (0,) + vec[s:], pairing)
                 for vec, pairing in zip(vectors, pairings)
             ]
+        )
+        verified = (
+            state.skew
+            and x_s.bar_invariant()
+            and state.exact[s - 1].bar_invariant()
+            and numerator.bar() == right
         )
     return ExchangeCheck(slot, *pairings, verified)
 

@@ -306,6 +306,26 @@ def test_longest_word_canonical_choice():
     assert finite_type_data(preset("b2")).longest_word == (1, 2, 1, 2)
 
 
+def plain_greedy_w0(cd):
+    """The greedy walk with no flags: after every letter re-test the image
+    w(alpha_i) of every index, and append the first that is positive.  The
+    images follow w -> w s_j as elt_of_word does, on s_j(alpha_i) computed
+    once per pair."""
+    simple = [cd.simple_root(i) for i in cd.index_set]
+    reflected = {j: [reflect_root(cd, j, x) for x in simple] for j in cd.index_set}
+    images, word = tuple(simple), []
+    while ascents := [i for i, x in zip(cd.index_set, images) if min(x) >= 0]:
+        word.append(ascents[0])
+        images = tuple(apply_elt(cd, images, y) for y in reflected[ascents[0]])
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", ["a30", "b12", "d20", "e8"])
+def test_the_flagged_walk_gives_the_plain_greedy_word(name):
+    cd = preset(name)
+    assert finite_type_data(cd).longest_word == plain_greedy_w0(cd)
+
+
 def test_star_involution():
     cd = preset("a3")
     data = finite_type_data(cd)

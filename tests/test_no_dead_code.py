@@ -10,7 +10,8 @@ UNREAD_METHODS.
 A function that nothing calls any more is deleted, not kept beside its
 replacement.  seeds and cli call
 no private name of qlaurent, so every product and division passes through
-the public kernels.  No module but __init__.py, which re-exports, imports
+the public kernels, and inside seeds only _current_monomial reads
+torus_product.  No module but __init__.py, which re-exports, imports
 a name at its top level that it never reads.  The finite-type Cartan
 matrices have one builder, cartan._finite_family, and no test or demo
 writes a family out again."""
@@ -341,10 +342,6 @@ def test_the_mutation_rules_have_one_in_place_home():
     for rule in ("par_mutation", "right_divide", "_exchange_sum"):
         assert callers_of(rule) == {"seeds.py:_mutate_in_place"}, rule
     seeds = {"seeds.py": sources["seeds.py"]}
-    assert callers(seeds, "torus_product") == {
-        "seeds.py:_current_monomial",
-        "seeds.py:_checked_step",
-    }
     assert callers(seeds, "shifted_sum") == {"seeds.py:_exchange_sum", "seeds.py:_checked_step"}
     assert "_exchange_holds" not in {name.split(":")[1] for name in table}
     # a memo is a new dict on every thaw and every step, never another
@@ -353,6 +350,69 @@ def test_the_mutation_rules_have_one_in_place_home():
         "seeds.py:__init__": ["Dict"],
         "seeds.py:_mutate_in_place": ["DictComp"],
     }
+
+
+def readers(sources: dict, name: str) -> set:
+    """module:owner for each owner whose code reads name, as a bare name or
+    as an attribute: a module-level function or method (nested functions
+    included), a class body outside its methods, or <module> for the
+    module's other top-level statements.  Imports are not reads, so a name
+    bound to an alias is read where the import names it, not at all, and
+    the alias is read where it is used."""
+    found = set()
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(top, ast.ClassDef):
+                owners = [
+                    (node.name, node)
+                    for node in top.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+                rest = [node for node in top.body if node not in {n for _, n in owners}]
+                owners.append((top.name, ast.Module(body=rest, type_ignores=[])))
+            elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners = [(top.name, top)]
+            else:
+                owners = [("<module>", top)]
+            for owner, node in owners:
+                if name_counts(node, imports=False)[name]:
+                    found.add(f"{module}:{owner}")
+    return found
+
+
+def test_seeds_forms_exact_products_in_one_place():
+    """Inside seeds only _current_monomial reads torus_product, so every
+    exact product of a step is an exchange monomial multiplied out once
+    into the state's memo.  The exchange check's left side X_k * mu_k(X_k)
+    is the bar image of the step's numerator, and a product formed again
+    anywhere else in seeds, called or passed on, fails here."""
+    sources = package_sources()
+    seeds = {"seeds.py": sources["seeds.py"]}
+    assert readers(seeds, "torus_product") == {"seeds.py:_current_monomial"}
+    assert readers(seeds, "bar") == {"seeds.py:_checked_step"}
+
+
+def test_readers_sees_calls_aliases_attributes_and_class_bodies():
+    sources = {
+        "a.py": (
+            "from .q import p, p as alias\n"
+            "import q\n"
+            "def by_name():\n    return p(1)\n"
+            "def by_alias():\n    f = alias\n    return f(1)\n"
+            "def passed_on():\n    return map(p, [])\n"
+            "def nested():\n    def inner():\n        return q.p(1)\n    return inner\n"
+            "def spelled_alike():\n    np = 1\n    return np\n"
+            "class C:\n    held = p\n    def m(self):\n        return self.p\n"
+            "    def other(self):\n        return 1\n"
+            "TABLE = {1: p}\n"
+        ),
+    }
+    assert readers(sources, "p") == {
+        "a.py:by_name", "a.py:passed_on", "a.py:nested", "a.py:m", "a.py:C", "a.py:<module>"
+    }
+    assert readers(sources, "alias") == {"a.py:by_alias"}
 
 
 def family_builders(sources: dict) -> list:

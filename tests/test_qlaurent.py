@@ -933,3 +933,50 @@ def test_sums_match_the_qhalf_based_ones(case, shifts):
     ]:
         assert settled(*got) == settled(*want)
     assert settled(add, x, other)[0] == "ContextMismatch"
+
+
+def reference_bar(x):
+    """The bar involution through the public view: each coefficient's
+    q^(k/2) entry moved to q^(-k/2), each based monomial kept."""
+    return QuantumLaurent(
+        x.rank, {e: QHalf({-k: v for k, v in c.terms.items()}) for e, c in x.terms.items()}
+    )
+
+
+@st.composite
+def skew_context(draw):
+    """Rank 1-4 and a random skew-symmetric Lambda with entries in [-2, 2]."""
+    rank = draw(st.integers(1, 4))
+    lam = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            lam[i][j] = draw(st.integers(-2, 2))
+            lam[j][i] = -lam[i][j]
+    return rank, lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bar_is_an_involution_that_reverses_products(data):
+    """bar(bar(x)) = x and bar(f g) = bar(g) bar(f) under a skew Lambda;
+    bar keeps every based monomial, and bar_invariant is bar(x) == x."""
+    rank, lam = data.draw(skew_context())
+    f, g = element(data.draw, rank, 4), element(data.draw, rank, 4)
+    for x in (f, g):
+        assert x.bar().bar() == x
+        assert in_order(x.bar()) == in_order(reference_bar(x))
+        assert x.bar()._bound == x._bound
+        assert x.bar_invariant() is (x.bar() == x)
+        assert (x + x.bar()).bar_invariant()
+    assert torus_product(lam, f, g).bar() == torus_product(lam, g.bar(), f.bar())
+
+
+def test_bar_reverses_products_only_under_a_skew_lambda():
+    # X1 X1 = q^(1/2) X1^2 under Lambda = [[1]], whose bar is q^(-1/2) X1^2
+    x1 = QuantumLaurent.generator(1, 1)
+    assert x1.bar_invariant() and QuantumLaurent(1).bar_invariant()
+    square = torus_product([[1]], x1, x1)
+    assert square == QuantumLaurent.monomial(1, (2,), QHalf.q_power(1))
+    assert square.bar() != torus_product([[1]], x1.bar(), x1.bar())
+    assert not square.bar_invariant()
+    assert not x1.q_shift(1).bar_invariant()

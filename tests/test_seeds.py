@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from dataclasses import fields, replace
 from operator import mul
 
@@ -476,9 +477,10 @@ def test_exchange_check_refuses_a_mutated_seed_without_the_exact_track():
 
 def test_a_checked_mutation_multiplies_each_exchange_monomial_out_once(monkeypatch):
     """checked_mutation's numerator and exchange check share one product
-    per exchange monomial: its factors after the first, plus the left side
-    X_k * mu_k(X_k).  The memo lives on the thawed state, so a second call
-    on the same seed forms them all again, and a Seed holds no memo."""
+    per exchange monomial, its factors after the first, and nothing more:
+    the left side X_k * mu_k(X_k) is the bar image of the numerator, not a
+    product.  The memo lives on the thawed state, so a second call on the
+    same seed forms them all again, and a Seed holds no memo."""
     assert "_products" not in {f.name for f in fields(seeds.Seed)}
     w0_seed = exact_w0_seed("c3")
     starts = [w0_seed, mutate_seed(w0_seed, w0_seed.b.exchange[0])]
@@ -499,7 +501,7 @@ def test_a_checked_mutation_multiplies_each_exchange_monomial_out_once(monkeypat
                 calls.clear()
                 mutated, check = checked_mutation(seed, k)
                 assert check.verified is True
-                assert len(calls) == sum(max(f - 1, 0) for f in factors) + 1
+                assert len(calls) == sum(max(f - 1, 0) for f in factors)
             assert mutated == mutate_seed(seed, k)
 
 
@@ -603,6 +605,42 @@ def test_exact_steps_equal_the_reference_kernels_in_insertion_order(data):
         assert mutated.exact[: k - 1] + mutated.exact[k:] == seed.exact[: k - 1] + seed.exact[k:]
         assert exchange_check(seed, k, mutated).verified is holds is True
         seed = mutated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_variables_are_bar_invariant_and_the_check_is_the_reference_relation(data):
+    """Along random words and mutation sequences every exact variable is
+    bar-invariant, and the check, which reads the left side off the bar
+    image of the step's numerator, decides as the relation multiplied out
+    through the reference kernels."""
+    cd = preset(data.draw(st.sampled_from(["a2", "b2", "a3", "b3", "c3", "d4"])))
+    seed = initial_seed(cd, random_word(data, cd, max_length=6), exact=True)
+    assume(seed.b.exchange)
+    assert seeds._SeedState(seed).skew
+    for pick in data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=5)):
+        k = seed.b.exchange[pick % len(seed.b.exchange)]
+        numerator, new, holds = reference_exact_step(seed, k)
+        mutated, check = checked_mutation(seed, k)
+        assert all(x.bar_invariant() for x in mutated.exact)
+        assert mutated.exact[k - 1] == new
+        assert check.verified is holds is parent_exchange_rule(seed, k, mutated) is True
+        seed = mutated
+
+
+def test_a_pairing_that_is_not_skew_fails_every_exact_check():
+    """bar reverses products only under a skew pairing, so a torus_lam
+    with a symmetric part fails the check even where the divisions are
+    exact; the tropical track decides no skewness."""
+    seed = initial_seed(preset("a3"), Word((1, 2, 1, 3, 2, 1), REDUCED), exact=True)
+    tilted = tuple(
+        tuple(v + (i == j) for j, v in enumerate(row)) for i, row in enumerate(seed.torus_lam)
+    )
+    assert not seeds._SeedState(replace(seed, torus_lam=tilted)).skew
+    assert not seeds._SeedState(replace(seed, exact=None)).skew
+    for k in seed.b.exchange:
+        assert checked_mutation(seed, k)[1].verified is True
+        assert checked_mutation(replace(seed, torus_lam=tilted), k)[1].verified is False
 
 
 
@@ -862,27 +900,45 @@ def test_each_report_validates_each_move_window_once(monkeypatch):
 
 
 def test_the_exact_walk_multiplies_each_exchange_monomial_out_once(monkeypatch):
-    # the check after an in-place step reads the products its numerator
-    # formed, so the walk makes no more products than a fresh seed per step
-    product = seeds.torus_product
-    calls = []
+    """The check after an in-place step reads the products its numerator
+    formed, so the walk makes no more products than a fresh seed per step.
+    Each product multiplies out an exchange monomial in _current_monomial;
+    no step forms a left side X_k * mu_k(X_k), whose two factors are a
+    division's divisor and quotient."""
+    product, divide = seeds.torus_product, seeds.right_divide
+    calls, divided = [], []
 
     def counting(*args):
-        calls.append(args)
+        calls.append((sys._getframe(1).f_code.co_name, args[1], args[2]))
         return product(*args)
 
+    def dividing(lam, numerator, divisor):
+        quotient = divide(lam, numerator, divisor)
+        divided.append((divisor, quotient))
+        return quotient
+
     monkeypatch.setattr(seeds, "torus_product", counting)
+    monkeypatch.setattr(seeds, "right_divide", dividing)
     for name in ("b3", "c3"):
         cd = preset(name)
         w0 = finite_type_data(cd).longest_word
         w, w2 = Word(w0, REDUCED), Word(w0[::-1], REDUCED)
         calls.clear()
+        divided.clear()
         report = seed_equivalence_report(cd, w, w2, exact=True)
-        walked = len(calls)
+        walked = list(calls)
+        steps = list(divided)
         calls.clear()
         assert report == reference_equivalence_report(cd, w, w2, True)
         assert report.exact_verified is True
-        assert 0 < walked <= len(calls)
+        assert 0 < len(walked) <= len(calls)
+        assert len(steps) == len(report.exchange_checks) > 0
+        assert {caller for caller, _, _ in walked} == {"_current_monomial"}
+        for divisor, quotient in steps:
+            assert not any(
+                f == divisor and g == quotient or f == quotient and g == divisor
+                for _, f, g in walked
+            )
 
 
 def test_a_script_mutation_at_a_frozen_slot_raises_frozen_index(monkeypatch):
